@@ -49,12 +49,13 @@ let capture (engine : Engine.t) =
           sh_dc_log = Log_manager.crash sh.Engine.s_dc_log;
         })
   in
+  let sh0 = Engine.shard engine 0 in
   {
     config = engine.Engine.config;
-    store = Page_store.clone engine.Engine.store;
+    store = Page_store.clone sh0.Engine.s_store;
     log = Log_manager.crash engine.Engine.log;
     dc_log =
-      (if Engine.split engine then Some (Log_manager.crash engine.Engine.dc_log) else None);
+      (if Engine.split engine then Some (Log_manager.crash sh0.Engine.s_dc_log) else None);
     master = Tc.master engine.Engine.tc;
     extra_shards;
     flight = Option.map Flight.snapshot (Engine.flight engine);

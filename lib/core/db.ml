@@ -63,6 +63,9 @@ let guarded t txn f = if check_txn t txn then Error Db_error.Txn_finished else f
 
 let router t = Engine.router t.engine
 
+(* Shard 0's DC: the whole data side when [shards = 1]. *)
+let dc0 t = (Engine.shard t.engine 0).Engine.s_dc
+
 (* Inspection and maintenance refuse to run with a shard down rather than
    hand back a partial view that looks like data loss. *)
 let require_all_up t what =
@@ -82,7 +85,7 @@ let create_table t ~table =
 let tables t =
   live t;
   require_all_up t "tables";
-  Dc.tables t.engine.Engine.dc
+  Dc.tables (dc0 t)
 
 let begin_txn ?(client = 0) t =
   live t;
@@ -182,7 +185,7 @@ let compact_log t =
         Array.fold_left
           (fun acc (_, rlsn, _) -> Deut_wal.Lsn.min acc rlsn)
           tc_point
-          (Monitor.runtime_dpt (Dc.monitor t.engine.Engine.dc))
+          (Monitor.runtime_dpt (Dc.monitor (dc0 t)))
   in
   (if not (Deut_wal.Lsn.is_nil point) then
      let log = t.engine.Engine.log in
@@ -281,7 +284,7 @@ let merged_entries t ~table ~fold =
 let fold_table t ~table ~init ~f =
   live t;
   scan_gate t;
-  if shard_count t = 1 then Btree.fold_entries (Dc.tree t.engine.Engine.dc ~table) ~init ~f
+  if shard_count t = 1 then Btree.fold_entries (Dc.tree (dc0 t) ~table) ~init ~f
   else begin
     require_all_up t "fold_table";
     List.fold_left
@@ -294,7 +297,7 @@ let fold_range t ~table ~lo ~hi ~init ~f =
   live t;
   scan_gate t;
   if shard_count t = 1 then
-    Deut_btree.Cursor.fold_range (Dc.tree t.engine.Engine.dc ~table) ~lo ~hi ~init ~f
+    Deut_btree.Cursor.fold_range (Dc.tree (dc0 t) ~table) ~lo ~hi ~init ~f
   else begin
     require_all_up t "fold_range";
     List.fold_left
@@ -321,7 +324,7 @@ let sum_shards t f =
 let entry_count t ~table =
   live t;
   scan_gate t;
-  if shard_count t = 1 then Btree.entry_count (Dc.tree t.engine.Engine.dc ~table)
+  if shard_count t = 1 then Btree.entry_count (Dc.tree (dc0 t) ~table)
   else begin
     require_all_up t "entry_count";
     sum_shards t (fun sh -> Btree.entry_count (Dc.tree sh.Engine.s_dc ~table))

@@ -41,15 +41,9 @@ type shard = {
 type t = {
   config : Config.t;
   clock : Clock.t;
-  data_disk : Disk.t;  (* shard 0's data device *)
   log_disk : Disk.t;
-  dc_log_disk : Disk.t option;  (* shard 0's DC-log device in the split layout *)
   archive_disk : Disk.t option;  (* the archive's device when archiving is on *)
-  mutable store : Page_store.t;  (* alias of [shards.(0).s_store] *)
   log : Log_manager.t;  (* the TC log; also carries DC records when integrated *)
-  mutable dc_log : Log_manager.t;  (* == [log] in the integrated layout *)
-  mutable pool : Pool.t;  (* alias of [shards.(0).s_pool] *)
-  mutable dc : Dc.t;  (* alias of [shards.(0).s_dc] *)
   tc : Tc.t;
   obs : Obs.t;
   shards : shard array;
@@ -57,7 +51,7 @@ type t = {
   tc_ep : Dc_access.tc_endpoint;  (* the un-networked DC→TC direction *)
 }
 
-let split t = not (t.dc_log == t.log)
+let split t = t.config.Config.log_layout = Config.Split
 let obs t = t.obs
 let trace t = Obs.trace t.obs
 let metrics t = Obs.metrics t.obs
@@ -83,14 +77,6 @@ let normalize config =
 let shard_pool_pages config =
   if config.Config.shards <= 1 then config.Config.pool_pages
   else Stdlib.max 8 (config.Config.pool_pages / config.Config.shards)
-
-(* Keep the scalar shard-0 aliases live across per-shard recovery. *)
-let sync_shard0 t =
-  let sh = t.shards.(0) in
-  t.store <- sh.s_store;
-  t.dc_log <- sh.s_dc_log;
-  t.pool <- sh.s_pool;
-  t.dc <- sh.s_dc
 
 (* Lazy gauges over every live counter the engine keeps, so [Engine_stats]
    and the CLI read one namespace instead of crawling component records.
@@ -176,10 +162,12 @@ let local_endpoint sh =
         Dc.handle sh.s_dc req);
   }
 
-(* Assemble one shard's stack: devices, cache, DC.  [store]/[dc_log] come
-   from the caller (fresh or a crash image); [tc] is this shard's view of
-   the TC (networked when the link is). *)
-let assemble_shard ?trace ?flight ~config ~clock ~m ~tc ~i ~store ~dc_log ~data_disk
+(* One shard's volatile stack over its durable state and devices: the DC
+   log wired to its device, a fresh cache and a DC.  Assembly builds every
+   shard with it, and a per-shard crash rebuilds the crashed one with it.  [tc_ep] is
+   the TC's un-networked endpoint; the DC sees it over the shard's link
+   when there is one. *)
+let build_stack ?trace ?flight ~config ~clock ~m ~tc_ep ~i ~store ~dc_log ~data_disk
     ~dc_log_disk ~link () =
   (match dc_log_disk with
   | Some disk ->
@@ -194,10 +182,8 @@ let assemble_shard ?trace ?flight ~config ~clock ~m ~tc ~i ~store ~dc_log ~data_
       ~lazy_writer_min_age:(2 * config.Config.delta_period) ~store ~disk:data_disk ~clock ()
   in
   Pool.instrument pool ?trace ~stall_hist:(Metrics.histogram m "cache.stall_wait_us") ();
-  let tc = match link with Some l -> Dc_access.networked_tc l tc | None -> tc in
-  let dc = Dc.create ?trace ~config ~clock ~disk:data_disk ~store ~pool ~dc_log ~tc () in
-  { s_id = i; s_data_disk = data_disk; s_dc_log_disk = dc_log_disk; s_link = link;
-    s_store = store; s_dc_log = dc_log; s_pool = pool; s_dc = dc; s_up = true }
+  let tc = match link with Some l -> Dc_access.networked_tc l tc_ep | None -> tc_ep in
+  (pool, Dc.create ?trace ~config ~clock ~disk:data_disk ~store ~pool ~dc_log ~tc ())
 
 let assemble ?dc_log ?extra_shards config ~store ~log =
   let config = normalize config in
@@ -303,30 +289,36 @@ let assemble ?dc_log ?extra_shards config ~store ~log =
       Some (Link.create ?trace ~track ~clock ~params ~seed:(config.Config.seed + (7919 * (i + 1))) ())
   in
   let shard_of i =
-    if i = 0 then
-      assemble_shard ?trace ?flight ~config ~clock ~m ~tc:tc_ep ~i:0 ~store ~dc_log:dc_log0
-        ~data_disk ~dc_log_disk:dc_log_disk0 ~link:(link_for 0) ()
-    else begin
-      (* Sibling shards: own data device and DC-log device on distinct
-         trace lanes, own store and short log. *)
-      let s_store, s_dc_log =
-        match extra_shards with
-        | Some a -> a.(i - 1)
-        | None ->
-            ( Page_store.create ~page_size:config.Config.page_size,
-              Log_manager.create ~page_size:config.Config.page_size )
-      in
-      let d = Disk.create ~params:config.Config.data_disk clock in
-      Disk.instrument d ?trace
-        ~io_hist:(Metrics.histogram m (Printf.sprintf "shard%d.disk.data.io_us" i))
-        ~track:(Trace.track_shard i) ();
-      let ld = Disk.create ~params:config.Config.log_disk clock in
-      Disk.instrument ld ?trace
-        ~io_hist:(Metrics.histogram m (Printf.sprintf "shard%d.disk.dc_log.io_us" i))
-        ~track:(Trace.track_shard i) ();
-      assemble_shard ?trace ?flight ~config ~clock ~m ~tc:tc_ep ~i ~store:s_store
-        ~dc_log:s_dc_log ~data_disk:d ~dc_log_disk:(Some ld) ~link:(link_for i) ()
-    end
+    let store, dc_log, data_disk, dc_log_disk =
+      if i = 0 then (store, dc_log0, data_disk, dc_log_disk0)
+      else begin
+        (* Sibling shards: own data device and DC-log device on distinct
+           trace lanes, own store and short log. *)
+        let s_store, s_dc_log =
+          match extra_shards with
+          | Some a -> a.(i - 1)
+          | None ->
+              ( Page_store.create ~page_size:config.Config.page_size,
+                Log_manager.create ~page_size:config.Config.page_size )
+        in
+        let d = Disk.create ~params:config.Config.data_disk clock in
+        Disk.instrument d ?trace
+          ~io_hist:(Metrics.histogram m (Printf.sprintf "shard%d.disk.data.io_us" i))
+          ~track:(Trace.track_shard i) ();
+        let ld = Disk.create ~params:config.Config.log_disk clock in
+        Disk.instrument ld ?trace
+          ~io_hist:(Metrics.histogram m (Printf.sprintf "shard%d.disk.dc_log.io_us" i))
+          ~track:(Trace.track_shard i) ();
+        (s_store, s_dc_log, d, Some ld)
+      end
+    in
+    let link = link_for i in
+    let pool, dc =
+      build_stack ?trace ?flight ~config ~clock ~m ~tc_ep ~i ~store ~dc_log ~data_disk
+        ~dc_log_disk ~link ()
+    in
+    { s_id = i; s_data_disk = data_disk; s_dc_log_disk = dc_log_disk; s_link = link;
+      s_store = store; s_dc_log = dc_log; s_pool = pool; s_dc = dc; s_up = true }
   in
   let shards = Array.init n shard_of in
   (* Causal tracing over the protocol.  Every TC→DC exchange gets a fresh
@@ -415,27 +407,7 @@ let assemble ?dc_log ?extra_shards config ~store ~log =
   in
   let router = Dc_access.make_router (Array.map instrumented_endpoint shards) in
   let tc = Tc.create ?trace ?flight ~config ~log () in
-  let sh0 = shards.(0) in
-  let t =
-    {
-      config;
-      clock;
-      data_disk;
-      log_disk;
-      dc_log_disk = dc_log_disk0;
-      archive_disk;
-      store = sh0.s_store;
-      log;
-      dc_log = sh0.s_dc_log;
-      pool = sh0.s_pool;
-      dc = sh0.s_dc;
-      tc;
-      obs;
-      shards;
-      router;
-      tc_ep;
-    }
-  in
+  let t = { config; clock; log_disk; archive_disk; log; tc; obs; shards; router; tc_ep } in
   register_gauges t;
   t
 
@@ -456,33 +428,14 @@ let fresh config =
    replays the survivor state and flips the shard back up. *)
 
 let rebuild_shard t sh ~dc_log =
-  let tr = trace t in
-  (match sh.s_dc_log_disk with
-  | Some disk ->
-      Log_manager.attach_read_disk dc_log disk;
-      Log_manager.instrument dc_log ?trace:tr
-        ?flight:(Option.map (fun f -> (f, sh.s_id)) (flight t))
-        ()
-  | None -> ());
-  let pool =
-    Pool.create ~capacity:(shard_pool_pages t.config) ~block_pages:t.config.Config.block_pages
-      ~lazy_writer_every:t.config.Config.lazy_writer_every
-      ~lazy_writer_min_age:(2 * t.config.Config.delta_period) ~store:sh.s_store
-      ~disk:sh.s_data_disk ~clock:t.clock ()
-  in
-  Pool.instrument pool ?trace:tr
-    ~stall_hist:(Metrics.histogram (metrics t) "cache.stall_wait_us") ();
-  let tc =
-    match sh.s_link with Some l -> Dc_access.networked_tc l t.tc_ep | None -> t.tc_ep
-  in
-  let dc =
-    Dc.create ?trace:tr ~config:t.config ~clock:t.clock ~disk:sh.s_data_disk ~store:sh.s_store
-      ~pool ~dc_log ~tc ()
+  let pool, dc =
+    build_stack ?trace:(trace t) ?flight:(flight t) ~config:t.config ~clock:t.clock
+      ~m:(metrics t) ~tc_ep:t.tc_ep ~i:sh.s_id ~store:sh.s_store ~dc_log
+      ~data_disk:sh.s_data_disk ~dc_log_disk:sh.s_dc_log_disk ~link:sh.s_link ()
   in
   sh.s_dc_log <- dc_log;
   sh.s_pool <- pool;
-  sh.s_dc <- dc;
-  sync_shard0 t
+  sh.s_dc <- dc
 
 let crash_shard t i =
   if Array.length t.shards = 1 then

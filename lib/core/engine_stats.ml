@@ -184,7 +184,7 @@ let capture (engine : Engine.t) =
     recovery_pages_background;
     allocated_pages;
     stable_pages;
-    tables = List.length (Dc.tables engine.Engine.dc);
+    tables = List.length (Dc.tables (Engine.shard engine 0).Engine.s_dc);
     sim_now_ms = sim_now_us /. 1000.0;
   }
 

@@ -239,24 +239,64 @@ let make_partitioner method_ ~workers (records : (Lsn.t * Lr.t) array) =
           (min band (workers - 1) + v.Lr.rv_table) mod workers
   end
 
-(* Replay the materialised redo range on [Config.redo_workers] simulated
-   workers.  Records are processed in global log order; each is charged to
-   its partition's worker by rewinding the shared clock to that worker's
-   time cursor ([Clock.set]) before replaying it.  The disk keeps its own
-   monotonic busy horizon, so IO requests from workers at earlier cursors
-   still queue behind in-flight service — contention on the single device
-   is preserved — while CPU charges and page-fetch stalls on different
-   workers overlap.  Because application order is log order regardless of
-   the partitioning, the recovered state and the apply-count statistics
-   are identical for every worker count; with one worker the loop is
-   exactly the sequential pass.  SMO records barrier: every worker joins
-   (clock = max cursor) before the page images are installed, and all
-   cursors restart from the completed replay. *)
-let redo_pass method_ (engine : Engine.t) (scan : scan_result) ~(stats : Recovery_stats.cells) =
-  let dc = engine.Engine.dc in
+(* Phase 1 for one shard: the method's analysis.  The logical methods
+   recover the DC (SMO replay, DPT from Δ/BW records) over its own
+   records: the shared log from the checkpoint when integrated, the whole
+   short private log when split.  The SQL Server and ARIES analyses read
+   page ids off the TC log, so they only run integrated, on one shard.
+   Log2 also preloads the index levels; instant recovery defers that to
+   the first page demand.  Returns where the redo scan starts. *)
+let analyse method_ (engine : Engine.t) (sh : Engine.shard) ~bckpt ~stats =
+  let dc = sh.Engine.s_dc in
+  let dc_recovery ~build_dpt =
+    let from = if Engine.split engine then Lsn.nil else bckpt in
+    Dc.dc_recovery dc ~log:sh.Engine.s_dc_log ~from ~bckpt ~build_dpt ~stats
+  in
+  match method_ with
+  | Log0 ->
+      dc_recovery ~build_dpt:false;
+      bckpt
+  | Log1 | InstantLog2 ->
+      dc_recovery ~build_dpt:true;
+      bckpt
+  | Log2 ->
+      dc_recovery ~build_dpt:true;
+      Dc.preload_indexes dc ~stats;
+      bckpt
+  | Sql1 | Sql2 ->
+      Dc.set_dpt dc (sql_analysis ?trace:(Engine.trace engine) engine.Engine.log ~from:bckpt ~stats);
+      bckpt
+  | Aries_ckpt ->
+      let dpt, redo_start = aries_analysis engine.Engine.log ~from:bckpt ~stats in
+      Dc.set_dpt dc dpt;
+      redo_start
+
+(* Replay one shard's stripe of the materialised redo range — the records
+   the router places on it, all of them at one shard — on
+   [Config.redo_workers] simulated workers, through the shard's
+   {!Dc_access} endpoint.  Records are processed in global log order;
+   each is charged to its partition's worker by rewinding the shared clock
+   to that worker's time cursor ([Clock.set]) before replaying it.  The
+   disk keeps its own monotonic busy horizon, so IO requests from workers
+   at earlier cursors still queue behind in-flight service — contention on
+   the single device is preserved — while CPU charges and page-fetch
+   stalls on different workers overlap.  Because application order is log
+   order regardless of the partitioning, the recovered state and the
+   apply-count statistics are identical for every worker count; with one
+   worker the loop is exactly the sequential pass.  SMO records barrier:
+   every worker joins (clock = max cursor) before the page images are
+   installed, and all cursors restart from the completed replay. *)
+let redo_pass method_ (engine : Engine.t) (sh : Engine.shard) (scan : scan_result)
+    ~(stats : Recovery_stats.cells) =
+  let dc = sh.Engine.s_dc in
   let clock = engine.Engine.clock in
-  let pool = Dc.pool dc in
-  let workers = max 1 (Dc.config dc).Config.redo_workers in
+  let pool = sh.Engine.s_pool in
+  let router = Engine.router engine in
+  let ep = router.Dc_access.endpoints.(sh.Engine.s_id) in
+  let mine (v : Lr.redo_view) =
+    router.Dc_access.route ~table:v.Lr.rv_table ~key:v.Lr.rv_key = sh.Engine.s_id
+  in
+  let workers = max 1 engine.Engine.config.Config.redo_workers in
   let records = scan.records in
   let assign = Array.make (Array.length records) (-1) in
   let partition = make_partitioner method_ ~workers records in
@@ -297,7 +337,6 @@ let redo_pass method_ (engine : Engine.t) (scan : scan_result) ~(stats : Recover
   in
   Array.iteri
     (fun i (lsn, record) ->
-      Metrics.incr stats.Recovery_stats.records_scanned;
       match record with
       | Lr.Smo smo when not (is_logical method_) ->
           (* Physiological redo replays SMOs in log order under the DPT
@@ -305,17 +344,14 @@ let redo_pass method_ (engine : Engine.t) (scan : scan_result) ~(stats : Recover
              workers synchronise around it. *)
           barrier ();
           pump (i mod workers) i;
-          Dc.redo_smo dc ~lsn ~smo ~dpt_test:true ~stats;
+          Dc_access.redo_smo ep ~lsn ~smo ~dpt_test:true ~stats;
           release_all ()
-      | Lr.Smo _ ->
-          (* Logical methods replayed SMOs in the DC pass. *)
-          let w = i mod workers in
-          enter w;
-          pump w i;
-          leave w
       | _ -> (
           match Lr.redo_view record with
+          | Some view when not (mine view) -> ()
           | None ->
+              (* Control records, and SMOs the logical methods replayed in
+                 the DC pass. *)
               let w = i mod workers in
               enter w;
               pump w i;
@@ -325,10 +361,10 @@ let redo_pass method_ (engine : Engine.t) (scan : scan_result) ~(stats : Recover
               enter w;
               pump w i;
               (match method_ with
-              | Log0 -> Dc.redo_logical dc ~lsn ~view ~use_dpt:false ~stats
-              | Log1 | Log2 -> Dc.redo_logical dc ~lsn ~view ~use_dpt:true ~stats
+              | Log0 -> Dc_access.redo_logical ep ~lsn ~view ~use_dpt:false ~stats
+              | Log1 | Log2 -> Dc_access.redo_logical ep ~lsn ~view ~use_dpt:true ~stats
               | Sql1 | Sql2 | Aries_ckpt ->
-                  Dc.redo_physiological dc ~lsn ~view ~use_dpt:true ~stats
+                  Dc_access.redo_physiological ep ~lsn ~view ~use_dpt:true ~stats
               | InstantLog2 ->
                   (* Instant recovery never takes the offline redo pass. *)
                   assert false);
@@ -380,22 +416,21 @@ let redo_pass method_ (engine : Engine.t) (scan : scan_result) ~(stats : Recover
    Only the logical family runs here: physiological redo interleaves
    multi-page SMO images with page writes in global log order, which the
    per-page purity argument does not cover — those methods keep the
-   simulated-worker path (as does the sharded driver below, whose
-   parallelism is per-shard already). *)
+   simulated-worker path, as does a sharded engine, whose shards already
+   replay their stripes in parallel. *)
 let redo_pass_domains method_ (engine : Engine.t) image (scan : scan_result)
     ~(stats : Recovery_stats.cells) ~domains =
-  let dc = engine.Engine.dc in
+  let sh = Engine.shard engine 0 in
   let clock = engine.Engine.clock in
-  let pool = Dc.pool dc in
+  let pool = sh.Engine.s_pool in
   let records = scan.records in
-  Metrics.add stats.Recovery_stats.records_scanned (Array.length records);
   let use_dpt = method_ <> Log0 in
   (* Private engines carry no instrumentation: trace/flight rings are
      per-engine, so rings the user asked for live on the master only and
      are never written from another domain. *)
   let worker_config =
     {
-      (Dc.config dc) with
+      engine.Engine.config with
       Config.domains = 1;
       redo_workers = 1;
       tracing = false;
@@ -405,21 +440,17 @@ let redo_pass_domains method_ (engine : Engine.t) image (scan : scan_result)
   let bckpt = Crash_image.master image in
   let replay_partition d =
     let weng = Crash_image.instantiate ~config:worker_config image in
-    let wdc = weng.Engine.dc in
+    let wsh = Engine.shard weng 0 in
+    let wdc = wsh.Engine.s_dc in
     let wclock = weng.Engine.clock in
-    let wpool = Dc.pool wdc in
+    let wpool = wsh.Engine.s_pool in
     Pool.set_lazy_writer_enabled wpool false;
     Dc.set_merge_allowed wdc false;
     (* Repeat the analysis the master already ran (and accounted): it is
        deterministic, so this domain ends up with the same tree shape,
        DPT and Δ boundary.  Its stats and IO are discarded — only the
        replay below is this partition's contribution. *)
-    let setup_stats = Recovery_stats.create () in
-    let split = Engine.split weng in
-    let dc_from = if split then Lsn.nil else if Lsn.is_nil bckpt then Lsn.nil else bckpt in
-    Dc.dc_recovery wdc ~log:weng.Engine.dc_log ~from:dc_from ~bckpt ~build_dpt:use_dpt
-      ~stats:setup_stats;
-    if method_ = Log2 then Dc.preload_indexes wdc ~stats:setup_stats;
+    ignore (analyse method_ weng wsh ~bckpt ~stats:(Recovery_stats.create ()));
     Pool.reset_counters wpool;
     let wstats = Recovery_stats.create () in
     (* Log2 keeps its PF-list read-ahead: each partition runs the whole
@@ -461,7 +492,7 @@ let redo_pass_domains method_ (engine : Engine.t) image (scan : scan_result)
           let page =
             match Pool.get_if_cached wpool pid with
             | Some p -> p
-            | None -> Deut_storage.Page_store.read weng.Engine.store pid
+            | None -> Deut_storage.Page_store.read wsh.Engine.s_store pid
           in
           (pid, page, lsn) :: acc)
         first_applied []
@@ -477,11 +508,7 @@ let redo_pass_domains method_ (engine : Engine.t) image (scan : scan_result)
   in
   List.iter
     (fun (pages, (snap : Recovery_stats.t), (wc : Pool.counters), _) ->
-      List.iter
-        (fun (pid, page, lsn) ->
-          ignore pid;
-          Pool.install pool ~event_lsn:lsn page ~dirty:true)
-        pages;
+      List.iter (fun (_, page, lsn) -> Pool.install pool ~event_lsn:lsn page ~dirty:true) pages;
       Metrics.add stats.Recovery_stats.redo_candidates snap.Recovery_stats.redo_candidates;
       Metrics.add stats.Recovery_stats.redo_applied snap.Recovery_stats.redo_applied;
       Metrics.add stats.Recovery_stats.skipped_dpt snap.Recovery_stats.skipped_dpt;
@@ -500,120 +527,97 @@ let redo_pass_domains method_ (engine : Engine.t) image (scan : scan_result)
     results;
   Clock.advance clock max_elapsed
 
-(* Sharded offline recovery: every shard replays its own short DC log and
-   its own stripe of the shared TC log, overlapped on the virtual clock —
-   the phase costs what the slowest shard costs, which is the point of
-   recovering shards in parallel.  Only the logical methods run here: the
-   TC log carries no page ids that mean anything across per-shard page
-   spaces, and the sharded engine always runs the split layout.  Redo goes
-   through the same {!Dc_access} endpoints normal execution uses, so a
-   networked recovery pays the wire for every replayed record. *)
-let recover_offline_sharded ?undo_fault_after_clrs engine image method_ =
+(* ---------- The restart steps every driver shares ---------- *)
+
+(* Close a phase: a span on the recovery lane, and a flight record so a
+   post-crash dump shows how far a recovery got before dying. *)
+let phase (engine : Engine.t) name ~ts0 =
+  (match Engine.flight engine with
+  | Some f -> Flight.record f ~comp:Flight.tc Flight.Phase name ()
+  | None -> ());
+  match Engine.trace engine with
+  | Some tr ->
+      Trace.span tr ~name ~cat:"phase" ~track:Trace.track_recovery ~ts:ts0
+        ~dur:(Clock.now engine.Engine.clock -. ts0) ()
+  | None -> ()
+
+(* Run one per-shard step on every shard, overlapped on the clock: rewind
+   to the step's start for each shard and resume at the slowest cursor, so
+   the step costs what the slowest shard costs.  At one shard this is just
+   the call. *)
+let overlapped (engine : Engine.t) f =
   let clock = engine.Engine.clock in
-  let log = engine.Engine.log in
-  let tc = engine.Engine.tc in
-  let router = Engine.router engine in
-  let n = Engine.shard_count engine in
-  let trace = Engine.trace engine in
-  let stats = Recovery_stats.create ~metrics:(Engine.metrics engine) () in
-  let phase name ~ts0 =
-    (* Phase completions also land in the flight recorder, so a post-crash
-       dump shows how far a recovery got before dying. *)
-    (match Engine.flight engine with
-    | Some f -> Flight.record f ~comp:Flight.tc Flight.Phase name ()
-    | None -> ());
-    match trace with
-    | Some tr ->
-        Trace.span tr ~name ~cat:"phase" ~track:Trace.track_recovery ~ts:ts0
-          ~dur:(Clock.now clock -. ts0) ()
-    | None -> ()
-  in
-  let bckpt = Crash_image.master image in
-  let each_shard f =
-    for i = 0 to n - 1 do
-      f i (Engine.shard engine i)
-    done
-  in
-  (* Overlap one per-shard phase on the clock: rewind to the phase start
-     for each shard, run it, and resume at the slowest cursor. *)
-  let overlapped f =
-    let t0 = Clock.now clock in
-    let horizon = ref t0 in
-    each_shard (fun i sh ->
+  let t0 = Clock.now clock in
+  let horizon = ref t0 in
+  let results =
+    Array.map
+      (fun sh ->
         Clock.set clock t0;
-        f i sh;
-        if Clock.now clock > !horizon then horizon := Clock.now clock);
-    Clock.set clock !horizon
+        let r = f sh in
+        horizon := Float.max !horizon (Clock.now clock);
+        r)
+      engine.Engine.shards
   in
-  each_shard (fun _ sh ->
+  Clock.set clock !horizon;
+  results
+
+(* Quiesce every shard for replay: fresh IO counters, no lazy writer, and
+   no merges — redo must not reorganise a tree whose logged SMOs are still
+   being replayed. *)
+let begin_replay (engine : Engine.t) =
+  Array.iter
+    (fun sh ->
       Pool.reset_counters sh.Engine.s_pool;
       Pool.set_lazy_writer_enabled sh.Engine.s_pool false;
-      Dc.set_merge_allowed sh.Engine.s_dc false);
-  (* Phase 1: per-shard DC recovery (SMO replay + DPT build), in parallel. *)
-  let build_dpt = method_ <> Log0 in
-  let t0 = Clock.now clock in
-  overlapped (fun _ sh ->
-      Dc.dc_recovery sh.Engine.s_dc ~log:sh.Engine.s_dc_log ~from:Lsn.nil ~bckpt ~build_dpt
-        ~stats;
-      if method_ = Log2 then Dc.preload_indexes sh.Engine.s_dc ~stats);
-  Metrics.fset stats.Recovery_stats.analysis_us (Clock.now clock -. t0);
-  phase "analysis" ~ts0:t0;
-  (* Phase 2: one sequential scan of the single TC log. *)
-  let t1 = Clock.now clock in
-  let scan = scan_log log ~from:bckpt in
-  phase "log_scan" ~ts0:t1;
-  Metrics.add stats.Recovery_stats.records_scanned (Array.length scan.records);
-  (* Phase 3: redo, partitioned by the same striping the TC routed with,
-     each shard's slice in log order through its endpoint. *)
-  let t_redo = Clock.now clock in
-  let use_dpt = build_dpt in
-  overlapped (fun i _sh ->
-      let ep = router.Dc_access.endpoints.(i) in
-      Array.iter
-        (fun (lsn, record) ->
-          match Lr.redo_view record with
-          | Some view
-            when router.Dc_access.route ~table:view.Lr.rv_table ~key:view.Lr.rv_key = i ->
-              Dc_access.redo_logical ep ~lsn ~view ~use_dpt ~stats
-          | Some _ | None -> ())
-        scan.records);
-  Metrics.fset stats.Recovery_stats.redo_us (Clock.now clock -. t1);
-  phase "redo" ~ts0:t_redo;
-  (* Phase 4: logical undo of losers through the router — compensations
-     route to whichever shard holds each key, exactly like live aborts. *)
-  each_shard (fun _ sh -> Dc.set_merge_allowed sh.Engine.s_dc true);
-  let t2 = Clock.now clock in
+      Dc.set_merge_allowed sh.Engine.s_dc false)
+    engine.Engine.shards
+
+(* Hand the TC the transaction table the scan rebuilt. *)
+let restore_txn_table (engine : Engine.t) (scan : scan_result) ~bckpt
+    ~(stats : Recovery_stats.cells) =
+  let tc = engine.Engine.tc in
   Tc.restore_txn_state tc ~losers:scan.losers ~next_txn:(scan.max_txn + 1);
   Tc.set_master tc bckpt;
-  Metrics.add stats.Recovery_stats.losers (List.length scan.losers);
+  Metrics.add stats.Recovery_stats.losers (List.length scan.losers)
+
+(* Logical undo of the losers (§2.1, identical across methods) through the
+   router, so each compensation reaches whichever shard holds its key —
+   exactly like a live abort.  [fault] stops the pass once that many CLRs
+   have been written in total: a crash in the middle of undo. *)
+let undo_losers ?fault (engine : Engine.t) losers ~(stats : Recovery_stats.cells) =
+  let clock = engine.Engine.clock in
+  let t0 = Clock.now clock in
   (try
      List.iter
        (fun (txn, last) ->
          let budget =
-           Option.map
-             (fun fuel -> fuel - Metrics.count stats.Recovery_stats.clrs_written)
-             undo_fault_after_clrs
+           Option.map (fun n -> n - Metrics.count stats.Recovery_stats.clrs_written) fault
          in
          Metrics.add stats.Recovery_stats.clrs_written
-           (Tc.undo_txn ?fault_after_clrs:budget tc router ~txn ~last))
-       scan.losers
-   with Tc.Undo_interrupted clrs -> Metrics.add stats.Recovery_stats.clrs_written clrs);
-  Metrics.fset stats.Recovery_stats.undo_us (Clock.now clock -. t2);
-  phase "undo" ~ts0:t2;
-  each_shard (fun _ sh -> Pool.set_lazy_writer_enabled sh.Engine.s_pool true);
-  (* Finalise the IO accounting, summed across shards. *)
+           (Tc.undo_txn ?fault_after_clrs:budget engine.Engine.tc (Engine.router engine) ~txn
+              ~last))
+       losers
+   with Tc.Undo_interrupted n -> Metrics.add stats.Recovery_stats.clrs_written n);
+  Metrics.fset stats.Recovery_stats.undo_us (Clock.now clock -. t0);
+  phase engine "undo" ~ts0:t0
+
+(* Finalise a recovery's IO accounting, summed over every shard's cache
+   and DC-log device, plus the TC log's device and the archive's (archived
+   pages a restart scan reads are log pages on another device). *)
+let account_io (engine : Engine.t) ~(stats : Recovery_stats.cells) =
   let fetches = ref 0 and stall = ref 0.0 and issued = ref 0 and hits = ref 0 in
   let stalls = ref 0 and log_reads = ref 0 in
-  each_shard (fun _ sh ->
+  let pages_read = function Some d -> (Disk.counters d).Disk.pages_read | None -> 0 in
+  Array.iter
+    (fun sh ->
       let c = Pool.counters sh.Engine.s_pool in
       fetches := !fetches + c.Pool.misses + c.Pool.prefetch_hits;
       stall := !stall +. c.Pool.stall_us;
       issued := !issued + c.Pool.prefetch_issued;
       hits := !hits + c.Pool.prefetch_hits;
       stalls := !stalls + c.Pool.stalls;
-      match sh.Engine.s_dc_log_disk with
-      | Some d -> log_reads := !log_reads + (Disk.counters d).Disk.pages_read
-      | None -> ());
+      log_reads := !log_reads + pages_read sh.Engine.s_dc_log_disk)
+    engine.Engine.shards;
   Metrics.add stats.Recovery_stats.data_page_fetches
     (!fetches - Metrics.count stats.Recovery_stats.index_page_fetches);
   Metrics.fset stats.Recovery_stats.data_stall_us
@@ -621,147 +625,73 @@ let recover_offline_sharded ?undo_fault_after_clrs engine image method_ =
   Metrics.add stats.Recovery_stats.log_pages_read
     (!log_reads
     + (Disk.counters engine.Engine.log_disk).Disk.pages_read
-    + (match engine.Engine.archive_disk with
-      | Some d -> (Disk.counters d).Disk.pages_read
-      | None -> 0));
+    + pages_read engine.Engine.archive_disk);
   Metrics.add stats.Recovery_stats.prefetch_issued !issued;
   Metrics.add stats.Recovery_stats.prefetch_hits !hits;
-  Metrics.add stats.Recovery_stats.stalls !stalls;
-  Option.iter Trace.stop trace;
-  each_shard (fun _ sh -> Dc.open_tables sh.Engine.s_dc);
-  (engine, Recovery_stats.snapshot stats)
+  Metrics.add stats.Recovery_stats.stalls !stalls
 
+(* ---------- Offline recovery ---------- *)
+
+(* The restart of §2.1 at any shard count: each shard runs the method's
+   analysis, one sequential scan reads the single TC log, each shard
+   replays its stripe of it through its endpoint, and undo runs once
+   through the router.  The per-shard steps overlap on the clock, which is
+   the point of recovering shards in parallel.  More than one shard forces
+   the split layout, so the methods that need page ids on the TC log are
+   refused by the same check that refuses them in a split single-shard
+   engine. *)
 let recover_offline ?config ?undo_fault_after_clrs image method_ =
   let engine = Crash_image.instantiate ?config image in
-  if Engine.shard_count engine > 1 then begin
-    if (not (is_logical method_)) || method_ = InstantLog2 then
-      invalid_arg
-        (Printf.sprintf
-           "Recovery.recover: %s needs a single physical page space and cannot run sharded \
-            — use Log0/Log1/Log2"
-           (method_to_string method_));
-    recover_offline_sharded ?undo_fault_after_clrs engine image method_
-  end
-  else begin
-  let { Engine.clock; log; pool; dc; tc; _ } = engine in
-  let split = Engine.split engine in
-  if split && not (is_logical method_) then
+  if Engine.split engine && not (is_logical method_) then
     invalid_arg
       (Printf.sprintf
-         "Recovery.recover: %s needs page ids on the TC log and cannot run in the split-log           layout (§5.1)"
+         "Recovery.recover: %s needs page ids on the TC log and cannot run in the split-log \
+          layout (§5.1)"
          (method_to_string method_));
-  let trace = Engine.trace engine in
+  let clock = engine.Engine.clock in
   let stats = Recovery_stats.create ~metrics:(Engine.metrics engine) () in
-  let phase name ~ts0 =
-    (* Phase completions also land in the flight recorder, so a post-crash
-       dump shows how far a recovery got before dying. *)
-    (match Engine.flight engine with
-    | Some f -> Flight.record f ~comp:Flight.tc Flight.Phase name ()
-    | None -> ());
-    match trace with
-    | Some tr ->
-        Trace.span tr ~name ~cat:"phase" ~track:Trace.track_recovery ~ts:ts0
-          ~dur:(Clock.now clock -. ts0) ()
-    | None -> ()
-  in
   let bckpt = Crash_image.master image in
-  Pool.reset_counters pool;
-  Pool.set_lazy_writer_enabled pool false;
-  (* Redo must not reorganise the tree while logged SMOs are still being
-     replayed; merging resumes for undo and normal operation. *)
-  Dc.set_merge_allowed dc false;
-  let log_disk_counters = Disk.counters engine.Engine.log_disk in
-  let dc_log_disk_counters = Option.map Disk.counters engine.Engine.dc_log_disk in
-  (* Archived pages a restart scan reads are log pages on another device. *)
-  let archive_disk_counters = Option.map Disk.counters engine.Engine.archive_disk in
-  (* Phase 1: analysis / DC recovery.  The DC scans its own records: the
-     shared log from the checkpoint when integrated, its entire (short)
-     private log when split. *)
-  let dc_log = engine.Engine.dc_log in
-  let dc_from = if split then Lsn.nil else if Lsn.is_nil bckpt then Lsn.nil else bckpt in
+  begin_replay engine;
+  (* Phase 1: analysis / DC recovery, per shard. *)
   let t0 = Clock.now clock in
-  let redo_start =
-    match method_ with
-    | Log0 ->
-        Dc.dc_recovery dc ~log:dc_log ~from:dc_from ~bckpt ~build_dpt:false ~stats;
-        bckpt
-    | Log1 ->
-        Dc.dc_recovery dc ~log:dc_log ~from:dc_from ~bckpt ~build_dpt:true ~stats;
-        bckpt
-    | Log2 ->
-        Dc.dc_recovery dc ~log:dc_log ~from:dc_from ~bckpt ~build_dpt:true ~stats;
-        Dc.preload_indexes dc ~stats;
-        bckpt
-    | Sql1 | Sql2 ->
-        Dc.set_dpt dc (sql_analysis ?trace log ~from:bckpt ~stats);
-        bckpt
-    | Aries_ckpt ->
-        let dpt, redo_start = aries_analysis log ~from:bckpt ~stats in
-        Dc.set_dpt dc dpt;
-        redo_start
-    | InstantLog2 -> assert false (* dispatched to [recover_instant] *)
-  in
+  let starts = overlapped engine (fun sh -> analyse method_ engine sh ~bckpt ~stats) in
+  let redo_start = Array.fold_left Lsn.min starts.(0) starts in
   Metrics.fset stats.Recovery_stats.analysis_us (Clock.now clock -. t0);
-  phase "analysis" ~ts0:t0;
-  (* Phase 2+3: materialise the redo range, then redo. *)
+  phase engine "analysis" ~ts0:t0;
+  (* Phase 2+3: materialise the redo range, then redo.  The redo span and
+     [redo_us] both cover the scan. *)
   let t1 = Clock.now clock in
-  let scan = scan_log log ~from:redo_start in
-  phase "log_scan" ~ts0:t1;
-  let domains = (Dc.config dc).Config.domains in
+  let scan = scan_log engine.Engine.log ~from:redo_start in
+  phase engine "log_scan" ~ts0:t1;
+  Metrics.add stats.Recovery_stats.records_scanned (Array.length scan.records);
+  let domains = engine.Engine.config.Config.domains in
   (* A traced engine takes the simulated path even at [domains > 1]:
      instrumentation rings are single-domain, so the partitions' IO spans
      could never land in the master's ring and the trace would fail the
      spans-match-counters cross-check.  Results are identical either way
      (the determinism gate), so tracing only forfeits the wall-clock win. *)
-  if domains > 1 && is_logical method_ && Option.is_none (Engine.trace engine) then
-    redo_pass_domains method_ engine image scan ~stats ~domains
-  else redo_pass method_ engine scan ~stats;
+  if
+    Engine.shard_count engine = 1
+    && domains > 1 && is_logical method_
+    && Option.is_none (Engine.trace engine)
+  then redo_pass_domains method_ engine image scan ~stats ~domains
+  else ignore (overlapped engine (fun sh -> redo_pass method_ engine sh scan ~stats));
   Metrics.fset stats.Recovery_stats.redo_us (Clock.now clock -. t1);
-  phase "redo" ~ts0:t1;
-  (* Phase 4: logical undo of losers (identical across methods, §2.1).
-     The tree is fully replayed now; maintenance may resume. *)
-  Dc.set_merge_allowed dc true;
-  let t2 = Clock.now clock in
-  Tc.restore_txn_state tc ~losers:scan.losers ~next_txn:(scan.max_txn + 1);
-  Tc.set_master tc bckpt;
-  Metrics.add stats.Recovery_stats.losers (List.length scan.losers);
-  (try
-     List.iter
-       (fun (txn, last) ->
-         let budget =
-           Option.map
-             (fun n -> n - Metrics.count stats.Recovery_stats.clrs_written)
-             undo_fault_after_clrs
-         in
-         Metrics.add stats.Recovery_stats.clrs_written
-           (Tc.undo_txn ?fault_after_clrs:budget tc (Engine.router engine) ~txn ~last))
-       scan.losers
-   with Tc.Undo_interrupted n -> Metrics.add stats.Recovery_stats.clrs_written n);
-  Metrics.fset stats.Recovery_stats.undo_us (Clock.now clock -. t2);
-  phase "undo" ~ts0:t2;
-  Pool.set_lazy_writer_enabled pool true;
-  (* Finalise the IO accounting. *)
-  let c = Pool.counters pool in
-  let total_fetches = c.Pool.misses + c.Pool.prefetch_hits in
-  Metrics.add stats.Recovery_stats.data_page_fetches
-    (total_fetches - Metrics.count stats.Recovery_stats.index_page_fetches);
-  Metrics.fset stats.Recovery_stats.data_stall_us
-    (c.Pool.stall_us -. Metrics.value stats.Recovery_stats.index_stall_us);
-  Metrics.add stats.Recovery_stats.log_pages_read
-    (log_disk_counters.Disk.pages_read
-    + (match dc_log_disk_counters with Some c -> c.Disk.pages_read | None -> 0)
-    + (match archive_disk_counters with Some c -> c.Disk.pages_read | None -> 0));
-  Metrics.add stats.Recovery_stats.prefetch_issued c.Pool.prefetch_issued;
-  Metrics.add stats.Recovery_stats.prefetch_hits c.Pool.prefetch_hits;
-  Metrics.add stats.Recovery_stats.stalls c.Pool.stalls;
+  phase engine "redo" ~ts0:t1;
+  (* Phase 4: undo.  The tree is fully replayed now; maintenance may
+     resume. *)
+  Array.iter (fun sh -> Dc.set_merge_allowed sh.Engine.s_dc true) engine.Engine.shards;
+  restore_txn_table engine scan ~bckpt ~stats;
+  undo_losers ?fault:undo_fault_after_clrs engine scan.losers ~stats;
+  Array.iter (fun sh -> Pool.set_lazy_writer_enabled sh.Engine.s_pool true) engine.Engine.shards;
+  account_io engine ~stats;
   (* Close the trace window before reopening the catalog below: the span
      accounting (page_fetch ≡ fetches, redo_op ≡ candidates) holds exactly
      over the recovery interval, and [open_tables] does cache work that is
      not part of it. *)
-  Option.iter Trace.stop trace;
-  Dc.open_tables dc;
+  Option.iter Trace.stop (Engine.trace engine);
+  Array.iter (fun sh -> Dc.open_tables sh.Engine.s_dc) engine.Engine.shards;
   (engine, Recovery_stats.snapshot stats)
-  end
 
 (* ---------- Instant recovery (InstantLog2) ---------- *)
 
@@ -812,7 +742,7 @@ let replay_page sess ~background pid =
   | Some slice ->
       Hashtbl.remove sess.i_pending pid;
       let engine = sess.i_engine in
-      let dc = engine.Engine.dc in
+      let dc = (Engine.shard engine 0).Engine.s_dc in
       let clock = engine.Engine.clock in
       let stats = sess.i_stats in
       let t0 = Clock.now clock in
@@ -844,7 +774,7 @@ let ensure_history sess =
   if (not sess.i_built) && not sess.i_building then begin
     sess.i_building <- true;
     let engine = sess.i_engine in
-    let dc = engine.Engine.dc in
+    let dc = (Engine.shard engine 0).Engine.s_dc in
     let clock = engine.Engine.clock in
     let stats = sess.i_stats in
     let t0 = Clock.now clock in
@@ -884,29 +814,8 @@ let ensure_history sess =
 let ensure_undo sess =
   if not sess.i_undone then begin
     sess.i_undone <- true;
-    let engine = sess.i_engine in
-    let { Engine.clock; tc; _ } = engine in
-    let stats = sess.i_stats in
-    let t2 = Clock.now clock in
-    (try
-       List.iter
-         (fun (txn, last) ->
-           let budget =
-             Option.map
-               (fun n -> n - Metrics.count stats.Recovery_stats.clrs_written)
-               sess.i_undo_fault
-           in
-           Metrics.add stats.Recovery_stats.clrs_written
-             (Tc.undo_txn ?fault_after_clrs:budget tc (Engine.router engine) ~txn ~last))
-         sess.i_losers
-     with Tc.Undo_interrupted n -> Metrics.add stats.Recovery_stats.clrs_written n);
-    Hashtbl.reset sess.i_loser_keys;
-    Metrics.fset stats.Recovery_stats.undo_us (Clock.now clock -. t2);
-    match Engine.trace engine with
-    | Some tr ->
-        Trace.span tr ~name:"undo" ~cat:"phase" ~track:Trace.track_recovery ~ts:t2
-          ~dur:(Clock.now clock -. t2) ()
-    | None -> ()
+    undo_losers ?fault:sess.i_undo_fault sess.i_engine sess.i_losers ~stats:sess.i_stats;
+    Hashtbl.reset sess.i_loser_keys
   end
 
 let instant_pending_pages sess =
@@ -932,50 +841,31 @@ let recover_instant ?config ?undo_fault_after_clrs image =
   if Engine.shard_count engine > 1 then
     invalid_arg
       "Recovery.recover_instant: instant recovery needs a single data component (shards = 1)";
-  let { Engine.clock; log; pool; dc; tc; _ } = engine in
-  let split = Engine.split engine in
-  let trace = Engine.trace engine in
+  let sh = Engine.shard engine 0 in
+  let clock = engine.Engine.clock in
+  let tc = engine.Engine.tc in
   let stats = Recovery_stats.create ~metrics:(Engine.metrics engine) () in
-  let phase name ~ts0 =
-    (* Phase completions also land in the flight recorder, so a post-crash
-       dump shows how far a recovery got before dying. *)
-    (match Engine.flight engine with
-    | Some f -> Flight.record f ~comp:Flight.tc Flight.Phase name ()
-    | None -> ());
-    match trace with
-    | Some tr ->
-        Trace.span tr ~name ~cat:"phase" ~track:Trace.track_recovery ~ts:ts0
-          ~dur:(Clock.now clock -. ts0) ()
-    | None -> ()
-  in
   let bckpt = Crash_image.master image in
-  Pool.reset_counters pool;
-  Pool.set_lazy_writer_enabled pool false;
   (* Merges stay off until the drain completes: a merge would move keys
      between leaves and invalidate the page slices built below.  (Splits
      by admitted transactions are safe — splitting a page first touches
      it, which replays its slice.) *)
-  Dc.set_merge_allowed dc false;
-  let t_start = Clock.now clock in
-  (* Phase 1: analysis, exactly as Log2. *)
-  let dc_log = engine.Engine.dc_log in
-  let dc_from = if split then Lsn.nil else if Lsn.is_nil bckpt then Lsn.nil else bckpt in
+  begin_replay engine;
+  (* Phase 1: analysis, exactly as Log2 minus the index preload. *)
   let t0 = Clock.now clock in
-  Dc.dc_recovery dc ~log:dc_log ~from:dc_from ~bckpt ~build_dpt:true ~stats;
+  ignore (analyse InstantLog2 engine sh ~bckpt ~stats);
   Metrics.fset stats.Recovery_stats.analysis_us (Clock.now clock -. t0);
-  phase "analysis" ~ts0:t0;
+  phase engine "analysis" ~ts0:t0;
   (* Phase 2: materialise the redo range (a sequential log read; the
      per-page index over it is built lazily, on the first page demand). *)
   let t1 = Clock.now clock in
-  let scan = scan_log log ~from:bckpt in
-  phase "log_scan" ~ts0:t1;
+  let scan = scan_log engine.Engine.log ~from:bckpt in
+  phase engine "log_scan" ~ts0:t1;
   (* Restore the transaction table and collect each loser's written keys
      from its backward chain (in-memory log reads only).  Those keys stay
      blocked until rollback runs — the lock substitute that lets undo
      itself move past the open. *)
-  Tc.restore_txn_state tc ~losers:scan.losers ~next_txn:(scan.max_txn + 1);
-  Tc.set_master tc bckpt;
-  Metrics.add stats.Recovery_stats.losers (List.length scan.losers);
+  restore_txn_table engine scan ~bckpt ~stats;
   let loser_keys : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (txn, last) ->
@@ -995,28 +885,28 @@ let recover_instant ?config ?undo_fault_after_clrs image =
       i_undone = scan.losers = [];
       i_undo_fault = undo_fault_after_clrs;
       i_finished = false;
-      i_t0 = t_start;
+      i_t0 = t0;
     }
   in
   (* Reopen the catalog before the hook goes in: [open_tables] touches
      only the catalog page, which is never a data leaf, and doing it here
      keeps the touch from counting as the first page demand. *)
-  Dc.open_tables dc;
+  Dc.open_tables sh.Engine.s_dc;
   (* From here, any page touch — a client read, an undo compensation, an
      eviction or lazy-writer flush — builds the history index if needed
      and replays that page's slice first.  (The filter cannot be "is the
      pid in the DPT": a pre-crash split can leave a key's final leaf
      different from the pid its Δ record dirtied, so a pending leaf need
      not appear in the DPT at all — only the built index knows.) *)
-  Pool.set_redo_hook pool
+  Pool.set_redo_hook sh.Engine.s_pool
     (Some
        (fun pid ->
          ensure_history sess;
          replay_page sess ~background:false pid));
-  Pool.set_lazy_writer_enabled pool true;
+  Pool.set_lazy_writer_enabled sh.Engine.s_pool true;
   (* Open for business: time-to-first-transaction is now. *)
-  Metrics.fset stats.Recovery_stats.ttft_us (Clock.now clock -. t_start);
-  (match trace with
+  Metrics.fset stats.Recovery_stats.ttft_us (Clock.now clock -. t0);
+  (match Engine.trace engine with
   | Some tr ->
       Trace.instant tr ~name:"open_for_business" ~cat:"recovery" ~track:Trace.track_recovery
         ~args:[ ("redo_records", Array.length scan.records); ("losers", List.length scan.losers) ]
@@ -1051,33 +941,17 @@ let instant_drain sess = while instant_step sess do () done
    uninstall the hook and finalise the IO accounting.  Idempotent. *)
 let instant_finish sess =
   let engine = sess.i_engine in
-  let { Engine.clock; pool; dc; _ } = engine in
+  let sh = Engine.shard engine 0 in
   let stats = sess.i_stats in
   if not sess.i_finished then begin
     sess.i_finished <- true;
     ensure_history sess;
     ensure_undo sess;
     instant_drain sess;
-    Pool.set_redo_hook pool None;
-    Dc.set_merge_allowed dc true;
-    Metrics.fset stats.Recovery_stats.drained_us (Clock.now clock -. sess.i_t0);
-    let c = Pool.counters pool in
-    let total_fetches = c.Pool.misses + c.Pool.prefetch_hits in
-    Metrics.add stats.Recovery_stats.data_page_fetches
-      (total_fetches - Metrics.count stats.Recovery_stats.index_page_fetches);
-    Metrics.fset stats.Recovery_stats.data_stall_us
-      (c.Pool.stall_us -. Metrics.value stats.Recovery_stats.index_stall_us);
-    Metrics.add stats.Recovery_stats.log_pages_read
-      ((Disk.counters engine.Engine.log_disk).Disk.pages_read
-      + (match engine.Engine.dc_log_disk with
-        | Some d -> (Disk.counters d).Disk.pages_read
-        | None -> 0)
-      + (match engine.Engine.archive_disk with
-        | Some d -> (Disk.counters d).Disk.pages_read
-        | None -> 0));
-    Metrics.add stats.Recovery_stats.prefetch_issued c.Pool.prefetch_issued;
-    Metrics.add stats.Recovery_stats.prefetch_hits c.Pool.prefetch_hits;
-    Metrics.add stats.Recovery_stats.stalls c.Pool.stalls;
+    Pool.set_redo_hook sh.Engine.s_pool None;
+    Dc.set_merge_allowed sh.Engine.s_dc true;
+    Metrics.fset stats.Recovery_stats.drained_us (Clock.now engine.Engine.clock -. sess.i_t0);
+    account_io engine ~stats;
     Option.iter Trace.stop (Engine.trace engine)
   end;
   Recovery_stats.snapshot stats
@@ -1109,8 +983,6 @@ let recover_shard engine i =
     invalid_arg (Printf.sprintf "Recovery.recover_shard: shard %d is not down" i);
   let clock = engine.Engine.clock in
   let log = engine.Engine.log in
-  let router = Engine.router engine in
-  let trace = Engine.trace engine in
   let stats = Recovery_stats.create () in
   let t0 = Clock.now clock in
   (* Flip up first: recovery replays through the shard's own endpoint, the
@@ -1119,22 +991,15 @@ let recover_shard engine i =
   Pool.set_lazy_writer_enabled sh.Engine.s_pool false;
   Dc.set_merge_allowed sh.Engine.s_dc false;
   let bckpt = Tc.master engine.Engine.tc in
-  Dc.dc_recovery sh.Engine.s_dc ~log:sh.Engine.s_dc_log ~from:Lsn.nil ~bckpt ~build_dpt:true
-    ~stats;
-  let ep = router.Dc_access.endpoints.(i) in
-  Log_manager.iter log ~from:bckpt (fun lsn record ->
-      match Lr.redo_view record with
-      | Some view
-        when router.Dc_access.route ~table:view.Lr.rv_table ~key:view.Lr.rv_key = i ->
-          Dc_access.redo_logical ep ~lsn ~view ~use_dpt:true ~stats
-      | Some _ | None -> ());
+  ignore (analyse Log1 engine sh ~bckpt ~stats);
+  redo_pass Log1 engine sh (scan_log log ~from:bckpt) ~stats;
   Dc.set_merge_allowed sh.Engine.s_dc true;
   Pool.set_lazy_writer_enabled sh.Engine.s_pool true;
   Dc.open_tables sh.Engine.s_dc;
   (* Re-seed the end-of-stable-log notifications the shard missed while
      down. *)
-  Dc_access.eosl ep (Log_manager.stable_lsn log);
-  match trace with
+  Dc_access.eosl (Engine.router engine).Dc_access.endpoints.(i) (Log_manager.stable_lsn log);
+  match Engine.trace engine with
   | Some tr ->
       Trace.span tr ~name:"shard_recovery" ~cat:"shard" ~track:(Trace.track_shard i) ~ts:t0
         ~dur:(Clock.now clock -. t0)

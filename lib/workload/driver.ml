@@ -147,7 +147,7 @@ let checkpoint t =
   Db.compact_log t.db
 
 let warm_to_equilibrium t =
-  let pool = (Db.engine t.db).Deut_core.Engine.pool in
+  let pool = (Deut_core.Engine.shard (Db.engine t.db) 0).Deut_core.Engine.s_pool in
   let capacity = Pool.capacity pool in
   (* "A workload runs for double the time needed to fill the cache":
      touching ~2× capacity pages under the update workload, with periodic

@@ -132,7 +132,7 @@ let build_uncached scaled =
   Driver.start_loser driver ~ops:scaled.protocol.loser_ops;
   let database = Driver.db driver in
   let dirty = Db.dirty_page_count database in
-  let pool = (Db.engine database).Deut_core.Engine.pool in
+  let pool = (Deut_core.Engine.shard (Db.engine database) 0).Deut_core.Engine.s_pool in
   (* Read every statistic before the crash: [Db.crash] poisons the handle. *)
   let cached_at_crash = Db.cached_page_count database in
   let db_pages = Db.allocated_pages database in
@@ -247,10 +247,10 @@ let run_all run methods = List.map (fun m -> (m, run_method run m)) methods
    [Client_sched.logical_digest], this is what the determinism gate
    compares across domain counts. *)
 let store_digest db =
-  let engine = Db.engine db in
-  Pool.flush_all_dirty engine.Deut_core.Engine.pool;
+  let sh0 = Deut_core.Engine.shard (Db.engine db) 0 in
+  Pool.flush_all_dirty sh0.Deut_core.Engine.s_pool;
   let pages = ref [] in
-  Deut_storage.Page_store.iter_stable engine.Deut_core.Engine.store (fun p ->
+  Deut_storage.Page_store.iter_stable sh0.Deut_core.Engine.s_store (fun p ->
       pages := (p.Deut_storage.Page.pid, Bytes.to_string p.Deut_storage.Page.buf) :: !pages);
   let buf = Buffer.create 4096 in
   List.iter

@@ -98,12 +98,13 @@ let build_image ?(shards = 1) seed =
             sh_dc_log = Log.crash sh.Engine.s_dc_log;
           })
     in
+    let sh0 = Engine.shard engine 0 in
     {
       Crash_image.config = engine.Engine.config;
-      store = Page_store.clone engine.Engine.store;
+      store = Page_store.clone sh0.Engine.s_store;
       log = Log.crash_at log (Log.end_lsn log);
       dc_log =
-        (if Engine.split engine then Some (Log.crash engine.Engine.dc_log) else None);
+        (if Engine.split engine then Some (Log.crash sh0.Engine.s_dc_log) else None);
       master = Tc.master engine.Engine.tc;
       extra_shards;
       flight = Option.map Flight.snapshot (Engine.flight engine);

@@ -173,7 +173,7 @@ let test_crash_during_archiving () =
          images :=
            ( step,
              Crash_image.make ~config:engine.Engine.config
-               ~store:(Page_store.clone engine.Engine.store)
+               ~store:(Page_store.clone (Engine.shard engine 0).Engine.s_store)
                ~log:(Log.crash log)
                ~master:(Tc.master engine.Engine.tc) () )
            :: !images));

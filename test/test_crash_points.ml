@@ -94,7 +94,7 @@ let build_images () =
          let boundary = Log.end_lsn log in
          images :=
            Crash_image.make ~config:engine.Engine.config
-             ~store:(Page_store.clone engine.Engine.store)
+             ~store:(Page_store.clone (Engine.shard engine 0).Engine.s_store)
              ~log:(Log.crash_at log boundary)
              ~master:(Tc.master engine.Engine.tc) ()
            :: !images));

@@ -113,8 +113,9 @@ let dc_dpt_of ?(bckpt = Lsn.nil) records =
   let engine = Engine.fresh small_config in
   let stats = Recovery_stats.create () in
   let from = if Lsn.is_nil bckpt then Lsn.nil else bckpt in
-  Dc.dc_recovery engine.Engine.dc ~log ~from ~bckpt ~build_dpt:true ~stats;
-  (engine.Engine.dc, lsns, stats)
+  let dc = (Engine.shard engine 0).Engine.s_dc in
+  Dc.dc_recovery dc ~log ~from ~bckpt ~build_dpt:true ~stats;
+  (dc, lsns, stats)
 
 let delta ~dirty ~written ~fw_lsn ~first_dirty ~tc_lsn ?(dirty_lsns = [||]) () =
   Lr.Delta { dirty; written; fw_lsn; first_dirty; tc_lsn; dirty_lsns }

@@ -137,7 +137,7 @@ let test_put_upsert () =
 let wal_invariant db =
   let engine = Db.engine db in
   let stable = Log.stable_lsn engine.Engine.log in
-  Page_store.iter_stable engine.Engine.store (fun page ->
+  Page_store.iter_stable (Engine.shard engine 0).Engine.s_store (fun page ->
       if Page.plsn page > stable then
         Alcotest.failf "WAL violation: page %d stable with pLSN %d > stable log %d"
           page.Page.pid (Page.plsn page) stable)

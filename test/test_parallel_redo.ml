@@ -42,10 +42,10 @@ let make_crash ?(op_mix = Workload.Update_only) ?(rows = 1200) () =
 (* Digest of the stable page store after forcing every dirty frame out:
    the complete post-recovery database image, byte for byte. *)
 let store_digest db =
-  let engine = Db.engine db in
-  Pool.flush_all_dirty engine.Engine.pool;
+  let sh0 = Engine.shard (Db.engine db) 0 in
+  Pool.flush_all_dirty sh0.Engine.s_pool;
   let pages = ref [] in
-  Page_store.iter_stable engine.Engine.store (fun p ->
+  Page_store.iter_stable sh0.Engine.s_store (fun p ->
       pages := (p.Page.pid, Bytes.to_string p.Page.buf) :: !pages);
   let buf = Buffer.create 4096 in
   List.iter

@@ -246,11 +246,9 @@ let test_dpt_safety_all_algorithms () =
       let engine = Crash_image.instantiate image in
       let stats2 = Recovery_stats.create () in
       let bckpt = Crash_image.master image in
-      Dc.dc_recovery engine.Engine.dc ~log:engine.Engine.log ~from:bckpt ~bckpt ~build_dpt:true
-        ~stats:stats2;
-      dpt_safety image
-        ~covered_upto:(Dc.last_delta_tclsn engine.Engine.dc)
-        (Dc.dpt engine.Engine.dc))
+      let dc = (Engine.shard engine 0).Engine.s_dc in
+      Dc.dc_recovery dc ~log:engine.Engine.log ~from:bckpt ~bckpt ~build_dpt:true ~stats:stats2;
+      dpt_safety image ~covered_upto:(Dc.last_delta_tclsn dc) (Dc.dpt dc))
     [ 3; 17; 99 ]
 
 let test_logical_recovery_ignores_pids () =

@@ -10,7 +10,9 @@ module Config = Deut_core.Config
 module Engine = Deut_core.Engine
 module Dc_access = Deut_core.Dc_access
 module Recovery = Deut_core.Recovery
+module Recovery_stats = Deut_core.Recovery_stats
 module Metrics = Deut_obs.Metrics
+module Analysis = Deut_obs.Analysis
 module Workload = Deut_workload.Workload
 module Driver = Deut_workload.Driver
 module Client_sched = Deut_workload.Client_sched
@@ -109,8 +111,14 @@ let test_sharded_crash_recovery () =
         (stats.Deut_core.Recovery_stats.records_scanned > 0))
     [ Recovery.Log0; Recovery.Log1; Recovery.Log2 ]
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 (* Physiological and SQL-analysis methods need one physical page space;
-   instant recovery is not yet sharded.  All must refuse, not corrupt. *)
+   instant recovery is not yet sharded.  All must refuse, not corrupt, and
+   the refusal names the method and the layout that bars it. *)
 let test_barred_methods_sharded () =
   let driver = Driver.create ~config:(config ~shards:2 ()) (spec ~rows:60) in
   let sched = Driver.run_concurrent driver ~txns:10 in
@@ -118,15 +126,64 @@ let test_barred_methods_sharded () =
   let image = Driver.crash driver in
   List.iter
     (fun m ->
-      check
-        (Printf.sprintf "%s barred" (Recovery.method_to_string m))
-        true
-        (match Db.recover image m with
-        | exception Invalid_argument _ -> true
-        | _ -> false))
-    [ Recovery.Sql1; Recovery.Sql2; Recovery.Aries_ckpt; Recovery.InstantLog2 ];
+      let name = Recovery.method_to_string m in
+      match Db.recover image m with
+      | exception Invalid_argument msg ->
+          check (name ^ " refusal names the method") true (contains msg name);
+          check (name ^ " refusal names the layout") true (contains msg "split-log layout")
+      | _ -> Alcotest.failf "%s ran sharded" name)
+    [ Recovery.Sql1; Recovery.Sql2; Recovery.Aries_ckpt ];
+  check "InstantLog2 barred" true
+    (match Db.recover image Recovery.InstantLog2 with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
   check "recover_instant barred" true
     (match Db.recover_instant image with exception Invalid_argument _ -> true | _ -> false)
+
+(* The profile's phase budget accounts for every simulated microsecond of
+   a sharded restart: [Analysis.total_us] leaves [log_scan] out because
+   the [redo] span covers the scan, so the redo span must start before the
+   scan at any shard count — as [Recovery_stats.redo_us] does. *)
+let test_sharded_phase_budget () =
+  let driver = Driver.create ~config:(config ~shards:4 ()) (spec ~rows:400) in
+  let sched = Driver.run_concurrent driver ~txns:60 in
+  Client_sched.flush sched;
+  let image = Driver.crash driver in
+  let traced =
+    { (Deut_core.Crash_image.config image) with Config.tracing = true; trace_capacity = 1 lsl 18 }
+  in
+  let db, stats = Db.recover ~config:traced image Recovery.Log2 in
+  verified driver db;
+  let tr = Option.get (Engine.trace (Db.engine db)) in
+  check_int "trace ring did not overflow" 0 (Deut_obs.Trace.dropped tr);
+  Alcotest.(check (float 1e-6))
+    "profile total = analysis + redo + undo"
+    (stats.Recovery_stats.analysis_us +. stats.Recovery_stats.redo_us
+    +. stats.Recovery_stats.undo_us)
+    (Analysis.of_trace tr).Analysis.total_us
+
+(* The ARIES CLR discipline across shards: a crash in the middle of the
+   undo pass, whose compensations route to every stripe, resumes at the
+   last CLR's undo-next on the next restart — exactly the remaining
+   compensations, and the committed state. *)
+let test_sharded_crash_during_undo () =
+  let driver = Driver.create ~config:(config ~shards:4 ()) (spec ~rows:300) in
+  let sched = Driver.run_concurrent driver ~txns:40 in
+  Client_sched.flush sched;
+  Driver.start_loser driver ~ops:8;
+  let image = Driver.crash driver in
+  List.iter
+    (fun m ->
+      let name = Recovery.method_to_string m in
+      let engine, s1 = Recovery.recover ~undo_fault_after_clrs:3 image m in
+      check_int (name ^ ": fault stopped undo after 3 CLRs") 3 s1.Recovery_stats.clrs_written;
+      let mid = Db.crash (Db.of_engine engine) in
+      let recovered, s2 = Db.recover mid m in
+      verified driver recovered;
+      check_int (name ^ ": loser still detected") 1 s2.Recovery_stats.losers;
+      check_int (name ^ ": exactly the remaining 5 compensations") 5
+        s2.Recovery_stats.clrs_written)
+    [ Recovery.Log1; Recovery.Log2 ]
 
 (* ARIES fuzzy checkpoints capture one runtime DPT over one page space —
    meaningless across shards, so assembly refuses the combination. *)
@@ -390,6 +447,10 @@ let suite =
     Alcotest.test_case "striped reads and merged scans" `Quick test_striped_reads_and_scans;
     Alcotest.test_case "sharded crash recovery (Log0/1/2)" `Quick test_sharded_crash_recovery;
     Alcotest.test_case "non-logical methods barred sharded" `Quick test_barred_methods_sharded;
+    Alcotest.test_case "sharded phase budget covers the log scan" `Quick
+      test_sharded_phase_budget;
+    Alcotest.test_case "sharded crash during undo (CLR resumption)" `Quick
+      test_sharded_crash_during_undo;
     Alcotest.test_case "aries-fuzzy barred sharded" `Quick test_aries_fuzzy_barred;
     Alcotest.test_case "shard crash: siblings serve" `Quick test_shard_crash_siblings_serve;
     Alcotest.test_case "shard crash loses nothing committed" `Quick

@@ -55,7 +55,7 @@ let test_split_engine_separates_logs () =
     (!tc, !dc)
   in
   let tc_on_tc, dc_on_tc = count_kinds engine.Engine.log in
-  let tc_on_dc, dc_on_dc = count_kinds engine.Engine.dc_log in
+  let tc_on_dc, dc_on_dc = count_kinds (Engine.shard engine 0).Engine.s_dc_log in
   check "tc log has tc records" true (tc_on_tc > 0);
   check_int "tc log has no dc records" 0 dc_on_tc;
   check_int "dc log has no tc records" 0 tc_on_dc;
@@ -153,7 +153,7 @@ let test_split_dc_log_compaction () =
   Driver.run_updates driver ~updates:300;
   Driver.checkpoint driver;
   let engine = Db.engine (Driver.db driver) in
-  check "dc log archived at checkpoints" true (Log.base_lsn engine.Engine.dc_log > 0);
+  check "dc log archived at checkpoints" true (Log.base_lsn (Engine.shard engine 0).Engine.s_dc_log > 0);
   (* And recovery still works from the archived DC log. *)
   Driver.run_updates driver ~updates:200;
   let image = Driver.crash driver in
