@@ -86,10 +86,6 @@ type domains_summary = {
   d_seq_wall_s : float;
   d_par_wall_s : float;
   d_digests_identical : bool;
-  d_redo_domains : int;
-  d_redo_seq_wall_s : float;
-  d_redo_par_wall_s : float;
-  d_redo_identical : bool;
 }
 
 let write_bench_json ~total_wall_s ~(archiving : Figures.archiving_cell list)
@@ -173,11 +169,7 @@ let write_bench_json ~total_wall_s ~(archiving : Figures.archiving_cell list)
   add "    \"harness_par_wall_s\": %.3f,\n" d.d_par_wall_s;
   add "    \"harness_speedup\": %.2f,\n"
     (if d.d_par_wall_s > 0.0 then d.d_seq_wall_s /. d.d_par_wall_s else 0.0);
-  add "    \"harness_digests_identical\": %b,\n" d.d_digests_identical;
-  add "    \"redo_domains\": %d,\n" d.d_redo_domains;
-  add "    \"redo_seq_wall_s\": %.3f,\n" d.d_redo_seq_wall_s;
-  add "    \"redo_par_wall_s\": %.3f,\n" d.d_redo_par_wall_s;
-  add "    \"redo_digest_identical\": %b\n" d.d_redo_identical;
+  add "    \"harness_digests_identical\": %b\n" d.d_digests_identical;
   add "  },\n";
   add "  \"fig2\": [\n";
   let n_cells = List.length fig2_cells in
@@ -300,24 +292,6 @@ let () =
         in
         if not digests_identical then
           failwith "DOMAINS: harness digests diverged between 1 domain and the parallel sweep";
-        (* Domain-parallel redo on one image: the same recovery executed by
-           the reference scheduler and by real partitions. *)
-        let setup = Experiment.paper_setup ~scale ~cache_mb:256 () in
-        let run = Experiment.build setup in
-        let redo domains =
-          let config =
-            { run.Experiment.image.Deut_core.Crash_image.config with Config.domains }
-          in
-          let t0 = Unix.gettimeofday () in
-          let db, _stats = Deut_core.Db.recover ~config run.Experiment.image Recovery.Log2 in
-          let wall = Unix.gettimeofday () -. t0 in
-          (Experiment.store_digest db, Client_sched.logical_digest db, wall)
-        in
-        let rs1, rl1, redo_seq_wall = redo 1 in
-        let rsn, rln, redo_par_wall = redo bench_domains in
-        let redo_identical = rs1 = rsn && rl1 = rln in
-        if not redo_identical then
-          failwith "DOMAINS: domain-parallel redo digest diverged from the reference scheduler";
         {
           d_requested = Config.default.Config.domains;
           d_used = bench_domains;
@@ -325,17 +299,12 @@ let () =
           d_seq_wall_s = seq_wall;
           d_par_wall_s = par_wall;
           d_digests_identical = digests_identical;
-          d_redo_domains = bench_domains;
-          d_redo_seq_wall_s = redo_seq_wall;
-          d_redo_par_wall_s = redo_par_wall;
-          d_redo_identical = redo_identical;
         })
   in
   section "DOMAINS (real multicore)";
   Printf.printf
     "  cores available: %d, domains used: %d (DEUT_DOMAINS=%d)\n\
     \  harness sweep:   %.2f s sequential -> %.2f s parallel (%.2fx), digests identical: %b\n\
-    \  Log2 redo:       %.2f s at 1 domain -> %.2f s at %d domains, digest identical: %b\n\
     \  (simulated times and digests are byte-identical by construction;\n\
     \   wall-clock speedup tracks the machine's real core count)\n"
     domains_summary.d_cores domains_summary.d_used domains_summary.d_requested
@@ -343,9 +312,7 @@ let () =
     (if domains_summary.d_par_wall_s > 0.0 then
        domains_summary.d_seq_wall_s /. domains_summary.d_par_wall_s
      else 0.0)
-    domains_summary.d_digests_identical domains_summary.d_redo_seq_wall_s
-    domains_summary.d_redo_par_wall_s domains_summary.d_redo_domains
-    domains_summary.d_redo_identical;
+    domains_summary.d_digests_identical;
 
   (* Concurrency: simulated clients sharing the engine during normal
      execution, swept over client count × group-commit batch.  The runner

@@ -701,35 +701,6 @@ let domains_cmd =
           exit 1
         end)
       seq_cells par_cells;
-    (* Domain-parallel redo on one image: the reference scheduler against
-       real partitions at every partition count. *)
-    let cache_mb = List.fold_left Stdlib.max 64 cache_sizes in
-    let setup = Experiment.paper_setup ~scale ~cache_mb () in
-    let crash = Experiment.build setup in
-    let redo d =
-      let config =
-        { crash.Experiment.image.Deut_core.Crash_image.config with Config.domains = d }
-      in
-      let t0 = Unix.gettimeofday () in
-      let db, _stats = Db.recover ~config crash.Experiment.image Recovery.Log2 in
-      (match Driver.verify_recovered crash.Experiment.driver db with
-      | Ok () -> ()
-      | Error msg -> failwith (Printf.sprintf "Log2 at %d domains: wrong state: %s" d msg));
-      let wall = Unix.gettimeofday () -. t0 in
-      (Experiment.store_digest db, Deut_workload.Client_sched.logical_digest db, wall)
-    in
-    let s1, l1, redo_seq_wall = redo 1 in
-    let redo_par_wall = ref redo_seq_wall in
-    List.iter
-      (fun d ->
-        let s, l, w = redo d in
-        if d = domains then redo_par_wall := w;
-        if s <> s1 || l <> l1 then begin
-          Printf.eprintf
-            "FAIL: determinism gate — Log2 redo digest diverged at %d partitions\n" d;
-          exit 1
-        end)
-      (List.sort_uniq compare [ 2; 4; 8; domains ]);
     let speedup = if par_wall > 0.0 then seq_wall /. par_wall else 0.0 in
     print_string
       (Report.table ~title:"Real multicore — identical results, wall clock only"
@@ -742,19 +713,10 @@ let domains_cmd =
                Printf.sprintf "%.2f" par_wall;
                Printf.sprintf "%.2fx" speedup;
              ];
-             [
-               "Log2 redo (s)";
-               Printf.sprintf "%.2f" redo_seq_wall;
-               Printf.sprintf "%.2f" !redo_par_wall;
-               (if !redo_par_wall > 0.0 then
-                  Printf.sprintf "%.2fx" (redo_seq_wall /. !redo_par_wall)
-                else "-");
-             ];
            ]
          ());
     Printf.printf
-      "determinism gate OK: digests byte-identical at 1 and %d domains (harness) and at \
-       every redo partition count; %d core(s) available\n"
+      "determinism gate OK: digests byte-identical at 1 and %d domains; %d core(s) available\n"
       domains cores;
     match min_speedup with
     | None -> ()
@@ -770,10 +732,9 @@ let domains_cmd =
     (Cmd.info "domains"
        ~doc:
          "Real-multicore determinism and speedup check: run the Figure-2 sweep \
-          sequentially and fanned across OS-level domains, prove every cell's store and \
-          logical digests byte-identical, then recover one image with domain-parallel \
-          redo at every partition count and prove the same.  With $(b,--min-speedup), \
-          gates on the harness wall-clock win.")
+          sequentially and fanned across OS-level domains and prove every cell's store \
+          and logical digests byte-identical.  With $(b,--min-speedup), gates on the \
+          wall-clock win.")
     Term.(const run $ scale_arg $ cache_sizes_arg $ domains_arg $ min_speedup_arg)
 
 let metrics_cmd =

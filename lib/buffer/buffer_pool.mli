@@ -33,7 +33,9 @@ type hooks = {
 
 val null_hooks : hooks
 
-type counters = {
+(** Read-only outside the pool: only the pool itself updates its counters
+    ([reset_counters] zeroes them). *)
+type counters = private {
   mutable hits : int;
   mutable misses : int;
   mutable prefetch_hits : int;  (** gets satisfied by an in-flight prefetch *)

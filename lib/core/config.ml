@@ -149,15 +149,14 @@ type t = {
           Defaults from the [DEUT_SHARDS] environment variable when
           set. *)
   domains : int;
-      (** real OS-level parallelism: the number of OCaml domains the bench
-          harness fans method × cache cells across, and that recovery uses
-          to execute page-disjoint redo partitions on real cores (1 = the
-          single-domain reference scheduler).  Recovered state (store and
-          logical digests) and apply counts are byte-identical at any
-          domain count — the tier-1 determinism gate enforces it; simulated
-          IO accounting and phase times reflect the parallel schedule, the
-          way they already vary with [redo_workers].  Defaults from the
-          [DEUT_DOMAINS] environment variable when set. *)
+      (** real OS-level parallelism for the harness: the number of OCaml
+          domains [Figures] and the bench fan independent sweep cells
+          across (1 = sequential).  It never affects a recovery: redo is
+          one pass on the engine's own domain at every setting, so
+          recovered state, statistics and simulated times are the same at
+          any domain count ([redo_workers] models parallel redo on the
+          simulated clock).  Defaults from the [DEUT_DOMAINS] environment
+          variable when set. *)
   net : bool;
       (** route TC↔DC messages over simulated network links
           ({!Deut_net.Link}) with the [net_*] cost model below; off by
@@ -172,54 +171,34 @@ type t = {
   seed : int;
 }
 
-let default_redo_workers =
-  match Sys.getenv_opt "DEUT_REDO_WORKERS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 1)
-  | None -> 1
+(* Environment overrides.  Invalid or out-of-range values are ignored
+   rather than fatal — the env is a convenience channel, not a config
+   file: each parser returns [current] unless the variable holds a valid
+   value. *)
+let env_parse name parse current =
+  match Sys.getenv_opt name with
+  | Some s -> ( match parse (String.trim s) with Some v -> v | None -> current)
+  | None -> current
 
-let default_clients =
-  match Sys.getenv_opt "DEUT_CLIENTS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 1)
-  | None -> 1
+let pos_int name =
+  env_parse name (fun s -> match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
 
-let default_shards =
-  match Sys.getenv_opt "DEUT_SHARDS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 1)
-  | None -> 1
+let nonneg_int name =
+  env_parse name (fun s -> match int_of_string_opt s with Some n when n >= 0 -> Some n | _ -> None)
 
-let default_domains =
-  match Sys.getenv_opt "DEUT_DOMAINS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 1)
-  | None -> 1
+let nonneg_float name =
+  env_parse name (fun s ->
+      match float_of_string_opt s with Some f when f >= 0.0 -> Some f | _ -> None)
 
-(* Environment overrides, applied to an already-built config so callers
-   can layer them over experiment-specific settings.  Invalid or
-   out-of-range values are ignored rather than fatal — the env is a
-   convenience channel, not a config file. *)
+let flag name =
+  env_parse name (function
+    | "1" | "true" | "yes" -> Some true
+    | "0" | "false" | "no" -> Some false
+    | _ -> None)
+
+(* Layer the environment over an already-built config, so callers can
+   apply it over experiment-specific settings. *)
 let of_env config =
-  let pos_int name current =
-    match Sys.getenv_opt name with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> current)
-    | None -> current
-  in
-  let nonneg_int name current =
-    match Sys.getenv_opt name with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with Some n when n >= 0 -> n | _ -> current)
-    | None -> current
-  in
-  let flag name current =
-    match Sys.getenv_opt name with
-    | Some s -> ( match String.trim s with "1" | "true" | "yes" -> true | "0" | "false" | "no" -> false | _ -> current)
-    | None -> current
-  in
-  let nonneg_float name current =
-    match Sys.getenv_opt name with
-    | Some s -> (
-        match float_of_string_opt (String.trim s) with Some f when f >= 0.0 -> f | _ -> current)
-    | None -> current
-  in
   {
     config with
     trace_capacity = pos_int "DEUT_TRACE_CAP" config.trace_capacity;
@@ -263,20 +242,18 @@ let default =
     prefetch_chunk = 16;
     prefetch_lookahead = 512;
     prefetch_source = Pf_list;
-    redo_workers = default_redo_workers;
+    redo_workers = pos_int "DEUT_REDO_WORKERS" 1;
     log_layout = Integrated;
     locking = false;
     group_commit = 1;
-    clients = default_clients;
+    clients = pos_int "DEUT_CLIENTS" 1;
     think_us = 300.0;
     retry_backoff_us = 150.0;
     flight = true;
     flight_capacity = 128;
     tracing = false;
     trace_capacity = 65536;
-    archive = (match Sys.getenv_opt "DEUT_ARCHIVE" with
-              | Some s -> ( match String.trim s with "1" | "true" | "yes" -> true | _ -> false)
-              | None -> false);
+    archive = flag "DEUT_ARCHIVE" false;
     archive_min_bytes = 0;
     (* Sequential device: segment copies and restart scans are streaming
        workloads, so give the archive a long sequential-gap like the log
@@ -288,11 +265,9 @@ let default =
         sequential_gap = 4;
         batch_seek_factor = 0.75;
       };
-    shards = default_shards;
-    domains = default_domains;
-    net = (match Sys.getenv_opt "DEUT_NET" with
-          | Some s -> ( match String.trim s with "1" | "true" | "yes" -> true | _ -> false)
-          | None -> false);
+    shards = pos_int "DEUT_SHARDS" 1;
+    domains = pos_int "DEUT_DOMAINS" 1;
+    net = flag "DEUT_NET" false;
     (* A LAN-ish default cost model, only charged when [net] is on. *)
     net_latency_us = 50.0;
     net_jitter_us = 0.0;

@@ -130,12 +130,6 @@ val set_dpt : t -> Dpt.t -> unit
 val preload_indexes : t -> stats:Recovery_stats.cells -> unit
 (** Appendix A.1: load all internal index pages into the cache. *)
 
-val tracked_index : Recovery_stats.cells -> Deut_buffer.Buffer_pool.t -> (unit -> 'a) -> 'a
-(** Run an index traversal with its page fetches and stalls attributed to
-    the index IO cells (§5.3 reports index waits separately).  Exposed for
-    the domain-parallel redo driver, whose partition-ownership leaf
-    locates happen outside [redo_logical]. *)
-
 val redo_logical :
   t ->
   lsn:Deut_wal.Lsn.t ->

@@ -377,156 +377,6 @@ let redo_pass method_ (engine : Engine.t) (sh : Engine.shard) (scan : scan_resul
     Dc.set_redo_track dc None
   end
 
-(* ---------- Domain-parallel redo (real cores) ---------- *)
-
-(* Replay the redo range on [Config.domains] OCaml domains — real
-   parallelism, where [redo_pass] above multiplexes simulated workers onto
-   one OS thread.  The refactor the ROADMAP asks for: each partition's
-   apply loop is a pure function of (its record slice, the immutable crash
-   image), so partitions share {e nothing} mutable and the barrier merge is
-   deterministic.
-
-   Partitioning is page-disjoint by construction: a record belongs to the
-   partition of its {e final} leaf ([pid mod domains]).  The tree shape is
-   final after DC recovery (SMOs are replayed there; merges stay disabled
-   during redo; replayed states are prefixes of the actual history, so no
-   further splits occur), hence a leaf's recovered content is a pure
-   function of its own records in log order — the same invariant instant
-   recovery's per-page replay (§9) already rests on.  Each domain
-   instantiates a private engine from the image, repeats the (deterministic)
-   analysis pass to obtain the same tree/DPT, then replays only the pids it
-   owns; ownership is decided by a cache-hot leaf locate, so every domain
-   computes the same assignment without coordination.
-
-   The merge back into the master engine, in partition-index order:
-   - pages that applied at least one record are installed dirty with the
-     first applied LSN as the dirty event — exactly the (pid, rLSN) pair
-     the reference path's first [mark_dirty] would have reported, so the
-     Δ-log monitor stays correct for a {e subsequent} crash;
-   - apply counters (candidates/applied/skip reasons/tail) sum to the
-     reference totals because the record partition is exact;
-   - the master clock advances by the slowest partition's virtual elapsed
-     time — the parallel schedule's makespan.
-   IO accounting (fetches, stalls) is absorbed from the private pools; its
-   split across partitions legitimately differs from the virtual-worker
-   schedule, like timing does.  Digests and apply counts cannot: the
-   tier-1 determinism gate ([test_domains]) pins both to the
-   single-domain scheduler at every domain count.
-
-   Only the logical family runs here: physiological redo interleaves
-   multi-page SMO images with page writes in global log order, which the
-   per-page purity argument does not cover — those methods keep the
-   simulated-worker path, as does a sharded engine, whose shards already
-   replay their stripes in parallel. *)
-let redo_pass_domains method_ (engine : Engine.t) image (scan : scan_result)
-    ~(stats : Recovery_stats.cells) ~domains =
-  let sh = Engine.shard engine 0 in
-  let clock = engine.Engine.clock in
-  let pool = sh.Engine.s_pool in
-  let records = scan.records in
-  let use_dpt = method_ <> Log0 in
-  (* Private engines carry no instrumentation: trace/flight rings are
-     per-engine, so rings the user asked for live on the master only and
-     are never written from another domain. *)
-  let worker_config =
-    {
-      engine.Engine.config with
-      Config.domains = 1;
-      redo_workers = 1;
-      tracing = false;
-      flight = false;
-    }
-  in
-  let bckpt = Crash_image.master image in
-  let replay_partition d =
-    let weng = Crash_image.instantiate ~config:worker_config image in
-    let wsh = Engine.shard weng 0 in
-    let wdc = wsh.Engine.s_dc in
-    let wclock = weng.Engine.clock in
-    let wpool = wsh.Engine.s_pool in
-    Pool.set_lazy_writer_enabled wpool false;
-    Dc.set_merge_allowed wdc false;
-    (* Repeat the analysis the master already ran (and accounted): it is
-       deterministic, so this domain ends up with the same tree shape,
-       DPT and Δ boundary.  Its stats and IO are discarded — only the
-       replay below is this partition's contribution. *)
-    ignore (analyse method_ weng wsh ~bckpt ~stats:(Recovery_stats.create ()));
-    Pool.reset_counters wpool;
-    let wstats = Recovery_stats.create () in
-    (* Log2 keeps its PF-list read-ahead: each partition runs the whole
-       pipeline against its private pool/disk.  Prefetch only moves IO
-       earlier — it can neither change an apply decision nor page content —
-       so it stays a pure timing/IO overlay here exactly as on the
-       simulated path. *)
-    let prefetch_pf =
-      if method_ = Log2 then Some (make_pf_prefetcher wdc ~lane:0 ~workers:1) else None
-    in
-    let first_applied : (int, Lsn.t) Hashtbl.t = Hashtbl.create 64 in
-    let t0 = Clock.now wclock in
-    Array.iter
-      (fun (lsn, record) ->
-        (match prefetch_pf with Some f -> f () | None -> ());
-        match Lr.redo_view record with
-        | None -> ()
-        | Some view ->
-            let pid =
-              Dc.tracked_index wstats wpool (fun () ->
-                  let tr = Dc.tree wdc ~table:view.Lr.rv_table in
-                  Deut_btree.Btree.locate_leaf tr ~key:view.Lr.rv_key)
-            in
-            if pid mod domains = d then begin
-              let before = Metrics.count wstats.Recovery_stats.redo_applied in
-              Dc.redo_logical wdc ~lsn ~view ~use_dpt ~stats:wstats;
-              if
-                Metrics.count wstats.Recovery_stats.redo_applied > before
-                && not (Hashtbl.mem first_applied pid)
-              then Hashtbl.add first_applied pid lsn
-            end)
-      records;
-    let elapsed = Clock.now wclock -. t0 in
-    (* Collect the final image of every page this partition modified: still
-       cached, or flushed to the private store by an eviction. *)
-    let pages =
-      Hashtbl.fold
-        (fun pid lsn acc ->
-          let page =
-            match Pool.get_if_cached wpool pid with
-            | Some p -> p
-            | None -> Deut_storage.Page_store.read wsh.Engine.s_store pid
-          in
-          (pid, page, lsn) :: acc)
-        first_applied []
-      |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-    in
-    (pages, Recovery_stats.snapshot wstats, Pool.counters wpool, elapsed)
-  in
-  let dpool = Deut_sim.Domain_pool.create ~domains in
-  let results = Deut_sim.Domain_pool.map dpool replay_partition (List.init domains Fun.id) in
-  let c = Pool.counters pool in
-  let max_elapsed =
-    List.fold_left (fun acc (_, _, _, e) -> Float.max acc e) 0.0 results
-  in
-  List.iter
-    (fun (pages, (snap : Recovery_stats.t), (wc : Pool.counters), _) ->
-      List.iter (fun (_, page, lsn) -> Pool.install pool ~event_lsn:lsn page ~dirty:true) pages;
-      Metrics.add stats.Recovery_stats.redo_candidates snap.Recovery_stats.redo_candidates;
-      Metrics.add stats.Recovery_stats.redo_applied snap.Recovery_stats.redo_applied;
-      Metrics.add stats.Recovery_stats.skipped_dpt snap.Recovery_stats.skipped_dpt;
-      Metrics.add stats.Recovery_stats.skipped_rlsn snap.Recovery_stats.skipped_rlsn;
-      Metrics.add stats.Recovery_stats.skipped_plsn snap.Recovery_stats.skipped_plsn;
-      Metrics.add stats.Recovery_stats.tail_records snap.Recovery_stats.tail_records;
-      Metrics.add stats.Recovery_stats.index_page_fetches
-        snap.Recovery_stats.index_page_fetches;
-      Metrics.fadd stats.Recovery_stats.index_stall_us snap.Recovery_stats.index_stall_us;
-      c.Pool.hits <- c.Pool.hits + wc.Pool.hits;
-      c.Pool.misses <- c.Pool.misses + wc.Pool.misses;
-      c.Pool.prefetch_hits <- c.Pool.prefetch_hits + wc.Pool.prefetch_hits;
-      c.Pool.prefetch_issued <- c.Pool.prefetch_issued + wc.Pool.prefetch_issued;
-      c.Pool.stalls <- c.Pool.stalls + wc.Pool.stalls;
-      c.Pool.stall_us <- c.Pool.stall_us +. wc.Pool.stall_us)
-    results;
-  Clock.advance clock max_elapsed
-
 (* ---------- The restart steps every driver shares ---------- *)
 
 (* Close a phase: a span on the recovery lane, and a flight record so a
@@ -664,18 +514,7 @@ let recover_offline ?config ?undo_fault_after_clrs image method_ =
   let scan = scan_log engine.Engine.log ~from:redo_start in
   phase engine "log_scan" ~ts0:t1;
   Metrics.add stats.Recovery_stats.records_scanned (Array.length scan.records);
-  let domains = engine.Engine.config.Config.domains in
-  (* A traced engine takes the simulated path even at [domains > 1]:
-     instrumentation rings are single-domain, so the partitions' IO spans
-     could never land in the master's ring and the trace would fail the
-     spans-match-counters cross-check.  Results are identical either way
-     (the determinism gate), so tracing only forfeits the wall-clock win. *)
-  if
-    Engine.shard_count engine = 1
-    && domains > 1 && is_logical method_
-    && Option.is_none (Engine.trace engine)
-  then redo_pass_domains method_ engine image scan ~stats ~domains
-  else ignore (overlapped engine (fun sh -> redo_pass method_ engine sh scan ~stats));
+  ignore (overlapped engine (fun sh -> redo_pass method_ engine sh scan ~stats));
   Metrics.fset stats.Recovery_stats.redo_us (Clock.now clock -. t1);
   phase engine "redo" ~ts0:t1;
   (* Phase 4: undo.  The tree is fully replayed now; maintenance may

@@ -20,8 +20,8 @@
     Instrumentation is single-domain: the recorder belongs to the domain
     that created it, and recording from any other domain raises
     [Invalid_argument] rather than interleaving rings through a torn
-    sequence counter.  The domain-parallel harness and redo honour this by
-    giving every domain its own engine; snapshots taken after the owning
+    sequence counter.  The domain-parallel harness honours this by giving
+    every cell its own engine; snapshots taken after the owning
     domain has been joined are safe. *)
 
 type kind =

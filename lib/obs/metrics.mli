@@ -10,8 +10,8 @@
     that created it (normally the domain running that engine), and
     registering an instrument from any other domain raises
     [Invalid_argument] — a loud guard, since a silent cross-domain race
-    would corrupt the table.  The domain-parallel harness and redo honour
-    this by giving every domain its own engine, hence its own registry;
+    would corrupt the table.  The domain-parallel harness honours this
+    by giving every cell its own engine, hence its own registry;
     reading a registry after the owning domain has been joined is safe. *)
 
 type counter

@@ -15,8 +15,8 @@
     Instrumentation is single-domain: the ring belongs to the domain that
     created it, and recording an event from any other domain raises
     [Invalid_argument] — a loud guard, since two domains racing the write
-    cursor would silently tear the ring.  The domain-parallel harness and
-    redo honour this by giving every domain its own engine (and so its own
+    cursor would silently tear the ring.  The domain-parallel harness
+    honours this by giving every cell its own engine (and so its own
     ring); reading or exporting after the owning domain has been joined is
     safe. *)
 

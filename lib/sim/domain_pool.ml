@@ -11,10 +11,9 @@ let available_cores () = Domain.recommended_domain_count ()
    most [min size (List.length items)] domains, each pulling item indices
    from a mutex-guarded counter, and joins them all before returning.  Two
    reasons over a long-lived pool: (1) no nested-submission deadlock — a
-   task may itself create a pool and [map] (a bench cell running
-   domain-parallel redo) without reserving workers; (2) spawn cost
-   (~tens of µs) is noise at the granularity we fan out (multi-second bench
-   cells, multi-thousand-record redo partitions). *)
+   task may itself create a pool and [map] without reserving workers;
+   (2) spawn cost (~tens of µs) is noise at the granularity we fan out
+   (multi-second bench cells). *)
 let map t f items =
   let arr = Array.of_list items in
   let n = Array.length arr in

@@ -37,13 +37,8 @@ let paper_setup ?(scale = 32) ?(ckpt_multiplier = 1) ?(dpt_mode = Config.Standar
       dpt_mode;
       checkpoint_mode;
       (* The paper's experiment is a single data component; callers that
-         want a sharded cell (Figures.run_sharding) override this.  Real
-         domains likewise: DEUT_DOMAINS parallelises the harness *across*
-         cells, so the cell itself pins [domains = 1] and its simulated
-         numbers are byte-identical at any domain count — callers that
-         want domain-parallel redo inside a recovery override it. *)
+         want a sharded cell (Figures.run_sharding) override this. *)
       shards = 1;
-      domains = 1;
       seed = 42 + cache_mb;
     }
   in

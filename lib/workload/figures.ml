@@ -9,9 +9,8 @@ let no_progress _ = ()
    nothing but the build cache (itself a monitor) — so with domains > 1
    they fan cells across real OS-level domains via {!Deut_sim.Domain_pool}.
    Results come back in input order, and each cell's simulated numbers are
-   byte-identical to a sequential run ([Experiment.paper_setup] pins the
-   per-cell config to one domain), so harness parallelism buys wall clock
-   only.  Progress lines are serialised so concurrent cells cannot
+   byte-identical to a sequential run (the domain count never reaches a
+   recovery), so harness parallelism buys wall clock only.  Progress lines are serialised so concurrent cells cannot
    interleave output. *)
 let fan ~domains f items =
   Deut_sim.Domain_pool.map (Deut_sim.Domain_pool.create ~domains) f items

@@ -1,12 +1,11 @@
-(* Real OS-level parallelism is a pure wall-clock knob: the domain count
-   must never change recovered state.  The gate here recovers the same
-   crash image with domain-parallel redo at 1/2/4/8 partitions and checks
-   store digest, logical digest, and apply counts byte-identical to the
-   single-domain reference; fans fig2 harness cells across domains and
-   checks every cell's digests and simulated times against a sequential
-   sweep; and instantiates one crash image from several domains at once to
-   prove images are immutable shareable inputs.  The obs structures'
-   single-domain ownership guards are exercised last. *)
+(* Real OS-level parallelism only fans harness cells across domains; it
+   never reaches a recovery.  The tests here recover the same crash image
+   with every method at 1 and 4 domains and check the statistics and the
+   store and logical digests identical; fan fig2 harness cells across
+   domains and check every cell's digests and simulated times against a
+   sequential sweep; and instantiate one crash image from several domains
+   at once to prove images are immutable shareable inputs.  The obs
+   structures' single-domain ownership guards are exercised last. *)
 
 module Db = Deut_core.Db
 module Config = Deut_core.Config
@@ -22,7 +21,6 @@ module Metrics = Deut_obs.Metrics
 module Trace = Deut_obs.Trace
 
 let check = Alcotest.(check bool)
-let domain_counts = [ 1; 2; 4; 8 ]
 
 let small_config ?(domains = 1) () =
   {
@@ -43,9 +41,8 @@ let make_crash ?(op_mix = Workload.Update_only) ?(rows = 1200) () =
   Driver.start_loser driver ~ops:8;
   (driver, Driver.crash driver)
 
-(* The redo decisions and undo work — everything that determines state.
-   IO/prefetch/stall counters legitimately vary with the domain count
-   (each partition repeats the analysis on its own engine). *)
+(* The redo decisions and undo work — what the fig2 fan-out must
+   reproduce cell by cell. *)
 let apply_counts (s : Rs.t) =
   [
     s.Rs.records_scanned;
@@ -69,72 +66,38 @@ let recover_with driver image method_ domains =
       Alcotest.failf "%s at %d domains: wrong state: %s" (Recovery.method_to_string method_)
         domains msg);
   let logical = Client_sched.logical_digest db in
-  (Experiment.store_digest db, logical, apply_counts stats)
+  (Experiment.store_digest db, logical, stats)
 
-(* The tier-1 determinism gate: every partition count yields the same
-   bytes as the single-domain reference scheduler. *)
-let test_redo_deterministic () =
-  let driver, image = make_crash () in
-  List.iter
-    (fun m ->
-      let results = List.map (recover_with driver image m) domain_counts in
-      match results with
-      | [] -> ()
-      | (store1, logical1, counts1) :: rest ->
-          List.iteri
-            (fun i (store, logical, counts) ->
-              let d = List.nth domain_counts (i + 1) in
-              check
-                (Printf.sprintf "%s: %d domains, byte-identical store"
-                   (Recovery.method_to_string m) d)
-                true
-                (String.equal store store1);
-              check
-                (Printf.sprintf "%s: %d domains, byte-identical logical state"
-                   (Recovery.method_to_string m) d)
-                true
-                (String.equal logical logical1);
-              Alcotest.(check (list int))
-                (Printf.sprintf "%s: %d domains, identical apply counts"
-                   (Recovery.method_to_string m) d)
-                counts1 counts)
-            rest)
-    [ Recovery.Log0; Recovery.Log1; Recovery.Log2 ]
+let stats_t = Alcotest.testable Rs.pp ( = )
 
-(* Methods outside the logical family fall back to their existing paths at
-   any domain setting; the state contract is the same. *)
-let test_non_logical_fallback () =
-  let driver, image = make_crash () in
-  List.iter
-    (fun m ->
-      let ref1 = recover_with driver image m 1 in
-      let par4 = recover_with driver image m 4 in
-      check
-        (Printf.sprintf "%s: domains=4 falls back byte-identically"
-           (Recovery.method_to_string m))
-        true (ref1 = par4))
-    [ Recovery.Sql1; Recovery.Sql2 ]
-
-(* An SMO-heavy image stresses partition ownership: leaves that split
-   during the run are located in the final (post-DC-recovery) tree, so
-   every domain must assign each record to the same partition. *)
-let test_redo_smo_heavy () =
-  let driver, image =
-    make_crash
-      ~op_mix:(Workload.Mixed { update = 0.3; insert = 0.6; delete = 0.1; read = 0.0 })
-      ~rows:800 ()
+(* The domain count never reaches a recovery: every method returns the
+   same statistics — simulated times and IO counts included — and the
+   same store and logical state at 1 and 4 domains, on an update-only
+   image and on an SMO-heavy one. *)
+let test_recovery_ignores_domains () =
+  let images =
+    [
+      ("update-only", make_crash ());
+      ( "SMO-heavy",
+        make_crash
+          ~op_mix:(Workload.Mixed { update = 0.3; insert = 0.6; delete = 0.1; read = 0.0 })
+          ~rows:800 () );
+    ]
   in
   List.iter
-    (fun m ->
-      let results = List.map (recover_with driver image m) [ 1; 4 ] in
-      match results with
-      | [ r1; r4 ] ->
-          check
-            (Printf.sprintf "%s: SMO-heavy image, domains=4 identical"
-               (Recovery.method_to_string m))
-            true (r1 = r4)
-      | _ -> assert false)
-    [ Recovery.Log1; Recovery.Log2 ]
+    (fun (label, (driver, image)) ->
+      List.iter
+        (fun m ->
+          let name what =
+            Printf.sprintf "%s %s: %s at 4 domains" label (Recovery.method_to_string m) what
+          in
+          let store1, logical1, stats1 = recover_with driver image m 1 in
+          let store4, logical4, stats4 = recover_with driver image m 4 in
+          Alcotest.check stats_t (name "recovery stats") stats1 stats4;
+          check (name "store digest") true (String.equal store1 store4);
+          check (name "logical digest") true (String.equal logical1 logical4))
+        Recovery.all_methods)
+    images
 
 (* A crash image is an immutable input: several domains instantiating and
    recovering from the same image concurrently must neither perturb each
@@ -225,9 +188,7 @@ let test_obs_owner_guards () =
 
 let suite =
   [
-    Alcotest.test_case "domain redo is timing-only" `Quick test_redo_deterministic;
-    Alcotest.test_case "non-logical methods fall back" `Quick test_non_logical_fallback;
-    Alcotest.test_case "SMO-heavy partition ownership" `Quick test_redo_smo_heavy;
+    Alcotest.test_case "recovery ignores the domain count" `Quick test_recovery_ignores_domains;
     Alcotest.test_case "crash-image isolation" `Quick test_crash_image_isolation;
     Alcotest.test_case "fig2 cells deterministic" `Slow test_fig2_cells_deterministic;
     Alcotest.test_case "domain pool order and errors" `Quick test_domain_pool;

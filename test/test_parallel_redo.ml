@@ -127,10 +127,7 @@ let test_smo_heavy_barrier () =
 
 let test_worker_trace_lanes () =
   let driver, image = make_crash () in
-  (* Per-worker lanes belong to the simulated-worker scheduler; pin
-     [domains = 1] so a DEUT_DOMAINS run doesn't divert Log1 to the
-     domain path (whose partitions are deliberately uninstrumented). *)
-  let config = { (small_config ~tracing:true ~workers:4 ()) with Config.domains = 1 } in
+  let config = small_config ~tracing:true ~workers:4 () in
   let db, _stats = Db.recover ~config image Recovery.Log1 in
   (match Driver.verify_recovered driver db with
   | Ok () -> ()
