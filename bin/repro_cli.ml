@@ -9,12 +9,10 @@ module Recovery_stats = Deut_core.Recovery_stats
 module Config = Deut_core.Config
 module Db = Deut_core.Db
 module Engine = Deut_core.Engine
-module Driver = Deut_workload.Driver
 module Report = Deut_workload.Report
 module Trace = Deut_obs.Trace
 module Metrics = Deut_obs.Metrics
 module Analysis = Deut_obs.Analysis
-module Tuner = Deut_obs.Tuner
 
 let progress msg = Printf.eprintf "[repro] %s\n%!" msg
 
@@ -30,33 +28,64 @@ let read_file p =
   close_in ic;
   s
 
-(* A dropped event means the profile would describe a truncated run; tell
-   the operator exactly what capacity to ask for. *)
-let fail_on_overflow tr =
-  match Trace.overflow_advice tr with
-  | None -> ()
-  | Some advice ->
-      Printf.eprintf "FAIL: %s\n" advice;
-      exit 1
+(* Gates report a violation as "FAIL: ..." and exit 1, whether it is
+   found here or raised by a harness runner (oracle mismatch, diverged
+   digest, truncated trace). *)
+let or_fail f =
+  try f () with Failure msg ->
+    Printf.eprintf "FAIL: %s\n" msg;
+    exit 1
+
+(* Every size, count and scale the CLI takes must be at least 1; anything
+   else is a usage error rather than a crash deep inside a sweep. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let counts_arg ?(name = "counts") ?(docv = "NS") default doc =
+  Arg.(value & opt (list pos_int) default & info [ name ] ~docv ~doc)
 
 let scale_arg =
   let doc = "Divide the paper's sizes (database, cache, checkpoint interval) by $(docv)." in
-  Arg.(value & opt int 64 & info [ "s"; "scale" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int 64 & info [ "s"; "scale" ] ~docv:"N" ~doc)
 
 let cache_arg =
   let doc = "Paper-equivalent cache size in MB (64..2048)." in
-  Arg.(value & opt int 512 & info [ "c"; "cache" ] ~docv:"MB" ~doc)
+  Arg.(value & opt pos_int 512 & info [ "c"; "cache" ] ~docv:"MB" ~doc)
 
 let cache_sizes_arg =
-  let doc = "Comma-separated paper-equivalent cache sizes in MB." in
-  Arg.(
-    value
-    & opt (list int) [ 64; 128; 256; 512; 1024; 2048 ]
-    & info [ "cache-sizes" ] ~docv:"MBS" ~doc)
+  counts_arg ~name:"cache-sizes" ~docv:"MBS" Figures.paper_cache_sizes
+    "Comma-separated paper-equivalent cache sizes in MB."
 
 let workers_arg =
   let doc = "Simulated parallel redo workers (overrides Config.redo_workers)." in
-  Arg.(value & opt (some int) None & info [ "w"; "workers" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some pos_int) None & info [ "w"; "workers" ] ~docv:"N" ~doc)
+
+let txns_arg default doc = Arg.(value & opt pos_int default & info [ "t"; "txns" ] ~docv:"N" ~doc)
+
+(* The standard Figure-2 crash at --cache/--scale, built for [methods]. *)
+let build_crash ~scale ~cache methods =
+  progress (Printf.sprintf "building crash at cache %d MB, scale 1/%d" cache scale);
+  Experiment.paper_crash ~scale ~cache_mb:cache methods
+
+let recovering ~tracing method_ =
+  progress
+    (Printf.sprintf "recovering with %s%s" (Recovery.method_to_string method_)
+       (if tracing then ", tracing on" else ""))
+
+(* The config of a single CLI recovery: the crash's own, with tracing as
+   asked and the DEUT_* environment (DEUT_TRACE_CAP included) on top. *)
+let recovery_config crash ~tracing =
+  Config.of_env
+    {
+      crash.Experiment.image.Deut_core.Crash_image.config with
+      Config.tracing;
+      trace_capacity = 1 lsl 20;
+    }
 
 let method_conv =
   let parse s =
@@ -91,10 +120,7 @@ let fig2_cmd =
 
 let fig3_cmd =
   let multipliers_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 5; 10 ]
-      & info [ "multipliers" ] ~docv:"KS" ~doc:"Checkpoint interval multipliers.")
+    counts_arg ~name:"multipliers" ~docv:"KS" [ 1; 5; 10 ] "Checkpoint interval multipliers."
   in
   let run scale cache multipliers =
     let cells = Figures.run_fig3 ~scale ~cache_mb:cache ~multipliers ~progress () in
@@ -121,12 +147,7 @@ let splitlog_cmd =
     Term.(const run $ scale_arg $ cache_arg)
 
 let workers_cmd =
-  let worker_counts_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "counts" ] ~docv:"NS" ~doc:"Comma-separated worker counts to sweep.")
-  in
+  let worker_counts_arg = counts_arg [ 1; 2; 4; 8 ] "Comma-separated worker counts to sweep." in
   let run scale cache counts =
     print_string
       (Figures.workers_table
@@ -138,23 +159,11 @@ let workers_cmd =
     Term.(const run $ scale_arg $ cache_arg $ worker_counts_arg)
 
 let clients_cmd =
-  let client_counts_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "counts" ] ~docv:"NS" ~doc:"Comma-separated client counts to sweep.")
-  in
+  let client_counts_arg = counts_arg [ 1; 2; 4; 8 ] "Comma-separated client counts to sweep." in
   let group_commits_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 4 ]
-      & info [ "group-commits" ] ~docv:"GS" ~doc:"Comma-separated group-commit batch sizes.")
+    counts_arg ~name:"group-commits" ~docv:"GS" [ 1; 4 ] "Comma-separated group-commit batch sizes."
   in
-  let txns_arg =
-    Arg.(
-      value & opt int 300
-      & info [ "t"; "txns" ] ~docv:"N" ~doc:"Committed transactions per cell.")
-  in
+  let txns_arg = txns_arg 300 "Committed transactions per cell." in
   let run scale cache counts group_commits txns =
     print_string
       (Figures.concurrency_table
@@ -169,23 +178,11 @@ let clients_cmd =
     Term.(const run $ scale_arg $ cache_arg $ client_counts_arg $ group_commits_arg $ txns_arg)
 
 let shards_cmd =
-  let shard_counts_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "counts" ] ~docv:"NS" ~doc:"Comma-separated shard counts to sweep.")
-  in
+  let shard_counts_arg = counts_arg [ 1; 2; 4; 8 ] "Comma-separated shard counts to sweep." in
   let client_counts_arg =
-    Arg.(
-      value
-      & opt (list int) [ 4; 8 ]
-      & info [ "clients" ] ~docv:"NS" ~doc:"Comma-separated client counts to sweep.")
+    counts_arg ~name:"clients" [ 4; 8 ] "Comma-separated client counts to sweep."
   in
-  let txns_arg =
-    Arg.(
-      value & opt int 300
-      & info [ "t"; "txns" ] ~docv:"N" ~doc:"Committed transactions per cell.")
-  in
+  let txns_arg = txns_arg 300 "Committed transactions per cell." in
   let net_arg =
     Arg.(
       value & flag
@@ -213,19 +210,15 @@ let shards_cmd =
 let archive_cmd =
   let clients_arg =
     Arg.(
-      value & opt int 4
+      value & opt pos_int 4
       & info [ "clients" ] ~docv:"N" ~doc:"Simulated concurrent clients driving the workload.")
   in
   let rounds_arg =
     Arg.(
-      value & opt int 6
+      value & opt pos_int 6
       & info [ "rounds" ] ~docv:"N" ~doc:"Checkpoint + archive-cut rounds to run.")
   in
-  let txns_arg =
-    Arg.(
-      value & opt int 100
-      & info [ "t"; "txns" ] ~docv:"N" ~doc:"Committed transactions per round.")
-  in
+  let txns_arg = txns_arg 100 "Committed transactions per round." in
   let run scale cache clients rounds txns =
     print_string
       (Figures.archiving_table
@@ -252,19 +245,13 @@ let crash_cmd =
   in
   let repeat_arg =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "r"; "repeat" ] ~docv:"N"
           ~doc:
             "Recover N times per method (fresh copies of the same image) and report redo time              mean ± stddev — the paper notes the high run-to-run variance of the prefetching              methods.")
   in
   let run scale cache methods repeat workers =
-    progress (Printf.sprintf "building crash at cache %d MB, scale 1/%d" cache scale);
-    let checkpoint_mode =
-      if List.mem Recovery.Aries_ckpt methods then Deut_core.Config.Aries_fuzzy
-      else Deut_core.Config.Penultimate
-    in
-    let setup = Experiment.paper_setup ~scale ~cache_mb:cache ~checkpoint_mode () in
-    let crash = Experiment.build setup in
+    let crash = build_crash ~scale ~cache methods in
     Printf.printf
       "crash image: %d db pages, %d dirty of %d cached (%.1f%% of cache), %d Δ / %d BW \
        records, %d updates run\n\n"
@@ -314,32 +301,14 @@ let trace_cmd =
       & info [ "csv" ] ~doc:"Also write the flat event list as CSV next to the JSON file.")
   in
   let run scale cache method_ out emit_csv workers =
-    progress (Printf.sprintf "building crash at cache %d MB, scale 1/%d" cache scale);
-    let checkpoint_mode =
-      if method_ = Recovery.Aries_ckpt then Config.Aries_fuzzy else Config.Penultimate
-    in
-    let setup = Experiment.paper_setup ~scale ~cache_mb:cache ~checkpoint_mode () in
-    let crash = Experiment.build setup in
-    let config =
-      Config.of_env
-        { setup.Experiment.config with Config.tracing = true; trace_capacity = 1 lsl 20 }
-    in
+    or_fail @@ fun () ->
+    let crash = build_crash ~scale ~cache [ method_ ] in
+    let config = recovery_config crash ~tracing:true in
     let config =
       match workers with None -> config | Some w -> { config with Config.redo_workers = w }
     in
-    progress (Printf.sprintf "recovering with %s, tracing on" (Recovery.method_to_string method_));
-    let db, stats = Db.recover ~config crash.Experiment.image method_ in
-    (match Driver.verify_recovered crash.Experiment.driver db with
-    | Ok () -> ()
-    | Error msg ->
-        failwith
-          (Printf.sprintf "recovery with %s produced wrong state: %s"
-             (Recovery.method_to_string method_) msg));
-    let tr =
-      match Engine.trace (Db.engine db) with
-      | Some tr -> tr
-      | None -> failwith "tracing was not enabled on the recovery engine"
-    in
+    recovering ~tracing:true method_;
+    let db, stats, tr = Experiment.recover_traced ~config crash method_ in
     let path =
       match out with
       | Some p -> p
@@ -376,7 +345,6 @@ let trace_cmd =
     let candidates = stats.Recovery_stats.redo_candidates in
     Printf.printf "page_fetch spans: %d (stats: %d)\nredo_op spans:    %d (stats: %d)\n"
       fetch_spans fetches redo_spans candidates;
-    fail_on_overflow tr;
     if fetch_spans <> fetches || redo_spans <> candidates then begin
       Printf.eprintf "FAIL: trace spans disagree with Recovery_stats counters\n";
       exit 1
@@ -395,30 +363,9 @@ let trace_cmd =
    of the standard Figure-2 crash.  Profiling pins redo_workers/clients to
    1 so the emitted profile is byte-identical regardless of the
    DEUT_REDO_WORKERS / DEUT_CLIENTS environment — a committed baseline must
-   not depend on the CI matrix leg that produced it.  DEUT_TRACE_CAP (via
-   [Config.of_env]) still applies. *)
-let recover_standard ~scale ~cache ~tracing method_ =
-  progress (Printf.sprintf "building crash at cache %d MB, scale 1/%d" cache scale);
-  let checkpoint_mode =
-    if method_ = Recovery.Aries_ckpt then Config.Aries_fuzzy else Config.Penultimate
-  in
-  let setup = Experiment.paper_setup ~scale ~cache_mb:cache ~checkpoint_mode () in
-  let crash = Experiment.build setup in
-  let config =
-    Config.of_env
-      { setup.Experiment.config with Config.tracing; trace_capacity = 1 lsl 20 }
-  in
-  let config = { config with Config.redo_workers = 1; clients = 1 } in
-  progress (Printf.sprintf "recovering with %s%s" (Recovery.method_to_string method_)
-       (if tracing then ", tracing on" else ""));
-  let db, stats = Db.recover ~config crash.Experiment.image method_ in
-  (match Driver.verify_recovered crash.Experiment.driver db with
-  | Ok () -> ()
-  | Error msg ->
-      failwith
-        (Printf.sprintf "recovery with %s produced wrong state: %s"
-           (Recovery.method_to_string method_) msg));
-  (db, stats)
+   not depend on the CI matrix leg that produced it. *)
+let profiled_config crash ~tracing =
+  { (recovery_config crash ~tracing) with Config.redo_workers = 1; clients = 1 }
 
 let method_pos_arg =
   Arg.(
@@ -461,13 +408,12 @@ let analyze_cmd =
           ~doc:"Allowed regression, in percent over the baseline (default 10).")
   in
   let run scale cache method_ out trace_out emit_csv check tolerance =
-    let db, stats = recover_standard ~scale ~cache ~tracing:true method_ in
-    let tr =
-      match Engine.trace (Db.engine db) with
-      | Some tr -> tr
-      | None -> failwith "tracing was not enabled on the recovery engine"
+    or_fail @@ fun () ->
+    let crash = build_crash ~scale ~cache [ method_ ] in
+    recovering ~tracing:true method_;
+    let db, stats, tr =
+      Experiment.recover_traced ~config:(profiled_config crash ~tracing:true) crash method_
     in
-    fail_on_overflow tr;
     let meta =
       [
         ("method", Recovery.method_to_string method_);
@@ -563,7 +509,7 @@ let analyze_cmd =
 
 let tune_cmd =
   let ints_opt name doc =
-    Arg.(value & opt (some (list int)) None & info [ name ] ~docv:"NS" ~doc)
+    Arg.(value & opt (some (list pos_int)) None & info [ name ] ~docv:"NS" ~doc)
   in
   let windows_arg = ints_opt "windows" "Comma-separated prefetch_window candidates." in
   let chunks_arg = ints_opt "chunks" "Comma-separated prefetch_chunk candidates." in
@@ -606,7 +552,7 @@ let instant_cmd =
   in
   let probes_arg =
     Arg.(
-      value & opt int 32
+      value & opt pos_int 32
       & info [ "probes" ] ~docv:"N"
           ~doc:"Probe reads served while the background redo is still draining.")
   in
@@ -616,19 +562,16 @@ let instant_cmd =
     match min_speedup with
     | None -> ()
     | Some r -> (
-        match
-          List.fold_left
-            (fun acc (c : Figures.availability_cell) ->
-              match acc with
-              | Some (b : Figures.availability_cell) when b.Figures.v_cache_mb <= c.Figures.v_cache_mb ->
-                  acc
-              | _ -> Some c)
-            None cells
-        with
-        | None ->
+        let by_size =
+          List.stable_sort
+            (fun (a : Figures.availability_cell) b -> compare a.Figures.v_cache_mb b.Figures.v_cache_mb)
+            cells
+        in
+        match by_size with
+        | [] ->
             Printf.eprintf "FAIL: no availability cells were produced\n";
             exit 1
-        | Some smallest ->
+        | smallest :: _ ->
             print_newline ();
             if smallest.Figures.v_speedup < r then begin
               Printf.eprintf
@@ -655,7 +598,7 @@ let domains_cmd =
   let domains_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "d"; "domains" ] ~docv:"N"
           ~doc:
             "Domains for the parallel run (default: DEUT_DOMAINS when set above 1, else \
@@ -672,58 +615,31 @@ let domains_cmd =
              real core count — only gate on hardware with enough idle cores.")
   in
   let run scale cache_sizes domains min_speedup =
-    let domains =
-      match domains with
-      | Some d when d >= 1 -> d
-      | _ ->
-          let d = Config.default.Config.domains in
-          if d > 1 then d else Stdlib.min 4 (Deut_sim.Domain_pool.available_cores ())
-    in
-    let cores = Deut_sim.Domain_pool.available_cores () in
-    progress
-      (Printf.sprintf "sweep at 1 then %d domain(s); %d core(s) available" domains cores);
-    (* Fresh caches on both sides so the parallel run cannot coast on the
-       sequential run's builds. *)
-    let sweep d =
-      let cache = Experiment.build_cache () in
-      let t0 = Unix.gettimeofday () in
-      let cells = Figures.run_fig2 ~cache ~scale ~cache_sizes ~progress ~domains:d () in
-      (cells, Unix.gettimeofday () -. t0)
-    in
-    let seq_cells, seq_wall = sweep 1 in
-    let par_cells, par_wall = sweep domains in
-    List.iter2
-      (fun (a : Figures.fig2_cell) (b : Figures.fig2_cell) ->
-        if a.Figures.digests <> b.Figures.digests then begin
-          Printf.eprintf
-            "FAIL: determinism gate — digests diverged at %d MB between 1 and %d domains\n"
-            a.Figures.cache_mb domains;
-          exit 1
-        end)
-      seq_cells par_cells;
-    let speedup = if par_wall > 0.0 then seq_wall /. par_wall else 0.0 in
+    let d = or_fail (fun () -> Figures.run_domains ~scale ~cache_sizes ?domains ~progress ()) in
+    let speedup = Figures.domains_speedup d in
     print_string
       (Report.table ~title:"Real multicore — identical results, wall clock only"
-         ~header:[ "measure"; "sequential"; Printf.sprintf "%d domains" domains; "speedup" ]
+         ~header:
+           [ "measure"; "sequential"; Printf.sprintf "%d domains" d.Figures.dm_domains; "speedup" ]
          ~rows:
            [
              [
                "fig2 sweep (s)";
-               Printf.sprintf "%.2f" seq_wall;
-               Printf.sprintf "%.2f" par_wall;
+               Printf.sprintf "%.2f" d.Figures.dm_seq_wall_s;
+               Printf.sprintf "%.2f" d.Figures.dm_par_wall_s;
                Printf.sprintf "%.2fx" speedup;
              ];
            ]
          ());
     Printf.printf
       "determinism gate OK: digests byte-identical at 1 and %d domains; %d core(s) available\n"
-      domains cores;
+      d.Figures.dm_domains d.Figures.dm_cores;
     match min_speedup with
     | None -> ()
     | Some r ->
         if speedup < r then begin
           Printf.eprintf "FAIL: domains gate — %.2fx, need >= %.2fx (%d cores available)\n"
-            speedup r cores;
+            speedup r d.Figures.dm_cores;
           exit 1
         end;
         Printf.printf "domains gate OK: %.2fx (need >= %.2fx)\n" speedup r
@@ -739,7 +655,11 @@ let domains_cmd =
 
 let metrics_cmd =
   let run scale cache method_ =
-    let db, _stats = recover_standard ~scale ~cache ~tracing:false method_ in
+    let crash = build_crash ~scale ~cache [ method_ ] in
+    recovering ~tracing:false method_;
+    let db, _ =
+      Experiment.recover_verified ~config:(profiled_config crash ~tracing:false) crash method_
+    in
     print_string (Metrics.render (Engine.metrics (Db.engine db)))
   in
   Cmd.v
@@ -758,7 +678,7 @@ let forensics_cmd =
   in
   let shards_arg =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "shards" ] ~docv:"N"
           ~doc:"Shard count the failing run used (the fuzz suite's DEUT_SHARDS).")
   in

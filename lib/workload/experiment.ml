@@ -213,28 +213,42 @@ let build ?cache scaled =
               Mutex.unlock c.mutex;
               run))
 
-let recover_verified ?workers run method_ =
+(* The paper crash (§5.2) at [cache_mb] for recovery with [methods]: fuzzy
+   ARIES checkpoints when the physiological baseline is among them,
+   penultimate logical checkpoints otherwise. *)
+let paper_crash ?cache ?scale ~cache_mb methods =
+  let checkpoint_mode =
+    if List.mem Recovery.Aries_ckpt methods then Config.Aries_fuzzy else Config.Penultimate
+  in
+  build ?cache (paper_setup ?scale ~checkpoint_mode ~cache_mb ())
+
+let verify what driver db =
+  match Driver.verify_recovered driver db with
+  | Ok () -> ()
+  | Error msg -> failwith (Printf.sprintf "%s produced wrong state: %s" what msg)
+
+let recover_verified ?config run method_ =
+  let recovered, stats = Db.recover ?config run.image method_ in
+  verify ("recovery with " ^ Recovery.method_to_string method_) run.driver recovered;
+  (recovered, stats)
+
+let recover_traced ~config run method_ =
+  let db, stats = recover_verified ~config run method_ in
+  match Deut_core.Engine.trace (Db.engine db) with
+  | None -> invalid_arg "Experiment.recover_traced: config has tracing off"
+  | Some tr -> (
+      (* A dropped event means a profile would describe a truncated run. *)
+      match Deut_obs.Trace.overflow_advice tr with
+      | Some advice -> failwith advice
+      | None -> (db, stats, tr))
+
+let run_method ?workers run method_ =
   let config =
     Option.map
       (fun w -> { run.image.Deut_core.Crash_image.config with Config.redo_workers = w })
       workers
   in
-  let recovered, stats = Db.recover ?config run.image method_ in
-  (* Snapshot the engine before verification: the oracle scan below does
-     thousands of its own page fetches, which would swamp the recovery-time
-     IO and stall histograms. *)
-  let engine = Deut_core.Engine_stats.capture (Db.engine recovered) in
-  (match Driver.verify_recovered run.driver recovered with
-  | Ok () -> ()
-  | Error msg ->
-      failwith
-        (Printf.sprintf "recovery with %s produced wrong state: %s"
-           (Recovery.method_to_string method_) msg));
-  (recovered, engine, stats)
-
-let run_method ?workers run method_ =
-  let _, _, stats = recover_verified ?workers run method_ in
-  stats
+  snd (recover_verified ?config run method_)
 let run_all run methods = List.map (fun m -> (m, run_method run m)) methods
 
 (* Digest of the stable page store after forcing every dirty frame out:

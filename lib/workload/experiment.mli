@@ -74,15 +74,38 @@ val run_method :
     a benchmark must never report timings for an incorrect recovery.
     [workers] overrides [Config.redo_workers] for this recovery. *)
 
+val paper_crash :
+  ?cache:build_cache ->
+  ?scale:int ->
+  cache_mb:int ->
+  Deut_core.Recovery.method_ list ->
+  crash_run
+(** [build] of [paper_setup ?scale ~cache_mb ()] for recovery with the
+    given methods: fuzzy ARIES checkpointing when [Aries_ckpt] is among
+    them (its redo needs the ARIES checkpoint DPT), the default
+    penultimate checkpointing otherwise. *)
+
+val verify : string -> Driver.t -> Deut_core.Db.t -> unit
+(** [verify what driver db] checks [db] against [driver]'s oracle and the
+    B-tree invariants; raises [Failure] naming [what] on divergence. *)
+
 val recover_verified :
-  ?workers:int ->
+  ?config:Deut_core.Config.t ->
   crash_run ->
   Deut_core.Recovery.method_ ->
-  Deut_core.Db.t * Deut_core.Engine_stats.t * Deut_core.Recovery_stats.t
-(** [run_method] that also returns the recovered database and an engine
-    snapshot taken {e before} oracle verification, so the IO and stall
-    latency histograms reflect recovery alone (verification's own page
-    fetches would otherwise dominate them). *)
+  Deut_core.Db.t * Deut_core.Recovery_stats.t
+(** Recover from a copy of the image — under [config] instead of the
+    image's own when given — and verify the result against the oracle;
+    raises [Failure] on divergence. *)
+
+val recover_traced :
+  config:Deut_core.Config.t ->
+  crash_run ->
+  Deut_core.Recovery.method_ ->
+  Deut_core.Db.t * Deut_core.Recovery_stats.t * Deut_obs.Trace.t
+(** [recover_verified] under a [config] with tracing on, returning the
+    recovery's trace.  Raises [Failure] with {!Deut_obs.Trace.overflow_advice}
+    when the ring dropped events, so no caller profiles a truncated run. *)
 
 val run_all :
   crash_run ->

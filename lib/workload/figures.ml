@@ -1,4 +1,6 @@
 module Config = Deut_core.Config
+module Db = Deut_core.Db
+module Engine = Deut_core.Engine
 module Recovery = Deut_core.Recovery
 module Rs = Deut_core.Recovery_stats
 
@@ -21,6 +23,52 @@ let serial progress msg =
   Mutex.lock progress_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock progress_lock) (fun () -> progress msg)
 
+(* The determinism gate every sweep enforces: each (coordinates, digest)
+   pair must carry the first pair's digest. *)
+let digests_agree sweep cells =
+  match cells with
+  | [] -> ()
+  | (coord0, d0) :: rest ->
+      List.iter
+        (fun (coord, d) ->
+          if d <> d0 then
+            failwith
+              (Printf.sprintf "%s: digest diverged — %s gave %s, %s gave %s" sweep coord0 d0
+                 coord d))
+        rest
+
+(* A fresh database for one OLTP sweep cell: the paper setup's config with
+   2PL locking plus the sweep's [tweak], on a table 1/16 the size of the
+   crash experiments' (the load dominates otherwise) and one seed shared by
+   every cell, so the committed stream — hence the final digest — does not
+   depend on the sweep coordinates. *)
+let oltp_driver ~scale ~cache_mb tweak =
+  let setup = Experiment.paper_setup ~scale ~cache_mb () in
+  let spec = setup.Experiment.spec in
+  Driver.create
+    ~config:(tweak { setup.Experiment.config with Config.locking = true })
+    { spec with Workload.rows = Stdlib.max 2_000 (spec.Workload.rows / 16); seed = 1903 }
+
+let plural n = if n = 1 then "" else "s"
+
+(* The paper crash at [cache_mb]: (cache_mb, run, real seconds the build
+   took). *)
+let crash ?cache ~scale ~progress sweep cache_mb =
+  serial progress (Printf.sprintf "%s: cache %d MB (scale 1/%d)" sweep cache_mb scale);
+  let t0 = Unix.gettimeofday () in
+  let run = Experiment.build ?cache (Experiment.paper_setup ~scale ~cache_mb ()) in
+  (cache_mb, run, Unix.gettimeofday () -. t0)
+
+(* Every (crash, task) recovery is independent — the crash image is copied
+   before recovery mutates anything and the oracle is sealed — so the full
+   grid fans out flat. *)
+let grid ~domains crashes tasks f =
+  fan ~domains
+    (fun (cache_mb, run, task) -> f cache_mb run task)
+    (List.concat_map (fun (cache_mb, run, _) -> List.map (fun t -> (cache_mb, run, t)) tasks) crashes)
+
+let image_config run = run.Experiment.image.Deut_core.Crash_image.config
+
 type fig2_cell = {
   cache_mb : int;
   pool_pages : int;
@@ -42,38 +90,19 @@ let redo_ms_of cell m = Rs.redo_ms (stats_of cell m)
 let run_fig2 ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
     ?(methods = Recovery.all_methods) ?(progress = no_progress)
     ?(domains = Config.default.Config.domains) () =
-  (* Phase 1: one build per cache size, fanned across domains. *)
-  let builds =
-    fan ~domains
-      (fun cache_mb ->
-        serial progress (Printf.sprintf "fig2: cache %d MB (scale 1/%d)" cache_mb scale);
-        let setup = Experiment.paper_setup ~scale ~cache_mb () in
-        let t0 = Unix.gettimeofday () in
-        let run = Experiment.build ?cache setup in
-        (cache_mb, setup, run, Unix.gettimeofday () -. t0))
-      cache_sizes
-  in
-  (* Phase 2: every (cache size, method) recovery is independent — the
-     crash image is copied before recovery mutates anything and the oracle
-     is sealed — so the full grid fans out flat. *)
-  let tasks =
-    List.concat_map (fun (cache_mb, _, run, _) -> List.map (fun m -> (cache_mb, run, m)) methods)
-      builds
-  in
+  let builds = fan ~domains (crash ?cache ~scale ~progress "fig2") cache_sizes in
   let timed =
-    fan ~domains
-      (fun (cache_mb, run, m) ->
+    grid ~domains builds methods (fun cache_mb run m ->
         let t0 = Unix.gettimeofday () in
-        let recovered, _engine, stats = Experiment.recover_verified run m in
+        let recovered, stats = Experiment.recover_verified run m in
         let wall = Unix.gettimeofday () -. t0 in
         let digest =
           (Experiment.store_digest recovered, Client_sched.logical_digest recovered)
         in
         (cache_mb, m, stats, wall, digest))
-      tasks
   in
   List.map
-    (fun (cache_mb, setup, run, build_wall_s) ->
+    (fun (cache_mb, run, build_wall_s) ->
       let mine = List.filter (fun (mb, _, _, _, _) -> mb = cache_mb) timed in
       let results = List.map (fun (_, m, s, _, _) -> (m, s)) mine in
       (* Δ/BW analysis counts come from any DPT-building method's stats. *)
@@ -84,7 +113,7 @@ let run_fig2 ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
       in
       {
         cache_mb;
-        pool_pages = setup.Experiment.config.Config.pool_pages;
+        pool_pages = (image_config run).Config.pool_pages;
         db_pages = run.Experiment.db_pages;
         dirty_pct = 100.0 *. run.Experiment.dirty_fraction;
         deltas_seen = counting.Rs.deltas_seen;
@@ -96,99 +125,80 @@ let run_fig2 ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
       })
     builds
 
+(* A text table from (header, renderer) columns, one row per item. *)
+let columns ~title cols items =
+  Report.table ~title ~header:(List.map fst cols)
+    ~rows:(List.map (fun item -> List.map (fun (_, render) -> render item) cols) items)
+    ()
+
 let method_columns cells =
   match cells with [] -> [] | cell :: _ -> List.map fst cell.methods
 
+let cache_col = ("Cache (MB)", fun cell -> Report.i cell.cache_mb)
+
 let fig2a cells =
-  let methods = method_columns cells in
-  let header = "Cache (MB)" :: List.map Recovery.method_to_string methods in
-  let rows =
-    List.map
-      (fun cell ->
-        string_of_int cell.cache_mb
-        :: List.map (fun m -> Report.ms (redo_ms_of cell m)) methods)
-      cells
-  in
-  Report.table
+  columns
     ~title:
       "Figure 2(a) — redo recovery time (simulated ms) vs cache size\n\
        (paper: Log1~SQL1; prefetch helps more at larger caches; only Log0 is\n\
        insensitive to cache growth)"
-    ~header ~rows ()
+    (cache_col
+    :: List.map
+         (fun m -> (Recovery.method_to_string m, fun cell -> Report.ms (redo_ms_of cell m)))
+         (method_columns cells))
+    cells
 
 let phase_table cells =
-  let methods = method_columns cells in
-  let header =
-    [ "Cache (MB)"; "Method"; "analysis"; "redo"; "undo"; "total (ms)" ]
-  in
-  let rows =
-    List.concat_map
-      (fun cell ->
-        List.map
-          (fun m ->
-            let s = stats_of cell m in
-            [
-              string_of_int cell.cache_mb;
-              Recovery.method_to_string m;
-              Report.ms (Rs.analysis_ms s);
-              Report.ms (Rs.redo_ms s);
-              Report.ms (Rs.undo_ms s);
-              Report.ms (Rs.total_ms s);
-            ])
-          methods)
-      cells
-  in
-  Report.table
+  let phase name f = (name, fun (cell, m) -> Report.ms (f (stats_of cell m))) in
+  columns
     ~title:
       "Per-phase breakdown — simulated ms spent in analysis / redo / undo\n\
        (redo dominates everywhere; analysis differences separate the DPT\n\
        construction costs of §3 vs §4)"
-    ~header ~rows ()
+    [
+      ("Cache (MB)", fun (cell, _) -> Report.i cell.cache_mb);
+      ("Method", fun (_, m) -> Recovery.method_to_string m);
+      phase "analysis" Rs.analysis_ms;
+      phase "redo" Rs.redo_ms;
+      phase "undo" Rs.undo_ms;
+      phase "total (ms)" Rs.total_ms;
+    ]
+    (List.concat_map (fun cell -> List.map (fun m -> (cell, m)) (method_columns cells)) cells)
 
 let fig2b cells =
-  let header = [ "Cache (MB)"; "dirty % of cache"; "DPT size"; "cache pages"; "db pages" ] in
-  let rows =
-    List.map
-      (fun cell ->
-        let dpt =
-          match List.find_opt (fun (m, _) -> m = Recovery.Log1) cell.methods with
-          | Some (_, s) -> s.Rs.dpt_size
-          | None -> 0
-        in
-        [
-          string_of_int cell.cache_mb;
-          Report.pct cell.dirty_pct;
-          string_of_int dpt;
-          string_of_int cell.pool_pages;
-          string_of_int cell.db_pages;
-        ])
-      cells
-  in
-  Report.table
+  columns
     ~title:
       "Figure 2(b) — dirty part of the cache at crash (%)\n\
        (paper: ~30% at 64MB falling to ~10% at 2048MB)"
-    ~header ~rows ()
+    [
+      cache_col;
+      ("dirty % of cache", fun cell -> Report.pct cell.dirty_pct);
+      ( "DPT size",
+        fun cell ->
+          match List.assoc_opt Recovery.Log1 cell.methods with
+          | Some s -> Report.i s.Rs.dpt_size
+          | None -> "0" );
+      ("cache pages", fun cell -> Report.i cell.pool_pages);
+      ("db pages", fun cell -> Report.i cell.db_pages);
+    ]
+    cells
 
 let fig2c cells =
-  let header = [ "Cache (MB)"; "Δ records"; "BW records"; "Δ/BW" ] in
-  let rows =
-    List.map
-      (fun cell ->
-        [
-          string_of_int cell.cache_mb;
-          string_of_int cell.deltas_seen;
-          string_of_int cell.bws_seen;
-          (if cell.bws_seen = 0 then "-"
-           else Printf.sprintf "%.2f" (float_of_int cell.deltas_seen /. float_of_int cell.bws_seen));
-        ])
-      cells
-  in
-  Report.table
+  columns
     ~title:
       "Figure 2(c) — Δ- and BW-log records seen by the analysis pass\n\
        (paper: Δ ≤ 1.5 × BW up to 1024MB; some Δ records carry only dirty pages)"
-    ~header ~rows ()
+    [
+      cache_col;
+      ("Δ records", fun cell -> Report.i cell.deltas_seen);
+      ("BW records", fun cell -> Report.i cell.bws_seen);
+      ( "Δ/BW",
+        fun cell ->
+          if cell.bws_seen = 0 then "-"
+          else Printf.sprintf "%.2f" (float_of_int cell.deltas_seen /. float_of_int cell.bws_seen)
+      );
+    ]
+    cells
 
 let pct_drop a b = 100.0 *. (a -. b) /. a
 
@@ -236,45 +246,96 @@ let sec53 cells =
   Buffer.contents buf
 
 let costmodel cells =
-  let header =
-    [
-      "Cache (MB)";
-      "Log0 pred";
-      "Log0 meas";
-      "SQL1 pred";
-      "SQL1 meas";
-      "Log1 pred";
-      "Log1 meas";
-    ]
-  in
-  let rows =
-    List.map
-      (fun c ->
-        let log0 = stats_of c Recovery.Log0 in
-        let sql1 = stats_of c Recovery.Sql1 in
-        let log1 = stats_of c Recovery.Log1 in
-        [
-          string_of_int c.cache_mb;
-          (* Eq (1): every redo log record costs a page fetch. *)
-          string_of_int log0.Rs.redo_candidates;
-          string_of_int log0.Rs.data_page_fetches;
-          (* Eq (2): the DPT size. *)
-          string_of_int sql1.Rs.dpt_size;
-          string_of_int sql1.Rs.data_page_fetches;
-          (* Eq (3): DPT size plus the log tail. *)
-          string_of_int (log1.Rs.dpt_size + log1.Rs.tail_records);
-          string_of_int log1.Rs.data_page_fetches;
-        ])
-      cells
-  in
-  Report.table
+  let fetches m c = Report.i (stats_of c m).Rs.data_page_fetches in
+  columns
     ~title:
       "Appendix B — cost model, predicted vs measured data-page fetches\n\
        Eq(1) COST(Log0) ~ #log records;  Eq(2) COST(SQL1) ~ DPT;  Eq(3)\n\
        COST(Log1) ~ DPT + tail.  (Predictions ignore cache hits on repeated\n\
        pages, so measured <= predicted except under page swaps, as in the\n\
        paper.)"
-    ~header ~rows ()
+    [
+      cache_col;
+      (* Eq (1): every redo log record costs a page fetch. *)
+      ("Log0 pred", fun c -> Report.i (stats_of c Recovery.Log0).Rs.redo_candidates);
+      ("Log0 meas", fetches Recovery.Log0);
+      (* Eq (2): the DPT size. *)
+      ("SQL1 pred", fun c -> Report.i (stats_of c Recovery.Sql1).Rs.dpt_size);
+      ("SQL1 meas", fetches Recovery.Sql1);
+      (* Eq (3): DPT size plus the log tail. *)
+      ( "Log1 pred",
+        fun c ->
+          let log1 = stats_of c Recovery.Log1 in
+          Report.i (log1.Rs.dpt_size + log1.Rs.tail_records) );
+      ("Log1 meas", fetches Recovery.Log1);
+    ]
+    cells
+
+(* ---------- real multicore: the fig2 sweep at 1 and N domains ---------- *)
+
+type domains_cell = {
+  dm_domains : int;
+  dm_cores : int;
+  dm_seq_wall_s : float;
+  dm_par_wall_s : float;
+  dm_seq : fig2_cell list;
+  dm_par : fig2_cell list;
+}
+
+let domains_speedup d = if d.dm_par_wall_s > 0.0 then d.dm_seq_wall_s /. d.dm_par_wall_s else 0.0
+
+let run_domains ?(scale = 64) ?(cache_sizes = paper_cache_sizes) ?methods ?domains
+    ?(progress = no_progress) () =
+  let cores = Deut_sim.Domain_pool.available_cores () in
+  let domains =
+    match domains with
+    | Some d -> d
+    | None ->
+        (* DEUT_DOMAINS when set above 1, else the machine's cores, capped at
+           the width the quick sweep has. *)
+        let d = Config.default.Config.domains in
+        if d > 1 then d else Stdlib.min 4 cores
+  in
+  progress
+    (Printf.sprintf "domains: sweep at 1 then %d domain(s), %d core(s) available" domains cores);
+  (* Fresh caches on both sides so the parallel run cannot coast on the
+     sequential run's builds. *)
+  let sweep domains =
+    let cache = Experiment.build_cache () in
+    let t0 = Unix.gettimeofday () in
+    let cells = run_fig2 ~cache ~scale ~cache_sizes ?methods ~progress ~domains () in
+    let wall = Unix.gettimeofday () -. t0 in
+    (* Collect this sweep's crash runs outside the timed region, so the
+       next sweep neither pays for that nor builds on top of them. *)
+    Experiment.drop_cache cache;
+    Gc.full_major ();
+    (cells, wall)
+  in
+  let seq, seq_wall = sweep 1 in
+  let par, par_wall = sweep domains in
+  let digest c =
+    String.concat " "
+      (List.map
+         (fun (m, (store, logical)) ->
+           Printf.sprintf "%s=%s/%s" (Recovery.method_to_string m) store logical)
+         c.digests)
+  in
+  List.iter2
+    (fun a b ->
+      digests_agree "domains sweep"
+        [
+          (Printf.sprintf "%d MB at 1 domain" a.cache_mb, digest a);
+          (Printf.sprintf "%d MB at %d domains" b.cache_mb domains, digest b);
+        ])
+    seq par;
+  {
+    dm_domains = domains;
+    dm_cores = cores;
+    dm_seq_wall_s = seq_wall;
+    dm_par_wall_s = par_wall;
+    dm_seq = seq;
+    dm_par = par;
+  }
 
 type fig3_cell = { multiplier : int; methods3 : (Recovery.method_ * Rs.t) list }
 
@@ -290,21 +351,17 @@ let run_fig3 ?cache ?(scale = 64) ?(cache_mb = 512) ?(multipliers = [ 1; 5; 10 ]
     multipliers
 
 let fig3 cells =
-  let methods = match cells with [] -> [] | c :: _ -> List.map fst c.methods3 in
-  let header = "ckpt interval" :: List.map Recovery.method_to_string methods in
-  let rows =
-    List.map
-      (fun c ->
-        Printf.sprintf "%dx" c.multiplier
-        :: List.map (fun m -> Report.ms (Rs.redo_ms (List.assoc m c.methods3))) methods)
-      cells
-  in
-  Report.table
+  columns
     ~title:
       "Figure 3 (Appendix C) — redo time (simulated ms) vs checkpoint interval\n\
        (paper: Log0 grows linearly; Log1/SQL1 roughly double at 5x; Log2/SQL2\n\
        grow only ~1.2x per step)"
-    ~header ~rows ()
+    (("ckpt interval", fun c -> Printf.sprintf "%dx" c.multiplier)
+    :: List.map
+         (fun m ->
+           (Recovery.method_to_string m, fun c -> Report.ms (Rs.redo_ms (List.assoc m c.methods3))))
+         (match cells with [] -> [] | c :: _ -> List.map fst c.methods3))
+    cells
 
 type appd_row = {
   label : string;
@@ -316,11 +373,8 @@ type appd_row = {
 }
 
 let run_appd ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress) () =
-  let logical_variant label dpt_mode =
-    progress (Printf.sprintf "appd: %s (scale 1/%d)" label scale);
-    let setup = Experiment.paper_setup ~scale ~cache_mb ~dpt_mode () in
-    let run = Experiment.build ?cache setup in
-    let stats = Experiment.run_method run Recovery.Log1 in
+  let row label method_ run =
+    let stats = Experiment.run_method run method_ in
     {
       label;
       dpt_size = stats.Rs.dpt_size;
@@ -330,28 +384,21 @@ let run_appd ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress) ()
       delta_kb = float_of_int run.Experiment.delta_bytes /. 1024.0;
     }
   in
-  let aries () =
-    progress (Printf.sprintf "appd: aries-checkpointing (scale 1/%d)" scale);
-    let setup =
-      Experiment.paper_setup ~scale ~cache_mb ~checkpoint_mode:Config.Aries_fuzzy ()
-    in
-    let run = Experiment.build ?cache setup in
-    let stats = Experiment.run_method run Recovery.Aries_ckpt in
-    {
-      label = "ARIES-ckpt (physiological, §3.1)";
-      dpt_size = stats.Rs.dpt_size;
-      redo_ms = Rs.redo_ms stats;
-      data_fetches = stats.Rs.data_page_fetches;
-      delta_records = run.Experiment.deltas_total;
-      delta_kb = float_of_int run.Experiment.delta_bytes /. 1024.0;
-    }
+  let logical_variant label dpt_mode =
+    progress (Printf.sprintf "appd: %s (scale 1/%d)" label scale);
+    row label Recovery.Log1
+      (Experiment.build ?cache (Experiment.paper_setup ~scale ~cache_mb ~dpt_mode ()))
   in
-  [
-    logical_variant "standard Δ (§4.1)" Config.Standard;
-    logical_variant "perfect DPT (D.1: +DirtyLSNs)" Config.Perfect;
-    logical_variant "reduced logging (D.2: -FW/-FirstDirty)" Config.Reduced;
-    aries ();
-  ]
+  (* Bound in table order, so the progress lines come out in that order too. *)
+  let standard = logical_variant "standard Δ (§4.1)" Config.Standard in
+  let perfect = logical_variant "perfect DPT (D.1: +DirtyLSNs)" Config.Perfect in
+  let reduced = logical_variant "reduced logging (D.2: -FW/-FirstDirty)" Config.Reduced in
+  progress (Printf.sprintf "appd: aries-checkpointing (scale 1/%d)" scale);
+  let aries =
+    row "ARIES-ckpt (physiological, §3.1)" Recovery.Aries_ckpt
+      (Experiment.paper_crash ?cache ~scale ~cache_mb [ Recovery.Aries_ckpt ])
+  in
+  [ standard; perfect; reduced; aries ]
 
 type split_row = {
   layout : string;
@@ -398,62 +445,38 @@ let run_split ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress) (
     [ Config.Integrated; Config.Split ]
 
 let split_table rows =
-  let header =
-    [
-      "layout";
-      "method";
-      "analysis (ms)";
-      "redo (ms)";
-      "log pages read";
-      "TC log KiB";
-      "DC log KiB";
-    ]
-  in
-  let body =
-    List.map
-      (fun r ->
-        [
-          r.layout;
-          Recovery.method_to_string r.smethod;
-          Report.ms r.s_analysis_ms;
-          Report.ms r.s_redo_ms;
-          string_of_int r.s_log_pages;
-          Report.f1 r.tc_log_kb;
-          Report.f1 r.dc_log_kb;
-        ])
-      rows
-  in
-  Report.table
+  columns
     ~title:
       "Split-log layout (§4.2) vs the paper's integrated prototype (§5.1)\n\
        With its own log, the DC redo/analysis pass scans only SMO and Δ\n\
        records — \"a much smaller log than that needed for the analysis pass\n\
        with integrated recovery\"."
-    ~header ~rows:body ()
+    [
+      ("layout", fun r -> r.layout);
+      ("method", fun r -> Recovery.method_to_string r.smethod);
+      ("analysis (ms)", fun r -> Report.ms r.s_analysis_ms);
+      ("redo (ms)", fun r -> Report.ms r.s_redo_ms);
+      ("log pages read", fun r -> Report.i r.s_log_pages);
+      ("TC log KiB", fun r -> Report.f1 r.tc_log_kb);
+      ("DC log KiB", fun r -> Report.f1 r.dc_log_kb);
+    ]
+    rows
 
 let appd rows =
-  let header =
-    [ "variant"; "DPT size"; "Log1 redo (ms)"; "data fetches"; "Δ records"; "Δ bytes (KiB)" ]
-  in
-  let body =
-    List.map
-      (fun r ->
-        [
-          r.label;
-          string_of_int r.dpt_size;
-          Report.ms r.redo_ms;
-          string_of_int r.data_fetches;
-          string_of_int r.delta_records;
-          Report.f1 r.delta_kb;
-        ])
-      rows
-  in
-  Report.table
+  columns
     ~title:
       "Appendix D — the DC-logging spectrum (512MB-equivalent cache)\n\
        More DC logging → more accurate DPT → faster redo; Reduced logs least\n\
        but keeps the most pages; Perfect matches SQL Server's DPT exactly."
-    ~header ~rows:body ()
+    [
+      ("variant", fun r -> r.label);
+      ("DPT size", fun r -> Report.i r.dpt_size);
+      ("Log1 redo (ms)", fun r -> Report.ms r.redo_ms);
+      ("data fetches", fun r -> Report.i r.data_fetches);
+      ("Δ records", fun r -> Report.i r.delta_records);
+      ("Δ bytes (KiB)", fun r -> Report.f1 r.delta_kb);
+    ]
+    rows
 
 (* ---------- parallel redo sweep ---------- *)
 
@@ -470,25 +493,21 @@ type workers_cell = {
 let run_workers ?cache ?(scale = 64) ?(cache_sizes = [ 64; 512 ]) ?(workers = [ 1; 2; 4; 8 ])
     ?(methods = Recovery.all_methods) ?(progress = no_progress)
     ?(domains = Config.default.Config.domains) () =
-  let builds =
-    fan ~domains
-      (fun cache_mb ->
-        serial progress (Printf.sprintf "workers: cache %d MB (scale 1/%d)" cache_mb scale);
-        let setup = Experiment.paper_setup ~scale ~cache_mb () in
-        (cache_mb, Experiment.build ?cache setup))
-      cache_sizes
-  in
-  let tasks =
-    List.concat_map
-      (fun (cache_mb, run) ->
-        List.concat_map (fun m -> List.map (fun w -> (cache_mb, run, m, w)) workers) methods)
-      builds
-  in
-  fan ~domains
-    (fun (cache_mb, run, m, w) ->
-      let _db, engine, stats = Experiment.recover_verified ~workers:w run m in
+  grid ~domains
+    (fan ~domains (crash ?cache ~scale ~progress "workers") cache_sizes)
+    (List.concat_map (fun m -> List.map (fun w -> (m, w)) workers) methods)
+    (fun cache_mb run (m, w) ->
+      let config = { (image_config run) with Config.redo_workers = w } in
+      let db, stats = Db.recover ~config run.Experiment.image m in
+      (* Snapshot the engine before verification: the oracle scan does
+         thousands of its own page fetches, which would swamp the
+         recovery-time IO and stall histograms. *)
+      let engine = Es.capture (Db.engine db) in
+      Experiment.verify
+        (Printf.sprintf "workers sweep %d MB: %s with %d worker(s)" cache_mb
+           (Recovery.method_to_string m) w)
+        run.Experiment.driver db;
       { w_cache_mb = cache_mb; w_method = m; w_count = w; w_stats = stats; w_engine = engine })
-    tasks
 
 let workers_table cells =
   let base cell =
@@ -501,42 +520,25 @@ let workers_table cells =
     | Some c -> Rs.redo_ms c.w_stats
     | None -> Rs.redo_ms cell.w_stats
   in
-  let header =
-    [
-      "Cache (MB)";
-      "Method";
-      "workers";
-      "redo (ms)";
-      "speedup";
-      "stalls";
-      "stall p50/p95 (µs)";
-      "io p50/p95 (µs)";
-    ]
-  in
-  let rows =
-    List.map
-      (fun cell ->
-        let e = cell.w_engine in
-        [
-          string_of_int cell.w_cache_mb;
-          Recovery.method_to_string cell.w_method;
-          string_of_int cell.w_count;
-          Report.ms (Rs.redo_ms cell.w_stats);
-          Printf.sprintf "%.2fx" (base cell /. Rs.redo_ms cell.w_stats);
-          string_of_int cell.w_stats.Rs.stalls;
-          Printf.sprintf "%.0f / %.0f" e.Es.stall_wait.Es.p50_us e.Es.stall_wait.Es.p95_us;
-          Printf.sprintf "%.0f / %.0f" e.Es.data_io.Es.p50_us e.Es.data_io.Es.p95_us;
-        ])
-      cells
-  in
-  Report.table
+  let p50_p95 (h : Es.latency) = Printf.sprintf "%.0f / %.0f" h.Es.p50_us h.Es.p95_us in
+  columns
     ~title:
       "Parallel redo — simulated workers replaying the partitioned redo range\n\
        (application stays in log order, so recovered state and apply counts are\n\
        identical at every worker count; workers overlap CPU and fetch stalls on\n\
        the shared disk, so the speedup ceiling is set by how IO-bound redo is;\n\
        percentiles are histogram bucket upper bounds)"
-    ~header ~rows ()
+    [
+      ("Cache (MB)", fun c -> Report.i c.w_cache_mb);
+      ("Method", fun c -> Recovery.method_to_string c.w_method);
+      ("workers", fun c -> Report.i c.w_count);
+      ("redo (ms)", fun c -> Report.ms (Rs.redo_ms c.w_stats));
+      ("speedup", fun c -> Printf.sprintf "%.2fx" (base c /. Rs.redo_ms c.w_stats));
+      ("stalls", fun c -> Report.i c.w_stats.Rs.stalls);
+      ("stall p50/p95 (µs)", fun c -> p50_p95 c.w_engine.Es.stall_wait);
+      ("io p50/p95 (µs)", fun c -> p50_p95 c.w_engine.Es.data_io);
+    ]
+    cells
 
 type concurrency_cell = {
   c_clients : int;
@@ -552,103 +554,62 @@ let run_concurrency ?(scale = 64) ?(cache_mb = 256) ?(clients = [ 1; 2; 4; 8 ])
   let cells =
     fan ~domains
       (fun (gc, n) ->
-            serial progress
-              (Printf.sprintf "concurrency: %d client%s, group_commit %d (scale 1/%d)" n
-                 (if n = 1 then "" else "s")
-                 gc scale);
-            let setup = Experiment.paper_setup ~scale ~cache_mb () in
-            let config =
-              {
-                setup.Experiment.config with
-                Config.locking = true;
-                group_commit = gc;
-                clients = n;
-              }
-            in
-            (* A smaller table than the crash experiments (the load dominates
-               otherwise) and a seed shared by every cell: the committed
-               stream — hence the final digest — must not depend on the
-               sweep coordinates. *)
-            let spec =
-              {
-                setup.Experiment.spec with
-                Workload.rows = Stdlib.max 2_000 (setup.Experiment.spec.Workload.rows / 16);
-                seed = 1903;
-              }
-            in
-            let driver = Driver.create ~config spec in
-            let sched = Driver.run_concurrent driver ~txns in
-            Client_sched.flush sched;
-            (match Driver.verify_recovered driver (Driver.db driver) with
-            | Ok () -> ()
-            | Error msg -> failwith ("concurrency sweep: oracle mismatch: " ^ msg));
-            {
-              c_clients = n;
-              c_group_commit = gc;
-              c_stats = Client_sched.stats sched;
-              c_digest = Client_sched.logical_digest (Driver.db driver);
-            })
+        serial progress
+          (Printf.sprintf "concurrency: %d client%s, group_commit %d (scale 1/%d)" n (plural n) gc
+             scale);
+        let driver =
+          oltp_driver ~scale ~cache_mb (fun c -> { c with Config.group_commit = gc; clients = n })
+        in
+        let sched = Driver.run_concurrent driver ~txns in
+        Client_sched.flush sched;
+        Experiment.verify "concurrency sweep" driver (Driver.db driver);
+        {
+          c_clients = n;
+          c_group_commit = gc;
+          c_stats = Client_sched.stats sched;
+          c_digest = Client_sched.logical_digest (Driver.db driver);
+        })
       coords
   in
   (* The determinism contract, enforced on every sweep: same seed ⇒ same
      committed state at any client count and any commit batching. *)
-  (match cells with
-  | [] -> ()
-  | first :: rest ->
-      List.iter
-        (fun c ->
-          if c.c_digest <> first.c_digest then
-            failwith
-              (Printf.sprintf
-                 "concurrency sweep: digest diverged — %d clients/gc=%d gave %s, %d clients/gc=%d gave %s"
-                 first.c_clients first.c_group_commit first.c_digest c.c_clients
-                 c.c_group_commit c.c_digest))
-        rest);
+  digests_agree "concurrency sweep"
+    (List.map
+       (fun c -> (Printf.sprintf "%d clients/gc=%d" c.c_clients c.c_group_commit, c.c_digest))
+       cells);
   cells
 
+(* The columns every OLTP sweep table shares, from the cell's stats. *)
+let oltp_columns stats =
+  [
+    ("txns", fun c -> Report.i (stats c).Client_sched.committed_txns);
+    ("makespan (ms)", fun c -> Report.ms (stats c).Client_sched.makespan_ms);
+    ("tput (txn/s)", fun c -> Printf.sprintf "%.0f" (stats c).Client_sched.throughput_tps);
+    ("aborts", fun c -> Report.i (stats c).Client_sched.aborts);
+  ]
+
 let concurrency_table cells =
-  let header =
-    [
-      "clients";
-      "group_commit";
-      "txns";
-      "makespan (ms)";
-      "tput (txn/s)";
-      "aborts";
-      "abort %";
-      "wounds";
-      "conflicts";
-      "commit p50/p95 (µs)";
-      "digest";
-    ]
-  in
-  let rows =
-    List.map
-      (fun cell ->
-        let s = cell.c_stats in
-        [
-          string_of_int cell.c_clients;
-          string_of_int cell.c_group_commit;
-          string_of_int s.Client_sched.committed_txns;
-          Report.ms s.Client_sched.makespan_ms;
-          Printf.sprintf "%.0f" s.Client_sched.throughput_tps;
-          string_of_int s.Client_sched.aborts;
-          Printf.sprintf "%.1f" (100.0 *. s.Client_sched.abort_rate);
-          string_of_int s.Client_sched.wounds;
-          string_of_int s.Client_sched.conflicts;
-          Printf.sprintf "%.0f / %.0f" s.Client_sched.commit_p50_us s.Client_sched.commit_p95_us;
-          String.sub cell.c_digest 0 12;
-        ])
-      cells
-  in
-  Report.table
+  let s c = c.c_stats in
+  columns
     ~title:
       "Concurrency — simulated clients interleaving transactions on the virtual clock\n\
        (descriptors are drawn in ticket order and commits gated to ticket order, so\n\
        the final digest is identical in every row; group commit batches across\n\
        clients, trading commit latency for fewer log forces; percentiles are\n\
        histogram bucket upper bounds)"
-    ~header ~rows ()
+    ([ ("clients", fun c -> Report.i c.c_clients); ("group_commit", fun c -> Report.i c.c_group_commit) ]
+    @ oltp_columns s
+    @ [
+        ("abort %", fun c -> Printf.sprintf "%.1f" (100.0 *. (s c).Client_sched.abort_rate));
+        ("wounds", fun c -> Report.i (s c).Client_sched.wounds);
+        ("conflicts", fun c -> Report.i (s c).Client_sched.conflicts);
+        ( "commit p50/p95 (µs)",
+          fun c ->
+            Printf.sprintf "%.0f / %.0f" (s c).Client_sched.commit_p50_us
+              (s c).Client_sched.commit_p95_us );
+        ("digest", fun c -> String.sub c.c_digest 0 12);
+      ])
+    cells
 
 (* ---------- sharded data components ---------- *)
 
@@ -670,146 +631,75 @@ type sharding_cell = {
 let run_sharding ?(scale = 64) ?(cache_mb = 256) ?(shards = [ 1; 2; 4; 8 ])
     ?(clients = [ 4; 8 ]) ?(txns = 300) ?(net = false) ?(progress = no_progress)
     ?(domains = Config.default.Config.domains) () =
-  let coords =
-    List.concat_map (fun s -> List.map (fun c -> (s, c)) clients) shards
-  in
+  let coords = List.concat_map (fun s -> List.map (fun c -> (s, c)) clients) shards in
   let cells =
     fan ~domains
       (fun (n_shards, n_clients) ->
-            serial progress
-              (Printf.sprintf "sharding: %d shard%s, %d client%s%s (scale 1/%d)" n_shards
-                 (if n_shards = 1 then "" else "s")
-                 n_clients
-                 (if n_clients = 1 then "" else "s")
-                 (if net then ", networked" else "")
-                 scale);
-            let setup = Experiment.paper_setup ~scale ~cache_mb () in
-            let config =
-              {
-                setup.Experiment.config with
-                Config.locking = true;
-                clients = n_clients;
-                shards = n_shards;
-                net;
-              }
-            in
-            (* Same sizing and seed discipline as the concurrency sweep:
-               the committed stream must not depend on the coordinates. *)
-            let spec =
-              {
-                setup.Experiment.spec with
-                Workload.rows = Stdlib.max 2_000 (setup.Experiment.spec.Workload.rows / 16);
-                seed = 1903;
-              }
-            in
-            let driver = Driver.create ~config spec in
-            let sched = Driver.run_concurrent driver ~txns in
-            Client_sched.flush sched;
-            let db = Driver.db driver in
-            (* Snapshot before the availability scenario below: verify
-               reads and the per-shard crash/recovery advance the virtual
-               clock, and the makespan must cover the workload alone. *)
-            let stats = Client_sched.stats sched in
-            (match Driver.verify_recovered driver db with
-            | Ok () -> ()
-            | Error msg -> failwith ("sharding sweep: oracle mismatch: " ^ msg));
-            let digest = Client_sched.logical_digest db in
-            (* Availability scenario: crash the last shard on the live,
-               quiesced engine, serve sibling reads while it is down,
-               recover it alone, and require the state unperturbed. *)
-            let crash =
-              if n_shards <= 1 then None
-              else begin
-                let down = n_shards - 1 in
-                let t0 = Deut_core.Db.now_ms db in
-                Deut_core.Db.crash_shard db ~shard:down;
-                let served = ref 0 in
-                let rows = spec.Workload.rows in
-                for i = 0 to 49 do
-                  let key = (i * n_shards) mod rows in
-                  (* [key mod shards = 0], never the crashed stripe. *)
-                  if Option.is_some (Deut_core.Db.read db ~table:1 ~key) then incr served
-                done;
-                Deut_core.Db.recover_shard db ~shard:down;
-                let recover_ms = Deut_core.Db.now_ms db -. t0 in
-                let digest' = Client_sched.logical_digest db in
-                if digest' <> digest then
-                  failwith
-                    (Printf.sprintf
-                       "sharding sweep: per-shard recovery perturbed state at %d shards — %s vs %s"
-                       n_shards digest digest');
-                Some { sc_shard = down; sc_sibling_reads = !served; sc_recover_ms = recover_ms }
-              end
-            in
-            let net_msgs =
-              Deut_obs.Metrics.read_int
-                (Deut_core.Engine.metrics (Deut_core.Db.engine db))
-                "net.messages"
-            in
-            {
-              sh_shards = n_shards;
-              sh_clients = n_clients;
-              sh_stats = stats;
-              sh_digest = digest;
-              sh_net_msgs = net_msgs;
-              sh_crash = crash;
-            })
+        serial progress
+          (Printf.sprintf "sharding: %d shard%s, %d client%s%s (scale 1/%d)" n_shards
+             (plural n_shards) n_clients (plural n_clients)
+             (if net then ", networked" else "")
+             scale);
+        let driver =
+          oltp_driver ~scale ~cache_mb (fun c ->
+              { c with Config.clients = n_clients; shards = n_shards; net })
+        in
+        let sched = Driver.run_concurrent driver ~txns in
+        Client_sched.flush sched;
+        let db = Driver.db driver in
+        (* Snapshot before the availability scenario below: verify
+           reads and the per-shard crash/recovery advance the virtual
+           clock, and the makespan must cover the workload alone. *)
+        let stats = Client_sched.stats sched in
+        Experiment.verify "sharding sweep" driver db;
+        let digest = Client_sched.logical_digest db in
+        (* Availability scenario: crash the last shard on the live,
+           quiesced engine, serve sibling reads while it is down,
+           recover it alone, and require the state unperturbed. *)
+        let crash =
+          if n_shards <= 1 then None
+          else begin
+            let down = n_shards - 1 in
+            let t0 = Db.now_ms db in
+            Db.crash_shard db ~shard:down;
+            let served = ref 0 in
+            let rows = (Driver.spec driver).Workload.rows in
+            for i = 0 to 49 do
+              let key = (i * n_shards) mod rows in
+              (* [key mod shards = 0], never the crashed stripe. *)
+              if Option.is_some (Db.read db ~table:1 ~key) then incr served
+            done;
+            Db.recover_shard db ~shard:down;
+            let recover_ms = Db.now_ms db -. t0 in
+            digests_agree "sharding sweep: per-shard recovery"
+              [
+                (Printf.sprintf "%d shards before the crash" n_shards, digest);
+                ("after recovering the shard", Client_sched.logical_digest db);
+              ];
+            Some { sc_shard = down; sc_sibling_reads = !served; sc_recover_ms = recover_ms }
+          end
+        in
+        {
+          sh_shards = n_shards;
+          sh_clients = n_clients;
+          sh_stats = stats;
+          sh_digest = digest;
+          sh_net_msgs = Deut_obs.Metrics.read_int (Engine.metrics (Db.engine db)) "net.messages";
+          sh_crash = crash;
+        })
       coords
   in
   (* Shard transparency, enforced on every sweep: same seed ⇒ identical
      committed state at any shard count, any client count, any transport. *)
-  (match cells with
-  | [] -> ()
-  | first :: rest ->
-      List.iter
-        (fun c ->
-          if c.sh_digest <> first.sh_digest then
-            failwith
-              (Printf.sprintf
-                 "sharding sweep: digest diverged — %d shards/%d clients gave %s, %d shards/%d clients gave %s"
-                 first.sh_shards first.sh_clients first.sh_digest c.sh_shards c.sh_clients
-                 c.sh_digest))
-        rest);
+  digests_agree "sharding sweep"
+    (List.map
+       (fun c -> (Printf.sprintf "%d shards/%d clients" c.sh_shards c.sh_clients, c.sh_digest))
+       cells);
   cells
 
 let sharding_table cells =
-  let header =
-    [
-      "shards";
-      "clients";
-      "txns";
-      "makespan (ms)";
-      "tput (txn/s)";
-      "aborts";
-      "net msgs";
-      "crash: reads while down";
-      "recover shard (ms)";
-      "digest";
-    ]
-  in
-  let rows =
-    List.map
-      (fun cell ->
-        let s = cell.sh_stats in
-        [
-          string_of_int cell.sh_shards;
-          string_of_int cell.sh_clients;
-          string_of_int s.Client_sched.committed_txns;
-          Report.ms s.Client_sched.makespan_ms;
-          Printf.sprintf "%.0f" s.Client_sched.throughput_tps;
-          string_of_int s.Client_sched.aborts;
-          string_of_int cell.sh_net_msgs;
-          (match cell.sh_crash with
-          | Some c -> string_of_int c.sc_sibling_reads
-          | None -> "-");
-          (match cell.sh_crash with
-          | Some c -> Printf.sprintf "%.2f" c.sc_recover_ms
-          | None -> "-");
-          String.sub cell.sh_digest 0 12;
-        ])
-      cells
-  in
-  Report.table
+  let crash f c = match c.sh_crash with Some cr -> f cr | None -> "-" in
+  columns
     ~title:
       "Sharded data components — one TC driving N DCs through the Dc_access\n\
        protocol (§4.1), key space striped [key mod shards], each shard with its\n\
@@ -817,7 +707,15 @@ let sharding_table cells =
        every row (shard transparency), and each multi-shard cell crashes one\n\
        shard on the live engine, serves sibling reads while it is down, and\n\
        recovers it alone from its DC log plus its stripe of the TC log"
-    ~header ~rows ()
+    ([ ("shards", fun c -> Report.i c.sh_shards); ("clients", fun c -> Report.i c.sh_clients) ]
+    @ oltp_columns (fun c -> c.sh_stats)
+    @ [
+        ("net msgs", fun c -> Report.i c.sh_net_msgs);
+        ("crash: reads while down", crash (fun cr -> Report.i cr.sc_sibling_reads));
+        ("recover shard (ms)", crash (fun cr -> Printf.sprintf "%.2f" cr.sc_recover_ms));
+        ("digest", fun c -> String.sub c.sh_digest 0 12);
+      ])
+    cells
 
 (* ---------- log archiving ---------- *)
 
@@ -841,8 +739,6 @@ type archiving_cell = {
 
 let run_archiving ?(scale = 64) ?(cache_mb = 256) ?(clients = 4) ?(rounds = 6)
     ?(txns_per_round = 100) ?(progress = no_progress) () =
-  let module Db = Deut_core.Db in
-  let module Engine = Deut_core.Engine in
   let cells =
     List.map
       (fun archive ->
@@ -850,26 +746,10 @@ let run_archiving ?(scale = 64) ?(cache_mb = 256) ?(clients = 4) ?(rounds = 6)
           (Printf.sprintf "archiving: %s, %d rounds x %d txns, %d clients (scale 1/%d)"
              (if archive then "on" else "off")
              rounds txns_per_round clients scale);
-        let setup = Experiment.paper_setup ~scale ~cache_mb () in
-        let config =
-          {
-            setup.Experiment.config with
-            Config.locking = true;
-            clients;
-            archive;
-            archive_min_bytes = 0;
-          }
+        let driver =
+          oltp_driver ~scale ~cache_mb (fun c ->
+              { c with Config.clients; archive; archive_min_bytes = 0 })
         in
-        (* Same sizing and seed discipline as the concurrency sweep: the
-           committed stream must not depend on whether archiving runs. *)
-        let spec =
-          {
-            setup.Experiment.spec with
-            Workload.rows = Stdlib.max 2_000 (setup.Experiment.spec.Workload.rows / 16);
-            seed = 1903;
-          }
-        in
-        let driver = Driver.create ~config spec in
         let db = Driver.db driver in
         let log = (Db.engine db).Engine.log in
         let round_row i =
@@ -904,111 +784,80 @@ let run_archiving ?(scale = 64) ?(cache_mb = 256) ?(clients = 4) ?(rounds = 6)
           Driver.checkpoint driver;
           rows := round_row i :: !rows
         done;
-        (match Driver.verify_recovered driver db with
-        | Ok () -> ()
-        | Error msg -> failwith ("archiving sweep: oracle mismatch before crash: " ^ msg));
+        Experiment.verify "archiving sweep before the crash" driver db;
         let digest = Client_sched.logical_digest db in
         let image = Driver.crash driver in
         let methods =
           List.map
             (fun m ->
               let recovered, stats = Db.recover image m in
-              (match Driver.verify_recovered driver recovered with
-              | Ok () -> ()
-              | Error msg ->
-                  failwith
-                    (Printf.sprintf
-                       "archiving sweep: %s recovered wrong state from the %s log: %s"
-                       (Recovery.method_to_string m)
-                       (if archive then "archived+truncated" else "compacted")
-                       msg));
+              Experiment.verify
+                (Printf.sprintf "archiving sweep: %s from the %s log"
+                   (Recovery.method_to_string m)
+                   (if archive then "archived+truncated" else "compacted"))
+                driver recovered;
               (m, stats))
             Recovery.all_methods
         in
         { a_archive = archive; a_rounds = List.rev !rows; a_digest = digest; a_methods = methods })
       [ false; true ]
   in
-  (match cells with
-  | [ off; on ] ->
-      if off.a_digest <> on.a_digest then
-        failwith
-          (Printf.sprintf "archiving sweep: digest diverged — archive off %s vs on %s"
-             off.a_digest on.a_digest);
-      let last c = List.nth c.a_rounds (List.length c.a_rounds - 1) in
-      let fin = last on in
+  digests_agree "archiving sweep"
+    (List.map (fun c -> ((if c.a_archive then "archive on" else "archive off"), c.a_digest)) cells);
+  (match List.find_opt (fun c -> c.a_archive) cells with
+  | Some on ->
+      let fin = List.nth on.a_rounds (List.length on.a_rounds - 1) in
       if fin.ar_segments = 0 then failwith "archiving sweep: no segment was ever sealed";
       if fin.ar_live_kb >= fin.ar_logged_kb then
         failwith
           (Printf.sprintf "archiving sweep: live log not bounded — %.1f KiB live of %.1f logged"
              fin.ar_live_kb fin.ar_logged_kb)
-  | _ -> ());
+  | None -> ());
   cells
 
 let archiving_table cells =
-  let header =
-    [ "archive"; "round"; "logged KiB"; "live KiB"; "archived KiB"; "segments" ]
+  let tag cell = if cell.a_archive then "on" else "off" in
+  let growth =
+    columns
+      ~title:
+        "Log archiving — the live log stays bounded as logged bytes grow\n\
+         (each round: concurrent transactions, then checkpoint + archive cut;\n\
+         sealed-segment coverage meets the live base on every round — the\n\
+         durability contract of DESIGN.md §8; final digests match with\n\
+         archiving on and off)"
+      [
+        ("archive", fun (cell, _) -> tag cell);
+        ("round", fun (_, r) -> Report.i r.ar_round);
+        ("logged KiB", fun (_, r) -> Report.f1 r.ar_logged_kb);
+        ("live KiB", fun (_, r) -> Report.f1 r.ar_live_kb);
+        ("archived KiB", fun (_, r) -> Report.f1 r.ar_archive_kb);
+        ("segments", fun (_, r) -> Report.i r.ar_segments);
+      ]
+      (List.concat_map (fun cell -> List.map (fun r -> (cell, r)) cell.a_rounds) cells)
   in
-  let rows =
-    List.concat_map
-      (fun cell ->
-        List.map
-          (fun r ->
-            [
-              (if cell.a_archive then "on" else "off");
-              string_of_int r.ar_round;
-              Report.f1 r.ar_logged_kb;
-              Report.f1 r.ar_live_kb;
-              Report.f1 r.ar_archive_kb;
-              string_of_int r.ar_segments;
-            ])
-          cell.a_rounds)
-      cells
-  in
-  let growth = Report.table
-    ~title:
-      "Log archiving — the live log stays bounded as logged bytes grow\n\
-       (each round: concurrent transactions, then checkpoint + archive cut;\n\
-       sealed-segment coverage meets the live base on every round — the\n\
-       durability contract of DESIGN.md §8; final digests match with\n\
-       archiving on and off)"
-    ~header ~rows ()
-  in
-  let methods = match cells with c :: _ -> List.map fst c.a_methods | [] -> [] in
-  let rheader =
-    "method"
-    :: List.concat_map
-         (fun cell ->
-           let tag = if cell.a_archive then "on" else "off" in
-           [ "total ms (" ^ tag ^ ")"; "log pages (" ^ tag ^ ")" ])
-         cells
-  in
-  let rrows =
-    List.map
-      (fun m ->
-        Recovery.method_to_string m
-        :: List.concat_map
-             (fun cell ->
-               let s = List.assoc m cell.a_methods in
-               [ Report.ms (Rs.total_ms s); string_of_int s.Rs.log_pages_read ])
-             cells)
-      methods
-  in
-  growth
-  ^ "\n"
-  ^ Report.table
+  let restart =
+    columns
       ~title:
         "Restart from the truncated log + archive vs the compacted log\n\
          (every recovery oracle-verified; archived pages are charged to the\n\
          archive device and counted as log pages read)"
-      ~header:rheader ~rows:rrows ()
+      (("method", Recovery.method_to_string)
+      :: List.concat_map
+           (fun cell ->
+             let stats m = List.assoc m cell.a_methods in
+             [
+               ("total ms (" ^ tag cell ^ ")", fun m -> Report.ms (Rs.total_ms (stats m)));
+               ("log pages (" ^ tag cell ^ ")", fun m -> Report.i (stats m).Rs.log_pages_read);
+             ])
+           cells)
+      (match cells with c :: _ -> List.map fst c.a_methods | [] -> [])
+  in
+  growth ^ "\n" ^ restart
 
 (* ---------- prefetch tuning (trace-mined) ---------- *)
 
 module Analysis = Deut_obs.Analysis
 module Tuner = Deut_obs.Tuner
-module Db = Deut_core.Db
-module Engine = Deut_core.Engine
-module Trace = Deut_obs.Trace
 
 type tuning_cell = {
   t_cache_mb : int;
@@ -1031,37 +880,14 @@ let candidate_config base (cand : Tuner.candidate) =
     prefetch_source = source;
   }
 
-(* One traced, oracle-verified recovery; fails loudly rather than profiling
-   a truncated trace or a wrong recovery. *)
-let profiled_recovery run method_ config ~meta =
-  let db, stats = Db.recover ~config run.Experiment.image method_ in
-  (match Driver.verify_recovered run.Experiment.driver db with
-  | Ok () -> ()
-  | Error msg ->
-      failwith
-        (Printf.sprintf "tuning recovery with %s produced wrong state: %s"
-           (Recovery.method_to_string method_) msg));
-  let tr =
-    match Engine.trace (Db.engine db) with
-    | Some tr -> tr
-    | None -> failwith "run_tuning: tracing was not enabled"
-  in
-  if Trace.dropped tr > 0 then
-    failwith
-      (Printf.sprintf "run_tuning: trace ring overflowed; trace_capacity of %d would suffice"
-         (Trace.emitted tr));
-  (Analysis.of_trace ~meta tr, stats)
-
 let run_tuning ?cache ?(scale = 64) ?(cache_sizes = [ 1024 ]) ?(methods = [ Recovery.Log2; Recovery.Sql2 ])
     ?(windows = [ 8; 16; 32; 64 ]) ?(chunks = [ 4; 8; 16; 32 ])
     ?(lookaheads = [ 128; 256; 512; 1024 ]) ?(sources = [ Config.Pf_list; Config.Dpt_order ])
     ?(progress = no_progress) () =
   List.concat_map
     (fun cache_mb ->
-      progress (Printf.sprintf "tuning: cache %d MB (scale 1/%d)" cache_mb scale);
-      let setup = Experiment.paper_setup ~scale ~cache_mb () in
-      let run = Experiment.build ?cache setup in
-      let base = setup.Experiment.config in
+      let _, run, _ = crash ?cache ~scale ~progress "tuning" cache_mb in
+      let base = image_config run in
       let default_cand =
         {
           Tuner.window = base.Config.prefetch_window;
@@ -1076,12 +902,12 @@ let run_tuning ?cache ?(scale = 64) ?(cache_sizes = [ 1024 ]) ?(methods = [ Reco
              Log2's PF-driven prefetch ignores the lookahead, SQL2's
              log-driven prefetch ignores the source (Appendix A). *)
           let grid =
-            match method_ with
-            | Recovery.Log2 ->
+            List.concat_map
+              (fun window ->
                 List.concat_map
-                  (fun window ->
-                    List.concat_map
-                      (fun chunk ->
+                  (fun chunk ->
+                    match method_ with
+                    | Recovery.Log2 ->
                         List.map
                           (fun source ->
                             {
@@ -1090,25 +916,14 @@ let run_tuning ?cache ?(scale = 64) ?(cache_sizes = [ 1024 ]) ?(methods = [ Reco
                               lookahead = default_cand.Tuner.lookahead;
                               source = Config.prefetch_source_to_string source;
                             })
-                          sources)
-                      chunks)
-                  windows
-            | _ ->
-                List.concat_map
-                  (fun window ->
-                    List.concat_map
-                      (fun chunk ->
+                          sources
+                    | _ ->
                         List.map
                           (fun lookahead ->
-                            {
-                              Tuner.window;
-                              chunk;
-                              lookahead;
-                              source = default_cand.Tuner.source;
-                            })
+                            { Tuner.window; chunk; lookahead; source = default_cand.Tuner.source })
                           lookaheads)
-                      chunks)
-                  windows
+                  chunks)
+              windows
           in
           let grid = if List.mem default_cand grid then grid else default_cand :: grid in
           let outcomes =
@@ -1140,8 +955,8 @@ let run_tuning ?cache ?(scale = 64) ?(cache_sizes = [ 1024 ]) ?(methods = [ Reco
                     ("candidate", Tuner.candidate_to_string cand);
                   ]
                 in
-                let profile, stats = profiled_recovery run method_ config ~meta in
-                { Tuner.cand; profile; redo_ms = Rs.redo_ms stats })
+                let _, stats, tr = Experiment.recover_traced ~config run method_ in
+                { Tuner.cand; profile = Analysis.of_trace ~meta tr; redo_ms = Rs.redo_ms stats })
               grid
           in
           let t_default =
@@ -1170,38 +985,24 @@ let run_availability ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes) ?(p
     ?(progress = no_progress) ?(domains = Config.default.Config.domains) () =
   fan ~domains
     (fun cache_mb ->
-      serial progress (Printf.sprintf "availability: cache %d MB (scale 1/%d)" cache_mb scale);
-      let setup = Experiment.paper_setup ~scale ~cache_mb () in
-      let run = Experiment.build ?cache setup in
-      let image = run.Experiment.image in
-      let verify what db =
-        match Driver.verify_recovered run.Experiment.driver db with
-        | Ok () -> ()
-        | Error msg ->
-            failwith (Printf.sprintf "availability %d MB: %s: %s" cache_mb what msg)
+      let _, run, _ = crash ?cache ~scale ~progress "availability" cache_mb in
+      let recovered m =
+        let db, stats = Experiment.recover_verified run m in
+        (Client_sched.logical_digest db, stats)
       in
       (* Offline Log2 anchors both the time-to-full-recovery baseline and
          the determinism gate's reference digest. *)
-      let db2, s2 = Db.recover image Recovery.Log2 in
-      verify "Log2 baseline" db2;
-      let digest2 = Client_sched.logical_digest db2 in
-      (* Determinism gate: with the background redo forced to drain before
-         the first client step — the [Db.recover] form — InstantLog2 must
-         be byte-identical to Log2 at every cache size. *)
-      let dbi, _ = Db.recover image Recovery.InstantLog2 in
-      verify "drained InstantLog2" dbi;
-      let digesti = Client_sched.logical_digest dbi in
-      if digesti <> digest2 then
-        failwith
-          (Printf.sprintf
-             "availability: InstantLog2 digest diverged from Log2 at %d MB — %s vs %s"
-             cache_mb digesti digest2);
+      let digest2, s2 = recovered Recovery.Log2 in
+      (* With the background redo forced to drain before the first client
+         step — the [Db.recover] form — InstantLog2 must be byte-identical
+         to Log2 at every cache size. *)
+      let digesti, _ = recovered Recovery.InstantLog2 in
       (* Staged run: the engine serves probe reads from the moment it
          opens, interleaved with background drain steps on the virtual
          clock.  TTFT and drain time both come from this run's stats. *)
-      let inst = Db.recover_instant image in
+      let inst = Db.recover_instant run.Experiment.image in
       let rdb = Db.instant_db inst in
-      let spec = setup.Experiment.spec in
+      let spec = Driver.spec run.Experiment.driver in
       let rng = Deut_sim.Rng.create ~seed:(spec.Workload.seed + 17) in
       let served = ref 0 in
       let draining = ref true in
@@ -1214,11 +1015,14 @@ let run_availability ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes) ?(p
         if !draining then draining := Db.instant_step inst
       done;
       let si = Db.instant_finish inst in
-      verify "staged InstantLog2" rdb;
-      if Client_sched.logical_digest rdb <> digest2 then
-        failwith
-          (Printf.sprintf "availability: staged InstantLog2 digest diverged from Log2 at %d MB"
-             cache_mb);
+      Experiment.verify (Printf.sprintf "availability %d MB: staged InstantLog2" cache_mb)
+        run.Experiment.driver rdb;
+      digests_agree "availability"
+        [
+          (Printf.sprintf "Log2 at %d MB" cache_mb, digest2);
+          (Printf.sprintf "drained InstantLog2 at %d MB" cache_mb, digesti);
+          (Printf.sprintf "staged InstantLog2 at %d MB" cache_mb, Client_sched.logical_digest rdb);
+        ];
       let ttft = Rs.ttft_ms si in
       let drained = Rs.drained_ms si in
       {
@@ -1234,41 +1038,24 @@ let run_availability ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes) ?(p
     cache_sizes
 
 let availability_table cells =
-  let header =
-    [
-      "Cache (MB)";
-      "open at (ms)";
-      "drained (ms)";
-      "Log2 total (ms)";
-      "speedup";
-      "pages on-demand";
-      "pages background";
-      "probe reads";
-    ]
-  in
-  let rows =
-    List.map
-      (fun c ->
-        [
-          string_of_int c.v_cache_mb;
-          Report.ms c.v_ttft_ms;
-          Report.ms c.v_drained_ms;
-          Report.ms c.v_log2_total_ms;
-          Printf.sprintf "%.1fx" c.v_speedup;
-          string_of_int c.v_pages_ondemand;
-          string_of_int c.v_pages_background;
-          string_of_int c.v_probe_reads;
-        ])
-      cells
-  in
-  Report.table
+  columns
     ~title:
       "Instant recovery — time to first transaction vs time to full recovery\n\
        (InstantLog2 opens right after analysis + log scan — history\n\
         indexing, redo and loser rollback are all demand-driven — and redoes\n\
        pages on demand; speedup = drained/open; every cell's digest is checked\n\
        byte-identical to offline Log2 before timings are reported)"
-    ~header ~rows ()
+    [
+      ("Cache (MB)", fun c -> Report.i c.v_cache_mb);
+      ("open at (ms)", fun c -> Report.ms c.v_ttft_ms);
+      ("drained (ms)", fun c -> Report.ms c.v_drained_ms);
+      ("Log2 total (ms)", fun c -> Report.ms c.v_log2_total_ms);
+      ("speedup", fun c -> Printf.sprintf "%.1fx" c.v_speedup);
+      ("pages on-demand", fun c -> Report.i c.v_pages_ondemand);
+      ("pages background", fun c -> Report.i c.v_pages_background);
+      ("probe reads", fun c -> Report.i c.v_probe_reads);
+    ]
+    cells
 
 let tuning_table cells =
   let buf = Buffer.create 4096 in

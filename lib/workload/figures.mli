@@ -6,6 +6,15 @@
     results; each renderer prints a paper-shaped text table.  Used by both
     [bench/main.exe] and the CLI. *)
 
+val digests_agree : string -> (string * string) list -> unit
+(** [digests_agree sweep cells] is the determinism gate shared by every
+    sweep: each [(coordinates, digest)] pair must carry the first pair's
+    digest.  Raises [Failure] naming [sweep], both cells' coordinates and
+    both digests otherwise. *)
+
+val paper_cache_sizes : int list
+(** The paper's cache sizes in MB: 64, 128, 256, 512, 1024, 2048. *)
+
 (** One cache-size cell of the Figure 2 experiment. *)
 type fig2_cell = {
   cache_mb : int;  (** paper-equivalent cache size *)
@@ -56,6 +65,35 @@ val sec53 : fig2_cell list -> string
 
 val costmodel : fig2_cell list -> string
 (** Appendix B equations (1)–(3): predicted vs measured page fetches. *)
+
+(** The Figure 2 sweep run sequentially and fanned across real domains. *)
+type domains_cell = {
+  dm_domains : int;  (** domains the parallel sweep ran on *)
+  dm_cores : int;  (** {!Deut_sim.Domain_pool.available_cores} at run time *)
+  dm_seq_wall_s : float;
+  dm_par_wall_s : float;
+  dm_seq : fig2_cell list;  (** the sequential sweep's cells *)
+  dm_par : fig2_cell list;  (** the parallel sweep's cells, same order *)
+}
+
+val domains_speedup : domains_cell -> float
+(** Sequential over parallel wall clock; 0 when the parallel run took no
+    measurable time. *)
+
+val run_domains :
+  ?scale:int ->
+  ?cache_sizes:int list ->
+  ?methods:Deut_core.Recovery.method_ list ->
+  ?domains:int ->
+  ?progress:(string -> unit) ->
+  unit ->
+  domains_cell
+(** {!run_fig2} at 1 domain, then at [domains] (default: [DEUT_DOMAINS]
+    when set above 1, else as many of the machine's cores as the sweep can
+    use, capped at 4), each with a fresh build cache so the parallel run
+    cannot reuse the sequential run's builds.  Raises [Failure] through
+    {!digests_agree} when any cell's store or logical digests differ
+    between the two sweeps — the determinism gate. *)
 
 (** One checkpoint-interval cell of the Figure 3 experiment. *)
 type fig3_cell = {

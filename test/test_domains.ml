@@ -1,11 +1,12 @@
 (* Real OS-level parallelism only fans harness cells across domains; it
    never reaches a recovery.  The tests here recover the same crash image
    with every method at 1 and 4 domains and check the statistics and the
-   store and logical digests identical; fan fig2 harness cells across
-   domains and check every cell's digests and simulated times against a
-   sequential sweep; and instantiate one crash image from several domains
-   at once to prove images are immutable shareable inputs.  The obs
-   structures' single-domain ownership guards are exercised last. *)
+   store and logical digests identical; run the shared domains sweep and
+   check every fanned cell's simulated times against the sequential
+   sweep's; fire the shared digest gate; and instantiate one crash image
+   from several domains at once to prove images are immutable shareable
+   inputs.  The obs structures' single-domain ownership guards are
+   exercised last. *)
 
 module Db = Deut_core.Db
 module Config = Deut_core.Config
@@ -118,26 +119,22 @@ let test_crash_image_isolation () =
   check "image unperturbed after concurrent use" true
     (recover_with driver image Recovery.Log1 1 = reference)
 
-(* Harness fan-out: a fig2 sweep fanned across domains must return the
-   same cells — digests, apply counts and simulated times — as the
-   sequential sweep, in the same order. *)
+(* Harness fan-out: [Figures.run_domains] runs the fig2 sweep at 1 domain
+   and fanned across [domains], and raises if any cell's digests diverge.
+   The fanned cells must also match the sequential ones in order, apply
+   counts and simulated times.  At 2 domains each domain builds and
+   recovers several cells in turn; at 4 every cell has its own domain. *)
 let test_fig2_cells_deterministic () =
-  let cache = Experiment.build_cache () in
-  let methods = [ Recovery.Log1; Recovery.Log2 ] in
-  let sweep domains =
-    Figures.run_fig2 ~cache ~scale:256 ~cache_sizes:[ 64; 128 ] ~methods ~domains ()
-  in
-  let reference = sweep 1 in
   List.iter
     (fun domains ->
-      let cells = sweep domains in
+      let d =
+        Figures.run_domains ~scale:256 ~cache_sizes:[ 64; 128 ]
+          ~methods:[ Recovery.Log1; Recovery.Log2 ] ~domains ()
+      in
+      check "sweep ran at the requested domain count" true (d.Figures.dm_domains = domains);
       List.iter2
         (fun (r : Figures.fig2_cell) (c : Figures.fig2_cell) ->
-          check
-            (Printf.sprintf "fig2 %d MB: digests identical at %d domains" r.Figures.cache_mb
-               domains)
-            true
-            (r.Figures.digests = c.Figures.digests);
+          check "cell order preserved" true (r.Figures.cache_mb = c.Figures.cache_mb);
           List.iter2
             (fun (m, (sr : Rs.t)) (m', (sc : Rs.t)) ->
               check "method order preserved" true (m = m');
@@ -152,8 +149,27 @@ let test_fig2_cells_deterministic () =
                 true
                 (Rs.redo_ms sr = Rs.redo_ms sc))
             r.Figures.methods c.Figures.methods)
-        reference cells)
+        d.Figures.dm_seq d.Figures.dm_par)
     [ 2; 4 ]
+
+(* The shared determinism gate passes agreeing cells and, on a divergence,
+   raises [Failure] naming both cells' coordinates. *)
+let test_digest_gate () =
+  Figures.digests_agree "test sweep" [ ("1 shard", "d0"); ("4 shards", "d0"); ("8 shards", "d0") ];
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  match
+    Figures.digests_agree "test sweep"
+      [ ("1 shard/4 clients", "aaaa"); ("4 shards/4 clients", "bbbb") ]
+  with
+  | () -> Alcotest.fail "diverged digests passed the gate"
+  | exception Failure msg ->
+      List.iter
+        (fun part -> check (Printf.sprintf "failure names %S" part) true (contains msg part))
+        [ "test sweep"; "1 shard/4 clients"; "4 shards/4 clients"; "aaaa"; "bbbb" ]
 
 let test_domain_pool () =
   let pool = Domain_pool.create ~domains:4 in
@@ -191,6 +207,7 @@ let suite =
     Alcotest.test_case "recovery ignores the domain count" `Quick test_recovery_ignores_domains;
     Alcotest.test_case "crash-image isolation" `Quick test_crash_image_isolation;
     Alcotest.test_case "fig2 cells deterministic" `Slow test_fig2_cells_deterministic;
+    Alcotest.test_case "digest gate names both cells" `Quick test_digest_gate;
     Alcotest.test_case "domain pool order and errors" `Quick test_domain_pool;
     Alcotest.test_case "obs ownership guards" `Quick test_obs_owner_guards;
   ]
