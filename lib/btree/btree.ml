@@ -391,7 +391,7 @@ let leaf_count t =
 let check_tree t =
   let problem = ref None in
   let fail msg = if !problem = None then problem := Some msg in
-  let leaves_in_order = ref [] in
+  let leaves_in_order = Queue.create () in
   (* lo inclusive, hi exclusive; min_int/max_int act as infinities. *)
   let rec walk pid ~expected_level ~lo ~hi =
     let page = Pool.get t.pool pid in
@@ -407,7 +407,7 @@ let check_tree t =
       if k < lo || k >= hi then
         fail (Printf.sprintf "page %d: key %d outside separator bounds [%d,%d)" pid k lo hi)
     done;
-    if Node.is_leaf page then leaves_in_order := pid :: !leaves_in_order
+    if Node.is_leaf page then Queue.push pid leaves_in_order
     else begin
       let n = Node.nslots page in
       if n = 0 then fail (Printf.sprintf "page %d: internal node with no separators" pid)
@@ -423,16 +423,19 @@ let check_tree t =
     end
   in
   walk (root_pid t) ~expected_level:None ~lo:min_int ~hi:max_int;
-  (* The sibling chain must enumerate exactly the leaves, in order. *)
-  let in_order = List.rev !leaves_in_order in
-  let rec chain pid acc =
+  (* The sibling chain must enumerate exactly the leaves, in order: walk it
+     in lockstep with the in-order leaves, stopping at the first mismatch. *)
+  let rec chain pid =
     let page = Pool.get t.pool pid in
     let next = Node.right_sibling page in
-    if next = Node.no_sibling then List.rev (pid :: acc) else chain next (pid :: acc)
+    if next = Node.no_sibling then Queue.is_empty leaves_in_order
+    else
+      match Queue.take_opt leaves_in_order with
+      | Some expected when Int.equal expected next -> chain next
+      | _ -> false
   in
-  (match in_order with
-  | [] -> fail "tree has no leaves"
-  | first :: _ ->
-      let chained = chain first [] in
-      if chained <> in_order then fail "leaf sibling chain disagrees with in-order traversal");
+  (match Queue.take_opt leaves_in_order with
+  | None -> fail "tree has no leaves"
+  | Some first ->
+      if not (chain first) then fail "leaf sibling chain disagrees with in-order traversal");
   match !problem with None -> Ok () | Some msg -> Error msg

@@ -50,10 +50,14 @@ type t = {
   disk : Disk.t;
   clock : Clock.t;
   frames : frame array;
+  mutable dirty_frames : int;  (* frames with [dirty] set, kept in step at every transition *)
   by_pid : (int, int) Hashtbl.t;
   mutable free_slots : int list;
   mutable hand : int;
   mutable writer_hand : int;
+  mutable writer_idle : bool;
+      (* the last lazy-writer sweep found no flushable frame, and no frame
+         has been dirtied, aged by an update or unpinned since *)
   mutable hooks : hooks;
   mutable cur_epoch : bool;
   in_flight : (int, float * int) Hashtbl.t;  (* pid -> completion, issuing lane *)
@@ -94,10 +98,12 @@ let create ~capacity ?(block_pages = 8) ?(lazy_writer_every = 0) ?(lazy_writer_m
     disk;
     clock;
     frames = Array.init capacity frame;
+    dirty_frames = 0;
     by_pid = Hashtbl.create (2 * capacity);
     free_slots = List.init capacity Fun.id;
     hand = 0;
     writer_hand = 0;
+    writer_idle = false;
     hooks = null_hooks;
     cur_epoch = false;
     in_flight = Hashtbl.create 64;
@@ -144,8 +150,7 @@ let reset_counters t =
 
 let size t = Hashtbl.length t.by_pid
 
-let dirty_count t =
-  Array.fold_left (fun n f -> if f.pid >= 0 && f.dirty then n + 1 else n) 0 t.frames
+let dirty_count t = t.dirty_frames
 
 let contains t pid = Hashtbl.mem t.by_pid pid
 
@@ -194,6 +199,7 @@ let flush_frame t f =
   t.hooks.ensure_stable ~tc_lsn:(Page.plsn f.page) ~dc_lsn:(Page.dc_plsn f.page);
   Page_store.write t.store f.page;
   ignore (Disk.submit_write t.disk ~pid:f.pid);
+  if f.dirty then t.dirty_frames <- t.dirty_frames - 1;
   f.dirty <- false;
   t.counters.flushes <- t.counters.flushes + 1;
   (match t.trace with
@@ -244,6 +250,8 @@ let install_frame t page ~dirty =
   let f = t.frames.(slot) in
   f.pid <- page.Page.pid;
   f.page <- page;
+  if f.dirty <> dirty then t.dirty_frames <- (t.dirty_frames + if dirty then 1 else -1);
+  if dirty then t.writer_idle <- false;
   f.dirty <- dirty;
   f.epoch <- t.cur_epoch;
   f.ref_bit <- true;
@@ -260,10 +268,21 @@ let install_frame t page ~dirty =
    large-cache regime where "the DPT is not very effective" (§5.3) — and it
    flushes only pages dirtied at least [lazy_writer_min_age] updates ago,
    so the flush lands in a later Δ/BW window than the page's last update
-   and the FW-LSN pruning rules can actually remove the entry. *)
+   and the FW-LSN pruning rules can actually remove the entry.
+
+   A sweep that finds nothing takes [capacity] steps and leaves
+   [writer_hand] where it started.  So a pool with no dirty frame, or one
+   whose last sweep found nothing and where no frame can have become
+   flushable since ([writer_idle]), answers at once with that same
+   outcome: the tick is O(1).  Verification walks after instant recovery
+   hit the second case — dirty frames too young to flush, and no updates
+   to age them. *)
 let flush_one_dirty t =
   let rec go steps =
-    if steps >= t.capacity then false
+    if steps >= t.capacity then begin
+      t.writer_idle <- true;
+      false
+    end
     else begin
       let f = t.frames.(t.writer_hand) in
       t.writer_hand <- (t.writer_hand + 1) mod t.capacity;
@@ -277,7 +296,7 @@ let flush_one_dirty t =
       else go (steps + 1)
     end
   in
-  go 0
+  t.dirty_frames > 0 && (not t.writer_idle) && go 0
 
 let set_lazy_writer_enabled t enabled = t.lazy_writer_enabled <- enabled
 
@@ -383,7 +402,8 @@ let unpin t pid =
   | Some slot ->
       let f = t.frames.(slot) in
       if f.pins <= 0 then invalid_arg "Buffer_pool.unpin: page not pinned";
-      f.pins <- f.pins - 1
+      f.pins <- f.pins - 1;
+      t.writer_idle <- false
   | None -> invalid_arg "Buffer_pool.unpin: page not cached"
 
 let new_page t kind =
@@ -413,8 +433,10 @@ let mark_dirty_common t ~pid ~stamp ~event_lsn =
       let f = t.frames.(slot) in
       stamp f.page;
       t.update_ticks <- t.update_ticks + 1;
+      t.writer_idle <- false;
       if not f.dirty then begin
         f.dirty <- true;
+        t.dirty_frames <- t.dirty_frames + 1;
         f.epoch <- t.cur_epoch;
         f.dirtied_at <- t.update_ticks;
         t.hooks.on_dirty ~pid ~lsn:event_lsn

@@ -85,6 +85,9 @@ val size : t -> int
 (** Number of occupied frames. *)
 
 val dirty_count : t -> int
+(** Number of dirty frames, O(1): a counter kept in step at every
+    clean↔dirty transition. *)
+
 val contains : t -> int -> bool
 val is_dirty : t -> int -> bool
 
@@ -163,7 +166,9 @@ val flush_one_dirty : t -> bool
 (** Background-writer step: flush (without evicting) the next dirty
     unpinned frame in sweep order; [false] if none exists.  Models the
     lazy writer whose flush activity feeds the WrittenSets that let the
-    DPT prune. *)
+    DPT prune.  When no frame is dirty, or none can have become flushable
+    since the last sweep that found nothing, it returns [false] in O(1),
+    leaving the sweep position where a full fruitless sweep would. *)
 
 val flush_page : t -> int -> unit
 (** Force the page's image to the store (WAL first); fires [on_flush]. *)

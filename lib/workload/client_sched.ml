@@ -455,12 +455,10 @@ let logical_digest db =
   List.iter
     (fun table ->
       Buffer.add_string buf (Printf.sprintf "table %d\n" table);
-      List.iter
-        (fun (k, v) ->
+      Db.fold_table db ~table ~init:() ~f:(fun () k v ->
           Buffer.add_string buf (string_of_int k);
           Buffer.add_char buf '=';
           Buffer.add_string buf v;
-          Buffer.add_char buf '\n')
-        (Db.dump_table db ~table))
+          Buffer.add_char buf '\n'))
     (List.sort compare (Db.tables db));
   Digest.to_hex (Digest.string (Buffer.contents buf))

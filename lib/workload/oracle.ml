@@ -96,28 +96,35 @@ let seal t =
 let entry_count t ~table =
   Hashtbl.fold (fun (tbl, _) _ n -> if tbl = table then n + 1 else n) t.committed 0
 
+(* Streamed: the recovered rows are folded against the sealed, sorted
+   committed list as a cursor, so no recovered-side list is built.  The
+   fold walks the same leaves as [Db.dump_table], so the check makes the
+   same pool traffic.  A count mismatch is reported before the first
+   differing pair. *)
 let verify t db ~tables =
   let check_table table =
     let expected = committed_entries t ~table in
-    let actual = Deut_core.Db.dump_table db ~table in
-    if expected = actual then Ok ()
-    else begin
-      let n_exp = List.length expected and n_act = List.length actual in
-      if n_exp <> n_act then
-        Error (Printf.sprintf "table %d: %d entries recovered, %d committed" table n_act n_exp)
-      else begin
-        let diff =
-          List.find_opt (fun ((k1, v1), (k2, v2)) -> k1 <> k2 || v1 <> v2)
-            (List.combine actual expected)
-        in
-        match diff with
-        | Some ((k1, v1), (k2, v2)) ->
-            Error
-              (Printf.sprintf "table %d: recovered (%d,%S) but committed (%d,%S)" table k1 v1 k2
-                 v2)
-        | None -> Ok ()
-      end
-    end
+    let n_act = ref 0 and n_paired = ref 0 and first_diff = ref None in
+    let unmatched =
+      Deut_core.Db.fold_table db ~table ~init:expected ~f:(fun cursor k v ->
+          incr n_act;
+          match cursor with
+          | [] -> []
+          | ((k', v') as committed) :: rest ->
+              incr n_paired;
+              if Option.is_none !first_diff && not (Int.equal k k' && String.equal v v') then
+                first_diff := Some ((k, v), committed);
+              rest)
+    in
+    let n_exp = !n_paired + List.length unmatched in
+    if n_exp <> !n_act then
+      Error (Printf.sprintf "table %d: %d entries recovered, %d committed" table !n_act n_exp)
+    else
+      match !first_diff with
+      | Some ((k1, v1), (k2, v2)) ->
+          Error
+            (Printf.sprintf "table %d: recovered (%d,%S) but committed (%d,%S)" table k1 v1 k2 v2)
+      | None -> Ok ()
   in
   let rec go = function
     | [] -> Ok ()

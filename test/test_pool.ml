@@ -212,6 +212,116 @@ let test_dirty_pids () =
   Pool.mark_dirty e.pool ~pid:2 ~lsn:2;
   Alcotest.(check (list int)) "dirty pids" [ 1; 2 ] (List.sort compare (Pool.dirty_pids e.pool))
 
+(* The O(1) dirty counter must agree with the frames after every kind of
+   clean<->dirty transition: misses (evictions, lazy-writer flushes),
+   allocation, dirtying, clean and dirty installs, and every flush path. *)
+let test_dirty_count_tracks_frames () =
+  let e = make ~capacity:8 ~pages:32 ~lazy_writer_every:2 ~lazy_writer_min_age:1 () in
+  let rng = Random.State.make [| 16 |] in
+  (* Reads and installs stay on the seeded pages, which have a stable
+     image; an allocated page is dirtied at once, so it is written before
+     it can be evicted. *)
+  let seeded () = Random.State.int rng 32 in
+  let allocated = ref [] in
+  let any () =
+    match !allocated with
+    | [] -> seeded ()
+    | l ->
+        if Random.State.bool rng then seeded ()
+        else List.nth l (Random.State.int rng (List.length l))
+  in
+  let lsn = ref 0 in
+  let next_lsn () =
+    incr lsn;
+    !lsn
+  in
+  for step = 1 to 3000 do
+    (match Random.State.int rng 10 with
+    | 0 | 1 -> ignore (Pool.get e.pool (seeded ()))
+    | 2 ->
+        let pid = (Pool.new_page e.pool Page.Meta).Page.pid in
+        Pool.mark_dirty e.pool ~pid ~lsn:(next_lsn ());
+        allocated := pid :: !allocated
+    | 3 | 4 ->
+        let pid = any () in
+        if Pool.contains e.pool pid then Pool.mark_dirty e.pool ~pid ~lsn:(next_lsn ())
+    | 5 ->
+        let pid = seeded () in
+        let page = Page.create ~page_size:256 ~pid Page.Meta in
+        Page.set_plsn page (next_lsn ());
+        Pool.install e.pool page ~dirty:(Random.State.bool rng)
+    | 6 ->
+        let pid = any () in
+        if Pool.contains e.pool pid then Pool.flush_page e.pool pid
+    | 7 -> ignore (Pool.flush_one_dirty e.pool)
+    | 8 ->
+        Pool.begin_checkpoint_epoch e.pool;
+        Pool.flush_previous_epoch e.pool
+    | _ -> if Random.State.int rng 4 = 0 then Pool.flush_all_dirty e.pool);
+    let frames = List.length (Pool.dirty_pids e.pool) in
+    if Pool.dirty_count e.pool <> frames then
+      Alcotest.failf "step %d: dirty_count %d, %d dirty frames" step (Pool.dirty_count e.pool)
+        frames
+  done;
+  check "evictions exercised" true ((Pool.counters e.pool).Pool.evictions > 0)
+
+(* A lazy-writer step on a clean pool returns at once and leaves the sweep
+   position alone: after dirtying pages again, the writer picks exactly
+   what it would have picked with no clean steps in between. *)
+let test_clean_writer_step_keeps_hand () =
+  let picks ~clean_steps =
+    let e = make ~capacity:8 () in
+    for pid = 0 to 7 do
+      ignore (Pool.get e.pool pid)
+    done;
+    (* Move the hand past slot 3. *)
+    Pool.mark_dirty e.pool ~pid:3 ~lsn:1;
+    check "first flush" true (Pool.flush_one_dirty e.pool);
+    for _ = 1 to clean_steps do
+      check "clean pool: nothing to flush" false (Pool.flush_one_dirty e.pool)
+    done;
+    check_int "still clean" 0 (Pool.dirty_count e.pool);
+    Pool.mark_dirty e.pool ~pid:2 ~lsn:2;
+    Pool.mark_dirty e.pool ~pid:6 ~lsn:3;
+    check "second flush" true (Pool.flush_one_dirty e.pool);
+    check "third flush" true (Pool.flush_one_dirty e.pool);
+    List.rev !(e.flush_events)
+  in
+  Alcotest.(check (list int)) "sweep order from the hand" [ 3; 6; 2 ] (picks ~clean_steps:0);
+  Alcotest.(check (list int)) "clean steps do not move the hand" [ 3; 6; 2 ] (picks ~clean_steps:5)
+
+(* A sweep that found nothing is not repeated until some frame can have
+   become flushable: an update ages dirty frames, an unpin frees one, a
+   dirty install adds one (with its slot's old dirtied-at tick). *)
+let test_idle_writer_wakes () =
+  let e = make ~capacity:8 ~lazy_writer_min_age:3 () in
+  for pid = 0 to 7 do
+    ignore (Pool.get e.pool pid)
+  done;
+  Pool.mark_dirty e.pool ~pid:5 ~lsn:1;
+  check "young page not flushed" false (Pool.flush_one_dirty e.pool);
+  check "idle writer stays idle" false (Pool.flush_one_dirty e.pool);
+  Pool.mark_dirty e.pool ~pid:1 ~lsn:2;
+  Pool.mark_dirty e.pool ~pid:1 ~lsn:3;
+  check "age 2 is still young" false (Pool.flush_one_dirty e.pool);
+  Pool.mark_dirty e.pool ~pid:1 ~lsn:4;
+  check "an update ages pid 5" true (Pool.flush_one_dirty e.pool);
+  Pool.flush_page e.pool 1;
+  ignore (Pool.get e.pool ~pin:true 3);
+  for lsn = 5 to 8 do
+    Pool.mark_dirty e.pool ~pid:3 ~lsn
+  done;
+  check "aged but pinned" false (Pool.flush_one_dirty e.pool);
+  Pool.unpin e.pool 3;
+  check "an unpin frees pid 3" true (Pool.flush_one_dirty e.pool);
+  Pool.mark_dirty e.pool ~pid:6 ~lsn:9;
+  check "only a young page" false (Pool.flush_one_dirty e.pool);
+  let fresh = Page.create ~page_size:256 ~pid:2 Page.Meta in
+  Page.set_plsn fresh 10;
+  Pool.install e.pool fresh ~dirty:true;
+  check "a dirty install wakes the writer" true (Pool.flush_one_dirty e.pool);
+  Alcotest.(check (list int)) "flush order" [ 5; 1; 3; 2 ] (List.rev !(e.flush_events))
+
 let suite =
   [
     Alcotest.test_case "hit/miss" `Quick test_hit_miss;
@@ -227,4 +337,7 @@ let suite =
     Alcotest.test_case "install replaces" `Quick test_install_replaces;
     Alcotest.test_case "lazy writer" `Quick test_lazy_writer;
     Alcotest.test_case "dirty pids" `Quick test_dirty_pids;
+    Alcotest.test_case "dirty count tracks frames" `Quick test_dirty_count_tracks_frames;
+    Alcotest.test_case "clean writer step keeps the hand" `Quick test_clean_writer_step_keeps_hand;
+    Alcotest.test_case "idle writer wakes" `Quick test_idle_writer_wakes;
   ]

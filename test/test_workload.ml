@@ -43,6 +43,47 @@ let test_oracle_txn_semantics () =
 let small_config =
   { Config.default with Config.page_size = 1024; pool_pages = 32; delta_period = 50; shards = 1 }
 
+(* A table spanning many leaves, written through [Db] and mirrored into a
+   sealed oracle.  Each verify test then writes once more through [Db]
+   without telling the oracle. *)
+let oracle_fixture () =
+  let db = Db.create ~config:small_config () in
+  Db.create_table db ~table:1;
+  let o = Oracle.create () in
+  for key = 1 to 300 do
+    let value = Printf.sprintf "v%04d" key in
+    Db.put db ~table:1 ~key ~value;
+    Oracle.begin_txn o key;
+    Oracle.buffer_put o ~txn:key ~table:1 ~key ~value;
+    Oracle.commit o ~txn:key
+  done;
+  Oracle.seal o;
+  (match Oracle.verify o db ~tables:[ 1 ] with Ok () -> () | Error e -> Alcotest.fail e);
+  (db, o)
+
+let check_verify_error o db expected =
+  match Oracle.verify o db ~tables:[ 1 ] with
+  | Ok () -> Alcotest.fail ("verify missed: " ^ expected)
+  | Error e -> Alcotest.(check string) "verify error" expected e
+
+let test_oracle_catches_changed_value () =
+  let db, o = oracle_fixture () in
+  Db.put db ~table:1 ~key:150 ~value:"vXXXX";
+  check_verify_error o db {|table 1: recovered (150,"vXXXX") but committed (150,"v0150")|}
+
+let test_oracle_catches_missing_row () =
+  let db, o = oracle_fixture () in
+  let txn = Db.begin_txn db in
+  (match Db.delete db txn ~table:1 ~key:150 with
+  | Ok () -> Db.commit db txn
+  | Error e -> Alcotest.fail (Db.error_to_string e));
+  check_verify_error o db "table 1: 299 entries recovered, 300 committed"
+
+let test_oracle_catches_extra_row () =
+  let db, o = oracle_fixture () in
+  Db.put db ~table:1 ~key:1000 ~value:"extra";
+  check_verify_error o db "table 1: 301 entries recovered, 300 committed"
+
 let small_spec = { Workload.default with Workload.rows = 500; value_size = 12; seed = 2 }
 
 let test_driver_load_and_verify () =
@@ -151,6 +192,9 @@ let test_experiment_tiny () =
 let suite =
   [
     Alcotest.test_case "oracle txn semantics" `Quick test_oracle_txn_semantics;
+    Alcotest.test_case "oracle catches a changed value" `Quick test_oracle_catches_changed_value;
+    Alcotest.test_case "oracle catches a missing row" `Quick test_oracle_catches_missing_row;
+    Alcotest.test_case "oracle catches an extra row" `Quick test_oracle_catches_extra_row;
     Alcotest.test_case "driver load + verify" `Quick test_driver_load_and_verify;
     Alcotest.test_case "driver updates tracked" `Quick test_driver_updates_tracked;
     Alcotest.test_case "driver mixed ops" `Quick test_driver_mixed_ops;
