@@ -78,14 +78,15 @@ let recovering ~tracing method_ =
        (if tracing then ", tracing on" else ""))
 
 (* The config of a single CLI recovery: the crash's own, with tracing as
-   asked and the DEUT_* environment (DEUT_TRACE_CAP included) on top. *)
+   asked and the DEUT_* environment (DEUT_TRACE_CAP included) on top —
+   except the shard count, which the image fixes (DEUT_SHARDS would ask
+   the single-shard paper image to instantiate as several). *)
 let recovery_config crash ~tracing =
-  Config.of_env
-    {
-      crash.Experiment.image.Deut_core.Crash_image.config with
-      Config.tracing;
-      trace_capacity = 1 lsl 20;
-    }
+  let image_config = crash.Experiment.image.Deut_core.Crash_image.config in
+  {
+    (Config.of_env { image_config with Config.tracing; trace_capacity = 1 lsl 20 }) with
+    Config.shards = image_config.Config.shards;
+  }
 
 let method_conv =
   let parse s =

@@ -83,10 +83,12 @@ let () =
   Db.create_table replica ~table;
   let applied = apply_logical_log image.Crash_image.log replica in
   Printf.printf "replica built: %d pages of %d bytes, %d logical operations applied\n"
-    (Db.allocated_pages replica) replica_config.Config.page_size applied;
+    (Db.metric replica "store.allocated") replica_config.Config.page_size applied;
 
   (* The physical layouts differ... *)
-  assert (Db.allocated_pages replica <> Deut_storage.Page_store.allocated_count image.Crash_image.store);
+  assert (
+    Db.metric replica "store.allocated"
+    <> Deut_storage.Page_store.allocated_count image.Crash_image.store);
 
   (* ...but the logical contents are identical to the primary's committed
      state, which we obtain by recovering the primary image. *)

@@ -32,7 +32,8 @@ let () =
     let driver = Driver.create ~config spec in
     Driver.run_crash_protocol driver ~checkpoints:3 ~interval:600 ~tail:(min 25 (period / 2));
     let db = Driver.db driver in
-    let deltas = Db.deltas_written db and delta_kb = float_of_int (Db.delta_bytes db) /. 1024. in
+    let deltas = Db.metric db "monitor.delta_records"
+    and delta_kb = float_of_int (Db.metric db "monitor.delta_bytes") /. 1024. in
     let image = Driver.crash driver in
     let recovered, stats = Db.recover image Recovery.Log1 in
     (match Driver.verify_recovered driver recovered with

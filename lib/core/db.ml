@@ -350,17 +350,6 @@ let check_integrity t =
   in
   shards 0
 
-let dirty_page_count t = sum_shards t (fun sh -> Pool.dirty_count sh.Engine.s_pool)
-let cached_page_count t = sum_shards t (fun sh -> Pool.size sh.Engine.s_pool)
-let deltas_written t = sum_shards t (fun sh -> Monitor.deltas_written (Dc.monitor sh.Engine.s_dc))
-let bws_written t = sum_shards t (fun sh -> Monitor.bws_written (Dc.monitor sh.Engine.s_dc))
-let delta_bytes t = sum_shards t (fun sh -> Monitor.delta_bytes (Dc.monitor sh.Engine.s_dc))
-let bw_bytes t = sum_shards t (fun sh -> Monitor.bw_bytes (Dc.monitor sh.Engine.s_dc))
-let log_end t = Log_manager.end_lsn t.engine.Engine.log
-let log_record_count t = Log_manager.record_count t.engine.Engine.log
-
-let allocated_pages t =
-  sum_shards t (fun sh -> Deut_storage.Page_store.allocated_count sh.Engine.s_store)
+let metric t name = Deut_obs.Metrics.read_int (Engine.metrics t.engine) name
 let now_ms t = Deut_sim.Clock.now_ms t.engine.Engine.clock
-let stats t = Engine_stats.capture t.engine
-let stats_string t = Engine_stats.to_string (stats t)
+let stats_string t = Engine_stats.to_string t.engine

@@ -189,19 +189,13 @@ val entry_count : t -> table:int -> int
 val check_integrity : t -> (unit, string) result
 (** Structural invariants of every table's B-tree. *)
 
-val dirty_page_count : t -> int
-val cached_page_count : t -> int
-val deltas_written : t -> int
-val bws_written : t -> int
-val delta_bytes : t -> int
-val bw_bytes : t -> int
-val log_end : t -> Deut_wal.Lsn.t
-val log_record_count : t -> int
-val allocated_pages : t -> int
+val metric : t -> string -> int
+(** The engine counter registered under [name], truncated to an integer —
+    the registry is the one stats namespace; OBSERVABILITY.md lists every
+    name, its unit and whether it is summed over shards.
+    @raise Not_found if no such metric is registered. *)
+
 val now_ms : t -> float
 
-val stats : t -> Engine_stats.t
-(** Snapshot of every engine counter. *)
-
 val stats_string : t -> string
-(** Human-readable rendering of {!stats}. *)
+(** Human-readable rendering of every engine counter. *)

@@ -78,10 +78,11 @@ let shard_pool_pages config =
   if config.Config.shards <= 1 then config.Config.pool_pages
   else Stdlib.max 8 (config.Config.pool_pages / config.Config.shards)
 
-(* Lazy gauges over every live counter the engine keeps, so [Engine_stats]
-   and the CLI read one namespace instead of crawling component records.
-   Reading a gauge never mutates anything; every per-shard counter is
-   summed across shards (a single shard reads exactly as before). *)
+(* Lazy gauges over every live counter the engine keeps: the one stats
+   namespace, which [Db.metric], [Engine_stats] and the CLI read by name
+   instead of crawling component records.  Reading a gauge never mutates
+   anything; every per-shard counter is summed across shards here and
+   nowhere else (a single shard reads exactly as before). *)
 let register_gauges t =
   let m = metrics t in
   let fi name f = Metrics.gauge m name (fun () -> float_of_int (f ())) in
@@ -117,7 +118,7 @@ let register_gauges t =
   fi "log.dc.base_lsn" (fun () ->
       if split t then sum (fun sh -> Log_manager.base_lsn sh.s_dc_log) else 0);
   (* Archive gauges are registered unconditionally (0 with archiving off)
-     so dashboards and [Engine_stats] read a stable namespace. *)
+     so dashboards and [Db.metric] read a stable namespace. *)
   let arch f = fun () -> match Log_manager.archive t.log with Some a -> f a | None -> 0 in
   fi "archive.segments" (arch Archive.segment_count);
   fi "archive.bytes" (arch Archive.sealed_bytes);

@@ -3,8 +3,8 @@
 
     Two representations: {!cells} is the live form the recovery passes
     mutate — metric handles registered in a {!Deut_obs.Metrics.t} registry
-    under ["recovery.*"] names, so the CLI and [Engine_stats] can read them
-    uniformly — and {!t} is the plain frozen record callers receive from
+    under ["recovery.*"] names, so the CLI and [Engine_stats] read them by
+    name — and {!t} is the plain frozen record callers receive from
     [Recovery.recover] (same field names; take a {!snapshot} when the run
     is over). *)
 
@@ -77,78 +77,59 @@ type t = {
   pages_background : int;  (** pages replayed by the background drain *)
 }
 
-let reset (s : cells) =
-  Metrics.fset s.analysis_us 0.0;
-  Metrics.fset s.redo_us 0.0;
-  Metrics.fset s.undo_us 0.0;
-  Metrics.fset s.ttft_us 0.0;
-  Metrics.fset s.drained_us 0.0;
-  Metrics.fset s.data_stall_us 0.0;
-  Metrics.fset s.index_stall_us 0.0;
-  Metrics.reset_counter s.records_scanned;
-  Metrics.reset_counter s.redo_candidates;
-  Metrics.reset_counter s.redo_applied;
-  Metrics.reset_counter s.skipped_dpt;
-  Metrics.reset_counter s.skipped_rlsn;
-  Metrics.reset_counter s.skipped_plsn;
-  Metrics.reset_counter s.tail_records;
-  Metrics.reset_counter s.data_page_fetches;
-  Metrics.reset_counter s.index_page_fetches;
-  Metrics.reset_counter s.log_pages_read;
-  Metrics.reset_counter s.dpt_size;
-  Metrics.reset_counter s.deltas_seen;
-  Metrics.reset_counter s.bws_seen;
-  Metrics.reset_counter s.smos_replayed;
-  Metrics.reset_counter s.losers;
-  Metrics.reset_counter s.clrs_written;
-  Metrics.reset_counter s.prefetch_issued;
-  Metrics.reset_counter s.prefetch_hits;
-  Metrics.reset_counter s.stalls;
-  Metrics.reset_counter s.pages_ondemand;
-  Metrics.reset_counter s.pages_background
-
 let create ?metrics () : cells =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
-  let c name = Metrics.counter m ("recovery." ^ name) in
-  let d name = Metrics.dial m ("recovery." ^ name) in
-  let cells : cells =
-    {
-      analysis_us = d "analysis_us";
-      redo_us = d "redo_us";
-      undo_us = d "undo_us";
-      ttft_us = d "ttft_us";
-      drained_us = d "drained_us";
-      records_scanned = c "records_scanned";
-      redo_candidates = c "redo_candidates";
-      redo_applied = c "redo_applied";
-      skipped_dpt = c "skipped_dpt";
-      skipped_rlsn = c "skipped_rlsn";
-      skipped_plsn = c "skipped_plsn";
-      tail_records = c "tail_records";
-      data_page_fetches = c "data_page_fetches";
-      index_page_fetches = c "index_page_fetches";
-      data_stall_us = d "data_stall_us";
-      index_stall_us = d "index_stall_us";
-      log_pages_read = c "log_pages_read";
-      dpt_size = c "dpt_size";
-      deltas_seen = c "deltas_seen";
-      bws_seen = c "bws_seen";
-      smos_replayed = c "smos_replayed";
-      losers = c "losers";
-      clrs_written = c "clrs_written";
-      prefetch_issued = c "prefetch_issued";
-      prefetch_hits = c "prefetch_hits";
-      stalls = c "stalls";
-      pages_ondemand = c "pages_ondemand";
-      pages_background = c "pages_background";
-    }
-  in
   (* Registering an already-registered name hands back the existing
      instrument, so under a shared registry (the memoized harness reuses
-     one engine's metrics across cells) these handles may carry a previous
-     run's totals — zero them so every recovery starts from scratch. *)
-  reset cells;
-  cells
+     one engine's metrics across cells) a handle may carry a previous
+     run's totals — zero each as it is acquired so every recovery starts
+     from scratch. *)
+  let c name =
+    let h = Metrics.counter m ("recovery." ^ name) in
+    Metrics.reset_counter h;
+    h
+  in
+  let d name =
+    let h = Metrics.dial m ("recovery." ^ name) in
+    Metrics.fset h 0.0;
+    h
+  in
+  (* OCaml evaluates a record literal's fields right to left in the order
+     the type declares them, so the names register in reverse [cells]
+     order ([pages_background] first, [analysis_us] last).  [repro_cli
+     metrics] and the Chrome-trace metric events print in registration
+     order, and the golden dumps under test/ pin it: reordering [cells]
+     changes both. *)
+  {
+    analysis_us = d "analysis_us";
+    redo_us = d "redo_us";
+    undo_us = d "undo_us";
+    ttft_us = d "ttft_us";
+    drained_us = d "drained_us";
+    records_scanned = c "records_scanned";
+    redo_candidates = c "redo_candidates";
+    redo_applied = c "redo_applied";
+    skipped_dpt = c "skipped_dpt";
+    skipped_rlsn = c "skipped_rlsn";
+    skipped_plsn = c "skipped_plsn";
+    tail_records = c "tail_records";
+    data_page_fetches = c "data_page_fetches";
+    index_page_fetches = c "index_page_fetches";
+    data_stall_us = d "data_stall_us";
+    index_stall_us = d "index_stall_us";
+    log_pages_read = c "log_pages_read";
+    dpt_size = c "dpt_size";
+    deltas_seen = c "deltas_seen";
+    bws_seen = c "bws_seen";
+    smos_replayed = c "smos_replayed";
+    losers = c "losers";
+    clrs_written = c "clrs_written";
+    prefetch_issued = c "prefetch_issued";
+    prefetch_hits = c "prefetch_hits";
+    stalls = c "stalls";
+    pages_ondemand = c "pages_ondemand";
+    pages_background = c "pages_background";
+  }
 
 let snapshot (s : cells) : t =
   {

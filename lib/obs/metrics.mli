@@ -2,7 +2,7 @@
 
     Every engine owns one registry.  Components register their own
     instruments under dotted names ("cache.hits", "disk.data.io_us") and
-    mutate them through O(1) handles; readers ([Engine_stats], the CLI)
+    mutate them through O(1) handles; readers ([Db.metric], the CLI)
     address them by name.  The registry never touches the simulated clock,
     so it cannot perturb simulated time.
 

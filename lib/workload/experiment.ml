@@ -126,15 +126,16 @@ let build_uncached scaled =
     ~interval:scaled.protocol.interval ~tail:scaled.protocol.tail;
   Driver.start_loser driver ~ops:scaled.protocol.loser_ops;
   let database = Driver.db driver in
-  let dirty = Db.dirty_page_count database in
   let pool = (Deut_core.Engine.shard (Db.engine database) 0).Deut_core.Engine.s_pool in
   (* Read every statistic before the crash: [Db.crash] poisons the handle. *)
-  let cached_at_crash = Db.cached_page_count database in
-  let db_pages = Db.allocated_pages database in
-  let deltas_total = Db.deltas_written database in
-  let bws_total = Db.bws_written database in
-  let delta_bytes = Db.delta_bytes database in
-  let bw_bytes = Db.bw_bytes database in
+  let metric = Db.metric database in
+  let dirty = metric "cache.dirty" in
+  let cached_at_crash = metric "cache.resident" in
+  let db_pages = metric "store.allocated" in
+  let deltas_total = metric "monitor.delta_records" in
+  let bws_total = metric "monitor.bw_records" in
+  let delta_bytes = metric "monitor.delta_bytes" in
+  let bw_bytes = metric "monitor.bw_bytes" in
   let run =
     {
       image = Driver.crash driver;

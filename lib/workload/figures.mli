@@ -158,7 +158,8 @@ type workers_cell = {
   w_method : Deut_core.Recovery.method_;
   w_count : int;  (** [Config.redo_workers] used for this recovery *)
   w_stats : Deut_core.Recovery_stats.t;
-  w_engine : Deut_core.Engine_stats.t;  (** post-recovery engine snapshot (latency percentiles) *)
+  w_stall_wait : Deut_core.Engine_stats.latency;  (** cache.stall_wait_us after recovery *)
+  w_data_io : Deut_core.Engine_stats.latency;  (** disk.data.io_us after recovery *)
 }
 
 val run_workers :

@@ -15,7 +15,6 @@ module Engine = Deut_core.Engine
 module Tc = Deut_core.Tc
 module Recovery = Deut_core.Recovery
 module Recovery_stats = Deut_core.Recovery_stats
-module Engine_stats = Deut_core.Engine_stats
 module Crash_image = Deut_core.Crash_image
 module Lr = Deut_wal.Log_record
 module Lsn = Deut_wal.Lsn
@@ -379,7 +378,7 @@ let test_instant_over_archive () =
   (* The recovered engine's devices start from zero, so any archive reads
      are recovery's own: the redo scan crossed into sealed segments. *)
   check "redo read from the archive device" true
-    ((Db.stats rdb).Engine_stats.archive_pages_read > 0)
+    (Db.metric rdb "disk.archive.pages_read" > 0)
 
 (* Unsealed segments are outside the durability contract. *)
 let test_unsealed_segment_ignored () =

@@ -98,10 +98,10 @@ let build_images () =
              ~log:(Log.crash_at log boundary)
              ~master:(Tc.master engine.Engine.tc) ()
            :: !images));
-  let records_before = Db.log_record_count db in
+  let records_before = Db.metric db "log.tc.records" in
   run_workload db;
   Log.set_append_hook log None;
-  (Db.log_record_count db - records_before, List.rev !images)
+  (Db.metric db "log.tc.records" - records_before, List.rev !images)
 
 (* The committed state a prefix of the log implies: buffer each
    transaction's operations in order, fold them into the committed map on

@@ -165,11 +165,11 @@ let test_penultimate_checkpoint_cleans () =
   for k = 0 to 500 do
     Db.put db ~table:1 ~key:k ~value:"x"
   done;
-  check "dirty before checkpoint" true (Db.dirty_page_count db > 0);
+  check "dirty before checkpoint" true (Db.metric db "cache.dirty" > 0);
   Db.checkpoint db;
   (* Synchronous penultimate checkpoint: everything dirtied before the
      begin-checkpoint record is flushed; nothing was dirtied after. *)
-  check_int "clean after checkpoint" 0 (Db.dirty_page_count db);
+  check_int "clean after checkpoint" 0 (Db.metric db "cache.dirty");
   wal_invariant db
 
 let test_log_archiving_safe () =
@@ -197,7 +197,7 @@ let test_archiving_blocked_by_open_txn () =
   done;
   let txn = Db.begin_txn db in
   ok (Db.update db txn ~table:1 ~key:5 ~value:"open");
-  let first_lsn_region = Db.log_end db in
+  let first_lsn_region = Db.metric db "log.tc.end_lsn" in
   for k = 0 to 100 do
     Db.put db ~table:1 ~key:k ~value:"v2"
   done;
@@ -274,9 +274,15 @@ let test_monitor_counts_visible () =
   for k = 0 to 400 do
     Db.put db ~table:1 ~key:k ~value:"x"
   done;
-  check "delta records written" true (Db.deltas_written db > 0);
-  check "delta bytes accounted" true (Db.delta_bytes db > 0);
-  check "bw not more frequent than delta" true (Db.bws_written db <= Db.deltas_written db)
+  let deltas = Db.metric db "monitor.delta_records" in
+  check "delta records written" true (deltas > 0);
+  check "delta bytes accounted" true (Db.metric db "monitor.delta_bytes" > 0);
+  check "bw not more frequent than delta" true (Db.metric db "monitor.bw_records" <= deltas)
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
 
 let test_stats_snapshot () =
   let db = make () in
@@ -284,27 +290,46 @@ let test_stats_snapshot () =
     Db.put db ~table:1 ~key:k ~value:"x"
   done;
   Db.checkpoint db;
-  let s = Db.stats db in
-  check_int "capacity" 48 s.Deut_core.Engine_stats.cache_capacity;
-  check "resident pages" true (s.Deut_core.Engine_stats.cache_resident > 0);
-  check "hit rate sane" true
-    (s.Deut_core.Engine_stats.hit_rate >= 0.0 && s.Deut_core.Engine_stats.hit_rate <= 1.0);
-  check "log records counted" true (s.Deut_core.Engine_stats.tc_log_records > 200);
-  check "not split" false s.Deut_core.Engine_stats.split_logs;
-  check "flushes happened at checkpoint" true (s.Deut_core.Engine_stats.flushes > 0);
+  let metric = Db.metric db in
+  check_int "capacity" 48 (metric "cache.capacity");
+  check "resident pages" true (metric "cache.resident" > 0);
+  let hits = metric "cache.hits" in
+  let lookups = hits + metric "cache.misses" + metric "cache.prefetch_hits" in
+  check "hit rate sane" true (lookups > 0 && hits >= 0 && hits <= lookups);
+  check "log records counted" true (metric "log.tc.records" > 200);
+  check "not split" false (Engine.split (Db.engine db));
+  check_int "no DC log records" 0 (metric "log.dc.records");
+  check "flushes happened at checkpoint" true (metric "cache.flushes" > 0);
   let rendered = Db.stats_string db in
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   check "rendering mentions the cache" true
-    (String.length rendered > 100 && contains rendered "cache:")
+    (String.length rendered > 100 && contains rendered "cache:");
+  check "no DC log line in the integrated layout" false (contains rendered "dc log:")
+
+(* Rendering reads every counter before it lists the catalog: with a
+   cache too small to keep the catalog page resident, the listing misses,
+   and the rendered IO histogram must not count that fetch. *)
+let test_stats_exclude_own_io () =
+  let db = Db.create ~config:{ config with Config.pool_pages = 16 } () in
+  Db.create_table db ~table:1;
+  for k = 0 to 3999 do
+    Db.put db ~table:1 ~key:k ~value:"x"
+  done;
+  ignore (Db.dump_table db ~table:1);
+  let io () =
+    (Deut_core.Engine_stats.latency (Engine.metrics (Db.engine db)) "disk.data.io_us")
+      .Deut_core.Engine_stats.n
+  in
+  let before = io () in
+  let rendered = Db.stats_string db in
+  check "listing the catalog fetched a page" true (io () > before);
+  check "rendered IO excludes that fetch" true
+    (contains rendered (Printf.sprintf "io lat:     n %d," before))
 
 let suite =
   [
     Alcotest.test_case "read your writes" `Quick test_read_your_writes;
     Alcotest.test_case "stats snapshot" `Quick test_stats_snapshot;
+    Alcotest.test_case "stats exclude their own IO" `Quick test_stats_exclude_own_io;
     Alcotest.test_case "error paths" `Quick test_error_paths;
     Alcotest.test_case "abort rolls back" `Quick test_abort_rolls_back;
     Alcotest.test_case "interleaved txns" `Quick test_interleaved_txns;

@@ -413,6 +413,42 @@ let test_observers_change_nothing () =
       check (label ^ ": clock unchanged") true (t = t0))
     [ (false, false); (true, true); (false, true) ]
 
+(* {2 One stats namespace} *)
+
+(* [Db.metric] reads gauges that [Engine.register_gauges] sums over the
+   shards; at four shards each must equal the sum over the per-shard
+   components, and the TC log count the one TC log's. *)
+let test_metrics_sum_shards () =
+  let db = seeded ~rows:400 () in
+  Db.checkpoint db;
+  for k = 0 to 99 do
+    Db.put db ~table ~key:k ~value:"again"
+  done;
+  let e = Db.engine db in
+  let sum f =
+    List.fold_left (fun acc i -> acc + f (Engine.shard e i)) 0
+      (List.init (Engine.shard_count e) Fun.id)
+  in
+  let module Pool = Deut_buffer.Buffer_pool in
+  let module Monitor = Deut_core.Monitor in
+  let pool f = sum (fun sh -> f sh.Engine.s_pool) in
+  let mon f = sum (fun sh -> f (Deut_core.Dc.monitor sh.Engine.s_dc)) in
+  let store f = sum (fun sh -> f sh.Engine.s_store) in
+  List.iter
+    (fun (name, expected) ->
+      check (name ^ " is nonzero") true (expected > 0);
+      check_int name expected (Db.metric db name))
+    [
+      ("cache.dirty", pool Pool.dirty_count);
+      ("cache.resident", pool Pool.size);
+      ("store.allocated", store Deut_storage.Page_store.allocated_count);
+      ("monitor.delta_records", mon Monitor.deltas_written);
+      ("monitor.bw_records", mon Monitor.bws_written);
+      ("monitor.delta_bytes", mon Monitor.delta_bytes);
+      ("monitor.bw_bytes", mon Monitor.bw_bytes);
+      ("log.tc.records", Deut_wal.Log_manager.record_count e.Engine.log);
+    ]
+
 (* {2 Env knobs} *)
 
 let with_env bindings f =
@@ -461,5 +497,6 @@ let suite =
     Alcotest.test_case "network cost is charged, digest unchanged" `Quick
       test_net_is_transparent_but_costly;
     Alcotest.test_case "observers change nothing" `Quick test_observers_change_nothing;
+    Alcotest.test_case "metrics sum over shards" `Quick test_metrics_sum_shards;
     Alcotest.test_case "env knobs" `Quick test_env_knobs;
   ]
