@@ -75,13 +75,15 @@ let corrupt_for_test t pid =
       t.images.(pid) <- Some { bytes = corrupt; verified = false }
   | None -> raise (Missing_page pid)
 
+(* Zero-copy: stable images are immutable, so the clone shares every
+   image's bytes and copies only the per-store [verified] flag.  Either
+   store replacing an image ([write], [corrupt_for_test]) swaps its own
+   array slot and leaves the other's untouched. *)
 let clone t =
   {
     page_size = t.page_size;
     images =
-      Array.map
-        (Option.map (fun img -> { bytes = Bytes.copy img.bytes; verified = img.verified }))
-        t.images;
+      Array.map (Option.map (fun img -> { bytes = img.bytes; verified = img.verified })) t.images;
     next_pid = t.next_pid;
     stable = t.stable;
   }

@@ -1,85 +1,106 @@
+(* Keys and table ids are plain ints: hashing one is a mask, not a C
+   [caml_hash] over a boxed [(table, key)] tuple, and a committed row keeps
+   no tuple alive. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 type change = Put of string | Remove
+type write = { table : int; key : int; change : change }
 
 type t = {
-  committed : (int * int, string) Hashtbl.t;  (* (table, key) -> value *)
-  pending : (int, ((int * int) * change) list ref) Hashtbl.t;  (* txn -> buffered writes *)
-  mutable queued : ((int * int) * change) list list;
+  committed : string Int_tbl.t Int_tbl.t;  (* table -> key -> value *)
+  pending : write list ref Int_tbl.t;  (* txn -> buffered writes, newest first *)
+  mutable queued : write list list;
       (* group-commit tail: committed but not yet durable, newest first *)
   mutable version : int;  (* bumped on every [committed] mutation *)
-  entries_cache : (int, int * (int * string) list) Hashtbl.t;
+  entries_cache : (int * (int * string) list) Int_tbl.t;
       (* table -> (version, sorted entries); [verify] runs once per recovery
-         method against the same oracle state, so the fold+sort over the
-         whole committed table is paid once, not five times *)
+         method against the same oracle state, so the sort over the whole
+         committed table is paid once, not five times *)
 }
 
 let create () =
   {
-    committed = Hashtbl.create 4096;
-    pending = Hashtbl.create 16;
+    committed = Int_tbl.create 8;
+    pending = Int_tbl.create 16;
     queued = [];
     version = 0;
-    entries_cache = Hashtbl.create 8;
+    entries_cache = Int_tbl.create 8;
   }
-let begin_txn t txn = Hashtbl.replace t.pending txn (ref [])
 
-let buffer t ~txn entry =
-  match Hashtbl.find_opt t.pending txn with
-  | Some changes -> changes := entry :: !changes
+let begin_txn t txn = Int_tbl.replace t.pending txn (ref [])
+
+let buffer t ~txn w =
+  match Int_tbl.find_opt t.pending txn with
+  | Some changes -> changes := w :: !changes
   | None -> invalid_arg "Oracle: transaction not begun"
 
-let buffer_put t ~txn ~table ~key ~value = buffer t ~txn ((table, key), Put value)
-let buffer_delete t ~txn ~table ~key = buffer t ~txn ((table, key), Remove)
+let buffer_put t ~txn ~table ~key ~value = buffer t ~txn { table; key; change = Put value }
+let buffer_delete t ~txn ~table ~key = buffer t ~txn { table; key; change = Remove }
+
+let apply t { table; key; change } =
+  let rows =
+    match Int_tbl.find_opt t.committed table with
+    | Some rows -> rows
+    | None ->
+        let rows = Int_tbl.create 4096 in
+        Int_tbl.replace t.committed table rows;
+        rows
+  in
+  match change with Put v -> Int_tbl.replace rows key v | Remove -> Int_tbl.remove rows key
+
+let take_pending t ~txn what =
+  match Int_tbl.find_opt t.pending txn with
+  | None -> invalid_arg (what ^ ": transaction not begun")
+  | Some changes ->
+      Int_tbl.remove t.pending txn;
+      List.rev !changes
 
 let commit t ~txn =
-  match Hashtbl.find_opt t.pending txn with
-  | None -> invalid_arg "Oracle.commit: transaction not begun"
-  | Some changes ->
-      t.version <- t.version + 1;
-      List.iter
-        (fun (addr, change) ->
-          match change with
-          | Put v -> Hashtbl.replace t.committed addr v
-          | Remove -> Hashtbl.remove t.committed addr)
-        (List.rev !changes);
-      Hashtbl.remove t.pending txn
+  let changes = take_pending t ~txn "Oracle.commit" in
+  t.version <- t.version + 1;
+  List.iter (apply t) changes
 
-let abort t ~txn = Hashtbl.remove t.pending txn
+let abort t ~txn = Int_tbl.remove t.pending txn
 
 let commit_queued t ~txn =
-  match Hashtbl.find_opt t.pending txn with
-  | None -> invalid_arg "Oracle.commit_queued: transaction not begun"
-  | Some changes ->
-      t.queued <- List.rev !changes :: t.queued;
-      Hashtbl.remove t.pending txn
+  t.queued <- take_pending t ~txn "Oracle.commit_queued" :: t.queued
 
 let force t =
   if t.queued <> [] then t.version <- t.version + 1;
-  List.iter
-    (fun changes ->
-      List.iter
-        (fun (addr, change) ->
-          match change with
-          | Put v -> Hashtbl.replace t.committed addr v
-          | Remove -> Hashtbl.remove t.committed addr)
-        changes)
-    (List.rev t.queued);
+  List.iter (List.iter (apply t)) (List.rev t.queued);
   t.queued <- []
 
 let queued_commits t = List.length t.queued
 
-let committed_value t ~table ~key = Hashtbl.find_opt t.committed (table, key)
+let committed_value t ~table ~key =
+  match Int_tbl.find_opt t.committed table with
+  | Some rows -> Int_tbl.find_opt rows key
+  | None -> None
 
 let committed_entries t ~table =
-  match Hashtbl.find_opt t.entries_cache table with
+  match Int_tbl.find_opt t.entries_cache table with
   | Some (v, entries) when v = t.version -> entries
   | _ ->
       let entries =
-        Hashtbl.fold
-          (fun (tbl, key) v acc -> if tbl = table then (key, v) :: acc else acc)
-          t.committed []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+        match Int_tbl.find_opt t.committed table with
+        | None -> []
+        | Some rows ->
+            let arr = Array.make (Int_tbl.length rows) (0, "") in
+            let i = ref 0 in
+            Int_tbl.iter
+              (fun k v ->
+                arr.(!i) <- (k, v);
+                incr i)
+              rows;
+            Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) arr;
+            Array.to_list arr
       in
-      Hashtbl.replace t.entries_cache table (t.version, entries);
+      Int_tbl.replace t.entries_cache table (t.version, entries);
       entries
 
 (* Pre-compute the sorted-entry cache for every table with committed data.
@@ -88,13 +109,10 @@ let committed_entries t ~table =
    several domains verify recoveries against one shared oracle
    concurrently.  Sealing is not a lock: any later mutation (another
    commit, a [force]) bumps [version] and the next lookup recomputes. *)
-let seal t =
-  let tables = Hashtbl.create 8 in
-  Hashtbl.iter (fun (table, _) _ -> Hashtbl.replace tables table ()) t.committed;
-  Hashtbl.iter (fun table () -> ignore (committed_entries t ~table)) tables
+let seal t = Int_tbl.iter (fun table _ -> ignore (committed_entries t ~table)) t.committed
 
 let entry_count t ~table =
-  Hashtbl.fold (fun (tbl, _) _ n -> if tbl = table then n + 1 else n) t.committed 0
+  match Int_tbl.find_opt t.committed table with Some rows -> Int_tbl.length rows | None -> 0
 
 (* Streamed: the recovered rows are folded against the sealed, sorted
    committed list as a cursor, so no recovered-side list is built.  The

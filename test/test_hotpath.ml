@@ -45,6 +45,13 @@ let test_fnv_bounds () =
       with Invalid_argument _ -> ())
     [ (-1, 4); (0, 17); (12, 5); (0, -1) ]
 
+(* Golden FNV values, fixed independently of [fold_ref]: a change that
+   alters [fold] and the reference together still fails here. *)
+let test_fnv_golden () =
+  let buf = Bytes.init 8192 (fun i -> Char.chr ((i * 31 + 7) land 0xff)) in
+  check_int "whole page" 0x3fa01dc5 (Fnv.sub buf ~off:0 ~len:8192);
+  check_int "unaligned sub-range" 0x0fab2367 (Fnv.sub buf ~off:3 ~len:13)
+
 (* qcheck: the size computed without encoding matches the encoding, and both
    encode paths (fresh string, reusable scratch writer) agree; decode_sub
    reads the record in place at an arbitrary offset. *)
@@ -193,6 +200,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_fnv_word_eq_byte;
     Alcotest.test_case "fnv bounds checks" `Quick test_fnv_bounds;
+    Alcotest.test_case "fnv golden values" `Quick test_fnv_golden;
     QCheck_alcotest.to_alcotest prop_encode_paths_agree;
     Alcotest.test_case "cow read isolation" `Quick test_cow_read_isolation;
     Alcotest.test_case "cow sibling borrows" `Quick test_cow_two_borrows_independent;

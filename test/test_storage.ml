@@ -82,6 +82,47 @@ let test_store_clone () =
   check_int "original moved on" 6 (Page.get_u16 (Page_store.read s pid) 32);
   check_int "clone allocation cursor" (Page_store.allocated_count s) (Page_store.allocated_count c)
 
+(* [clone] shares image bytes, so isolation rests on both stores replacing
+   whole images and on [Page]'s copy-on-write borrows. *)
+let store_with_page () =
+  let s = Page_store.create ~page_size:128 in
+  let pid = Page_store.allocate s Page.Meta in
+  let p = Page.create ~page_size:128 ~pid Page.Meta in
+  Page.set_bytes p ~off:32 "important";
+  Page_store.write s p;
+  (s, pid)
+
+let read_payload s pid = Page.get_bytes (Page_store.read s pid) ~off:32 ~len:9
+
+let expect_corrupt what s pid =
+  match Page_store.read s pid with
+  | _ -> Alcotest.fail (what ^ ": corruption must be detected")
+  | exception Page_store.Corrupt_page p -> check_int (what ^ ": corrupt pid") pid p
+
+let test_store_clone_corrupt_isolated () =
+  let s, pid = store_with_page () in
+  let c = Page_store.clone s in
+  Page_store.corrupt_for_test c pid;
+  expect_corrupt "corrupted clone" c pid;
+  check_str "original still readable" "important" (read_payload s pid);
+  let s, pid = store_with_page () in
+  let c = Page_store.clone s in
+  Page_store.corrupt_for_test s pid;
+  expect_corrupt "corrupted original" s pid;
+  check_str "clone still readable" "important" (read_payload c pid);
+  (* A clone of a corrupted image inherits its unverified state. *)
+  expect_corrupt "clone of a corrupted store" (Page_store.clone s) pid
+
+let test_store_clone_borrow_isolated () =
+  let s, pid = store_with_page () in
+  let c = Page_store.clone s in
+  let borrowed = Page_store.read c pid in
+  check "read lends the stable image" true (Page.is_borrowed borrowed);
+  Page.set_bytes borrowed ~off:32 "scribbled";
+  check "mutation unshared the page" false (Page.is_borrowed borrowed);
+  check_str "clone untouched" "important" (read_payload c pid);
+  check_str "original untouched" "important" (read_payload s pid)
+
 let test_store_note_allocated () =
   let s = Page_store.create ~page_size:128 in
   Page_store.note_allocated s 41;
@@ -141,6 +182,8 @@ let suite =
     Alcotest.test_case "page copy" `Quick test_page_copy_independent;
     Alcotest.test_case "store basics" `Quick test_store_basics;
     Alcotest.test_case "store clone" `Quick test_store_clone;
+    Alcotest.test_case "clone corruption isolated" `Quick test_store_clone_corrupt_isolated;
+    Alcotest.test_case "clone borrow isolated" `Quick test_store_clone_borrow_isolated;
     Alcotest.test_case "store note_allocated" `Quick test_store_note_allocated;
     Alcotest.test_case "store iter" `Quick test_store_iter;
   ]

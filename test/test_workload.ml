@@ -40,6 +40,159 @@ let test_oracle_txn_semantics () =
   Alcotest.(check (list (pair int string))) "sorted entries" [ (5, "other") ]
     (Oracle.committed_entries o ~table:2)
 
+(* Model test: random operation sequences over three tables, checked after
+   every step against a reference [Map] keyed by [(table, key)].  An
+   operation on a transaction that was never begun must raise
+   [Invalid_argument] in the oracle exactly where the model refuses it. *)
+type oracle_op =
+  | Begin of int
+  | Put of int * int * int * string
+  | Delete of int * int * int
+  | Commit of int
+  | Abort of int
+  | Commit_queued of int
+  | Force
+  | Seal
+
+let show_oracle_op = function
+  | Begin txn -> Printf.sprintf "Begin %d" txn
+  | Put (txn, table, key, v) -> Printf.sprintf "Put (%d, %d, %d, %S)" txn table key v
+  | Delete (txn, table, key) -> Printf.sprintf "Delete (%d, %d, %d)" txn table key
+  | Commit txn -> Printf.sprintf "Commit %d" txn
+  | Abort txn -> Printf.sprintf "Abort %d" txn
+  | Commit_queued txn -> Printf.sprintf "Commit_queued %d" txn
+  | Force -> "Force"
+  | Seal -> "Seal"
+
+let model_tables = [ 1; 2; 3 ]
+let model_keys = List.init 12 Fun.id
+
+let oracle_op_gen =
+  let open QCheck2.Gen in
+  let txn = 0 -- 3 and table = oneofl model_tables and key = oneofl model_keys in
+  frequency
+    [
+      (3, map (fun t -> Begin t) txn);
+      ( 8,
+        let* t = txn and* tb = table and* k = key and* v = string_size ~gen:printable (0 -- 3) in
+        return (Put (t, tb, k, v)) );
+      ( 4,
+        let* t = txn and* tb = table and* k = key in
+        return (Delete (t, tb, k)) );
+      (3, map (fun t -> Commit t) txn);
+      (1, map (fun t -> Abort t) txn);
+      (2, map (fun t -> Commit_queued t) txn);
+      (2, return Force);
+      (1, return Seal);
+    ]
+
+module Rows = Map.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+module Txns = Map.Make (Int)
+
+type oracle_model = {
+  rows : string Rows.t;
+  pending : ((int * int) * string option) list Txns.t;  (* newest first *)
+  queued : ((int * int) * string option) list list;  (* newest group first *)
+}
+
+let empty_model = { rows = Rows.empty; pending = Txns.empty; queued = [] }
+
+let apply_group rows group =
+  List.fold_left
+    (fun rows (addr, v) ->
+      match v with Some v -> Rows.add addr v rows | None -> Rows.remove addr rows)
+    rows group
+
+(* [None] where the oracle must refuse the operation. *)
+let model_step m op =
+  let buffered txn w =
+    Option.map
+      (fun ws -> { m with pending = Txns.add txn (w :: ws) m.pending })
+      (Txns.find_opt txn m.pending)
+  in
+  let taken txn f =
+    Option.map
+      (fun ws -> f { m with pending = Txns.remove txn m.pending } (List.rev ws))
+      (Txns.find_opt txn m.pending)
+  in
+  match op with
+  | Begin txn -> Some { m with pending = Txns.add txn [] m.pending }
+  | Put (txn, table, key, v) -> buffered txn ((table, key), Some v)
+  | Delete (txn, table, key) -> buffered txn ((table, key), None)
+  | Commit txn -> taken txn (fun m ws -> { m with rows = apply_group m.rows ws })
+  | Abort txn -> Some { m with pending = Txns.remove txn m.pending }
+  | Commit_queued txn -> taken txn (fun m ws -> { m with queued = ws :: m.queued })
+  | Force ->
+      Some { m with rows = List.fold_left apply_group m.rows (List.rev m.queued); queued = [] }
+  | Seal -> Some m
+
+let oracle_step o = function
+  | Begin txn -> Oracle.begin_txn o txn
+  | Put (txn, table, key, value) -> Oracle.buffer_put o ~txn ~table ~key ~value
+  | Delete (txn, table, key) -> Oracle.buffer_delete o ~txn ~table ~key
+  | Commit txn -> Oracle.commit o ~txn
+  | Abort txn -> Oracle.abort o ~txn
+  | Commit_queued txn -> Oracle.commit_queued o ~txn
+  | Force -> Oracle.force o
+  | Seal -> Oracle.seal o
+
+let oracle_agrees o m =
+  Oracle.queued_commits o = List.length m.queued
+  && List.for_all
+       (fun table ->
+         let expected =
+           Rows.fold (fun (t, k) v acc -> if t = table then (k, v) :: acc else acc) m.rows []
+           |> List.rev
+         in
+         Oracle.committed_entries o ~table = expected
+         && Oracle.entry_count o ~table = List.length expected
+         && List.for_all
+              (fun key ->
+                Oracle.committed_value o ~table ~key = Rows.find_opt (table, key) m.rows)
+              model_keys)
+       model_tables
+
+let oracle_matches_model ops =
+  let o = Oracle.create () in
+  let rec go m = function
+    | [] -> true
+    | op :: rest -> (
+        let refused =
+          match oracle_step o op with () -> false | exception Invalid_argument _ -> true
+        in
+        match model_step m op with
+        | Some m' -> (not refused) && oracle_agrees o m' && go m' rest
+        | None -> refused && oracle_agrees o m && go m rest)
+  in
+  go empty_model ops
+
+let prop_oracle_model =
+  QCheck2.Test.make ~name:"oracle equals a (table, key) map model" ~count:500
+    ~print:(fun ops -> String.concat "; " (List.map show_oracle_op ops))
+    QCheck2.Gen.(list_size (0 -- 60) oracle_op_gen)
+    oracle_matches_model
+
+let test_oracle_model_cases () =
+  check "commit after seal recomputes the sealed entries" true
+    (oracle_matches_model
+       [
+         Begin 0; Put (0, 1, 1, "a"); Put (0, 1, 3, "c"); Commit 0; Seal;
+         Begin 1; Put (1, 1, 2, "b"); Delete (1, 1, 3); Commit 1;
+         Seal; Begin 2; Put (2, 1, 0, "z"); Commit_queued 2; Force;
+       ]);
+  check "a table emptied by deletes" true
+    (oracle_matches_model
+       [
+         Begin 0; Put (0, 2, 4, "x"); Put (0, 2, 5, "y"); Commit 0; Seal;
+         Begin 1; Delete (1, 2, 4); Delete (1, 2, 5); Commit 1; Seal;
+         Begin 2; Put (2, 2, 5, "w"); Commit 2;
+       ])
+
 let small_config =
   { Config.default with Config.page_size = 1024; pool_pages = 32; delta_period = 50; shards = 1 }
 
@@ -93,6 +246,32 @@ let test_driver_load_and_verify () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   check_int "all rows loaded" 500 (Db.entry_count (Driver.db driver) ~table:1)
+
+(* Golden load: the paper's database at 1/512 scale, pinned by row count,
+   log extent and both digests, so a faster load path (oracle, checksum,
+   page store) must leave every byte the engine writes unchanged.  The
+   knobs [Config.default] reads from the environment are pinned here. *)
+let test_golden_paper_load () =
+  let setup = Experiment.paper_setup ~scale:512 ~cache_mb:512 () in
+  let config =
+    {
+      setup.Experiment.config with
+      Config.archive = false;
+      clients = 1;
+      redo_workers = 1;
+      shards = 1;
+      net = false;
+    }
+  in
+  let driver = Driver.create ~config setup.Experiment.spec in
+  let db = Driver.db driver in
+  check_int "rows" 96_163 (Oracle.entry_count (Driver.oracle driver) ~table:1);
+  check_int "log.tc.end_lsn" 27_940_506 (Db.metric db "log.tc.end_lsn");
+  check_int "log.tc.records" 98_689 (Db.metric db "log.tc.records");
+  Alcotest.(check string) "logical digest" "7d139635e47abdd7050405da2b56ce78"
+    (Deut_workload.Client_sched.logical_digest db);
+  Alcotest.(check string) "store digest" "2d3b46588afdb770abb4da75e3cca658"
+    (Experiment.store_digest db)
 
 let test_driver_updates_tracked () =
   let driver = Driver.create ~config:small_config small_spec in
@@ -192,10 +371,13 @@ let test_experiment_tiny () =
 let suite =
   [
     Alcotest.test_case "oracle txn semantics" `Quick test_oracle_txn_semantics;
+    QCheck_alcotest.to_alcotest prop_oracle_model;
+    Alcotest.test_case "oracle model: seal, then mutate" `Quick test_oracle_model_cases;
     Alcotest.test_case "oracle catches a changed value" `Quick test_oracle_catches_changed_value;
     Alcotest.test_case "oracle catches a missing row" `Quick test_oracle_catches_missing_row;
     Alcotest.test_case "oracle catches an extra row" `Quick test_oracle_catches_extra_row;
     Alcotest.test_case "driver load + verify" `Quick test_driver_load_and_verify;
+    Alcotest.test_case "golden paper load" `Quick test_golden_paper_load;
     Alcotest.test_case "driver updates tracked" `Quick test_driver_updates_tracked;
     Alcotest.test_case "driver mixed ops" `Quick test_driver_mixed_ops;
     Alcotest.test_case "crash protocol tail" `Quick test_crash_protocol_tail;
