@@ -10,11 +10,8 @@
                        (default BENCH_recovery.json in the working dir) *)
 
 module Figures = Deut_workload.Figures
-module Client_sched = Deut_workload.Client_sched
 module Experiment = Deut_workload.Experiment
 module Config = Deut_core.Config
-module Recovery = Deut_core.Recovery
-module Rs = Deut_core.Recovery_stats
 
 let scale =
   match Sys.getenv_opt "DEUT_SCALE" with
@@ -67,120 +64,15 @@ let run_section name run renders =
     renders;
   cells
 
-(* One JSON array's elements, each on its own line(s) behind [indent]. *)
-let json_items indent items =
-  let n = List.length items in
-  String.concat ""
-    (List.mapi (fun i s -> indent ^ s ^ if i < n - 1 then ",\n" else "\n") items)
-
 (* Machine-readable summary: wall-clock seconds alongside the key simulated
-   metrics.  Hand-rolled writer with a fixed field order so runs diff
-   cleanly; CI compares every simulated field against
-   baselines/BENCH_recovery_quick.json.  Every string written is a fixed
-   name or a hex digest, so none needs escaping. *)
-
-let write_bench_json ~total_wall_s ~(archiving : Figures.archiving_cell list)
-    ~(availability : Figures.availability_cell list) ~(sharding : Figures.sharding_cell list)
-    ~(domains : Figures.domains_cell) (fig2_cells : Figures.fig2_cell list) =
+   metrics ({!Deut_workload.Bench_summary}); CI compares it against
+   baselines/BENCH_recovery_quick.json with [repro_cli bench-diff]. *)
+let write_bench_json summary =
   let path =
     match Sys.getenv_opt "DEUT_BENCH_JSON" with Some p -> p | None -> "BENCH_recovery.json"
   in
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let sprintf = Printf.sprintf in
-  add "{\n";
-  add "  \"schema\": \"deut-bench-recovery/1\",\n";
-  add "  \"scale\": %d,\n" scale;
-  add "  \"quick\": %b,\n" quick;
-  add "  \"total_wall_s\": %.3f,\n" total_wall_s;
-  add "  \"sections\": [\n%s  ],\n"
-    (json_items "    "
-       (List.rev_map
-          (fun (name, w) -> sprintf "{ \"name\": \"%s\", \"wall_s\": %.3f }" name w)
-          !section_walls));
-  add "  \"archiving\": [\n%s  ],\n"
-    (json_items "    "
-       (List.map
-          (fun (c : Figures.archiving_cell) ->
-            let last = List.nth c.Figures.a_rounds (List.length c.Figures.a_rounds - 1) in
-            sprintf
-              "{ \"archive\": %b, \"rounds\": %d, \"final_logged_kb\": %.1f, \"final_live_kb\": \
-               %.1f, \"final_archived_kb\": %.1f, \"segments\": %d, \"digest\": \"%s\" }"
-              c.Figures.a_archive (List.length c.Figures.a_rounds) last.Figures.ar_logged_kb
-              last.Figures.ar_live_kb last.Figures.ar_archive_kb last.Figures.ar_segments
-              c.Figures.a_digest)
-          archiving));
-  add "  \"availability\": [\n%s  ],\n"
-    (json_items "    "
-       (List.map
-          (fun (c : Figures.availability_cell) ->
-            sprintf
-              "{ \"cache_mb\": %d, \"ttft_ms\": %.3f, \"drained_ms\": %.3f, \"log2_total_ms\": \
-               %.3f, \"speedup\": %.2f, \"pages_ondemand\": %d, \"pages_background\": %d, \
-               \"probe_reads\": %d }"
-              c.Figures.v_cache_mb c.Figures.v_ttft_ms c.Figures.v_drained_ms
-              c.Figures.v_log2_total_ms c.Figures.v_speedup c.Figures.v_pages_ondemand
-              c.Figures.v_pages_background c.Figures.v_probe_reads)
-          availability));
-  add "  \"sharding\": [\n%s  ],\n"
-    (json_items "    "
-       (List.map
-          (fun (c : Figures.sharding_cell) ->
-            let s = c.Figures.sh_stats in
-            sprintf
-              "{ \"shards\": %d, \"clients\": %d, \"txns\": %d, \"makespan_ms\": %.3f, \
-               \"tput_tps\": %.0f, \"net_msgs\": %d, \"recover_shard_ms\": %s, \"digest\": \
-               \"%s\" }"
-              c.Figures.sh_shards c.Figures.sh_clients s.Client_sched.committed_txns
-              s.Client_sched.makespan_ms s.Client_sched.throughput_tps c.Figures.sh_net_msgs
-              (match c.Figures.sh_crash with
-              | Some cr -> sprintf "%.3f" cr.Figures.sc_recover_ms
-              | None -> "null")
-              c.Figures.sh_digest)
-          sharding));
-  add "  \"domains\": {\n";
-  add "    \"requested\": %d,\n" Config.default.Config.domains;
-  add "    \"used\": %d,\n" domains.Figures.dm_domains;
-  add "    \"cores_available\": %d,\n" domains.Figures.dm_cores;
-  add "    \"harness_seq_wall_s\": %.3f,\n" domains.Figures.dm_seq_wall_s;
-  add "    \"harness_par_wall_s\": %.3f,\n" domains.Figures.dm_par_wall_s;
-  add "    \"harness_speedup\": %.2f\n" (Figures.domains_speedup domains);
-  add "  },\n";
-  add "  \"fig2\": [\n%s  ]\n"
-    (json_items "    "
-       (List.map
-          (fun (cell : Figures.fig2_cell) ->
-            let methods =
-              List.map
-                (fun (m, stats) ->
-                  sprintf
-                    "{ \"method\": \"%s\", \"wall_s\": %.4f, \"analysis_ms\": %.3f, \"redo_ms\": \
-                     %.3f, \"undo_ms\": %.3f, \"records_scanned\": %d, \"redo_applied\": %d, \
-                     \"data_page_fetches\": %d, \"log_pages_read\": %d }"
-                    (Recovery.method_to_string m)
-                    (List.assoc m cell.Figures.method_walls)
-                    (Rs.analysis_ms stats) (Rs.redo_ms stats) (Rs.undo_ms stats)
-                    stats.Rs.records_scanned stats.Rs.redo_applied stats.Rs.data_page_fetches
-                    stats.Rs.log_pages_read)
-                cell.Figures.methods
-            in
-            sprintf
-              "{\n\
-              \      \"cache_mb\": %d,\n\
-              \      \"pool_pages\": %d,\n\
-              \      \"db_pages\": %d,\n\
-              \      \"build_wall_s\": %.3f,\n\
-              \      \"methods\": [\n\
-               %s      ]\n\
-              \    }"
-              cell.Figures.cache_mb cell.Figures.pool_pages cell.Figures.db_pages
-              cell.Figures.build_wall_s
-              (json_items "        " methods))
-          fig2_cells));
-  add "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Deut_workload.Bench_summary.to_string summary));
   progress (Printf.sprintf "wrote %s" path)
 
 let () =
@@ -340,5 +232,7 @@ let () =
   section "WALL-CLOCK PER SECTION (real seconds, not simulated)";
   List.iter (fun (name, w) -> Printf.printf "  %-14s %7.2f s\n" name w) (List.rev !section_walls);
   Printf.printf "  %-14s %7.2f s\n" "total" total_wall_s;
-  write_bench_json ~total_wall_s ~archiving:arch_cells ~availability:avail_cells
-    ~sharding:shard_cells ~domains fig2_cells
+  write_bench_json
+    (Deut_workload.Bench_summary.to_json ~scale ~quick ~total_wall_s
+       ~sections:(List.rev !section_walls) ~archiving:arch_cells ~availability:avail_cells
+       ~sharding:shard_cells ~domains fig2_cells)

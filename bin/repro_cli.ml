@@ -21,13 +21,6 @@ let write_file p s =
   output_string oc s;
   close_out oc
 
-let read_file p =
-  let ic = open_in_bin p in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 (* Gates report a violation as "FAIL: ..." and exit 1, whether it is
    found here or raised by a harness runner (oracle mismatch, diverged
    digest, truncated trace). *)
@@ -35,6 +28,16 @@ let or_fail f =
   try f () with Failure msg ->
     Printf.eprintf "FAIL: %s\n" msg;
     exit 1
+
+(* A gate's JSON input, read and decoded; a file that is missing,
+   unreadable or malformed fails the gate like any other violation. *)
+let read_input what decode path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> failwith (Printf.sprintf "cannot read %s: %s" what msg)
+  | text -> (
+      match decode text with
+      | Ok v -> v
+      | Error msg -> failwith (Printf.sprintf "cannot parse %s %s: %s" what path msg))
 
 (* Every size, count and scale the CLI takes must be at least 1; anything
    else is a usage error rather than a crash deep inside a sweep. *)
@@ -410,6 +413,7 @@ let analyze_cmd =
   in
   let run scale cache method_ out trace_out emit_csv check tolerance =
     or_fail @@ fun () ->
+    let baseline = Option.map (fun p -> (p, read_input "baseline" Analysis.of_json p)) check in
     let crash = build_crash ~scale ~cache [ method_ ] in
     recovering ~tracing:true method_;
     let db, stats, tr =
@@ -477,16 +481,9 @@ let analyze_cmd =
         write_file path (Trace.to_chrome_json ~metrics:(Engine.metrics (Db.engine db)) tr);
         Printf.printf "wrote %s\n" path
     | None -> ());
-    match check with
+    match baseline with
     | None -> ()
-    | Some baseline_path ->
-        let baseline =
-          match Analysis.of_json (read_file baseline_path) with
-          | Ok b -> b
-          | Error msg ->
-              Printf.eprintf "FAIL: cannot parse baseline %s: %s\n" baseline_path msg;
-              exit 1
-        in
+    | Some (baseline_path, baseline) ->
         let checks = Analysis.check ~baseline ~current:profile ~tolerance_pct:tolerance in
         print_newline ();
         Printf.printf "regression gate vs %s (tolerance +%g%%):\n" baseline_path tolerance;
@@ -507,6 +504,30 @@ let analyze_cmd =
     Term.(
       const run $ scale_arg $ cache_arg $ method_pos_arg $ out_arg $ trace_out_arg $ csv_arg
       $ check_arg $ tolerance_arg)
+
+let bench_diff_cmd =
+  let file_arg i docv doc = Arg.(required & pos i (some string) None & info [] ~docv ~doc) in
+  let run old_path new_path =
+    or_fail @@ fun () ->
+    let read = read_input "bench summary" Deut_obs.Json.parse in
+    let d = Deut_workload.Bench_summary.diff (read old_path) (read new_path) in
+    List.iter (Printf.printf "  wall clock, not gated: %s\n") d.wall;
+    List.iter print_endline d.simulated;
+    if d.simulated <> [] then
+      failwith
+        (Printf.sprintf "%d simulated field(s) differ from %s" (List.length d.simulated) old_path);
+    Printf.printf "simulated fields match %s\n" old_path
+  in
+  Cmd.v
+    (Cmd.info "bench-diff"
+       ~doc:
+         "Compare two bench summaries (BENCH_recovery.json) field by field.  Lists every \
+          differing path; wall-clock fields are printed old -> new but never gated, and any \
+          other difference (a value, a missing key, a changed list length) exits 1.")
+    Term.(
+      const run
+      $ file_arg 0 "OLD" "The reference summary, e.g. baselines/BENCH_recovery_quick.json."
+      $ file_arg 1 "NEW" "The summary to check.")
 
 let tune_cmd =
   let ints_opt name doc =
@@ -725,6 +746,7 @@ let () =
             crash_cmd;
             trace_cmd;
             analyze_cmd;
+            bench_diff_cmd;
             tune_cmd;
             instant_cmd;
             domains_cmd;

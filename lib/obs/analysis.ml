@@ -408,348 +408,131 @@ let render t =
 
 (* ---------- JSON ---------- *)
 
-let js_f x = Printf.sprintf "%.3f" x
-
-let js_str s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let to_json t =
-  let buf = Buffer.create 2048 in
-  let add = Buffer.add_string buf in
-  add "{\"schema\":1,\"meta\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then add ",";
-      add (js_str k);
-      add ":";
-      add (js_str v))
-    t.meta;
-  add (Printf.sprintf "},\"total_us\":%s,\"phases\":[" (js_f t.total_us));
-  List.iteri
-    (fun i ph ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf
-           "{\"name\":%s,\"start_us\":%s,\"dur_us\":%s,\"stall_us\":%s,\"io_us\":%s,\"overlap_us\":%s,\"compute_us\":%s}"
-           (js_str ph.ph_name) (js_f ph.ph_start_us) (js_f ph.ph_dur_us) (js_f ph.ph_stall_us)
-           (js_f ph.ph_io_us) (js_f ph.ph_overlap_us) (js_f ph.ph_compute_us)))
-    t.phases;
-  add
-    (Printf.sprintf
-       "],\"fetches\":{\"total\":%d,\"data\":%d,\"index\":%d,\"prefetched\":%d,\"demand\":%d}"
-       t.fetch_total t.fetch_data t.fetch_index t.fetch_prefetched t.fetch_demand);
-  add
-    (Printf.sprintf ",\"prefetch\":{\"issued\":%d,\"hit\":%d,\"late\":%d,\"wasted\":%d}"
-       t.pf_issued t.pf_hit t.pf_late t.pf_wasted);
-  add
-    (Printf.sprintf ",\"stalls\":{\"count\":%d,\"total_us\":%s,\"attributed_us\":%s}"
-       t.stall_count (js_f t.stall_total_us) (js_f t.stall_attributed_us));
-  add ",\"sources\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf "{\"device\":%s,\"kind\":%s,\"count\":%d,\"stall_us\":%s}"
-           (js_str s.src_device) (js_str s.src_kind) s.src_count (js_f s.src_stall_us)))
-    t.sources;
-  add
-    (Printf.sprintf "],\"net\":{\"msgs\":%d,\"wire_us\":%s,\"retransmits\":%d,\"sources\":["
-       t.net_msgs (js_f t.net_wire_us) t.net_retransmits);
-  List.iteri
-    (fun i s ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf
-           "{\"request\":%s,\"calls\":%d,\"wait_us\":%s,\"wire_us\":%s,\"retransmits\":%d}"
-           (js_str s.ns_request) s.ns_calls (js_f s.ns_wait_us) (js_f s.ns_wire_us)
-           s.ns_retransmits))
-    t.net_sources;
-  add (Printf.sprintf "]},\"redo_ops\":%d}" t.redo_ops);
-  Buffer.contents buf
-
-(* Minimal JSON reader for our own output (plus hand-edited baselines).  No
-   external dependency is available, so: objects, arrays, strings with the
-   escapes we emit, numbers, true/false/null. *)
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal lit v =
-    if !pos + String.length lit <= n && String.sub s !pos (String.length lit) = lit then begin
-      pos := !pos + String.length lit;
-      v
-    end
-    else fail ("expected " ^ lit)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char buf '"'
-          | Some '\\' -> Buffer.add_char buf '\\'
-          | Some '/' -> Buffer.add_char buf '/'
-          | Some 'n' -> Buffer.add_char buf '\n'
-          | Some 't' -> Buffer.add_char buf '\t'
-          | Some 'r' -> Buffer.add_char buf '\r'
-          | Some 'u' ->
-              if !pos + 4 >= n then fail "bad \\u escape";
-              let hex = String.sub s (!pos + 1) 4 in
-              let code = try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape" in
-              pos := !pos + 4;
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else Buffer.add_char buf '?' (* control chars only in our output *)
-          | _ -> fail "bad escape");
-          advance ();
-          go ()
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Jobj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Jobj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Jarr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Jarr (elements [])
-        end
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some _ -> Jnum (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member name = function
-  | Jobj fields -> (
-      match List.assoc_opt name fields with
-      | Some v -> v
-      | None -> raise (Parse_error ("missing field " ^ name)))
-  | _ -> raise (Parse_error ("expected object around " ^ name))
-
-let to_num name = function
-  | Jnum f -> f
-  | _ -> raise (Parse_error ("expected number for " ^ name))
-
-let to_str name = function
-  | Jstr s -> s
-  | _ -> raise (Parse_error ("expected string for " ^ name))
-
-let num j name = to_num name (member name j)
-let int_ j name = int_of_float (num j name)
-let str j name = to_str name (member name j)
+  let us x = Json.fixed ~decimals:3 x and int = Json.int and str s = Json.Str s in
+  let objs f items = Json.Arr (List.map (fun x -> Json.Obj (f x)) items) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", int 1);
+         ("meta", Json.Obj (List.map (fun (k, v) -> (k, str v)) t.meta));
+         ("total_us", us t.total_us);
+         ( "phases",
+           objs
+             (fun ph ->
+               [ ("name", str ph.ph_name); ("start_us", us ph.ph_start_us);
+                 ("dur_us", us ph.ph_dur_us); ("stall_us", us ph.ph_stall_us);
+                 ("io_us", us ph.ph_io_us); ("overlap_us", us ph.ph_overlap_us);
+                 ("compute_us", us ph.ph_compute_us) ])
+             t.phases );
+         ( "fetches",
+           Json.Obj
+             [ ("total", int t.fetch_total); ("data", int t.fetch_data);
+               ("index", int t.fetch_index); ("prefetched", int t.fetch_prefetched);
+               ("demand", int t.fetch_demand) ] );
+         ( "prefetch",
+           Json.Obj
+             [ ("issued", int t.pf_issued); ("hit", int t.pf_hit); ("late", int t.pf_late);
+               ("wasted", int t.pf_wasted) ] );
+         ( "stalls",
+           Json.Obj
+             [ ("count", int t.stall_count); ("total_us", us t.stall_total_us);
+               ("attributed_us", us t.stall_attributed_us) ] );
+         ( "sources",
+           objs
+             (fun s ->
+               [ ("device", str s.src_device); ("kind", str s.src_kind);
+                 ("count", int s.src_count); ("stall_us", us s.src_stall_us) ])
+             t.sources );
+         ( "net",
+           Json.Obj
+             [ ("msgs", int t.net_msgs); ("wire_us", us t.net_wire_us);
+               ("retransmits", int t.net_retransmits);
+               ( "sources",
+                 objs
+                   (fun s ->
+                     [ ("request", str s.ns_request); ("calls", int s.ns_calls);
+                       ("wait_us", us s.ns_wait_us); ("wire_us", us s.ns_wire_us);
+                       ("retransmits", int s.ns_retransmits) ])
+                   t.net_sources ) ] );
+         ("redo_ops", int t.redo_ops);
+       ])
 
 let of_json text =
-  match parse_json text with
-  | exception Parse_error msg -> Error msg
-  | j -> (
-      try
-        let meta =
-          match member "meta" j with
-          | Jobj fields -> List.map (fun (k, v) -> (k, to_str k v)) fields
-          | _ -> raise (Parse_error "expected object for meta")
-        in
-        let phases =
-          match member "phases" j with
-          | Jarr items ->
-              List.map
-                (fun p ->
-                  {
-                    ph_name = str p "name";
-                    ph_start_us = num p "start_us";
-                    ph_dur_us = num p "dur_us";
-                    ph_stall_us = num p "stall_us";
-                    ph_io_us = num p "io_us";
-                    ph_overlap_us = num p "overlap_us";
-                    ph_compute_us = num p "compute_us";
-                  })
-                items
-          | _ -> raise (Parse_error "expected array for phases")
-        in
-        let sources =
-          match member "sources" j with
-          | Jarr items ->
-              List.map
-                (fun s ->
-                  {
-                    src_device = str s "device";
-                    src_kind = str s "kind";
-                    src_count = int_ s "count";
-                    src_stall_us = num s "stall_us";
-                  })
-                items
-          | _ -> raise (Parse_error "expected array for sources")
-        in
-        let fetches = member "fetches" j and prefetch = member "prefetch" j in
-        let stalls = member "stalls" j in
-        (* Profiles written before the net section existed have no "net"
-           key; read it tolerantly so committed baselines keep parsing. *)
-        let net_msgs, net_wire_us, net_retransmits, net_sources =
-          match try Some (member "net" j) with Parse_error _ -> None with
-          | None -> (0, 0.0, 0, [])
-          | Some nj ->
-              let srcs =
-                match member "sources" nj with
-                | Jarr items ->
-                    List.map
-                      (fun s ->
-                        {
-                          ns_request = str s "request";
-                          ns_calls = int_ s "calls";
-                          ns_wait_us = num s "wait_us";
-                          ns_wire_us = num s "wire_us";
-                          ns_retransmits = int_ s "retransmits";
-                        })
-                      items
-                | _ -> raise (Parse_error "expected array for net sources")
-              in
-              (int_ nj "msgs", num nj "wire_us", int_ nj "retransmits", srcs)
-        in
-        Ok
-          {
-            meta;
-            total_us = num j "total_us";
-            phases;
-            fetch_total = int_ fetches "total";
-            fetch_data = int_ fetches "data";
-            fetch_index = int_ fetches "index";
-            fetch_prefetched = int_ fetches "prefetched";
-            fetch_demand = int_ fetches "demand";
-            pf_issued = int_ prefetch "issued";
-            pf_hit = int_ prefetch "hit";
-            pf_late = int_ prefetch "late";
-            pf_wasted = int_ prefetch "wasted";
-            stall_count = int_ stalls "count";
-            stall_total_us = num stalls "total_us";
-            stall_attributed_us = num stalls "attributed_us";
-            sources;
-            net_msgs;
-            net_wire_us;
-            net_retransmits;
-            net_sources;
-            redo_ops = int_ j "redo_ops";
-          }
-      with Parse_error msg -> Error msg)
+  let num = Json.num and str = Json.str in
+  let int j name = int_of_float (num j name) in
+  let items name j = Json.to_list name (Json.member "sources" j) in
+  Result.bind (Json.parse text) @@ fun j ->
+  try
+    let meta =
+      List.map (fun (k, v) -> (k, Json.to_str k v)) (Json.to_obj "meta" (Json.member "meta" j))
+    in
+    let phase p =
+      { ph_name = str p "name"; ph_start_us = num p "start_us"; ph_dur_us = num p "dur_us";
+        ph_stall_us = num p "stall_us"; ph_io_us = num p "io_us";
+        ph_overlap_us = num p "overlap_us"; ph_compute_us = num p "compute_us" }
+    in
+    let source s =
+      { src_device = str s "device"; src_kind = str s "kind"; src_count = int s "count";
+        src_stall_us = num s "stall_us" }
+    in
+    let net_source s =
+      { ns_request = str s "request"; ns_calls = int s "calls"; ns_wait_us = num s "wait_us";
+        ns_wire_us = num s "wire_us"; ns_retransmits = int s "retransmits" }
+    in
+    let phases = List.map phase (Json.to_list "phases" (Json.member "phases" j)) in
+    let sources = List.map source (items "sources" j) in
+    let fetches = Json.member "fetches" j and prefetch = Json.member "prefetch" j in
+    let stalls = Json.member "stalls" j in
+    (* Profiles written before the net section existed have no "net"
+       key; read it tolerantly so committed baselines keep parsing. *)
+    let net_msgs, net_wire_us, net_retransmits, net_sources =
+      match Json.member "net" j with
+      | exception Json.Parse_error _ -> (0, 0.0, 0, [])
+      | nj ->
+          ( int nj "msgs", num nj "wire_us", int nj "retransmits",
+            List.map net_source (items "net sources" nj) )
+    in
+    Ok
+      {
+        meta;
+        total_us = num j "total_us";
+        phases;
+        fetch_total = int fetches "total";
+        fetch_data = int fetches "data";
+        fetch_index = int fetches "index";
+        fetch_prefetched = int fetches "prefetched";
+        fetch_demand = int fetches "demand";
+        pf_issued = int prefetch "issued";
+        pf_hit = int prefetch "hit";
+        pf_late = int prefetch "late";
+        pf_wasted = int prefetch "wasted";
+        stall_count = int stalls "count";
+        stall_total_us = num stalls "total_us";
+        stall_attributed_us = num stalls "attributed_us";
+        sources;
+        net_msgs;
+        net_wire_us;
+        net_retransmits;
+        net_sources;
+        redo_ops = int j "redo_ops";
+      }
+  with Json.Parse_error msg -> Error msg
 
 (* ---------- CSV ---------- *)
 
 let csv_header = [ "metric"; "value" ]
+let f3 x = Printf.sprintf "%.3f" x
 
 let csv_rows t =
   let scalar name v = [ name; v ] in
   List.concat
     [
       List.map (fun (k, v) -> scalar ("meta." ^ k) v) t.meta;
-      [ scalar "total_us" (js_f t.total_us) ];
+      [ scalar "total_us" (f3 t.total_us) ];
       List.concat_map
         (fun ph ->
-          let p suffix v = scalar (Printf.sprintf "phase.%s.%s" ph.ph_name suffix) (js_f v) in
+          let p suffix v = scalar (Printf.sprintf "phase.%s.%s" ph.ph_name suffix) (f3 v) in
           [
             p "start_us" ph.ph_start_us;
             p "dur_us" ph.ph_dur_us;
@@ -770,24 +553,24 @@ let csv_rows t =
         scalar "prefetch.late" (string_of_int t.pf_late);
         scalar "prefetch.wasted" (string_of_int t.pf_wasted);
         scalar "stall.count" (string_of_int t.stall_count);
-        scalar "stall.total_us" (js_f t.stall_total_us);
-        scalar "stall.attributed_us" (js_f t.stall_attributed_us);
+        scalar "stall.total_us" (f3 t.stall_total_us);
+        scalar "stall.attributed_us" (f3 t.stall_attributed_us);
       ];
       List.map
         (fun s ->
           scalar
             (Printf.sprintf "stall.source.%s.%s_us" s.src_device s.src_kind)
-            (js_f s.src_stall_us))
+            (f3 s.src_stall_us))
         t.sources;
       [
         scalar "net.msgs" (string_of_int t.net_msgs);
-        scalar "net.wire_us" (js_f t.net_wire_us);
+        scalar "net.wire_us" (f3 t.net_wire_us);
         scalar "net.retransmits" (string_of_int t.net_retransmits);
       ];
       List.concat_map
         (fun s ->
           [
-            scalar (Printf.sprintf "net.source.%s.wait_us" s.ns_request) (js_f s.ns_wait_us);
+            scalar (Printf.sprintf "net.source.%s.wait_us" s.ns_request) (f3 s.ns_wait_us);
             scalar
               (Printf.sprintf "net.source.%s.retransmits" s.ns_request)
               (string_of_int s.ns_retransmits);

@@ -103,8 +103,8 @@ val to_json : t -> string
     baseline. *)
 
 val of_json : string -> (t, string) result
-(** Parse [to_json] output (a small self-contained JSON subset reader; no
-    external dependencies).  [Error] describes the first problem found. *)
+(** Parse [to_json] output with {!Json.parse}.  [Error] describes the
+    first problem found. *)
 
 val csv_header : string list
 

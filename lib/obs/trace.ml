@@ -136,48 +136,38 @@ let count t ?kind ?name () =
 
 (* ---------- export ---------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Fixed "%.3f" keeps the output byte-stable across runs: the inputs are
    deterministic doubles from the simulation, so their rounding is too. *)
-let js_ts x = Printf.sprintf "%.3f" x
-
-let args_json args =
-  String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v) args)
+let us x = Json.fixed ~decimals:3 x
 
 let event_json ev =
+  let str s = Json.Str s in
   let common =
-    Printf.sprintf "\"name\":\"%s\",\"cat\":\"%s\",\"pid\":%d,\"tid\":%d,\"ts\":%s"
-      (json_escape ev.name) (json_escape ev.cat) (pid_of_track ev.track) ev.track
-      (js_ts ev.ts)
+    [ ("name", str ev.name); ("cat", str ev.cat); ("pid", Json.int (pid_of_track ev.track));
+      ("tid", Json.int ev.track); ("ts", us ev.ts) ]
   in
-  let tail = match ev.args with [] -> "" | args -> Printf.sprintf ",\"args\":{%s}" (args_json args) in
-  match ev.kind with
-  | Span -> Printf.sprintf "{%s,\"ph\":\"X\",\"dur\":%s%s}" common (js_ts ev.dur) tail
-  | Instant -> Printf.sprintf "{%s,\"ph\":\"i\",\"s\":\"t\"%s}" common tail
-  | Flow_start -> Printf.sprintf "{%s,\"ph\":\"s\",\"id\":%d}" common (flow_id ev)
-  | Flow_step -> Printf.sprintf "{%s,\"ph\":\"t\",\"id\":%d}" common (flow_id ev)
-  | Flow_end -> Printf.sprintf "{%s,\"ph\":\"f\",\"bp\":\"e\",\"id\":%d}" common (flow_id ev)
+  let args =
+    if ev.args = [] then []
+    else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) ev.args)) ]
+  in
+  let id = ("id", Json.int (flow_id ev)) in
+  Json.Obj
+    (common
+    @
+    match ev.kind with
+    | Span -> ("ph", str "X") :: ("dur", us ev.dur) :: args
+    | Instant -> ("ph", str "i") :: ("s", str "t") :: args
+    | Flow_start -> [ ("ph", str "s"); id ]
+    | Flow_step -> [ ("ph", str "t"); id ]
+    | Flow_end -> [ ("ph", str "f"); ("bp", str "e"); id ])
+
+(* A metadata event (ph "M"): lane names and the metrics snapshot. *)
+let metadata ~name ~pid ~tid args =
+  Json.Obj
+    [ ("name", Json.Str name); ("ph", Json.Str "M"); ("pid", Json.int pid); ("tid", Json.int tid);
+      ("args", Json.Obj args) ]
 
 let to_chrome_json ?metrics t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let first = ref true in
-  let emit s =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf s
-  in
   (* Process- and thread-name metadata so Perfetto groups lanes per
      component and labels them: the seven fixed lanes plus any extra lane
      actually present in the events, each under its component's pid. *)
@@ -188,43 +178,35 @@ let to_chrome_json ?metrics t =
   in
   let lanes = List.init 7 Fun.id @ extra in
   let pids = List.sort_uniq compare (List.map pid_of_track lanes) in
-  List.iter
-    (fun pid ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-           pid (pid_name pid)))
-    pids;
-  List.iter
-    (fun tid ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           (pid_of_track tid) tid (track_name tid)))
-    lanes;
+  let label s = [ ("name", Json.Str s) ] in
+  let names =
+    List.map (fun pid -> metadata ~name:"process_name" ~pid ~tid:0 (label (pid_name pid))) pids
+    @ List.map
+        (fun tid -> metadata ~name:"thread_name" ~pid:(pid_of_track tid) ~tid (label (track_name tid)))
+        lanes
+  in
   (* A metrics snapshot rides along as metadata events (ignored by trace
      viewers, read back by tools): one per registered name, in registration
      order so the bytes are stable. *)
-  (match metrics with
-  | None -> ()
-  | Some m ->
-      List.iter
-        (fun name ->
-          let n =
-            match Metrics.find_histogram m name with
-            | Some h -> Printf.sprintf ",\"n\":%d" (Metrics.observations h)
-            | None -> ""
-          in
-          emit
-            (Printf.sprintf
-               "{\"name\":\"metric\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"metric\":\"%s\",\"value\":%s%s}}"
-               (json_escape name)
-               (js_ts (Metrics.read m name))
-               n))
-        (Metrics.names m));
-  List.iter (fun ev -> emit (event_json ev)) evs;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let snapshot m =
+    List.map
+      (fun name ->
+        let n =
+          match Metrics.find_histogram m name with
+          | Some h -> [ ("n", Json.int (Metrics.observations h)) ]
+          | None -> []
+        in
+        metadata ~name:"metric" ~pid:0 ~tid:0
+          (("metric", Json.Str name) :: ("value", us (Metrics.read m name)) :: n))
+      (Metrics.names m)
+  in
+  let metrics = Option.fold ~none:[] ~some:snapshot metrics in
+  Json.to_string
+    (Json.Obj
+       [
+         ("displayTimeUnit", Json.Str "ms");
+         ("traceEvents", Json.Arr (names @ metrics @ List.map event_json evs));
+       ])
 
 (* A dropped event means an export would describe a truncated run; tell
    the operator exactly what capacity to ask for. *)
@@ -243,8 +225,8 @@ let csv_rows t =
   List.map
     (fun ev ->
       [
-        js_ts ev.ts;
-        js_ts ev.dur;
+        Printf.sprintf "%.3f" ev.ts;
+        Printf.sprintf "%.3f" ev.dur;
         (match ev.kind with
         | Span -> "span"
         | Instant -> "instant"

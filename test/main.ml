@@ -25,5 +25,6 @@ let () =
       ("sharding", Test_sharding.suite);
       ("causal", Test_causal.suite);
       ("analysis", Test_analysis.suite);
+      ("json", Test_json.suite);
       ("hotpath", Test_hotpath.suite);
     ]

@@ -168,7 +168,6 @@ let test_json_roundtrip () =
       check_int "fetch counts survive" p.Analysis.fetch_total p'.Analysis.fetch_total;
       check_int "sources survive" (List.length p.Analysis.sources)
         (List.length p'.Analysis.sources));
-  check "garbage rejected" true (Result.is_error (Analysis.of_json "{nope"));
   check "wrong shape rejected" true (Result.is_error (Analysis.of_json "{\"schema\":1}"))
 
 (* ---------- regression gate ---------- *)

@@ -12,6 +12,7 @@ module Driver = Deut_workload.Driver
 module Report = Deut_workload.Report
 module Trace = Deut_obs.Trace
 module Metrics = Deut_obs.Metrics
+module Analysis = Deut_obs.Analysis
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -217,6 +218,42 @@ let test_spans_match_counters () =
         [ "analysis"; "redo"; "undo" ])
     [ Recovery.Log1; Recovery.Sql1 ]
 
+(* ---------- pinned export bytes ---------- *)
+
+(* The exact bytes of both exporters, fixed by their MD5.  The config pins
+   every knob the environment could otherwise reach (DEUT_REDO_WORKERS,
+   DEUT_CLIENTS, DEUT_ARCHIVE, DEUT_SHARDS, DEUT_NET), so the digests hold
+   on every CI leg.  A deliberate format change re-pins them. *)
+let pinned_config =
+  {
+    traced_config with
+    Config.redo_workers = 1;
+    clients = 1;
+    archive = false;
+    shards = 1;
+    net = false;
+  }
+
+let test_export_bytes_pinned () =
+  let driver = Driver.create ~config:pinned_config small_spec in
+  Driver.run_crash_protocol driver ~checkpoints:3 ~interval:300 ~tail:15;
+  Driver.start_loser driver ~ops:8;
+  let image = Driver.crash driver in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (m, want_trace, want_profile) ->
+      let name = Recovery.method_to_string m in
+      let db, _ = Db.recover ~config:pinned_config image m in
+      let tr = Option.get (Engine.trace (Db.engine db)) in
+      check_str (name ^ ": Chrome JSON bytes") want_trace
+        (md5 (Trace.to_chrome_json ~metrics:(Engine.metrics (Db.engine db)) tr));
+      check_str (name ^ ": profile JSON bytes") want_profile
+        (md5 (Analysis.to_json (Analysis.of_trace tr))))
+    [
+      (Recovery.Log2, "0203aa3d406d2f27975450a9ade13c03", "1b0b9f8dfe5b2810e78aeb0ebf494939");
+      (Recovery.Sql2, "d9be57e1dac05dba3e67ab37beaeb8d2", "357a06e9e4ad2a090e2e26f6d7a64c21");
+    ]
+
 (* ---------- histograms ---------- *)
 
 let test_histogram_buckets () =
@@ -260,6 +297,7 @@ let suite =
     Alcotest.test_case "same-seed determinism" `Quick test_traced_recovery_deterministic;
     Alcotest.test_case "chrome JSON well-formed" `Quick test_chrome_json_well_formed;
     Alcotest.test_case "spans match counters" `Quick test_spans_match_counters;
+    Alcotest.test_case "export bytes pinned" `Quick test_export_bytes_pinned;
     Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
     Alcotest.test_case "csv quoting" `Quick test_csv_quoting;
   ]
