@@ -24,7 +24,7 @@ type shard_image = {
 type t = {
   config : Config.t;
   store : Page_store.t;
-  log : Log_manager.t;  (* TC log, truncated to the stable prefix *)
+  log : Log_manager.t;  (* TC log, truncated to the stable prefix or the [upto] cut *)
   dc_log : Log_manager.t option;  (* shard 0's own log in the split layout *)
   master : Lsn.t;
   extra_shards : shard_image array;  (* shards 1..n-1; empty when [shards = 1] *)
@@ -33,12 +33,11 @@ type t = {
          but forensic evidence [repro_cli forensics] prints after the fact *)
 }
 
-(* Single-shard images (the common case, and what the crash-point tests
-   hand-assemble): no siblings. *)
-let make ~config ~store ~log ?dc_log ?flight ~master () =
-  { config; store; log; dc_log; master; extra_shards = [||]; flight }
-
-let capture (engine : Engine.t) =
+(* [upto] cuts the TC log at a record boundary instead of its stable end:
+   a crash right after that append.  Each DC log keeps only its forced
+   prefix either way (SMOs force synchronously, so structure changes are
+   never in a lost tail). *)
+let capture ?upto (engine : Engine.t) =
   let extra_shards =
     Array.init
       (Engine.shard_count engine - 1)
@@ -50,10 +49,11 @@ let capture (engine : Engine.t) =
         })
   in
   let sh0 = Engine.shard engine 0 in
+  let log = engine.Engine.log in
   {
     config = engine.Engine.config;
     store = Page_store.clone sh0.Engine.s_store;
-    log = Log_manager.crash engine.Engine.log;
+    log = Log_manager.crash_at log (Option.value upto ~default:(Log_manager.stable_lsn log));
     dc_log =
       (if Engine.split engine then Some (Log_manager.crash sh0.Engine.s_dc_log) else None);
     master = Tc.master engine.Engine.tc;

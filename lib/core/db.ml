@@ -6,7 +6,6 @@ module Btree = Deut_btree.Btree
 type t = {
   engine : Engine.t;
   mutable crashed : bool;
-  mutable redo_pending : bool;
   (* The instant-recovery session while redo is still pending: keyed
      client operations are gated on it (a touch of a key some loser wrote
      forces rollback first), whole-table scans force rollback outright. *)
@@ -40,10 +39,8 @@ module Txn = struct
   let finished t = t.finished
 end
 
-let create ?(config = Config.default) () =
-  { engine = Engine.fresh config; crashed = false; redo_pending = false; instant_sess = None }
-
-let of_engine engine = { engine; crashed = false; redo_pending = false; instant_sess = None }
+let of_engine engine = { engine; crashed = false; instant_sess = None }
+let create ?(config = Config.default) () = of_engine (Engine.fresh config)
 let engine t = t.engine
 let config t = t.engine.Engine.config
 
@@ -159,7 +156,7 @@ let put t ~table ~key ~value =
    defeating the availability story), and log compaction must not cut
    records the drain still has to read. *)
 let no_maintenance_while_draining t what =
-  if t.redo_pending then
+  if Option.is_some t.instant_sess then
     invalid_arg
       (Printf.sprintf "Db.%s: instant recovery still draining — finish it first" what)
 
@@ -222,7 +219,7 @@ let crash t =
 
 let recover ?config image method_ =
   let engine, stats = Recovery.recover ?config image method_ in
-  ({ engine; crashed = false; redo_pending = false; instant_sess = None }, stats)
+  (of_engine engine, stats)
 
 (* Staged instant recovery: the db is usable immediately; callers
    interleave client work with [instant_step] and close with
@@ -231,15 +228,8 @@ type instant = { i_db : t; i_sess : Recovery.instant }
 
 let recover_instant ?config ?undo_fault_after_clrs image =
   let sess = Recovery.recover_instant ?config ?undo_fault_after_clrs image in
-  let db =
-    {
-      engine = Recovery.instant_engine sess;
-      crashed = false;
-      redo_pending = true;
-      instant_sess = Some sess;
-    }
-  in
-  { i_db = db; i_sess = sess }
+  let db = of_engine (Recovery.instant_engine sess) in
+  { i_db = { db with instant_sess = Some sess }; i_sess = sess }
 
 let instant_db i = i.i_db
 let instant_pending i = Recovery.instant_pending_pages i.i_sess
@@ -248,7 +238,6 @@ let instant_drain i = Recovery.instant_drain i.i_sess
 
 let instant_finish i =
   let stats = Recovery.instant_finish i.i_sess in
-  i.i_db.redo_pending <- false;
   i.i_db.instant_sess <- None;
   stats
 

@@ -263,33 +263,19 @@ let redo_smo t ~lsn ~(smo : Lr.smo) ~dpt_test ~(stats : Recovery_stats.cells) =
             else install_image t ~pid ~image ~lsn)
     smo.Lr.pages
 
-let prune_entry t dpt pid =
-  Dpt.remove dpt pid;
-  match t.trace with
-  | Some tr ->
-      Trace.instant tr ~name:"dpt_prune" ~cat:"recovery" ~track:Trace.track_recovery
-        ~args:[ ("pid", pid) ] ()
-  | None -> ()
-
 let process_delta t ~pf ~prev_delta (d : Lr.delta) =
   let dpt = t.dpt in
   let add_entry pid rlsn = if Dpt.add dpt ~pid ~lsn:rlsn then Ivec.push pf pid in
+  let apply_flush () =
+    if not (Lsn.is_nil d.Lr.fw_lsn) then
+      Array.iter
+        (fun pid -> Dpt.apply_flush ?trace:t.trace dpt ~pid ~fw_lsn:d.Lr.fw_lsn)
+        d.Lr.written
+  in
   if Array.length d.Lr.dirty_lsns > 0 then begin
     (* Appendix D.1 "perfect DPT": exact dirtying LSNs, SQL-grade pruning. *)
     Array.iteri (fun i pid -> add_entry pid d.Lr.dirty_lsns.(i)) d.Lr.dirty;
-    if not (Lsn.is_nil d.Lr.fw_lsn) then
-      Array.iter
-        (fun pid ->
-          match Dpt.find dpt pid with
-          | Some (rlsn, last) ->
-              (* Strict <: FW-LSN is an exclusive end-of-stable-log byte
-                 offset; a record starting at it is not covered by the
-                 interval's first write (see the same fix in Algorithm 3,
-                 recovery.ml). *)
-              if last < d.Lr.fw_lsn then prune_entry t dpt pid
-              else if rlsn < d.Lr.fw_lsn then Dpt.raise_rlsn dpt ~pid ~to_:d.Lr.fw_lsn
-          | None -> ())
-        d.Lr.written
+    apply_flush ()
   end
   else if Lsn.is_nil d.Lr.fw_lsn && Array.length d.Lr.written > 0 then begin
     (* Appendix D.2 reduced logging: no FW-LSN/FirstDirty.  Every dirty
@@ -299,7 +285,7 @@ let process_delta t ~pf ~prev_delta (d : Lr.delta) =
     Array.iter
       (fun pid ->
         match Dpt.find dpt pid with
-        | Some (_, last) when last < prev_delta -> prune_entry t dpt pid
+        | Some (_, last) when last < prev_delta -> Dpt.prune ?trace:t.trace dpt pid
         | Some _ | None -> ())
       d.Lr.written
   end
@@ -309,14 +295,7 @@ let process_delta t ~pf ~prev_delta (d : Lr.delta) =
     Array.iteri
       (fun i pid -> add_entry pid (if i < d.Lr.first_dirty then prev_delta else d.Lr.fw_lsn))
       d.Lr.dirty;
-    if not (Lsn.is_nil d.Lr.fw_lsn) then
-      Array.iter
-        (fun pid ->
-          match Dpt.find dpt pid with
-          | Some (_, last) when last < d.Lr.fw_lsn -> prune_entry t dpt pid
-          | Some (rlsn, _) when rlsn < d.Lr.fw_lsn -> Dpt.raise_rlsn dpt ~pid ~to_:d.Lr.fw_lsn
-          | Some _ | None -> ())
-        d.Lr.written
+    apply_flush ()
   end
 
 let dc_recovery t ~log ~from ~bckpt ~build_dpt ~(stats : Recovery_stats.cells) =

@@ -25,15 +25,15 @@ val add : t -> pid:int -> lsn:Deut_wal.Lsn.t -> bool
 val add_exact : t -> pid:int -> rlsn:Deut_wal.Lsn.t -> last_lsn:Deut_wal.Lsn.t -> unit
 (** Install an entry verbatim (ARIES checkpoint DPT image). *)
 
-val remove : t -> int -> unit
+val prune : ?trace:Deut_obs.Trace.t -> t -> int -> unit
+(** Remove [pid]'s entry, marked by a [dpt_prune] instant on the recovery
+    lane when [trace] is given. *)
 
-val raise_rlsn : t -> pid:int -> to_:Deut_wal.Lsn.t -> unit
-(** Floor the entry's rLSN at [to_] (the FW-LSN adjustment of Algorithms 3
-    and 4); no-op if absent or already higher. *)
-
-val set_last : t -> pid:int -> Deut_wal.Lsn.t -> unit
-
-val iter : t -> (int -> rlsn:Deut_wal.Lsn.t -> last_lsn:Deut_wal.Lsn.t -> unit) -> unit
+val apply_flush : ?trace:Deut_obs.Trace.t -> t -> pid:int -> fw_lsn:Deut_wal.Lsn.t -> unit
+(** The FW-LSN rule of Algorithms 3 and 4 for a page a flush wrote: prune
+    the entry if its lastLSN is below [fw_lsn] (the flush covered every
+    logged update), else floor its rLSN at [fw_lsn].  Strict [<]: FW-LSN
+    is an exclusive byte offset.  No-op if [pid] has no entry. *)
 
 val min_rlsn : t -> Deut_wal.Lsn.t
 (** Smallest rLSN over all entries ([Lsn.nil] if empty) — the ARIES redo

@@ -79,41 +79,26 @@ let scan_log log ~from =
   in
   { records = arr; losers; max_txn = !max_txn }
 
+(* The analysis arm both physiological analyses share: every update, CLR
+   and SMO page is a mention for ADDENTRY. *)
+let add_mentions dpt lsn = function
+  | Lr.Update_rec u -> ignore (Dpt.add dpt ~pid:u.Lr.pid_hint ~lsn)
+  | Lr.Clr c -> ignore (Dpt.add dpt ~pid:c.Lr.pid_hint ~lsn)
+  | Lr.Smo smo -> Array.iter (fun (pid, _) -> ignore (Dpt.add dpt ~pid ~lsn)) smo.Lr.pages
+  | Lr.Commit _ | Lr.Abort _ | Lr.Begin_ckpt | Lr.End_ckpt _ | Lr.Aries_ckpt_dpt _ | Lr.Bw _
+  | Lr.Delta _ ->
+      ()
+
 (* Algorithm 3: SQL Server's analysis pass. *)
 let sql_analysis ?trace log ~from ~(stats : Recovery_stats.cells) =
   let dpt = Dpt.create () in
-  let prune pid =
-    Dpt.remove dpt pid;
-    match trace with
-    | Some tr ->
-        Trace.instant tr ~name:"dpt_prune" ~cat:"recovery" ~track:Trace.track_recovery
-          ~args:[ ("pid", pid) ] ()
-    | None -> ()
-  in
   Log_manager.iter log ~from (fun lsn record ->
       match record with
-      | Lr.Update_rec u -> ignore (Dpt.add dpt ~pid:u.Lr.pid_hint ~lsn)
-      | Lr.Clr c -> ignore (Dpt.add dpt ~pid:c.Lr.pid_hint ~lsn)
-      | Lr.Smo smo -> Array.iter (fun (pid, _) -> ignore (Dpt.add dpt ~pid ~lsn)) smo.Lr.pages
       | Lr.Bw b ->
           Metrics.incr stats.Recovery_stats.bws_seen;
-          Array.iter
-            (fun pid ->
-              match Dpt.find dpt pid with
-              | Some (rlsn, last) ->
-                  (* The paper's Algorithm 3 removes on lastLSN ≤ FW-LSN,
-                     with record-numbered LSNs.  Our LSNs are byte offsets,
-                     so FW-LSN (an end-of-stable-log) is EXCLUSIVE: a
-                     record starting exactly at FW-LSN was appended after
-                     the first write and is not covered by the flush — the
-                     test must be strict.  (Algorithm 4 is already written
-                     with a strict <.) *)
-                  if last < b.Lr.fw_lsn then prune pid
-                  else if rlsn < b.Lr.fw_lsn then Dpt.raise_rlsn dpt ~pid ~to_:b.Lr.fw_lsn
-              | None -> ())
-            b.Lr.written
+          Array.iter (fun pid -> Dpt.apply_flush ?trace dpt ~pid ~fw_lsn:b.Lr.fw_lsn) b.Lr.written
       | Lr.Delta _ -> Metrics.incr stats.Recovery_stats.deltas_seen
-      | Lr.Commit _ | Lr.Abort _ | Lr.Begin_ckpt | Lr.End_ckpt _ | Lr.Aries_ckpt_dpt _ -> ());
+      | _ -> add_mentions dpt lsn record);
   Metrics.add stats.Recovery_stats.dpt_size (Dpt.size dpt);
   dpt
 
@@ -124,9 +109,6 @@ let aries_analysis log ~from ~(stats : Recovery_stats.cells) =
   let seeded = ref false in
   Log_manager.iter log ~from (fun lsn record ->
       match record with
-      | Lr.Update_rec u -> ignore (Dpt.add dpt ~pid:u.Lr.pid_hint ~lsn)
-      | Lr.Clr c -> ignore (Dpt.add dpt ~pid:c.Lr.pid_hint ~lsn)
-      | Lr.Smo smo -> Array.iter (fun (pid, _) -> ignore (Dpt.add dpt ~pid ~lsn)) smo.Lr.pages
       | Lr.Aries_ckpt_dpt { entries } when not !seeded ->
           seeded := true;
           Array.iter
@@ -135,10 +117,9 @@ let aries_analysis log ~from ~(stats : Recovery_stats.cells) =
               | Some (existing_rlsn, _) when existing_rlsn <= rlsn -> ()
               | Some _ | None -> Dpt.add_exact dpt ~pid ~rlsn ~last_lsn)
             entries
-      | Lr.Aries_ckpt_dpt _ -> ()
       | Lr.Bw _ -> Metrics.incr stats.Recovery_stats.bws_seen
       | Lr.Delta _ -> Metrics.incr stats.Recovery_stats.deltas_seen
-      | Lr.Commit _ | Lr.Abort _ | Lr.Begin_ckpt | Lr.End_ckpt _ -> ());
+      | _ -> add_mentions dpt lsn record);
   Metrics.add stats.Recovery_stats.dpt_size (Dpt.size dpt);
   let redo_start =
     let m = Dpt.min_rlsn dpt in
@@ -379,17 +360,20 @@ let redo_pass method_ (engine : Engine.t) (sh : Engine.shard) (scan : scan_resul
 
 (* ---------- The restart steps every driver shares ---------- *)
 
+(* Close a span that opened at [ts0] on the engine's clock. *)
+let close_span (engine : Engine.t) ~name ~cat ~track ?args ~ts0 () =
+  match Engine.trace engine with
+  | Some tr ->
+      Trace.span tr ~name ~cat ~track ~ts:ts0 ~dur:(Clock.now engine.Engine.clock -. ts0) ?args ()
+  | None -> ()
+
 (* Close a phase: a span on the recovery lane, and a flight record so a
    post-crash dump shows how far a recovery got before dying. *)
 let phase (engine : Engine.t) name ~ts0 =
   (match Engine.flight engine with
   | Some f -> Flight.record f ~comp:Flight.tc Flight.Phase name ()
   | None -> ());
-  match Engine.trace engine with
-  | Some tr ->
-      Trace.span tr ~name ~cat:"phase" ~track:Trace.track_recovery ~ts:ts0
-        ~dur:(Clock.now engine.Engine.clock -. ts0) ()
-  | None -> ()
+  close_span engine ~name ~cat:"phase" ~track:Trace.track_recovery ~ts0 ()
 
 (* Run one per-shard step on every shard, overlapped on the clock: rewind
    to the step's start for each shard and resume at the slowest cursor, so
@@ -421,14 +405,6 @@ let begin_replay (engine : Engine.t) =
       Pool.set_lazy_writer_enabled sh.Engine.s_pool false;
       Dc.set_merge_allowed sh.Engine.s_dc false)
     engine.Engine.shards
-
-(* Hand the TC the transaction table the scan rebuilt. *)
-let restore_txn_table (engine : Engine.t) (scan : scan_result) ~bckpt
-    ~(stats : Recovery_stats.cells) =
-  let tc = engine.Engine.tc in
-  Tc.restore_txn_state tc ~losers:scan.losers ~next_txn:(scan.max_txn + 1);
-  Tc.set_master tc bckpt;
-  Metrics.add stats.Recovery_stats.losers (List.length scan.losers)
 
 (* Logical undo of the losers (§2.1, identical across methods) through the
    router, so each compensation reaches whichever shard holds its key —
@@ -480,24 +456,28 @@ let account_io (engine : Engine.t) ~(stats : Recovery_stats.cells) =
   Metrics.add stats.Recovery_stats.prefetch_hits !hits;
   Metrics.add stats.Recovery_stats.stalls !stalls
 
-(* ---------- Offline recovery ---------- *)
-
-(* The restart of §2.1 at any shard count: each shard runs the method's
-   analysis, one sequential scan reads the single TC log, each shard
-   replays its stripe of it through its endpoint, and undo runs once
-   through the router.  The per-shard steps overlap on the clock, which is
-   the point of recovering shards in parallel.  More than one shard forces
-   the split layout, so the methods that need page ids on the TC log are
-   refused by the same check that refuses them in a split single-shard
-   engine. *)
-let recover_offline ?config ?undo_fault_after_clrs image method_ =
+(* The opening every restart shares: instantiate the image, quiesce every
+   shard, run the method's analysis on each (overlapped), then materialise
+   the redo range from the earliest start in one sequential read of the TC
+   log, and hand the TC the transaction table the scan rebuilt.  More than
+   one shard forces the split layout, so the methods that need page ids on
+   the TC log are refused by the same check that refuses them in a split
+   single-shard engine; instant recovery needs one shard.  Returns the
+   engine, its stats, the scan, and the clock at the start of analysis and
+   of the scan. *)
+let open_restart ?config image method_ =
   let engine = Crash_image.instantiate ?config image in
-  if Engine.split engine && not (is_logical method_) then
-    invalid_arg
-      (Printf.sprintf
-         "Recovery.recover: %s needs page ids on the TC log and cannot run in the split-log \
-          layout (§5.1)"
-         (method_to_string method_));
+  (match method_ with
+  | InstantLog2 when Engine.shard_count engine > 1 ->
+      invalid_arg
+        "Recovery.recover_instant: instant recovery needs a single data component (shards = 1)"
+  | _ when Engine.split engine && not (is_logical method_) ->
+      invalid_arg
+        (Printf.sprintf
+           "Recovery.recover: %s needs page ids on the TC log and cannot run in the split-log \
+            layout (§5.1)"
+           (method_to_string method_))
+  | _ -> ());
   let clock = engine.Engine.clock in
   let stats = Recovery_stats.create ~metrics:(Engine.metrics engine) () in
   let bckpt = Crash_image.master image in
@@ -508,11 +488,26 @@ let recover_offline ?config ?undo_fault_after_clrs image method_ =
   let redo_start = Array.fold_left Lsn.min starts.(0) starts in
   Metrics.fset stats.Recovery_stats.analysis_us (Clock.now clock -. t0);
   phase engine "analysis" ~ts0:t0;
-  (* Phase 2+3: materialise the redo range, then redo.  The redo span and
-     [redo_us] both cover the scan. *)
+  (* Phase 2: materialise the redo range. *)
   let t1 = Clock.now clock in
   let scan = scan_log engine.Engine.log ~from:redo_start in
   phase engine "log_scan" ~ts0:t1;
+  Tc.restore_txn_state engine.Engine.tc ~losers:scan.losers ~next_txn:(scan.max_txn + 1);
+  Tc.set_master engine.Engine.tc bckpt;
+  Metrics.add stats.Recovery_stats.losers (List.length scan.losers);
+  (engine, stats, scan, t0, t1)
+
+(* ---------- Offline recovery ---------- *)
+
+(* The restart of §2.1 at any shard count: each shard runs the method's
+   analysis, one sequential scan reads the single TC log, each shard
+   replays its stripe of it through its endpoint, and undo runs once
+   through the router.  The per-shard steps overlap on the clock, which is
+   the point of recovering shards in parallel. *)
+let recover_offline ?config ?undo_fault_after_clrs image method_ =
+  let engine, stats, scan, _, t1 = open_restart ?config image method_ in
+  let clock = engine.Engine.clock in
+  (* Phase 3: redo.  The redo span and [redo_us] both cover the scan. *)
   Metrics.add stats.Recovery_stats.records_scanned (Array.length scan.records);
   ignore (overlapped engine (fun sh -> redo_pass method_ engine sh scan ~stats));
   Metrics.fset stats.Recovery_stats.redo_us (Clock.now clock -. t1);
@@ -520,7 +515,6 @@ let recover_offline ?config ?undo_fault_after_clrs image method_ =
   (* Phase 4: undo.  The tree is fully replayed now; maintenance may
      resume. *)
   Array.iter (fun sh -> Dc.set_merge_allowed sh.Engine.s_dc true) engine.Engine.shards;
-  restore_txn_table engine scan ~bckpt ~stats;
   undo_losers ?fault:undo_fault_after_clrs engine scan.losers ~stats;
   Array.iter (fun sh -> Pool.set_lazy_writer_enabled sh.Engine.s_pool true) engine.Engine.shards;
   account_io engine ~stats;
@@ -590,15 +584,10 @@ let replay_page sess ~background pid =
       Metrics.incr
         (if background then stats.Recovery_stats.pages_background
          else stats.Recovery_stats.pages_ondemand);
-      (match Engine.trace engine with
-      | Some tr ->
-          Trace.span tr ~name:"replay_page" ~cat:"recovery"
-            ~track:(if background then Trace.track_recovery else Trace.track_ondemand)
-            ~ts:t0
-            ~dur:(Clock.now clock -. t0)
-            ~args:[ ("pid", pid); ("records", List.length slice) ]
-            ()
-      | None -> ())
+      close_span engine ~name:"replay_page" ~cat:"recovery"
+        ~track:(if background then Trace.track_recovery else Trace.track_ondemand)
+        ~args:[ ("pid", pid); ("records", List.length slice) ]
+        ~ts0:t0 ()
 
 (* Build the per-page history index on first demand, after the engine is
    already open.  Warms the internal levels with one batched preload so
@@ -638,11 +627,7 @@ let ensure_history sess =
     sess.i_records <- [||];
     sess.i_built <- true;
     sess.i_building <- false;
-    match Engine.trace engine with
-    | Some tr ->
-        Trace.span tr ~name:"history_build" ~cat:"phase" ~track:Trace.track_recovery ~ts:t0
-          ~dur:(Clock.now clock -. t0) ()
-    | None -> ()
+    close_span engine ~name:"history_build" ~cat:"phase" ~track:Trace.track_recovery ~ts0:t0 ()
   end
 
 (* Roll the losers back, once.  Deferred past the open: new transactions
@@ -676,35 +661,19 @@ let instant_force_undo sess = ensure_undo sess
    sequential log scan + the in-memory loser-key walk — no data-page IO at
    all. *)
 let recover_instant ?config ?undo_fault_after_clrs image =
-  let engine = Crash_image.instantiate ?config image in
-  if Engine.shard_count engine > 1 then
-    invalid_arg
-      "Recovery.recover_instant: instant recovery needs a single data component (shards = 1)";
+  (* Analysis runs exactly as Log2's minus the index preload; the per-page
+     index over the scanned redo range is built lazily, on the first page
+     demand.  Merges stay off until the drain completes: a merge would move
+     keys between leaves and invalidate the page slices.  (Splits by
+     admitted transactions are safe — splitting a page first touches it,
+     which replays its slice.) *)
+  let engine, stats, scan, t0, _ = open_restart ?config image InstantLog2 in
   let sh = Engine.shard engine 0 in
   let clock = engine.Engine.clock in
   let tc = engine.Engine.tc in
-  let stats = Recovery_stats.create ~metrics:(Engine.metrics engine) () in
-  let bckpt = Crash_image.master image in
-  (* Merges stay off until the drain completes: a merge would move keys
-     between leaves and invalidate the page slices built below.  (Splits
-     by admitted transactions are safe — splitting a page first touches
-     it, which replays its slice.) *)
-  begin_replay engine;
-  (* Phase 1: analysis, exactly as Log2 minus the index preload. *)
-  let t0 = Clock.now clock in
-  ignore (analyse InstantLog2 engine sh ~bckpt ~stats);
-  Metrics.fset stats.Recovery_stats.analysis_us (Clock.now clock -. t0);
-  phase engine "analysis" ~ts0:t0;
-  (* Phase 2: materialise the redo range (a sequential log read; the
-     per-page index over it is built lazily, on the first page demand). *)
-  let t1 = Clock.now clock in
-  let scan = scan_log engine.Engine.log ~from:bckpt in
-  phase engine "log_scan" ~ts0:t1;
-  (* Restore the transaction table and collect each loser's written keys
-     from its backward chain (in-memory log reads only).  Those keys stay
-     blocked until rollback runs — the lock substitute that lets undo
-     itself move past the open. *)
-  restore_txn_table engine scan ~bckpt ~stats;
+  (* Collect each loser's written keys from its backward chain (in-memory
+     log reads only).  Those keys stay blocked until rollback runs — the
+     lock substitute that lets undo itself move past the open. *)
   let loser_keys : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (txn, last) ->
@@ -784,8 +753,8 @@ let instant_finish sess =
   let stats = sess.i_stats in
   if not sess.i_finished then begin
     sess.i_finished <- true;
-    ensure_history sess;
-    ensure_undo sess;
+    (* The drain's first step also builds the history index and rolls the
+       losers back. *)
     instant_drain sess;
     Pool.set_redo_hook sh.Engine.s_pool None;
     Dc.set_merge_allowed sh.Engine.s_dc true;
@@ -838,10 +807,5 @@ let recover_shard engine i =
   (* Re-seed the end-of-stable-log notifications the shard missed while
      down. *)
   Dc_access.eosl (Engine.router engine).Dc_access.endpoints.(i) (Log_manager.stable_lsn log);
-  match Engine.trace engine with
-  | Some tr ->
-      Trace.span tr ~name:"shard_recovery" ~cat:"shard" ~track:(Trace.track_shard i) ~ts:t0
-        ~dur:(Clock.now clock -. t0)
-        ~args:[ ("shard", i) ]
-        ()
-  | None -> ()
+  close_span engine ~name:"shard_recovery" ~cat:"shard" ~track:(Trace.track_shard i)
+    ~args:[ ("shard", i) ] ~ts0:t0 ()

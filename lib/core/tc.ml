@@ -136,6 +136,29 @@ let commit t router ~txn =
 
 exception Undo_interrupted of int
 
+(* Follow [txn]'s backward chain from [last]: an update goes to [update],
+   then the walk steps to its [prev_lsn]; a CLR goes to [clr], then the
+   walk jumps to its [undo_next].  [before] runs ahead of every step,
+   including the last.  [what] names the caller in the error raised on a
+   record that does not belong to the chain. *)
+let walk_chain ?(before = ignore) t ~what ~txn ~last ~update ~clr =
+  let rec walk lsn =
+    before ();
+    if not (Lsn.is_nil lsn) then
+      match fst (Log_manager.read_at t.log lsn) with
+      | Lr.Update_rec u when u.Lr.txn = txn ->
+          update u;
+          walk u.Lr.prev_lsn
+      | Lr.Clr c when c.Lr.txn = txn ->
+          clr c;
+          walk c.Lr.undo_next
+      | other ->
+          failwith
+            (Printf.sprintf "Tc.%s: unexpected record in txn %d chain: %s" what txn
+               (Lr.describe other))
+  in
+  walk last
+
 (* Walk the backward chain, compensating each update.  CLRs are redo-only:
    their undo-next pointer lets a crash-interrupted undo resume where it
    left off instead of compensating twice. *)
@@ -181,22 +204,7 @@ let undo_txn ?fault_after_clrs t router ~txn ~last =
     | Deut_btree.Btree.Duplicate_key | Deut_btree.Btree.Missing_key ->
         failwith "Tc.undo_txn: compensation rejected — state diverged from the log"
   in
-  let rec walk lsn =
-    maybe_fault ();
-    if not (Lsn.is_nil lsn) then begin
-      let record, _next = Log_manager.read_at t.log lsn in
-      match record with
-      | Lr.Update_rec u when u.Lr.txn = txn ->
-          compensate u;
-          walk u.Lr.prev_lsn
-      | Lr.Clr c when c.Lr.txn = txn -> walk c.Lr.undo_next
-      | other ->
-          failwith
-            (Printf.sprintf "Tc.undo_txn: unexpected record in txn %d chain: %s" txn
-               (Lr.describe other))
-    end
-  in
-  walk last;
+  walk_chain t ~what:"undo_txn" ~before:maybe_fault ~txn ~last ~update:compensate ~clr:ignore;
   ignore (Log_manager.append t.log (Lr.Abort { txn }));
   Hashtbl.remove t.active txn;
   Hashtbl.remove t.starts txn;
@@ -212,21 +220,9 @@ let undo_txn ?fault_after_clrs t router ~txn ~last =
    transactions are admitted. *)
 let loser_keys t ~txn ~last =
   let keys = ref [] in
-  let rec walk lsn =
-    if not (Lsn.is_nil lsn) then
-      match fst (Log_manager.read_at t.log lsn) with
-      | Lr.Update_rec u when u.Lr.txn = txn ->
-          keys := (u.Lr.table, u.Lr.key) :: !keys;
-          walk u.Lr.prev_lsn
-      | Lr.Clr c when c.Lr.txn = txn ->
-          keys := (c.Lr.table, c.Lr.key) :: !keys;
-          walk c.Lr.undo_next
-      | other ->
-          failwith
-            (Printf.sprintf "Tc.loser_keys: unexpected record in txn %d chain: %s" txn
-               (Lr.describe other))
-  in
-  walk last;
+  walk_chain t ~what:"loser_keys" ~txn ~last
+    ~update:(fun u -> keys := (u.Lr.table, u.Lr.key) :: !keys)
+    ~clr:(fun c -> keys := (c.Lr.table, c.Lr.key) :: !keys);
   !keys
 
 let abort t router ~txn =

@@ -237,25 +237,6 @@ let fold t ~from ?upto ~init f =
   iter t ~from ?upto (fun lsn record -> acc := f !acc lsn record);
   !acc
 
-let crash t =
-  {
-    page_size = t.page_size;
-    base = t.base;
-    data = Bytes.sub t.data 0 (t.stable - t.base);
-    len = t.stable;
-    stable = t.stable;
-    records = 0;
-    forces = 0;
-    read_disk = None;
-    trace = None;
-    flight = None;
-    on_append = None;
-    archive = Option.map Archive.crash t.archive;
-    on_archive = None;
-    scratch = Codec.writer ();
-    verified_upto = Stdlib.min t.verified_upto t.stable;
-  }
-
 let crash_at t lsn =
   if lsn < t.base || lsn > t.len then
     invalid_arg
@@ -277,6 +258,8 @@ let crash_at t lsn =
     scratch = Codec.writer ();
     verified_upto = Stdlib.min t.verified_upto lsn;
   }
+
+let crash t = crash_at t t.stable
 
 let compact t ~keep_from =
   if keep_from > t.stable then

@@ -94,30 +94,21 @@ type crash_run = {
    oracle.
 
    The cache is the one structure the domain-parallel harness shares
-   between cells, so it is a monitor: a mutex guards the table, and a
-   [Building] marker parks later requesters of the same setup on a
-   condition variable instead of letting them duplicate a multi-second
-   build.  An LRU list bounds retained crash images ([max_entries]);
-   in-flight builds are never evicted. *)
-type cache_entry = Built of crash_run | Building
-
+   between cells, so a mutex guards the table.  A build runs outside it:
+   no sweep fans two requests for one setup at once (every fan is over
+   distinct cache sizes or multipliers), and if a list repeats a setup it
+   is simply built twice, to the same result.  An LRU list bounds retained
+   crash images ([max_entries]). *)
 type build_cache = {
   mutex : Mutex.t;
-  cond : Condition.t;
-  entries : (scaled, cache_entry) Hashtbl.t;
-  mutable lru : scaled list;  (* [Built] keys, most recently used first *)
+  entries : (scaled, crash_run) Hashtbl.t;
+  mutable lru : scaled list;  (* keys, most recently used first *)
   max_entries : int;
 }
 
 let build_cache ?(max_entries = 16) () : build_cache =
   if max_entries < 1 then invalid_arg "Experiment.build_cache: max_entries must be >= 1";
-  {
-    mutex = Mutex.create ();
-    cond = Condition.create ();
-    entries = Hashtbl.create 8;
-    lru = [];
-    max_entries;
-  }
+  { mutex = Mutex.create (); entries = Hashtbl.create 8; lru = []; max_entries }
 
 let build_uncached scaled =
   let driver = Driver.create ~config:scaled.config scaled.spec in
@@ -157,62 +148,35 @@ let build_uncached scaled =
   run
 
 let drop_cache c =
-  Mutex.lock c.mutex;
-  Hashtbl.reset c.entries;
-  c.lru <- [];
-  (* In-flight builders notice their [Building] marker is gone and return
-     their run without publishing it. *)
-  Condition.broadcast c.cond;
-  Mutex.unlock c.mutex
+  Mutex.protect c.mutex (fun () ->
+      Hashtbl.reset c.entries;
+      c.lru <- [])
 
 let build ?cache scaled =
   match cache with
   | None -> build_uncached scaled
   | Some c -> (
-      let rec acquire () =
-        match Hashtbl.find_opt c.entries scaled with
-        | Some (Built run) ->
-            c.lru <- scaled :: List.filter (fun s -> s <> scaled) c.lru;
-            Some run
-        | Some Building ->
-            Condition.wait c.cond c.mutex;
-            acquire ()
-        | None ->
-            Hashtbl.replace c.entries scaled Building;
-            None
+      let touch () = c.lru <- scaled :: List.filter (fun s -> s <> scaled) c.lru in
+      let cached =
+        Mutex.protect c.mutex (fun () ->
+            let found = Hashtbl.find_opt c.entries scaled in
+            if Option.is_some found then touch ();
+            found)
       in
-      Mutex.lock c.mutex;
-      let cached = acquire () in
-      Mutex.unlock c.mutex;
       match cached with
       | Some run -> run
-      | None -> (
-          match build_uncached scaled with
-          | exception e ->
-              Mutex.lock c.mutex;
-              Hashtbl.remove c.entries scaled;
-              Condition.broadcast c.cond;
-              Mutex.unlock c.mutex;
-              raise e
-          | run ->
-              Mutex.lock c.mutex;
-              (match Hashtbl.find_opt c.entries scaled with
-              | Some Building ->
-                  Hashtbl.replace c.entries scaled (Built run);
-                  c.lru <- scaled :: c.lru;
-                  if List.length c.lru > c.max_entries then (
-                    match List.rev c.lru with
-                    | oldest :: _ ->
-                        Hashtbl.remove c.entries oldest;
-                        c.lru <- List.filter (fun s -> s <> oldest) c.lru
-                    | [] -> ())
-              | Some (Built _) | None ->
-                  (* [drop_cache] raced us, or the marker was cleared;
-                     hand the run to our caller without caching it. *)
-                  ());
-              Condition.broadcast c.cond;
-              Mutex.unlock c.mutex;
-              run))
+      | None ->
+          let run = build_uncached scaled in
+          Mutex.protect c.mutex (fun () ->
+              Hashtbl.replace c.entries scaled run;
+              touch ();
+              if List.length c.lru > c.max_entries then
+                match List.rev c.lru with
+                | oldest :: _ ->
+                    Hashtbl.remove c.entries oldest;
+                    c.lru <- List.filter (fun s -> s <> oldest) c.lru
+                | [] -> ());
+          run)
 
 (* The paper crash (§5.2) at [cache_mb] for recovery with [methods]: fuzzy
    ARIES checkpoints when the physiological baseline is among them,

@@ -51,9 +51,9 @@ type build_cache
 (** Memoizes [build] by setup.  Sound because [build] is deterministic in
     its [scaled] argument; recoveries copy the crash image before mutating
     anything, so a cached run can back any number of them.  Safe to share
-    across domains: a mutex guards the table, a requester of a setup whose
-    build is already in flight waits for it rather than duplicating it, and
-    published runs have sealed oracles (see {!Oracle.seal}).  Costs memory:
+    across domains: a mutex guards the table and published runs have
+    sealed oracles (see {!Oracle.seal}).  Concurrent requests for one
+    setup each build it (no sweep makes them).  Costs memory:
     every cached crash image (store + log) stays live until evicted — an
     LRU bound of [max_entries] caps how many. *)
 

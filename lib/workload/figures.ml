@@ -298,16 +298,14 @@ let run_domains ?(scale = 64) ?(cache_sizes = paper_cache_sizes) ?methods ?domai
   in
   progress
     (Printf.sprintf "domains: sweep at 1 then %d domain(s), %d core(s) available" domains cores);
-  (* Fresh caches on both sides so the parallel run cannot coast on the
-     sequential run's builds. *)
+  (* No build cache: each sweep builds its own crash runs, so the parallel
+     run cannot coast on the sequential run's builds. *)
   let sweep domains =
-    let cache = Experiment.build_cache () in
     let t0 = Unix.gettimeofday () in
-    let cells = run_fig2 ~cache ~scale ~cache_sizes ?methods ~progress ~domains () in
+    let cells = run_fig2 ~scale ~cache_sizes ?methods ~progress ~domains () in
     let wall = Unix.gettimeofday () -. t0 in
     (* Collect this sweep's crash runs outside the timed region, so the
-       next sweep neither pays for that nor builds on top of them. *)
-    Experiment.drop_cache cache;
+       next sweep does not pay for that. *)
     Gc.full_major ();
     (cells, wall)
   in

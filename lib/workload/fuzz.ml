@@ -10,15 +10,12 @@
 module Db = Deut_core.Db
 module Config = Deut_core.Config
 module Engine = Deut_core.Engine
-module Tc = Deut_core.Tc
 module Recovery = Deut_core.Recovery
 module Crash_image = Deut_core.Crash_image
-module Flight = Deut_obs.Flight
 module Rng = Deut_sim.Rng
 module Lr = Deut_wal.Log_record
 module Lsn = Deut_wal.Lsn
 module Log = Deut_wal.Log_manager
-module Page_store = Deut_storage.Page_store
 
 let tables = [ 1; 2 ]
 
@@ -83,38 +80,14 @@ let build_image ?(shards = 1) seed =
   let seen = ref 0 in
   let image = ref None in
   (* Snapshot at an append boundary: everything appended to the TC log so
-     far survives ([crash_at end_lsn]); each DC log keeps only its forced
-     prefix, exactly as a crash there would leave it (SMOs force
-     synchronously, so structure changes are never in the lost tail).
-     The flight recorder rides along, as [Db.crash] would carry it. *)
-  let snapshot () =
-    let extra_shards =
-      Array.init
-        (Engine.shard_count engine - 1)
-        (fun i ->
-          let sh = Engine.shard engine (i + 1) in
-          {
-            Crash_image.sh_store = Page_store.clone sh.Engine.s_store;
-            sh_dc_log = Log.crash sh.Engine.s_dc_log;
-          })
-    in
-    let sh0 = Engine.shard engine 0 in
-    {
-      Crash_image.config = engine.Engine.config;
-      store = Page_store.clone sh0.Engine.s_store;
-      log = Log.crash_at log (Log.end_lsn log);
-      dc_log =
-        (if Engine.split engine then Some (Log.crash sh0.Engine.s_dc_log) else None);
-      master = Tc.master engine.Engine.tc;
-      extra_shards;
-      flight = Option.map Flight.snapshot (Engine.flight engine);
-    }
-  in
+     far survives.  The flight recorder rides along, as [Db.crash] would
+     carry it. *)
   Log.set_append_hook log
     (Some
        (fun _lsn ->
          incr seen;
-         if Rng.int sel_rng !seen = 0 then image := Some (snapshot ())));
+         if Rng.int sel_rng !seen = 0 then
+           image := Some (Crash_image.capture ~upto:(Log.end_lsn log) engine)));
   (* Tracked keys are an approximation of what is present (aborts drift
      it); operations that turn out invalid return a typed error and are
      simply skipped. *)

@@ -12,15 +12,12 @@
 module Db = Deut_core.Db
 module Config = Deut_core.Config
 module Engine = Deut_core.Engine
-module Tc = Deut_core.Tc
 module Recovery = Deut_core.Recovery
 module Recovery_stats = Deut_core.Recovery_stats
 module Crash_image = Deut_core.Crash_image
-module Lr = Deut_wal.Log_record
-module Lsn = Deut_wal.Lsn
+module Fuzz = Deut_workload.Fuzz
 module Log = Deut_wal.Log_manager
 module Archive = Deut_wal.Archive
-module Page_store = Deut_storage.Page_store
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -85,30 +82,13 @@ let setup config =
   Db.create_table db ~table;
   db
 
-(* Committed state implied by a log prefix; [Log.iter ~from:Lsn.nil] spans
-   archive segments and live bytes transparently, so the same fold works on
-   truncated and untruncated images. *)
-let expected_of_log log =
-  let committed = Hashtbl.create 64 in
-  let pending = Hashtbl.create 8 in
-  Log.iter log ~from:Lsn.nil (fun _lsn record ->
-      match record with
-      | Lr.Update_rec u when u.Lr.table = table ->
-          let prior = Option.value (Hashtbl.find_opt pending u.Lr.txn) ~default:[] in
-          Hashtbl.replace pending u.Lr.txn ((u.Lr.key, u.Lr.after) :: prior)
-      | Lr.Commit { txn } ->
-          List.iter
-            (fun (k, after) ->
-              match after with
-              | Some v -> Hashtbl.replace committed k v
-              | None -> Hashtbl.remove committed k)
-            (List.rev (Option.value (Hashtbl.find_opt pending txn) ~default:[]));
-          Hashtbl.remove pending txn
-      | Lr.Abort { txn } -> Hashtbl.remove pending txn
-      | Lr.Update_rec _ | Lr.Clr _ | Lr.Begin_ckpt | Lr.End_ckpt _ | Lr.Aries_ckpt_dpt _
-      | Lr.Bw _ | Lr.Delta _ | Lr.Smo _ ->
-          ());
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) committed [])
+(* The committed table-1 state a log prefix implies; [Log.iter
+   ~from:Lsn.nil] spans archive segments and live bytes transparently, so
+   the same fold works on truncated and untruncated images. *)
+let committed log =
+  List.filter_map
+    (fun ((t, k), v) -> if t = table then Some (k, v) else None)
+    (Fuzz.expected_of_log log)
 
 let show_entries entries =
   String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%d=%s" k v) entries)
@@ -140,10 +120,10 @@ let test_truncated_equals_untruncated () =
       check_int "archive meets the truncation point" (Log.base_lsn image_a.Crash_image.log)
         (Archive.covered_upto a)
   | None -> Alcotest.fail "archiving config produced no archive");
-  let expected = expected_of_log image_u.Crash_image.log in
+  let expected = committed image_u.Crash_image.log in
   check_int "spanning scan sees the same history"
     (List.length expected)
-    (List.length (expected_of_log image_a.Crash_image.log));
+    (List.length (committed image_a.Crash_image.log));
   List.iter
     (fun m ->
       let from_archive = recover_and_dump image_a m in
@@ -169,13 +149,7 @@ let test_crash_during_archiving () =
   Log.set_archive_hook log
     (Some
        (fun step ->
-         images :=
-           ( step,
-             Crash_image.make ~config:engine.Engine.config
-               ~store:(Page_store.clone (Engine.shard engine 0).Engine.s_store)
-               ~log:(Log.crash log)
-               ~master:(Tc.master engine.Engine.tc) () )
-           :: !images));
+         images := (step, Crash_image.capture engine) :: !images));
   Db.compact_log db;
   Log.set_archive_hook log None;
   let images = List.rev !images in
@@ -195,7 +169,7 @@ let test_crash_during_archiving () =
   let db_u = setup base_config in
   run_phase1 db_u;
   let image_u = Db.crash db_u in
-  let expected = expected_of_log image_u.Crash_image.log in
+  let expected = committed image_u.Crash_image.log in
   List.iter
     (fun (step, image) ->
       (match step with
@@ -351,7 +325,7 @@ let test_instant_over_archive () =
   run_phase1 db_u;
   run_tail1 db_u;
   run_tail2 db_u;
-  let expected = expected_of_log (Db.crash db_u).Crash_image.log in
+  let expected = committed (Db.crash db_u).Crash_image.log in
   let inst = Db.recover_instant image in
   let rdb = Db.instant_db inst in
   check "several pages pending at open" true (Db.instant_pending inst >= 4);

@@ -11,13 +11,10 @@
 module Db = Deut_core.Db
 module Config = Deut_core.Config
 module Engine = Deut_core.Engine
-module Tc = Deut_core.Tc
 module Recovery = Deut_core.Recovery
 module Crash_image = Deut_core.Crash_image
-module Lr = Deut_wal.Log_record
-module Lsn = Deut_wal.Lsn
+module Fuzz = Deut_workload.Fuzz
 module Log = Deut_wal.Log_manager
-module Page_store = Deut_storage.Page_store
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -90,44 +87,17 @@ let build_images () =
   let images = ref [] in
   Log.set_append_hook log
     (Some
-       (fun _lsn ->
-         let boundary = Log.end_lsn log in
-         images :=
-           Crash_image.make ~config:engine.Engine.config
-             ~store:(Page_store.clone (Engine.shard engine 0).Engine.s_store)
-             ~log:(Log.crash_at log boundary)
-             ~master:(Tc.master engine.Engine.tc) ()
-           :: !images));
+       (fun _lsn -> images := Crash_image.capture ~upto:(Log.end_lsn log) engine :: !images));
   let records_before = Db.metric db "log.tc.records" in
   run_workload db;
   Log.set_append_hook log None;
   (Db.metric db "log.tc.records" - records_before, List.rev !images)
 
-(* The committed state a prefix of the log implies: buffer each
-   transaction's operations in order, fold them into the committed map on
-   Commit, drop them on Abort.  CLRs are ignored — a loser's updates and
-   its compensations net to nothing. *)
-let expected_of_log log =
-  let committed = Hashtbl.create 64 in
-  let pending = Hashtbl.create 8 in
-  Log.iter log ~from:Lsn.nil (fun _lsn record ->
-      match record with
-      | Lr.Update_rec u when u.Lr.table = table ->
-          let prior = Option.value (Hashtbl.find_opt pending u.Lr.txn) ~default:[] in
-          Hashtbl.replace pending u.Lr.txn ((u.Lr.key, u.Lr.after) :: prior)
-      | Lr.Commit { txn } ->
-          List.iter
-            (fun (k, after) ->
-              match after with
-              | Some v -> Hashtbl.replace committed k v
-              | None -> Hashtbl.remove committed k)
-            (List.rev (Option.value (Hashtbl.find_opt pending txn) ~default:[]));
-          Hashtbl.remove pending txn
-      | Lr.Abort { txn } -> Hashtbl.remove pending txn
-      | Lr.Update_rec _ | Lr.Clr _ | Lr.Begin_ckpt | Lr.End_ckpt _ | Lr.Aries_ckpt_dpt _
-      | Lr.Bw _ | Lr.Delta _ | Lr.Smo _ ->
-          ());
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) committed [])
+(* The committed table-1 state a prefix of the log implies. *)
+let committed log =
+  List.filter_map
+    (fun ((t, k), v) -> if t = table then Some (k, v) else None)
+    (Fuzz.expected_of_log log)
 
 let show_entries entries =
   String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%d=%s" k v) entries)
@@ -138,7 +108,7 @@ let test_every_boundary_every_method () =
   check_int "one image per log record" records_appended (List.length images);
   List.iteri
     (fun idx image ->
-      let expected = expected_of_log image.Crash_image.log in
+      let expected = committed image.Crash_image.log in
       List.iter
         (fun m ->
           let recovered, _stats = Db.recover image m in
@@ -196,7 +166,7 @@ let test_instant_double_crash () =
   List.iter
     (fun idx ->
       let image = images.(idx) in
-      let expected = expected_of_log image.Crash_image.log in
+      let expected = committed image.Crash_image.log in
       let recheck what db =
         let got = Db.dump_table db ~table in
         if got <> expected then

@@ -33,17 +33,25 @@ let test_dpt_structure () =
   | None -> Alcotest.fail "entry missing");
   ignore (Dpt.add d ~pid:2 ~lsn:50);
   check_int "min rlsn" 50 (Dpt.min_rlsn d);
-  Dpt.raise_rlsn d ~pid:2 ~to_:80;
-  check "raise_rlsn floors" true (Dpt.rlsn d 2 = Some 80);
-  Dpt.raise_rlsn d ~pid:2 ~to_:60;
-  check "raise_rlsn never lowers" true (Dpt.rlsn d 2 = Some 80);
-  Dpt.raise_rlsn d ~pid:99 ~to_:10;
-  check "raise of absent is noop" true (Dpt.find d 99 = None);
+  ignore (Dpt.add d ~pid:2 ~lsn:90);
+  (* A flush whose FW-LSN precedes the entry's last update floors its
+     rLSN at FW-LSN. *)
+  Dpt.apply_flush d ~pid:2 ~fw_lsn:80;
+  check "FW-LSN floors rlsn" true (Dpt.rlsn d 2 = Some 80);
+  Dpt.apply_flush d ~pid:2 ~fw_lsn:60;
+  check "FW-LSN never lowers rlsn" true (Dpt.rlsn d 2 = Some 80);
+  Dpt.apply_flush d ~pid:99 ~fw_lsn:10;
+  check "flush of absent is noop" true (Dpt.find d 99 = None);
   Alcotest.(check (list int)) "entries_by_rlsn" [ 2; 1 ] (Dpt.entries_by_rlsn d);
   Alcotest.(check (list (triple int int int)))
-    "sorted entries" [ (1, 100, 200); (2, 80, 50) ] (Dpt.to_sorted_list d);
-  Dpt.remove d 1;
-  check_int "removed" 1 (Dpt.size d)
+    "sorted entries" [ (1, 100, 200); (2, 80, 90) ] (Dpt.to_sorted_list d);
+  (* FW-LSN is exclusive: an update starting exactly at it is not covered. *)
+  Dpt.apply_flush d ~pid:1 ~fw_lsn:200;
+  check "FW-LSN = lastLSN keeps the entry" true (Dpt.find d 1 = Some (200, 200));
+  Dpt.apply_flush d ~pid:1 ~fw_lsn:201;
+  check_int "FW-LSN past lastLSN prunes" 1 (Dpt.size d);
+  Dpt.prune d 2;
+  check_int "pruned" 0 (Dpt.size d)
 
 let update ~lsn:_ ~pid ?(txn = 1) ?(key = 0) () =
   Lr.Update_rec

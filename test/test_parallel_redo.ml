@@ -28,6 +28,8 @@ let small_config ?(tracing = false) ?(workers = 1) () =
     delta_capacity = 64;
     shards = 1;
     redo_workers = workers;
+    (* The network lane would sit beyond the worker lanes. *)
+    net = false;
     tracing;
     trace_capacity = 1 lsl 18;
   }

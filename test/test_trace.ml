@@ -173,16 +173,13 @@ let test_chrome_json_well_formed () =
   | () -> ()
   | exception Failure msg -> Alcotest.failf "exported JSON malformed: %s" msg);
   (* The export carries every buffered event plus one lane-name record per
-     lane — the 7 fixed lanes and any per-worker lane present (parallel
-     redo adds one per worker beyond the first) — plus one process-name
-     record for the single engine pid all those lanes live on (net and
-     shard lanes, absent here, would add their own pids). *)
-  let worker_lanes =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun ev -> if ev.Trace.track > 6 then Some ev.Trace.track else None)
-         (Trace.events tr))
+     lane — the 7 fixed lanes and every other lane an event lands on
+     (parallel-redo workers, the network, shards) — plus one process-name
+     record per pid those lanes live on. *)
+  let lanes =
+    List.sort_uniq compare (List.init 7 Fun.id @ List.map (fun ev -> ev.Trace.track) (Trace.events tr))
   in
+  let pids = List.sort_uniq compare (List.map Trace.pid_of_track lanes) in
   let count_occurrences needle hay =
     let nl = String.length needle and hl = String.length hay in
     let rec go i acc =
@@ -193,7 +190,7 @@ let test_chrome_json_well_formed () =
     go 0 0
   in
   check_int "all events exported"
-    (Trace.length tr + 1 + 7 + List.length worker_lanes)
+    (Trace.length tr + List.length pids + List.length lanes)
     (count_occurrences "\"name\":" json - count_occurrences "\"args\":{\"name\":" json)
 
 let test_spans_match_counters () =
@@ -234,11 +231,14 @@ let pinned_config =
     net = false;
   }
 
-let test_export_bytes_pinned () =
-  let driver = Driver.create ~config:pinned_config small_spec in
+let pinned_crash config =
+  let driver = Driver.create ~config small_spec in
   Driver.run_crash_protocol driver ~checkpoints:3 ~interval:300 ~tail:15;
   Driver.start_loser driver ~ops:8;
-  let image = Driver.crash driver in
+  Driver.crash driver
+
+let test_export_bytes_pinned () =
+  let image = pinned_crash pinned_config in
   let md5 s = Digest.to_hex (Digest.string s) in
   List.iter
     (fun (m, want_trace, want_profile) ->
@@ -253,6 +253,148 @@ let test_export_bytes_pinned () =
       (Recovery.Log2, "0203aa3d406d2f27975450a9ade13c03", "1b0b9f8dfe5b2810e78aeb0ebf494939");
       (Recovery.Sql2, "d9be57e1dac05dba3e67ab37beaeb8d2", "357a06e9e4ad2a090e2e26f6d7a64c21");
     ]
+
+(* ---------- pinned recovery statistics ---------- *)
+
+(* Every method's [Recovery_stats] rendering on the pinned small crash:
+   the seven methods (ARIES-ckpt on the same workload checkpointed the
+   fuzzy ARIES way), Log1 under the perfect and reduced DPT modes of
+   Appendix D, and the logical methods on a four-shard image, whose
+   analysis runs overlapped across shards.  The config pins every knob
+   the environment could reach, so these hold on every CI leg; a change
+   that moves one of these numbers changes the recovery itself. *)
+let golden_stats =
+  [
+      ( "Log0",
+        {|analysis 5.5 ms, redo 515.0 ms, undo 0.0 ms
+records: scanned 355, candidates 308, applied 79, tail 0
+skips: dpt 0, rlsn 0, plsn 229
+fetches: data 124 (stall 500.3 ms), index 2 (stall 8.1 ms), log pages 58
+dpt 0 entries; Δ seen 8, BW seen 7, SMO replayed 0
+prefetch: issued 0, hits 0, stalls 126
+undo: losers 1, CLRs 8|} );
+      ( "Log1",
+        {|analysis 5.5 ms, redo 231.5 ms, undo 0.0 ms
+records: scanned 355, candidates 308, applied 79, tail 38
+skips: dpt 89, rlsn 117, plsn 23
+fetches: data 53 (stall 216.7 ms), index 2 (stall 8.1 ms), log pages 58
+dpt 41 entries; Δ seen 8, BW seen 7, SMO replayed 0
+prefetch: issued 0, hits 0, stalls 55
+undo: losers 1, CLRs 8|} );
+      ( "SQL1",
+        {|analysis 5.5 ms, redo 234.9 ms, undo 0.1 ms
+records: scanned 355, candidates 308, applied 79, tail 0
+skips: dpt 44, rlsn 149, plsn 36
+fetches: data 56 (stall 228.9 ms), index 0 (stall 0.0 ms), log pages 58
+dpt 54 entries; Δ seen 8, BW seen 7, SMO replayed 0
+prefetch: issued 0, hits 0, stalls 56
+undo: losers 1, CLRs 8|} );
+      ( "Log2",
+        {|analysis 13.6 ms, redo 136.7 ms, undo 0.0 ms
+records: scanned 355, candidates 308, applied 79, tail 38
+skips: dpt 89, rlsn 117, plsn 23
+fetches: data 52 (stall 126.0 ms), index 3 (stall 12.2 ms), log pages 58
+dpt 41 entries; Δ seen 8, BW seen 7, SMO replayed 0
+prefetch: issued 39, hits 39, stalls 18
+undo: losers 1, CLRs 8|} );
+      ( "SQL2",
+        {|analysis 5.5 ms, redo 159.6 ms, undo 0.1 ms
+records: scanned 355, candidates 308, applied 79, tail 0
+skips: dpt 44, rlsn 149, plsn 36
+fetches: data 56 (stall 153.6 ms), index 0 (stall 0.0 ms), log pages 58
+dpt 54 entries; Δ seen 8, BW seen 7, SMO replayed 0
+prefetch: issued 52, hits 47, stalls 12
+undo: losers 1, CLRs 8|} );
+      ( "InstantLog2",
+        {|analysis 5.5 ms, redo 217.0 ms, undo 32.6 ms
+records: scanned 355, candidates 308, applied 79, tail 38
+skips: dpt 89, rlsn 117, plsn 23
+fetches: data 51 (stall 207.7 ms), index 3 (stall 12.2 ms), log pages 58
+dpt 41 entries; Δ seen 8, BW seen 7, SMO replayed 0
+prefetch: issued 0, hits 0, stalls 54
+undo: losers 1, CLRs 8
+instant: open at 14.9 ms, drained at 232.0 ms; pages on-demand 8, background 60|} );
+      ( "ARIES-ckpt aries-fuzzy",
+        {|analysis 5.5 ms, redo 546.6 ms, undo 8.1 ms
+records: scanned 462, candidates 399, applied 83, tail 0
+skips: dpt 0, rlsn 33, plsn 283
+fetches: data 138 (stall 548.0 ms), index 0 (stall 0.0 ms), log pages 68
+dpt 68 entries; Δ seen 8, BW seen 8, SMO replayed 0
+prefetch: issued 0, hits 0, stalls 138
+undo: losers 1, CLRs 8|} );
+      ( "Log1 perfect-dpt",
+        {|analysis 5.5 ms, redo 231.6 ms, undo 0.0 ms
+records: scanned 355, candidates 308, applied 79, tail 38
+skips: dpt 89, rlsn 117, plsn 23
+fetches: data 53 (stall 216.7 ms), index 2 (stall 8.1 ms), log pages 60
+dpt 41 entries; Δ seen 8, BW seen 7, SMO replayed 0
+prefetch: issued 0, hits 0, stalls 55
+undo: losers 1, CLRs 8|} );
+      ( "Log1 reduced-dpt",
+        {|analysis 5.5 ms, redo 241.7 ms, undo 0.0 ms
+records: scanned 355, candidates 308, applied 79, tail 38
+skips: dpt 89, rlsn 103, plsn 37
+fetches: data 54 (stall 226.9 ms), index 2 (stall 8.1 ms), log pages 58
+dpt 41 entries; Δ seen 8, BW seen 7, SMO replayed 0
+prefetch: issued 0, hits 0, stalls 56
+undo: losers 1, CLRs 8|} );
+      ( "Log0 4 shards",
+        {|analysis 4.1 ms, redo 192.3 ms, undo 0.0 ms
+records: scanned 340, candidates 308, applied 84, tail 0
+skips: dpt 0, rlsn 0, plsn 224
+fetches: data 165 (stall 612.3 ms), index 8 (stall 32.4 ms), log pages 35
+dpt 0 entries; Δ seen 9, BW seen 9, SMO replayed 0
+prefetch: issued 0, hits 0, stalls 173
+undo: losers 1, CLRs 8|} );
+      ( "Log1 4 shards",
+        {|analysis 4.1 ms, redo 147.7 ms, undo 0.0 ms
+records: scanned 340, candidates 308, applied 84, tail 116
+skips: dpt 24, rlsn 49, plsn 151
+fetches: data 127 (stall 468.5 ms), index 8 (stall 32.4 ms), log pages 35
+dpt 57 entries; Δ seen 9, BW seen 9, SMO replayed 0
+prefetch: issued 0, hits 0, stalls 135
+undo: losers 1, CLRs 8|} );
+      ( "Log2 4 shards",
+        {|analysis 12.2 ms, redo 117.5 ms, undo 0.0 ms
+records: scanned 340, candidates 308, applied 84, tail 116
+skips: dpt 24, rlsn 49, plsn 151
+fetches: data 123 (stall 338.3 ms), index 12 (stall 48.6 ms), log pages 35
+dpt 57 entries; Δ seen 9, BW seen 9, SMO replayed 0
+prefetch: issued 40, hits 40, stalls 97
+undo: losers 1, CLRs 8|} );
+  ]
+
+let test_recovery_stats_pinned () =
+  let images =
+    [
+      ("", pinned_config, Recovery.all_methods_with_instant);
+      ( " aries-fuzzy",
+        { pinned_config with Config.checkpoint_mode = Config.Aries_fuzzy },
+        [ Recovery.Aries_ckpt ] );
+      (" perfect-dpt", { pinned_config with Config.dpt_mode = Config.Perfect }, [ Recovery.Log1 ]);
+      (" reduced-dpt", { pinned_config with Config.dpt_mode = Config.Reduced }, [ Recovery.Log1 ]);
+      ( " 4 shards",
+        { pinned_config with Config.shards = 4 },
+        [ Recovery.Log0; Recovery.Log1; Recovery.Log2 ] );
+    ]
+  in
+  let got =
+    List.concat_map
+      (fun (label, config, methods) ->
+        let image = pinned_crash config in
+        List.map
+          (fun m ->
+            let _, stats = Db.recover image m in
+            (Recovery.method_to_string m ^ label, Recovery_stats.to_string stats))
+          methods)
+      images
+  in
+  check_int "one pin per recovery" (List.length golden_stats) (List.length got);
+  List.iter2
+    (fun (name, want) (got_name, got) ->
+      check_str "recovery label" name got_name;
+      check_str (name ^ ": stats") want got)
+    golden_stats got
 
 (* ---------- histograms ---------- *)
 
@@ -298,6 +440,7 @@ let suite =
     Alcotest.test_case "chrome JSON well-formed" `Quick test_chrome_json_well_formed;
     Alcotest.test_case "spans match counters" `Quick test_spans_match_counters;
     Alcotest.test_case "export bytes pinned" `Quick test_export_bytes_pinned;
+    Alcotest.test_case "recovery stats pinned" `Quick test_recovery_stats_pinned;
     Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
     Alcotest.test_case "csv quoting" `Quick test_csv_quoting;
   ]
