@@ -155,6 +155,16 @@ let tests =
                incr lsn;
                Btree.apply_update tree ~pid ~key ~value:(Printf.sprintf "%020d" key) ~lsn:!lsn
            | _ -> assert false));
+    (* The two verification walks over the whole fixture tree: every page
+       checked once, then every entry folded along the leaf chain. *)
+    Test.make ~name:"btree-check-tree"
+      (Staged.stage (fun () ->
+           let tree, _ = Lazy.force tree_fixture in
+           ignore (Btree.check_tree tree)));
+    Test.make ~name:"btree-fold-entries"
+      (Staged.stage (fun () ->
+           let tree, _ = Lazy.force tree_fixture in
+           Btree.fold_entries tree ~init:0 ~f:(fun n _ v -> n + String.length v)));
     Test.make ~name:"dpt-add-find"
       (let dpt = Dpt.create () in
        Staged.stage (fun () ->

@@ -680,15 +680,21 @@ let metrics_cmd =
     let crash = build_crash ~scale ~cache [ method_ ] in
     recovering ~tracing:false method_;
     let db, _ =
-      Experiment.recover_verified ~config:(profiled_config crash ~tracing:false) crash method_
+      Db.recover ~config:(profiled_config crash ~tracing:false) crash.Experiment.image method_
     in
-    print_string (Metrics.render (Engine.metrics (Db.engine db)))
+    (* Rendered before the oracle check, so the dump holds the recovery's
+       own traffic and not the checker's reads. *)
+    let dump = Metrics.render (Engine.metrics (Db.engine db)) in
+    Experiment.verify
+      ("recovery with " ^ Recovery.method_to_string method_)
+      crash.Experiment.driver db;
+    print_string dump
   in
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
-         "Recover once and dump the engine's metrics registry — the same snapshot \
-          $(b,trace)/$(b,analyze) embed as metadata events in the exported JSON.")
+         "Recover once and dump the engine's metrics registry as the recovery left \
+          it, then verify the recovered state against the oracle.")
     Term.(const run $ scale_arg $ cache_arg $ method_pos_arg)
 
 let forensics_cmd =

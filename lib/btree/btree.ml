@@ -371,10 +371,9 @@ let leftmost_leaf t =
 let fold_entries t ~init ~f =
   let rec walk pid acc =
     let page = Pool.get t.pool pid in
-    let acc = ref acc in
-    Node.iter_leaf page (fun key value -> acc := f !acc key value);
+    let acc = Node.fold_leaf page ~init:acc ~f in
     let next = Node.right_sibling page in
-    if next = Node.no_sibling then !acc else walk next !acc
+    if next = Node.no_sibling then acc else walk next acc
   in
   walk (leftmost_leaf t) init
 
@@ -388,54 +387,55 @@ let leaf_count t =
   in
   walk (leftmost_leaf t) 0
 
+(* One in-order walk.  Each page passes [Node.check] against the
+   separator bounds its parent gives it (lo inclusive, hi exclusive;
+   min_int/max_int act as infinities), and sits one level below its
+   parent.  The walk descends only through a page that passed, so levels
+   strictly fall and it ends on any tree, however corrupt; the first fault
+   ends it.  The leaves arrive in key order, so the sibling chain is checked
+   on the way: each leaf must be the one its predecessor's [right_sibling]
+   names, and the last leaf's must be [no_sibling].  A broken chain is
+   reported only when no page is at fault. *)
 let check_tree t =
-  let problem = ref None in
-  let fail msg = if !problem = None then problem := Some msg in
-  let leaves_in_order = Queue.create () in
-  (* lo inclusive, hi exclusive; min_int/max_int act as infinities. *)
-  let rec walk pid ~expected_level ~lo ~hi =
-    let page = Pool.get t.pool pid in
-    (match Node.check page with
-    | Ok () -> ()
-    | Error msg -> fail (Printf.sprintf "page %d: %s" pid msg));
-    let level = Node.level page in
-    (match expected_level with
-    | Some l when l <> level -> fail (Printf.sprintf "page %d: level %d, expected %d" pid level l)
-    | _ -> ());
-    for i = 0 to Node.nslots page - 1 do
-      let k = Node.slot_key page i in
-      if k < lo || k >= hi then
-        fail (Printf.sprintf "page %d: key %d outside separator bounds [%d,%d)" pid k lo hi)
-    done;
-    if Node.is_leaf page then Queue.push pid leaves_in_order
+  let exception Fault of string in
+  let fault pid msg = raise (Fault (Printf.sprintf "page %d: %s" pid msg)) in
+  let fetch ~parent pid =
+    let unreadable why =
+      raise
+        (Fault
+           (if parent < 0 then Printf.sprintf "root page %d %s" pid why
+            else Printf.sprintf "page %d: child %d %s" parent pid why))
+    in
+    match Pool.get t.pool pid with
+    | page -> page
+    | exception Deut_storage.Page_store.Missing_page _ -> unreadable "is missing from the store"
+    | exception Deut_storage.Page_store.Corrupt_page _ -> unreadable "fails its checksum"
+  in
+  let next_leaf = ref (-1) (* the previous leaf's right_sibling; -1 before the first *) in
+  let chain_ok = ref true in
+  let rec walk ~parent pid ~level ~lo ~hi =
+    let page = fetch ~parent pid in
+    let actual = Node.level page in
+    if level >= 0 && actual <> level then
+      fault pid (Printf.sprintf "level %d, expected %d" actual level);
+    (match Node.check ~lo ~hi page with Ok () -> () | Error msg -> fault pid msg);
+    if actual = 0 then begin
+      if !next_leaf >= 0 && !next_leaf <> pid then chain_ok := false;
+      next_leaf := Node.right_sibling page
+    end
     else begin
       let n = Node.nslots page in
-      if n = 0 then fail (Printf.sprintf "page %d: internal node with no separators" pid)
-      else begin
-        walk (Node.leftmost_child page) ~expected_level:(Some (level - 1)) ~lo
-          ~hi:(Node.slot_key page 0);
-        for i = 0 to n - 1 do
-          let child_lo = Node.slot_key page i in
-          let child_hi = if i = n - 1 then hi else Node.slot_key page (i + 1) in
-          walk (Node.child_at page i) ~expected_level:(Some (level - 1)) ~lo:child_lo ~hi:child_hi
-        done
-      end
+      if n = 0 then fault pid "internal node with no separators";
+      let level = actual - 1 in
+      walk ~parent:pid (Node.leftmost_child page) ~level ~lo ~hi:(Node.slot_key page 0);
+      for i = 0 to n - 1 do
+        let hi = if i = n - 1 then hi else Node.slot_key page (i + 1) in
+        walk ~parent:pid (Node.child_at page i) ~level ~lo:(Node.slot_key page i) ~hi
+      done
     end
   in
-  walk (root_pid t) ~expected_level:None ~lo:min_int ~hi:max_int;
-  (* The sibling chain must enumerate exactly the leaves, in order: walk it
-     in lockstep with the in-order leaves, stopping at the first mismatch. *)
-  let rec chain pid =
-    let page = Pool.get t.pool pid in
-    let next = Node.right_sibling page in
-    if next = Node.no_sibling then Queue.is_empty leaves_in_order
-    else
-      match Queue.take_opt leaves_in_order with
-      | Some expected when Int.equal expected next -> chain next
-      | _ -> false
-  in
-  (match Queue.take_opt leaves_in_order with
-  | None -> fail "tree has no leaves"
-  | Some first ->
-      if not (chain first) then fail "leaf sibling chain disagrees with in-order traversal");
-  match !problem with None -> Ok () | Some msg -> Error msg
+  match walk ~parent:(-1) (root_pid t) ~level:(-1) ~lo:min_int ~hi:max_int with
+  | exception Fault msg -> Error msg
+  | () ->
+      if !chain_ok && !next_leaf = Node.no_sibling then Ok ()
+      else Error "leaf sibling chain disagrees with in-order traversal"

@@ -108,7 +108,10 @@ val fold_entries : t -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
 val entry_count : t -> int
 
 val check_tree : t -> (unit, string) result
-(** Whole-tree structural invariants: per-node layout, level consistency,
-    separator bounds, leaf-chain agreement with in-order traversal. *)
+(** Whole-tree structural invariants, in one walk that reads each page
+    once: per-node layout, level consistency, separator bounds, leaf-chain
+    agreement with in-order traversal.  Total: a corrupt tree, including
+    one whose pages point at missing pages or back up the tree, yields
+    [Error] naming the first fault, never an exception or a hang. *)
 
 val leaf_count : t -> int

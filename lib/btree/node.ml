@@ -167,10 +167,18 @@ let leaf_replace p ~slot ~value =
     end
   end
 
-let iter_leaf p f =
-  for i = 0 to nslots p - 1 do
-    f (slot_key p i) (leaf_value p i)
-  done
+(* The accumulator rides on the recursion, not in a ref: a polymorphic ref
+   pays a [caml_modify] per entry, and a whole-table scan folds every row. *)
+let fold_leaf p ~init ~f =
+  let n = nslots p in
+  let rec go i acc =
+    if i >= n then acc
+    else
+      let off = slot_offset p i in
+      let value = Page.get_bytes p ~off:(off + 10) ~len:(Page.get_u16 p (off + 8)) in
+      go (i + 1) (f acc (Page.get_u64 p off) value)
+  in
+  go 0 init
 
 let child_at p i = Page.get_u32 p (slot_offset p i + 8)
 
@@ -256,20 +264,31 @@ let split_internal src dst =
   compact src;
   promoted
 
-let check p =
+(* One pass over the slot directory: each slot's offset, cell size and key
+   are read once, and only after the header has bounded the directory and
+   the offset has bounded the cell, so no read can leave the page. *)
+let check ?(lo = min_int) ?(hi = max_int) p =
   let n = nslots p in
   let size = Page.size p in
-  let problem = ref None in
-  let fail msg = if !problem = None then problem := Some msg in
-  if cell_start p > size || cell_start p < node_header_end + (2 * n) then
-    fail "cell watermark out of range";
-  for i = 0 to n - 1 do
-    let off = slot_offset p i in
-    if off < cell_start p || off + cell_size_at p i > size then
-      fail (Printf.sprintf "slot %d offset %d out of cell area" i off);
-    if i > 0 && slot_key p (i - 1) >= slot_key p i then
-      fail (Printf.sprintf "keys not strictly ascending at slot %d" i)
-  done;
-  if (not (is_leaf p)) && n > 0 && leftmost_child p = no_sibling then
-    fail "internal node without leftmost child";
-  match !problem with None -> Ok () | Some msg -> Error msg
+  let cs = cell_start p in
+  let leaf = is_leaf p in
+  let rec slots i prev =
+    if i >= n then Ok ()
+    else
+      let off = slot_offset p i in
+      let fixed = if leaf then leaf_cell_size ~value_len:0 else internal_cell_size in
+      if
+        off < cs || off + fixed > size
+        || (leaf && off + leaf_cell_size ~value_len:(Page.get_u16 p (off + 8)) > size)
+      then Error (Printf.sprintf "slot %d offset %d out of cell area" i off)
+      else
+        let k = Page.get_u64 p off in
+        if i > 0 && prev >= k then Error (Printf.sprintf "keys not strictly ascending at slot %d" i)
+        else if k < lo || k >= hi then
+          Error (Printf.sprintf "key %d outside separator bounds [%d,%d)" k lo hi)
+        else slots (i + 1) k
+  in
+  if cs > size || cs < node_header_end + (2 * n) then Error "cell watermark out of range"
+  else if (not leaf) && n > 0 && leftmost_child p = no_sibling then
+    Error "internal node without leftmost child"
+  else slots 0 0

@@ -62,7 +62,8 @@ val leaf_replace : Deut_storage.Page.t -> slot:int -> value:string -> bool
 val leaf_can_replace : Deut_storage.Page.t -> slot:int -> value_len:int -> bool
 (** Would [leaf_replace] with a value of this length succeed? *)
 
-val iter_leaf : Deut_storage.Page.t -> (int -> string -> unit) -> unit
+val fold_leaf : Deut_storage.Page.t -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
+(** Fold the leaf's (key, value) entries in slot (= key) order. *)
 
 (** {2 Internal-node operations} *)
 
@@ -103,6 +104,10 @@ val split_internal : Deut_storage.Page.t -> Deut_storage.Page.t -> int
     retained) and the right node's leftmost child is the promoted key's
     child. *)
 
-val check : Deut_storage.Page.t -> (unit, string) result
-(** Structural invariants: sorted distinct keys, slot offsets within the
-    cell area, watermark consistency. *)
+val check : ?lo:int -> ?hi:int -> Deut_storage.Page.t -> (unit, string) result
+(** Structural invariants: watermark consistency, slot offsets within the
+    cell area, sorted distinct keys, a leftmost child on a non-empty
+    internal node, and every key within the separator bounds [lo, hi)
+    (by default [min_int] and [max_int], the infinities of
+    [Btree.check_tree]).  Reports the first fault found; never reads outside the page,
+    whatever its bytes. *)

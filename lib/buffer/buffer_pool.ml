@@ -4,6 +4,10 @@ module Disk = Deut_sim.Disk
 module Clock = Deut_sim.Clock
 module Lsn = Deut_wal.Lsn
 
+(* Neither pid table is ever iterated, so bucket order cannot leak into
+   behaviour. *)
+module Int_tbl = Deut_sim.Int_tbl
+
 type hooks = {
   on_dirty : pid:int -> lsn:Lsn.t -> unit;
   on_flush : pid:int -> unit;
@@ -51,7 +55,7 @@ type t = {
   clock : Clock.t;
   frames : frame array;
   mutable dirty_frames : int;  (* frames with [dirty] set, kept in step at every transition *)
-  by_pid : (int, int) Hashtbl.t;
+  by_pid : int Int_tbl.t;
   mutable free_slots : int list;
   mutable hand : int;
   mutable writer_hand : int;
@@ -60,7 +64,7 @@ type t = {
          has been dirtied, aged by an update or unpinned since *)
   mutable hooks : hooks;
   mutable cur_epoch : bool;
-  in_flight : (int, float * int) Hashtbl.t;  (* pid -> completion, issuing lane *)
+  in_flight : (float * int) Int_tbl.t;  (* pid -> completion, issuing lane *)
   mutable lane_in_flight : int array;  (* per-lane slice of [in_flight], kept in step *)
   counters : counters;
   mutable trace : Deut_obs.Trace.t option;
@@ -99,14 +103,14 @@ let create ~capacity ?(block_pages = 8) ?(lazy_writer_every = 0) ?(lazy_writer_m
     clock;
     frames = Array.init capacity frame;
     dirty_frames = 0;
-    by_pid = Hashtbl.create (2 * capacity);
+    by_pid = Int_tbl.create (2 * capacity);
     free_slots = List.init capacity Fun.id;
     hand = 0;
     writer_hand = 0;
     writer_idle = false;
     hooks = null_hooks;
     cur_epoch = false;
-    in_flight = Hashtbl.create 64;
+    in_flight = Int_tbl.create 64;
     lane_in_flight = Array.make 8 0;
     counters =
       {
@@ -148,21 +152,21 @@ let reset_counters t =
   c.evictions <- 0;
   c.flushes <- 0
 
-let size t = Hashtbl.length t.by_pid
+let size t = Int_tbl.length t.by_pid
 
 let dirty_count t = t.dirty_frames
 
-let contains t pid = Hashtbl.mem t.by_pid pid
+let contains t pid = Int_tbl.mem t.by_pid pid
 
 let is_dirty t pid =
-  match Hashtbl.find_opt t.by_pid pid with None -> false | Some slot -> t.frames.(slot).dirty
+  match Int_tbl.find_opt t.by_pid pid with None -> false | Some slot -> t.frames.(slot).dirty
 
 (* The prefetcher polls per-lane occupancy on every step, so the per-lane
    counts are maintained on submit/claim/discard instead of folding the
    whole table per call. *)
 let in_flight_count ?lane t =
   match lane with
-  | None -> Hashtbl.length t.in_flight
+  | None -> Int_tbl.length t.in_flight
   | Some l -> if l < Array.length t.lane_in_flight then t.lane_in_flight.(l) else 0
 
 let note_in_flight t lane n =
@@ -177,10 +181,10 @@ let note_in_flight t lane n =
 (* Remove [pid] from the in-flight set (claimed by a fetch or overwritten by
    an install), keeping the lane counters in step. *)
 let drop_in_flight t pid =
-  match Hashtbl.find_opt t.in_flight pid with
+  match Int_tbl.find_opt t.in_flight pid with
   | None -> ()
   | Some (_, lane) ->
-      Hashtbl.remove t.in_flight pid;
+      Int_tbl.remove t.in_flight pid;
       t.lane_in_flight.(lane) <- t.lane_in_flight.(lane) - 1
 
 let set_redo_hook t hook = t.redo_hook <- hook
@@ -226,7 +230,7 @@ let evict_one t =
     end
     else begin
       if f.dirty then flush_frame t f;
-      Hashtbl.remove t.by_pid f.pid;
+      Int_tbl.remove t.by_pid f.pid;
       let slot = if t.hand = 0 then t.capacity - 1 else t.hand - 1 in
       f.pid <- -1;
       f.page <- dummy_page;
@@ -245,7 +249,7 @@ let take_slot t =
 
 let install_frame t page ~dirty =
   let slot =
-    match Hashtbl.find_opt t.by_pid page.Page.pid with Some slot -> slot | None -> take_slot t
+    match Int_tbl.find_opt t.by_pid page.Page.pid with Some slot -> slot | None -> take_slot t
   in
   let f = t.frames.(slot) in
   f.pid <- page.Page.pid;
@@ -255,8 +259,8 @@ let install_frame t page ~dirty =
   f.dirty <- dirty;
   f.epoch <- t.cur_epoch;
   f.ref_bit <- true;
-  f.pins <- (if Hashtbl.mem t.by_pid page.Page.pid then f.pins else 0);
-  Hashtbl.replace t.by_pid page.Page.pid slot;
+  f.pins <- (if Int_tbl.mem t.by_pid page.Page.pid then f.pins else 0);
+  Int_tbl.replace t.by_pid page.Page.pid slot;
   f
 
 (* Background-writer step: flush (without evicting) the next aged dirty
@@ -353,14 +357,14 @@ let note_fetch t ~pid ~start ~prefetched ~late =
 let get t ?(pin = false) pid =
   run_redo_hook t pid;
   let f =
-    match Hashtbl.find_opt t.by_pid pid with
+    match Int_tbl.find_opt t.by_pid pid with
     | Some slot ->
         let f = t.frames.(slot) in
         f.ref_bit <- true;
         t.counters.hits <- t.counters.hits + 1;
         f
     | None -> (
-        match Hashtbl.find_opt t.in_flight pid with
+        match Int_tbl.find_opt t.in_flight pid with
         | Some (completion, _lane) ->
             (* The page was prefetched; wait (if needed) for that IO. *)
             let start = Clock.now t.clock in
@@ -385,7 +389,7 @@ let get t ?(pin = false) pid =
   f.page
 
 let get_if_cached t pid =
-  match Hashtbl.find_opt t.by_pid pid with
+  match Int_tbl.find_opt t.by_pid pid with
   | Some slot ->
       let f = t.frames.(slot) in
       f.ref_bit <- true;
@@ -393,12 +397,12 @@ let get_if_cached t pid =
   | None -> None
 
 let pin t pid =
-  match Hashtbl.find_opt t.by_pid pid with
+  match Int_tbl.find_opt t.by_pid pid with
   | Some slot -> t.frames.(slot).pins <- t.frames.(slot).pins + 1
   | None -> invalid_arg "Buffer_pool.pin: page not cached"
 
 let unpin t pid =
-  match Hashtbl.find_opt t.by_pid pid with
+  match Int_tbl.find_opt t.by_pid pid with
   | Some slot ->
       let f = t.frames.(slot) in
       if f.pins <= 0 then invalid_arg "Buffer_pool.unpin: page not pinned";
@@ -416,7 +420,7 @@ let install t ?event_lsn page ~dirty =
   (* Installing an image over a still-in-flight prefetch discards that
      fetch unread — the profiler counts it toward the wasted class. *)
   (match t.trace with
-  | Some tr when Hashtbl.mem t.in_flight page.Page.pid ->
+  | Some tr when Int_tbl.mem t.in_flight page.Page.pid ->
       Deut_obs.Trace.instant tr ~name:"prefetch_unused" ~cat:"cache"
         ~track:Deut_obs.Trace.track_cache ~args:[ ("pid", page.Page.pid) ] ()
   | _ -> ());
@@ -427,7 +431,7 @@ let install t ?event_lsn page ~dirty =
     t.hooks.on_dirty ~pid:f.pid ~lsn
 
 let mark_dirty_common t ~pid ~stamp ~event_lsn =
-  match Hashtbl.find_opt t.by_pid pid with
+  match Int_tbl.find_opt t.by_pid pid with
   | None -> invalid_arg "Buffer_pool.mark_dirty: page not cached"
   | Some slot ->
       let f = t.frames.(slot) in
@@ -450,7 +454,7 @@ let mark_dirty_dc t ~pid ~dc_lsn ~event_lsn =
 
 let prefetch t ?(lane = 0) pids =
   let wanted =
-    List.filter (fun pid -> not (Hashtbl.mem t.by_pid pid || Hashtbl.mem t.in_flight pid)) pids
+    List.filter (fun pid -> not (Int_tbl.mem t.by_pid pid || Int_tbl.mem t.in_flight pid)) pids
   in
   let budget = t.capacity - size t - in_flight_count t in
   let rec take n = function
@@ -464,7 +468,7 @@ let prefetch t ?(lane = 0) pids =
      cheaper queued-seek cost. *)
   if accepted <> [] then begin
     let completion = Disk.submit_batch_read t.disk accepted in
-    List.iter (fun pid -> Hashtbl.replace t.in_flight pid (completion, lane)) accepted;
+    List.iter (fun pid -> Int_tbl.replace t.in_flight pid (completion, lane)) accepted;
     note_in_flight t lane (List.length accepted);
     t.counters.prefetch_issued <- t.counters.prefetch_issued + List.length accepted;
     match t.trace with
@@ -486,7 +490,7 @@ let prefetch t ?(lane = 0) pids =
   end
 
 let flush_page t pid =
-  match Hashtbl.find_opt t.by_pid pid with
+  match Int_tbl.find_opt t.by_pid pid with
   | None -> invalid_arg "Buffer_pool.flush_page: page not cached"
   | Some slot ->
       let f = t.frames.(slot) in

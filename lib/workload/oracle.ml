@@ -1,12 +1,7 @@
 (* Keys and table ids are plain ints: hashing one is a mask, not a C
    [caml_hash] over a boxed [(table, key)] tuple, and a committed row keeps
    no tuple alive. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k land max_int
-end)
+module Int_tbl = Deut_sim.Int_tbl
 
 type change = Put of string | Remove
 type write = { table : int; key : int; change : change }

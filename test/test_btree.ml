@@ -293,6 +293,128 @@ let test_smo_records_capture_all_touched_pages () =
       | _ -> ());
   check "splits were logged" true (!smo_pages > 10)
 
+(* check_tree on corrupted trees.  Every page stays cached (the pool holds
+   the whole tree), so an edit made to a pooled page is what the checker
+   reads.  Each test breaks one invariant and pins the exact report. *)
+
+let corrupt_fixture ~page_size ~rows =
+  let env, tree = make_tree ~page_size ~capacity:1024 () in
+  for k = 0 to rows - 1 do
+    insert env tree ~key:k ~value:(Printf.sprintf "%08d" k)
+  done;
+  assert_tree tree;
+  (env, tree)
+
+(* Small pages: internal nodes below the root, whose level-1 nodes the
+   level and separator faults target. *)
+let deep_fixture () =
+  let env, tree = corrupt_fixture ~page_size:256 ~rows:2000 in
+  check "height at least 3" true (Btree.height tree >= 3);
+  (env, tree)
+
+(* 5,001 rows under a single internal root. *)
+let flat_fixture () =
+  let env, tree = corrupt_fixture ~page_size:4096 ~rows:5001 in
+  check_int "height 2" 2 (Btree.height tree);
+  (env, tree)
+
+let page env pid = Pool.get env.pool pid
+
+(* The first three leaves, in key order. *)
+let first_leaves env tree =
+  let a = Btree.locate_leaf tree ~key:0 in
+  let b = Node.right_sibling (page env a) in
+  (a, b, Node.right_sibling (page env b))
+
+let level_one env tree =
+  List.find (fun pid -> Node.level (page env pid) = 1) (Btree.internal_pids tree)
+
+let slot_off p i = Page.get_u16 p (Node.node_header_end + (2 * i))
+let set_level p v = Page.set_u16 p Page.header_size v
+let set_nslots p v = Page.set_u16 p (Page.header_size + 2) v
+
+let expect_report tree expected =
+  match Btree.check_tree tree with
+  | Ok () -> Alcotest.failf "corrupt tree passed check_tree (expected %S)" expected
+  | Error msg -> Alcotest.(check string) "check_tree report" expected msg
+
+let chain_report = "leaf sibling chain disagrees with in-order traversal"
+
+let test_check_wrong_sibling () =
+  let env, tree = deep_fixture () in
+  let a, _, c = first_leaves env tree in
+  Node.set_right_sibling (page env a) c;
+  expect_report tree chain_report
+
+let test_check_last_sibling () =
+  let env, tree = deep_fixture () in
+  let last = Btree.locate_leaf tree ~key:1999 in
+  Node.set_right_sibling (page env last) (Btree.locate_leaf tree ~key:0);
+  expect_report tree chain_report
+
+let test_check_key_outside_bounds () =
+  let env, tree = deep_fixture () in
+  let _, b, c = first_leaves env tree in
+  let p = page env b in
+  let lo = Node.slot_key p 0 and hi = Node.slot_key (page env c) 0 in
+  Page.set_u64 p (slot_off p 0) (lo - 1);
+  expect_report tree
+    (Printf.sprintf "page %d: key %d outside separator bounds [%d,%d)" b (lo - 1) lo hi)
+
+let test_check_keys_not_ascending () =
+  let env, tree = deep_fixture () in
+  let _, b, _ = first_leaves env tree in
+  let p = page env b in
+  Page.set_u64 p (slot_off p 2) (Node.slot_key p 1);
+  expect_report tree (Printf.sprintf "page %d: keys not strictly ascending at slot 2" b)
+
+let test_check_slot_offset () =
+  let env, tree = deep_fixture () in
+  let _, b, _ = first_leaves env tree in
+  let p = page env b in
+  Page.set_u16 p (Node.node_header_end + 2) Node.node_header_end;
+  expect_report tree
+    (Printf.sprintf "page %d: slot 1 offset %d out of cell area" b Node.node_header_end)
+
+let test_check_level_mismatch () =
+  let env, tree = deep_fixture () in
+  let pid = level_one env tree in
+  set_level (page env pid) 2;
+  expect_report tree (Printf.sprintf "page %d: level 2, expected 1" pid)
+
+let test_check_no_separators () =
+  let env, tree = deep_fixture () in
+  let pid = level_one env tree in
+  set_nslots (page env pid) 0;
+  expect_report tree (Printf.sprintf "page %d: internal node with no separators" pid)
+
+let test_check_no_leftmost_child () =
+  let env, tree = deep_fixture () in
+  let pid = level_one env tree in
+  Node.set_leftmost_child (page env pid) Node.no_sibling;
+  expect_report tree (Printf.sprintf "page %d: internal node without leftmost child" pid)
+
+(* The faults below made check_tree raise or loop instead of answering. *)
+
+let test_check_missing_child () =
+  let env, tree = flat_fixture () in
+  let root = Btree.root_pid tree in
+  let p = page env root in
+  Page.set_u32 p (slot_off p 0 + 8) 999_999;
+  expect_report tree (Printf.sprintf "page %d: child 999999 is missing from the store" root)
+
+let test_check_huge_nslots () =
+  let env, tree = flat_fixture () in
+  let root = Btree.root_pid tree in
+  set_nslots (page env root) 60_000;
+  expect_report tree (Printf.sprintf "page %d: cell watermark out of range" root)
+
+let test_check_child_cycle () =
+  let env, tree = flat_fixture () in
+  let root = Btree.root_pid tree in
+  Node.set_leftmost_child (page env root) root;
+  expect_report tree (Printf.sprintf "page %d: level 1, expected 0" root)
+
 (* Model-based qcheck: random operation sequences agree with Map. *)
 module IntMap = Map.Make (Int)
 
@@ -368,5 +490,20 @@ let suite =
     Alcotest.test_case "multi-table" `Quick test_multi_table;
     Alcotest.test_case "catalog" `Quick test_catalog;
     Alcotest.test_case "smo records capture pages" `Quick test_smo_records_capture_all_touched_pages;
+    Alcotest.test_case "check_tree: sibling names the wrong leaf" `Quick test_check_wrong_sibling;
+    Alcotest.test_case "check_tree: last leaf has a sibling" `Quick test_check_last_sibling;
+    Alcotest.test_case "check_tree: key outside separator bounds" `Quick
+      test_check_key_outside_bounds;
+    Alcotest.test_case "check_tree: keys not ascending" `Quick test_check_keys_not_ascending;
+    Alcotest.test_case "check_tree: slot offset outside cells" `Quick test_check_slot_offset;
+    Alcotest.test_case "check_tree: level mismatch" `Quick test_check_level_mismatch;
+    Alcotest.test_case "check_tree: internal node without separators" `Quick
+      test_check_no_separators;
+    Alcotest.test_case "check_tree: internal node without leftmost child" `Quick
+      test_check_no_leftmost_child;
+    Alcotest.test_case "check_tree: missing child is an error" `Quick test_check_missing_child;
+    Alcotest.test_case "check_tree: oversized slot count is an error" `Quick
+      test_check_huge_nslots;
+    Alcotest.test_case "check_tree: child cycle ends" `Quick test_check_child_cycle;
     QCheck_alcotest.to_alcotest prop_btree_model;
   ]

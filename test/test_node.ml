@@ -208,10 +208,9 @@ let run_model ops =
       | `Compact -> Node.compact p)
     ops;
   (match Node.check p with Ok () -> () | Error _ -> ok := false);
-  let contents = ref [] in
-  Node.iter_leaf p (fun k v -> contents := (k, v) :: !contents);
+  let contents = Node.fold_leaf p ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
   let expected = List.sort (fun (a, _) (b, _) -> Int.compare a b) !model in
-  !ok && List.rev !contents = expected
+  !ok && List.rev contents = expected
 
 let prop_node_model =
   QCheck2.Test.make ~name:"slotted leaf agrees with assoc-list model" ~count:300 model_ops_gen
