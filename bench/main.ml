@@ -7,19 +7,31 @@
                        bigger experiment; see DESIGN.md §1)
      DEUT_QUICK        if set, runs a reduced sweep for smoke-testing
      DEUT_BENCH_JSON   output path for the machine-readable run summary
-                       (default BENCH_recovery.json in the working dir) *)
+                       (default BENCH_recovery.json in the working dir)
+   plus the engine knobs of [Config.of_env], read once and passed down. *)
 
 module Figures = Deut_workload.Figures
 module Experiment = Deut_workload.Experiment
 module Config = Deut_core.Config
 
+let progress msg = Printf.eprintf "[bench] %s\n%!" msg
+
+(* A malformed knob stops the harness before it starts. *)
+let usage_error msg =
+  Printf.eprintf "bench: %s\n" msg;
+  exit 2
+
+let config = try Config.of_env Config.default with Invalid_argument msg -> usage_error msg
+
 let scale =
-  match Sys.getenv_opt "DEUT_SCALE" with
-  | Some s -> ( try max 8 (int_of_string s) with _ -> 64)
-  | None -> 64
+  match Option.map String.trim (Sys.getenv_opt "DEUT_SCALE") with
+  | None | Some "" -> 64
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n -> max 8 n
+      | None -> usage_error (Printf.sprintf "DEUT_SCALE=%S: expected an integer" s))
 
 let quick = Sys.getenv_opt "DEUT_QUICK" <> None
-let progress msg = Printf.eprintf "[bench] %s\n%!" msg
 
 (* The workload is allocation-heavy (every insert encodes a log record;
    every flush stamps a page image), so a minor heap sized for interactive
@@ -88,7 +100,7 @@ let () =
   let cache_sizes = if quick then [ 64; 512; 2048 ] else [ 64; 128; 256; 512; 1024; 2048 ] in
   let fig2_cells =
     run_section "fig2"
-      (fun () -> Figures.run_fig2 ~cache ~scale ~cache_sizes ~progress ())
+      (fun () -> Figures.run_fig2 ~cache ~scale ~cache_sizes ~progress ~config ())
       [
         ("FIGURE 2(a)", Figures.fig2a);
         ("FIGURE 2(b)", Figures.fig2b);
@@ -103,18 +115,18 @@ let () =
   let multipliers = if quick then [ 1; 5 ] else [ 1; 5; 10 ] in
   ignore
     (run_section "fig3"
-       (fun () -> Figures.run_fig3 ~cache ~scale ~multipliers ~progress ())
+       (fun () -> Figures.run_fig3 ~cache ~scale ~multipliers ~progress ~config ())
        [ ("FIGURE 3 (APPENDIX C)", Figures.fig3) ]);
 
   (* Appendix D ablations, then the split-log layout: the Deuteronomy
      architecture proper (§4.2). *)
   ignore
     (run_section "appd"
-       (fun () -> Figures.run_appd ~cache ~scale ~progress ())
+       (fun () -> Figures.run_appd ~cache ~scale ~progress ~config ())
        [ ("APPENDIX D ABLATIONS", Figures.appd) ]);
   ignore
     (run_section "split"
-       (fun () -> Figures.run_split ~cache ~scale ~progress ())
+       (fun () -> Figures.run_split ~cache ~scale ~progress ~config ())
        [ ("SPLIT-LOG LAYOUT (§4.2)", Figures.split_table) ]);
 
   (* Partitioned parallel redo: worker-count sweep at an IO-bound (small)
@@ -124,7 +136,8 @@ let () =
   ignore
     (run_section "workers"
        (fun () ->
-         Figures.run_workers ~cache ~scale ~cache_sizes:workers_cache_sizes ~workers ~progress ())
+         Figures.run_workers ~cache ~scale ~cache_sizes:workers_cache_sizes ~workers ~progress
+           ~config ())
        [ ("PARALLEL REDO", Figures.workers_table) ]);
 
   (* Real multicore: the Figure 2 sweep run sequentially and fanned across
@@ -138,7 +151,7 @@ let () =
   let domains_cache_sizes = if quick then [ 64; 128 ] else [ 64; 128; 256; 512 ] in
   let domains =
     run_section "domains"
-      (fun () -> Figures.run_domains ~scale ~cache_sizes:domains_cache_sizes ~progress ())
+      (fun () -> Figures.run_domains ~scale ~cache_sizes:domains_cache_sizes ~progress ~config ())
       [
         ( "DOMAINS (real multicore)",
           fun d ->
@@ -148,7 +161,7 @@ let () =
                identical: true\n\
               \  (simulated times and digests are byte-identical by construction;\n\
               \   wall-clock speedup tracks the machine's real core count)\n"
-              d.Figures.dm_cores d.Figures.dm_domains Config.default.Config.domains
+              d.Figures.dm_cores d.Figures.dm_domains config.Config.domains
               d.Figures.dm_seq_wall_s d.Figures.dm_par_wall_s (Figures.domains_speedup d) );
       ]
   in
@@ -163,7 +176,7 @@ let () =
     (run_section "concurrency"
        (fun () ->
          Figures.run_concurrency ~scale ~clients:conc_clients ~group_commits:conc_groups
-           ~txns:conc_txns ~progress ())
+           ~txns:conc_txns ~progress ~config ())
        [ ("CONCURRENCY", Figures.concurrency_table) ]);
 
   (* Sharding: one TC driving N data components through the Dc_access
@@ -177,7 +190,7 @@ let () =
     run_section "sharding"
       (fun () ->
         Figures.run_sharding ~scale ~shards:shard_counts ~clients:shard_clients ~txns:shard_txns
-          ~progress ())
+          ~progress ~config ())
       [ ("SHARDING", Figures.sharding_table) ]
   in
 
@@ -191,7 +204,8 @@ let () =
   let arch_cells =
     run_section "archiving"
       (fun () ->
-        Figures.run_archiving ~scale ~rounds:arch_rounds ~txns_per_round:arch_txns ~progress ())
+        Figures.run_archiving ~scale ~rounds:arch_rounds ~txns_per_round:arch_txns ~progress
+          ~config ())
       [ ("ARCHIVING", Figures.archiving_table) ]
   in
 
@@ -200,7 +214,7 @@ let () =
      Log2 at every cache size) before reporting the TTFT / drain split. *)
   let avail_cells =
     run_section "availability"
-      (fun () -> Figures.run_availability ~cache ~scale ~cache_sizes ~progress ())
+      (fun () -> Figures.run_availability ~cache ~scale ~cache_sizes ~progress ~config ())
       [ ("INSTANT RECOVERY (AVAILABILITY)", Figures.availability_table) ]
   in
 
@@ -216,7 +230,7 @@ let () =
     (run_section "tuning"
        (fun () ->
          Figures.run_tuning ~cache ~scale ~cache_sizes:tune_caches ~windows:tune_windows
-           ~chunks:tune_chunks ~lookaheads:tune_lookaheads ~progress ())
+           ~chunks:tune_chunks ~lookaheads:tune_lookaheads ~progress ~config ())
        [ ("PREFETCH TUNING", Figures.tuning_table) ]);
 
   (* Bechamel micro-benchmarks: wall-clock cost of the engine's hot paths.
@@ -226,13 +240,14 @@ let () =
   Experiment.drop_cache cache;
   Gc.compact ();
   ignore
-    (run_section "micro" Micro.run [ ("MICRO-BENCHMARKS (Bechamel, wall clock)", Fun.id) ]);
+    (run_section "micro" (Micro.run ~quick)
+       [ ("MICRO-BENCHMARKS (Bechamel, wall clock)", Fun.id) ]);
 
   let total_wall_s = Unix.gettimeofday () -. harness_t0 in
   section "WALL-CLOCK PER SECTION (real seconds, not simulated)";
   List.iter (fun (name, w) -> Printf.printf "  %-14s %7.2f s\n" name w) (List.rev !section_walls);
   Printf.printf "  %-14s %7.2f s\n" "total" total_wall_s;
   write_bench_json
-    (Deut_workload.Bench_summary.to_json ~scale ~quick ~total_wall_s
+    (Deut_workload.Bench_summary.to_json ~config ~scale ~quick ~total_wall_s
        ~sections:(List.rev !section_walls) ~archiving:arch_cells ~availability:avail_cells
        ~sharding:shard_cells ~domains fig2_cells)

@@ -14,8 +14,7 @@
      wal-decode: in-place [decode_sub] out of the log buffer vs decoding a
           substring copy.
 
-   Honours DEUT_QUICK for a reduced sampling budget like the rest of the
-   harness. *)
+   [run ~quick] takes the harness's quick (DEUT_QUICK) sampling budget. *)
 
 open Bechamel
 open Toolkit
@@ -173,12 +172,12 @@ let tests =
            ignore (Dpt.find dpt pid)));
   ]
 
-let run () =
-  (* DEUT_QUICK is a smoke test: a tenth of the sampling budget still gives
-     a stable OLS slope for these tight loops, and keeps the whole harness
-     inside the CI time budget. *)
+let run ~quick () =
+  (* A quick run is a smoke test: a tenth of the sampling budget still
+     gives a stable OLS slope for these tight loops, and keeps the whole
+     harness inside the CI time budget. *)
   let cfg =
-    if Sys.getenv_opt "DEUT_QUICK" <> None then
+    if quick then
       Benchmark.cfg ~limit:400 ~quota:(Time.second 0.08) ~kde:None ()
     else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
   in

@@ -16,6 +16,14 @@ module Analysis = Deut_obs.Analysis
 
 let progress msg = Printf.eprintf "[repro] %s\n%!" msg
 
+(* The DEUT_* environment, read once: every command's configs start from
+   it.  A malformed value is a usage error, reported before any work. *)
+let env =
+  try Config.of_env Config.default
+  with Invalid_argument msg ->
+    Printf.eprintf "repro_cli: %s\n" msg;
+    exit Cmd.Exit.cli_error
+
 let write_file p s =
   let oc = open_out p in
   output_string oc s;
@@ -70,25 +78,26 @@ let workers_arg =
 
 let txns_arg default doc = Arg.(value & opt pos_int default & info [ "t"; "txns" ] ~docv:"N" ~doc)
 
-(* The standard Figure-2 crash at --cache/--scale, built for [methods]. *)
-let build_crash ~scale ~cache methods =
+(* The standard Figure-2 crash at --cache/--scale, built for [methods];
+   --workers sets the redo worker count its recoveries inherit. *)
+let build_crash ?(workers = env.Config.redo_workers) ~scale ~cache methods =
   progress (Printf.sprintf "building crash at cache %d MB, scale 1/%d" cache scale);
-  Experiment.paper_crash ~scale ~cache_mb:cache methods
+  Experiment.paper_crash ~config:{ env with Config.redo_workers = workers } ~scale ~cache_mb:cache
+    methods
 
 let recovering ~tracing method_ =
   progress
     (Printf.sprintf "recovering with %s%s" (Recovery.method_to_string method_)
        (if tracing then ", tracing on" else ""))
 
-(* The config of a single CLI recovery: the crash's own, with tracing as
-   asked and the DEUT_* environment (DEUT_TRACE_CAP included) on top —
-   except the shard count, which the image fixes (DEUT_SHARDS would ask
-   the single-shard paper image to instantiate as several). *)
+(* The config of a single CLI recovery: the crash's own (built from
+   [env], so the shard count is the paper image's one), with tracing as
+   asked into a ring of at least 1M events — DEUT_TRACE_CAP can raise it. *)
 let recovery_config crash ~tracing =
-  let image_config = crash.Experiment.image.Deut_core.Crash_image.config in
   {
-    (Config.of_env { image_config with Config.tracing; trace_capacity = 1 lsl 20 }) with
-    Config.shards = image_config.Config.shards;
+    crash.Experiment.image.Deut_core.Crash_image.config with
+    Config.tracing;
+    trace_capacity = Stdlib.max (1 lsl 20) env.Config.trace_capacity;
   }
 
 let method_conv =
@@ -107,7 +116,7 @@ let method_conv =
 
 let fig2_cmd =
   let run scale cache_sizes =
-    let cells = Figures.run_fig2 ~scale ~cache_sizes ~progress () in
+    let cells = Figures.run_fig2 ~scale ~cache_sizes ~progress ~config:env () in
     print_string (Figures.fig2a cells);
     print_newline ();
     print_string (Figures.fig2b cells);
@@ -127,7 +136,7 @@ let fig3_cmd =
     counts_arg ~name:"multipliers" ~docv:"KS" [ 1; 5; 10 ] "Checkpoint interval multipliers."
   in
   let run scale cache multipliers =
-    let cells = Figures.run_fig3 ~scale ~cache_mb:cache ~multipliers ~progress () in
+    let cells = Figures.run_fig3 ~scale ~cache_mb:cache ~multipliers ~progress ~config:env () in
     print_string (Figures.fig3 cells)
   in
   Cmd.v
@@ -136,7 +145,7 @@ let fig3_cmd =
 
 let appd_cmd =
   let run scale cache =
-    print_string (Figures.appd (Figures.run_appd ~scale ~cache_mb:cache ~progress ()))
+    print_string (Figures.appd (Figures.run_appd ~scale ~cache_mb:cache ~progress ~config:env ()))
   in
   Cmd.v
     (Cmd.info "appd" ~doc:"Appendix D ablations: the DC-logging spectrum")
@@ -144,7 +153,8 @@ let appd_cmd =
 
 let splitlog_cmd =
   let run scale cache =
-    print_string (Figures.split_table (Figures.run_split ~scale ~cache_mb:cache ~progress ()))
+    print_string
+      (Figures.split_table (Figures.run_split ~scale ~cache_mb:cache ~progress ~config:env ()))
   in
   Cmd.v
     (Cmd.info "splitlog" ~doc:"Split-log layout (§4.2) vs the integrated prototype")
@@ -155,7 +165,8 @@ let workers_cmd =
   let run scale cache counts =
     print_string
       (Figures.workers_table
-         (Figures.run_workers ~scale ~cache_sizes:[ cache ] ~workers:counts ~progress ()))
+         (Figures.run_workers ~scale ~cache_sizes:[ cache ] ~workers:counts ~progress
+            ~config:env ()))
   in
   Cmd.v
     (Cmd.info "workers"
@@ -172,7 +183,7 @@ let clients_cmd =
     print_string
       (Figures.concurrency_table
          (Figures.run_concurrency ~scale ~cache_mb:cache ~clients:counts ~group_commits ~txns
-            ~progress ()))
+            ~progress ~config:env ()))
   in
   Cmd.v
     (Cmd.info "clients"
@@ -199,7 +210,7 @@ let shards_cmd =
     print_string
       (Figures.sharding_table
          (Figures.run_sharding ~scale ~cache_mb:cache ~shards:counts ~clients ~txns ~net
-            ~progress ()))
+            ~progress ~config:env ()))
   in
   Cmd.v
     (Cmd.info "shards"
@@ -227,7 +238,7 @@ let archive_cmd =
     print_string
       (Figures.archiving_table
          (Figures.run_archiving ~scale ~cache_mb:cache ~clients ~rounds ~txns_per_round:txns
-            ~progress ()))
+            ~progress ~config:env ()))
   in
   Cmd.v
     (Cmd.info "archive"
@@ -255,7 +266,7 @@ let crash_cmd =
             "Recover N times per method (fresh copies of the same image) and report redo time              mean ± stddev — the paper notes the high run-to-run variance of the prefetching              methods.")
   in
   let run scale cache methods repeat workers =
-    let crash = build_crash ~scale ~cache methods in
+    let crash = build_crash ?workers ~scale ~cache methods in
     Printf.printf
       "crash image: %d db pages, %d dirty of %d cached (%.1f%% of cache), %d Δ / %d BW \
        records, %d updates run\n\n"
@@ -264,7 +275,7 @@ let crash_cmd =
       crash.Experiment.deltas_total crash.Experiment.bws_total crash.Experiment.updates_run;
     List.iter
       (fun m ->
-        let stats = Experiment.run_method ?workers crash m in
+        let stats = Experiment.run_method crash m in
         Printf.printf "--- %s (verified against the oracle) ---\n%s\n"
           (Recovery.method_to_string m)
           (Recovery_stats.to_string stats);
@@ -273,7 +284,7 @@ let crash_cmd =
           Deut_sim.Stats.add acc (Recovery_stats.redo_ms stats);
           for _ = 2 to repeat do
             Deut_sim.Stats.add acc
-              (Recovery_stats.redo_ms (Experiment.run_method ?workers crash m))
+              (Recovery_stats.redo_ms (Experiment.run_method crash m))
           done;
           Printf.printf "redo over %d runs: %s ms\n" repeat (Deut_sim.Stats.summary acc)
         end;
@@ -306,11 +317,8 @@ let trace_cmd =
   in
   let run scale cache method_ out emit_csv workers =
     or_fail @@ fun () ->
-    let crash = build_crash ~scale ~cache [ method_ ] in
+    let crash = build_crash ?workers ~scale ~cache [ method_ ] in
     let config = recovery_config crash ~tracing:true in
-    let config =
-      match workers with None -> config | Some w -> { config with Config.redo_workers = w }
-    in
     recovering ~tracing:true method_;
     let db, stats, tr = Experiment.recover_traced ~config crash method_ in
     let path =
@@ -364,10 +372,8 @@ let trace_cmd =
     Term.(const run $ scale_arg $ cache_arg $ method_arg $ out_arg $ csv_arg $ workers_arg)
 
 (* Shared by analyze/metrics: one traced (or not), oracle-verified recovery
-   of the standard Figure-2 crash.  Profiling pins redo_workers/clients to
-   1 so the emitted profile is byte-identical regardless of the
-   DEUT_REDO_WORKERS / DEUT_CLIENTS environment — a committed baseline must
-   not depend on the CI matrix leg that produced it. *)
+   of the standard Figure-2 crash, with redo_workers/clients pinned to 1 so
+   a committed baseline does not depend on the CI leg that produced it. *)
 let profiled_config crash ~tracing =
   { (recovery_config crash ~tracing) with Config.redo_workers = 1; clients = 1 }
 
@@ -547,7 +553,7 @@ let tune_cmd =
         exit 1);
     let cells =
       Figures.run_tuning ~scale ~cache_sizes:[ cache ] ~methods:[ method_ ] ?windows ?chunks
-        ?lookaheads ~progress ()
+        ?lookaheads ~progress ~config:env ()
     in
     print_string (Figures.tuning_table cells)
   in
@@ -579,7 +585,7 @@ let instant_cmd =
           ~doc:"Probe reads served while the background redo is still draining.")
   in
   let run scale cache_sizes probes min_speedup =
-    let cells = Figures.run_availability ~scale ~cache_sizes ~probes ~progress () in
+    let cells = Figures.run_availability ~scale ~cache_sizes ~probes ~progress ~config:env () in
     print_string (Figures.availability_table cells);
     match min_speedup with
     | None -> ()
@@ -637,7 +643,9 @@ let domains_cmd =
              real core count — only gate on hardware with enough idle cores.")
   in
   let run scale cache_sizes domains min_speedup =
-    let d = or_fail (fun () -> Figures.run_domains ~scale ~cache_sizes ?domains ~progress ()) in
+    let d =
+      or_fail (fun () -> Figures.run_domains ~scale ~cache_sizes ?domains ~progress ~config:env ())
+    in
     let speedup = Figures.domains_speedup d in
     print_string
       (Report.table ~title:"Real multicore — identical results, wall clock only"
@@ -714,7 +722,7 @@ let forensics_cmd =
     (* Same generator the fuzz suite uses: the image — flight snapshot
        included — is a pure function of (seed, shards), so this prints
        exactly the black box the failing run crashed with. *)
-    let image = Deut_workload.Fuzz.build_image ~shards seed in
+    let image = Deut_workload.Fuzz.build_image ~config:{ env with Config.shards } seed in
     match Deut_core.Crash_image.flight image with
     | Some snap -> print_string (Deut_obs.Flight.render snap)
     | None ->

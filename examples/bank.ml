@@ -51,7 +51,7 @@ let transfer db rng =
 
 let () =
   let config =
-    { Config.default with Config.page_size = 1024; pool_pages = 64; locking = true }
+    { (Config.of_env Config.default) with Config.page_size = 1024; pool_pages = 64; locking = true }
   in
   let db = Db.create ~config () in
   Db.create_table db ~table;

@@ -15,6 +15,7 @@ module Rng = Deut_sim.Rng
 
 let () =
   let rounds = try int_of_string Sys.argv.(1) with _ -> 12 in
+  let env = Config.of_env Config.default in
   let rng = Rng.create ~seed:31337 in
   let failures = ref 0 in
   for round = 1 to rounds do
@@ -25,7 +26,7 @@ let () =
     let log_layout = if Rng.int rng 3 = 0 then Config.Split else Config.Integrated in
     let config =
       {
-        Config.default with
+        env with
         Config.page_size = 512 * (1 + Rng.int rng 2);
         pool_pages = 24 + Rng.int rng 64;
         delta_period = 20 + Rng.int rng 60;

@@ -8,8 +8,8 @@ module Recovery = Deut_core.Recovery
 module Recovery_stats = Deut_core.Recovery_stats
 
 let () =
-  (* A small engine: 1 KiB pages, a 64-page cache. *)
-  let config = { Config.default with Config.page_size = 1024; pool_pages = 64 } in
+  (* A small engine: 1 KiB pages, a 64-page cache, the DEUT_* knobs. *)
+  let config = { (Config.of_env Config.default) with Config.page_size = 1024; pool_pages = 64 } in
   let db = Db.create ~config () in
   let table = 1 in
   Db.create_table db ~table;

@@ -47,8 +47,9 @@ let apply_logical_log log (replica : Db.t) =
   !applied
 
 let () =
+  let env = Config.of_env Config.default in
   (* Primary: 4 KiB pages. *)
-  let primary_config = { Config.default with Config.page_size = 4096; pool_pages = 64 } in
+  let primary_config = { env with Config.page_size = 4096; pool_pages = 64 } in
   let primary = Db.create ~config:primary_config () in
   Db.create_table primary ~table;
   let rng = Rng.create ~seed:2026 in
@@ -78,7 +79,7 @@ let () =
     primary_config.Config.page_size;
 
   (* Replica: 1 KiB pages — a disparate physical configuration. *)
-  let replica_config = { Config.default with Config.page_size = 1024; pool_pages = 256 } in
+  let replica_config = { env with Config.page_size = 1024; pool_pages = 256 } in
   let replica = Db.create ~config:replica_config () in
   Db.create_table replica ~table;
   let applied = apply_logical_log image.Crash_image.log replica in

@@ -14,6 +14,7 @@ module Db = Deut_core.Db
 module Report = Deut_workload.Report
 
 let () =
+  let env = Config.of_env Config.default in
   let rows = 4000 in
   let header =
     [ "Δ period (updates)"; "Δ records"; "Δ KiB logged"; "DPT size"; "Log1 redo (ms)"; "tail" ]
@@ -21,7 +22,7 @@ let () =
   let row period =
     let config =
       {
-        Config.default with
+        env with
         Config.page_size = 1024;
         pool_pages = 96;
         delta_period = period;

@@ -81,8 +81,8 @@ type t = {
       (** simulated parallel redo workers (1 = sequential replay).  Records
           are applied in log order regardless, so recovery results are
           identical for any count; workers only overlap CPU and page-fetch
-          stalls on the shared virtual clock.  Defaults from the
-          [DEUT_REDO_WORKERS] environment variable when set. *)
+          stalls on the shared virtual clock.  [of_env] reads it from
+          [DEUT_REDO_WORKERS]. *)
   log_layout : log_layout;  (** integrated (§5.1 prototype) or split (§4.2) *)
   locking : bool;
       (** strict 2PL key locks at the TC (no-wait conflicts), the minimal
@@ -100,8 +100,7 @@ type t = {
           a shared seeded stream in hand-out (ticket) order and commits
           are gated to ticket order, so the committed state is identical
           at any client count — only timing, aborts and IO overlap vary.
-          Defaults from the [DEUT_CLIENTS] environment variable when
-          set. *)
+          [of_env] reads it from [DEUT_CLIENTS]. *)
   think_us : float;
       (** mean client think time between transactions, in simulated µs *)
   retry_backoff_us : float;
@@ -113,8 +112,8 @@ type t = {
           that rides inside crash images for [repro_cli forensics].  On by
           default — recording is O(1) into preallocated rings and never
           advances the simulated clock, so it cannot perturb results; the
-          switch exists for the zero-observer-effect tests.  Defaults from
-          [DEUT_FLIGHT]. *)
+          switch exists for the zero-observer-effect tests.  [of_env] reads
+          it from [DEUT_FLIGHT]. *)
   flight_capacity : int;
       (** flight-recorder ring size per component, in events
           ([DEUT_FLIGHT_CAP]) *)
@@ -129,8 +128,8 @@ type t = {
           truncate it at the archive point on every [Db.compact_log]; off
           by default.  Archiving is a background overlay on the virtual
           clock (segment writes are fire-and-forget on their own disk), so
-          enabling it cannot perturb simulated results.  Defaults from the
-          [DEUT_ARCHIVE] environment variable when set. *)
+          enabling it cannot perturb simulated results.  [of_env] reads it
+          from [DEUT_ARCHIVE]. *)
   archive_min_bytes : int;
       (** skip an archiving cut that would move fewer than this many bytes
           (0 = cut whenever the archive point advances): batches segment
@@ -146,8 +145,7 @@ type t = {
           commit atomically.  Implies the split log layout per shard
           (Δ/BW/SMO records never share the TC log), which bars the
           physiological methods, ARIES fuzzy checkpoints and InstantLog2.
-          Defaults from the [DEUT_SHARDS] environment variable when
-          set. *)
+          [of_env] reads it from [DEUT_SHARDS]. *)
   domains : int;
       (** real OS-level parallelism for the harness: the number of OCaml
           domains [Figures] and the bench fan independent sweep cells
@@ -155,14 +153,13 @@ type t = {
           one pass on the engine's own domain at every setting, so
           recovered state, statistics and simulated times are the same at
           any domain count ([redo_workers] models parallel redo on the
-          simulated clock).  Defaults from the [DEUT_DOMAINS] environment
-          variable when set. *)
+          simulated clock).  [of_env] reads it from [DEUT_DOMAINS]. *)
   net : bool;
       (** route TC↔DC messages over simulated network links
           ({!Deut_net.Link}) with the [net_*] cost model below; off by
           default — the in-process transport adds zero simulated time, so
           [shards = 1] without [net] is byte-identical to the pre-protocol
-          engine.  Defaults from [DEUT_NET]. *)
+          engine.  [of_env] reads it from [DEUT_NET]. *)
   net_latency_us : float;  (** one-way message latency ([DEUT_NET_LATENCY_US]) *)
   net_jitter_us : float;  (** uniform extra delay per message ([DEUT_NET_JITTER_US]) *)
   net_loss : float;  (** message loss probability ([DEUT_NET_LOSS]) *)
@@ -171,34 +168,35 @@ type t = {
   seed : int;
 }
 
-(* Environment overrides.  Invalid or out-of-range values are ignored
-   rather than fatal — the env is a convenience channel, not a config
-   file: each parser returns [current] unless the variable holds a valid
-   value. *)
-let env_parse name parse current =
-  match Sys.getenv_opt name with
-  | Some s -> ( match parse (String.trim s) with Some v -> v | None -> current)
-  | None -> current
-
-let pos_int name =
-  env_parse name (fun s -> match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
-
-let nonneg_int name =
-  env_parse name (fun s -> match int_of_string_opt s with Some n when n >= 0 -> Some n | _ -> None)
-
-let nonneg_float name =
-  env_parse name (fun s ->
-      match float_of_string_opt s with Some f when f >= 0.0 -> Some f | _ -> None)
-
-let flag name =
-  env_parse name (function
-    | "1" | "true" | "yes" -> Some true
-    | "0" | "false" | "no" -> Some false
-    | _ -> None)
-
-(* Layer the environment over an already-built config, so callers can
-   apply it over experiment-specific settings. *)
-let of_env config =
+(* The one reader of the engine knobs' DEUT_* variables: binaries apply
+   it once, at their edge, and pass the result down ([default] never looks
+   at the environment).  An unset or empty variable keeps [config]'s value
+   ([Unix] cannot unset one, so a restored variable is empty); any other
+   value must parse, or this raises [Invalid_argument] naming it. *)
+let of_env ?(getenv = Sys.getenv_opt) config =
+  let knob name what parse current =
+    match Option.map String.trim (getenv name) with
+    | None | Some "" -> current
+    | Some s -> (
+        match parse s with
+        | Some v -> v
+        | None -> invalid_arg (Printf.sprintf "%s=%S: expected %s" name s what))
+  in
+  let int_at_least lo s =
+    match int_of_string_opt s with Some n when n >= lo -> Some n | _ -> None
+  in
+  let pos_int name = knob name "a positive integer" (int_at_least 1) in
+  let nonneg_int name = knob name "a non-negative integer" (int_at_least 0) in
+  let nonneg_float name =
+    knob name "a non-negative number" (fun s ->
+        match float_of_string_opt s with Some f when f >= 0.0 -> Some f | _ -> None)
+  in
+  let flag name =
+    knob name "1/true/yes or 0/false/no" (function
+      | "1" | "true" | "yes" -> Some true
+      | "0" | "false" | "no" -> Some false
+      | _ -> None)
+  in
   {
     config with
     trace_capacity = pos_int "DEUT_TRACE_CAP" config.trace_capacity;
@@ -242,18 +240,18 @@ let default =
     prefetch_chunk = 16;
     prefetch_lookahead = 512;
     prefetch_source = Pf_list;
-    redo_workers = pos_int "DEUT_REDO_WORKERS" 1;
+    redo_workers = 1;
     log_layout = Integrated;
     locking = false;
     group_commit = 1;
-    clients = pos_int "DEUT_CLIENTS" 1;
+    clients = 1;
     think_us = 300.0;
     retry_backoff_us = 150.0;
     flight = true;
     flight_capacity = 128;
     tracing = false;
     trace_capacity = 65536;
-    archive = flag "DEUT_ARCHIVE" false;
+    archive = false;
     archive_min_bytes = 0;
     (* Sequential device: segment copies and restart scans are streaming
        workloads, so give the archive a long sequential-gap like the log
@@ -265,9 +263,9 @@ let default =
         sequential_gap = 4;
         batch_seek_factor = 0.75;
       };
-    shards = pos_int "DEUT_SHARDS" 1;
-    domains = pos_int "DEUT_DOMAINS" 1;
-    net = flag "DEUT_NET" false;
+    shards = 1;
+    domains = 1;
+    net = false;
     (* A LAN-ish default cost model, only charged when [net] is on. *)
     net_latency_us = 50.0;
     net_jitter_us = 0.0;

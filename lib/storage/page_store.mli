@@ -48,7 +48,11 @@ val corrupt_for_test : t -> int -> unit
     tests). *)
 
 val clone : t -> t
-(** Deep copy — the crash image of the disk. *)
+(** The crash image of the disk: a store observably independent of [t].
+    Stored images are immutable (a write replaces the whole image), so
+    the clone shares each image's bytes and copies only the per-image
+    [verified] flags and the page table; later writes, corruption or
+    verification on either side never reach the other. *)
 
 val iter_stable : t -> (Page.t -> unit) -> unit
 

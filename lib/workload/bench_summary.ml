@@ -8,9 +8,10 @@ module Rs = Deut_core.Recovery_stats
 
 (* Wall-clock seconds ([sections] in run order) beside the key simulated
    metrics, in a fixed field order with each number's precision fixed, so
-   two runs diff cleanly. *)
-let to_json ~scale ~quick ~total_wall_s ~sections ~archiving ~availability ~sharding
-    ~(domains : Figures.domains_cell) (fig2 : Figures.fig2_cell list) =
+   two runs diff cleanly.  The domains block's "requested" is [config]'s
+   domain count: the config the bench ran its sweeps from. *)
+let to_json ?(config = Deut_core.Config.default) ~scale ~quick ~total_wall_s ~sections ~archiving
+    ~availability ~sharding ~(domains : Figures.domains_cell) (fig2 : Figures.fig2_cell list) =
   let f decimals x = Json.fixed ~decimals x and int = Json.int and str s = Json.Str s in
   let cells render cells = Json.Arr (List.map (fun c -> Json.Obj (render c)) cells) in
   Json.Obj
@@ -49,7 +50,7 @@ let to_json ~scale ~quick ~total_wall_s ~sections ~archiving ~availability ~shar
           sharding );
       ( "domains",
         Json.Obj
-          [ ("requested", int Deut_core.Config.default.domains); ("used", int domains.dm_domains);
+          [ ("requested", int config.domains); ("used", int domains.dm_domains);
             ("cores_available", int domains.dm_cores);
             ("harness_seq_wall_s", f 3 domains.dm_seq_wall_s);
             ("harness_par_wall_s", f 3 domains.dm_par_wall_s);

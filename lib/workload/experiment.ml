@@ -24,14 +24,15 @@ let paper_checkpoints = 10
    ~113 24-byte rows per 8 KiB page. *)
 let rows_per_page = 113
 
-let paper_setup ?(scale = 32) ?(ckpt_multiplier = 1) ?(dpt_mode = Config.Standard)
-    ?(checkpoint_mode = Config.Penultimate) ?(key_dist = Workload.Uniform) ~cache_mb () =
+let paper_setup ?(config = Config.default) ?(scale = 32) ?(ckpt_multiplier = 1)
+    ?(dpt_mode = Config.Standard) ?(checkpoint_mode = Config.Penultimate)
+    ?(key_dist = Workload.Uniform) ~cache_mb () =
   let pool_pages = Stdlib.max 64 (cache_mb * 128 / scale) in
   let interval = Stdlib.max 200 (paper_ckpt_interval / scale * ckpt_multiplier) in
   let delta_period = Stdlib.max 20 (interval / 20) in
   let config =
     {
-      Config.default with
+      config with
       Config.pool_pages;
       delta_period;
       dpt_mode;
@@ -181,11 +182,11 @@ let build ?cache scaled =
 (* The paper crash (§5.2) at [cache_mb] for recovery with [methods]: fuzzy
    ARIES checkpoints when the physiological baseline is among them,
    penultimate logical checkpoints otherwise. *)
-let paper_crash ?cache ?scale ~cache_mb methods =
+let paper_crash ?cache ?config ?scale ~cache_mb methods =
   let checkpoint_mode =
     if List.mem Recovery.Aries_ckpt methods then Config.Aries_fuzzy else Config.Penultimate
   in
-  build ?cache (paper_setup ?scale ~checkpoint_mode ~cache_mb ())
+  build ?cache (paper_setup ?config ?scale ~checkpoint_mode ~cache_mb ())
 
 let verify what driver db =
   match Driver.verify_recovered driver db with
@@ -207,13 +208,7 @@ let recover_traced ~config run method_ =
       | Some advice -> failwith advice
       | None -> (db, stats, tr))
 
-let run_method ?workers run method_ =
-  let config =
-    Option.map
-      (fun w -> { run.image.Deut_core.Crash_image.config with Config.redo_workers = w })
-      workers
-  in
-  snd (recover_verified ?config run method_)
+let run_method run method_ = snd (recover_verified run method_)
 let run_all run methods = List.map (fun m -> (m, run_method run m)) methods
 
 (* Digest of the stable page store after forcing every dirty frame out:

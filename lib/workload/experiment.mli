@@ -19,6 +19,7 @@ type scaled = {
 }
 
 val paper_setup :
+  ?config:Deut_core.Config.t ->
   ?scale:int ->
   ?ckpt_multiplier:int ->
   ?dpt_mode:Deut_core.Config.dpt_mode ->
@@ -29,7 +30,9 @@ val paper_setup :
   scaled
 (** [cache_mb] is the paper-equivalent cache size (64 … 2048).
     [ckpt_multiplier] scales the checkpoint interval (Appendix C's ci1,
-    5×ci1, 10×ci1).  Default [scale] is 32. *)
+    5×ci1, 10×ci1).  Default [scale] is 32.  The setup's config is
+    [config] (default [Config.default]) with the cache, Δ period, DPT and
+    checkpoint modes, seed and [shards = 1] set for the paper's cell. *)
 
 (** A crashed system ready for side-by-side recovery: the shared crash
     image, the oracle, and normal-execution measurements. *)
@@ -67,20 +70,20 @@ val build : ?cache:build_cache -> scaled -> crash_run
 (** Load, warm to cache equilibrium, run the crash protocol, leave one
     uncommitted transaction, crash.  Thread-safe when [cache] is given. *)
 
-val run_method :
-  ?workers:int -> crash_run -> Deut_core.Recovery.method_ -> Deut_core.Recovery_stats.t
-(** Recover with the given method from (a copy of) the shared image and
-    verify the result against the oracle; raises [Failure] on divergence —
-    a benchmark must never report timings for an incorrect recovery.
-    [workers] overrides [Config.redo_workers] for this recovery. *)
+val run_method : crash_run -> Deut_core.Recovery.method_ -> Deut_core.Recovery_stats.t
+(** Recover with the given method from (a copy of) the shared image, under
+    the image's config, and verify the result against the oracle; raises
+    [Failure] on divergence — a benchmark must never report timings for an
+    incorrect recovery. *)
 
 val paper_crash :
   ?cache:build_cache ->
+  ?config:Deut_core.Config.t ->
   ?scale:int ->
   cache_mb:int ->
   Deut_core.Recovery.method_ list ->
   crash_run
-(** [build] of [paper_setup ?scale ~cache_mb ()] for recovery with the
+(** [build] of [paper_setup ?config ?scale ~cache_mb ()] for recovery with the
     given methods: fuzzy ARIES checkpointing when [Aries_ckpt] is among
     them (its redo needs the ARIES checkpoint DPT), the default
     penultimate checkpointing otherwise. *)

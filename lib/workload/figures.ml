@@ -42,8 +42,8 @@ let digests_agree sweep cells =
    crash experiments' (the load dominates otherwise) and one seed shared by
    every cell, so the committed stream — hence the final digest — does not
    depend on the sweep coordinates. *)
-let oltp_driver ~scale ~cache_mb tweak =
-  let setup = Experiment.paper_setup ~scale ~cache_mb () in
+let oltp_driver ~config ~scale ~cache_mb tweak =
+  let setup = Experiment.paper_setup ~config ~scale ~cache_mb () in
   let spec = setup.Experiment.spec in
   Driver.create
     ~config:(tweak { setup.Experiment.config with Config.locking = true })
@@ -53,10 +53,10 @@ let plural n = if n = 1 then "" else "s"
 
 (* The paper crash at [cache_mb]: (cache_mb, run, real seconds the build
    took). *)
-let crash ?cache ~scale ~progress sweep cache_mb =
+let crash ?cache ~config ~scale ~progress sweep cache_mb =
   serial progress (Printf.sprintf "%s: cache %d MB (scale 1/%d)" sweep cache_mb scale);
   let t0 = Unix.gettimeofday () in
-  let run = Experiment.build ?cache (Experiment.paper_setup ~scale ~cache_mb ()) in
+  let run = Experiment.build ?cache (Experiment.paper_setup ~config ~scale ~cache_mb ()) in
   (cache_mb, run, Unix.gettimeofday () -. t0)
 
 (* Every (crash, task) recovery is independent — the crash image is copied
@@ -87,10 +87,9 @@ type fig2_cell = {
 let stats_of cell m = List.assoc m cell.methods
 let redo_ms_of cell m = Rs.redo_ms (stats_of cell m)
 
-let run_fig2 ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
-    ?(methods = Recovery.all_methods) ?(progress = no_progress)
-    ?(domains = Config.default.Config.domains) () =
-  let builds = fan ~domains (crash ?cache ~scale ~progress "fig2") cache_sizes in
+(* [run_fig2] at any fan width: [run_domains] fans one config at two. *)
+let fig2_sweep ~cache ~scale ~cache_sizes ~methods ~progress ~config ~domains =
+  let builds = fan ~domains (crash ?cache ~config ~scale ~progress "fig2") cache_sizes in
   let timed =
     grid ~domains builds methods (fun cache_mb run m ->
         let t0 = Unix.gettimeofday () in
@@ -124,6 +123,10 @@ let run_fig2 ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
         digests = List.map (fun (_, m, _, _, d) -> (m, d)) mine;
       })
     builds
+
+let run_fig2 ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
+    ?(methods = Recovery.all_methods) ?(progress = no_progress) ?(config = Config.default) () =
+  fig2_sweep ~cache ~scale ~cache_sizes ~methods ~progress ~config ~domains:config.Config.domains
 
 (* A text table from (header, renderer) columns, one row per item. *)
 let columns ~title cols items =
@@ -284,16 +287,17 @@ type domains_cell = {
 
 let domains_speedup d = if d.dm_par_wall_s > 0.0 then d.dm_seq_wall_s /. d.dm_par_wall_s else 0.0
 
-let run_domains ?(scale = 64) ?(cache_sizes = paper_cache_sizes) ?methods ?domains
-    ?(progress = no_progress) () =
+let run_domains ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
+    ?(methods = Recovery.all_methods) ?domains ?(progress = no_progress)
+    ?(config = Config.default) () =
   let cores = Deut_sim.Domain_pool.available_cores () in
   let domains =
     match domains with
     | Some d -> d
     | None ->
-        (* DEUT_DOMAINS when set above 1, else the machine's cores, capped at
-           the width the quick sweep has. *)
-        let d = Config.default.Config.domains in
+        (* [config]'s domains when above 1, else the machine's cores,
+           capped at the width the quick sweep has. *)
+        let d = config.Config.domains in
         if d > 1 then d else Stdlib.min 4 cores
   in
   progress
@@ -302,7 +306,7 @@ let run_domains ?(scale = 64) ?(cache_sizes = paper_cache_sizes) ?methods ?domai
      run cannot coast on the sequential run's builds. *)
   let sweep domains =
     let t0 = Unix.gettimeofday () in
-    let cells = run_fig2 ~scale ~cache_sizes ?methods ~progress ~domains () in
+    let cells = fig2_sweep ~cache:None ~scale ~cache_sizes ~methods ~progress ~config ~domains in
     let wall = Unix.gettimeofday () -. t0 in
     (* Collect this sweep's crash runs outside the timed region, so the
        next sweep does not pay for that. *)
@@ -338,12 +342,12 @@ let run_domains ?(scale = 64) ?(cache_sizes = paper_cache_sizes) ?methods ?domai
 type fig3_cell = { multiplier : int; methods3 : (Recovery.method_ * Rs.t) list }
 
 let run_fig3 ?cache ?(scale = 64) ?(cache_mb = 512) ?(multipliers = [ 1; 5; 10 ])
-    ?(progress = no_progress) ?(domains = Config.default.Config.domains) () =
-  fan ~domains
+    ?(progress = no_progress) ?(config = Config.default) () =
+  fan ~domains:config.Config.domains
     (fun multiplier ->
       serial progress
         (Printf.sprintf "fig3: checkpoint interval %dx (scale 1/%d)" multiplier scale);
-      let setup = Experiment.paper_setup ~scale ~cache_mb ~ckpt_multiplier:multiplier () in
+      let setup = Experiment.paper_setup ~config ~scale ~cache_mb ~ckpt_multiplier:multiplier () in
       let run = Experiment.build ?cache setup in
       { multiplier; methods3 = Experiment.run_all run Recovery.all_methods })
     multipliers
@@ -370,7 +374,8 @@ type appd_row = {
   delta_kb : float;
 }
 
-let run_appd ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress) () =
+let run_appd ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress)
+    ?(config = Config.default) () =
   let row label method_ run =
     let stats = Experiment.run_method run method_ in
     {
@@ -385,7 +390,7 @@ let run_appd ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress) ()
   let logical_variant label dpt_mode =
     progress (Printf.sprintf "appd: %s (scale 1/%d)" label scale);
     row label Recovery.Log1
-      (Experiment.build ?cache (Experiment.paper_setup ~scale ~cache_mb ~dpt_mode ()))
+      (Experiment.build ?cache (Experiment.paper_setup ~config ~scale ~cache_mb ~dpt_mode ()))
   in
   (* Bound in table order, so the progress lines come out in that order too. *)
   let standard = logical_variant "standard Δ (§4.1)" Config.Standard in
@@ -394,7 +399,7 @@ let run_appd ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress) ()
   progress (Printf.sprintf "appd: aries-checkpointing (scale 1/%d)" scale);
   let aries =
     row "ARIES-ckpt (physiological, §3.1)" Recovery.Aries_ckpt
-      (Experiment.paper_crash ?cache ~scale ~cache_mb [ Recovery.Aries_ckpt ])
+      (Experiment.paper_crash ?cache ~config ~scale ~cache_mb [ Recovery.Aries_ckpt ])
   in
   [ standard; perfect; reduced; aries ]
 
@@ -408,7 +413,8 @@ type split_row = {
   dc_log_kb : float;
 }
 
-let run_split ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress) () =
+let run_split ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress)
+    ?(config = Config.default) () =
   let module Ci = Deut_core.Crash_image in
   let module Log = Deut_wal.Log_manager in
   List.concat_map
@@ -416,11 +422,11 @@ let run_split ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress) (
       progress
         (Printf.sprintf "split: %s layout (scale 1/%d)" (Config.log_layout_to_string layout)
            scale);
-      let setup = Experiment.paper_setup ~scale ~cache_mb () in
-      let setup =
-        { setup with Experiment.config = { setup.Experiment.config with Config.log_layout = layout } }
+      let run =
+        Experiment.build ?cache
+          (Experiment.paper_setup ~config:{ config with Config.log_layout = layout } ~scale
+             ~cache_mb ())
       in
-      let run = Experiment.build ?cache setup in
       let image = run.Experiment.image in
       let retained log = float_of_int (Log.end_lsn log - Log.base_lsn log) /. 1024.0 in
       let tc_kb = retained image.Ci.log in
@@ -490,10 +496,10 @@ type workers_cell = {
 }
 
 let run_workers ?cache ?(scale = 64) ?(cache_sizes = [ 64; 512 ]) ?(workers = [ 1; 2; 4; 8 ])
-    ?(methods = Recovery.all_methods) ?(progress = no_progress)
-    ?(domains = Config.default.Config.domains) () =
+    ?(methods = Recovery.all_methods) ?(progress = no_progress) ?(config = Config.default) () =
+  let domains = config.Config.domains in
   grid ~domains
-    (fan ~domains (crash ?cache ~scale ~progress "workers") cache_sizes)
+    (fan ~domains (crash ?cache ~config ~scale ~progress "workers") cache_sizes)
     (List.concat_map (fun m -> List.map (fun w -> (m, w)) workers) methods)
     (fun cache_mb run (m, w) ->
       let config = { (image_config run) with Config.redo_workers = w } in
@@ -557,16 +563,17 @@ type concurrency_cell = {
 
 let run_concurrency ?(scale = 64) ?(cache_mb = 256) ?(clients = [ 1; 2; 4; 8 ])
     ?(group_commits = [ 1; 4 ]) ?(txns = 300) ?(progress = no_progress)
-    ?(domains = Config.default.Config.domains) () =
+    ?(config = Config.default) () =
   let coords = List.concat_map (fun gc -> List.map (fun n -> (gc, n)) clients) group_commits in
   let cells =
-    fan ~domains
+    fan ~domains:config.Config.domains
       (fun (gc, n) ->
         serial progress
           (Printf.sprintf "concurrency: %d client%s, group_commit %d (scale 1/%d)" n (plural n) gc
              scale);
         let driver =
-          oltp_driver ~scale ~cache_mb (fun c -> { c with Config.group_commit = gc; clients = n })
+          oltp_driver ~config ~scale ~cache_mb (fun c ->
+              { c with Config.group_commit = gc; clients = n })
         in
         let sched = Driver.run_concurrent driver ~txns in
         Client_sched.flush sched;
@@ -638,10 +645,10 @@ type sharding_cell = {
 
 let run_sharding ?(scale = 64) ?(cache_mb = 256) ?(shards = [ 1; 2; 4; 8 ])
     ?(clients = [ 4; 8 ]) ?(txns = 300) ?(net = false) ?(progress = no_progress)
-    ?(domains = Config.default.Config.domains) () =
+    ?(config = Config.default) () =
   let coords = List.concat_map (fun s -> List.map (fun c -> (s, c)) clients) shards in
   let cells =
-    fan ~domains
+    fan ~domains:config.Config.domains
       (fun (n_shards, n_clients) ->
         serial progress
           (Printf.sprintf "sharding: %d shard%s, %d client%s%s (scale 1/%d)" n_shards
@@ -649,7 +656,7 @@ let run_sharding ?(scale = 64) ?(cache_mb = 256) ?(shards = [ 1; 2; 4; 8 ])
              (if net then ", networked" else "")
              scale);
         let driver =
-          oltp_driver ~scale ~cache_mb (fun c ->
+          oltp_driver ~config ~scale ~cache_mb (fun c ->
               { c with Config.clients = n_clients; shards = n_shards; net })
         in
         let sched = Driver.run_concurrent driver ~txns in
@@ -746,7 +753,7 @@ type archiving_cell = {
 }
 
 let run_archiving ?(scale = 64) ?(cache_mb = 256) ?(clients = 4) ?(rounds = 6)
-    ?(txns_per_round = 100) ?(progress = no_progress) () =
+    ?(txns_per_round = 100) ?(progress = no_progress) ?(config = Config.default) () =
   let cells =
     List.map
       (fun archive ->
@@ -755,7 +762,7 @@ let run_archiving ?(scale = 64) ?(cache_mb = 256) ?(clients = 4) ?(rounds = 6)
              (if archive then "on" else "off")
              rounds txns_per_round clients scale);
         let driver =
-          oltp_driver ~scale ~cache_mb (fun c ->
+          oltp_driver ~config ~scale ~cache_mb (fun c ->
               { c with Config.clients; archive; archive_min_bytes = 0 })
         in
         let db = Driver.db driver in
@@ -891,10 +898,10 @@ let candidate_config base (cand : Tuner.candidate) =
 let run_tuning ?cache ?(scale = 64) ?(cache_sizes = [ 1024 ]) ?(methods = [ Recovery.Log2; Recovery.Sql2 ])
     ?(windows = [ 8; 16; 32; 64 ]) ?(chunks = [ 4; 8; 16; 32 ])
     ?(lookaheads = [ 128; 256; 512; 1024 ]) ?(sources = [ Config.Pf_list; Config.Dpt_order ])
-    ?(progress = no_progress) () =
+    ?(progress = no_progress) ?(config = Config.default) () =
   List.concat_map
     (fun cache_mb ->
-      let _, run, _ = crash ?cache ~scale ~progress "tuning" cache_mb in
+      let _, run, _ = crash ?cache ~config ~scale ~progress "tuning" cache_mb in
       let base = image_config run in
       let default_cand =
         {
@@ -949,7 +956,7 @@ let run_tuning ?cache ?(scale = 64) ?(cache_sizes = [ 1024 ]) ?(methods = [ Reco
                       Config.tracing = true;
                       trace_capacity = 1 lsl 20;
                       (* Tuning compares prefetch settings, so everything
-                         else is pinned — including the env-defaulted
+                         else is pinned — including the base config's
                          worker/client counts. *)
                       redo_workers = 1;
                       clients = 1;
@@ -990,10 +997,10 @@ type availability_cell = {
 }
 
 let run_availability ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes) ?(probes = 32)
-    ?(progress = no_progress) ?(domains = Config.default.Config.domains) () =
-  fan ~domains
+    ?(progress = no_progress) ?(config = Config.default) () =
+  fan ~domains:config.Config.domains
     (fun cache_mb ->
-      let _, run, _ = crash ?cache ~scale ~progress "availability" cache_mb in
+      let _, run, _ = crash ?cache ~config ~scale ~progress "availability" cache_mb in
       let recovered m =
         let db, stats = Experiment.recover_verified run m in
         (Client_sched.logical_digest db, stats)

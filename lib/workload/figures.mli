@@ -4,7 +4,13 @@
     Each [run_*] performs the workload + crash + side-by-side recoveries
     (verifying every recovery against the oracle) and returns structured
     results; each renderer prints a paper-shaped text table.  Used by both
-    [bench/main.exe] and the CLI. *)
+    [bench/main.exe] and the CLI.
+
+    Every [run_*] builds its cells from [config] (default [Config.default];
+    the binaries pass their [Config.of_env] result).  Sweeps fan
+    independent cells across [config.domains] real domains, which changes
+    wall clock only: simulated numbers and digests are identical at any
+    width. *)
 
 val digests_agree : string -> (string * string) list -> unit
 (** [digests_agree sweep cells] is the determinism gate shared by every
@@ -40,15 +46,12 @@ val run_fig2 :
   ?cache_sizes:int list ->
   ?methods:Deut_core.Recovery.method_ list ->
   ?progress:(string -> unit) ->
-  ?domains:int ->
+  ?config:Deut_core.Config.t ->
   unit ->
   fig2_cell list
 (** Defaults: scale 64, the paper's cache sizes 64…2048 MB, the paper's
-    five methods.  [domains] (default [Config.default.domains], i.e.
-    [DEUT_DOMAINS]) fans the builds, then the full (cache size, method)
-    recovery grid, across real OS-level domains; every cell's simulated
-    numbers and digests are byte-identical at any domain count — only wall
-    clock changes. *)
+    five methods.  Fans the builds, then the full (cache size, method)
+    recovery grid, across [config.domains] domains. *)
 
 val fig2a : fig2_cell list -> string
 (** Figure 2(a): redo time (simulated ms) per method per cache size. *)
@@ -86,10 +89,11 @@ val run_domains :
   ?methods:Deut_core.Recovery.method_ list ->
   ?domains:int ->
   ?progress:(string -> unit) ->
+  ?config:Deut_core.Config.t ->
   unit ->
   domains_cell
-(** {!run_fig2} at 1 domain, then at [domains] (default: [DEUT_DOMAINS]
-    when set above 1, else as many of the machine's cores as the sweep can
+(** {!run_fig2} at 1 domain, then at [domains] (default: [config.domains]
+    when above 1, else as many of the machine's cores as the sweep can
     use, capped at 4), each with a fresh build cache so the parallel run
     cannot reuse the sequential run's builds.  Raises [Failure] through
     {!digests_agree} when any cell's store or logical digests differ
@@ -107,11 +111,11 @@ val run_fig3 :
   ?cache_mb:int ->
   ?multipliers:int list ->
   ?progress:(string -> unit) ->
-  ?domains:int ->
+  ?config:Deut_core.Config.t ->
   unit ->
   fig3_cell list
 (** Appendix C: checkpoint interval ci1, 5×ci1, 10×ci1 at the 512 MB
-    cache.  [domains] fans the interval cells across real domains. *)
+    cache.  Fans the interval cells across real domains. *)
 
 val fig3 : fig3_cell list -> string
 
@@ -125,7 +129,9 @@ type appd_row = {
   delta_kb : float;  (** DC logging overhead during normal execution *)
 }
 
-val run_appd : ?cache:Experiment.build_cache -> ?scale:int -> ?cache_mb:int -> ?progress:(string -> unit) -> unit -> appd_row list
+val run_appd :
+  ?cache:Experiment.build_cache -> ?scale:int -> ?cache_mb:int -> ?progress:(string -> unit) ->
+  ?config:Deut_core.Config.t -> unit -> appd_row list
 (** The DC-logging spectrum of Appendix D — Standard, Perfect (D.1),
     Reduced (D.2), all recovered with Log1 — plus classic ARIES
     checkpointing recovered physiologically, as ablation baselines. *)
@@ -145,7 +151,8 @@ type split_row = {
 
 val run_split :
   ?cache:Experiment.build_cache ->
-  ?scale:int -> ?cache_mb:int -> ?progress:(string -> unit) -> unit -> split_row list
+  ?scale:int -> ?cache_mb:int -> ?progress:(string -> unit) -> ?config:Deut_core.Config.t ->
+  unit -> split_row list
 (** The Deuteronomy architecture proper vs the paper's integrated
     prototype: same workload, Log1/Log2 recovery from each layout.  Shows
     §4.2's claim that the DC redo/analysis pass scans a much smaller log. *)
@@ -169,14 +176,13 @@ val run_workers :
   ?workers:int list ->
   ?methods:Deut_core.Recovery.method_ list ->
   ?progress:(string -> unit) ->
-  ?domains:int ->
+  ?config:Deut_core.Config.t ->
   unit ->
   workers_cell list
 (** One crash per cache size, recovered with every (method, worker count)
     pair; every recovery is oracle-verified.  Defaults: scale 64, caches
-    {64, 512} MB, workers {1, 2, 4, 8}, the paper's five methods.
-    [domains] fans the builds, then the flattened recovery grid, across
-    real domains. *)
+    {64, 512} MB, workers {1, 2, 4, 8}, the paper's five methods.  Fans
+    the builds, then the flattened recovery grid, across real domains. *)
 
 val workers_table : workers_cell list -> string
 (** Redo time, speedup vs one worker, and stall / data-IO latency
@@ -197,7 +203,7 @@ val run_concurrency :
   ?group_commits:int list ->
   ?txns:int ->
   ?progress:(string -> unit) ->
-  ?domains:int ->
+  ?config:Deut_core.Config.t ->
   unit ->
   concurrency_cell list
 (** Fresh database per cell, same workload seed everywhere; [txns]
@@ -236,7 +242,7 @@ val run_sharding :
   ?txns:int ->
   ?net:bool ->
   ?progress:(string -> unit) ->
-  ?domains:int ->
+  ?config:Deut_core.Config.t ->
   unit ->
   sharding_cell list
 (** Fresh database per (shards, clients) cell, same workload seed
@@ -279,6 +285,7 @@ val run_archiving :
   ?rounds:int ->
   ?txns_per_round:int ->
   ?progress:(string -> unit) ->
+  ?config:Deut_core.Config.t ->
   unit ->
   archiving_cell list
 (** The long-running multi-client workload with periodic checkpoint +
@@ -311,7 +318,7 @@ val run_availability :
   ?cache_sizes:int list ->
   ?probes:int ->
   ?progress:(string -> unit) ->
-  ?domains:int ->
+  ?config:Deut_core.Config.t ->
   unit ->
   availability_cell list
 (** One crash per cache size.  Per cell: recover offline with Log2 (the
@@ -344,6 +351,7 @@ val run_tuning :
   ?lookaheads:int list ->
   ?sources:Deut_core.Config.prefetch_source list ->
   ?progress:(string -> unit) ->
+  ?config:Deut_core.Config.t ->
   unit ->
   tuning_cell list
 (** One crash per cache size; for each method, every candidate

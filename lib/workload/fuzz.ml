@@ -19,9 +19,9 @@ module Log = Deut_wal.Log_manager
 
 let tables = [ 1; 2 ]
 
-let config_of ?(shards = 1) rng =
+let config_of config rng =
   {
-    Config.default with
+    config with
     Config.page_size = 1024;
     pool_pages = [| 16; 32; 64 |].(Rng.int rng 3);
     delta_period = [| 5; 10; 20 |].(Rng.int rng 3);
@@ -37,7 +37,6 @@ let config_of ?(shards = 1) rng =
        [Lock_conflict] and are skipped) — without them a later commit
        could overwrite a loser's write and make its rollback unsound. *)
     locking = true;
-    shards;
   }
 
 (* Committed state implied by a log prefix, generalised over tables:
@@ -69,9 +68,9 @@ let expected_of_log log =
 (* Generate and run the workload, reservoir-sampling one crash boundary.
    Returns the sampled image (the workload always appends at least one
    record, so the reservoir is never empty). *)
-let build_image ?(shards = 1) seed =
+let build_image ?(config = Config.default) seed =
   let rng = Rng.create ~seed in
-  let config = config_of ~shards rng in
+  let config = config_of config rng in
   let db = Db.create ~config () in
   List.iter (fun table -> Db.create_table db ~table) tables;
   let engine = Db.engine db in

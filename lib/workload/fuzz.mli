@@ -14,19 +14,17 @@
 val tables : int list
 (** The tables every generated workload creates and writes. *)
 
-val config_of : ?shards:int -> Deut_sim.Rng.t -> Deut_core.Config.t
-(** The per-seed engine config: small pages and cache, archiving on (the
-    oracle folds the log from genesis), key locking on (open transactions
-    overlap), [shards] data components (default 1). *)
-
 val expected_of_log : Deut_wal.Log_manager.t -> ((int * int) * string) list
 (** The committed-prefix oracle: the [(table, key) -> value] map implied
     by the log's committed transactions, sorted. *)
 
-val build_image : ?shards:int -> int -> Deut_core.Crash_image.t
+val build_image : ?config:Deut_core.Config.t -> int -> Deut_core.Crash_image.t
 (** [build_image seed] runs the seed's workload and returns the uniformly
-    sampled crash image.  Deterministic: same seed (and shard count),
-    same image. *)
+    sampled crash image.  The engine is [config] (default
+    [Config.default]; its shard count included) with small pages and
+    cache, archiving on (the oracle folds the log from genesis) and key
+    locking on (open transactions overlap).  Deterministic: same seed and
+    [config], same image. *)
 
 val methods_for : shards:int -> Deut_core.Recovery.method_ list
 (** The recovery methods runnable at that shard count (sharding bars the

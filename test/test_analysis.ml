@@ -23,7 +23,7 @@ let close msg a b = check (Printf.sprintf "%s (%.6f vs %.6f)" msg a b) true (Flo
 (* Same small traced setup as test_trace.ml. *)
 let traced_config =
   {
-    Config.default with
+    Env.config with
     Config.page_size = 1024;
     pool_pages = 48;
     delta_period = 40;

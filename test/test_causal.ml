@@ -31,7 +31,7 @@ let check_string = Alcotest.(check string)
 
 let config ?(shards = 4) ?(lossy = false) () =
   {
-    Config.default with
+    Env.config with
     Config.page_size = 1024;
     pool_pages = 64;
     locking = true;
@@ -296,7 +296,7 @@ let test_shard_prefixed_metrics () =
    failing fuzz seed's black box after the fact. *)
 let test_forensics_deterministic () =
   let dump shards =
-    let image = Fuzz.build_image ~shards 4242 in
+    let image = Fuzz.build_image ~config:{ Env.config with Config.shards } 4242 in
     match Crash_image.flight image with
     | Some snap -> Flight.render snap
     | None -> Alcotest.fail "fuzz image carries no flight snapshot"
@@ -317,7 +317,7 @@ let test_forensics_deterministic () =
 
 (* Db.crash stamps the black box before the snapshot leaves. *)
 let test_crash_marker_recorded () =
-  let db = Db.create ~config:{ Config.default with Config.page_size = 1024 } () in
+  let db = Db.create ~config:{ Env.config with Config.page_size = 1024 } () in
   Db.create_table db ~table:1;
   Db.put db ~table:1 ~key:1 ~value:"v";
   let image = Db.crash db in

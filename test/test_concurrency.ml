@@ -15,7 +15,7 @@ let check_string = Alcotest.(check string)
 
 let config ~clients ~group_commit =
   {
-    Config.default with
+    Env.config with
     Config.page_size = 1024;
     pool_pages = 64;
     locking = true;

@@ -22,7 +22,7 @@ let table = 1
 
 let small_config =
   {
-    Config.default with
+    Env.config with
     Config.page_size = 1024;
     pool_pages = 32;
     delta_period = 10;

@@ -119,7 +119,7 @@ let test_scan_skips_deleted_and_empty_leaves () =
   match Btree.check_tree tree with Ok () -> () | Error e -> Alcotest.fail e
 
 let test_db_scan_api () =
-  let config = { Config.default with Config.page_size = 1024; pool_pages = 32 } in
+  let config = { Env.config with Config.page_size = 1024; pool_pages = 32 } in
   let db = Db.create ~config () in
   Db.create_table db ~table:1;
   for k = 0 to 499 do

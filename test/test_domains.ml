@@ -25,7 +25,7 @@ let check = Alcotest.(check bool)
 
 let small_config ?(domains = 1) () =
   {
-    Config.default with
+    Env.config with
     Config.page_size = 1024;
     pool_pages = 48;
     delta_period = 40;
@@ -129,7 +129,7 @@ let test_fig2_cells_deterministic () =
     (fun domains ->
       let d =
         Figures.run_domains ~scale:256 ~cache_sizes:[ 64; 128 ]
-          ~methods:[ Recovery.Log1; Recovery.Log2 ] ~domains ()
+          ~methods:[ Recovery.Log1; Recovery.Log2 ] ~domains ~config:Env.config ()
       in
       check "sweep ran at the requested domain count" true (d.Figures.dm_domains = domains);
       List.iter2

@@ -114,7 +114,7 @@ let test_sql_analysis_basic () =
 (* Algorithm 4 needs a DC; a tiny fresh engine provides one and the
    synthetic log carries only Δ records. *)
 let small_config =
-  { Config.default with Config.page_size = 512; pool_pages = 16; delta_period = 1000 }
+  { Env.config with Config.page_size = 512; pool_pages = 16; delta_period = 1000 }
 
 let dc_dpt_of ?(bckpt = Lsn.nil) records =
   let log, lsns = build_log records in

@@ -16,7 +16,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let config =
-  { Config.default with Config.page_size = 1024; pool_pages = 48; delta_period = 50; shards = 1 }
+  { Env.config with Config.page_size = 1024; pool_pages = 48; delta_period = 50; shards = 1 }
 
 let make () =
   let db = Db.create ~config () in

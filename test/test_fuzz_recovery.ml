@@ -22,13 +22,10 @@ module Crash_image = Deut_core.Crash_image
 module Fuzz = Deut_workload.Fuzz
 module Rng = Deut_sim.Rng
 
-(* DEUT_SHARDS stripes the fuzzed key space across that many data
-   components (§4.1 protocol + split layout per shard).  CI runs the
-   matrix at 1 and 4. *)
-let fuzz_shards =
-  match Sys.getenv_opt "DEUT_SHARDS" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 1 -> n | _ -> 1)
-  | None -> 1
+(* The runner's config, whose shard count (DEUT_SHARDS) stripes the
+   fuzzed key space across that many data components (§4.1 protocol +
+   split layout per shard).  CI runs the matrix at 1 and 4. *)
+let fuzz_shards = Env.config.Deut_core.Config.shards
 
 let dump_all db =
   List.concat_map
@@ -42,8 +39,10 @@ let show entries =
 
 (* One "<seed> <shards>" line per failure: exactly the arguments
    [repro_cli forensics] needs to rebuild the failing image. *)
+let fail_file = Sys.getenv_opt "DEUT_FUZZ_FAIL_FILE"
+
 let note_failure seed =
-  match Sys.getenv_opt "DEUT_FUZZ_FAIL_FILE" with
+  match fail_file with
   | None -> ()
   | Some path ->
       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
@@ -60,7 +59,7 @@ let fail_seed seed fmt =
 let methods = Fuzz.methods_for ~shards:fuzz_shards
 
 let run_seed seed () =
-  let image = Fuzz.build_image ~shards:fuzz_shards seed in
+  let image = Fuzz.build_image ~config:Env.config seed in
   let expected = Fuzz.expected_of_log image.Crash_image.log in
   (* Every runnable method against the oracle. *)
   List.iter

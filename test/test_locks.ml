@@ -51,7 +51,7 @@ let test_shared_locks () =
   check_int "empty table" 0 (Lock_table.locked_keys t)
 
 let locking_config =
-  { Config.default with Config.page_size = 1024; pool_pages = 32; locking = true }
+  { Env.config with Config.page_size = 1024; pool_pages = 32; locking = true }
 
 let test_txn_conflicts_and_release () =
   let db = Db.create ~config:locking_config () in

@@ -21,7 +21,7 @@ let worker_counts = [ 1; 2; 4; 8 ]
 
 let small_config ?(tracing = false) ?(workers = 1) () =
   {
-    Config.default with
+    Env.config with
     Config.page_size = 1024;
     pool_pages = 48;
     delta_period = 40;

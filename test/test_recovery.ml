@@ -25,7 +25,7 @@ let check_int = Alcotest.(check int)
 
 let small_config ?(dpt_mode = Config.Standard) ?(checkpoint_mode = Config.Penultimate) () =
   {
-    Config.default with
+    Env.config with
     Config.page_size = 1024;
     pool_pages = 48;
     delta_period = 40;

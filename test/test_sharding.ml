@@ -23,7 +23,7 @@ let check_string = Alcotest.(check string)
 
 let config ?(shards = 4) ?(net = false) () =
   {
-    Config.default with
+    Env.config with
     Config.page_size = 1024;
     pool_pages = 64;
     locking = true;
@@ -451,30 +451,63 @@ let test_metrics_sum_shards () =
 
 (* {2 Env knobs} *)
 
-let with_env bindings f =
-  let saved = List.map (fun (k, _) -> (k, Sys.getenv_opt k)) bindings in
-  List.iter (fun (k, v) -> Unix.putenv k v) bindings;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun (k, v) -> Unix.putenv k (Option.value v ~default:""))
-        saved)
-    f
+(* [Config.of_env] over a fake environment, so the process environment
+   stays untouched. *)
+let of_bindings bindings = Config.of_env ~getenv:(fun name -> List.assoc_opt name bindings)
+
+(* Every variable [of_env] reads, a valid non-default value for it, and
+   where the value must land. *)
+let env_knobs =
+  [
+    ("DEUT_TRACE_CAP", "4096", fun c -> c.Config.trace_capacity = 4096);
+    ("DEUT_FLIGHT", "0", fun c -> not c.Config.flight);
+    ("DEUT_FLIGHT_CAP", "64", fun c -> c.Config.flight_capacity = 64);
+    ("DEUT_REDO_WORKERS", "3", fun c -> c.Config.redo_workers = 3);
+    ("DEUT_CLIENTS", "3", fun c -> c.Config.clients = 3);
+    ("DEUT_ARCHIVE", "1", fun c -> c.Config.archive);
+    ("DEUT_ARCHIVE_MIN_BYTES", "512", fun c -> c.Config.archive_min_bytes = 512);
+    ("DEUT_SHARDS", "4", fun c -> c.Config.shards = 4);
+    ("DEUT_DOMAINS", "2", fun c -> c.Config.domains = 2);
+    ("DEUT_NET", "yes", fun c -> c.Config.net);
+    ("DEUT_NET_LATENCY_US", "123.5", fun c -> c.Config.net_latency_us = 123.5);
+    ("DEUT_NET_JITTER_US", "7.5", fun c -> c.Config.net_jitter_us = 7.5);
+    ("DEUT_NET_LOSS", "0.25", fun c -> c.Config.net_loss = 0.25);
+    ("DEUT_NET_REORDER", "0.125", fun c -> c.Config.net_reorder = 0.125);
+    ("DEUT_NET_TIMEOUT_US", "2500", fun c -> c.Config.net_timeout_us = 2500.0);
+  ]
 
 let test_env_knobs () =
-  with_env
-    [
-      ("DEUT_SHARDS", "4");
-      ("DEUT_NET", "1");
-      ("DEUT_NET_LATENCY_US", "123.5");
-      ("DEUT_NET_LOSS", "0.25");
-    ]
-    (fun () ->
-      let c = Config.of_env Config.default in
-      check_int "DEUT_SHARDS" 4 c.Config.shards;
-      check "DEUT_NET" true c.Config.net;
-      check "DEUT_NET_LATENCY_US" true (c.Config.net_latency_us = 123.5);
-      check "DEUT_NET_LOSS" true (c.Config.net_loss = 0.25))
+  check "no variables: the default" true (of_bindings [] Config.default = Config.default);
+  check "empty values count as unset" true
+    (of_bindings (List.map (fun (name, _, _) -> (name, "")) env_knobs) Config.default
+    = Config.default);
+  let all = of_bindings (List.map (fun (name, v, _) -> (name, v)) env_knobs) Config.default in
+  List.iter
+    (fun (name, v, landed) ->
+      check (name ^ " is not the default") false (landed Config.default);
+      check (name ^ " lands alone") true (landed (of_bindings [ (name, v) ] Config.default));
+      check (name ^ " lands beside the others") true (landed all))
+    env_knobs
+
+(* One parser per value class; a malformed value of each raises, naming
+   the variable and the value, rather than running the default. *)
+let test_env_malformed bad () =
+  List.iter
+    (fun (name, v) ->
+      match of_bindings [ (name, v) ] Config.default with
+      | _ -> Alcotest.failf "%s=%S was accepted" name v
+      | exception Invalid_argument msg ->
+          check (name ^ " error names the variable") true (contains msg name);
+          check (name ^ " error names the value") true (contains msg v))
+    bad
+
+let env_malformed =
+  [
+    ("pos_int", [ ("DEUT_SHARDS", "four"); ("DEUT_CLIENTS", "0"); ("DEUT_TRACE_CAP", "1.5") ]);
+    ("nonneg_int", [ ("DEUT_ARCHIVE_MIN_BYTES", "-1"); ("DEUT_ARCHIVE_MIN_BYTES", "lots") ]);
+    ("nonneg_float", [ ("DEUT_NET_LOSS", "-0.5"); ("DEUT_NET_LATENCY_US", "fast") ]);
+    ("flag", [ ("DEUT_NET", "maybe"); ("DEUT_ARCHIVE", "2") ]);
+  ]
 
 let suite =
   [
@@ -500,3 +533,9 @@ let suite =
     Alcotest.test_case "metrics sum over shards" `Quick test_metrics_sum_shards;
     Alcotest.test_case "env knobs" `Quick test_env_knobs;
   ]
+  @ List.map
+      (fun (cls, bad) ->
+        Alcotest.test_case
+          ("env: malformed " ^ cls ^ " is an error")
+          `Quick (test_env_malformed bad))
+      env_malformed

@@ -18,7 +18,7 @@ let check_int = Alcotest.(check int)
 
 let split_config =
   {
-    Config.default with
+    Env.config with
     Config.page_size = 1024;
     pool_pages = 48;
     delta_period = 40;

@@ -122,9 +122,9 @@ let validate_json s =
 
 (* ---------- traced recovery ---------- *)
 
-let traced_config =
+let traced base =
   {
-    Config.default with
+    base with
     Config.page_size = 1024;
     pool_pages = 48;
     delta_period = 40;
@@ -133,6 +133,8 @@ let traced_config =
     tracing = true;
     trace_capacity = 1 lsl 18;
   }
+
+let traced_config = traced Env.config
 
 let small_spec = { Workload.default with Workload.rows = 1200; value_size = 16; seed = 5 }
 
@@ -217,19 +219,9 @@ let test_spans_match_counters () =
 
 (* ---------- pinned export bytes ---------- *)
 
-(* The exact bytes of both exporters, fixed by their MD5.  The config pins
-   every knob the environment could otherwise reach (DEUT_REDO_WORKERS,
-   DEUT_CLIENTS, DEUT_ARCHIVE, DEUT_SHARDS, DEUT_NET), so the digests hold
-   on every CI leg.  A deliberate format change re-pins them. *)
-let pinned_config =
-  {
-    traced_config with
-    Config.redo_workers = 1;
-    clients = 1;
-    archive = false;
-    shards = 1;
-    net = false;
-  }
+(* The exact bytes of both exporters, fixed by their MD5.  A deliberate
+   format change re-pins them. *)
+let pinned_config = traced Config.default
 
 let pinned_crash config =
   let driver = Driver.create ~config small_spec in
@@ -260,9 +252,9 @@ let test_export_bytes_pinned () =
    the seven methods (ARIES-ckpt on the same workload checkpointed the
    fuzzy ARIES way), Log1 under the perfect and reduced DPT modes of
    Appendix D, and the logical methods on a four-shard image, whose
-   analysis runs overlapped across shards.  The config pins every knob
-   the environment could reach, so these hold on every CI leg; a change
-   that moves one of these numbers changes the recovery itself. *)
+   analysis runs overlapped across shards.  The config starts from the
+   pure [Config.default], so these hold on every CI leg; a change that
+   moves one of these numbers changes the recovery itself. *)
 let golden_stats =
   [
       ( "Log0",

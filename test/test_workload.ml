@@ -194,7 +194,7 @@ let test_oracle_model_cases () =
        ])
 
 let small_config =
-  { Config.default with Config.page_size = 1024; pool_pages = 32; delta_period = 50; shards = 1 }
+  { Env.config with Config.page_size = 1024; pool_pages = 32; delta_period = 50; shards = 1 }
 
 (* A table spanning many leaves, written through [Db] and mirrored into a
    sealed oracle.  Each verify test then writes once more through [Db]
@@ -249,21 +249,10 @@ let test_driver_load_and_verify () =
 
 (* Golden load: the paper's database at 1/512 scale, pinned by row count,
    log extent and both digests, so a faster load path (oracle, checksum,
-   page store) must leave every byte the engine writes unchanged.  The
-   knobs [Config.default] reads from the environment are pinned here. *)
+   page store) must leave every byte the engine writes unchanged. *)
 let test_golden_paper_load () =
   let setup = Experiment.paper_setup ~scale:512 ~cache_mb:512 () in
-  let config =
-    {
-      setup.Experiment.config with
-      Config.archive = false;
-      clients = 1;
-      redo_workers = 1;
-      shards = 1;
-      net = false;
-    }
-  in
-  let driver = Driver.create ~config setup.Experiment.spec in
+  let driver = Driver.create ~config:setup.Experiment.config setup.Experiment.spec in
   let db = Driver.db driver in
   check_int "rows" 96_163 (Oracle.entry_count (Driver.oracle driver) ~table:1);
   check_int "log.tc.end_lsn" 27_940_506 (Db.metric db "log.tc.end_lsn");
@@ -355,7 +344,7 @@ let test_report_table () =
 
 let test_experiment_tiny () =
   (* One tiny experiment cell end-to-end, verifying every method. *)
-  let setup = Experiment.paper_setup ~scale:512 ~cache_mb:256 () in
+  let setup = Experiment.paper_setup ~config:Env.config ~scale:512 ~cache_mb:256 () in
   let run = Experiment.build setup in
   check "db built" true (run.Experiment.db_pages > 100);
   check "dirty pages at crash" true (run.Experiment.dirty_at_crash > 0);
