@@ -57,9 +57,6 @@ let pos_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let counts_arg ?(name = "counts") ?(docv = "NS") default doc =
-  Arg.(value & opt (list pos_int) default & info [ name ] ~docv ~doc)
-
 let scale_arg =
   let doc = "Divide the paper's sizes (database, cache, checkpoint interval) by $(docv)." in
   Arg.(value & opt pos_int 64 & info [ "s"; "scale" ] ~docv:"N" ~doc)
@@ -68,15 +65,9 @@ let cache_arg =
   let doc = "Paper-equivalent cache size in MB (64..2048)." in
   Arg.(value & opt pos_int 512 & info [ "c"; "cache" ] ~docv:"MB" ~doc)
 
-let cache_sizes_arg =
-  counts_arg ~name:"cache-sizes" ~docv:"MBS" Figures.paper_cache_sizes
-    "Comma-separated paper-equivalent cache sizes in MB."
-
 let workers_arg =
   let doc = "Simulated parallel redo workers (overrides Config.redo_workers)." in
   Arg.(value & opt (some pos_int) None & info [ "w"; "workers" ] ~docv:"N" ~doc)
-
-let txns_arg default doc = Arg.(value & opt pos_int default & info [ "t"; "txns" ] ~docv:"N" ~doc)
 
 (* The standard Figure-2 crash at --cache/--scale, built for [methods];
    --workers sets the redo worker count its recoveries inherit. *)
@@ -114,141 +105,77 @@ let method_conv =
   in
   Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (Recovery.method_to_string m))
 
-let fig2_cmd =
-  let run scale cache_sizes =
-    let cells = Figures.run_fig2 ~scale ~cache_sizes ~progress ~config:env () in
-    print_string (Figures.fig2a cells);
-    print_newline ();
-    print_string (Figures.fig2b cells);
-    print_newline ();
-    print_string (Figures.fig2c cells);
-    print_newline ();
-    print_string (Figures.sec53 cells);
-    print_newline ();
-    print_string (Figures.costmodel cells)
+(* One command per sweep of the registry: --scale plus one option per
+   parameter, defaulting to the bench's full value.  [adjust] changes the
+   run context before the sweep runs (tune's METHOD); [gate] checks the
+   sweep's JSON after its tables print (instant's --min-speedup). *)
+let sweep_cmd ?(adjust = Term.const Fun.id) ?(gate = Term.const ignore) (sw : Figures.sweep) =
+  let param (p : Figures.param) =
+    let opt kind default docv = Arg.(value & opt kind default & info [ p.flag ] ~docv ~doc:p.doc) in
+    if p.single then Term.(const (fun v -> [ v ]) $ opt pos_int (List.hd p.full) "N")
+    else opt (Arg.list pos_int) p.full "NS"
   in
-  Cmd.v
-    (Cmd.info "fig2" ~doc:"Figures 2(a)-(c), the §5.3 claims, and the Appendix B cost model")
-    Term.(const run $ scale_arg $ cache_sizes_arg)
+  let args =
+    List.fold_right
+      (fun (p : Figures.param) rest -> Term.(const (fun v rest -> (p.flag, v) :: rest) $ param p $ rest))
+      sw.params (Term.const [])
+  in
+  let run adjust gate scale args =
+    or_fail @@ fun () ->
+    let ctx = adjust { Figures.config = env; scale; cache = None; methods = None; progress } in
+    let out = sw.run ctx args in
+    print_string (String.concat "\n" (List.map snd out.tables));
+    gate out.json
+  in
+  Cmd.v (Cmd.info sw.command ~doc:sw.doc) Term.(const run $ adjust $ gate $ scale_arg $ args)
 
-let fig3_cmd =
-  let multipliers_arg =
-    counts_arg ~name:"multipliers" ~docv:"KS" [ 1; 5; 10 ] "Checkpoint interval multipliers."
-  in
-  let run scale cache multipliers =
-    let cells = Figures.run_fig3 ~scale ~cache_mb:cache ~multipliers ~progress ~config:env () in
-    print_string (Figures.fig3 cells)
-  in
-  Cmd.v
-    (Cmd.info "fig3" ~doc:"Figure 3 (Appendix C): checkpoint-interval sweep")
-    Term.(const run $ scale_arg $ cache_arg $ multipliers_arg)
-
-let appd_cmd =
-  let run scale cache =
-    print_string (Figures.appd (Figures.run_appd ~scale ~cache_mb:cache ~progress ~config:env ()))
-  in
-  Cmd.v
-    (Cmd.info "appd" ~doc:"Appendix D ablations: the DC-logging spectrum")
-    Term.(const run $ scale_arg $ cache_arg)
-
-let splitlog_cmd =
-  let run scale cache =
-    print_string
-      (Figures.split_table (Figures.run_split ~scale ~cache_mb:cache ~progress ~config:env ()))
-  in
-  Cmd.v
-    (Cmd.info "splitlog" ~doc:"Split-log layout (§4.2) vs the integrated prototype")
-    Term.(const run $ scale_arg $ cache_arg)
-
-let workers_cmd =
-  let worker_counts_arg = counts_arg [ 1; 2; 4; 8 ] "Comma-separated worker counts to sweep." in
-  let run scale cache counts =
-    print_string
-      (Figures.workers_table
-         (Figures.run_workers ~scale ~cache_sizes:[ cache ] ~workers:counts ~progress
-            ~config:env ()))
-  in
-  Cmd.v
-    (Cmd.info "workers"
-       ~doc:"Parallel-redo sweep: redo time and latency percentiles per worker count")
-    Term.(const run $ scale_arg $ cache_arg $ worker_counts_arg)
-
-let clients_cmd =
-  let client_counts_arg = counts_arg [ 1; 2; 4; 8 ] "Comma-separated client counts to sweep." in
-  let group_commits_arg =
-    counts_arg ~name:"group-commits" ~docv:"GS" [ 1; 4 ] "Comma-separated group-commit batch sizes."
-  in
-  let txns_arg = txns_arg 300 "Committed transactions per cell." in
-  let run scale cache counts group_commits txns =
-    print_string
-      (Figures.concurrency_table
-         (Figures.run_concurrency ~scale ~cache_mb:cache ~clients:counts ~group_commits ~txns
-            ~progress ~config:env ()))
-  in
-  Cmd.v
-    (Cmd.info "clients"
-       ~doc:
-         "Concurrency sweep: simulated multi-client normal execution per (clients, \
-          group_commit) cell, with the cross-cell determinism digest check")
-    Term.(const run $ scale_arg $ cache_arg $ client_counts_arg $ group_commits_arg $ txns_arg)
-
-let shards_cmd =
-  let shard_counts_arg = counts_arg [ 1; 2; 4; 8 ] "Comma-separated shard counts to sweep." in
-  let client_counts_arg =
-    counts_arg ~name:"clients" [ 4; 8 ] "Comma-separated client counts to sweep."
-  in
-  let txns_arg = txns_arg 300 "Committed transactions per cell." in
-  let net_arg =
+let tune_method =
+  let method_arg =
     Arg.(
-      value & flag
-      & info [ "net" ]
+      value
+      & pos 0 (some method_conv) None
+      & info [] ~docv:"METHOD" ~doc:"Tune only this method: log2 or sql2 (default: both).")
+  in
+  let adjust m (ctx : Figures.ctx) =
+    match m with
+    | None -> ctx
+    | Some ((Recovery.Log2 | Recovery.Sql2) as m) -> { ctx with methods = Some [ m ] }
+    | Some m ->
+        failwith
+          (Printf.sprintf "tune: %s does not prefetch; only log2 and sql2 can be tuned"
+             (Recovery.method_to_string m))
+  in
+  Term.(const adjust $ method_arg)
+
+let min_speedup_gate =
+  let min_speedup_arg =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "min-speedup" ] ~docv:"R"
           ~doc:
-            "Route the TC-DC protocol over simulated network links (latency model from \
-             DEUT_NET_* / defaults) instead of in-process calls.")
+            "Gate: fail (exit 1) unless time-to-full-recovery is at least $(docv)x the \
+             time-to-first-transaction at the smallest cache size.")
   in
-  let run scale cache counts clients txns net =
-    print_string
-      (Figures.sharding_table
-         (Figures.run_sharding ~scale ~cache_mb:cache ~shards:counts ~clients ~txns ~net
-            ~progress ~config:env ()))
+  let gate min_speedup json =
+    Option.iter
+      (fun min_speedup ->
+        print_newline ();
+        match Deut_workload.Bench_summary.availability_gate ~min_speedup json with
+        | Ok verdict -> print_endline verdict
+        | Error msg -> failwith msg)
+      min_speedup
   in
-  Cmd.v
-    (Cmd.info "shards"
-       ~doc:
-         "Sharding sweep: one TC driving N data components per (shards, clients) cell, \
-          with the cross-cell shard-transparency digest check and a single-shard-crash \
-          availability scenario per multi-shard cell")
-    Term.(
-      const run $ scale_arg $ cache_arg $ shard_counts_arg $ client_counts_arg $ txns_arg
-      $ net_arg)
+  Term.(const gate $ min_speedup_arg)
 
-let archive_cmd =
-  let clients_arg =
-    Arg.(
-      value & opt pos_int 4
-      & info [ "clients" ] ~docv:"N" ~doc:"Simulated concurrent clients driving the workload.")
-  in
-  let rounds_arg =
-    Arg.(
-      value & opt pos_int 6
-      & info [ "rounds" ] ~docv:"N" ~doc:"Checkpoint + archive-cut rounds to run.")
-  in
-  let txns_arg = txns_arg 100 "Committed transactions per round." in
-  let run scale cache clients rounds txns =
-    print_string
-      (Figures.archiving_table
-         (Figures.run_archiving ~scale ~cache_mb:cache ~clients ~rounds ~txns_per_round:txns
-            ~progress ~config:env ()))
-  in
-  Cmd.v
-    (Cmd.info "archive"
-       ~doc:
-         "Log-archiving sweep: the long-running multi-client workload with periodic \
-          checkpoint + archive cuts, run with archiving off and on.  Shows the live log \
-          staying bounded while logged bytes grow, checks the sealed-coverage durability \
-          contract every round, cross-checks the final digests, and restarts from the \
-          truncated log + archive with every method (oracle-verified).")
-    Term.(const run $ scale_arg $ cache_arg $ clients_arg $ rounds_arg $ txns_arg)
+let sweep_cmds =
+  List.map
+    (fun (sw : Figures.sweep) ->
+      match sw.command with
+      | "tune" -> sweep_cmd ~adjust:tune_method sw
+      | "instant" -> sweep_cmd ~gate:min_speedup_gate sw
+      | _ -> sweep_cmd sw)
+    Figures.sweeps
 
 let crash_cmd =
   let methods_arg =
@@ -516,172 +443,30 @@ let bench_diff_cmd =
   let run old_path new_path =
     or_fail @@ fun () ->
     let read = read_input "bench summary" Deut_obs.Json.parse in
-    let d = Deut_workload.Bench_summary.diff (read old_path) (read new_path) in
+    let current = read new_path in
+    let d = Deut_workload.Bench_summary.diff (read old_path) current in
     List.iter (Printf.printf "  wall clock, not gated: %s\n") d.wall;
     List.iter print_endline d.simulated;
-    if d.simulated <> [] then
+    let broken = Deut_workload.Bench_summary.check current in
+    List.iter (Printf.printf "invariant broken: %s\n") broken;
+    if d.simulated <> [] || broken <> [] then
       failwith
-        (Printf.sprintf "%d simulated field(s) differ from %s" (List.length d.simulated) old_path);
-    Printf.printf "simulated fields match %s\n" old_path
+        (Printf.sprintf "%d simulated field(s) differ from %s; %d invariant(s) broken in %s"
+           (List.length d.simulated) old_path (List.length broken) new_path);
+    Printf.printf "simulated fields match %s; every invariant holds in %s\n" old_path new_path
   in
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
          "Compare two bench summaries (BENCH_recovery.json) field by field.  Lists every \
           differing path; wall-clock fields are printed old -> new but never gated, and any \
-          other difference (a value, a missing key, a changed list length) exits 1.")
+          other difference (a value, a missing key, a changed list length) exits 1.  Also \
+          checks the invariants every summary must show (sealed archive segments, the \
+          instant-recovery speedup, both shard counts, one digest per sweep, ...) on NEW.")
     Term.(
       const run
       $ file_arg 0 "OLD" "The reference summary, e.g. baselines/BENCH_recovery_quick.json."
       $ file_arg 1 "NEW" "The summary to check.")
-
-let tune_cmd =
-  let ints_opt name doc =
-    Arg.(value & opt (some (list pos_int)) None & info [ name ] ~docv:"NS" ~doc)
-  in
-  let windows_arg = ints_opt "windows" "Comma-separated prefetch_window candidates." in
-  let chunks_arg = ints_opt "chunks" "Comma-separated prefetch_chunk candidates." in
-  let lookaheads_arg =
-    ints_opt "lookaheads" "Comma-separated prefetch_lookahead candidates (SQL2 only)."
-  in
-  let run scale cache method_ windows chunks lookaheads =
-    (match method_ with
-    | Recovery.Log2 | Recovery.Sql2 -> ()
-    | m ->
-        Printf.eprintf "tune: %s does not prefetch; only log2 and sql2 can be tuned\n"
-          (Recovery.method_to_string m);
-        exit 1);
-    let cells =
-      Figures.run_tuning ~scale ~cache_sizes:[ cache ] ~methods:[ method_ ] ?windows ?chunks
-        ?lookaheads ~progress ~config:env ()
-    in
-    print_string (Figures.tuning_table cells)
-  in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:
-         "Sweep prefetch settings for one method at one cache size, score each candidate by \
-          its trace-mined profile (stall-attributed time plus late/wasted-prefetch \
-          penalties), and print the recommendation table.  Every candidate recovery is \
-          oracle-verified.")
-    Term.(
-      const run $ scale_arg $ cache_arg $ method_pos_arg $ windows_arg $ chunks_arg
-      $ lookaheads_arg)
-
-let instant_cmd =
-  let min_speedup_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-speedup" ] ~docv:"R"
-          ~doc:
-            "Gate: fail (exit 1) unless time-to-full-recovery is at least $(docv)x the \
-             time-to-first-transaction at the smallest cache size.")
-  in
-  let probes_arg =
-    Arg.(
-      value & opt pos_int 32
-      & info [ "probes" ] ~docv:"N"
-          ~doc:"Probe reads served while the background redo is still draining.")
-  in
-  let run scale cache_sizes probes min_speedup =
-    let cells = Figures.run_availability ~scale ~cache_sizes ~probes ~progress ~config:env () in
-    print_string (Figures.availability_table cells);
-    match min_speedup with
-    | None -> ()
-    | Some r -> (
-        let by_size =
-          List.stable_sort
-            (fun (a : Figures.availability_cell) b -> compare a.Figures.v_cache_mb b.Figures.v_cache_mb)
-            cells
-        in
-        match by_size with
-        | [] ->
-            Printf.eprintf "FAIL: no availability cells were produced\n";
-            exit 1
-        | smallest :: _ ->
-            print_newline ();
-            if smallest.Figures.v_speedup < r then begin
-              Printf.eprintf
-                "FAIL: availability gate — %.1fx at %d MB, need >= %.1fx (open %.3f ms, \
-                 drained %.3f ms)\n"
-                smallest.Figures.v_speedup smallest.Figures.v_cache_mb r
-                smallest.Figures.v_ttft_ms smallest.Figures.v_drained_ms;
-              exit 1
-            end;
-            Printf.printf "availability gate OK: %.1fx at %d MB (need >= %.1fx)\n"
-              smallest.Figures.v_speedup smallest.Figures.v_cache_mb r)
-  in
-  Cmd.v
-    (Cmd.info "instant"
-       ~doc:
-         "Instant-recovery availability sweep: per cache size, recover with InstantLog2 and \
-          report time-to-first-transaction vs time-to-full-recovery.  Each cell first \
-          proves the determinism gate — the drained InstantLog2 state is byte-identical to \
-          offline Log2 — then serves probe reads during the staged drain.  With \
-          $(b,--min-speedup), acts as a regression gate on the availability win.")
-    Term.(const run $ scale_arg $ cache_sizes_arg $ probes_arg $ min_speedup_arg)
-
-let domains_cmd =
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some pos_int) None
-      & info [ "d"; "domains" ] ~docv:"N"
-          ~doc:
-            "Domains for the parallel run (default: DEUT_DOMAINS when set above 1, else \
-             min(4, available cores)).")
-  in
-  let min_speedup_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-speedup" ] ~docv:"R"
-          ~doc:
-            "Gate: fail (exit 1) unless the parallel sweep finishes at least $(docv)x \
-             faster than the sequential one.  Wall-clock speedup tracks the machine's \
-             real core count — only gate on hardware with enough idle cores.")
-  in
-  let run scale cache_sizes domains min_speedup =
-    let d =
-      or_fail (fun () -> Figures.run_domains ~scale ~cache_sizes ?domains ~progress ~config:env ())
-    in
-    let speedup = Figures.domains_speedup d in
-    print_string
-      (Report.table ~title:"Real multicore — identical results, wall clock only"
-         ~header:
-           [ "measure"; "sequential"; Printf.sprintf "%d domains" d.Figures.dm_domains; "speedup" ]
-         ~rows:
-           [
-             [
-               "fig2 sweep (s)";
-               Printf.sprintf "%.2f" d.Figures.dm_seq_wall_s;
-               Printf.sprintf "%.2f" d.Figures.dm_par_wall_s;
-               Printf.sprintf "%.2fx" speedup;
-             ];
-           ]
-         ());
-    Printf.printf
-      "determinism gate OK: digests byte-identical at 1 and %d domains; %d core(s) available\n"
-      d.Figures.dm_domains d.Figures.dm_cores;
-    match min_speedup with
-    | None -> ()
-    | Some r ->
-        if speedup < r then begin
-          Printf.eprintf "FAIL: domains gate — %.2fx, need >= %.2fx (%d cores available)\n"
-            speedup r d.Figures.dm_cores;
-          exit 1
-        end;
-        Printf.printf "domains gate OK: %.2fx (need >= %.2fx)\n" speedup r
-  in
-  Cmd.v
-    (Cmd.info "domains"
-       ~doc:
-         "Real-multicore determinism and speedup check: run the Figure-2 sweep \
-          sequentially and fanned across OS-level domains and prove every cell's store \
-          and logical digests byte-identical.  With $(b,--min-speedup), gates on the \
-          wall-clock win.")
-    Term.(const run $ scale_arg $ cache_sizes_arg $ domains_arg $ min_speedup_arg)
 
 let metrics_cmd =
   let run scale cache method_ =
@@ -748,22 +533,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            fig2_cmd;
-            fig3_cmd;
-            appd_cmd;
-            splitlog_cmd;
-            workers_cmd;
-            clients_cmd;
-            shards_cmd;
-            archive_cmd;
-            crash_cmd;
-            trace_cmd;
-            analyze_cmd;
-            bench_diff_cmd;
-            tune_cmd;
-            instant_cmd;
-            domains_cmd;
-            metrics_cmd;
-            forensics_cmd;
-          ]))
+          (sweep_cmds
+          @ [ crash_cmd; trace_cmd; analyze_cmd; bench_diff_cmd; metrics_cmd; forensics_cmd ])))

@@ -5,7 +5,6 @@ let create ~domains =
   { domains }
 
 let size t = t.domains
-let available_cores () = Domain.recommended_domain_count ()
 
 (* Spawn-per-batch rather than a persistent worker queue: a [map] spawns at
    most [min size (List.length items)] domains, each pulling item indices

@@ -25,8 +25,3 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     item) this is [List.map] on the calling domain — the reference path.
     Results come back in input order; if any task raised, the first
     failure (in input order) is re-raised after all domains join. *)
-
-val available_cores : unit -> int
-(** [Domain.recommended_domain_count ()] — what the hardware can actually
-    run in parallel; reported alongside bench speedups so a 1-core CI
-    runner's numbers read as what they are. *)

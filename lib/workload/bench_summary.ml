@@ -1,77 +1,32 @@
-(* The bench summary (BENCH_recovery.json), and the only code that knows
-   its schema: bench/main.exe writes it with [to_json]; [repro_cli
-   bench-diff] compares two of them with [diff], which is how CI checks a
-   run against baselines/BENCH_recovery_quick.json. *)
+(* The bench summary (BENCH_recovery.json), and the only code that reads
+   it: bench/main.exe writes it with [to_json]; [repro_cli bench-diff]
+   compares two of them with [diff] and checks the new one with [check],
+   which is how CI checks a run against baselines/BENCH_recovery_quick.json.
+   Each sweep's block is its [Figures.sweep] JSON. *)
 
 module Json = Deut_obs.Json
-module Rs = Deut_core.Recovery_stats
 
-(* Wall-clock seconds ([sections] in run order) beside the key simulated
-   metrics, in a fixed field order with each number's precision fixed, so
-   two runs diff cleanly.  The domains block's "requested" is [config]'s
-   domain count: the config the bench ran its sweeps from. *)
-let to_json ?(config = Deut_core.Config.default) ~scale ~quick ~total_wall_s ~sections ~archiving
-    ~availability ~sharding ~(domains : Figures.domains_cell) (fig2 : Figures.fig2_cell list) =
-  let f decimals x = Json.fixed ~decimals x and int = Json.int and str s = Json.Str s in
-  let cells render cells = Json.Arr (List.map (fun c -> Json.Obj (render c)) cells) in
+let schema = "deut-bench-recovery/1"
+
+(* Wall-clock seconds ([sections] in run order) and the domain count the
+   sweeps ran on, then each sweep's block under its name, with each
+   number's precision fixed, so two runs diff cleanly. *)
+let to_json ~scale ~quick ~domains ~total_wall_s ~sections sweeps =
   Json.Obj
-    [
-      ("schema", str "deut-bench-recovery/1");
-      ("scale", int scale);
-      ("quick", Json.Bool quick);
-      ("total_wall_s", f 3 total_wall_s);
-      ("sections", cells (fun (name, w) -> [ ("name", str name); ("wall_s", f 3 w) ]) sections);
-      ( "archiving",
-        cells
-          (fun (c : Figures.archiving_cell) ->
-            let last = List.nth c.a_rounds (List.length c.a_rounds - 1) in
-            [ ("archive", Json.Bool c.a_archive); ("rounds", int (List.length c.a_rounds));
-              ("final_logged_kb", f 1 last.ar_logged_kb); ("final_live_kb", f 1 last.ar_live_kb);
-              ("final_archived_kb", f 1 last.ar_archive_kb); ("segments", int last.ar_segments);
-              ("digest", str c.a_digest) ])
-          archiving );
-      ( "availability",
-        cells
-          (fun (c : Figures.availability_cell) ->
-            [ ("cache_mb", int c.v_cache_mb); ("ttft_ms", f 3 c.v_ttft_ms);
-              ("drained_ms", f 3 c.v_drained_ms); ("log2_total_ms", f 3 c.v_log2_total_ms);
-              ("speedup", f 2 c.v_speedup); ("pages_ondemand", int c.v_pages_ondemand);
-              ("pages_background", int c.v_pages_background); ("probe_reads", int c.v_probe_reads) ])
-          availability );
-      ( "sharding",
-        cells
-          (fun (c : Figures.sharding_cell) ->
-            let s = c.sh_stats in
-            let recover = Option.fold ~none:Json.Null ~some:(fun cr -> f 3 cr.Figures.sc_recover_ms) in
-            [ ("shards", int c.sh_shards); ("clients", int c.sh_clients);
-              ("txns", int s.committed_txns); ("makespan_ms", f 3 s.makespan_ms);
-              ("tput_tps", f 0 s.throughput_tps); ("net_msgs", int c.sh_net_msgs);
-              ("recover_shard_ms", recover c.sh_crash); ("digest", str c.sh_digest) ])
-          sharding );
-      ( "domains",
-        Json.Obj
-          [ ("requested", int config.domains); ("used", int domains.dm_domains);
-            ("cores_available", int domains.dm_cores);
-            ("harness_seq_wall_s", f 3 domains.dm_seq_wall_s);
-            ("harness_par_wall_s", f 3 domains.dm_par_wall_s);
-            ("harness_speedup", f 2 (Figures.domains_speedup domains)) ] );
-      ( "fig2",
-        cells
-          (fun (cell : Figures.fig2_cell) ->
-            let methods (m, stats) =
-              [ ("method", str (Deut_core.Recovery.method_to_string m));
-                ("wall_s", f 4 (List.assoc m cell.method_walls));
-                ("analysis_ms", f 3 (Rs.analysis_ms stats)); ("redo_ms", f 3 (Rs.redo_ms stats));
-                ("undo_ms", f 3 (Rs.undo_ms stats)); ("records_scanned", int stats.records_scanned);
-                ("redo_applied", int stats.redo_applied);
-                ("data_page_fetches", int stats.data_page_fetches);
-                ("log_pages_read", int stats.log_pages_read) ]
-            in
-            [ ("cache_mb", int cell.cache_mb); ("pool_pages", int cell.pool_pages);
-              ("db_pages", int cell.db_pages); ("build_wall_s", f 3 cell.build_wall_s);
-              ("methods", cells methods cell.methods) ])
-          fig2 );
-    ]
+    ([
+       ("schema", Json.Str schema);
+       ("scale", Json.int scale);
+       ("quick", Json.Bool quick);
+       ("domains", Json.int domains);
+       ("total_wall_s", Json.fixed ~decimals:3 total_wall_s);
+       ( "sections",
+         Json.Arr
+           (List.map
+              (fun (name, w) ->
+                Json.Obj [ ("name", Json.Str name); ("wall_s", Json.fixed ~decimals:3 w) ])
+              sections) );
+     ]
+    @ sweeps)
 
 (* The file's bytes: indented, one line per cell. *)
 let to_string summary = Json.to_string ~indent:true summary ^ "\n"
@@ -79,11 +34,10 @@ let to_string summary = Json.to_string ~indent:true summary ^ "\n"
 (* ---------- diff ---------- *)
 
 (* Wall-clock fields vary run to run: these keys at any depth, and the
-   machine-dependent counts of the "domains" block. *)
+   domain count, which only sets how many cells run at once. *)
 let is_wall ~parent key =
   List.mem key [ "total_wall_s"; "sections"; "wall_s"; "build_wall_s" ]
-  || String.starts_with ~prefix:"harness_" key
-  || (parent = "/domains" && List.mem key [ "used"; "cores_available"; "requested" ])
+  || (parent = "" && key = "domains")
 
 (* Every differing leaf as a "path: old -> new" line, in document order:
    [simulated] lines are behaviour changes (a missing or added key and a
@@ -120,3 +74,76 @@ let diff old_ new_ =
   in
   walk ~gated:true "" (Some old_) (Some new_);
   { simulated = List.rev !simulated; wall = List.rev !wall }
+
+(* ---------- invariants ---------- *)
+
+let cells key j = Json.to_list key (Json.member key j)
+let distinct key l = List.length (List.sort_uniq compare (List.map (fun c -> Json.member key c) l))
+
+(* Instant recovery's availability win at the smallest cache size of an
+   availability block. *)
+let availability_gate ~min_speedup availability =
+  let by_size =
+    List.stable_sort
+      (fun a b -> compare (Json.num a "cache_mb") (Json.num b "cache_mb"))
+      (Json.to_list "availability" availability)
+  in
+  match by_size with
+  | [] -> Error "no availability cells were produced"
+  | smallest :: _ ->
+      let speedup = Json.num smallest "speedup" and mb = Json.num smallest "cache_mb" in
+      if speedup < min_speedup then
+        Error
+          (Printf.sprintf
+             "availability gate — %.1fx at %.0f MB, need >= %.1fx (open %.3f ms, drained %.3f ms)"
+             speedup mb min_speedup (Json.num smallest "ttft_ms") (Json.num smallest "drained_ms"))
+      else Ok (Printf.sprintf "availability gate OK: %.1fx at %.0f MB (need >= %.1fx)" speedup mb min_speedup)
+
+(* What every summary must show, whatever the baseline says: each failed
+   invariant as one line.  Equality with a baseline stops guarding these
+   the day the baseline is regenerated. *)
+let check summary =
+  let failures = ref [] in
+  let fail msg = failures := msg :: !failures in
+  let expect ok msg = if not ok then fail msg in
+  let section key f = try f () with Json.Parse_error msg -> fail (key ^ ": " ^ msg) in
+  section "schema" (fun () ->
+      expect (Json.str summary "schema" = schema) ("schema is not " ^ schema));
+  section "fig2" (fun () ->
+      let fig2 = cells "fig2" summary in
+      expect
+        (fig2 <> [] && List.for_all (fun c -> cells "methods" c <> []) fig2)
+        "fig2: empty fig2 cells");
+  section "archiving" (fun () ->
+      let all = cells "archiving" summary in
+      let on = List.filter (fun c -> Json.member "archive" c = Json.Bool true) all in
+      expect
+        (on <> [] && List.for_all (fun c -> Json.num c "segments" > 0.0) on)
+        "archiving: an archiving cell sealed no segments";
+      expect
+        (List.for_all (fun c -> Json.num c "final_live_kb" < Json.num c "final_logged_kb") on)
+        "archiving: live log not bounded";
+      expect (distinct "digest" all = 1) "archiving: archiving changed committed state");
+  section "availability" (fun () ->
+      match cells "availability" summary with
+      | [] -> fail "availability: empty availability sweep"
+      | a ->
+          Result.iter_error
+            (fun msg -> fail ("availability: " ^ msg))
+            (availability_gate ~min_speedup:10.0 (Json.member "availability" summary));
+          expect
+            (List.for_all (fun c -> Json.num c "pages_background" > 0.0) a)
+            "availability: background drain replayed nothing");
+  section "sharding" (fun () ->
+      match cells "sharding" summary with
+      | [] -> fail "sharding: empty sharding sweep"
+      | sh ->
+          let multi = List.filter (fun c -> Json.num c "shards" > 1.0) sh in
+          expect
+            (List.exists (fun c -> Json.num c "shards" = 1.0) sh && multi <> [])
+            "sharding: sharding sweep missing a shard count";
+          expect (distinct "digest" sh = 1) "sharding: sharding changed committed state";
+          expect
+            (List.for_all (fun c -> Json.member "recover_shard_ms" c <> Json.Null) multi)
+            "sharding: multi-shard cell skipped the crash/recovery scenario");
+  List.rev !failures

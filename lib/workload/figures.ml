@@ -3,9 +3,17 @@ module Db = Deut_core.Db
 module Engine = Deut_core.Engine
 module Recovery = Deut_core.Recovery
 module Rs = Deut_core.Recovery_stats
+module Json = Deut_obs.Json
 
-let paper_cache_sizes = [ 64; 128; 256; 512; 1024; 2048 ]
-let no_progress _ = ()
+type ctx = {
+  config : Config.t;
+  scale : int;
+  cache : Experiment.build_cache option;
+  methods : Recovery.method_ list option;
+  progress : string -> unit;
+}
+
+let methods_or c default = Option.value c.methods ~default
 
 (* The sweeps below evaluate independent cells — separate engines sharing
    nothing but the build cache (itself a monitor) — so with domains > 1
@@ -14,14 +22,14 @@ let no_progress _ = ()
    byte-identical to a sequential run (the domain count never reaches a
    recovery), so harness parallelism buys wall clock only.  Progress lines are serialised so concurrent cells cannot
    interleave output. *)
-let fan ~domains f items =
-  Deut_sim.Domain_pool.map (Deut_sim.Domain_pool.create ~domains) f items
+let fan c f items =
+  Deut_sim.Domain_pool.map (Deut_sim.Domain_pool.create ~domains:c.config.Config.domains) f items
 
 let progress_lock = Mutex.create ()
 
-let serial progress msg =
+let serial c msg =
   Mutex.lock progress_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock progress_lock) (fun () -> progress msg)
+  Fun.protect ~finally:(fun () -> Mutex.unlock progress_lock) (fun () -> c.progress msg)
 
 (* The determinism gate every sweep enforces: each (coordinates, digest)
    pair must carry the first pair's digest. *)
@@ -42,8 +50,8 @@ let digests_agree sweep cells =
    crash experiments' (the load dominates otherwise) and one seed shared by
    every cell, so the committed stream — hence the final digest — does not
    depend on the sweep coordinates. *)
-let oltp_driver ~config ~scale ~cache_mb tweak =
-  let setup = Experiment.paper_setup ~config ~scale ~cache_mb () in
+let oltp_driver c ~cache_mb tweak =
+  let setup = Experiment.paper_setup ~config:c.config ~scale:c.scale ~cache_mb () in
   let spec = setup.Experiment.spec in
   Driver.create
     ~config:(tweak { setup.Experiment.config with Config.locking = true })
@@ -53,21 +61,76 @@ let plural n = if n = 1 then "" else "s"
 
 (* The paper crash at [cache_mb]: (cache_mb, run, real seconds the build
    took). *)
-let crash ?cache ~config ~scale ~progress sweep cache_mb =
-  serial progress (Printf.sprintf "%s: cache %d MB (scale 1/%d)" sweep cache_mb scale);
+let crash c sweep cache_mb =
+  serial c (Printf.sprintf "%s: cache %d MB (scale 1/%d)" sweep cache_mb c.scale);
   let t0 = Unix.gettimeofday () in
-  let run = Experiment.build ?cache (Experiment.paper_setup ~config ~scale ~cache_mb ()) in
+  let run =
+    Experiment.build ?cache:c.cache (Experiment.paper_setup ~config:c.config ~scale:c.scale ~cache_mb ())
+  in
   (cache_mb, run, Unix.gettimeofday () -. t0)
 
 (* Every (crash, task) recovery is independent — the crash image is copied
    before recovery mutates anything and the oracle is sealed — so the full
    grid fans out flat. *)
-let grid ~domains crashes tasks f =
-  fan ~domains
+let grid c crashes tasks f =
+  fan c
     (fun (cache_mb, run, task) -> f cache_mb run task)
     (List.concat_map (fun (cache_mb, run, _) -> List.map (fun t -> (cache_mb, run, t)) tasks) crashes)
 
 let image_config run = run.Experiment.image.Deut_core.Crash_image.config
+
+(* ---------- the registry ---------- *)
+
+type param = { flag : string; doc : string; full : int list; quick : int list; single : bool }
+type output = { tables : (string * string) list; json : Json.t }
+
+type sweep = {
+  name : string;
+  command : string;
+  doc : string;
+  params : param list;
+  run : ctx -> (string * int list) list -> output;
+}
+
+let list flag ~full ~quick doc : param = { flag; doc; full; quick; single = false }
+let one flag ~full ~quick doc : param = { flag; doc; full = [ full ]; quick = [ quick ]; single = true }
+let cache_param mb = one "cache" ~full:mb ~quick:mb "Paper-equivalent cache size in MB (64..2048)."
+
+(* [run] reads its arguments by flag; the tables and the JSON are rendered
+   from the same cells. *)
+let sweep name ?(command = name) ~doc params ~tables ~json run =
+  let run c args =
+    let cells = run c (fun flag -> List.assoc flag args) in
+    { tables = List.map (fun (title, render) -> (title, render cells)) tables; json = json cells }
+  in
+  { name; command; doc; params; run }
+
+(* The JSON side of every sweep: each number the tables print, at a fixed
+   precision, and every digest. *)
+let f decimals x = Json.fixed ~decimals x
+let int = Json.int
+let str s = Json.Str s
+let objs render items = Json.Arr (List.map (fun item -> Json.Obj (render item)) items)
+let method_json m = ("method", str (Recovery.method_to_string m))
+
+let stats_json (s : Rs.t) =
+  [
+    ("analysis_ms", f 3 (Rs.analysis_ms s));
+    ("redo_ms", f 3 (Rs.redo_ms s));
+    ("undo_ms", f 3 (Rs.undo_ms s));
+    ("records_scanned", int s.records_scanned);
+    ("redo_applied", int s.redo_applied);
+    ("data_page_fetches", int s.data_page_fetches);
+    ("log_pages_read", int s.log_pages_read);
+  ]
+
+(* A text table from (header, renderer) columns, one row per item. *)
+let columns ~title cols items =
+  Report.table ~title ~header:(List.map fst cols)
+    ~rows:(List.map (fun item -> List.map (fun (_, render) -> render item) cols) items)
+    ()
+
+(* ---------- Figure 2, §5.3 and Appendix B ---------- *)
 
 type fig2_cell = {
   cache_mb : int;
@@ -80,18 +143,15 @@ type fig2_cell = {
   build_wall_s : float;  (* real seconds to build workload + crash image *)
   method_walls : (Recovery.method_ * float) list;  (* real seconds per recover+verify *)
   digests : (Recovery.method_ * (string * string)) list;
-      (* (store, logical) digest of each method's recovered state — what the
-         cross-domain determinism gate compares *)
 }
 
 let stats_of cell m = List.assoc m cell.methods
 let redo_ms_of cell m = Rs.redo_ms (stats_of cell m)
 
-(* [run_fig2] at any fan width: [run_domains] fans one config at two. *)
-let fig2_sweep ~cache ~scale ~cache_sizes ~methods ~progress ~config ~domains =
-  let builds = fan ~domains (crash ?cache ~config ~scale ~progress "fig2") cache_sizes in
+let run_fig2 c ~cache_sizes =
+  let builds = fan c (crash c "fig2") cache_sizes in
   let timed =
-    grid ~domains builds methods (fun cache_mb run m ->
+    grid c builds (methods_or c Recovery.all_methods) (fun cache_mb run m ->
         let t0 = Unix.gettimeofday () in
         let recovered, stats = Experiment.recover_verified run m in
         let wall = Unix.gettimeofday () -. t0 in
@@ -123,16 +183,6 @@ let fig2_sweep ~cache ~scale ~cache_sizes ~methods ~progress ~config ~domains =
         digests = List.map (fun (_, m, _, _, d) -> (m, d)) mine;
       })
     builds
-
-let run_fig2 ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
-    ?(methods = Recovery.all_methods) ?(progress = no_progress) ?(config = Config.default) () =
-  fig2_sweep ~cache ~scale ~cache_sizes ~methods ~progress ~config ~domains:config.Config.domains
-
-(* A text table from (header, renderer) columns, one row per item. *)
-let columns ~title cols items =
-  Report.table ~title ~header:(List.map fst cols)
-    ~rows:(List.map (fun item -> List.map (fun (_, render) -> render item) cols) items)
-    ()
 
 let method_columns cells =
   match cells with [] -> [] | cell :: _ -> List.map fst cell.methods
@@ -274,96 +324,85 @@ let costmodel cells =
     ]
     cells
 
-(* ---------- real multicore: the fig2 sweep at 1 and N domains ---------- *)
+let fig2_json =
+  objs (fun cell ->
+      let method_ (m, (s : Rs.t)) =
+        let store, logical = List.assoc m cell.digests in
+        (method_json m :: ("wall_s", f 4 (List.assoc m cell.method_walls)) :: stats_json s)
+        @ [
+            ("redo_candidates", int s.redo_candidates);
+            ("tail_records", int s.tail_records);
+            ("dpt_size", int s.dpt_size);
+            ("index_stall_ms", f 3 (s.index_stall_us /. 1000.0));
+            ("store_digest", str store);
+            ("logical_digest", str logical);
+          ]
+      in
+      [
+        ("cache_mb", int cell.cache_mb);
+        ("pool_pages", int cell.pool_pages);
+        ("db_pages", int cell.db_pages);
+        ("build_wall_s", f 3 cell.build_wall_s);
+        ("dirty_pct", f 3 cell.dirty_pct);
+        ("deltas_seen", int cell.deltas_seen);
+        ("bws_seen", int cell.bws_seen);
+        ("methods", objs method_ cell.methods);
+      ])
 
-type domains_cell = {
-  dm_domains : int;
-  dm_cores : int;
-  dm_seq_wall_s : float;
-  dm_par_wall_s : float;
-  dm_seq : fig2_cell list;
-  dm_par : fig2_cell list;
-}
+let cache_sizes_param =
+  list "cache-sizes" ~full:[ 64; 128; 256; 512; 1024; 2048 ] ~quick:[ 64; 512; 2048 ]
+    "Comma-separated paper-equivalent cache sizes in MB."
 
-let domains_speedup d = if d.dm_par_wall_s > 0.0 then d.dm_seq_wall_s /. d.dm_par_wall_s else 0.0
+let fig2 =
+  sweep "fig2" ~doc:"Figures 2(a)-(c), the per-phase breakdown, the §5.3 claims, and the Appendix B cost model"
+    [ cache_sizes_param ]
+    ~tables:
+      [
+        ("FIGURE 2(a)", fig2a);
+        ("FIGURE 2(b)", fig2b);
+        ("FIGURE 2(c)", fig2c);
+        ("PER-PHASE BREAKDOWN", phase_table);
+        ("SECTION 5.3 CLAIMS", sec53);
+        ("APPENDIX B COST MODEL", costmodel);
+      ]
+    ~json:fig2_json
+    (fun c arg -> run_fig2 c ~cache_sizes:(arg "cache-sizes"))
 
-let run_domains ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
-    ?(methods = Recovery.all_methods) ?domains ?(progress = no_progress)
-    ?(config = Config.default) () =
-  let cores = Deut_sim.Domain_pool.available_cores () in
-  let domains =
-    match domains with
-    | Some d -> d
-    | None ->
-        (* [config]'s domains when above 1, else the machine's cores,
-           capped at the width the quick sweep has. *)
-        let d = config.Config.domains in
-        if d > 1 then d else Stdlib.min 4 cores
+(* ---------- Figure 3 (Appendix C) ---------- *)
+
+let fig3 =
+  let run c ~cache_mb multipliers =
+    fan c
+      (fun multiplier ->
+        serial c (Printf.sprintf "fig3: checkpoint interval %dx (scale 1/%d)" multiplier c.scale);
+        let setup =
+          Experiment.paper_setup ~config:c.config ~scale:c.scale ~cache_mb
+            ~ckpt_multiplier:multiplier ()
+        in
+        (multiplier, Experiment.run_all (Experiment.build ?cache:c.cache setup) Recovery.all_methods))
+      multipliers
   in
-  progress
-    (Printf.sprintf "domains: sweep at 1 then %d domain(s), %d core(s) available" domains cores);
-  (* No build cache: each sweep builds its own crash runs, so the parallel
-     run cannot coast on the sequential run's builds. *)
-  let sweep domains =
-    let t0 = Unix.gettimeofday () in
-    let cells = fig2_sweep ~cache:None ~scale ~cache_sizes ~methods ~progress ~config ~domains in
-    let wall = Unix.gettimeofday () -. t0 in
-    (* Collect this sweep's crash runs outside the timed region, so the
-       next sweep does not pay for that. *)
-    Gc.full_major ();
-    (cells, wall)
+  let table cells =
+    columns
+      ~title:
+        "Figure 3 (Appendix C) — redo time (simulated ms) vs checkpoint interval\n\
+         (paper: Log0 grows linearly; Log1/SQL1 roughly double at 5x; Log2/SQL2\n\
+         grow only ~1.2x per step)"
+      (("ckpt interval", fun (k, _) -> Printf.sprintf "%dx" k)
+      :: List.map
+           (fun m -> (Recovery.method_to_string m, fun (_, ms) -> Report.ms (Rs.redo_ms (List.assoc m ms))))
+           (match cells with [] -> [] | (_, ms) :: _ -> List.map fst ms))
+      cells
   in
-  let seq, seq_wall = sweep 1 in
-  let par, par_wall = sweep domains in
-  let digest c =
-    String.concat " "
-      (List.map
-         (fun (m, (store, logical)) ->
-           Printf.sprintf "%s=%s/%s" (Recovery.method_to_string m) store logical)
-         c.digests)
-  in
-  List.iter2
-    (fun a b ->
-      digests_agree "domains sweep"
-        [
-          (Printf.sprintf "%d MB at 1 domain" a.cache_mb, digest a);
-          (Printf.sprintf "%d MB at %d domains" b.cache_mb domains, digest b);
-        ])
-    seq par;
-  {
-    dm_domains = domains;
-    dm_cores = cores;
-    dm_seq_wall_s = seq_wall;
-    dm_par_wall_s = par_wall;
-    dm_seq = seq;
-    dm_par = par;
-  }
+  sweep "fig3" ~doc:"Figure 3 (Appendix C): checkpoint-interval sweep"
+    [ cache_param 512; list "multipliers" ~full:[ 1; 5; 10 ] ~quick:[ 1; 5 ] "Checkpoint interval multipliers." ]
+    ~tables:[ ("FIGURE 3 (APPENDIX C)", table) ]
+    ~json:
+      (objs (fun (k, ms) ->
+           [ ("multiplier", int k); ("methods", objs (fun (m, s) -> method_json m :: stats_json s) ms) ]))
+    (fun c arg -> run c ~cache_mb:(List.hd (arg "cache")) (arg "multipliers"))
 
-type fig3_cell = { multiplier : int; methods3 : (Recovery.method_ * Rs.t) list }
-
-let run_fig3 ?cache ?(scale = 64) ?(cache_mb = 512) ?(multipliers = [ 1; 5; 10 ])
-    ?(progress = no_progress) ?(config = Config.default) () =
-  fan ~domains:config.Config.domains
-    (fun multiplier ->
-      serial progress
-        (Printf.sprintf "fig3: checkpoint interval %dx (scale 1/%d)" multiplier scale);
-      let setup = Experiment.paper_setup ~config ~scale ~cache_mb ~ckpt_multiplier:multiplier () in
-      let run = Experiment.build ?cache setup in
-      { multiplier; methods3 = Experiment.run_all run Recovery.all_methods })
-    multipliers
-
-let fig3 cells =
-  columns
-    ~title:
-      "Figure 3 (Appendix C) — redo time (simulated ms) vs checkpoint interval\n\
-       (paper: Log0 grows linearly; Log1/SQL1 roughly double at 5x; Log2/SQL2\n\
-       grow only ~1.2x per step)"
-    (("ckpt interval", fun c -> Printf.sprintf "%dx" c.multiplier)
-    :: List.map
-         (fun m ->
-           (Recovery.method_to_string m, fun c -> Report.ms (Rs.redo_ms (List.assoc m c.methods3))))
-         (match cells with [] -> [] | c :: _ -> List.map fst c.methods3))
-    cells
+(* ---------- Appendix D ablations ---------- *)
 
 type appd_row = {
   label : string;
@@ -371,11 +410,13 @@ type appd_row = {
   redo_ms : float;
   data_fetches : int;
   delta_records : int;
-  delta_kb : float;
+  delta_kb : float;  (* DC logging overhead during normal execution *)
 }
 
-let run_appd ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress)
-    ?(config = Config.default) () =
+(* The DC-logging spectrum of Appendix D — Standard, Perfect (D.1), Reduced
+   (D.2), all recovered with Log1 — plus classic ARIES checkpointing
+   recovered physiologically, as ablation baselines. *)
+let run_appd c ~cache_mb =
   let row label method_ run =
     let stats = Experiment.run_method run method_ in
     {
@@ -388,43 +429,79 @@ let run_appd ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress)
     }
   in
   let logical_variant label dpt_mode =
-    progress (Printf.sprintf "appd: %s (scale 1/%d)" label scale);
+    c.progress (Printf.sprintf "appd: %s (scale 1/%d)" label c.scale);
     row label Recovery.Log1
-      (Experiment.build ?cache (Experiment.paper_setup ~config ~scale ~cache_mb ~dpt_mode ()))
+      (Experiment.build ?cache:c.cache
+         (Experiment.paper_setup ~config:c.config ~scale:c.scale ~cache_mb ~dpt_mode ()))
   in
   (* Bound in table order, so the progress lines come out in that order too. *)
   let standard = logical_variant "standard Δ (§4.1)" Config.Standard in
   let perfect = logical_variant "perfect DPT (D.1: +DirtyLSNs)" Config.Perfect in
   let reduced = logical_variant "reduced logging (D.2: -FW/-FirstDirty)" Config.Reduced in
-  progress (Printf.sprintf "appd: aries-checkpointing (scale 1/%d)" scale);
+  c.progress (Printf.sprintf "appd: aries-checkpointing (scale 1/%d)" c.scale);
   let aries =
     row "ARIES-ckpt (physiological, §3.1)" Recovery.Aries_ckpt
-      (Experiment.paper_crash ?cache ~config ~scale ~cache_mb [ Recovery.Aries_ckpt ])
+      (Experiment.paper_crash ?cache:c.cache ~config:c.config ~scale:c.scale ~cache_mb
+         [ Recovery.Aries_ckpt ])
   in
   [ standard; perfect; reduced; aries ]
+
+let appd_table rows =
+  columns
+    ~title:
+      "Appendix D — the DC-logging spectrum (512MB-equivalent cache)\n\
+       More DC logging → more accurate DPT → faster redo; Reduced logs least\n\
+       but keeps the most pages; Perfect matches SQL Server's DPT exactly."
+    [
+      ("variant", fun r -> r.label);
+      ("DPT size", fun r -> Report.i r.dpt_size);
+      ("Log1 redo (ms)", fun r -> Report.ms r.redo_ms);
+      ("data fetches", fun r -> Report.i r.data_fetches);
+      ("Δ records", fun r -> Report.i r.delta_records);
+      ("Δ bytes (KiB)", fun r -> Report.f1 r.delta_kb);
+    ]
+    rows
+
+let appd =
+  sweep "appd" ~doc:"Appendix D ablations: the DC-logging spectrum" [ cache_param 512 ]
+    ~tables:[ ("APPENDIX D ABLATIONS", appd_table) ]
+    ~json:
+      (objs (fun r ->
+           [
+             ("label", str r.label);
+             ("dpt_size", int r.dpt_size);
+             ("redo_ms", f 3 r.redo_ms);
+             ("data_fetches", int r.data_fetches);
+             ("delta_records", int r.delta_records);
+             ("delta_kb", f 1 r.delta_kb);
+           ]))
+    (fun c arg -> run_appd c ~cache_mb:(List.hd (arg "cache")))
+
+(* ---------- split-log layout (§4.2) ---------- *)
 
 type split_row = {
   layout : string;
   smethod : Recovery.method_;
   s_analysis_ms : float;
   s_redo_ms : float;
-  s_log_pages : int;
-  tc_log_kb : float;
-  dc_log_kb : float;
+  s_log_pages : int;  (* log pages read across both log devices *)
+  tc_log_kb : float;  (* retained TC-log bytes at crash *)
+  dc_log_kb : float;  (* retained DC-log bytes at crash (= TC when integrated) *)
 }
 
-let run_split ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress)
-    ?(config = Config.default) () =
+(* The Deuteronomy architecture proper vs the paper's integrated prototype:
+   same workload, Log1/Log2 recovery from each layout. *)
+let run_split c ~cache_mb =
   let module Ci = Deut_core.Crash_image in
   let module Log = Deut_wal.Log_manager in
   List.concat_map
     (fun layout ->
-      progress
+      c.progress
         (Printf.sprintf "split: %s layout (scale 1/%d)" (Config.log_layout_to_string layout)
-           scale);
+           c.scale);
       let run =
-        Experiment.build ?cache
-          (Experiment.paper_setup ~config:{ config with Config.log_layout = layout } ~scale
+        Experiment.build ?cache:c.cache
+          (Experiment.paper_setup ~config:{ c.config with Config.log_layout = layout } ~scale:c.scale
              ~cache_mb ())
       in
       let image = run.Experiment.image in
@@ -466,21 +543,22 @@ let split_table rows =
     ]
     rows
 
-let appd rows =
-  columns
-    ~title:
-      "Appendix D — the DC-logging spectrum (512MB-equivalent cache)\n\
-       More DC logging → more accurate DPT → faster redo; Reduced logs least\n\
-       but keeps the most pages; Perfect matches SQL Server's DPT exactly."
-    [
-      ("variant", fun r -> r.label);
-      ("DPT size", fun r -> Report.i r.dpt_size);
-      ("Log1 redo (ms)", fun r -> Report.ms r.redo_ms);
-      ("data fetches", fun r -> Report.i r.data_fetches);
-      ("Δ records", fun r -> Report.i r.delta_records);
-      ("Δ bytes (KiB)", fun r -> Report.f1 r.delta_kb);
-    ]
-    rows
+let split =
+  sweep "split" ~command:"splitlog" ~doc:"Split-log layout (§4.2) vs the integrated prototype"
+    [ cache_param 512 ]
+    ~tables:[ ("SPLIT-LOG LAYOUT (§4.2)", split_table) ]
+    ~json:
+      (objs (fun r ->
+           [
+             ("layout", str r.layout);
+             method_json r.smethod;
+             ("analysis_ms", f 3 r.s_analysis_ms);
+             ("redo_ms", f 3 r.s_redo_ms);
+             ("log_pages_read", int r.s_log_pages);
+             ("tc_log_kb", f 1 r.tc_log_kb);
+             ("dc_log_kb", f 1 r.dc_log_kb);
+           ]))
+    (fun c arg -> run_split c ~cache_mb:(List.hd (arg "cache")))
 
 (* ---------- parallel redo sweep ---------- *)
 
@@ -489,18 +567,18 @@ module Es = Deut_core.Engine_stats
 type workers_cell = {
   w_cache_mb : int;
   w_method : Recovery.method_;
-  w_count : int;
+  w_count : int;  (* [Config.redo_workers] used for this recovery *)
   w_stats : Rs.t;
-  w_stall_wait : Es.latency;
-  w_data_io : Es.latency;
+  w_stall_wait : Es.latency;  (* cache.stall_wait_us after recovery *)
+  w_data_io : Es.latency;  (* disk.data.io_us after recovery *)
 }
 
-let run_workers ?cache ?(scale = 64) ?(cache_sizes = [ 64; 512 ]) ?(workers = [ 1; 2; 4; 8 ])
-    ?(methods = Recovery.all_methods) ?(progress = no_progress) ?(config = Config.default) () =
-  let domains = config.Config.domains in
-  grid ~domains
-    (fan ~domains (crash ?cache ~config ~scale ~progress "workers") cache_sizes)
-    (List.concat_map (fun m -> List.map (fun w -> (m, w)) workers) methods)
+(* One crash per cache size, recovered with every (method, worker count)
+   pair, every recovery oracle-verified. *)
+let run_workers c ~cache_sizes ~workers =
+  grid c
+    (fan c (crash c "workers") cache_sizes)
+    (List.concat_map (fun m -> List.map (fun w -> (m, w)) workers) Recovery.all_methods)
     (fun cache_mb run (m, w) ->
       let config = { (image_config run) with Config.redo_workers = w } in
       let db, stats = Db.recover ~config run.Experiment.image m in
@@ -554,6 +632,54 @@ let workers_table cells =
     ]
     cells
 
+let workers =
+  sweep "workers" ~doc:"Parallel-redo sweep: redo time and latency percentiles per worker count"
+    [
+      (* An IO-bound (small) and an apply-bound (large) cache. *)
+      list "cache" ~full:[ 64; 512 ] ~quick:[ 64 ] "Comma-separated paper-equivalent cache sizes in MB.";
+      list "counts" ~full:[ 1; 2; 4; 8 ] ~quick:[ 1; 4 ] "Comma-separated worker counts to sweep.";
+    ]
+    ~tables:[ ("PARALLEL REDO", workers_table) ]
+    ~json:
+      (objs (fun w ->
+           let latency name (h : Es.latency) =
+             [ (name ^ "_p50_us", f 1 h.Es.p50_us); (name ^ "_p95_us", f 1 h.Es.p95_us) ]
+           in
+           [
+             ("cache_mb", int w.w_cache_mb);
+             method_json w.w_method;
+             ("workers", int w.w_count);
+             ("redo_ms", f 3 (Rs.redo_ms w.w_stats));
+             ("redo_applied", int w.w_stats.Rs.redo_applied);
+             ("stalls", int w.w_stats.Rs.stalls);
+           ]
+           @ latency "stall" w.w_stall_wait
+           @ latency "io" w.w_data_io))
+    (fun c arg -> run_workers c ~cache_sizes:(arg "cache") ~workers:(arg "counts"))
+
+(* ---------- normal-path concurrency ---------- *)
+
+let txns_param ~full ~quick = one "txns" ~full ~quick "Committed transactions per cell."
+
+(* The columns every OLTP sweep table shares, from the cell's stats. *)
+let oltp_columns stats =
+  [
+    ("txns", fun c -> Report.i (stats c).Client_sched.committed_txns);
+    ("makespan (ms)", fun c -> Report.ms (stats c).Client_sched.makespan_ms);
+    ("tput (txn/s)", fun c -> Printf.sprintf "%.0f" (stats c).Client_sched.throughput_tps);
+    ("aborts", fun c -> Report.i (stats c).Client_sched.aborts);
+  ]
+
+let oltp_json (s : Client_sched.stats) =
+  [
+    ("txns", int s.committed_txns);
+    ("makespan_ms", f 3 s.makespan_ms);
+    ("tput_tps", f 0 s.throughput_tps);
+    ("aborts", int s.aborts);
+    ("commit_p50_us", f 1 s.commit_p50_us);
+    ("commit_p95_us", f 1 s.commit_p95_us);
+  ]
+
 type concurrency_cell = {
   c_clients : int;
   c_group_commit : int;
@@ -561,19 +687,19 @@ type concurrency_cell = {
   c_digest : string;
 }
 
-let run_concurrency ?(scale = 64) ?(cache_mb = 256) ?(clients = [ 1; 2; 4; 8 ])
-    ?(group_commits = [ 1; 4 ]) ?(txns = 300) ?(progress = no_progress)
-    ?(config = Config.default) () =
+(* Fresh database per (clients, group commit) cell, same workload seed
+   everywhere, oracle-verified, and the final logical digest cross-checked
+   identical in every cell. *)
+let run_concurrency c ~cache_mb ~clients ~group_commits ~txns =
   let coords = List.concat_map (fun gc -> List.map (fun n -> (gc, n)) clients) group_commits in
   let cells =
-    fan ~domains:config.Config.domains
+    fan c
       (fun (gc, n) ->
-        serial progress
+        serial c
           (Printf.sprintf "concurrency: %d client%s, group_commit %d (scale 1/%d)" n (plural n) gc
-             scale);
+             c.scale);
         let driver =
-          oltp_driver ~config ~scale ~cache_mb (fun c ->
-              { c with Config.group_commit = gc; clients = n })
+          oltp_driver c ~cache_mb (fun cfg -> { cfg with Config.group_commit = gc; clients = n })
         in
         let sched = Driver.run_concurrent driver ~txns in
         Client_sched.flush sched;
@@ -593,15 +719,6 @@ let run_concurrency ?(scale = 64) ?(cache_mb = 256) ?(clients = [ 1; 2; 4; 8 ])
        (fun c -> (Printf.sprintf "%d clients/gc=%d" c.c_clients c.c_group_commit, c.c_digest))
        cells);
   cells
-
-(* The columns every OLTP sweep table shares, from the cell's stats. *)
-let oltp_columns stats =
-  [
-    ("txns", fun c -> Report.i (stats c).Client_sched.committed_txns);
-    ("makespan (ms)", fun c -> Report.ms (stats c).Client_sched.makespan_ms);
-    ("tput (txn/s)", fun c -> Printf.sprintf "%.0f" (stats c).Client_sched.throughput_tps);
-    ("aborts", fun c -> Report.i (stats c).Client_sched.aborts);
-  ]
 
 let concurrency_table cells =
   let s c = c.c_stats in
@@ -626,11 +743,38 @@ let concurrency_table cells =
       ])
     cells
 
+let concurrency =
+  sweep "concurrency" ~command:"clients"
+    ~doc:
+      "Concurrency sweep: simulated multi-client normal execution per (clients, group_commit) \
+       cell, with the cross-cell determinism digest check"
+    [
+      cache_param 256;
+      list "counts" ~full:[ 1; 2; 4; 8 ] ~quick:[ 1; 4 ] "Comma-separated client counts to sweep.";
+      list "group-commits" ~full:[ 1; 4; 16 ] ~quick:[ 1; 4 ]
+        "Comma-separated group-commit batch sizes.";
+      txns_param ~full:300 ~quick:120;
+    ]
+    ~tables:[ ("CONCURRENCY", concurrency_table) ]
+    ~json:
+      (objs (fun c ->
+           let s = c.c_stats in
+           [ ("clients", int c.c_clients); ("group_commit", int c.c_group_commit) ]
+           @ oltp_json s
+           @ [
+               ("abort_rate", f 4 s.abort_rate);
+               ("wounds", int s.wounds);
+               ("conflicts", int s.conflicts);
+               ("digest", str c.c_digest);
+             ]))
+    (fun c arg ->
+      run_concurrency c ~cache_mb:(List.hd (arg "cache")) ~clients:(arg "counts")
+        ~group_commits:(arg "group-commits") ~txns:(List.hd (arg "txns")))
+
 (* ---------- sharded data components ---------- *)
 
 type sharding_crash = {
-  sc_shard : int;  (* which shard was crashed *)
-  sc_sibling_reads : int;  (* reads served by siblings while it was down *)
+  sc_sibling_reads : int;  (* reads served by siblings while the shard was down *)
   sc_recover_ms : float;  (* virtual time for Db.recover_shard *)
 }
 
@@ -639,25 +783,29 @@ type sharding_cell = {
   sh_clients : int;
   sh_stats : Client_sched.stats;
   sh_digest : string;
-  sh_net_msgs : int;
-  sh_crash : sharding_crash option;
+  sh_net_msgs : int;  (* Dc_access messages over Deut_net.Link (0 in-process) *)
+  sh_crash : sharding_crash option;  (* None on single-shard cells *)
 }
 
-let run_sharding ?(scale = 64) ?(cache_mb = 256) ?(shards = [ 1; 2; 4; 8 ])
-    ?(clients = [ 4; 8 ]) ?(txns = 300) ?(net = false) ?(progress = no_progress)
-    ?(config = Config.default) () =
-  let coords = List.concat_map (fun s -> List.map (fun c -> (s, c)) clients) shards in
+(* Fresh database per (shards, clients) cell on [c.config]'s transport,
+   same workload seed everywhere, oracle-verified, with the final logical
+   digest cross-checked identical in every cell (shard transparency).
+   Each multi-shard cell then crashes its last shard on the live engine,
+   serves sibling reads while it is down, recovers it alone with
+   {!Db.recover_shard}, and re-checks the digest. *)
+let run_sharding c ~cache_mb ~shards ~clients ~txns =
+  let coords = List.concat_map (fun s -> List.map (fun n -> (s, n)) clients) shards in
   let cells =
-    fan ~domains:config.Config.domains
+    fan c
       (fun (n_shards, n_clients) ->
-        serial progress
+        serial c
           (Printf.sprintf "sharding: %d shard%s, %d client%s%s (scale 1/%d)" n_shards
              (plural n_shards) n_clients (plural n_clients)
-             (if net then ", networked" else "")
-             scale);
+             (if c.config.Config.net then ", networked" else "")
+             c.scale);
         let driver =
-          oltp_driver ~config ~scale ~cache_mb (fun c ->
-              { c with Config.clients = n_clients; shards = n_shards; net })
+          oltp_driver c ~cache_mb (fun cfg ->
+              { cfg with Config.clients = n_clients; shards = n_shards })
         in
         let sched = Driver.run_concurrent driver ~txns in
         Client_sched.flush sched;
@@ -691,7 +839,7 @@ let run_sharding ?(scale = 64) ?(cache_mb = 256) ?(shards = [ 1; 2; 4; 8 ])
                 (Printf.sprintf "%d shards before the crash" n_shards, digest);
                 ("after recovering the shard", Client_sched.logical_digest db);
               ];
-            Some { sc_shard = down; sc_sibling_reads = !served; sc_recover_ms = recover_ms }
+            Some { sc_sibling_reads = !served; sc_recover_ms = recover_ms }
           end
         in
         {
@@ -732,6 +880,35 @@ let sharding_table cells =
       ])
     cells
 
+let sharding =
+  sweep "sharding" ~command:"shards"
+    ~doc:
+      "Sharding sweep: one TC driving N data components per (shards, clients) cell, with the \
+       cross-cell shard-transparency digest check and a single-shard-crash availability \
+       scenario per multi-shard cell; DEUT_NET=1 routes the TC-DC protocol over simulated \
+       network links"
+    [
+      cache_param 256;
+      list "counts" ~full:[ 1; 2; 4; 8 ] ~quick:[ 1; 4 ] "Comma-separated shard counts to sweep.";
+      list "clients" ~full:[ 4; 8 ] ~quick:[ 4 ] "Comma-separated client counts to sweep.";
+      txns_param ~full:300 ~quick:120;
+    ]
+    ~tables:[ ("SHARDING", sharding_table) ]
+    ~json:
+      (objs (fun c ->
+           let crash f = Option.fold ~none:Json.Null ~some:f c.sh_crash in
+           [ ("shards", int c.sh_shards); ("clients", int c.sh_clients) ]
+           @ oltp_json c.sh_stats
+           @ [
+               ("net_msgs", int c.sh_net_msgs);
+               ("sibling_reads", crash (fun cr -> int cr.sc_sibling_reads));
+               ("recover_shard_ms", crash (fun cr -> f 3 cr.sc_recover_ms));
+               ("digest", str c.sh_digest);
+             ]))
+    (fun c arg ->
+      run_sharding c ~cache_mb:(List.hd (arg "cache")) ~shards:(arg "counts")
+        ~clients:(arg "clients") ~txns:(List.hd (arg "txns")))
+
 (* ---------- log archiving ---------- *)
 
 module Logm = Deut_wal.Log_manager
@@ -739,31 +916,37 @@ module Arch = Deut_wal.Archive
 
 type archiving_round = {
   ar_round : int;
-  ar_logged_kb : float;
-  ar_live_kb : float;
-  ar_archive_kb : float;
+  ar_logged_kb : float;  (* total bytes ever appended to the log *)
+  ar_live_kb : float;  (* bytes the live log still retains *)
+  ar_archive_kb : float;  (* sealed archive-segment payload *)
   ar_segments : int;
 }
 
 type archiving_cell = {
   a_archive : bool;
   a_rounds : archiving_round list;
-  a_digest : string;
-  a_methods : (Recovery.method_ * Rs.t) list;
+  a_digest : string;  (* final logical digest — equal in both cells *)
+  a_methods : (Recovery.method_ * Rs.t) list;  (* post-crash recoveries, all oracle-verified *)
 }
 
-let run_archiving ?(scale = 64) ?(cache_mb = 256) ?(clients = 4) ?(rounds = 6)
-    ?(txns_per_round = 100) ?(progress = no_progress) ?(config = Config.default) () =
+(* The long-running multi-client workload with periodic checkpoint +
+   archive cuts, run twice — archiving off then on — with the same seed.
+   Checks on every round that sealed coverage meets the live base (the
+   durability contract), that the final digests match across the two
+   cells, that the live log ends bounded below the total logged bytes, and
+   that all five methods recover the oracle state from the truncated log;
+   raises on any violation. *)
+let run_archiving c ~cache_mb ~clients ~rounds ~txns_per_round =
   let cells =
     List.map
       (fun archive ->
-        progress
+        c.progress
           (Printf.sprintf "archiving: %s, %d rounds x %d txns, %d clients (scale 1/%d)"
              (if archive then "on" else "off")
-             rounds txns_per_round clients scale);
+             rounds txns_per_round clients c.scale);
         let driver =
-          oltp_driver ~config ~scale ~cache_mb (fun c ->
-              { c with Config.clients; archive; archive_min_bytes = 0 })
+          oltp_driver c ~cache_mb (fun cfg ->
+              { cfg with Config.clients; archive; archive_min_bytes = 0 })
         in
         let db = Driver.db driver in
         let log = (Db.engine db).Engine.log in
@@ -869,138 +1052,73 @@ let archiving_table cells =
   in
   growth ^ "\n" ^ restart
 
-(* ---------- prefetch tuning (trace-mined) ---------- *)
-
-module Analysis = Deut_obs.Analysis
-module Tuner = Deut_obs.Tuner
-
-type tuning_cell = {
-  t_cache_mb : int;
-  t_method : Recovery.method_;
-  t_outcomes : Tuner.outcome list;
-  t_default : Tuner.outcome;
-}
-
-let candidate_config base (cand : Tuner.candidate) =
-  let source =
-    match Config.prefetch_source_of_string cand.Tuner.source with
-    | Some s -> s
-    | None -> invalid_arg ("run_tuning: unknown prefetch source " ^ cand.Tuner.source)
-  in
-  {
-    base with
-    Config.prefetch_window = cand.Tuner.window;
-    prefetch_chunk = cand.Tuner.chunk;
-    prefetch_lookahead = cand.Tuner.lookahead;
-    prefetch_source = source;
-  }
-
-let run_tuning ?cache ?(scale = 64) ?(cache_sizes = [ 1024 ]) ?(methods = [ Recovery.Log2; Recovery.Sql2 ])
-    ?(windows = [ 8; 16; 32; 64 ]) ?(chunks = [ 4; 8; 16; 32 ])
-    ?(lookaheads = [ 128; 256; 512; 1024 ]) ?(sources = [ Config.Pf_list; Config.Dpt_order ])
-    ?(progress = no_progress) ?(config = Config.default) () =
-  List.concat_map
-    (fun cache_mb ->
-      let _, run, _ = crash ?cache ~config ~scale ~progress "tuning" cache_mb in
-      let base = image_config run in
-      let default_cand =
-        {
-          Tuner.window = base.Config.prefetch_window;
-          chunk = base.Config.prefetch_chunk;
-          lookahead = base.Config.prefetch_lookahead;
-          source = Config.prefetch_source_to_string base.Config.prefetch_source;
-        }
-      in
-      List.map
-        (fun method_ ->
-          (* Only the dimension the method's prefetcher reads is swept:
-             Log2's PF-driven prefetch ignores the lookahead, SQL2's
-             log-driven prefetch ignores the source (Appendix A). *)
-          let grid =
-            List.concat_map
-              (fun window ->
-                List.concat_map
-                  (fun chunk ->
-                    match method_ with
-                    | Recovery.Log2 ->
-                        List.map
-                          (fun source ->
-                            {
-                              Tuner.window;
-                              chunk;
-                              lookahead = default_cand.Tuner.lookahead;
-                              source = Config.prefetch_source_to_string source;
-                            })
-                          sources
-                    | _ ->
-                        List.map
-                          (fun lookahead ->
-                            { Tuner.window; chunk; lookahead; source = default_cand.Tuner.source })
-                          lookaheads)
-                  chunks)
-              windows
-          in
-          let grid = if List.mem default_cand grid then grid else default_cand :: grid in
-          let outcomes =
-            List.map
-              (fun cand ->
-                progress
-                  (Printf.sprintf "tuning: %s %d MB %s"
-                     (Recovery.method_to_string method_)
-                     cache_mb
-                     (Tuner.candidate_to_string cand));
-                let config =
-                  candidate_config
-                    {
-                      base with
-                      Config.tracing = true;
-                      trace_capacity = 1 lsl 20;
-                      (* Tuning compares prefetch settings, so everything
-                         else is pinned — including the base config's
-                         worker/client counts. *)
-                      redo_workers = 1;
-                      clients = 1;
-                    }
-                    cand
-                in
-                let meta =
-                  [
-                    ("method", Recovery.method_to_string method_);
-                    ("cache_mb", string_of_int cache_mb);
-                    ("candidate", Tuner.candidate_to_string cand);
-                  ]
-                in
-                let _, stats, tr = Experiment.recover_traced ~config run method_ in
-                { Tuner.cand; profile = Analysis.of_trace ~meta tr; redo_ms = Rs.redo_ms stats })
-              grid
-          in
-          let t_default =
-            match List.find_opt (fun o -> o.Tuner.cand = default_cand) outcomes with
-            | Some o -> o
-            | None -> List.hd outcomes
-          in
-          { t_cache_mb = cache_mb; t_method = method_; t_outcomes = outcomes; t_default })
-        methods)
-    cache_sizes
+let archiving =
+  sweep "archiving" ~command:"archive"
+    ~doc:
+      "Log-archiving sweep: the long-running multi-client workload with periodic checkpoint + \
+       archive cuts, run with archiving off and on.  Shows the live log staying bounded while \
+       logged bytes grow, checks the sealed-coverage durability contract every round, \
+       cross-checks the final digests, and restarts from the truncated log + archive with every \
+       method (oracle-verified)."
+    [
+      cache_param 256;
+      one "clients" ~full:4 ~quick:4 "Simulated concurrent clients driving the workload.";
+      one "rounds" ~full:8 ~quick:4 "Checkpoint + archive-cut rounds to run.";
+      one "txns" ~full:120 ~quick:60 "Committed transactions per round.";
+    ]
+    ~tables:[ ("ARCHIVING", archiving_table) ]
+    ~json:
+      (objs (fun c ->
+           let last = List.nth c.a_rounds (List.length c.a_rounds - 1) in
+           [
+             ("archive", Json.Bool c.a_archive);
+             ("rounds", int (List.length c.a_rounds));
+             ("final_logged_kb", f 1 last.ar_logged_kb);
+             ("final_live_kb", f 1 last.ar_live_kb);
+             ("final_archived_kb", f 1 last.ar_archive_kb);
+             ("segments", int last.ar_segments);
+             ("digest", str c.a_digest);
+             ( "per_round",
+               objs
+                 (fun r ->
+                   [
+                     ("round", int r.ar_round);
+                     ("logged_kb", f 1 r.ar_logged_kb);
+                     ("live_kb", f 1 r.ar_live_kb);
+                     ("archived_kb", f 1 r.ar_archive_kb);
+                     ("segments", int r.ar_segments);
+                   ])
+                 c.a_rounds );
+             ("methods", objs (fun (m, s) -> method_json m :: stats_json s) c.a_methods);
+           ]))
+    (fun c arg ->
+      let first flag = List.hd (arg flag) in
+      run_archiving c ~cache_mb:(first "cache") ~clients:(first "clients") ~rounds:(first "rounds")
+        ~txns_per_round:(first "txns"))
 
 (* ---------- instant recovery: availability vs cache size ---------- *)
 
 type availability_cell = {
   v_cache_mb : int;
-  v_ttft_ms : float;
-  v_drained_ms : float;
-  v_log2_total_ms : float;
-  v_speedup : float;
-  v_pages_ondemand : int;
-  v_pages_background : int;
-  v_probe_reads : int;
+  v_ttft_ms : float;  (* open for business: analysis + sequential log scan *)
+  v_drained_ms : float;  (* background redo fully drained (same staged run) *)
+  v_log2_total_ms : float;  (* offline Log2 baseline on the same image *)
+  v_speedup : float;  (* drained / open — the availability win *)
+  v_pages_ondemand : int;  (* pages replayed by probe-read faults *)
+  v_pages_background : int;  (* pages replayed by the drain *)
+  v_probe_reads : int;  (* reads served while redo was still pending *)
 }
 
-let run_availability ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes) ?(probes = 32)
-    ?(progress = no_progress) ?(config = Config.default) () =
-  fan ~domains:config.Config.domains
+(* One crash per cache size.  Per cell: recover offline with Log2 (the
+   baseline), recover with the drained form of InstantLog2 and require a
+   byte-identical logical digest, then run the staged form with [probes]
+   uniform reads interleaved with background drain steps, verify it
+   against the oracle and the digest again, and report its TTFT / drain
+   split. *)
+let run_availability c ~cache_sizes ~probes =
+  fan c
     (fun cache_mb ->
-      let _, run, _ = crash ?cache ~config ~scale ~progress "availability" cache_mb in
+      let _, run, _ = crash c "availability" cache_mb in
       let recovered m =
         let db, stats = Experiment.recover_verified run m in
         (Client_sched.logical_digest db, stats)
@@ -1072,6 +1190,149 @@ let availability_table cells =
     ]
     cells
 
+let availability =
+  sweep "availability" ~command:"instant"
+    ~doc:
+      "Instant-recovery availability sweep: per cache size, recover with InstantLog2 and report \
+       time-to-first-transaction vs time-to-full-recovery.  Each cell first proves the \
+       determinism gate — the drained InstantLog2 state is byte-identical to offline Log2 — \
+       then serves probe reads during the staged drain."
+    [
+      cache_sizes_param;
+      one "probes" ~full:32 ~quick:32
+        "Probe reads served while the background redo is still draining.";
+    ]
+    ~tables:[ ("INSTANT RECOVERY (AVAILABILITY)", availability_table) ]
+    ~json:
+      (objs (fun c ->
+           [
+             ("cache_mb", int c.v_cache_mb);
+             ("ttft_ms", f 3 c.v_ttft_ms);
+             ("drained_ms", f 3 c.v_drained_ms);
+             ("log2_total_ms", f 3 c.v_log2_total_ms);
+             ("speedup", f 2 c.v_speedup);
+             ("pages_ondemand", int c.v_pages_ondemand);
+             ("pages_background", int c.v_pages_background);
+             ("probe_reads", int c.v_probe_reads);
+           ]))
+    (fun c arg ->
+      run_availability c ~cache_sizes:(arg "cache-sizes") ~probes:(List.hd (arg "probes")))
+
+(* ---------- prefetch tuning (trace-mined) ---------- *)
+
+module Analysis = Deut_obs.Analysis
+module Tuner = Deut_obs.Tuner
+
+type tuning_cell = {
+  t_cache_mb : int;
+  t_method : Recovery.method_;
+  t_outcomes : Tuner.outcome list;  (* sweep order; every run oracle-verified *)
+  t_default : Tuner.outcome;  (* the outcome at the base config's settings *)
+}
+
+let candidate_config base (cand : Tuner.candidate) =
+  let source =
+    match Config.prefetch_source_of_string cand.Tuner.source with
+    | Some s -> s
+    | None -> invalid_arg ("run_tuning: unknown prefetch source " ^ cand.Tuner.source)
+  in
+  {
+    base with
+    Config.prefetch_window = cand.Tuner.window;
+    prefetch_chunk = cand.Tuner.chunk;
+    prefetch_lookahead = cand.Tuner.lookahead;
+    prefetch_source = source;
+  }
+
+(* One crash per cache size; for each method, every candidate
+   [Config.prefetch_*] setting in the grid is recovered with tracing on,
+   oracle-verified, and profiled with {!Analysis}.  The default setting
+   always appears in the grid. *)
+let run_tuning c ~cache_sizes ~windows ~chunks ~lookaheads =
+  List.concat_map
+    (fun cache_mb ->
+      let _, run, _ = crash c "tuning" cache_mb in
+      let base = image_config run in
+      let default_cand =
+        {
+          Tuner.window = base.Config.prefetch_window;
+          chunk = base.Config.prefetch_chunk;
+          lookahead = base.Config.prefetch_lookahead;
+          source = Config.prefetch_source_to_string base.Config.prefetch_source;
+        }
+      in
+      List.map
+        (fun method_ ->
+          (* Only the dimension the method's prefetcher reads is swept:
+             Log2's PF-driven prefetch ignores the lookahead, SQL2's
+             log-driven prefetch ignores the source (Appendix A). *)
+          let grid =
+            List.concat_map
+              (fun window ->
+                List.concat_map
+                  (fun chunk ->
+                    match method_ with
+                    | Recovery.Log2 ->
+                        List.map
+                          (fun source ->
+                            {
+                              Tuner.window;
+                              chunk;
+                              lookahead = default_cand.Tuner.lookahead;
+                              source = Config.prefetch_source_to_string source;
+                            })
+                          [ Config.Pf_list; Config.Dpt_order ]
+                    | _ ->
+                        List.map
+                          (fun lookahead ->
+                            { Tuner.window; chunk; lookahead; source = default_cand.Tuner.source })
+                          lookaheads)
+                  chunks)
+              windows
+          in
+          let grid = if List.mem default_cand grid then grid else default_cand :: grid in
+          let outcomes =
+            List.map
+              (fun cand ->
+                c.progress
+                  (Printf.sprintf "tuning: %s %d MB %s"
+                     (Recovery.method_to_string method_)
+                     cache_mb
+                     (Tuner.candidate_to_string cand));
+                let config =
+                  candidate_config
+                    {
+                      base with
+                      Config.tracing = true;
+                      trace_capacity = 1 lsl 20;
+                      (* Tuning compares prefetch settings, so everything
+                         else is pinned — including the base config's
+                         worker/client counts. *)
+                      redo_workers = 1;
+                      clients = 1;
+                    }
+                    cand
+                in
+                let meta =
+                  [
+                    ("method", Recovery.method_to_string method_);
+                    ("cache_mb", string_of_int cache_mb);
+                    ("candidate", Tuner.candidate_to_string cand);
+                  ]
+                in
+                let _, stats, tr = Experiment.recover_traced ~config run method_ in
+                { Tuner.cand; profile = Analysis.of_trace ~meta tr; redo_ms = Rs.redo_ms stats })
+              grid
+          in
+          let t_default =
+            match List.find_opt (fun o -> o.Tuner.cand = default_cand) outcomes with
+            | Some o -> o
+            | None -> List.hd outcomes
+          in
+          { t_cache_mb = cache_mb; t_method = method_; t_outcomes = outcomes; t_default })
+        (methods_or c [ Recovery.Log2; Recovery.Sql2 ]))
+    cache_sizes
+
 let tuning_table cells =
   let buf = Buffer.create 4096 in
   List.iter
@@ -1096,3 +1357,49 @@ let tuning_table cells =
       Buffer.add_char buf '\n')
     cells;
   Buffer.contents buf
+
+let tuning =
+  let cand o = str (Tuner.candidate_to_string o.Tuner.cand) in
+  sweep "tuning" ~command:"tune"
+    ~doc:
+      "Sweep prefetch settings per method and cache size, score each candidate by its \
+       trace-mined profile (stall-attributed time plus late/wasted-prefetch penalties), and \
+       print the recommendation table.  Every candidate recovery is oracle-verified."
+    [
+      (* Quick mode tunes 512 MB: the smoke coverage is the same, and the
+         bench's availability sweep has just built that crash. *)
+      list "cache" ~full:[ 256; 1024 ] ~quick:[ 512 ] "Comma-separated paper-equivalent cache sizes in MB.";
+      list "windows" ~full:[ 8; 16; 32; 64 ] ~quick:[ 16; 32 ]
+        "Comma-separated prefetch_window candidates.";
+      list "chunks" ~full:[ 4; 8; 16; 32 ] ~quick:[ 8; 16 ] "Comma-separated prefetch_chunk candidates.";
+      list "lookaheads" ~full:[ 128; 256; 512; 1024 ] ~quick:[ 256; 512 ]
+        "Comma-separated prefetch_lookahead candidates (SQL2 only).";
+    ]
+    ~tables:[ ("PREFETCH TUNING", tuning_table) ]
+    ~json:
+      (objs (fun t ->
+           [
+             ("cache_mb", int t.t_cache_mb);
+             method_json t.t_method;
+             ("default", cand t.t_default);
+             ("best", Option.fold ~none:Json.Null ~some:cand (Tuner.best t.t_outcomes));
+             ( "outcomes",
+               objs
+                 (fun o ->
+                   let p = o.Tuner.profile in
+                   [
+                     ("candidate", cand o);
+                     ("redo_ms", f 3 o.Tuner.redo_ms);
+                     ("stall_ms", f 3 (p.Analysis.stall_total_us /. 1000.0));
+                     ("late", int p.Analysis.pf_late);
+                     ("wasted", int p.Analysis.pf_wasted);
+                     ("score", f 1 (Tuner.score p));
+                   ])
+                 t.t_outcomes );
+           ]))
+    (fun c arg ->
+      run_tuning c ~cache_sizes:(arg "cache") ~windows:(arg "windows") ~chunks:(arg "chunks")
+        ~lookaheads:(arg "lookaheads"))
+
+let sweeps =
+  [ fig2; fig3; appd; split; workers; concurrency; sharding; archiving; availability; tuning ]

@@ -1,12 +1,11 @@
 (* Real OS-level parallelism only fans harness cells across domains; it
    never reaches a recovery.  The tests here recover the same crash image
    with every method at 1 and 4 domains and check the statistics and the
-   store and logical digests identical; run the shared domains sweep and
-   check every fanned cell's simulated times against the sequential
-   sweep's; fire the shared digest gate; and instantiate one crash image
-   from several domains at once to prove images are immutable shareable
-   inputs.  The obs structures' single-domain ownership guards are
-   exercised last. *)
+   store and logical digests identical; run the fig2 sweep at 1, 2 and 4
+   domains and check every fanned cell against the sequential one; fire
+   the shared digest gate; and instantiate one crash image from several
+   domains at once to prove images are immutable shareable inputs.  The
+   obs structures' single-domain ownership guards are exercised last. *)
 
 module Db = Deut_core.Db
 module Config = Deut_core.Config
@@ -119,37 +118,41 @@ let test_crash_image_isolation () =
   check "image unperturbed after concurrent use" true
     (recover_with driver image Recovery.Log1 1 = reference)
 
-(* Harness fan-out: [Figures.run_domains] runs the fig2 sweep at 1 domain
-   and fanned across [domains], and raises if any cell's digests diverge.
-   The fanned cells must also match the sequential ones in order, apply
-   counts and simulated times.  At 2 domains each domain builds and
-   recovers several cells in turn; at 4 every cell has its own domain. *)
+(* Harness fan-out: [Figures.run_fig2] fanned across 2 domains (each
+   builds and recovers several cells in turn) and 4 (every cell has its
+   own domain) must match the sequential sweep in cell and method order,
+   apply counts, simulated redo time and both digests. *)
 let test_fig2_cells_deterministic () =
+  let sweep domains =
+    Figures.run_fig2
+      {
+        Figures.config = { Env.config with Config.domains };
+        scale = 256;
+        cache = None;
+        methods = Some [ Recovery.Log1; Recovery.Log2 ];
+        progress = ignore;
+      }
+      ~cache_sizes:[ 64; 128 ]
+  in
+  let reference = sweep 1 in
   List.iter
     (fun domains ->
-      let d =
-        Figures.run_domains ~scale:256 ~cache_sizes:[ 64; 128 ]
-          ~methods:[ Recovery.Log1; Recovery.Log2 ] ~domains ~config:Env.config ()
-      in
-      check "sweep ran at the requested domain count" true (d.Figures.dm_domains = domains);
       List.iter2
         (fun (r : Figures.fig2_cell) (c : Figures.fig2_cell) ->
           check "cell order preserved" true (r.Figures.cache_mb = c.Figures.cache_mb);
+          let name what m =
+            Printf.sprintf "fig2 %d MB %s: %s identical at %d domains" r.Figures.cache_mb
+              (Recovery.method_to_string m) what domains
+          in
           List.iter2
             (fun (m, (sr : Rs.t)) (m', (sc : Rs.t)) ->
               check "method order preserved" true (m = m');
-              check
-                (Printf.sprintf "fig2 %d MB %s: apply counts identical at %d domains"
-                   r.Figures.cache_mb (Recovery.method_to_string m) domains)
-                true
-                (apply_counts sr = apply_counts sc);
-              check
-                (Printf.sprintf "fig2 %d MB %s: simulated redo time identical at %d domains"
-                   r.Figures.cache_mb (Recovery.method_to_string m) domains)
-                true
-                (Rs.redo_ms sr = Rs.redo_ms sc))
+              check (name "apply counts" m) true (apply_counts sr = apply_counts sc);
+              check (name "simulated redo time" m) true (Rs.redo_ms sr = Rs.redo_ms sc);
+              check (name "store and logical digests" m) true
+                (List.assoc m r.Figures.digests = List.assoc m c.Figures.digests))
             r.Figures.methods c.Figures.methods)
-        d.Figures.dm_seq d.Figures.dm_par)
+        reference (sweep domains))
     [ 2; 4 ]
 
 (* The shared determinism gate passes agreeing cells and, on a divergence,

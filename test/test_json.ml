@@ -1,8 +1,9 @@
 (* The shared JSON module: print -> parse -> print is exact over generated
    trees in both layouts (checked against test_trace.ml's independent
    validator), the reader's error texts and offsets, the two layouts'
-   exact bytes, and the bench-summary diff behind [repro_cli bench-diff]
-   on trees derived from the committed quick-sweep baseline. *)
+   exact bytes, and the bench-summary diff and invariant check behind
+   [repro_cli bench-diff] on trees derived from the committed quick-sweep
+   baseline. *)
 
 module Json = Deut_obs.Json
 module Bench_summary = Deut_workload.Bench_summary
@@ -177,10 +178,7 @@ let test_diff_wall_only () =
       [ "sections"; "0"; "wall_s" ];
       [ "fig2"; "0"; "build_wall_s" ];
       [ "fig2"; "2"; "methods"; "4"; "wall_s" ];
-      [ "domains"; "used" ];
-      [ "domains"; "cores_available" ];
-      [ "domains"; "requested" ];
-      [ "domains"; "harness_speedup" ];
+      [ "domains" ];
     ]
   in
   let d = Bench_summary.diff b (List.fold_left (fun j p -> set p (Json.int 12345) j) b walls) in
@@ -194,6 +192,71 @@ let test_diff_cell_dropped () =
   Alcotest.(check (list string))
     "the list, as one line" [ "/availability: 3 items -> 2 items" ] d.simulated
 
+(* Every digest and every simulated cell is gated, fig2's digests and
+   fig3's table included. *)
+let test_diff_digest_and_fig3 () =
+  let b = baseline () in
+  let digest = [ "fig2"; "0"; "methods"; "2"; "store_digest" ] in
+  let redo = [ "fig3"; "1"; "methods"; "0"; "redo_ms" ] in
+  let d = Bench_summary.diff b (b |> set digest (Json.Str "0ff") |> set redo (Json.fixed ~decimals:3 1.5)) in
+  Alcotest.(check (list string))
+    "both paths, gated"
+    [
+      "/fig2[0]/methods[2]/store_digest: " ^ Json.to_string (get digest b) ^ " -> \"0ff\"";
+      "/fig3[1]/methods[0]/redo_ms: " ^ Json.to_string (get redo b) ^ " -> 1.500";
+    ]
+    d.simulated
+
+(* ---------- invariants ---------- *)
+
+let test_check_baseline () =
+  Alcotest.(check (list string)) "the baseline holds every invariant" [] (Bench_summary.check (baseline ()))
+
+(* Each invariant [Bench_summary.check] enforces, broken alone by editing
+   the baseline, and exactly the failures it must report. *)
+let broken_invariants =
+  let num x = Json.fixed ~decimals:1 x in
+  [
+    ("schema", [ ([ "schema" ], Json.Str "deut-bench-recovery/0") ], [ "schema is not deut-bench-recovery/1" ]);
+    ("fig2 methods", [ ([ "fig2"; "1"; "methods" ], Json.Arr []) ], [ "fig2: empty fig2 cells" ]);
+    ( "sealed segments",
+      [ ([ "archiving"; "1"; "segments" ], Json.int 0) ],
+      [ "archiving: an archiving cell sealed no segments" ] );
+    ( "bounded live log",
+      [ ([ "archiving"; "1"; "final_live_kb" ], num 1e6) ],
+      [ "archiving: live log not bounded" ] );
+    ( "archiving digest",
+      [ ([ "archiving"; "0"; "digest" ], Json.Str "0ff") ],
+      [ "archiving: archiving changed committed state" ] );
+    ("availability cells", [ ([ "availability" ], Json.Arr []) ], [ "availability: empty availability sweep" ]);
+    ( "instant speedup",
+      [ ([ "availability"; "0"; "speedup" ], num 9.5) ],
+      [ "availability: availability gate — 9.5x at 64 MB, need >= 10.0x (open 8.450 ms, drained \
+       353.965 ms)" ] );
+    ( "background drain",
+      [ ([ "availability"; "2"; "pages_background" ], Json.int 0) ],
+      [ "availability: background drain replayed nothing" ] );
+    ("sharding cells", [ ([ "sharding" ], Json.Arr []) ], [ "sharding: empty sharding sweep" ]);
+    ( "shard counts",
+      [ ([ "sharding"; "1"; "shards" ], Json.int 1); ([ "sharding"; "1"; "recover_shard_ms" ], Json.Null) ],
+      [ "sharding: sharding sweep missing a shard count" ] );
+    ( "sharding digest",
+      [ ([ "sharding"; "0"; "digest" ], Json.Str "0ff") ],
+      [ "sharding: sharding changed committed state" ] );
+    ( "shard recovery",
+      [ ([ "sharding"; "1"; "recover_shard_ms" ], Json.Null) ],
+      [ "sharding: multi-shard cell skipped the crash/recovery scenario" ] );
+    ( "missing blocks",
+      [ ([], Json.Obj [ ("schema", Json.Str "deut-bench-recovery/1") ]) ],
+      List.map
+        (fun k -> k ^ ": missing field " ^ k)
+        [ "fig2"; "archiving"; "availability"; "sharding" ] );
+  ]
+
+let test_check_broken edits want () =
+  let broken = List.fold_left (fun j (path, v) -> set path v j) (baseline ()) edits in
+  Alcotest.(check (list string)) "the failures" want (Bench_summary.check broken)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_round_trip;
@@ -203,4 +266,11 @@ let suite =
     Alcotest.test_case "bench-diff: one redo_ms changed" `Quick test_diff_redo_changed;
     Alcotest.test_case "bench-diff: only wall leaves changed" `Quick test_diff_wall_only;
     Alcotest.test_case "bench-diff: an availability cell dropped" `Quick test_diff_cell_dropped;
+    Alcotest.test_case "bench-diff: a fig2 digest and a fig3 redo_ms are gated" `Quick
+      test_diff_digest_and_fig3;
+    Alcotest.test_case "check: the baseline holds" `Quick test_check_baseline;
   ]
+  @ List.map
+      (fun (name, edits, want) ->
+        Alcotest.test_case ("check: broken " ^ name) `Quick (test_check_broken edits want))
+      broken_invariants

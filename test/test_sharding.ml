@@ -16,6 +16,8 @@ module Analysis = Deut_obs.Analysis
 module Workload = Deut_workload.Workload
 module Driver = Deut_workload.Driver
 module Client_sched = Deut_workload.Client_sched
+module Figures = Deut_workload.Figures
+module Json = Deut_obs.Json
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -509,6 +511,27 @@ let env_malformed =
     ("flag", [ ("DEUT_NET", "maybe"); ("DEUT_ARCHIVE", "2") ]);
   ]
 
+(* The sharding sweep runs on its config's transport: with [net] on, the
+   multi-shard cell's TC-DC messages cross the simulated links. *)
+let test_sweep_honours_net () =
+  let sweep = List.find (fun (s : Figures.sweep) -> s.name = "sharding") Figures.sweeps in
+  let out =
+    sweep.run
+      {
+        Figures.config = { Config.default with Config.net = true };
+        scale = 512;
+        cache = None;
+        methods = None;
+        progress = ignore;
+      }
+      [ ("cache", [ 64 ]); ("counts", [ 1; 2 ]); ("clients", [ 2 ]); ("txns", [ 30 ]) ]
+  in
+  match Json.to_list "sharding" out.json with
+  | [ _; multi ] ->
+      check_int "the multi-shard cell" 2 (int_of_float (Json.num multi "shards"));
+      check "its messages crossed the network" true (Json.num multi "net_msgs" > 0.0)
+  | cells -> Alcotest.failf "expected two cells, got %d" (List.length cells)
+
 let suite =
   [
     Alcotest.test_case "digest equal across shard counts" `Quick
@@ -529,6 +552,7 @@ let suite =
     Alcotest.test_case "network transport determinism" `Quick test_net_determinism;
     Alcotest.test_case "network cost is charged, digest unchanged" `Quick
       test_net_is_transparent_but_costly;
+    Alcotest.test_case "sharding sweep honours net" `Quick test_sweep_honours_net;
     Alcotest.test_case "observers change nothing" `Quick test_observers_change_nothing;
     Alcotest.test_case "metrics sum over shards" `Quick test_metrics_sum_shards;
     Alcotest.test_case "env knobs" `Quick test_env_knobs;
