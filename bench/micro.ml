@@ -2,11 +2,11 @@
    These measure real wall-clock costs (OLS estimate of ns/op), in contrast
    to the figure tables, which report simulated recovery time.
 
-   The "(before)"/"(after)" pairs measure one optimisation of the hot-path
-   wall-clock pass against the code shape it replaced:
+   [checksum-page] and [checksum-record] time the storage checksum
+   ([Checksum.sub], XXH64) on a full page image and on a log-record-sized
+   payload.  The "(before)"/"(after)" pairs measure one optimisation of the
+   hot-path wall-clock pass against the code shape it replaced:
 
-     fnv: word-wide [Fnv.fold] vs the byte-at-a-time reference loop, on a
-          full page image and on a log-record-sized payload;
      page-read: the copy-on-write borrow the store hands out now vs the
           copy-and-hash every fetch used to pay;
      wal-encode: the reusable scratch writer vs a fresh buffer + contents
@@ -18,7 +18,7 @@
 
 open Bechamel
 open Toolkit
-module Fnv = Deut_storage.Fnv
+module Checksum = Deut_storage.Checksum
 module Page = Deut_storage.Page
 module Page_store = Deut_storage.Page_store
 module Pool = Deut_buffer.Buffer_pool
@@ -108,20 +108,16 @@ let tree_fixture =
 let tests =
   let rng = Rng.create ~seed:99 in
   [
-    Test.make ~name:"fnv-page-byte (before)"
-      (Staged.stage (fun () -> Fnv.fold_ref page_buf ~off:0 ~len:page_size ~init:Fnv.seed));
-    Test.make ~name:"fnv-page-word (after)"
-      (Staged.stage (fun () -> Fnv.fold page_buf ~off:0 ~len:page_size ~init:Fnv.seed));
-    Test.make ~name:"fnv-record-byte (before)"
-      (Staged.stage (fun () -> Fnv.fold_ref page_buf ~off:32 ~len:encoded_len ~init:Fnv.seed));
-    Test.make ~name:"fnv-record-word (after)"
-      (Staged.stage (fun () -> Fnv.fold page_buf ~off:32 ~len:encoded_len ~init:Fnv.seed));
+    Test.make ~name:"checksum-page"
+      (Staged.stage (fun () -> Checksum.sub page_buf ~off:0 ~len:page_size));
+    Test.make ~name:"checksum-record"
+      (Staged.stage (fun () -> Checksum.sub page_buf ~off:32 ~len:encoded_len));
     Test.make ~name:"page-read-copy+hash (before)"
       (Staged.stage (fun () ->
            (* What every fetch used to cost: duplicate the stable image,
               then checksum the copy. *)
            let copy = Bytes.copy page_buf in
-           ignore (Fnv.fold copy ~off:0 ~len:page_size ~init:Fnv.seed)));
+           ignore (Checksum.sub copy ~off:0 ~len:page_size)));
     Test.make ~name:"page-read-borrow (after)"
       (Staged.stage (fun () ->
            let store, pid = Lazy.force store_fixture in

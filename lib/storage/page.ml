@@ -61,17 +61,17 @@ let set_plsn t lsn = set_u64 t 8 lsn
 let dc_plsn t = get_u64 t 16
 let set_dc_plsn t lsn = set_u64 t 16 lsn
 
-(* FNV-1a over everything except the checksum field itself (bytes 4-7). *)
+(* XXH64 over everything except the checksum field itself (bytes 4-7).
+   A computed 0 is stamped as 1, so no stamp is ever 0 and a checksum field
+   a stray write zeroed fails [checksum_ok] like any other mismatch. *)
 let checksum_of_bytes buf =
-  let h = Fnv.fold buf ~off:0 ~len:4 ~init:Fnv.seed in
-  Fnv.fold buf ~off:8 ~len:(Bytes.length buf - 8) ~init:h
+  let h = Checksum.fold buf ~off:0 ~len:4 ~init:Checksum.seed in
+  let h = Checksum.fold buf ~off:8 ~len:(Bytes.length buf - 8) ~init:h in
+  if h = 0 then 1 else h
 
 let compute_checksum t = checksum_of_bytes t.buf
 let stamp_checksum t = set_u32 t 4 (compute_checksum t)
-
-let checksum_ok t =
-  let stored = get_u32 t 4 in
-  stored = 0 || stored = compute_checksum t
+let checksum_ok t = get_u32 t 4 = compute_checksum t
 
 let create ~page_size ~pid k =
   if page_size < header_size then invalid_arg "Page.create: page_size below header";

@@ -64,14 +64,16 @@ val set_dc_plsn : t -> int -> unit
 
 (** {2 Checksums}
 
-    Bytes 4–7 of the header hold a checksum over the rest of the page,
-    stamped at flush time and verified on read from stable storage —
-    torn/corrupt stable pages are detected, not silently recovered from. *)
+    Bytes 4–7 of the header hold a checksum ({!Checksum}, XXH64) over the
+    rest of the page, stamped at flush time and verified on read from
+    stable storage — torn/corrupt stable pages are detected, not silently
+    recovered from. *)
 
 val stamp_checksum : t -> unit
 val checksum_ok : t -> bool
-(** [true] if the stored checksum matches the contents, or if the page was
-    never stamped (all-zero checksum on a zero page). *)
+(** [true] iff the stored checksum matches the contents.  A stamp is never
+    0, so a page that was never stamped (or whose checksum field was
+    zeroed) fails. *)
 
 (** {2 Raw accessors for payload layouts}
 

@@ -7,7 +7,7 @@ type segment = {
   hi : Lsn.t;  (* lo + Bytes.length bytes *)
   bytes : Bytes.t;
   mutable fill : int;  (* bytes written so far; = length when complete *)
-  mutable checksum : int;  (* whole-payload FNV-1a, valid once sealed *)
+  mutable checksum : int;  (* whole-payload XXH64 (low 32 bits), valid once sealed *)
   mutable sealed : bool;
   mutable verified : bool;  (* checksum checked this incarnation *)
 }
@@ -100,7 +100,7 @@ let seal t =
     invalid_arg
       (Printf.sprintf "Archive.seal: segment [%d,%d) only %d of %d bytes written" s.lo s.hi
          s.fill (Bytes.length s.bytes));
-  s.checksum <- Deut_storage.Fnv.sub s.bytes ~off:0 ~len:(Bytes.length s.bytes);
+  s.checksum <- Deut_storage.Checksum.sub s.bytes ~off:0 ~len:(Bytes.length s.bytes);
   s.sealed <- true;
   s.verified <- true;  (* the writer just produced the bytes it hashed *)
   t.seals <- t.seals + 1;
@@ -119,7 +119,7 @@ let contains t lsn = find_sealed t lsn <> None
 
 let verify s =
   if not s.verified then begin
-    if Deut_storage.Fnv.sub s.bytes ~off:0 ~len:(Bytes.length s.bytes) <> s.checksum then
+    if Deut_storage.Checksum.sub s.bytes ~off:0 ~len:(Bytes.length s.bytes) <> s.checksum then
       raise (Corrupt_segment { lo = s.lo; hi = s.hi });
     s.verified <- true
   end

@@ -5,7 +5,7 @@
     archiver copies a prefix of the live log — raw frames, byte for byte,
     so LSNs remain absolute byte offsets — into a {e segment} on a
     dedicated simulated archive device, seals it under a whole-segment
-    FNV-1a checksum, and only then truncates the live log.  Sealing before
+    XXH64 checksum, and only then truncates the live log.  Sealing before
     truncating is the WAL rule applied to the log itself: at every instant
     the union of sealed segments and the durable live log covers
     [\[start_lsn, stable\)] contiguously, so a crash at {e any} point during

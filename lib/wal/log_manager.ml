@@ -1,7 +1,7 @@
 exception Corrupt_record of int
 
-(* Word-wide FNV-1a over the payload (same value as the byte-wise loop). *)
-let checksum_sub buf off len = Deut_storage.Fnv.sub buf ~off ~len
+(* XXH64 (low 32 bits) over the payload. *)
+let checksum_sub buf off len = Deut_storage.Checksum.sub buf ~off ~len
 
 let frame_header = 8
 
@@ -32,7 +32,7 @@ type t = {
   scratch : Codec.writer;  (* reused across appends: no per-record buffer *)
   mutable verified_upto : int;
       (* Frames ending at or below this absolute offset have passed their
-         CRC check once.  Log bytes are immutable after append (only
+         checksum check once.  Log bytes are immutable after append (only
          [corrupt_for_test] edits them, and it pulls the watermark back),
          so one verification per frame is sound: appends extend the
          watermark when they land on it, [crash]/[crash_at] inherit it, and
@@ -146,8 +146,8 @@ let force_upto t lsn =
 
 (* Serve an offset below [base] from the archive.  Sealed-segment checksums
    cover every frame at once (verified on the incarnation's first access),
-   so the per-frame CRC is skipped here.  Segments begin and end on record
-   boundaries, hence a frame never straddles two of them. *)
+   so the per-frame checksum is skipped here.  Segments begin and end on
+   record boundaries, hence a frame never straddles two of them. *)
 let read_archived t lsn =
   match t.archive with
   | Some a when Archive.contains a lsn ->
@@ -177,9 +177,10 @@ let read_at t lsn =
   (Log_record.decode_sub t.data ~pos:(off + frame_header) ~len:payload_len, next)
   end
 
-let corrupt_for_test t lsn =
-  let off = lsn - t.base + frame_header in
-  Bytes.set t.data off (Char.chr (Char.code (Bytes.get t.data off) lxor 0xFF));
+let corrupt_for_test ?bit t lsn =
+  let byte, mask = match bit with Some b -> (b / 8, 1 lsl (b land 7)) | None -> (0, 0xFF) in
+  let off = lsn - t.base + frame_header + byte in
+  Bytes.set t.data off (Char.chr (Char.code (Bytes.get t.data off) lxor mask));
   t.verified_upto <- Stdlib.min t.verified_upto lsn
 
 let attach_read_disk t disk = t.read_disk <- Some disk

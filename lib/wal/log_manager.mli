@@ -1,9 +1,10 @@
 (** Append-only write-ahead log with an explicit stable prefix.
 
     Records are framed as [u32 length][u32 checksum][payload]; a record's
-    LSN is the byte offset of its frame, and the checksum (validated on
-    every read) turns torn or corrupted records into loud
-    {!Corrupt_record} failures instead of silent wrong recovery.  Bytes in
+    LSN is the byte offset of its frame, and the checksum (XXH64 of the
+    payload, low 32 bits, validated on a frame's first read) turns torn or
+    corrupted records into loud {!Corrupt_record} failures instead of
+    silent wrong recovery.  Bytes in
     [0, stable_lsn) are durable; the tail beyond is volatile and vanishes
     at a crash.  Commits force the log; flushing a data page forces the
     log up to that page's pLSN first (the WAL rule, enforced by the buffer
@@ -67,8 +68,10 @@ val read_at : t -> Lsn.t -> Log_record.t * Lsn.t
     {!Archive.Corrupt_segment}).  Raises [Invalid_argument] on a bad offset
     and {!Corrupt_record} on a live-frame checksum failure. *)
 
-val corrupt_for_test : t -> Lsn.t -> unit
-(** Flip a byte of the record's payload (fault injection for tests). *)
+val corrupt_for_test : ?bit:int -> t -> Lsn.t -> unit
+(** Fault injection for tests: flip bit [bit] (counted from the payload's
+    first byte) of the record's payload, or, without [bit], every bit of
+    its first byte. *)
 
 val attach_read_disk : t -> Deut_sim.Disk.t -> unit
 (** Charge subsequent scans' page crossings to this disk. *)

@@ -505,5 +505,5 @@ let suite =
     Alcotest.test_case "check_tree: oversized slot count is an error" `Quick
       test_check_huge_nslots;
     Alcotest.test_case "check_tree: child cycle ends" `Quick test_check_child_cycle;
-    QCheck_alcotest.to_alcotest prop_btree_model;
+    Env.qcheck prop_btree_model;
   ]

@@ -185,5 +185,5 @@ let suite =
     Alcotest.test_case "range bounds" `Quick test_range_bounds;
     Alcotest.test_case "deleted regions skipped" `Quick test_scan_skips_deleted_and_empty_leaves;
     Alcotest.test_case "db scan api" `Quick test_db_scan_api;
-    QCheck_alcotest.to_alcotest prop_range_model;
+    Env.qcheck prop_range_model;
   ]

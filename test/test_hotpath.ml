@@ -1,10 +1,11 @@
-(* Hot-path optimisations: word-wide FNV equivalence, copy-on-write page
+(* Hot-path optimisations: the checksum's fast fold and its bit-flip
+   detection, copy-on-write page
    sharing discipline, the allocation-lean WAL codec, the log's verified
    watermark, and per-lane in-flight accounting.  These pin the invariants
    the wall-clock pass leans on — every one of them is a "fast path must
    equal slow path" property. *)
 
-module Fnv = Deut_storage.Fnv
+module Checksum = Deut_storage.Checksum
 module Page = Deut_storage.Page
 module Page_store = Deut_storage.Page_store
 module Pool = Deut_buffer.Buffer_pool
@@ -18,39 +19,137 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-(* qcheck: the word-wide FNV fold equals the byte-wise reference on every
-   buffer, sub-range, and chained init — including ranges that start and
-   end unaligned and tails shorter than a word. *)
-let fnv_case_gen =
+(* XXH64 as the specification writes it, low 32 bits: bounds-checked
+   little-endian loads, boxed arithmetic, the same stripe / 8 / 4 / 1-byte
+   structure as [Checksum.fold]. *)
+let xxh64_ref buf ~off ~len ~init =
+  let open Int64 in
+  let p1 = 0x9E3779B185EBCA87L and p2 = 0xC2B2AE3D27D4EB4FL and p3 = 0x165667B19E3779F9L in
+  let p4 = 0x85EBCA77C2B2AE63L and p5 = 0x27D4EB2F165667C5L in
+  let rotl x r = logor (shift_left x r) (shift_right_logical x (64 - r)) in
+  let round acc input = mul (rotl (add acc (mul input p2)) 31) p1 in
+  let merge acc v = add (mul (logxor acc (round 0L v)) p1) p4 in
+  let seed = of_int init and stop = off + len in
+  let i = ref off in
+  let h =
+    if len < 32 then ref (add seed p5)
+    else begin
+      let v = [| add seed (add p1 p2); add seed p2; seed; sub seed p1 |] in
+      while !i + 32 <= stop do
+        for k = 0 to 3 do
+          v.(k) <- round v.(k) (Bytes.get_int64_le buf (!i + (8 * k)))
+        done;
+        i := !i + 32
+      done;
+      let h = add (add (rotl v.(0) 1) (rotl v.(1) 7)) (add (rotl v.(2) 12) (rotl v.(3) 18)) in
+      ref (Array.fold_left merge h v)
+    end
+  in
+  h := add !h (of_int len);
+  while !i + 8 <= stop do
+    h := add (mul (rotl (logxor !h (round 0L (Bytes.get_int64_le buf !i))) 27) p1) p4;
+    i := !i + 8
+  done;
+  if !i + 4 <= stop then begin
+    let w = logand (of_int32 (Bytes.get_int32_le buf !i)) 0xFFFFFFFFL in
+    h := add (mul (rotl (logxor !h (mul w p1)) 23) p2) p3;
+    i := !i + 4
+  end;
+  while !i < stop do
+    h := mul (rotl (logxor !h (mul (of_int (Bytes.get_uint8 buf !i)) p5)) 11) p1;
+    incr i
+  done;
+  let h = !h in
+  let h = mul (logxor h (shift_right_logical h 33)) p2 in
+  let h = mul (logxor h (shift_right_logical h 29)) p3 in
+  to_int (logxor h (shift_right_logical h 32)) land 0xFFFFFFFF
+
+(* qcheck: the unchecked-load fold equals the reference on every buffer,
+   sub-range and chained init — including ranges that start and end
+   unaligned, ranges below one stripe, and every tail length. *)
+let checksum_case_gen =
   let open QCheck2.Gen in
   let* n = 0 -- 300 in
   let* bytes = string_size (return n) in
   let* off = 0 -- n in
   let* len = 0 -- (n - off) in
-  let* init = oneof [ return Fnv.seed; 0 -- 0xFFFFFFFF ] in
+  let* init = oneof [ return Checksum.seed; 0 -- 0xFFFFFFFF ] in
   return (Bytes.of_string bytes, off, len, init)
 
-let prop_fnv_word_eq_byte =
-  QCheck2.Test.make ~name:"word-wide FNV equals byte-wise reference" ~count:1000
-    fnv_case_gen (fun (buf, off, len, init) ->
-      Fnv.fold buf ~off ~len ~init = Fnv.fold_ref buf ~off ~len ~init)
+let prop_checksum_eq_ref =
+  QCheck2.Test.make ~name:"fast fold equals XXH64 reference" ~count:1000
+    checksum_case_gen (fun (buf, off, len, init) ->
+      Checksum.fold buf ~off ~len ~init = xxh64_ref buf ~off ~len ~init)
 
-let test_fnv_bounds () =
+let test_checksum_bounds () =
   let buf = Bytes.create 16 in
   List.iter
     (fun (off, len) ->
       try
-        ignore (Fnv.fold buf ~off ~len ~init:Fnv.seed);
+        ignore (Checksum.fold buf ~off ~len ~init:Checksum.seed);
         Alcotest.fail "out-of-bounds range must raise"
       with Invalid_argument _ -> ())
-    [ (-1, 4); (0, 17); (12, 5); (0, -1) ]
+    [ (-1, 4); (0, 17); (12, 5); (0, -1); (max_int, 1) ]
 
-(* Golden FNV values, fixed independently of [fold_ref]: a change that
-   alters [fold] and the reference together still fails here. *)
-let test_fnv_golden () =
-  let buf = Bytes.init 8192 (fun i -> Char.chr ((i * 31 + 7) land 0xff)) in
-  check_int "whole page" 0x3fa01dc5 (Fnv.sub buf ~off:0 ~len:8192);
-  check_int "unaligned sub-range" 0x0fab2367 (Fnv.sub buf ~off:3 ~len:13)
+let fixture_page () = Bytes.init 8192 (fun i -> Char.chr ((i * 31 + 7) land 0xff))
+
+(* Golden values, fixed independently of [xxh64_ref]: the published XXH64
+   seed-0 vectors (low halves of 0xef46db3751d8e999, 0xd24ec4f1a98c6e5b,
+   0x44bc2cf5ad770999), then the 8 KB fixture (256 stripes through the lane
+   loop) and a 13-byte sub-range (one 8-, one 4- and one 1-byte tail step). *)
+let test_checksum_golden () =
+  let of_string s = Checksum.sub (Bytes.of_string s) ~off:0 ~len:(String.length s) in
+  check_int "empty" 0x51d8e999 (of_string "");
+  check_int "a" 0xa98c6e5b (of_string "a");
+  check_int "abc" 0xad770999 (of_string "abc");
+  let buf = fixture_page () in
+  check_int "whole page" 0x07d7338f (Checksum.sub buf ~off:0 ~len:8192);
+  check_int "unaligned sub-range" 0xf549c91d (Checksum.sub buf ~off:3 ~len:13)
+
+(* Every single-bit flip of a stamped 8 KB page, checksum field included,
+   fails the check; flipping the bit back restores the page. *)
+let test_page_bit_flips () =
+  let stamped = Page.stable_image (Page.of_image ~pid:0 (Bytes.to_string (fixture_page ()))) in
+  let page = Page.of_image ~pid:0 (Bytes.to_string stamped) in
+  check "stamped fixture passes" true (Page.checksum_ok page);
+  let missed = ref 0 in
+  for bit = 0 to (8 * Page.size page) - 1 do
+    let off = bit / 8 and mask = 1 lsl (bit land 7) in
+    Page.set_u8 page off (Page.get_u8 page off lxor mask);
+    if Page.checksum_ok page then incr missed;
+    Page.set_u8 page off (Page.get_u8 page off lxor mask)
+  done;
+  check_int "bit flips that pass" 0 !missed;
+  check "restored page passes" true (Page.checksum_ok page)
+
+(* Every single-bit flip in one frame's payload raises [Corrupt_record]. *)
+let test_frame_bit_flips () =
+  let log = Log.create ~page_size:4096 in
+  let record =
+    Lr.Update_rec
+      {
+        txn = 7;
+        table = 1;
+        key = 424242;
+        op = Lr.Update;
+        before = Some "the-value-before-the-update";
+        after = Some "the-value-after-the-update!";
+        pid_hint = 99;
+        prev_lsn = 12;
+      }
+  in
+  let lsn = Log.append log record in
+  let payload_bits = 8 * String.length (Lr.encode record) in
+  let missed = ref 0 in
+  for bit = 0 to payload_bits - 1 do
+    Log.corrupt_for_test ~bit log lsn;
+    (match Log.read_at log lsn with
+    | _ -> incr missed
+    | exception Log.Corrupt_record l -> check_int "corrupt lsn reported" lsn l);
+    Log.corrupt_for_test ~bit log lsn
+  done;
+  check_int "bit flips that read back" 0 !missed;
+  check "restored frame decodes" true (fst (Log.read_at log lsn) = record)
 
 (* qcheck: the size computed without encoding matches the encoding, and both
    encode paths (fresh string, reusable scratch writer) agree; decode_sub
@@ -198,10 +297,12 @@ let test_per_lane_in_flight () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_fnv_word_eq_byte;
-    Alcotest.test_case "fnv bounds checks" `Quick test_fnv_bounds;
-    Alcotest.test_case "fnv golden values" `Quick test_fnv_golden;
-    QCheck_alcotest.to_alcotest prop_encode_paths_agree;
+    Env.qcheck prop_checksum_eq_ref;
+    Alcotest.test_case "checksum bounds checks" `Quick test_checksum_bounds;
+    Alcotest.test_case "checksum golden values" `Quick test_checksum_golden;
+    Alcotest.test_case "page bit flips detected" `Quick test_page_bit_flips;
+    Alcotest.test_case "frame bit flips detected" `Quick test_frame_bit_flips;
+    Env.qcheck prop_encode_paths_agree;
     Alcotest.test_case "cow read isolation" `Quick test_cow_read_isolation;
     Alcotest.test_case "cow sibling borrows" `Quick test_cow_two_borrows_independent;
     Alcotest.test_case "stable image not aliased" `Quick test_stable_image_not_aliased;

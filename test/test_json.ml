@@ -259,7 +259,7 @@ let test_check_broken edits want () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_round_trip;
+    Env.qcheck prop_round_trip;
     Alcotest.test_case "exact layouts" `Quick test_layouts;
     Alcotest.test_case "reader errors" `Quick test_reader_errors;
     Alcotest.test_case "bench-diff: a summary against itself" `Quick test_diff_itself;

@@ -225,5 +225,5 @@ let suite =
     Alcotest.test_case "internal routing" `Quick test_internal_routing;
     Alcotest.test_case "split leaf" `Quick test_split_leaf;
     Alcotest.test_case "split internal" `Quick test_split_internal;
-    QCheck_alcotest.to_alcotest prop_node_model;
+    Env.qcheck prop_node_model;
   ]

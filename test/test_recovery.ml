@@ -551,5 +551,5 @@ let suite =
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting_consistent;
     Alcotest.test_case "stats reset between runs" `Quick test_stats_reset_between_runs;
     Alcotest.test_case "corruption fails loudly" `Quick test_recovery_detects_corruption;
-    QCheck_alcotest.to_alcotest prop_recovery_equivalence;
+    Env.qcheck prop_recovery_equivalence;
   ]

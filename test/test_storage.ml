@@ -146,7 +146,7 @@ let test_store_iter () =
 let test_checksum () =
   let p = Page.create ~page_size:256 ~pid:1 Page.Meta in
   Page.set_bytes p ~off:40 "payload";
-  check "unstamped page passes (zero checksum)" true (Page.checksum_ok p);
+  check "unstamped page fails (zero checksum)" false (Page.checksum_ok p);
   Page.stamp_checksum p;
   check "stamped page passes" true (Page.checksum_ok p);
   Page.set_bytes p ~off:40 "tampered";
@@ -156,6 +156,16 @@ let test_checksum () =
   (* pLSN is covered by the checksum. *)
   Page.set_plsn p 999;
   check "plsn covered" false (Page.checksum_ok p)
+
+(* A stray write that zeroes the checksum field of a stamped page must not
+   turn it into an "unstamped" page that passes. *)
+let test_zeroed_checksum_field () =
+  let p = Page.create ~page_size:256 ~pid:1 Page.Btree_leaf in
+  Page.set_bytes p ~off:40 "payload";
+  let image = Page.stable_image p in
+  check "stamp is non-zero" true (Bytes.get_int32_be image 4 <> 0l);
+  Bytes.fill image 4 4 '\000';
+  check "zeroed stamp fails" false (Page.checksum_ok (Page.of_image ~pid:1 (Bytes.to_string image)))
 
 let test_store_detects_corruption () =
   let s = Page_store.create ~page_size:128 in
@@ -177,6 +187,7 @@ let suite =
   [
     Alcotest.test_case "page header" `Quick test_page_header;
     Alcotest.test_case "page checksum" `Quick test_checksum;
+    Alcotest.test_case "zeroed checksum field fails" `Quick test_zeroed_checksum_field;
     Alcotest.test_case "store detects corruption" `Quick test_store_detects_corruption;
     Alcotest.test_case "page accessors" `Quick test_page_accessors;
     Alcotest.test_case "page copy" `Quick test_page_copy_independent;

@@ -284,7 +284,7 @@ let suite =
     Alcotest.test_case "codec truncation" `Quick test_codec_truncation;
     Alcotest.test_case "record roundtrip" `Quick test_record_roundtrip;
     Alcotest.test_case "redo view" `Quick test_redo_view;
-    QCheck_alcotest.to_alcotest prop_roundtrip;
+    Env.qcheck prop_roundtrip;
     Alcotest.test_case "log append/read" `Quick test_log_append_read;
     Alcotest.test_case "log force semantics" `Quick test_log_force_semantics;
     Alcotest.test_case "log crash drops tail" `Quick test_log_crash_drops_tail;
