@@ -9,10 +9,10 @@ module Recovery_stats = Deut_core.Recovery_stats
 module Config = Deut_core.Config
 module Db = Deut_core.Db
 module Engine = Deut_core.Engine
-module Report = Deut_workload.Report
 module Trace = Deut_obs.Trace
 module Metrics = Deut_obs.Metrics
 module Analysis = Deut_obs.Analysis
+module Json = Deut_obs.Json
 
 let progress msg = Printf.eprintf "[repro] %s\n%!" msg
 
@@ -66,7 +66,9 @@ let cache_arg =
   Arg.(value & opt pos_int 512 & info [ "c"; "cache" ] ~docv:"MB" ~doc)
 
 let workers_arg =
-  let doc = "Simulated parallel redo workers (overrides Config.redo_workers)." in
+  let doc =
+    "Simulated parallel redo workers (default: DEUT_REDO_WORKERS for crash, 1 for analyze)."
+  in
   Arg.(value & opt (some pos_int) None & info [ "w"; "workers" ] ~docv:"N" ~doc)
 
 (* The standard Figure-2 crash at --cache/--scale, built for [methods];
@@ -80,16 +82,6 @@ let recovering ~tracing method_ =
   progress
     (Printf.sprintf "recovering with %s%s" (Recovery.method_to_string method_)
        (if tracing then ", tracing on" else ""))
-
-(* The config of a single CLI recovery: the crash's own (built from
-   [env], so the shard count is the paper image's one), with tracing as
-   asked into a ring of at least 1M events — DEUT_TRACE_CAP can raise it. *)
-let recovery_config crash ~tracing =
-  {
-    crash.Experiment.image.Deut_core.Crash_image.config with
-    Config.tracing;
-    trace_capacity = Stdlib.max (1 lsl 20) env.Config.trace_capacity;
-  }
 
 let method_conv =
   let parse s =
@@ -222,87 +214,19 @@ let crash_cmd =
     (Cmd.info "crash" ~doc:"One crash, recovered side-by-side with full per-method statistics")
     Term.(const run $ scale_arg $ cache_arg $ methods_arg $ repeat_arg $ workers_arg)
 
-let trace_cmd =
-  let method_arg =
-    Arg.(
-      value
-      & pos 0 method_conv Recovery.Log2
-      & info [] ~docv:"METHOD"
-          ~doc:"Recovery method to trace (log0, log1, log2, sql1, sql2, aries).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Chrome trace_event JSON output path (default trace_<method>_<cache>.json).")
-  in
-  let csv_arg =
-    Arg.(
-      value & flag
-      & info [ "csv" ] ~doc:"Also write the flat event list as CSV next to the JSON file.")
-  in
-  let run scale cache method_ out emit_csv workers =
-    or_fail @@ fun () ->
-    let crash = build_crash ?workers ~scale ~cache [ method_ ] in
-    let config = recovery_config crash ~tracing:true in
-    recovering ~tracing:true method_;
-    let db, stats, tr = Experiment.recover_traced ~config crash method_ in
-    let path =
-      match out with
-      | Some p -> p
-      | None ->
-          Printf.sprintf "trace_%s_%d.json" (Recovery.method_to_string method_) cache
-    in
-    write_file path (Trace.to_chrome_json ~metrics:(Engine.metrics (Db.engine db)) tr);
-    Printf.printf "wrote %s (%d events, %d dropped)\n" path (Trace.length tr) (Trace.dropped tr);
-    if emit_csv then begin
-      let csv_path = Filename.remove_extension path ^ ".csv" in
-      write_file csv_path (Report.csv ~header:Trace.csv_header ~rows:(Trace.csv_rows tr));
-      Printf.printf "wrote %s\n" csv_path
-    end;
-    print_newline ();
-    print_string
-      (Report.table ~title:"Per-phase breakdown (simulated ms)"
-         ~header:[ "phase"; "ms" ]
-         ~rows:
-           [
-             [ "analysis"; Report.ms (Recovery_stats.analysis_ms stats) ];
-             [ "redo"; Report.ms (Recovery_stats.redo_ms stats) ];
-             [ "undo"; Report.ms (Recovery_stats.undo_ms stats) ];
-             [ "total"; Report.ms (Recovery_stats.total_ms stats) ];
-           ]
-         ());
-    print_newline ();
-    (* Cross-check the trace against the counters: every page fetch and every
-       redo candidate must have produced exactly one span. *)
-    let fetch_spans = Trace.count tr ~kind:Trace.Span ~name:"page_fetch" () in
-    let redo_spans = Trace.count tr ~kind:Trace.Span ~name:"redo_op" () in
-    let fetches =
-      stats.Recovery_stats.data_page_fetches + stats.Recovery_stats.index_page_fetches
-    in
-    let candidates = stats.Recovery_stats.redo_candidates in
-    Printf.printf "page_fetch spans: %d (stats: %d)\nredo_op spans:    %d (stats: %d)\n"
-      fetch_spans fetches redo_spans candidates;
-    if fetch_spans <> fetches || redo_spans <> candidates then begin
-      Printf.eprintf "FAIL: trace spans disagree with Recovery_stats counters\n";
-      exit 1
-    end;
-    print_endline "trace/counter cross-check OK"
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Recover once with virtual-clock tracing on and export a Chrome trace_event JSON \
-          (load it in chrome://tracing or Perfetto); validates span counts against \
-          Recovery_stats.")
-    Term.(const run $ scale_arg $ cache_arg $ method_arg $ out_arg $ csv_arg $ workers_arg)
-
-(* Shared by analyze/metrics: one traced (or not), oracle-verified recovery
-   of the standard Figure-2 crash, with redo_workers/clients pinned to 1 so
-   a committed baseline does not depend on the CI leg that produced it. *)
-let profiled_config crash ~tracing =
-  { (recovery_config crash ~tracing) with Config.redo_workers = 1; clients = 1 }
+(* The config of analyze's and metrics' one recovery: the crash's own
+   (built from [env], so the shard count is the paper image's one), with
+   tracing as asked into a ring of at least 1M events (DEUT_TRACE_CAP can
+   raise it), and redo_workers/clients pinned (to [workers] and 1) so a
+   committed baseline does not depend on the CI leg that produced it. *)
+let profiled_config ?(workers = 1) crash ~tracing =
+  {
+    crash.Experiment.image.Deut_core.Crash_image.config with
+    Config.tracing;
+    trace_capacity = Stdlib.max (1 lsl 20) env.Config.trace_capacity;
+    redo_workers = workers;
+    clients = 1;
+  }
 
 let method_pos_arg =
   Arg.(
@@ -322,12 +246,9 @@ let analyze_cmd =
       value
       & opt (some string) None
       & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Also export the Chrome trace_event JSON (with the metrics snapshot embedded).")
-  in
-  let csv_arg =
-    Arg.(
-      value & flag
-      & info [ "csv" ] ~doc:"Also write the profile as CSV next to the $(b,--out) file.")
+          ~doc:
+            "Also export the Chrome trace_event JSON (with the metrics snapshot embedded); \
+             load it in chrome://tracing or Perfetto.")
   in
   let check_arg =
     Arg.(
@@ -335,23 +256,15 @@ let analyze_cmd =
       & opt (some string) None
       & info [ "check" ] ~docv:"BASELINE"
           ~doc:
-            "Compare against a committed baseline profile JSON and exit non-zero when \
-             stall-attributed time or fetch counts regress beyond the tolerance.")
+            "Compare every field of the profile JSON with a committed baseline profile, \
+             the way $(b,bench-diff) compares bench summaries, and exit 1 listing each \
+             differing path when any differs.")
   in
-  let tolerance_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Allowed regression, in percent over the baseline (default 10).")
-  in
-  let run scale cache method_ out trace_out emit_csv check tolerance =
+  let run scale cache method_ out trace_out check workers =
     or_fail @@ fun () ->
-    let baseline = Option.map (fun p -> (p, read_input "baseline" Analysis.of_json p)) check in
+    let baseline = Option.map (fun p -> (p, read_input "baseline" Json.parse p)) check in
     let crash = build_crash ~scale ~cache [ method_ ] in
     recovering ~tracing:true method_;
-    let db, stats, tr =
-      Experiment.recover_traced ~config:(profiled_config crash ~tracing:true) crash method_
-    in
     let meta =
       [
         ("method", Recovery.method_to_string method_);
@@ -359,73 +272,34 @@ let analyze_cmd =
         ("scale", string_of_int scale);
       ]
     in
-    let profile = Analysis.of_trace ~meta tr in
+    let db, _, tr, profile =
+      Experiment.recover_traced ~meta ~config:(profiled_config ?workers crash ~tracing:true) crash
+        method_
+    in
     print_string (Analysis.render profile);
     print_newline ();
-    (* The profile is mined from the trace alone; the counters are kept by
-       the engine.  They must agree exactly — same invariant as
-       test_analysis.ml, enforced on every CLI run. *)
-    let fetches =
-      stats.Recovery_stats.data_page_fetches + stats.Recovery_stats.index_page_fetches
-    in
-    let stall_us =
-      stats.Recovery_stats.data_stall_us +. stats.Recovery_stats.index_stall_us
-    in
-    let mismatches =
-      List.filter_map
-        (fun (name, got, want) -> if got = want then None else Some (name, got, want))
-        [
-          ("page fetches", profile.Analysis.fetch_total, fetches);
-          ("index fetches", profile.Analysis.fetch_index, stats.Recovery_stats.index_page_fetches);
-          ("stalls", profile.Analysis.stall_count, stats.Recovery_stats.stalls);
-          ( "prefetch claims",
-            profile.Analysis.pf_hit + profile.Analysis.pf_late,
-            stats.Recovery_stats.prefetch_hits );
-          ("prefetch issued", profile.Analysis.pf_issued, stats.Recovery_stats.prefetch_issued);
-          ("redo ops", profile.Analysis.redo_ops, stats.Recovery_stats.redo_candidates);
-        ]
-    in
-    let stall_drift = Float.abs (profile.Analysis.stall_total_us -. stall_us) in
-    if mismatches <> [] || stall_drift > 0.01 then begin
-      List.iter
-        (fun (name, got, want) ->
-          Printf.eprintf "FAIL: profile %s = %d, counters say %d\n" name got want)
-        mismatches;
-      if stall_drift > 0.01 then
-        Printf.eprintf "FAIL: profile stall mass %.3f µs, counters say %.3f µs\n"
-          profile.Analysis.stall_total_us stall_us;
-      exit 1
-    end;
     print_endline "profile/counter cross-check OK";
     let json = Analysis.to_json profile in
-    (match out with
-    | Some path ->
+    Option.iter
+      (fun path ->
         write_file path json;
-        Printf.printf "wrote %s\n" path;
-        if emit_csv then begin
-          let csv_path = Filename.remove_extension path ^ ".csv" in
-          write_file csv_path
-            (Report.csv ~header:Analysis.csv_header ~rows:(Analysis.csv_rows profile));
-          Printf.printf "wrote %s\n" csv_path
-        end
-    | None -> ());
-    (match trace_out with
-    | Some path ->
+        Printf.printf "wrote %s\n" path)
+      out;
+    Option.iter
+      (fun path ->
         write_file path (Trace.to_chrome_json ~metrics:(Engine.metrics (Db.engine db)) tr);
-        Printf.printf "wrote %s\n" path
-    | None -> ());
-    match baseline with
-    | None -> ()
-    | Some (baseline_path, baseline) ->
-        let checks = Analysis.check ~baseline ~current:profile ~tolerance_pct:tolerance in
-        print_newline ();
-        Printf.printf "regression gate vs %s (tolerance +%g%%):\n" baseline_path tolerance;
-        print_string (Analysis.check_table checks);
-        if not (Analysis.check_ok checks) then begin
-          Printf.eprintf "FAIL: profile regressed beyond tolerance\n";
-          exit 1
-        end;
-        print_endline "profile gate OK"
+        Printf.printf "wrote %s (%d events)\n" path (Trace.length tr))
+      trace_out;
+    Option.iter
+      (fun (baseline_path, baseline) ->
+        let d = Json.diff baseline (Result.get_ok (Json.parse json)) in
+        List.iter print_endline d.gated;
+        if d.gated <> [] then
+          failwith
+            (Printf.sprintf "%d profile field(s) differ from %s" (List.length d.gated)
+               baseline_path);
+        Printf.printf "profile matches %s in every field\n" baseline_path)
+      baseline
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -433,26 +307,27 @@ let analyze_cmd =
          "Recover once with tracing on and mine the trace into a profile: per-phase \
           compute/IO/stall budget, every stall attributed to the device span it waited on, \
           prefetched pages classified hit/late/wasted.  Cross-checks the profile against the \
-          engine counters; with $(b,--check), gates against a committed baseline profile.")
+          engine counters (exit 1 on any mismatch); with $(b,--check), gates it exactly \
+          against a committed baseline profile.")
     Term.(
-      const run $ scale_arg $ cache_arg $ method_pos_arg $ out_arg $ trace_out_arg $ csv_arg
-      $ check_arg $ tolerance_arg)
+      const run $ scale_arg $ cache_arg $ method_pos_arg $ out_arg $ trace_out_arg $ check_arg
+      $ workers_arg)
 
 let bench_diff_cmd =
   let file_arg i docv doc = Arg.(required & pos i (some string) None & info [] ~docv ~doc) in
   let run old_path new_path =
     or_fail @@ fun () ->
-    let read = read_input "bench summary" Deut_obs.Json.parse in
+    let read = read_input "bench summary" Json.parse in
     let current = read new_path in
-    let d = Deut_workload.Bench_summary.diff (read old_path) current in
-    List.iter (Printf.printf "  wall clock, not gated: %s\n") d.wall;
-    List.iter print_endline d.simulated;
+    let d = Json.diff ~ungated:Deut_workload.Bench_summary.is_wall (read old_path) current in
+    List.iter (Printf.printf "  wall clock, not gated: %s\n") d.ungated;
+    List.iter print_endline d.gated;
     let broken = Deut_workload.Bench_summary.check current in
     List.iter (Printf.printf "invariant broken: %s\n") broken;
-    if d.simulated <> [] || broken <> [] then
+    if d.gated <> [] || broken <> [] then
       failwith
         (Printf.sprintf "%d simulated field(s) differ from %s; %d invariant(s) broken in %s"
-           (List.length d.simulated) old_path (List.length broken) new_path);
+           (List.length d.gated) old_path (List.length broken) new_path);
     Printf.printf "simulated fields match %s; every invariant holds in %s\n" old_path new_path
   in
   Cmd.v
@@ -534,4 +409,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           (sweep_cmds
-          @ [ crash_cmd; trace_cmd; analyze_cmd; bench_diff_cmd; metrics_cmd; forensics_cmd ])))
+          @ [ crash_cmd; analyze_cmd; bench_diff_cmd; metrics_cmd; forensics_cmd ])))

@@ -67,7 +67,6 @@ val fold_leaf : Deut_storage.Page.t -> init:'a -> f:('a -> int -> string -> 'a) 
 
 (** {2 Internal-node operations} *)
 
-val internal_cell_size : int
 val child_at : Deut_storage.Page.t -> int -> int
 
 val route : Deut_storage.Page.t -> int -> int

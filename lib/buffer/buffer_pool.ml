@@ -506,8 +506,5 @@ let flush_previous_epoch t =
     (fun f -> if f.pid >= 0 && f.dirty && f.epoch <> t.cur_epoch then flush_frame t f)
     t.frames
 
-let iter_frames t f =
-  Array.iter (fun fr -> if fr.pid >= 0 then f fr.page ~dirty:fr.dirty) t.frames
-
 let dirty_pids t =
   Array.fold_left (fun acc f -> if f.pid >= 0 && f.dirty then f.pid :: acc else acc) [] t.frames

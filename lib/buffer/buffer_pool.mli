@@ -31,8 +31,6 @@ type hooks = {
           [dc_lsn] (the same log, forced twice, in the integrated layout). *)
 }
 
-val null_hooks : hooks
-
 (** Read-only outside the pool: only the pool itself updates its counters
     ([reset_counters] zeroes them). *)
 type counters = private {
@@ -182,8 +180,6 @@ val begin_checkpoint_epoch : t -> unit
 val flush_previous_epoch : t -> unit
 (** Flush every frame still dirty from before the last epoch flip — the
     penultimate checkpoint's flush phase. *)
-
-val iter_frames : t -> (Deut_storage.Page.t -> dirty:bool -> unit) -> unit
 
 val dirty_pids : t -> int list
 (** Pids of all dirty frames — ground truth for DPT safety tests. *)

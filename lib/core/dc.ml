@@ -175,7 +175,6 @@ let apply t ~table ~pid ~key ~op ~value ~lsn =
 let read t ~table ~key = Btree.lookup (tree t ~table) ~key
 
 let eosl t lsn = if lsn > !(t.elsn_ref) then t.elsn_ref := lsn
-let elsn t = !(t.elsn_ref)
 
 let rssp t _rssp_lsn =
   (* Everything the DC logged before this point will be reflected in

@@ -76,8 +76,6 @@ val eosl : t -> Deut_wal.Lsn.t -> unit
 (** TC's "end of stable log" notification; the value feeds FW-LSN and
     TC-LSN fields of Δ/BW records. *)
 
-val elsn : t -> Deut_wal.Lsn.t
-
 val rssp : t -> Deut_wal.Lsn.t -> unit
 (** Redo-scan-start-point request: flip the checkpoint epoch, flush every
     page dirtied before it, and emit the pending Δ/BW records so that the

@@ -457,168 +457,3 @@ let to_json t =
                    t.net_sources ) ] );
          ("redo_ops", int t.redo_ops);
        ])
-
-let of_json text =
-  let num = Json.num and str = Json.str in
-  let int j name = int_of_float (num j name) in
-  let items name j = Json.to_list name (Json.member "sources" j) in
-  Result.bind (Json.parse text) @@ fun j ->
-  try
-    let meta =
-      List.map (fun (k, v) -> (k, Json.to_str k v)) (Json.to_obj "meta" (Json.member "meta" j))
-    in
-    let phase p =
-      { ph_name = str p "name"; ph_start_us = num p "start_us"; ph_dur_us = num p "dur_us";
-        ph_stall_us = num p "stall_us"; ph_io_us = num p "io_us";
-        ph_overlap_us = num p "overlap_us"; ph_compute_us = num p "compute_us" }
-    in
-    let source s =
-      { src_device = str s "device"; src_kind = str s "kind"; src_count = int s "count";
-        src_stall_us = num s "stall_us" }
-    in
-    let net_source s =
-      { ns_request = str s "request"; ns_calls = int s "calls"; ns_wait_us = num s "wait_us";
-        ns_wire_us = num s "wire_us"; ns_retransmits = int s "retransmits" }
-    in
-    let phases = List.map phase (Json.to_list "phases" (Json.member "phases" j)) in
-    let sources = List.map source (items "sources" j) in
-    let fetches = Json.member "fetches" j and prefetch = Json.member "prefetch" j in
-    let stalls = Json.member "stalls" j in
-    (* Profiles written before the net section existed have no "net"
-       key; read it tolerantly so committed baselines keep parsing. *)
-    let net_msgs, net_wire_us, net_retransmits, net_sources =
-      match Json.member "net" j with
-      | exception Json.Parse_error _ -> (0, 0.0, 0, [])
-      | nj ->
-          ( int nj "msgs", num nj "wire_us", int nj "retransmits",
-            List.map net_source (items "net sources" nj) )
-    in
-    Ok
-      {
-        meta;
-        total_us = num j "total_us";
-        phases;
-        fetch_total = int fetches "total";
-        fetch_data = int fetches "data";
-        fetch_index = int fetches "index";
-        fetch_prefetched = int fetches "prefetched";
-        fetch_demand = int fetches "demand";
-        pf_issued = int prefetch "issued";
-        pf_hit = int prefetch "hit";
-        pf_late = int prefetch "late";
-        pf_wasted = int prefetch "wasted";
-        stall_count = int stalls "count";
-        stall_total_us = num stalls "total_us";
-        stall_attributed_us = num stalls "attributed_us";
-        sources;
-        net_msgs;
-        net_wire_us;
-        net_retransmits;
-        net_sources;
-        redo_ops = int j "redo_ops";
-      }
-  with Json.Parse_error msg -> Error msg
-
-(* ---------- CSV ---------- *)
-
-let csv_header = [ "metric"; "value" ]
-let f3 x = Printf.sprintf "%.3f" x
-
-let csv_rows t =
-  let scalar name v = [ name; v ] in
-  List.concat
-    [
-      List.map (fun (k, v) -> scalar ("meta." ^ k) v) t.meta;
-      [ scalar "total_us" (f3 t.total_us) ];
-      List.concat_map
-        (fun ph ->
-          let p suffix v = scalar (Printf.sprintf "phase.%s.%s" ph.ph_name suffix) (f3 v) in
-          [
-            p "start_us" ph.ph_start_us;
-            p "dur_us" ph.ph_dur_us;
-            p "stall_us" ph.ph_stall_us;
-            p "io_us" ph.ph_io_us;
-            p "overlap_us" ph.ph_overlap_us;
-            p "compute_us" ph.ph_compute_us;
-          ])
-        t.phases;
-      [
-        scalar "fetch.total" (string_of_int t.fetch_total);
-        scalar "fetch.data" (string_of_int t.fetch_data);
-        scalar "fetch.index" (string_of_int t.fetch_index);
-        scalar "fetch.prefetched" (string_of_int t.fetch_prefetched);
-        scalar "fetch.demand" (string_of_int t.fetch_demand);
-        scalar "prefetch.issued" (string_of_int t.pf_issued);
-        scalar "prefetch.hit" (string_of_int t.pf_hit);
-        scalar "prefetch.late" (string_of_int t.pf_late);
-        scalar "prefetch.wasted" (string_of_int t.pf_wasted);
-        scalar "stall.count" (string_of_int t.stall_count);
-        scalar "stall.total_us" (f3 t.stall_total_us);
-        scalar "stall.attributed_us" (f3 t.stall_attributed_us);
-      ];
-      List.map
-        (fun s ->
-          scalar
-            (Printf.sprintf "stall.source.%s.%s_us" s.src_device s.src_kind)
-            (f3 s.src_stall_us))
-        t.sources;
-      [
-        scalar "net.msgs" (string_of_int t.net_msgs);
-        scalar "net.wire_us" (f3 t.net_wire_us);
-        scalar "net.retransmits" (string_of_int t.net_retransmits);
-      ];
-      List.concat_map
-        (fun s ->
-          [
-            scalar (Printf.sprintf "net.source.%s.wait_us" s.ns_request) (f3 s.ns_wait_us);
-            scalar
-              (Printf.sprintf "net.source.%s.retransmits" s.ns_request)
-              (string_of_int s.ns_retransmits);
-          ])
-        t.net_sources;
-      [ scalar "redo_ops" (string_of_int t.redo_ops) ];
-    ]
-
-(* ---------- regression gate ---------- *)
-
-type check = {
-  ck_name : string;
-  ck_baseline : float;
-  ck_current : float;
-  ck_limit : float;
-  ck_ok : bool;
-}
-
-let check ~baseline ~current ~tolerance_pct =
-  let tol = max 0.0 tolerance_pct /. 100.0 in
-  (* Absolute slack keeps near-zero baselines from failing on noise-sized
-     absolute changes: 2 events for counts, 500 µs for times. *)
-  let one name ~slack b c =
-    let limit = (b *. (1.0 +. tol)) +. slack in
-    { ck_name = name; ck_baseline = b; ck_current = c; ck_limit = limit; ck_ok = c <= limit +. 1e-9 }
-  in
-  let count name b c = one name ~slack:2.0 (float_of_int b) (float_of_int c) in
-  let time name b c = one name ~slack:500.0 b c in
-  [
-    time "total_us" baseline.total_us current.total_us;
-    time "stall_total_us" baseline.stall_total_us current.stall_total_us;
-    time "stall_attributed_us" baseline.stall_attributed_us current.stall_attributed_us;
-    count "fetch_total" baseline.fetch_total current.fetch_total;
-    count "fetch_index" baseline.fetch_index current.fetch_index;
-    count "pf_wasted" baseline.pf_wasted current.pf_wasted;
-  ]
-
-let check_ok checks = List.for_all (fun ck -> ck.ck_ok) checks
-
-let check_table checks =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "  %-22s %12s %12s %12s  %s\n" "metric" "baseline" "current" "limit" "gate");
-  List.iter
-    (fun ck ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-22s %12.3f %12.3f %12.3f  %s\n" ck.ck_name ck.ck_baseline
-           ck.ck_current ck.ck_limit
-           (if ck.ck_ok then "ok" else "FAIL")))
-    checks;
-  Buffer.contents buf

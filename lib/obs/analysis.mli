@@ -8,7 +8,8 @@
     wasted.  The inputs are deterministic, the arithmetic is, and the JSON
     and text renders use fixed formatting — so two same-seed runs produce
     byte-identical profiles, which is what makes a committed profile usable
-    as a regression gate ({!check}).
+    as an exact gate: [repro_cli analyze --check] diffs every field of
+    {!to_json}'s output against a baseline with {!Json.diff}.
 
     This module sits below [Deut_core] in the dependency order: it knows
     nothing about recovery methods or configs, only about the event schema
@@ -99,36 +100,5 @@ val render : t -> string
 
 val to_json : t -> string
 (** Machine-readable profile, fixed field order and ["%.3f"] floats —
-    byte-identical across same-seed runs, diffable, committable as a
-    baseline. *)
-
-val of_json : string -> (t, string) result
-(** Parse [to_json] output with {!Json.parse}.  [Error] describes the
-    first problem found. *)
-
-val csv_header : string list
-
-val csv_rows : t -> string list list
-(** Flat [metric, value] rows covering every scalar in the profile. *)
-
-(** {1 Regression gate} *)
-
-(** One gate comparison: [ck_ok] is false when [ck_current] exceeds
-    [ck_limit] (= baseline grown by the tolerance, plus an absolute slack
-    of 2 for event counts so tiny baselines aren't brittle). *)
-type check = {
-  ck_name : string;
-  ck_baseline : float;
-  ck_current : float;
-  ck_limit : float;
-  ck_ok : bool;
-}
-
-val check : baseline:t -> current:t -> tolerance_pct:float -> check list
-(** Compare the regression-gated scalars — total time, stall mass,
-    stall-attributed mass, fetch counts, prefetch waste — of [current]
-    against [baseline].  Only increases beyond the tolerance fail;
-    improvements always pass. *)
-
-val check_ok : check list -> bool
-val check_table : check list -> string
+    byte-identical across same-seed runs, committable as a baseline.  It
+    carries every field of [t]. *)

@@ -74,7 +74,6 @@ val snapshot : t -> snapshot
     through.  Captured by [Db.crash] / [Db.crash_shard] into the crash
     image. *)
 
-val snapshot_components : snapshot -> int
 val snapshot_entries : snapshot -> comp:int -> entry list
 (** Oldest first. *)
 

@@ -204,6 +204,40 @@ let expected kind name = raise (Parse_error (Printf.sprintf "expected %s for %s"
 let to_num name = function Num text -> float_of_string text | _ -> expected "number" name
 let to_str name = function Str s -> s | _ -> expected "string" name
 let to_list name = function Arr items -> items | _ -> expected "array" name
-let to_obj name = function Obj fields -> fields | _ -> expected "object" name
 let num j name = to_num name (member name j)
 let str j name = to_str name (member name j)
+
+(* ---------- diff ---------- *)
+
+type diff = { gated : string list; ungated : string list }
+
+let diff ?(ungated = fun ~parent:_ _ -> false) old_ new_ =
+  let gated_lines = ref [] and ungated_lines = ref [] in
+  let show = function
+    | Some (Arr items) -> Printf.sprintf "%d items" (List.length items)
+    | Some v -> to_string v
+    | None -> "(missing)"
+  in
+  let rec walk ~gated path a b =
+    match (a, b) with
+    | Some (Obj fa), Some (Obj fb) ->
+        let added = List.filter (fun (k, _) -> not (List.mem_assoc k fa)) fb in
+        List.iter
+          (fun (k, _) ->
+            walk
+              ~gated:(gated && not (ungated ~parent:path k))
+              (path ^ "/" ^ k) (List.assoc_opt k fa) (List.assoc_opt k fb))
+          (fa @ added)
+    | Some (Arr xa), Some (Arr xb) when List.length xa = List.length xb ->
+        List.iteri
+          (fun i (x, y) -> walk ~gated (Printf.sprintf "%s[%d]" path i) (Some x) (Some y))
+          (List.combine xa xb)
+    | Some (Num x), Some (Num y) when float_of_string x = float_of_string y -> ()
+    | a, b when a = b -> ()
+    | a, b ->
+        let line = Printf.sprintf "%s: %s -> %s" path (show a) (show b) in
+        if gated then gated_lines := line :: !gated_lines
+        else ungated_lines := line :: !ungated_lines
+  in
+  walk ~gated:true "" (Some old_) (Some new_);
+  { gated = List.rev !gated_lines; ungated = List.rev !ungated_lines }

@@ -1,5 +1,6 @@
-(** The one JSON printer and reader behind every artifact the repo writes
-    or reads back: Chrome traces, recovery profiles and the bench summary.
+(** The one JSON printer, reader and differ behind every artifact the repo
+    writes or reads back: Chrome traces, recovery profiles and the bench
+    summary.
 
     A number holds its literal text: writers fix each field's precision
     with {!int} or {!fixed}, and the reader keeps the text it read, so
@@ -29,12 +30,27 @@ val parse : string -> (t, string) result
     field or a value of the wrong kind. *)
 
 val member : string -> t -> t
-val to_num : string -> t -> float
 val to_str : string -> t -> string
 val to_list : string -> t -> t list
-val to_obj : string -> t -> (string * t) list
 
 val num : t -> string -> float
-(** [num j name] is [to_num name (member name j)]; likewise {!str}. *)
+(** [num j name] is field [name] of [j], read as a number; likewise {!str}. *)
 
 val str : t -> string -> string
+
+(** {1 Diff} *)
+
+type diff = { gated : string list; ungated : string list }
+(** Every differing leaf as a ["path: old -> new"] line, in document
+    order.  A path is [/key] per object level and [[i]] per array index.
+    A missing or added key counts as a difference, and so does an array
+    whose length changed (the array as one line, ["N items"]). *)
+
+val diff : ?ungated:(parent:string -> string -> bool) -> t -> t -> diff
+(** [diff old_ new_] walks both trees at once.  Numbers compare by value,
+    so ["1.0"] equals ["1"].  A key for which [ungated ~parent key] holds
+    ([parent] is the path of the object that holds it) puts its whole
+    subtree's differences in [ungated]; every other difference is in
+    [gated].  By default every key is gated: the exact gate behind
+    [repro_cli analyze --check], and, with the bench's wall-clock keys
+    ungated, [repro_cli bench-diff]. *)

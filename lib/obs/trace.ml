@@ -218,24 +218,3 @@ let overflow_advice t =
          "trace ring overflowed (%d of %d events dropped).\n\
           A trace_capacity of %d would have sufficed — rerun with DEUT_TRACE_CAP=%d."
          (dropped t) (emitted t) (emitted t) (emitted t))
-
-let csv_header = [ "ts_us"; "dur_us"; "kind"; "track"; "cat"; "name"; "args" ]
-
-let csv_rows t =
-  List.map
-    (fun ev ->
-      [
-        Printf.sprintf "%.3f" ev.ts;
-        Printf.sprintf "%.3f" ev.dur;
-        (match ev.kind with
-        | Span -> "span"
-        | Instant -> "instant"
-        | Flow_start -> "flow-start"
-        | Flow_step -> "flow-step"
-        | Flow_end -> "flow-end");
-        track_name ev.track;
-        ev.cat;
-        ev.name;
-        String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) ev.args);
-      ])
-    (events t)

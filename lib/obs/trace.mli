@@ -89,8 +89,6 @@ val pid_of_track : int -> int
     groups lanes by pid, so a sharded trace reads as one box per
     component. *)
 
-val pid_name : int -> string
-
 (** {1 Recording} *)
 
 val create : now:(unit -> float) -> ?capacity:int -> unit -> t
@@ -163,9 +161,3 @@ val to_chrome_json : ?metrics:Metrics.t -> t -> string
     and observation count for histograms), so a single file carries both
     the event stream and the counters it must agree with.  Deterministic:
     fixed field order, fixed float formatting. *)
-
-val csv_header : string list
-
-val csv_rows : t -> string list list
-(** One row per event matching [csv_header]; args are rendered as a single
-    ["k=v,k=v"] cell (exercises CSV quoting). *)

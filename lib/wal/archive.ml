@@ -29,7 +29,6 @@ let create ~page_size =
 
 let page_size t = t.page_size
 let attach_disk t disk = t.disk <- Some disk
-let detach_disk t = t.disk <- None
 let instrument t ?trace () = t.trace <- trace
 
 let sealed_segments t = List.filter (fun s -> s.sealed) t.segments

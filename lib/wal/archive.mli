@@ -36,8 +36,6 @@ val attach_disk : t -> Deut_sim.Disk.t -> unit
 (** Charge subsequent segment writes and scan page crossings to this
     device. *)
 
-val detach_disk : t -> unit
-
 val instrument : t -> ?trace:Deut_obs.Trace.t -> unit -> unit
 (** Attach a trace sink: each {!seal} emits an [archive_seal] instant on
     the archive-disk track with the segment's LSN range and size.  Purely

@@ -45,7 +45,6 @@ let reader_sub data ~pos ~len =
     invalid_arg "Codec.reader_sub: range out of bounds";
   { data; limit = pos + len; pos }
 
-let reader_pos r = r.pos
 let at_end r = r.pos >= r.limit
 
 let need r n what = if r.pos + n > r.limit then raise (Truncated what)

@@ -39,10 +39,8 @@ val reader : string -> reader
 val reader_sub : Bytes.t -> pos:int -> len:int -> reader
 (** Decode in place from [data.[pos .. pos+len)] — no substring is taken;
     the recovery scan decodes every record straight out of the log buffer.
-    [reader_pos] stays absolute within [data].  The caller must not mutate
-    the range while the reader is live. *)
+    The caller must not mutate the range while the reader is live. *)
 
-val reader_pos : reader -> int
 val at_end : reader -> bool
 val r_u8 : reader -> int
 val r_u16 : reader -> int

@@ -11,8 +11,6 @@
 
 type op_kind = Insert | Update | Delete
 
-val op_kind_to_string : op_kind -> string
-
 (** A logical data operation, logged by the TC. *)
 type update = {
   txn : int;
@@ -64,8 +62,6 @@ type smo_kind =
   | Leaf_merge
   | Root_collapse
   | Catalog
-
-val smo_kind_to_string : smo_kind -> string
 
 (** A structure modification operation logged by the DC as an atomic batch
     of full after-images of every page it touched.  Replayed (pLSN-guarded)

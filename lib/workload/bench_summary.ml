@@ -1,7 +1,8 @@
 (* The bench summary (BENCH_recovery.json), and the only code that reads
    it: bench/main.exe writes it with [to_json]; [repro_cli bench-diff]
-   compares two of them with [diff] and checks the new one with [check],
-   which is how CI checks a run against baselines/BENCH_recovery_quick.json.
+   compares two of them with [Json.diff ~ungated:is_wall] and checks the
+   new one with [check], which is how CI checks a run against
+   baselines/BENCH_recovery_quick.json.
    Each sweep's block is its [Figures.sweep] JSON. *)
 
 module Json = Deut_obs.Json
@@ -33,47 +34,12 @@ let to_string summary = Json.to_string ~indent:true summary ^ "\n"
 
 (* ---------- diff ---------- *)
 
-(* Wall-clock fields vary run to run: these keys at any depth, and the
-   domain count, which only sets how many cells run at once. *)
+(* [bench-diff] is [Json.diff] with these keys ungated.  Wall-clock fields
+   vary run to run: these keys at any depth, and the domain count, which
+   only sets how many cells run at once. *)
 let is_wall ~parent key =
   List.mem key [ "total_wall_s"; "sections"; "wall_s"; "build_wall_s" ]
   || (parent = "" && key = "domains")
-
-(* Every differing leaf as a "path: old -> new" line, in document order:
-   [simulated] lines are behaviour changes (a missing or added key and a
-   list whose length changed count, the list as one line); [wall] lines
-   are never gated.  Numbers compare by value, so "1.0" equals "1". *)
-type diff = { simulated : string list; wall : string list }
-
-let diff old_ new_ =
-  let simulated = ref [] and wall = ref [] in
-  let show = function
-    | Some (Json.Arr items) -> Printf.sprintf "%d items" (List.length items)
-    | Some v -> Json.to_string v
-    | None -> "(missing)"
-  in
-  let rec walk ~gated path a b =
-    match (a, b) with
-    | Some (Json.Obj fa), Some (Json.Obj fb) ->
-        let added = List.filter (fun (k, _) -> not (List.mem_assoc k fa)) fb in
-        List.iter
-          (fun (k, _) ->
-            walk
-              ~gated:(gated && not (is_wall ~parent:path k))
-              (path ^ "/" ^ k) (List.assoc_opt k fa) (List.assoc_opt k fb))
-          (fa @ added)
-    | Some (Json.Arr xa), Some (Json.Arr xb) when List.length xa = List.length xb ->
-        List.iteri
-          (fun i (x, y) -> walk ~gated (Printf.sprintf "%s[%d]" path i) (Some x) (Some y))
-          (List.combine xa xb)
-    | Some (Json.Num x), Some (Json.Num y) when float_of_string x = float_of_string y -> ()
-    | a, b when a = b -> ()
-    | a, b ->
-        let line = Printf.sprintf "%s: %s -> %s" path (show a) (show b) in
-        if gated then simulated := line :: !simulated else wall := line :: !wall
-  in
-  walk ~gated:true "" (Some old_) (Some new_);
-  { simulated = List.rev !simulated; wall = List.rev !wall }
 
 (* ---------- invariants ---------- *)
 

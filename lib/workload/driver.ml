@@ -120,6 +120,8 @@ let apply_one t txn ~table =
       end
       else ignore (Db.read t.db ~table ~key)
 
+(* One transaction of [ops_per_txn] operations per the spec's mix,
+   committed, mirrored in the oracle. *)
 let run_txn t =
   let txn = Db.begin_txn t.db in
   Oracle.begin_txn t.oracle (Db.Txn.id txn);

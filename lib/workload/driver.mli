@@ -16,10 +16,6 @@ val oracle : t -> Oracle.t
 val spec : t -> Workload.spec
 val updates_done : t -> int
 
-val run_txn : t -> unit
-(** One transaction of [ops_per_txn] operations per the spec's mix,
-    committed, mirrored in the oracle. *)
-
 val run_updates : t -> updates:int -> unit
 (** Run transactions until at least [updates] more operations have been
     applied. *)

@@ -3,6 +3,7 @@ module Db = Deut_core.Db
 module Recovery = Deut_core.Recovery
 module Recovery_stats = Deut_core.Recovery_stats
 module Pool = Deut_buffer.Buffer_pool
+module Analysis = Deut_obs.Analysis
 
 type protocol = { checkpoints : int; interval : int; tail : int; loser_ops : int }
 
@@ -198,7 +199,34 @@ let recover_verified ?config run method_ =
   verify ("recovery with " ^ Recovery.method_to_string method_) run.driver recovered;
   (recovered, stats)
 
-let recover_traced ~config run method_ =
+(* The profile is mined from the trace alone; the counters are kept by
+   the engine.  They must agree exactly. *)
+let reconcile (stats : Recovery_stats.t) (p : Analysis.t) =
+  let ints =
+    [
+      ("page fetches", p.fetch_total, stats.data_page_fetches + stats.index_page_fetches);
+      ("index fetches", p.fetch_index, stats.index_page_fetches);
+      ("stalls", p.stall_count, stats.stalls);
+      ("prefetch claims", p.pf_hit + p.pf_late, stats.prefetch_hits);
+      ("prefetch issued", p.pf_issued, stats.prefetch_issued);
+      ("redo ops", p.redo_ops, stats.redo_candidates);
+    ]
+  in
+  let stall_us = stats.data_stall_us +. stats.index_stall_us in
+  let mismatches =
+    List.filter_map
+      (fun (name, got, want) ->
+        if got = want then None
+        else Some (Printf.sprintf "profile %s = %d, counters say %d" name got want))
+      ints
+    @
+    if Float.abs (p.stall_total_us -. stall_us) > 0.01 then
+      [ Printf.sprintf "profile stall mass %.3f µs, counters say %.3f µs" p.stall_total_us stall_us ]
+    else []
+  in
+  if mismatches <> [] then failwith (String.concat "; " mismatches)
+
+let recover_traced ?meta ~config run method_ =
   let db, stats = recover_verified ~config run method_ in
   match Deut_core.Engine.trace (Db.engine db) with
   | None -> invalid_arg "Experiment.recover_traced: config has tracing off"
@@ -206,7 +234,10 @@ let recover_traced ~config run method_ =
       (* A dropped event means a profile would describe a truncated run. *)
       match Deut_obs.Trace.overflow_advice tr with
       | Some advice -> failwith advice
-      | None -> (db, stats, tr))
+      | None ->
+          let profile = Analysis.of_trace ?meta tr in
+          reconcile stats profile;
+          (db, stats, tr, profile))
 
 let run_method run method_ = snd (recover_verified run method_)
 let run_all run methods = List.map (fun m -> (m, run_method run m)) methods

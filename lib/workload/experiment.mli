@@ -102,13 +102,23 @@ val recover_verified :
     raises [Failure] on divergence. *)
 
 val recover_traced :
+  ?meta:(string * string) list ->
   config:Deut_core.Config.t ->
   crash_run ->
   Deut_core.Recovery.method_ ->
-  Deut_core.Db.t * Deut_core.Recovery_stats.t * Deut_obs.Trace.t
+  Deut_core.Db.t * Deut_core.Recovery_stats.t * Deut_obs.Trace.t * Deut_obs.Analysis.t
 (** [recover_verified] under a [config] with tracing on, returning the
-    recovery's trace.  Raises [Failure] with {!Deut_obs.Trace.overflow_advice}
-    when the ring dropped events, so no caller profiles a truncated run. *)
+    recovery's trace and its profile ([Analysis.of_trace ?meta]), which
+    {!reconcile} has checked against the counters.  Raises [Failure] with
+    {!Deut_obs.Trace.overflow_advice} when the ring dropped events, so no
+    caller profiles a truncated run. *)
+
+val reconcile : Deut_core.Recovery_stats.t -> Deut_obs.Analysis.t -> unit
+(** Check a profile, mined from the trace alone, against the counters the
+    engine kept for the same recovery: page and index fetches, stalls,
+    prefetch claims (hit + late) and issued pages, redo ops, and the stall
+    mass (to 0.01 µs).  Raises [Failure] naming every field that
+    disagrees. *)
 
 val run_all :
   crash_run ->

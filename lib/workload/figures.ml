@@ -1320,8 +1320,8 @@ let run_tuning c ~cache_sizes ~windows ~chunks ~lookaheads =
                     ("candidate", Tuner.candidate_to_string cand);
                   ]
                 in
-                let _, stats, tr = Experiment.recover_traced ~config run method_ in
-                { Tuner.cand; profile = Analysis.of_trace ~meta tr; redo_ms = Rs.redo_ms stats })
+                let _, stats, _, profile = Experiment.recover_traced ~meta ~config run method_ in
+                { Tuner.cand; profile; redo_ms = Rs.redo_ms stats })
               grid
           in
           let t_default =

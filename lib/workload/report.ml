@@ -21,17 +21,6 @@ let table ?title ~header ~rows () =
   let body = String.concat "\n" (render_row header :: sep :: List.map render_row rows) in
   match title with None -> body ^ "\n" | Some t -> t ^ "\n" ^ body ^ "\n"
 
-(* RFC-4180 quoting: cells containing a comma, quote or newline are wrapped
-   in double quotes with embedded quotes doubled; plain cells stay bare. *)
-let csv_cell c =
-  if String.exists (fun ch -> ch = ',' || ch = '"' || ch = '\n') c then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' c) ^ "\""
-  else c
-
-let csv ~header ~rows =
-  let line cells = String.concat "," (List.map csv_cell cells) in
-  String.concat "\n" (line header :: List.map line rows) ^ "\n"
-
 let ms v = Printf.sprintf "%.1f" v
 let pct v = Printf.sprintf "%.1f%%" v
 let f1 v = Printf.sprintf "%.1f" v

@@ -1,11 +1,7 @@
-(** Fixed-width text tables and CSV for the benchmark output. *)
+(** Fixed-width text tables for the benchmark output. *)
 
 val table : ?title:string -> header:string list -> rows:string list list -> unit -> string
 (** Render an aligned table with a separator under the header. *)
-
-val csv : header:string list -> rows:string list list -> string
-(** RFC-4180 output: cells containing a comma, double quote or newline are
-    quoted (embedded quotes doubled); all other cells are written bare. *)
 
 val ms : float -> string
 (** Milliseconds with one decimal. *)

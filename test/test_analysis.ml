@@ -1,7 +1,8 @@
 (* Trace-mining profiler: stall-attribution invariants against the engine
    counters and the stall histogram, prefetch hit/late/wasted
-   reconciliation, byte-identical same-seed profiles, JSON round-trip, the
-   regression gate, empty-input guards, and tuner scoring. *)
+   reconciliation, byte-identical same-seed profiles, the exact profile
+   gate, [Experiment.recover_traced]'s reconciliation, empty-input guards,
+   and tuner scoring. *)
 
 module Db = Deut_core.Db
 module Config = Deut_core.Config
@@ -13,6 +14,8 @@ module Driver = Deut_workload.Driver
 module Trace = Deut_obs.Trace
 module Metrics = Deut_obs.Metrics
 module Analysis = Deut_obs.Analysis
+module Json = Deut_obs.Json
+module Experiment = Deut_workload.Experiment
 module Tuner = Deut_obs.Tuner
 
 let check = Alcotest.(check bool)
@@ -157,48 +160,80 @@ let test_profiles_byte_identical () =
         (String.equal (Analysis.render p1) (Analysis.render p2)))
     [ Recovery.Log2; Recovery.Sql2 ]
 
-let test_json_roundtrip () =
+(* ---------- the exact profile gate ---------- *)
+
+let json_of p =
+  match Json.parse (Analysis.to_json p) with
+  | Ok j -> j
+  | Error msg -> Alcotest.failf "profile JSON does not parse: %s" msg
+
+(* [analyze --check] diffs every field: one prefetch claimed late instead
+   of on time moves no total and no fetch count, and must still be
+   reported, as exactly the two leaves that moved. *)
+let test_gate_hit_to_late () =
   let _, image = make_crash () in
   let _, _, _, p = recover_profiled image Recovery.Log2 in
-  let json = Analysis.to_json p in
-  (match Analysis.of_json json with
-  | Error msg -> Alcotest.failf "of_json failed on own output: %s" msg
-  | Ok p' ->
-      Alcotest.(check string) "parse-print fixed point" json (Analysis.to_json p');
-      check_int "fetch counts survive" p.Analysis.fetch_total p'.Analysis.fetch_total;
-      check_int "sources survive" (List.length p.Analysis.sources)
-        (List.length p'.Analysis.sources));
-  check "wrong shape rejected" true (Result.is_error (Analysis.of_json "{\"schema\":1}"))
+  check "the crash claims a prefetch on time" true (p.Analysis.pf_hit > 0);
+  let d = Json.diff (json_of p) (json_of p) in
+  check "a profile against itself: no difference" true (d.Json.gated = [] && d.Json.ungated = []);
+  let moved = { p with Analysis.pf_hit = p.Analysis.pf_hit - 1; pf_late = p.Analysis.pf_late + 1 } in
+  let d = Json.diff (json_of p) (json_of moved) in
+  Alcotest.(check (list string))
+    "hit and late, and only they"
+    [
+      Printf.sprintf "/prefetch/hit: %d -> %d" p.Analysis.pf_hit moved.Analysis.pf_hit;
+      Printf.sprintf "/prefetch/late: %d -> %d" p.Analysis.pf_late moved.Analysis.pf_late;
+    ]
+    d.Json.gated;
+  check "nothing ungated" true (d.Json.ungated = [])
 
-(* ---------- regression gate ---------- *)
+(* The paper crash at a tiny scale, profiled through [recover_traced]. *)
+let paper_crash = lazy (Experiment.paper_crash ~config:Env.config ~scale:512 ~cache_mb:256 [])
 
-let test_regression_gate () =
-  let _, image = make_crash () in
-  let _, _, _, p = recover_profiled image Recovery.Log2 in
-  check "profile passes against itself" true
-    (Analysis.check_ok (Analysis.check ~baseline:p ~current:p ~tolerance_pct:10.0));
-  let slower =
+let traced ?(workers = 1) run method_ =
+  let config =
     {
-      p with
-      Analysis.stall_total_us = (p.Analysis.stall_total_us *. 1.5) +. 10_000.0;
-      stall_attributed_us = (p.Analysis.stall_attributed_us *. 1.5) +. 10_000.0;
+      run.Experiment.image.Deut_core.Crash_image.config with
+      Config.tracing = true;
+      trace_capacity = 1 lsl 20;
+      redo_workers = workers;
+      clients = 1;
     }
   in
-  check "50% more stall time fails the gate" false
-    (Analysis.check_ok (Analysis.check ~baseline:p ~current:slower ~tolerance_pct:10.0));
-  let more_fetches = { p with Analysis.fetch_total = p.Analysis.fetch_total + 100 } in
-  check "fetch-count regression fails the gate" false
-    (Analysis.check_ok (Analysis.check ~baseline:p ~current:more_fetches ~tolerance_pct:10.0));
-  let faster = { p with Analysis.stall_total_us = p.Analysis.stall_total_us /. 2.0 } in
-  check "improvement passes the gate" true
-    (Analysis.check_ok (Analysis.check ~baseline:p ~current:faster ~tolerance_pct:10.0));
-  (* Near-zero baselines get absolute slack instead of percentage noise. *)
-  let zero = { p with Analysis.fetch_total = 0 } in
-  check "tiny count drift tolerated" true
-    (Analysis.check_ok
-       (Analysis.check ~baseline:zero
-          ~current:{ zero with Analysis.fetch_total = 2 }
-          ~tolerance_pct:0.0))
+  Experiment.recover_traced ~config run method_
+
+(* [recover_traced] reconciles the profile with the counters before it
+   returns (it raises otherwise), serial and with parallel redo workers. *)
+let test_recover_traced_workers () =
+  let run = Lazy.force paper_crash in
+  List.iter
+    (fun (m, workers) ->
+      let _, _, _, p = traced ~workers run m in
+      check
+        (Printf.sprintf "%s, %d workers: redo ran" (Recovery.method_to_string m) workers)
+        true (p.Analysis.redo_ops > 0))
+    [ (Recovery.Log2, 1); (Recovery.Log2, 4); (Recovery.Log1, 4); (Recovery.Sql2, 4) ]
+
+(* [reconcile] rejects that profile once any reconciled field is tampered
+   with, naming the field. *)
+let test_reconcile_tampered () =
+  let _, stats, _, p = traced (Lazy.force paper_crash) Recovery.Log2 in
+  let rejects field tampered =
+    match Experiment.reconcile stats tampered with
+    | () -> Alcotest.failf "a tampered %s passed" field
+    | exception Failure msg ->
+        check (Printf.sprintf "%s named in %S" field msg) true
+          (let n = String.length field in
+           let rec go i = i + n <= String.length msg && (String.sub msg i n = field || go (i + 1)) in
+           go 0)
+  in
+  rejects "page fetches" { p with Analysis.fetch_total = p.Analysis.fetch_total + 1 };
+  rejects "index fetches" { p with Analysis.fetch_index = p.Analysis.fetch_index - 1 };
+  rejects "stalls" { p with Analysis.stall_count = p.Analysis.stall_count + 1 };
+  rejects "prefetch claims" { p with Analysis.pf_late = p.Analysis.pf_late + 1 };
+  rejects "prefetch issued" { p with Analysis.pf_issued = p.Analysis.pf_issued + 1 };
+  rejects "redo ops" { p with Analysis.redo_ops = p.Analysis.redo_ops - 1 };
+  rejects "stall mass" { p with Analysis.stall_total_us = p.Analysis.stall_total_us +. 1.0 }
 
 (* ---------- empty inputs must yield zeros, not NaN ---------- *)
 
@@ -224,9 +259,9 @@ let test_empty_trace_guards () =
   close "attribution of no stalls is vacuously complete" 1.0 (Analysis.attributed_fraction p);
   no_nan p;
   check "render total on empty input" true (String.length (Analysis.render p) > 0);
-  (match Analysis.of_json (Analysis.to_json p) with
-  | Ok p' -> Alcotest.(check string) "empty profile round-trips" (Analysis.to_json p) (Analysis.to_json p')
-  | Error msg -> Alcotest.failf "empty profile does not round-trip: %s" msg);
+  Alcotest.(check string)
+    "empty profile JSON reprints unchanged" (Analysis.to_json p)
+    (Json.to_string (json_of p));
   check "empty histogram percentile is 0" true
     (let m = Metrics.create () in
      Metrics.percentile (Metrics.histogram m "h") 95.0 = 0.0)
@@ -349,8 +384,10 @@ let suite =
     Alcotest.test_case "prefetch classes reconcile" `Quick test_prefetch_classes_reconcile;
     Alcotest.test_case "phase budget consistent" `Quick test_phase_budget_consistent;
     Alcotest.test_case "same-seed profiles byte-identical" `Quick test_profiles_byte_identical;
-    Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
-    Alcotest.test_case "regression gate" `Quick test_regression_gate;
+    Alcotest.test_case "gate reports a prefetch hit turned late" `Quick test_gate_hit_to_late;
+    Alcotest.test_case "recover_traced reconciles at 1 and 4 workers" `Quick
+      test_recover_traced_workers;
+    Alcotest.test_case "reconcile rejects a tampered profile" `Quick test_reconcile_tampered;
     Alcotest.test_case "empty-input guards" `Quick test_empty_trace_guards;
     Alcotest.test_case "warm run reports zeros" `Quick test_warm_run_all_zero;
     Alcotest.test_case "synthetic classification" `Quick test_synthetic_classification;

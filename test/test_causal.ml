@@ -19,6 +19,7 @@ module Recovery = Deut_core.Recovery
 module Trace = Deut_obs.Trace
 module Metrics = Deut_obs.Metrics
 module Analysis = Deut_obs.Analysis
+module Json = Deut_obs.Json
 module Flight = Deut_obs.Flight
 module Fuzz = Deut_workload.Fuzz
 module Workload = Deut_workload.Workload
@@ -173,45 +174,37 @@ let test_retransmit_attribution () =
       check (Printf.sprintf "%s: calls counted" s.Analysis.ns_request) true
         (s.Analysis.ns_calls > 0))
     p.Analysis.net_sources;
-  (* The net section survives the JSON round trip. *)
-  match Analysis.of_json (Analysis.to_json p) with
-  | Error e -> Alcotest.failf "round trip failed: %s" e
-  | Ok p' ->
-      check_int "msgs round trip" p.Analysis.net_msgs p'.Analysis.net_msgs;
-      check_int "retransmits round trip" p.Analysis.net_retransmits p'.Analysis.net_retransmits;
-      check_int "buckets round trip"
-        (List.length p.Analysis.net_sources)
-        (List.length p'.Analysis.net_sources)
+  (* The net section is in the JSON the profile gate reads. *)
+  let net =
+    match Json.parse (Analysis.to_json p) with
+    | Ok j -> Json.member "net" j
+    | Error e -> Alcotest.failf "profile JSON does not parse: %s" e
+  in
+  check_int "msgs in the JSON" p.Analysis.net_msgs (int_of_float (Json.num net "msgs"));
+  check_int "retransmits in the JSON" p.Analysis.net_retransmits
+    (int_of_float (Json.num net "retransmits"));
+  check_int "buckets in the JSON"
+    (List.length p.Analysis.net_sources)
+    (List.length (Json.to_list "sources" (Json.member "sources" net)))
 
-(* Profiles written before the net section existed must still parse. *)
+(* Profiles written before the net section existed still parse, and the
+   exact profile gate names the missing block as their one difference. *)
 let test_profile_json_backward_compat () =
-  let p = Analysis.of_events [] in
-  let json = Analysis.to_json p in
-  (* Strip the net object the way an old writer would never have emitted
-     it. *)
-  let idx =
-    let rec find i =
-      if i + 7 > String.length json then Alcotest.fail "no net key in json"
-      else if String.sub json i 7 = ",\"net\":" then i
-      else find (i + 1)
-    in
-    find 0
+  let parse text =
+    match Json.parse text with Ok j -> j | Error e -> Alcotest.failf "does not parse: %s" e
   in
-  let close =
-    let rec find i depth =
-      match json.[i] with
-      | '{' -> find (i + 1) (depth + 1)
-      | '}' -> if depth = 1 then i else find (i + 1) (depth - 1)
-      | _ -> find (i + 1) depth
-    in
-    find (idx + 7) 0
+  let current = parse (Analysis.to_json (Analysis.of_events [])) in
+  let old =
+    match current with
+    | Json.Obj fields -> Json.Obj (List.remove_assoc "net" fields)
+    | _ -> Alcotest.fail "profile JSON is not an object"
   in
-  let old = String.sub json 0 idx ^ String.sub json (close + 1) (String.length json - close - 1) in
-  match Analysis.of_json old with
-  | Error e -> Alcotest.failf "pre-net profile rejected: %s" e
-  | Ok p' ->
-      check_int "defaults to zero msgs" 0 p'.Analysis.net_msgs;
-      check "defaults to empty buckets" true (p'.Analysis.net_sources = [])
+  let pre_net = parse (Json.to_string old) in
+  let d = Json.diff pre_net current in
+  Alcotest.(check (list string))
+    "the net block, and only it"
+    [ "/net: (missing) -> " ^ Json.to_string (Json.member "net" current) ]
+    d.Json.gated
 
 (* ---------- overflow ---------- *)
 

@@ -155,20 +155,22 @@ let rec get path j =
   | i :: rest, Json.Arr items -> get rest (List.nth items (int_of_string i))
   | _ -> Alcotest.failf "no path %s" (String.concat "/" path)
 
+let bench_diff = Json.diff ~ungated:Bench_summary.is_wall
+
 let test_diff_itself () =
   let b = baseline () in
-  let d = Bench_summary.diff b b in
-  check "no simulated difference" true (d.simulated = []);
-  check "no wall difference" true (d.wall = [])
+  let d = bench_diff b b in
+  check "no simulated difference" true (d.gated = []);
+  check "no wall difference" true (d.ungated = [])
 
 let test_diff_redo_changed () =
   let b = baseline () in
   let redo = [ "fig2"; "1"; "methods"; "3"; "redo_ms" ] in
-  let d = Bench_summary.diff b (set redo (Json.fixed ~decimals:3 1.5) b) in
+  let d = bench_diff b (set redo (Json.fixed ~decimals:3 1.5) b) in
   Alcotest.(check (list string))
     "that path, and only it"
     [ "/fig2[1]/methods[3]/redo_ms: " ^ Json.to_string (get redo b) ^ " -> 1.500" ]
-    d.simulated
+    d.gated
 
 let test_diff_wall_only () =
   let b = baseline () in
@@ -181,16 +183,16 @@ let test_diff_wall_only () =
       [ "domains" ];
     ]
   in
-  let d = Bench_summary.diff b (List.fold_left (fun j p -> set p (Json.int 12345) j) b walls) in
-  check "nothing gated" true (d.simulated = []);
-  Alcotest.(check int) "every changed wall leaf printed" (List.length walls) (List.length d.wall)
+  let d = bench_diff b (List.fold_left (fun j p -> set p (Json.int 12345) j) b walls) in
+  check "nothing gated" true (d.gated = []);
+  Alcotest.(check int) "every changed wall leaf printed" (List.length walls) (List.length d.ungated)
 
 let test_diff_cell_dropped () =
   let b = baseline () in
   let drop_second a = Json.Arr (List.filteri (fun i _ -> i <> 1) (Json.to_list "availability" a)) in
-  let d = Bench_summary.diff b (edit [ "availability" ] drop_second b) in
+  let d = bench_diff b (edit [ "availability" ] drop_second b) in
   Alcotest.(check (list string))
-    "the list, as one line" [ "/availability: 3 items -> 2 items" ] d.simulated
+    "the list, as one line" [ "/availability: 3 items -> 2 items" ] d.gated
 
 (* Every digest and every simulated cell is gated, fig2's digests and
    fig3's table included. *)
@@ -198,14 +200,14 @@ let test_diff_digest_and_fig3 () =
   let b = baseline () in
   let digest = [ "fig2"; "0"; "methods"; "2"; "store_digest" ] in
   let redo = [ "fig3"; "1"; "methods"; "0"; "redo_ms" ] in
-  let d = Bench_summary.diff b (b |> set digest (Json.Str "0ff") |> set redo (Json.fixed ~decimals:3 1.5)) in
+  let d = bench_diff b (b |> set digest (Json.Str "0ff") |> set redo (Json.fixed ~decimals:3 1.5)) in
   Alcotest.(check (list string))
     "both paths, gated"
     [
       "/fig2[0]/methods[2]/store_digest: " ^ Json.to_string (get digest b) ^ " -> \"0ff\"";
       "/fig3[1]/methods[0]/redo_ms: " ^ Json.to_string (get redo b) ^ " -> 1.500";
     ]
-    d.simulated
+    d.gated
 
 (* ---------- invariants ---------- *)
 

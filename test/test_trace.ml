@@ -9,7 +9,6 @@ module Recovery = Deut_core.Recovery
 module Recovery_stats = Deut_core.Recovery_stats
 module Workload = Deut_workload.Workload
 module Driver = Deut_workload.Driver
-module Report = Deut_workload.Report
 module Trace = Deut_obs.Trace
 module Metrics = Deut_obs.Metrics
 module Analysis = Deut_obs.Analysis
@@ -406,25 +405,6 @@ let test_histogram_buckets () =
   check_int "n" 5 (Metrics.observations h);
   check "sum" true (abs_float (Metrics.sum h -. 112.5) < 1e-9)
 
-(* ---------- CSV quoting ---------- *)
-
-let test_csv_quoting () =
-  check_str "plain cells stay bare" "a,b\n1,2\n"
-    (Report.csv ~header:[ "a"; "b" ] ~rows:[ [ "1"; "2" ] ]);
-  check_str "comma cell quoted" "k,args\n1,\"pid=3,count=2\"\n"
-    (Report.csv ~header:[ "k"; "args" ] ~rows:[ [ "1"; "pid=3,count=2" ] ]);
-  check_str "embedded quotes doubled" "v\n\"say \"\"hi\"\"\"\n"
-    (Report.csv ~header:[ "v" ] ~rows:[ [ "say \"hi\"" ] ]);
-  (* Trace CSV rows with multi-key args survive the round of quoting. *)
-  let clock = ref 42.0 in
-  let tr = Trace.create ~now:(fun () -> !clock) ~capacity:8 () in
-  Trace.instant tr ~name:"io_batch" ~cat:"io" ~args:[ ("first_pid", 7); ("count", 3) ] ();
-  let csv = Report.csv ~header:Trace.csv_header ~rows:(Trace.csv_rows tr) in
-  check "args cell quoted in trace CSV" true
-    (String.length csv > 0
-    && Option.is_some
-         (String.index_opt csv '"'))
-
 let suite =
   [
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
@@ -434,5 +414,4 @@ let suite =
     Alcotest.test_case "export bytes pinned" `Quick test_export_bytes_pinned;
     Alcotest.test_case "recovery stats pinned" `Quick test_recovery_stats_pinned;
     Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
-    Alcotest.test_case "csv quoting" `Quick test_csv_quoting;
   ]

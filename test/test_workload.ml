@@ -361,9 +361,7 @@ let test_report_table () =
   | _title :: header :: rule :: r1 :: r2 :: _ ->
       check_int "aligned widths" (String.length header) (String.length rule);
       check "rows padded" true (String.length r1 = String.length r2)
-  | _ -> Alcotest.fail "unexpected shape");
-  let csv = Report.csv ~header:[ "a"; "b" ] ~rows:[ [ "1"; "2" ] ] in
-  Alcotest.(check string) "csv" "a,b\n1,2\n" csv
+  | _ -> Alcotest.fail "unexpected shape")
 
 let test_experiment_tiny () =
   (* One tiny experiment cell end-to-end, verifying every method. *)
