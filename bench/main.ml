@@ -11,6 +11,7 @@
    plus the engine knobs of [Config.of_env], read once and passed down. *)
 
 module Figures = Deut_workload.Figures
+module Report = Deut_workload.Report
 module Experiment = Deut_workload.Experiment
 module Config = Deut_core.Config
 
@@ -55,24 +56,12 @@ let cache = Experiment.build_cache ~max_entries:3 ()
    the JSON summary. *)
 let section_walls : (string * float) list ref = ref []
 
-let section title =
-  print_newline ();
-  print_endline (String.make 78 '=');
-  print_endline title;
-  print_endline (String.make 78 '=');
-  print_newline ()
-
 (* Run one timed section. *)
 let timed name run =
   let t0 = Unix.gettimeofday () in
   let result = run () in
   section_walls := (name, Unix.gettimeofday () -. t0) :: !section_walls;
   result
-
-let print_tables =
-  List.iter (fun (title, text) ->
-      section title;
-      print_string text)
 
 (* Machine-readable summary: wall-clock seconds alongside every sweep's
    simulated numbers and digests ({!Deut_workload.Bench_summary}); CI
@@ -95,7 +84,9 @@ let () =
      their timings are reported.\n"
     scale (436_000 / scale);
 
-  (* Every sweep of the registry, at its quick or full parameter values. *)
+  (* Every sweep of the registry, at its quick or full parameter values;
+     its tables are printed from the JSON block it returns, the block the
+     summary saves and [repro_cli show] reprints. *)
   let ctx = { Figures.config; scale; cache = Some cache; methods = None; progress } in
   let blocks =
     List.map
@@ -103,9 +94,9 @@ let () =
         let args =
           List.map (fun (p : Figures.param) -> (p.flag, if quick then p.quick else p.full)) sw.params
         in
-        let out = timed sw.name (fun () -> sw.run ctx args) in
-        print_tables out.tables;
-        (sw.name, out.json))
+        let json = timed sw.name (fun () -> sw.run ctx args) in
+        print_string (Figures.sections sw json);
+        (sw.name, json))
       Figures.sweeps
   in
 
@@ -115,10 +106,11 @@ let () =
      make each one cost seconds. *)
   Experiment.drop_cache cache;
   Gc.compact ();
-  print_tables [ ("MICRO-BENCHMARKS (Bechamel, wall clock)", timed "micro" (Micro.run ~quick)) ];
+  let micro = timed "micro" (Micro.run ~quick) in
+  print_string (Report.section "MICRO-BENCHMARKS (Bechamel, wall clock)" ^ micro);
 
   let total_wall_s = Unix.gettimeofday () -. harness_t0 in
-  section "WALL-CLOCK PER SECTION (real seconds, not simulated)";
+  print_string (Report.section "WALL-CLOCK PER SECTION (real seconds, not simulated)");
   List.iter (fun (name, w) -> Printf.printf "  %-14s %7.2f s\n" name w) (List.rev !section_walls);
   Printf.printf "  %-14s %7.2f s\n" "total" total_wall_s;
   write_bench_json

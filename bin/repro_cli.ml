@@ -115,9 +115,9 @@ let sweep_cmd ?(adjust = Term.const Fun.id) ?(gate = Term.const ignore) (sw : Fi
   let run adjust gate scale args =
     or_fail @@ fun () ->
     let ctx = adjust { Figures.config = env; scale; cache = None; methods = None; progress } in
-    let out = sw.run ctx args in
-    print_string (String.concat "\n" (List.map snd out.tables));
-    gate out.json
+    let json = sw.run ctx args in
+    print_string (String.concat "\n" (List.map snd (Figures.tables sw json)));
+    gate json
   in
   Cmd.v (Cmd.info sw.command ~doc:sw.doc) Term.(const run $ adjust $ gate $ scale_arg $ args)
 
@@ -343,6 +343,37 @@ let bench_diff_cmd =
       $ file_arg 0 "OLD" "The reference summary, e.g. baselines/BENCH_recovery_quick.json."
       $ file_arg 1 "NEW" "The summary to check.")
 
+let show_cmd =
+  let run path =
+    or_fail @@ fun () ->
+    let summary = read_input "bench summary" Json.parse path in
+    match
+      if Json.str summary "schema" <> Deut_workload.Bench_summary.schema then
+        failwith (Printf.sprintf "%s is not a %s summary" path Deut_workload.Bench_summary.schema);
+      List.filter_map
+        (fun (sw : Figures.sweep) ->
+          match Json.member sw.name summary with
+          | block -> Some (Figures.sections sw block)
+          | exception Json.Parse_error _ -> None)
+        Figures.sweeps
+    with
+    | [] -> failwith (path ^ " holds no sweep")
+    | texts -> print_string (String.concat "" texts)
+    | exception Json.Parse_error msg -> failwith (Printf.sprintf "cannot read %s: %s" path msg)
+  in
+  Cmd.v
+    (Cmd.info "show"
+       ~doc:
+         "Reprint the tables of a saved bench summary (BENCH_recovery.json): every sweep block \
+          it holds, rendered by the code the bench prints its own tables with, so the output \
+          equals the bench's sweep sections byte for byte.")
+    Term.(
+      const run
+      $ Arg.(
+          required
+          & pos 0 (some string) None
+          & info [] ~docv:"SUMMARY" ~doc:"A bench summary, e.g. BENCH_recovery.json."))
+
 let metrics_cmd =
   let run scale cache method_ =
     let crash = build_crash ~scale ~cache [ method_ ] in
@@ -409,4 +440,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           (sweep_cmds
-          @ [ crash_cmd; analyze_cmd; bench_diff_cmd; metrics_cmd; forensics_cmd ])))
+          @ [ crash_cmd; analyze_cmd; bench_diff_cmd; show_cmd; metrics_cmd; forensics_cmd ])))

@@ -30,24 +30,3 @@ let best outcomes =
           let so = score o.profile and sb = score b.profile in
           if so < sb || (so = sb && order_key o < order_key b) then Some o else Some b)
     None outcomes
-
-let table ~default outcomes =
-  let winner = best outcomes in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "  %-30s %10s %10s %6s %7s %10s  %s\n" "candidate" "redo ms" "stall ms"
-       "late" "wasted" "score" "");
-  List.iter
-    (fun o ->
-      let p = o.profile in
-      let mark =
-        (if o.cand = default then " default" else "")
-        ^ match winner with Some w when w.cand = o.cand -> " <-- best" | _ -> ""
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  %-30s %10.3f %10.3f %6d %7d %10.1f %s\n"
-           (candidate_to_string o.cand) o.redo_ms
-           (p.Analysis.stall_total_us /. 1000.0)
-           p.Analysis.pf_late p.Analysis.pf_wasted (score p) mark))
-    outcomes;
-  Buffer.contents buf

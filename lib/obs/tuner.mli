@@ -32,8 +32,3 @@ val best : outcome list -> outcome option
 (** Minimum score; ties break on (window, chunk, lookahead, source)
     ascending, so equal-scoring sweeps always recommend the same setting.
     [None] on an empty list. *)
-
-val table : default:candidate -> outcome list -> string
-(** Recommendation table, one row per outcome in sweep order: setting,
-    simulated redo ms, stall ms, late/wasted counts, score; the row
-    matching [default] is marked [default], the winner [<-- best]. *)

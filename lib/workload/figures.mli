@@ -2,7 +2,9 @@
     C, D) and the reproduction's own sweeps, each written once as a
     {!sweep} in {!sweeps}: [bench/main.exe] runs each as a timed section,
     [repro_cli] makes each a command, and [Bench_summary] writes each
-    one's JSON.
+    one's JSON.  A sweep's result is its JSON, and every table is rendered
+    from that JSON alone, so a saved bench summary reprints the same
+    tables ([repro_cli show]).
 
     A sweep performs its workloads, crashes and recoveries, verifies every
     recovery against the oracle, and raises [Failure] when one of its
@@ -31,51 +33,35 @@ type param = {
   single : bool;  (** takes exactly one value *)
 }
 
-(** A sweep's result, rendered. *)
-type output = {
-  tables : (string * string) list;  (** (bench section title, text table) *)
-  json : Deut_obs.Json.t;  (** every simulated number the tables print, and every digest *)
-}
-
 type sweep = {
   name : string;  (** its bench section and its key in the bench JSON *)
   command : string;  (** its [repro_cli] command *)
   doc : string;
   params : param list;
-  run : ctx -> (string * int list) list -> output;
-      (** the sweep, given a value for every param, keyed by flag *)
+  run : ctx -> (string * int list) list -> Deut_obs.Json.t;
+      (** the sweep, given a value for every param, keyed by flag: its
+          block of the bench JSON, an array of rows holding every simulated
+          number its tables print and every digest *)
+  tables : (string * (Deut_obs.Json.t list -> string)) list;
+      (** (bench section title, the text table rendered from the rows) *)
 }
 
 val sweeps : sweep list
 (** fig2, fig3, appd, split, workers, concurrency, sharding, archiving,
     availability and tuning, in the bench's order. *)
 
+val tables : sweep -> Deut_obs.Json.t -> (string * string) list
+(** [tables sw block] renders each of [sw]'s tables from its JSON block —
+    what [run] returned, or the block a saved bench summary holds under
+    [sw.name] — as (section title, text).  Raises [Json.Parse_error] on a
+    block of the wrong shape. *)
+
+val sections : sweep -> Deut_obs.Json.t -> string
+(** The bench's text for [sw]: each of its {!tables} under its
+    {!Report.section} heading. *)
+
 val digests_agree : string -> (string * string) list -> unit
 (** [digests_agree sweep cells] is the determinism gate shared by every
     sweep: each [(coordinates, digest)] pair must carry the first pair's
     digest.  Raises [Failure] naming [sweep], both cells' coordinates and
     both digests otherwise. *)
-
-(** One cache-size cell of the Figure 2 experiment. *)
-type fig2_cell = {
-  cache_mb : int;  (** paper-equivalent cache size *)
-  pool_pages : int;
-  db_pages : int;
-  dirty_pct : float;  (** Figure 2(b): dirty % of the cache at crash *)
-  deltas_seen : int;  (** Figure 2(c): Δ records seen by analysis *)
-  bws_seen : int;  (** Figure 2(c): BW records seen by analysis *)
-  methods : (Deut_core.Recovery.method_ * Deut_core.Recovery_stats.t) list;
-  build_wall_s : float;
-      (** real (wall-clock) seconds spent building the workload and crash
-          image for this cell — runtime cost, not simulated time *)
-  method_walls : (Deut_core.Recovery.method_ * float) list;
-      (** real seconds per recover+verify, in [methods] order *)
-  digests : (Deut_core.Recovery.method_ * (string * string)) list;
-      (** (store, logical) digest of each method's recovered state *)
-}
-
-val run_fig2 : ctx -> cache_sizes:int list -> fig2_cell list
-(** The [fig2] sweep's cells: one crash per cache size, recovered with
-    [ctx.methods] (default: the paper's five).  Fans the builds, then the
-    full (cache size, method) recovery grid, across [config.domains]
-    domains. *)

@@ -1,11 +1,13 @@
-(** Fixed-width text tables for the benchmark output. *)
+(** Fixed-width text for the benchmark output.  Widths count UTF-8 code
+    points, so a cell holding [Δ] or [µ] aligns like an ASCII one. *)
 
 val table : ?title:string -> header:string list -> rows:string list list -> unit -> string
-(** Render an aligned table with a separator under the header. *)
+(** Render an aligned table with a separator under the header: numbers
+    right-aligned, text left-aligned, no trailing spaces after a text
+    cell in the last column. *)
 
-val ms : float -> string
-(** Milliseconds with one decimal. *)
+val pad : int -> string -> string
+(** [pad w s] is [s] followed by spaces up to [w] code points. *)
 
-val pct : float -> string
-val f1 : float -> string
-val i : int -> string
+val section : string -> string
+(** A section heading: a blank line, then [title] between two rules. *)

@@ -17,6 +17,7 @@ module Analysis = Deut_obs.Analysis
 module Json = Deut_obs.Json
 module Experiment = Deut_workload.Experiment
 module Tuner = Deut_obs.Tuner
+module Figures = Deut_workload.Figures
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -373,9 +374,44 @@ let test_tuner_scoring () =
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  let table = Tuner.table ~default:(cand 32) [ out 8 500.0 0; out 32 300.0 0 ] in
-  check "table marks the default row" true (contains table "default");
-  check "table marks the winner" true (contains table "<-- best")
+  (* The tuning sweep's renderer marks the default row and the winner,
+     reading only the sweep's JSON row. *)
+  let outcomes = [ out 8 500.0 0; out 32 300.0 0 ] in
+  let name (c : Tuner.candidate) = Tuner.candidate_to_string c in
+  let row =
+    Json.Obj
+      [
+        ("cache_mb", Json.int 512);
+        ("method", Json.Str "Log2");
+        ("default", Json.Str (name (cand 8)));
+        ("best", Option.fold ~none:Json.Null ~some:(fun o -> Json.Str (name o.Tuner.cand)) (Tuner.best outcomes));
+        ( "outcomes",
+          Json.Arr
+            (List.map
+               (fun o ->
+                 let p = o.Tuner.profile in
+                 Json.Obj
+                   [
+                     ("candidate", Json.Str (name o.Tuner.cand));
+                     ("redo_ms", Json.fixed ~decimals:3 o.Tuner.redo_ms);
+                     ("stall_ms", Json.fixed ~decimals:3 (p.Analysis.stall_total_us /. 1000.0));
+                     ("late", Json.int p.Analysis.pf_late);
+                     ("wasted", Json.int p.Analysis.pf_wasted);
+                     ("score", Json.fixed ~decimals:1 (Tuner.score p));
+                   ])
+               outcomes) );
+      ]
+  in
+  let tuning = List.find (fun (s : Figures.sweep) -> s.name = "tuning") Figures.sweeps in
+  let lines =
+    String.split_on_char '\n' (String.concat "" (List.map snd (Figures.tables tuning (Json.Arr [ row ]))))
+  in
+  let line_of c = List.find (fun l -> contains l (name (cand c))) lines in
+  let ends_with suffix l = contains l suffix && String.ends_with ~suffix l in
+  check "table marks the default row" true (ends_with " default" (line_of 8));
+  check "table marks the winner" true (ends_with " <-- best" (line_of 32));
+  check "table recommends the winner" true
+    (List.mem ("recommendation: " ^ name (cand 32) ^ " — redo 0.300 ms vs default 0.500 ms (-40.0%)") lines)
 
 let suite =
   [

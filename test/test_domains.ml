@@ -19,6 +19,7 @@ module Client_sched = Deut_workload.Client_sched
 module Domain_pool = Deut_sim.Domain_pool
 module Metrics = Deut_obs.Metrics
 module Trace = Deut_obs.Trace
+module Json = Deut_obs.Json
 
 let check = Alcotest.(check bool)
 
@@ -118,13 +119,15 @@ let test_crash_image_isolation () =
   check "image unperturbed after concurrent use" true
     (recover_with driver image Recovery.Log1 1 = reference)
 
-(* Harness fan-out: [Figures.run_fig2] fanned across 2 domains (each
-   builds and recovers several cells in turn) and 4 (every cell has its
-   own domain) must match the sequential sweep in cell and method order,
-   apply counts, simulated redo time and both digests. *)
+(* Harness fan-out: the fig2 sweep fanned across 2 domains (each builds
+   and recovers several cells in turn) and 4 (every cell has its own
+   domain) must return the sequential sweep's JSON in every field
+   [bench-diff] gates: cell and method order, every count, every simulated
+   time and every digest. *)
 let test_fig2_cells_deterministic () =
+  let fig2 = List.find (fun (s : Figures.sweep) -> s.name = "fig2") Figures.sweeps in
   let sweep domains =
-    Figures.run_fig2
+    fig2.run
       {
         Figures.config = { Env.config with Config.domains };
         scale = 256;
@@ -132,27 +135,15 @@ let test_fig2_cells_deterministic () =
         methods = Some [ Recovery.Log1; Recovery.Log2 ];
         progress = ignore;
       }
-      ~cache_sizes:[ 64; 128 ]
+      [ ("cache-sizes", [ 64; 128 ]) ]
   in
   let reference = sweep 1 in
   List.iter
     (fun domains ->
-      List.iter2
-        (fun (r : Figures.fig2_cell) (c : Figures.fig2_cell) ->
-          check "cell order preserved" true (r.Figures.cache_mb = c.Figures.cache_mb);
-          let name what m =
-            Printf.sprintf "fig2 %d MB %s: %s identical at %d domains" r.Figures.cache_mb
-              (Recovery.method_to_string m) what domains
-          in
-          List.iter2
-            (fun (m, (sr : Rs.t)) (m', (sc : Rs.t)) ->
-              check "method order preserved" true (m = m');
-              check (name "apply counts" m) true (apply_counts sr = apply_counts sc);
-              check (name "simulated redo time" m) true (Rs.redo_ms sr = Rs.redo_ms sc);
-              check (name "store and logical digests" m) true
-                (List.assoc m r.Figures.digests = List.assoc m c.Figures.digests))
-            r.Figures.methods c.Figures.methods)
-        reference (sweep domains))
+      let d = Json.diff ~ungated:Deut_workload.Bench_summary.is_wall reference (sweep domains) in
+      Alcotest.(check (list string))
+        (Printf.sprintf "fig2 at %d domains: no gated field differs" domains)
+        [] d.Json.gated)
     [ 2; 4 ]
 
 (* The shared determinism gate passes agreeing cells and, on a divergence,

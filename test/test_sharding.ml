@@ -511,26 +511,36 @@ let env_malformed =
     ("flag", [ ("DEUT_NET", "maybe"); ("DEUT_ARCHIVE", "2") ]);
   ]
 
+(* The cheap sharding sweep: one- and two-shard cells, 30 transactions. *)
+let sharding_sweep = List.find (fun (s : Figures.sweep) -> s.name = "sharding") Figures.sweeps
+
+let run_sharding_sweep config =
+  sharding_sweep.run
+    { Figures.config; scale = 512; cache = None; methods = None; progress = ignore }
+    [ ("cache", [ 64 ]); ("counts", [ 1; 2 ]); ("clients", [ 2 ]); ("txns", [ 30 ]) ]
+
 (* The sharding sweep runs on its config's transport: with [net] on, the
    multi-shard cell's TC-DC messages cross the simulated links. *)
 let test_sweep_honours_net () =
-  let sweep = List.find (fun (s : Figures.sweep) -> s.name = "sharding") Figures.sweeps in
-  let out =
-    sweep.run
-      {
-        Figures.config = { Config.default with Config.net = true };
-        scale = 512;
-        cache = None;
-        methods = None;
-        progress = ignore;
-      }
-      [ ("cache", [ 64 ]); ("counts", [ 1; 2 ]); ("clients", [ 2 ]); ("txns", [ 30 ]) ]
-  in
-  match Json.to_list "sharding" out.json with
+  let out = run_sharding_sweep { Config.default with Config.net = true } in
+  match Json.to_list "sharding" out with
   | [ _; multi ] ->
       check_int "the multi-shard cell" 2 (int_of_float (Json.num multi "shards"));
       check "its messages crossed the network" true (Json.num multi "net_msgs" > 0.0)
   | cells -> Alcotest.failf "expected two cells, got %d" (List.length cells)
+
+(* The tables render from the JSON alone: a sweep's JSON printed and
+   parsed back (what [repro_cli show] reads from a saved summary) renders
+   the tables of the live run byte for byte. *)
+let test_tables_survive_json_round_trip () =
+  let live = run_sharding_sweep Config.default in
+  let saved =
+    match Json.parse (Json.to_string ~indent:true live) with
+    | Ok j -> j
+    | Error msg -> Alcotest.failf "the sweep's JSON does not parse: %s" msg
+  in
+  let render block = Figures.tables sharding_sweep block in
+  Alcotest.(check (list (pair string string))) "tables from the saved JSON" (render live) (render saved)
 
 let suite =
   [
@@ -553,6 +563,8 @@ let suite =
     Alcotest.test_case "network cost is charged, digest unchanged" `Quick
       test_net_is_transparent_but_costly;
     Alcotest.test_case "sharding sweep honours net" `Quick test_sweep_honours_net;
+    Alcotest.test_case "sweep tables survive the JSON round trip" `Quick
+      test_tables_survive_json_round_trip;
     Alcotest.test_case "observers change nothing" `Quick test_observers_change_nothing;
     Alcotest.test_case "metrics sum over shards" `Quick test_metrics_sum_shards;
     Alcotest.test_case "env knobs" `Quick test_env_knobs;

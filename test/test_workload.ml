@@ -350,18 +350,28 @@ let test_sequential_distribution () =
 
 let test_report_table () =
   let rendered =
-    Report.table ~title:"T" ~header:[ "name"; "value" ]
-      ~rows:[ [ "alpha"; "1.0" ]; [ "very-long-name"; "22.5" ] ]
+    Report.table ~title:"T" ~header:[ "name"; "Δ value" ]
+      ~rows:[ [ "alpha"; "1.0" ]; [ "very-long-name"; "22.5" ]; [ "µs → ms"; "3" ] ]
       ()
   in
   let lines = String.split_on_char '\n' rendered in
-  check_int "title + header + rule + 2 rows + trailing" 6 (List.length lines);
-  (* All data lines equally wide (aligned). *)
+  check_int "title + header + rule + 3 rows + trailing" 7 (List.length lines);
+  (* Every line as wide as the rule, counted in code points: "Δ", "µ" and
+     "→" each take one column, as on a terminal. *)
+  let code_points s = String.fold_left (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1) 0 s in
   (match lines with
-  | _title :: header :: rule :: r1 :: r2 :: _ ->
-      check_int "aligned widths" (String.length header) (String.length rule);
-      check "rows padded" true (String.length r1 = String.length r2)
-  | _ -> Alcotest.fail "unexpected shape")
+  | _title :: header :: rule :: rows ->
+      let w = code_points rule in
+      check_int "header as wide as the rule" w (code_points header);
+      List.iter
+        (fun r -> if r <> "" then check_int ("row as wide as the rule: " ^ r) w (code_points r))
+        rows
+  | _ -> Alcotest.fail "unexpected shape");
+  (* A text cell in the last column leaves no trailing spaces. *)
+  let text_last = Report.table ~header:[ "n"; "label" ] ~rows:[ [ "1"; "a" ]; [ "22"; "long label" ] ] () in
+  List.iter
+    (fun l -> check ("no trailing space: " ^ l) false (String.ends_with ~suffix:" " l))
+    (String.split_on_char '\n' text_last)
 
 let test_experiment_tiny () =
   (* One tiny experiment cell end-to-end, verifying every method. *)
