@@ -348,8 +348,11 @@ let show_cmd =
     or_fail @@ fun () ->
     let summary = read_input "bench summary" Json.parse path in
     match
-      if Json.str summary "schema" <> Deut_workload.Bench_summary.schema then
-        failwith (Printf.sprintf "%s is not a %s summary" path Deut_workload.Bench_summary.schema);
+      let schema = Json.str summary "schema" in
+      if schema <> Deut_workload.Bench_summary.schema then
+        failwith
+          (Printf.sprintf "%s is a %s summary, not %s" path schema
+             Deut_workload.Bench_summary.schema);
       List.filter_map
         (fun (sw : Figures.sweep) ->
           match Json.member sw.name summary with

@@ -58,7 +58,6 @@ let prefetch_source_of_string = function
 type t = {
   page_size : int;
   pool_pages : int;  (** cache capacity in pages *)
-  block_pages : int;  (** pages per prefetch block IO *)
   data_disk : Deut_sim.Disk.params;
   log_disk : Deut_sim.Disk.params;
   delta_period : int;  (** updates between periodic Δ/BW-record emissions *)
@@ -220,7 +219,6 @@ let default =
   {
     page_size = 8192;
     pool_pages = 1024;
-    block_pages = 8;
     data_disk = Deut_sim.Disk.default_params;
     log_disk =
       {

@@ -8,7 +8,6 @@ module Log_manager = Deut_wal.Log_manager
 module Clock = Deut_sim.Clock
 module Disk = Deut_sim.Disk
 module Ivec = Deut_sim.Ivec
-module Metrics = Deut_obs.Metrics
 module Trace = Deut_obs.Trace
 
 type t = {
@@ -201,15 +200,15 @@ let tick_update t =
 (* Wrap an index traversal so its page fetches and stalls are attributed to
    index IO in the stats (§5.3 reports index waits separately) and its
    page_fetch spans carry the [index] arg the trace profiler splits on. *)
-let tracked_index (stats : Recovery_stats.cells) (pool : Pool.t) f =
+let tracked_index (stats : Recovery_stats.t) (pool : Pool.t) f =
   let c = Pool.counters pool in
   let fetches0 = c.Pool.misses + c.Pool.prefetch_hits in
   let stall0 = c.Pool.stall_us in
   Pool.set_fetch_index pool true;
   let result = Fun.protect ~finally:(fun () -> Pool.set_fetch_index pool false) f in
-  Metrics.add stats.Recovery_stats.index_page_fetches
-    (c.Pool.misses + c.Pool.prefetch_hits - fetches0);
-  Metrics.fadd stats.Recovery_stats.index_stall_us (c.Pool.stall_us -. stall0);
+  stats.index_page_fetches <-
+    stats.index_page_fetches + c.Pool.misses + c.Pool.prefetch_hits - fetches0;
+  stats.index_stall_us <- stats.index_stall_us +. (c.Pool.stall_us -. stall0);
   result
 
 let height_of t ~table =
@@ -239,8 +238,8 @@ let install_image t ~pid ~image ~lsn =
       Page.set_dc_plsn page lsn;
       Pool.install t.pool page ~dirty:true ~event_lsn
 
-let redo_smo t ~lsn ~(smo : Lr.smo) ~dpt_test ~(stats : Recovery_stats.cells) =
-  Metrics.incr stats.Recovery_stats.smos_replayed;
+let redo_smo t ~lsn ~(smo : Lr.smo) ~dpt_test ~(stats : Recovery_stats.t) =
+  stats.smos_replayed <- stats.smos_replayed + 1;
   (match t.trace with
   | Some tr ->
       Trace.instant tr ~name:"smo_replay" ~cat:"recovery" ~track:Trace.track_recovery
@@ -297,7 +296,7 @@ let process_delta t ~pf ~prev_delta (d : Lr.delta) =
     apply_flush ()
   end
 
-let dc_recovery t ~log ~from ~bckpt ~build_dpt ~(stats : Recovery_stats.cells) =
+let dc_recovery t ~log ~from ~bckpt ~build_dpt ~(stats : Recovery_stats.t) =
   Hashtbl.reset t.heights;
   t.dpt <- Dpt.create ();
   let pf = Ivec.create ~capacity:1024 () in
@@ -306,17 +305,17 @@ let dc_recovery t ~log ~from ~bckpt ~build_dpt ~(stats : Recovery_stats.cells) =
       match record with
       | Lr.Smo smo -> redo_smo t ~lsn ~smo ~dpt_test:false ~stats
       | Lr.Delta d when d.Lr.tc_lsn > bckpt ->
-          Metrics.incr stats.Recovery_stats.deltas_seen;
+          stats.deltas_seen <- stats.deltas_seen + 1;
           if build_dpt then process_delta t ~pf ~prev_delta:!prev_delta d;
           prev_delta := d.Lr.tc_lsn
       | Lr.Delta _ -> ()
-      | Lr.Bw _ -> Metrics.incr stats.Recovery_stats.bws_seen
+      | Lr.Bw _ -> stats.bws_seen <- stats.bws_seen + 1
       | Lr.Update_rec _ | Lr.Commit _ | Lr.Abort _ | Lr.Clr _ | Lr.Begin_ckpt | Lr.End_ckpt _
       | Lr.Aries_ckpt_dpt _ ->
           ());
   t.last_delta_tclsn <- !prev_delta;
   t.pf <- Ivec.to_array pf;
-  if build_dpt then Metrics.add stats.Recovery_stats.dpt_size (Dpt.size t.dpt)
+  if build_dpt then stats.dpt_size <- stats.dpt_size + Dpt.size t.dpt
 
 let preload_indexes t ~stats =
   List.iter
@@ -334,12 +333,12 @@ let apply_view t ~(view : Lr.redo_view) ~pid ~lsn =
 (* The pLSN test (sound because a zero-initialised page header reports
    pLSN 0 and the log reserves offset 0 — no record ever carries lsn 0,
    so a fresh page always tests strictly below every record). *)
-let fetch_and_test_then_apply t ~lsn ~view ~pid ~(stats : Recovery_stats.cells) =
+let fetch_and_test_then_apply t ~lsn ~view ~pid ~(stats : Recovery_stats.t) =
   let page = Pool.get t.pool pid in
-  if lsn <= Page.plsn page then Metrics.incr stats.Recovery_stats.skipped_plsn
+  if lsn <= Page.plsn page then stats.skipped_plsn <- stats.skipped_plsn + 1
   else begin
     apply_view t ~view ~pid ~lsn;
-    Metrics.incr stats.Recovery_stats.redo_applied
+    stats.redo_applied <- stats.redo_applied + 1
   end
 
 (* One "redo_op" span per redo candidate, covering CPU charge, index
@@ -357,8 +356,8 @@ let note_redo_op t ~lsn ~pid ~ts0 =
 
 let set_redo_track t track = t.redo_track <- track
 
-let redo_logical t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats.cells) =
-  Metrics.incr stats.Recovery_stats.redo_candidates;
+let redo_logical t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats.t) =
+  stats.redo_candidates <- stats.redo_candidates + 1;
   let ts0 = Clock.now t.clock in
   let height = height_of t ~table:view.Lr.rv_table in
   Clock.advance t.clock
@@ -368,25 +367,25 @@ let redo_logical t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats
   let tr = tree t ~table:view.Lr.rv_table in
   let pid = tracked_index stats t.pool (fun () -> Btree.locate_leaf tr ~key:view.Lr.rv_key) in
   let in_tail = Lsn.is_nil t.last_delta_tclsn || lsn >= t.last_delta_tclsn in
-  if use_dpt && in_tail then Metrics.incr stats.Recovery_stats.tail_records;
+  if use_dpt && in_tail then stats.tail_records <- stats.tail_records + 1;
   (if use_dpt && not in_tail then begin
      match Dpt.find t.dpt pid with
-     | None -> Metrics.incr stats.Recovery_stats.skipped_dpt
-     | Some (rlsn, _) when lsn < rlsn -> Metrics.incr stats.Recovery_stats.skipped_rlsn
+     | None -> stats.skipped_dpt <- stats.skipped_dpt + 1
+     | Some (rlsn, _) when lsn < rlsn -> stats.skipped_rlsn <- stats.skipped_rlsn + 1
      | Some _ -> fetch_and_test_then_apply t ~lsn ~view ~pid ~stats
    end
    else fetch_and_test_then_apply t ~lsn ~view ~pid ~stats);
   note_redo_op t ~lsn ~pid ~ts0
 
-let redo_physiological t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats.cells) =
-  Metrics.incr stats.Recovery_stats.redo_candidates;
+let redo_physiological t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats.t) =
+  stats.redo_candidates <- stats.redo_candidates + 1;
   let ts0 = Clock.now t.clock in
   Clock.advance t.clock t.config.Config.cpu_op_us;
   let pid = view.Lr.rv_pid in
   (if use_dpt then begin
      match Dpt.find t.dpt pid with
-     | None -> Metrics.incr stats.Recovery_stats.skipped_dpt
-     | Some (rlsn, _) when lsn < rlsn -> Metrics.incr stats.Recovery_stats.skipped_rlsn
+     | None -> stats.skipped_dpt <- stats.skipped_dpt + 1
+     | Some (rlsn, _) when lsn < rlsn -> stats.skipped_rlsn <- stats.skipped_rlsn + 1
      | Some _ -> fetch_and_test_then_apply t ~lsn ~view ~pid ~stats
    end
    else fetch_and_test_then_apply t ~lsn ~view ~pid ~stats);

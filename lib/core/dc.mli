@@ -107,7 +107,7 @@ val dc_recovery :
   from:Deut_wal.Lsn.t ->
   bckpt:Deut_wal.Lsn.t ->
   build_dpt:bool ->
-  stats:Recovery_stats.cells ->
+  stats:Recovery_stats.t ->
   unit
 (** The DC redo/analysis pass (§4.2): scan the DC's records starting at
     [from] (the checkpoint position in the integrated layout; the retained
@@ -125,7 +125,7 @@ val last_delta_tclsn : t -> Deut_wal.Lsn.t
 val set_dpt : t -> Dpt.t -> unit
 (** Install an externally built DPT (the SQL analysis pass, Algorithm 3). *)
 
-val preload_indexes : t -> stats:Recovery_stats.cells -> unit
+val preload_indexes : t -> stats:Recovery_stats.t -> unit
 (** Appendix A.1: load all internal index pages into the cache. *)
 
 val redo_logical :
@@ -133,7 +133,7 @@ val redo_logical :
   lsn:Deut_wal.Lsn.t ->
   view:Deut_wal.Log_record.redo_view ->
   use_dpt:bool ->
-  stats:Recovery_stats.cells ->
+  stats:Recovery_stats.t ->
   unit
 (** Algorithms 2 (without DPT) and 5 (with): traverse the B-tree by key,
     apply the DPT/rLSN tests when the operation predates the last Δ
@@ -144,7 +144,7 @@ val redo_physiological :
   lsn:Deut_wal.Lsn.t ->
   view:Deut_wal.Log_record.redo_view ->
   use_dpt:bool ->
-  stats:Recovery_stats.cells ->
+  stats:Recovery_stats.t ->
   unit
 (** Algorithm 1: DPT/rLSN tests on the record's pid, then pLSN test. *)
 
@@ -153,7 +153,7 @@ val redo_smo :
   lsn:Deut_wal.Lsn.t ->
   smo:Deut_wal.Log_record.smo ->
   dpt_test:bool ->
-  stats:Recovery_stats.cells ->
+  stats:Recovery_stats.t ->
   unit
 (** Install the SMO's page images where the DC pLSN shows them missing.
     With [dpt_test], pages absent from the DPT are skipped without IO (the

@@ -50,15 +50,15 @@ type request =
       lsn : Lsn.t;
       view : Lr.redo_view;
       use_dpt : bool;
-      stats : Recovery_stats.cells;
+      stats : Recovery_stats.t;
     }
   | Redo_physiological of {
       lsn : Lsn.t;
       view : Lr.redo_view;
       use_dpt : bool;
-      stats : Recovery_stats.cells;
+      stats : Recovery_stats.t;
     }
-  | Redo_smo of { lsn : Lsn.t; smo : Lr.smo; dpt_test : bool; stats : Recovery_stats.cells }
+  | Redo_smo of { lsn : Lsn.t; smo : Lr.smo; dpt_test : bool; stats : Recovery_stats.t }
 
 (* Stable short name per request constructor, used by the causal-tracing
    span names ("req:apply", "dc:apply"), the flight recorder and the

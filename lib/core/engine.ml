@@ -178,7 +178,7 @@ let build_stack ?trace ?flight ~config ~clock ~m ~tc_ep ~i ~store ~dc_log ~data_
         ()
   | None -> ());
   let pool =
-    Pool.create ~capacity:(shard_pool_pages config) ~block_pages:config.Config.block_pages
+    Pool.create ~capacity:(shard_pool_pages config)
       ~lazy_writer_every:config.Config.lazy_writer_every
       ~lazy_writer_min_age:(2 * config.Config.delta_period) ~store ~disk:data_disk ~clock ()
   in

@@ -4,7 +4,6 @@ module Log_manager = Deut_wal.Log_manager
 module Clock = Deut_sim.Clock
 module Disk = Deut_sim.Disk
 module Pool = Deut_buffer.Buffer_pool
-module Metrics = Deut_obs.Metrics
 module Trace = Deut_obs.Trace
 module Flight = Deut_obs.Flight
 
@@ -90,21 +89,21 @@ let add_mentions dpt lsn = function
       ()
 
 (* Algorithm 3: SQL Server's analysis pass. *)
-let sql_analysis ?trace log ~from ~(stats : Recovery_stats.cells) =
+let sql_analysis ?trace log ~from ~(stats : Recovery_stats.t) =
   let dpt = Dpt.create () in
   Log_manager.iter log ~from (fun lsn record ->
       match record with
       | Lr.Bw b ->
-          Metrics.incr stats.Recovery_stats.bws_seen;
+          stats.bws_seen <- stats.bws_seen + 1;
           Array.iter (fun pid -> Dpt.apply_flush ?trace dpt ~pid ~fw_lsn:b.Lr.fw_lsn) b.Lr.written
-      | Lr.Delta _ -> Metrics.incr stats.Recovery_stats.deltas_seen
+      | Lr.Delta _ -> stats.deltas_seen <- stats.deltas_seen + 1
       | _ -> add_mentions dpt lsn record);
-  Metrics.add stats.Recovery_stats.dpt_size (Dpt.size dpt);
+  stats.dpt_size <- stats.dpt_size + Dpt.size dpt;
   dpt
 
 (* §3.1: classic ARIES analysis — seed from the checkpoint-captured DPT,
    add first mentions, no flush-based pruning. *)
-let aries_analysis log ~from ~(stats : Recovery_stats.cells) =
+let aries_analysis log ~from ~(stats : Recovery_stats.t) =
   let dpt = Dpt.create () in
   let seeded = ref false in
   Log_manager.iter log ~from (fun lsn record ->
@@ -117,10 +116,10 @@ let aries_analysis log ~from ~(stats : Recovery_stats.cells) =
               | Some (existing_rlsn, _) when existing_rlsn <= rlsn -> ()
               | Some _ | None -> Dpt.add_exact dpt ~pid ~rlsn ~last_lsn)
             entries
-      | Lr.Bw _ -> Metrics.incr stats.Recovery_stats.bws_seen
-      | Lr.Delta _ -> Metrics.incr stats.Recovery_stats.deltas_seen
+      | Lr.Bw _ -> stats.bws_seen <- stats.bws_seen + 1
+      | Lr.Delta _ -> stats.deltas_seen <- stats.deltas_seen + 1
       | _ -> add_mentions dpt lsn record);
-  Metrics.add stats.Recovery_stats.dpt_size (Dpt.size dpt);
+  stats.dpt_size <- stats.dpt_size + Dpt.size dpt;
   let redo_start =
     let m = Dpt.min_rlsn dpt in
     if Lsn.is_nil m then from else if Lsn.is_nil from then m else Lsn.min m from
@@ -268,7 +267,7 @@ let analyse method_ (engine : Engine.t) (sh : Engine.shard) ~bckpt ~stats =
    every worker joins (clock = max cursor) before the page images are
    installed, and all cursors restart from the completed replay. *)
 let redo_pass method_ (engine : Engine.t) (sh : Engine.shard) (scan : scan_result)
-    ~(stats : Recovery_stats.cells) =
+    ~(stats : Recovery_stats.t) =
   let dc = sh.Engine.s_dc in
   let clock = engine.Engine.clock in
   let pool = sh.Engine.s_pool in
@@ -410,27 +409,26 @@ let begin_replay (engine : Engine.t) =
    router, so each compensation reaches whichever shard holds its key —
    exactly like a live abort.  [fault] stops the pass once that many CLRs
    have been written in total: a crash in the middle of undo. *)
-let undo_losers ?fault (engine : Engine.t) losers ~(stats : Recovery_stats.cells) =
+let undo_losers ?fault (engine : Engine.t) losers ~(stats : Recovery_stats.t) =
   let clock = engine.Engine.clock in
   let t0 = Clock.now clock in
   (try
      List.iter
        (fun (txn, last) ->
-         let budget =
-           Option.map (fun n -> n - Metrics.count stats.Recovery_stats.clrs_written) fault
-         in
-         Metrics.add stats.Recovery_stats.clrs_written
-           (Tc.undo_txn ?fault_after_clrs:budget engine.Engine.tc (Engine.router engine) ~txn
-              ~last))
+         let budget = Option.map (fun n -> n - stats.clrs_written) fault in
+         stats.clrs_written <-
+           stats.clrs_written
+           + Tc.undo_txn ?fault_after_clrs:budget engine.Engine.tc (Engine.router engine) ~txn
+               ~last)
        losers
-   with Tc.Undo_interrupted n -> Metrics.add stats.Recovery_stats.clrs_written n);
-  Metrics.fset stats.Recovery_stats.undo_us (Clock.now clock -. t0);
+   with Tc.Undo_interrupted n -> stats.clrs_written <- stats.clrs_written + n);
+  stats.undo_us <- Clock.now clock -. t0;
   phase engine "undo" ~ts0:t0
 
 (* Finalise a recovery's IO accounting, summed over every shard's cache
    and DC-log device, plus the TC log's device and the archive's (archived
    pages a restart scan reads are log pages on another device). *)
-let account_io (engine : Engine.t) ~(stats : Recovery_stats.cells) =
+let account_io (engine : Engine.t) ~(stats : Recovery_stats.t) =
   let fetches = ref 0 and stall = ref 0.0 and issued = ref 0 and hits = ref 0 in
   let stalls = ref 0 and log_reads = ref 0 in
   let pages_read = function Some d -> (Disk.counters d).Disk.pages_read | None -> 0 in
@@ -444,17 +442,15 @@ let account_io (engine : Engine.t) ~(stats : Recovery_stats.cells) =
       stalls := !stalls + c.Pool.stalls;
       log_reads := !log_reads + pages_read sh.Engine.s_dc_log_disk)
     engine.Engine.shards;
-  Metrics.add stats.Recovery_stats.data_page_fetches
-    (!fetches - Metrics.count stats.Recovery_stats.index_page_fetches);
-  Metrics.fset stats.Recovery_stats.data_stall_us
-    (!stall -. Metrics.value stats.Recovery_stats.index_stall_us);
-  Metrics.add stats.Recovery_stats.log_pages_read
-    (!log_reads
+  stats.data_page_fetches <- stats.data_page_fetches + !fetches - stats.index_page_fetches;
+  stats.data_stall_us <- !stall -. stats.index_stall_us;
+  stats.log_pages_read <-
+    stats.log_pages_read + !log_reads
     + (Disk.counters engine.Engine.log_disk).Disk.pages_read
-    + pages_read engine.Engine.archive_disk);
-  Metrics.add stats.Recovery_stats.prefetch_issued !issued;
-  Metrics.add stats.Recovery_stats.prefetch_hits !hits;
-  Metrics.add stats.Recovery_stats.stalls !stalls
+    + pages_read engine.Engine.archive_disk;
+  stats.prefetch_issued <- stats.prefetch_issued + !issued;
+  stats.prefetch_hits <- stats.prefetch_hits + !hits;
+  stats.stalls <- stats.stalls + !stalls
 
 (* The opening every restart shares: instantiate the image, quiesce every
    shard, run the method's analysis on each (overlapped), then materialise
@@ -486,7 +482,7 @@ let open_restart ?config image method_ =
   let t0 = Clock.now clock in
   let starts = overlapped engine (fun sh -> analyse method_ engine sh ~bckpt ~stats) in
   let redo_start = Array.fold_left Lsn.min starts.(0) starts in
-  Metrics.fset stats.Recovery_stats.analysis_us (Clock.now clock -. t0);
+  stats.analysis_us <- Clock.now clock -. t0;
   phase engine "analysis" ~ts0:t0;
   (* Phase 2: materialise the redo range. *)
   let t1 = Clock.now clock in
@@ -494,7 +490,7 @@ let open_restart ?config image method_ =
   phase engine "log_scan" ~ts0:t1;
   Tc.restore_txn_state engine.Engine.tc ~losers:scan.losers ~next_txn:(scan.max_txn + 1);
   Tc.set_master engine.Engine.tc bckpt;
-  Metrics.add stats.Recovery_stats.losers (List.length scan.losers);
+  stats.losers <- stats.losers + List.length scan.losers;
   (engine, stats, scan, t0, t1)
 
 (* ---------- Offline recovery ---------- *)
@@ -508,9 +504,9 @@ let recover_offline ?config ?undo_fault_after_clrs image method_ =
   let engine, stats, scan, _, t1 = open_restart ?config image method_ in
   let clock = engine.Engine.clock in
   (* Phase 3: redo.  The redo span and [redo_us] both cover the scan. *)
-  Metrics.add stats.Recovery_stats.records_scanned (Array.length scan.records);
+  stats.records_scanned <- stats.records_scanned + Array.length scan.records;
   ignore (overlapped engine (fun sh -> redo_pass method_ engine sh scan ~stats));
-  Metrics.fset stats.Recovery_stats.redo_us (Clock.now clock -. t1);
+  stats.redo_us <- Clock.now clock -. t1;
   phase engine "redo" ~ts0:t1;
   (* Phase 4: undo.  The tree is fully replayed now; maintenance may
      resume. *)
@@ -524,7 +520,7 @@ let recover_offline ?config ?undo_fault_after_clrs image method_ =
      not part of it. *)
   Option.iter Trace.stop (Engine.trace engine);
   Array.iter (fun sh -> Dc.open_tables sh.Engine.s_dc) engine.Engine.shards;
-  (engine, Recovery_stats.snapshot stats)
+  (engine, stats)
 
 (* ---------- Instant recovery (InstantLog2) ---------- *)
 
@@ -542,7 +538,7 @@ let recover_offline ?config ?undo_fault_after_clrs image method_ =
    client touch of a key a loser wrote must run rollback first. *)
 type instant = {
   i_engine : Engine.t;
-  i_stats : Recovery_stats.cells;
+  i_stats : Recovery_stats.t;
   i_pending : (int, (Lsn.t * Lr.redo_view) list) Hashtbl.t;
   mutable i_order : int list;
   mutable i_records : (Lsn.t * Lr.t) array;  (* redo range, unindexed until first demand *)
@@ -580,10 +576,9 @@ let replay_page sess ~background pid =
       let stats = sess.i_stats in
       let t0 = Clock.now clock in
       List.iter (fun (lsn, view) -> Dc.redo_logical dc ~lsn ~view ~use_dpt:true ~stats) slice;
-      Metrics.fadd stats.Recovery_stats.redo_us (Clock.now clock -. t0);
-      Metrics.incr
-        (if background then stats.Recovery_stats.pages_background
-         else stats.Recovery_stats.pages_ondemand);
+      stats.redo_us <- stats.redo_us +. (Clock.now clock -. t0);
+      if background then stats.pages_background <- stats.pages_background + 1
+      else stats.pages_ondemand <- stats.pages_ondemand + 1;
       close_span engine ~name:"replay_page" ~cat:"recovery"
         ~track:(if background then Trace.track_recovery else Trace.track_ondemand)
         ~args:[ ("pid", pid); ("records", List.length slice) ]
@@ -610,7 +605,7 @@ let ensure_history sess =
     let order = ref [] in
     Array.iter
       (fun (lsn, record) ->
-        Metrics.incr stats.Recovery_stats.records_scanned;
+        stats.records_scanned <- stats.records_scanned + 1;
         match Lr.redo_view record with
         | None -> ()
         | Some view ->
@@ -713,7 +708,7 @@ let recover_instant ?config ?undo_fault_after_clrs image =
          replay_page sess ~background:false pid));
   Pool.set_lazy_writer_enabled sh.Engine.s_pool true;
   (* Open for business: time-to-first-transaction is now. *)
-  Metrics.fset stats.Recovery_stats.ttft_us (Clock.now clock -. t0);
+  stats.ttft_us <- Clock.now clock -. t0;
   (match Engine.trace engine with
   | Some tr ->
       Trace.instant tr ~name:"open_for_business" ~cat:"recovery" ~track:Trace.track_recovery
@@ -758,11 +753,11 @@ let instant_finish sess =
     instant_drain sess;
     Pool.set_redo_hook sh.Engine.s_pool None;
     Dc.set_merge_allowed sh.Engine.s_dc true;
-    Metrics.fset stats.Recovery_stats.drained_us (Clock.now engine.Engine.clock -. sess.i_t0);
+    stats.drained_us <- Clock.now engine.Engine.clock -. sess.i_t0;
     account_io engine ~stats;
     Option.iter Trace.stop (Engine.trace engine)
   end;
-  Recovery_stats.snapshot stats
+  stats
 
 let recover ?config ?undo_fault_after_clrs image method_ =
   match method_ with

@@ -44,7 +44,9 @@ val recover :
 (** Instantiate the image and run the full recovery sequence:
     analysis/DC-recovery, redo, undo.  The returned engine is ready for
     normal execution.  [config] overrides the image's configuration (e.g.
-    a different cache size at the replica).
+    a different cache size at the replica).  The stats are the record the
+    engine's [recovery.*] gauges read; nothing writes to it once [recover]
+    returns.
 
     [undo_fault_after_clrs] is test-only fault injection: abandon the undo
     pass after that many CLRs, returning an engine in the state of a
@@ -118,6 +120,9 @@ val instant_drain : instant -> unit
 (** Run {!instant_step} to exhaustion. *)
 
 val instant_finish : instant -> Recovery_stats.t
+(** Drain, re-enable maintenance and finalise the IO accounting
+    (idempotent).  Returns the session's live stats record, final from
+    here on. *)
 
 (** Exposed for tests: the scan that materialises the redo range and finds
     loser transactions. *)
@@ -133,7 +138,7 @@ val sql_analysis :
   ?trace:Deut_obs.Trace.t ->
   Deut_wal.Log_manager.t ->
   from:Deut_wal.Lsn.t ->
-  stats:Recovery_stats.cells ->
+  stats:Recovery_stats.t ->
   Dpt.t
 (** Algorithm 3: SQL Server's DPT construction from update pids and
     BW-log records.  [trace] records a [dpt_prune] instant per removed
@@ -142,7 +147,7 @@ val sql_analysis :
 val aries_analysis :
   Deut_wal.Log_manager.t ->
   from:Deut_wal.Lsn.t ->
-  stats:Recovery_stats.cells ->
+  stats:Recovery_stats.t ->
   Dpt.t * Deut_wal.Lsn.t
 (** §3.1: DPT from the checkpoint-captured image plus first mentions in
     the scan; returns the DPT and the redo scan start point (minimum

@@ -1,7 +1,5 @@
 (* Named metrics registry.  See metrics.mli for the contract. *)
 
-type counter = { c_name : string; mutable c : int }
-type dial = { d_name : string; mutable d : float }
 type gauge = { g_name : string; g_read : unit -> float }
 
 type histogram = {
@@ -12,11 +10,7 @@ type histogram = {
   mutable h_sum : float;
 }
 
-type entry =
-  | Counter of counter
-  | Dial of dial
-  | Gauge of gauge
-  | Histogram of histogram
+type entry = Gauge of gauge | Histogram of histogram
 
 type t = {
   by_name : (string, entry) Hashtbl.t;
@@ -29,16 +23,16 @@ let create () = { by_name = Hashtbl.create 64; order = []; owner = Domain.self (
 (* Registration is loud: a second registration under the same name is a
    naming bug (e.g. two shards both claiming "disk.data.io_us"), and
    silently shadowing the first instrument would make one of them
-   disappear from every reader.  The get-or-create constructors below
-   never reach here for an existing name, so this fires only on genuine
+   disappear from every reader.  [histogram] is get-or-create and never
+   reaches here for an existing name, so this fires only on genuine
    collisions.
 
    It is also the domain-ownership checkpoint: every instrument reaches
    its engine's registry through here first, so a cell or worker engine
    leaking into another domain trips this guard on its first new
-   instrument instead of corrupting the table.  The per-cell update paths
-   ([incr], [observe], …) stay guard-free — they are the hot path, and
-   they only ever touch handles this registration already vetted. *)
+   instrument instead of corrupting the table.  [observe] stays
+   guard-free — it is the hot path, and it only ever touches handles this
+   registration already vetted. *)
 let register t name entry =
   if Domain.self () <> t.owner then
     invalid_arg
@@ -52,31 +46,13 @@ let register t name entry =
 
 let kind_mismatch name = invalid_arg ("Metrics: kind mismatch for " ^ name)
 
-let counter t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some (Counter c) -> c
-  | Some _ -> kind_mismatch name
-  | None ->
-      let c = { c_name = name; c = 0 } in
-      register t name (Counter c);
-      c
-
-let dial t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some (Dial d) -> d
-  | Some _ -> kind_mismatch name
-  | None ->
-      let d = { d_name = name; d = 0.0 } in
-      register t name (Dial d);
-      d
-
-(* Unlike the cell kinds there is no handle to share, so a second gauge
+(* Unlike a histogram there is no handle to share, so a second gauge
    under the same name can only mean two writers fighting over it —
    keeping the old closure would silently ignore the new one. *)
 let gauge t name read =
   match Hashtbl.find_opt t.by_name name with
   | Some (Gauge _) -> invalid_arg ("Metrics: duplicate registration of " ^ name)
-  | Some _ -> kind_mismatch name
+  | Some (Histogram _) -> kind_mismatch name
   | None -> register t name (Gauge { g_name = name; g_read = read })
 
 let histogram t ?(base = 2.0) ?(lo = 1.0) ?(buckets = 24) name =
@@ -92,12 +68,6 @@ let histogram t ?(base = 2.0) ?(lo = 1.0) ?(buckets = 24) name =
       in
       register t name (Histogram h);
       h
-
-let incr c = c.c <- c.c + 1
-let add c n = c.c <- c.c + n
-let reset_counter c = c.c <- 0
-let fset d x = d.d <- x
-let fadd d x = d.d <- d.d +. x
 
 let bucket_of h x =
   (* First bucket whose upper bound admits [x]; binary search not worth it
@@ -131,8 +101,6 @@ let percentile h p =
     go 0 0
   end
 
-let count c = c.c
-let value d = d.d
 let bucket_bounds h = Array.copy h.bounds
 let bucket_counts h = Array.copy h.counts
 let observations h = h.h_n
@@ -140,8 +108,6 @@ let sum h = h.h_sum
 
 let read t name =
   match Hashtbl.find_opt t.by_name name with
-  | Some (Counter c) -> float_of_int c.c
-  | Some (Dial d) -> d.d
   | Some (Gauge g) -> g.g_read ()
   | Some (Histogram h) -> h.h_sum
   | None -> raise Not_found
@@ -161,8 +127,6 @@ let render t =
     (fun name ->
       match Hashtbl.find_opt t.by_name name with
       | None -> ()
-      | Some (Counter c) -> Buffer.add_string buf (Printf.sprintf "%-32s %d\n" c.c_name c.c)
-      | Some (Dial d) -> Buffer.add_string buf (Printf.sprintf "%-32s %.3f\n" d.d_name d.d)
       | Some (Gauge g) ->
           Buffer.add_string buf (Printf.sprintf "%-32s %.3f\n" g.g_name (g.g_read ()))
       | Some (Histogram h) ->

@@ -1,10 +1,14 @@
-(** Named metrics registry: counters, dials, gauges and log-scale histograms.
+(** Named metrics registry: gauges and log-scale histograms.
 
-    Every engine owns one registry.  Components register their own
-    instruments under dotted names ("cache.hits", "disk.data.io_us") and
-    mutate them through O(1) handles; readers ([Db.metric], the CLI)
-    address them by name.  The registry never touches the simulated clock,
-    so it cannot perturb simulated time.
+    Every engine owns one registry.  A gauge is a read-only view over live
+    component state: the component keeps a plain mutable record (the
+    buffer pool's, a disk's or a link's counters, [Recovery_stats.t]) and
+    registers one closure per field, which runs only when a reader
+    ([Db.metric], the CLI, the trace export) asks for the name.  A
+    histogram is the one kind the registry stores itself: components
+    observe latencies into it through an O(1) handle.  Names are dotted
+    ("cache.hits", "disk.data.io_us").  The registry never touches the
+    simulated clock, so it cannot perturb simulated time.
 
     Instrumentation is single-domain: a registry belongs to the domain
     that created it (normally the domain running that engine), and
@@ -13,12 +17,6 @@
     would corrupt the table.  The domain-parallel harness honours this
     by giving every cell its own engine, hence its own registry;
     reading a registry after the owning domain has been joined is safe. *)
-
-type counter
-(** Monotonic integer cell. *)
-
-type dial
-(** Settable float cell (a gauge the writer pushes into). *)
 
 type histogram
 (** Fixed-bucket histogram.  Buckets are upper bounds in ascending order
@@ -29,46 +27,28 @@ type t
 
 val create : unit -> t
 
-(** {1 Registration}
-
-    [counter]/[dial]/[histogram] are get-or-create: asking for an existing
-    name returns the existing instrument of that kind (so independent
-    components may share a cell on purpose) and raises [Invalid_argument]
-    on a kind mismatch.  [gauge] has no handle to share, so registering a
-    gauge name twice raises [Invalid_argument] — a duplicate means two
-    writers are fighting over one name, and shadowing either would
-    silently lose an instrument. *)
-
-val counter : t -> string -> counter
-val dial : t -> string -> dial
+(** {1 Registration} *)
 
 val gauge : t -> string -> (unit -> float) -> unit
 (** Lazy read-only metric; [read] runs only when the registry is queried.
+    A gauge has no handle to share, so a second registration of its name
+    means two writers are fighting over it, and shadowing either would
+    silently lose one.
     @raise Invalid_argument on a duplicate name. *)
 
 val histogram : t -> ?base:float -> ?lo:float -> ?buckets:int -> string -> histogram
 (** Log-scale buckets: upper bounds [lo *. base^i] for [i < buckets]
     (defaults: base 2.0, lo 1.0, 24 buckets — 1 µs up to ~8.4 simulated
-    seconds), plus an overflow bucket. *)
+    seconds), plus an overflow bucket.  Get-or-create: asking for an
+    existing histogram name returns that histogram, so shards share one
+    latency distribution.
+    @raise Invalid_argument if the name holds a gauge. *)
 
 (** {1 Writing} *)
 
-val incr : counter -> unit
-val add : counter -> int -> unit
-
-val reset_counter : counter -> unit
-(** Zero the cell.  Owners that reuse one registry across runs (e.g.
-    [Recovery_stats] under the memoized harness) reset their instruments
-    at the start of each run rather than accumulate across cells. *)
-
-val fset : dial -> float -> unit
-val fadd : dial -> float -> unit
 val observe : histogram -> float -> unit
 
 (** {1 Reading} *)
-
-val count : counter -> int
-val value : dial -> float
 
 val bucket_of : histogram -> float -> int
 (** Index of the bucket [observe] would land the value in (last index is
@@ -86,8 +66,8 @@ val percentile : histogram -> float -> float
     overflow bucket report the largest finite bound.  0 when empty. *)
 
 val read : t -> string -> float
-(** Current value by name: counters as floats, dials as-is, gauges by
-    calling their closure, histograms as their running sum.
+(** Current value by name: gauges by calling their closure, histograms as
+    their running sum.
     @raise Not_found if no such metric is registered. *)
 
 val read_int : t -> string -> int
@@ -103,5 +83,5 @@ val names : t -> string list
 (** All registered names, in registration order. *)
 
 val render : t -> string
-(** Human-readable dump: one [name value] line per scalar metric, and for
+(** Human-readable dump: one [name value] line per gauge, and for
     each histogram a line with count/sum/mean plus its non-empty buckets. *)

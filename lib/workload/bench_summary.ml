@@ -7,7 +7,10 @@
 
 module Json = Deut_obs.Json
 
-let schema = "deut-bench-recovery/1"
+(* Bumped whenever a block gains or loses a field the tables read, so an
+   older summary is refused by name instead of failing mid-render (/2: fig2
+   and archiving method rows carry [total_ms]). *)
+let schema = "deut-bench-recovery/2"
 
 (* Wall-clock seconds ([sections] in run order) and the domain count the
    sweeps ran on, then each sweep's block under its name, with each

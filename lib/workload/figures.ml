@@ -272,13 +272,8 @@ let pct_drop a b = 100.0 *. (a -. b) /. a
 
 let sec53 rows =
   let redo m = method_num m "redo_ms" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "Section 5.3 headline claims — paper vs this reproduction\n";
-  let claim name paper measured =
-    Buffer.add_string buf
-      (Printf.sprintf "  %s paper: %s measured: %s\n" (Report.pad 52 name) (Report.pad 14 paper)
-         measured)
-  in
+  let claims = ref [] in
+  let claim name paper measured = claims := (name, paper, measured) :: !claims in
   (match List.find_opt (fun row -> Json.num row "cache_mb" = 512.0) rows with
   | Some c ->
       claim "DPT drops logical redo time (Log0→Log1, 512MB)" "65%"
@@ -298,7 +293,15 @@ let sec53 rows =
     (per_cache "%.0f:%.0f%%" (fun c -> pct_drop (fetches "Log0" c) (fetches "Log1" c)));
   claim "index-page waits, share of Log1 redo" "16% @64MB … 2% @2048MB"
     (per_cache "%.0f:%.0f%%" (fun c -> 100.0 *. method_num "Log1" "index_stall_ms" c /. redo "Log1" c));
-  Buffer.contents buf
+  let claims = List.rev !claims in
+  let paper_w = List.fold_left (fun w (_, paper, _) -> max w (Report.width paper)) 0 claims in
+  String.concat ""
+    ("Section 5.3 headline claims — paper vs this reproduction\n"
+    :: List.map
+         (fun (name, paper, measured) ->
+           Printf.sprintf "  %s paper: %s measured: %s\n" (Report.pad 52 name)
+             (Report.pad paper_w paper) measured)
+         claims)
 
 let costmodel rows =
   let field header m name = (header, fun row -> num "%.0f" (method_of m row) name) in
@@ -1153,7 +1156,7 @@ let tuning_text rows =
         Json.num (List.find (fun o -> Json.str o "candidate" = cand) outcomes) "redo_ms"
       in
       add "=== prefetch tuning: %s, cache %.0f MB ===\n" (Json.str row "method") (Json.num row "cache_mb");
-      add "  %-30s %10s %10s %6s %7s %10s  %s\n" "candidate" "redo ms" "stall ms" "late" "wasted" "score" "";
+      add "  %-30s %10s %10s %6s %7s %10s\n" "candidate" "redo ms" "stall ms" "late" "wasted" "score";
       List.iter
         (fun o ->
           let cand = Json.str o "candidate" in
@@ -1161,8 +1164,9 @@ let tuning_text rows =
             (if cand = default then " default" else "") ^ if Some cand = best then " <-- best" else ""
           in
           let n = Json.num o in
-          add "  %-30s %10.3f %10.3f %6.0f %7.0f %10.1f %s\n" cand (n "redo_ms") (n "stall_ms")
-            (n "late") (n "wasted") (n "score") mark)
+          add "  %-30s %10.3f %10.3f %6.0f %7.0f %10.1f%s\n" cand (n "redo_ms") (n "stall_ms")
+            (n "late") (n "wasted") (n "score")
+            (if mark = "" then "" else " " ^ mark))
         outcomes;
       Option.iter
         (fun best ->

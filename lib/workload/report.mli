@@ -6,6 +6,9 @@ val table : ?title:string -> header:string list -> rows:string list list -> unit
     right-aligned, text left-aligned, no trailing spaces after a text
     cell in the last column. *)
 
+val width : string -> int
+(** Display width in code points. *)
+
 val pad : int -> string -> string
 (** [pad w s] is [s] followed by spaces up to [w] code points. *)
 

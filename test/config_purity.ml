@@ -12,7 +12,6 @@ let expected =
   {
     Config.page_size = 8192;
     pool_pages = 1024;
-    block_pages = 8;
     data_disk = disk ~sequential_gap:1;
     log_disk = disk ~sequential_gap:4;
     delta_period = 1000;

@@ -256,16 +256,22 @@ let test_metrics_collision_detection () =
     (match Metrics.gauge m "x.level" (fun () -> 2.0) with
     | exception Invalid_argument _ -> true
     | () -> false);
-  check "gauge over live counter raises" true
-    (let _ = Metrics.counter m "x.count" in
-     match Metrics.gauge m "x.count" (fun () -> 0.0) with
+  check "gauge over live histogram raises" true
+    (let _ = Metrics.histogram m "x.lat" in
+     match Metrics.gauge m "x.lat" (fun () -> 0.0) with
     | exception Invalid_argument _ -> true
     | () -> false);
-  (* Cells stay get-or-create: asking again is sharing, not shadowing. *)
-  let c1 = Metrics.counter m "x.shared" in
-  Metrics.incr c1;
-  Metrics.incr (Metrics.counter m "x.shared");
-  check_int "counter shared, not shadowed" 2 (Metrics.read_int m "x.shared")
+  check "histogram over live gauge raises" true
+    (match Metrics.histogram m "x.level" with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  (* Histograms stay get-or-create: asking again is sharing, not
+     shadowing. *)
+  let h1 = Metrics.histogram m "x.shared" in
+  Metrics.observe h1 2.0;
+  Metrics.observe (Metrics.histogram m "x.shared") 3.0;
+  check_int "histogram shared, not shadowed" 2 (Metrics.observations h1);
+  check_int "shared histogram reads its sum" 5 (Metrics.read_int m "x.shared")
 
 (* Every shard's device histograms carry the shard<i>. prefix — shard 0
    included — so a sharded registry never aliases two devices. *)

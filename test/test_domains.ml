@@ -187,14 +187,19 @@ let test_obs_owner_guards () =
            match f () with () -> false | exception Invalid_argument _ -> true))
   in
   check "metrics registration refused cross-domain" true
-    (refused (fun () -> ignore (Metrics.counter metrics "guard.test")));
+    (refused (fun () -> Metrics.gauge metrics "guard.test" (fun () -> 1.0)));
+  check "histogram registration refused cross-domain" true
+    (refused (fun () -> ignore (Metrics.histogram metrics "guard.hist")));
   check "trace push refused cross-domain" true
     (refused (fun () -> Trace.instant trace ~name:"guard" ~cat:"test" ()));
   (* The owner itself is unaffected. *)
-  Metrics.incr (Metrics.counter metrics "guard.test");
+  Metrics.gauge metrics "guard.test" (fun () -> 1.0);
+  Metrics.observe (Metrics.histogram metrics "guard.hist") 2.0;
   Trace.instant trace ~name:"guard" ~cat:"test" ();
   check "owner writes fine" true
-    (Metrics.read_int metrics "guard.test" = 1 && Trace.emitted trace = 1)
+    (Metrics.read_int metrics "guard.test" = 1
+    && Metrics.read_int metrics "guard.hist" = 2
+    && Trace.emitted trace = 1)
 
 let suite =
   [

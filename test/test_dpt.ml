@@ -108,7 +108,7 @@ let test_sql_analysis_basic () =
       check_int "page 3 rlsn raised to fw" fw rlsn;
       check_int "page 3 last is the later update" lsns.(3) last
   | None -> Alcotest.fail "page 3 missing");
-  check_int "bw counted" 1 (Recovery_stats.snapshot stats).Recovery_stats.bws_seen;
+  check_int "bw counted" 1 stats.Recovery_stats.bws_seen;
   check_int "dpt size" 2 (Dpt.size dpt)
 
 (* Algorithm 4 needs a DC; a tiny fresh engine provides one and the
@@ -149,9 +149,9 @@ let test_algorithm4_standard () =
       check_int "page 3 last raised by re-dirty (i < FirstDirty → prevΔ)" 50 last
   | None -> Alcotest.fail "page 3 missing");
   check "page 4 rlsn = FW-LSN (dirtied after first write)" true (Dpt.rlsn dpt 4 = Some 70);
-  check_int "Δ records seen" 2 (Recovery_stats.snapshot stats).Recovery_stats.deltas_seen;
+  check_int "Δ records seen" 2 stats.Recovery_stats.deltas_seen;
   check_int "lastΔ TC-LSN recorded" 100 (Dc.last_delta_tclsn dc);
-  check_int "dpt size in stats" (Dpt.size dpt) (Recovery_stats.snapshot stats).Recovery_stats.dpt_size
+  check_int "dpt size in stats" (Dpt.size dpt) stats.Recovery_stats.dpt_size
 
 let test_algorithm4_redirty_not_pruned () =
   (* The paper's subtle case (§4.2): page dirtied both before and after the
@@ -190,7 +190,7 @@ let test_algorithm4_bckpt_filter () =
   check "pre-checkpoint Δ ignored" false (Dpt.mem dpt 1);
   check "post-checkpoint Δ applied" true (Dpt.mem dpt 2);
   check "its rlsn is the checkpoint" true (Dpt.rlsn dpt 2 = Some bckpt);
-  check_int "only the live Δ counted" 1 (Recovery_stats.snapshot stats).Recovery_stats.deltas_seen
+  check_int "only the live Δ counted" 1 stats.Recovery_stats.deltas_seen
 
 let test_algorithm4_perfect () =
   (* Appendix D.1: exact dirtying LSNs allow exact rLSNs and SQL-grade

@@ -7,9 +7,12 @@
 
 module Json = Deut_obs.Json
 module Bench_summary = Deut_workload.Bench_summary
+module Figures = Deut_workload.Figures
+module Report = Deut_workload.Report
 
 let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
+let check_int = Alcotest.(check int)
 
 (* ---------- round trip ---------- *)
 
@@ -219,7 +222,7 @@ let test_check_baseline () =
 let broken_invariants =
   let num x = Json.fixed ~decimals:1 x in
   [
-    ("schema", [ ([ "schema" ], Json.Str "deut-bench-recovery/0") ], [ "schema is not deut-bench-recovery/1" ]);
+    ("schema", [ ([ "schema" ], Json.Str "deut-bench-recovery/0") ], [ "schema is not deut-bench-recovery/2" ]);
     ("fig2 methods", [ ([ "fig2"; "1"; "methods" ], Json.Arr []) ], [ "fig2: empty fig2 cells" ]);
     ( "sealed segments",
       [ ([ "archiving"; "1"; "segments" ], Json.int 0) ],
@@ -249,7 +252,7 @@ let broken_invariants =
       [ ([ "sharding"; "1"; "recover_shard_ms" ], Json.Null) ],
       [ "sharding: multi-shard cell skipped the crash/recovery scenario" ] );
     ( "missing blocks",
-      [ ([], Json.Obj [ ("schema", Json.Str "deut-bench-recovery/1") ]) ],
+      [ ([], Json.Obj [ ("schema", Json.Str "deut-bench-recovery/2") ]) ],
       List.map
         (fun k -> k ^ ": missing field " ^ k)
         [ "fig2"; "archiving"; "availability"; "sharding" ] );
@@ -258,6 +261,39 @@ let broken_invariants =
 let test_check_broken edits want () =
   let broken = List.fold_left (fun j (path, v) -> set path v j) (baseline ()) edits in
   Alcotest.(check (list string)) "the failures" want (Bench_summary.check broken)
+
+(* ---------- tables ---------- *)
+
+(* Every sweep's tables render from the baseline with no line ending in a
+   space, and the §5.3 claims start [measured:] in one column however long
+   the paper's figure is. *)
+let test_tables_layout () =
+  let b = baseline () in
+  let tables =
+    List.concat_map
+      (fun (s : Figures.sweep) -> Figures.tables s (Json.member s.name b))
+      Figures.sweeps
+  in
+  List.iter
+    (fun (title, text) ->
+      List.iter
+        (fun l ->
+          if String.ends_with ~suffix:" " l then Alcotest.failf "%s: trailing space in %S" title l)
+        (String.split_on_char '\n' text))
+    tables;
+  let claims =
+    String.split_on_char '\n' (List.assoc "SECTION 5.3 CLAIMS" tables)
+    |> List.filter_map (fun l ->
+           (* the code points before "measured:", on the lines that have it *)
+           let rec at i =
+             if i + 9 > String.length l then None
+             else if String.sub l i 9 = "measured:" then Some (Report.width (String.sub l 0 i))
+             else at (i + 1)
+           in
+           at 0)
+  in
+  check_int "six claims" 6 (List.length claims);
+  check "measured: in one column" true (List.for_all (( = ) (List.hd claims)) claims)
 
 let suite =
   [
@@ -271,6 +307,7 @@ let suite =
     Alcotest.test_case "bench-diff: a fig2 digest and a fig3 redo_ms are gated" `Quick
       test_diff_digest_and_fig3;
     Alcotest.test_case "check: the baseline holds" `Quick test_check_baseline;
+    Alcotest.test_case "tables: no trailing space, §5.3 aligned" `Quick test_tables_layout;
   ]
   @ List.map
       (fun (name, edits, want) ->

@@ -502,29 +502,102 @@ let test_stats_accounting_consistent () =
       check "clock advanced" true (Recovery_stats.total_ms s > 0.0))
     Recovery.all_methods
 
-(* Regression: [Recovery_stats.create] on a registry that already holds
-   "recovery.*" instruments hands back the same handles — a previous run's
-   totals used to leak into the next harness cell through them.  [create]
-   must zero every dial and counter. *)
-let test_stats_reset_between_runs () =
+(* The registry reads the returned record: every "recovery.*" gauge is a
+   view over one field of the [Recovery_stats.t] the recovery returns,
+   wired to the right field.  The expected list is written out here rather
+   than derived from the implementation, so a gauge reading the wrong
+   field fails. *)
+let stats_fields (s : Recovery_stats.t) =
+  let i n = float_of_int n in
+  [
+    ("analysis_us", s.analysis_us);
+    ("redo_us", s.redo_us);
+    ("undo_us", s.undo_us);
+    ("ttft_us", s.ttft_us);
+    ("drained_us", s.drained_us);
+    ("records_scanned", i s.records_scanned);
+    ("redo_candidates", i s.redo_candidates);
+    ("redo_applied", i s.redo_applied);
+    ("skipped_dpt", i s.skipped_dpt);
+    ("skipped_rlsn", i s.skipped_rlsn);
+    ("skipped_plsn", i s.skipped_plsn);
+    ("tail_records", i s.tail_records);
+    ("data_page_fetches", i s.data_page_fetches);
+    ("index_page_fetches", i s.index_page_fetches);
+    ("data_stall_us", s.data_stall_us);
+    ("index_stall_us", s.index_stall_us);
+    ("log_pages_read", i s.log_pages_read);
+    ("dpt_size", i s.dpt_size);
+    ("deltas_seen", i s.deltas_seen);
+    ("bws_seen", i s.bws_seen);
+    ("smos_replayed", i s.smos_replayed);
+    ("losers", i s.losers);
+    ("clrs_written", i s.clrs_written);
+    ("prefetch_issued", i s.prefetch_issued);
+    ("prefetch_hits", i s.prefetch_hits);
+    ("stalls", i s.stalls);
+    ("pages_ondemand", i s.pages_ondemand);
+    ("pages_background", i s.pages_background);
+  ]
+
+let check_registry_reads label db (s : Recovery_stats.t) =
+  let m = Engine.metrics (Db.engine db) in
+  let prefix = "recovery." in
+  let registered =
+    List.filter_map
+      (fun name ->
+        if String.starts_with ~prefix name then
+          Some (String.sub name (String.length prefix) (String.length name - String.length prefix))
+        else None)
+      (Deut_obs.Metrics.names m)
+  in
+  let expected = stats_fields s in
+  Alcotest.(check (list string))
+    (label ^ ": one gauge per field")
+    (List.sort compare (List.map fst expected))
+    (List.sort compare registered);
+  List.iter
+    (fun (field, v) ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s: recovery.%s" label field)
+        v
+        (Deut_obs.Metrics.read m (prefix ^ field)))
+    expected
+
+let test_registry_reads_returned_stats () =
+  let driver, image = make_crash () in
+  let db, s = recover_verified driver image Recovery.Log2 in
+  check "log2 did redo work" true (s.Recovery_stats.redo_applied > 0);
+  check_registry_reads "Log2" db s;
+  (* Instant recovery: the gauges read the live record while the engine
+     is open with redo pending, and the same record once drained. *)
+  let sess = Db.recover_instant image in
+  let db = Db.instant_db sess in
+  let m = Engine.metrics (Db.engine db) in
+  check "open: ttft gauge live" true (Deut_obs.Metrics.read m "recovery.ttft_us" > 0.0);
+  check "open: not drained yet" true (Deut_obs.Metrics.read m "recovery.drained_us" = 0.0);
+  let s = Db.instant_finish sess in
+  check "drained after open" true (s.Recovery_stats.drained_us >= s.Recovery_stats.ttft_us);
+  check "background pages replayed" true (s.Recovery_stats.pages_background > 0);
+  check_registry_reads "InstantLog2" db s;
+  match Driver.verify_recovered driver db with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "InstantLog2: recovered state wrong: %s" msg
+
+(* Recovery stats register once per registry: every restart assembles a
+   fresh engine, so a second registration is a wiring bug and raises
+   instead of silently resetting or shadowing the first run's gauges. *)
+let test_stats_register_once () =
   let m = Deut_obs.Metrics.create () in
-  let stats = Recovery_stats.create ~metrics:m () in
-  Deut_obs.Metrics.fset stats.Recovery_stats.analysis_us 12.5;
-  Deut_obs.Metrics.fset stats.Recovery_stats.ttft_us 3.25;
-  Deut_obs.Metrics.incr stats.Recovery_stats.records_scanned;
-  Deut_obs.Metrics.add stats.Recovery_stats.redo_applied 41;
-  Deut_obs.Metrics.incr stats.Recovery_stats.pages_ondemand;
-  Deut_obs.Metrics.incr stats.Recovery_stats.losers;
-  let stats' = Recovery_stats.create ~metrics:m () in
-  let s = Recovery_stats.snapshot stats' in
-  check "same handles under a shared registry" true
-    (stats.Recovery_stats.records_scanned == stats'.Recovery_stats.records_scanned);
-  check "analysis dial zeroed" true (s.Recovery_stats.analysis_us = 0.0);
-  check "ttft dial zeroed" true (s.Recovery_stats.ttft_us = 0.0);
-  check_int "records_scanned zeroed" 0 s.Recovery_stats.records_scanned;
-  check_int "redo_applied zeroed" 0 s.Recovery_stats.redo_applied;
-  check_int "pages_ondemand zeroed" 0 s.Recovery_stats.pages_ondemand;
-  check_int "losers zeroed" 0 s.Recovery_stats.losers
+  let s = Recovery_stats.create ~metrics:m () in
+  s.Recovery_stats.redo_applied <- 41;
+  check "second registration raises" true
+    (match Recovery_stats.create ~metrics:m () with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  check_int "first run's gauge untouched" 41
+    (Deut_obs.Metrics.read_int m "recovery.redo_applied");
+  check_int "failed registration adds no name" 28 (List.length (Deut_obs.Metrics.names m))
 
 let suite =
   [
@@ -549,7 +622,9 @@ let suite =
     Alcotest.test_case "DPT-order prefetch variant (A.2)" `Quick test_dpt_order_prefetch_variant;
     Alcotest.test_case "crash during undo (CLR resumption)" `Quick test_crash_during_undo;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting_consistent;
-    Alcotest.test_case "stats reset between runs" `Quick test_stats_reset_between_runs;
+    Alcotest.test_case "registry reads the returned stats" `Quick
+      test_registry_reads_returned_stats;
+    Alcotest.test_case "stats register once per registry" `Quick test_stats_register_once;
     Alcotest.test_case "corruption fails loudly" `Quick test_recovery_detects_corruption;
     Env.qcheck prop_recovery_equivalence;
   ]
