@@ -368,24 +368,21 @@ let leftmost_leaf t =
   in
   go (root_pid t)
 
-let fold_entries t ~init ~f =
+(* The one leaf-chain walk: entries, counts and the post-recovery
+   verifier all fetch the same leaves in the same order. *)
+let fold_leaves t ~init ~f =
   let rec walk pid acc =
     let page = Pool.get t.pool pid in
-    let acc = Node.fold_leaf page ~init:acc ~f in
+    let acc = f acc page in
     let next = Node.right_sibling page in
     if next = Node.no_sibling then acc else walk next acc
   in
   walk (leftmost_leaf t) init
 
-let entry_count t = fold_entries t ~init:0 ~f:(fun n _ _ -> n + 1)
-
-let leaf_count t =
-  let rec walk pid n =
-    let page = Pool.get t.pool pid in
-    let next = Node.right_sibling page in
-    if next = Node.no_sibling then n + 1 else walk next (n + 1)
-  in
-  walk (leftmost_leaf t) 0
+let fold_entries t ~init ~f =
+  fold_leaves t ~init ~f:(fun acc page -> Node.fold_leaf page ~init:acc ~f)
+let entry_count t = fold_leaves t ~init:0 ~f:(fun n page -> n + Node.nslots page)
+let leaf_count t = fold_leaves t ~init:0 ~f:(fun n _ -> n + 1)
 
 (* One in-order walk.  Each page passes [Node.check] against the
    separator bounds its parent gives it (lo inclusive, hi exclusive;

@@ -102,6 +102,11 @@ val preload_index : t -> unit
     each level as a batch before touching it (Appendix A.1's "simply load
     all index pages at the beginning of DC recovery"). *)
 
+val fold_leaves : t -> init:'a -> f:('a -> Deut_storage.Page.t -> 'a) -> 'a
+(** Fold over the leaf pages along the sibling chain, leftmost (lowest
+    keys) first.  [fold_entries], [entry_count], [leaf_count] and the
+    post-recovery check (through [Db.iter_leaves]) are this walk. *)
+
 val fold_entries : t -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
 (** In-order fold over all (key, value) entries via the leaf chain. *)
 

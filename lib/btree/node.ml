@@ -264,25 +264,31 @@ let split_internal src dst =
   compact src;
   promoted
 
+(* A leaf cell at [off] lies inside the page: its fixed head, then the
+   value length that head gives.  Every unchecked read of a leaf cell
+   comes after this check. *)
+let[@inline] leaf_cell_fits p ~size off =
+  off + leaf_cell_size ~value_len:0 <= size
+  && off + leaf_cell_size ~value_len:(Page.unsafe_get_u16 p (off + 8)) <= size
+
 (* One pass over the slot directory: each slot's offset, cell size and key
    are read once, and only after the header has bounded the directory and
-   the offset has bounded the cell, so no read can leave the page. *)
+   the offset has bounded the cell, so the loads past the header can skip
+   their bounds checks and still never leave the page. *)
 let check ?(lo = min_int) ?(hi = max_int) p =
   let n = nslots p in
   let size = Page.size p in
   let cs = cell_start p in
   let leaf = is_leaf p in
+  let fixed = if leaf then leaf_cell_size ~value_len:0 else internal_cell_size in
   let rec slots i prev =
     if i >= n then Ok ()
     else
-      let off = slot_offset p i in
-      let fixed = if leaf then leaf_cell_size ~value_len:0 else internal_cell_size in
-      if
-        off < cs || off + fixed > size
-        || (leaf && off + leaf_cell_size ~value_len:(Page.get_u16 p (off + 8)) > size)
-      then Error (Printf.sprintf "slot %d offset %d out of cell area" i off)
+      let off = Page.unsafe_get_u16 p (node_header_end + (2 * i)) in
+      if off < cs || off + fixed > size || (leaf && not (leaf_cell_fits p ~size off)) then
+        Error (Printf.sprintf "slot %d offset %d out of cell area" i off)
       else
-        let k = Page.get_u64 p off in
+        let k = Page.unsafe_get_u64 p off in
         if i > 0 && prev >= k then Error (Printf.sprintf "keys not strictly ascending at slot %d" i)
         else if k < lo || k >= hi then
           Error (Printf.sprintf "key %d outside separator bounds [%d,%d)" k lo hi)
@@ -292,3 +298,36 @@ let check ?(lo = min_int) ?(hi = max_int) p =
   else if (not leaf) && n > 0 && leftmost_child p = no_sibling then
     Error "internal node without leftmost child"
   else slots 0 0
+
+type leaf_match = Same | Differs of int | Cell_outside of int
+
+(* The post-recovery comparison, one tight loop per leaf.  It trusts no
+   header field: each slot's directory entry and cell are bounded before
+   their unchecked loads, so a corrupt leaf stops the walk at that slot.
+   After the first difference the rest of the leaf is only bounded. *)
+let match_leaf p ~keys ~values ~pos =
+  let n = nslots p in
+  let size = Page.size p in
+  let expected = Array.length keys in
+  let rec go i diff =
+    if i >= n then if diff < 0 then Same else Differs diff
+    else
+      let d = node_header_end + (2 * i) in
+      if d + 2 > size then Cell_outside i
+      else
+        let off = Page.unsafe_get_u16 p d in
+        if not (leaf_cell_fits p ~size off) then Cell_outside i
+        else
+          let j = pos + i in
+          if
+            diff >= 0
+            || j < expected
+               && Page.unsafe_get_u64 p off = keys.(j)
+               &&
+               let v = values.(j) in
+               Page.unsafe_get_u16 p (off + 8) = String.length v
+               && Page.equal_sub p ~off:(off + 10) v
+          then go (i + 1) diff
+          else go (i + 1) i
+  in
+  go 0 (-1)

@@ -65,6 +65,25 @@ val leaf_can_replace : Deut_storage.Page.t -> slot:int -> value_len:int -> bool
 val fold_leaf : Deut_storage.Page.t -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
 (** Fold the leaf's (key, value) entries in slot (= key) order. *)
 
+(** {2 Verification} *)
+
+type leaf_match =
+  | Same  (** every row equals its expected row *)
+  | Differs of int
+      (** the first slot whose row differs from its expected row (a row
+          past the arrays' end counts as differing); every cell lies in
+          the page *)
+  | Cell_outside of int
+      (** the first slot whose directory entry or cell lies outside the
+          page; nothing past it was read *)
+
+val match_leaf :
+  Deut_storage.Page.t -> keys:int array -> values:string array -> pos:int -> leaf_match
+(** Compare the leaf's rows, in slot order, with the expected rows
+    [(keys.(pos + slot), values.(pos + slot))] — in place: keys and values
+    are compared inside the page and nothing is copied out.  Total on any
+    page bytes: it never reads outside the page. *)
+
 (** {2 Internal-node operations} *)
 
 val child_at : Deut_storage.Page.t -> int -> int

@@ -302,6 +302,13 @@ let scan t ~table ~lo ~hi =
 let dump_table t ~table =
   List.rev (fold_table t ~table ~init:[] ~f:(fun acc key value -> (key, value) :: acc))
 
+let iter_leaves t ~table ~shard f =
+  live t;
+  scan_gate t;
+  require_all_up t "iter_leaves";
+  Btree.fold_leaves (Dc.tree (Engine.shard t.engine shard).Engine.s_dc ~table) ~init:()
+    ~f:(fun () page -> f page)
+
 let sum_shards t f =
   let e = t.engine in
   let acc = ref 0 in

@@ -138,10 +138,11 @@ val crash_shard : t -> shard:int -> unit
     engines (use {!crash}), if the shard is already down, or while any
     transaction is active — quiesce first. *)
 
-val recover_shard : t -> shard:int -> unit
+val recover_shard : t -> shard:int -> Recovery_stats.t
 (** Replay the crashed shard — its own DC log, then its stripe of the TC
     log from the master record — and put it back in service.  Runs on the
-    live engine; siblings and the TC are untouched. *)
+    live engine; siblings and the TC are untouched.  Returns what the
+    rejoin did ({!Recovery.recover_shard}). *)
 
 (** {2 Instant recovery}
 
@@ -185,6 +186,14 @@ val scan : t -> table:int -> lo:int -> hi:int -> (int * string) list
 
 val dump_table : t -> table:int -> (int * string) list
 val entry_count : t -> table:int -> int
+
+val iter_leaves : t -> table:int -> shard:int -> (Deut_storage.Page.t -> unit) -> unit
+(** The table's leaf pages on one shard, lowest keys first, for a check
+    that reads cells in place ({!Deut_btree.Node.match_leaf}) instead of
+    copying rows out.  The shard holds exactly the keys
+    {!Dc_access.striped} assigns it.  Guarded like [fold_table]: pending
+    instant-recovery undo runs first, and it raises [Invalid_argument]
+    while any shard is down. *)
 
 val check_integrity : t -> (unit, string) result
 (** Structural invariants of every table's B-tree. *)

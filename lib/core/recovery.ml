@@ -795,7 +795,12 @@ let recover_shard engine i =
   Dc.set_merge_allowed sh.Engine.s_dc false;
   let bckpt = Tc.master engine.Engine.tc in
   ignore (analyse Log1 engine sh ~bckpt ~stats);
-  redo_pass Log1 engine sh (scan_log log ~from:bckpt) ~stats;
+  stats.analysis_us <- Clock.now clock -. t0;
+  let t1 = Clock.now clock in
+  let scan = scan_log log ~from:bckpt in
+  stats.records_scanned <- stats.records_scanned + Array.length scan.records;
+  redo_pass Log1 engine sh scan ~stats;
+  stats.redo_us <- Clock.now clock -. t1;
   Dc.set_merge_allowed sh.Engine.s_dc true;
   Pool.set_lazy_writer_enabled sh.Engine.s_pool true;
   Dc.open_tables sh.Engine.s_dc;
@@ -803,4 +808,5 @@ let recover_shard engine i =
      down. *)
   Dc_access.eosl (Engine.router engine).Dc_access.endpoints.(i) (Log_manager.stable_lsn log);
   close_span engine ~name:"shard_recovery" ~cat:"shard" ~track:(Trace.track_shard i)
-    ~args:[ ("shard", i) ] ~ts0:t0 ()
+    ~args:[ ("shard", i) ] ~ts0:t0 ();
+  stats

@@ -55,14 +55,17 @@ val recover :
 
 (** {1 Per-shard recovery} *)
 
-val recover_shard : Engine.t -> int -> unit
+val recover_shard : Engine.t -> int -> Recovery_stats.t
 (** Live recovery of one crashed shard ([Engine.crash_shard]) on a running
     engine: replay its own DC log (SMO images + DPT), then its stripe of
     the shared TC log from the master record — the TC is alive, so its
     volatile tail is readable and no sibling's commit is lost — and put
     the shard back in service.  No undo: [Db.crash_shard] requires a
-    quiesced transaction table.  Raises [Invalid_argument] if the shard is
-    not down. *)
+    quiesced transaction table.  Returns the rejoin's own statistics
+    (analysis and redo time, records scanned, redo applied, pages
+    fetched); they are not registered as [recovery.*] gauges, which
+    belong to the engine's last full restart.  Raises [Invalid_argument]
+    if the shard is not down. *)
 
 (** {1 Instant recovery}
 

@@ -1,17 +1,28 @@
-type t = { mutable state : int64 }
+(* The 64-bit state sits unboxed in an 8-byte buffer.  A [mutable int64]
+   field would hold a boxed [Int64], so every draw would allocate one and
+   pay a write barrier to store it. *)
+type t = Bytes.t
 
-let create ~seed = { state = Int64.of_int seed }
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let of_state state =
+  let t = Bytes.create 8 in
+  set64u t 0 state;
+  t
+
+let create ~seed = of_state (Int64.of_int seed)
 
 (* splitmix64 step: the golden-gamma increment followed by two xor-shift
    multiplications gives 64 well-mixed bits per call. *)
-let int64 t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+let[@inline] int64 t =
+  let z = Int64.add (get64u t 0) 0x9E3779B97F4A7C15L in
+  set64u t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = int64 t }
+let split t = of_state (int64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

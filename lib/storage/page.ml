@@ -92,6 +92,36 @@ let stable_image t =
 
 let get_bytes t ~off ~len = Bytes.sub_string t.buf off len
 
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* Native-order loads swapped to the page's big-endian on little-endian
+   hosts, as [Checksum] does for its little-endian words. *)
+let[@inline always] unsafe_get_u16 t off =
+  let v = get16u t.buf off in
+  if Sys.big_endian then v else bswap16 v
+
+let[@inline always] unsafe_get_u64 t off =
+  let v = get64u t.buf off in
+  Int64.to_int (if Sys.big_endian then v else bswap64 v)
+
+(* Eight bytes per compare, then byte by byte.  Both sides are read in the
+   same (native) order, so no swap is needed. *)
+let rec equal_from buf off s i len =
+  if i + 8 <= len then
+    (get64u buf (off + i) : int64) = string_get64u s i && equal_from buf off s (i + 8) len
+  else
+    i >= len
+    || (Bytes.unsafe_get buf (off + i) = String.unsafe_get s i && equal_from buf off s (i + 1) len)
+
+let equal_sub t ~off s =
+  let len = String.length s in
+  if off < 0 || off > Bytes.length t.buf - len then invalid_arg "Page.equal_sub: range out of bounds";
+  equal_from t.buf off s 0 len
+
 let set_bytes t ~off s =
   unshare t;
   Bytes.blit_string s 0 t.buf off (String.length s)

@@ -92,6 +92,16 @@ val set_u64 : t -> int -> int -> unit
 val get_bytes : t -> off:int -> len:int -> string
 val set_bytes : t -> off:int -> string -> unit
 
+val unsafe_get_u16 : t -> int -> int
+val unsafe_get_u64 : t -> int -> int
+(** [get_u16] and [get_u64] without the bounds check, for loops that have
+    already bounded the offset against {!size}: an offset past the page
+    reads outside the buffer. *)
+
+val equal_sub : t -> off:int -> string -> bool
+(** Whether the page bytes [off, off + length s) equal [s], compared in
+    place.  Raises [Invalid_argument] if the range leaves the page. *)
+
 val blit_within : t -> src:int -> dst:int -> len:int -> unit
 val zero_range : t -> off:int -> len:int -> unit
 

@@ -714,7 +714,7 @@ let run_sharding c arg =
               (* [key mod shards = 0], never the crashed stripe. *)
               if Option.is_some (Db.read db ~table:1 ~key) then incr served
             done;
-            Db.recover_shard db ~shard:down;
+            ignore (Db.recover_shard db ~shard:down);
             let recover_ms = Db.now_ms db -. t0 in
             digests_agree "sharding sweep: per-shard recovery"
               [

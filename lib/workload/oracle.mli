@@ -34,17 +34,26 @@ val queued_commits : t -> int
 
 val committed_value : t -> table:int -> key:int -> string option
 val committed_entries : t -> table:int -> (int * string) list
-(** Sorted by key. *)
+(** Sorted by key: a list built from the sealed arrays on every call, for
+    tests and tools.  [verify] reads the arrays themselves. *)
 
 val entry_count : t -> table:int -> int
 
 val seal : t -> unit
-(** Pre-compute the sorted-entry memo for every table holding committed
-    data, making subsequent [committed_entries]/[verify] calls pure reads
-    while the committed state is untouched.  [Experiment.build] seals the
-    oracle before publishing a crash run so concurrent domains can verify
-    recoveries against it without racing on the memo. *)
+(** Sort every table holding committed data into its sealed form: an
+    [int array] of keys in ascending order and the [string array] of their
+    values (the value strings are shared with the committed state, not
+    copied).  Until the committed state changes, [committed_entries] and
+    [verify] are then pure reads.  [Experiment.build] seals the oracle
+    before publishing a crash run so concurrent domains can verify
+    recoveries against it without racing on the memo; an unsealed or
+    since-mutated table is sealed on its next use. *)
 
 val verify : t -> Deut_core.Db.t -> tables:int list -> (unit, string) result
-(** Compare the database contents (a full scan — post-recovery use only)
-    against the committed state of every listed table. *)
+(** Compare the database contents (every leaf — post-recovery use only)
+    against the committed state of every listed table.  Each shard's
+    leaves are compared in place ({!Deut_btree.Node.match_leaf}) with
+    that shard's stripe of the sealed arrays; only the first differing
+    row is copied out, to name it in the [Error].  The check fetches the
+    same leaves in the same order as a table scan.  Total on a corrupt
+    leaf: a cell outside its page is an [Error], never an exception. *)

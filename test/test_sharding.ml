@@ -15,6 +15,7 @@ module Metrics = Deut_obs.Metrics
 module Analysis = Deut_obs.Analysis
 module Workload = Deut_workload.Workload
 module Driver = Deut_workload.Driver
+module Oracle = Deut_workload.Oracle
 module Client_sched = Deut_workload.Client_sched
 module Figures = Deut_workload.Figures
 module Json = Deut_obs.Json
@@ -233,7 +234,7 @@ let test_shard_crash_siblings_serve () =
     (match Db.checkpoint db with exception Invalid_argument _ -> true | _ -> false);
   (* Recover the one shard on the live engine; full state returns,
      including the sibling commit made while it was down. *)
-  Db.recover_shard db ~shard:down;
+  ignore (Db.recover_shard db ~shard:down);
   check "shard back up" true (Db.shard_up db ~shard:down);
   let expected =
     List.map (fun (k, v) -> if k = key_up then (k, "sibling") else (k, v)) before
@@ -260,8 +261,45 @@ let test_shard_crash_loses_nothing_committed () =
   let before = Db.dump_table db ~table in
   let down = 1 in
   Db.crash_shard db ~shard:down;
-  Db.recover_shard db ~shard:down;
+  ignore (Db.recover_shard db ~shard:down);
   check "committed tail recovered from TC log" true (Db.dump_table db ~table = before)
+
+(* The oracle check compares each shard's leaves with that shard's stripe
+   of the committed rows: a changed value on one stripe is reported with
+   both rows, and a row the committed state lacks as a count mismatch. *)
+let test_sharded_oracle_check () =
+  let driver = Driver.create ~config:(config ()) (spec ~rows:200) in
+  let db = Driver.db driver and oracle = Driver.oracle driver in
+  verified driver db;
+  let verdict () = Oracle.verify oracle db ~tables:[ table ] in
+  let key = 6 in
+  check_int "key on shard 2" 2 (shard_of db key);
+  let committed = Option.get (Db.read db ~table ~key) in
+  Db.put db ~table ~key ~value:"changed";
+  check "changed row reported" true
+    (verdict ()
+    = Error
+        (Printf.sprintf {|table 1: recovered (6,"changed") but committed (6,%S)|} committed));
+  Db.put db ~table ~key ~value:committed;
+  check "restored" true (verdict () = Ok ());
+  Db.put db ~table ~key:1001 ~value:"extra";
+  check "extra row reported" true
+    (verdict () = Error "table 1: 201 entries recovered, 200 committed")
+
+(* The rejoin reports its own work: committed writes to the stripe that
+   then goes down reach it again only by redo from the TC log, and the
+   statistics [recover_shard] returns count that replay. *)
+let test_shard_rejoin_stats () =
+  let db = seeded ~rows:32 () in
+  let down = 1 in
+  for k = 100 to 131 do
+    if k mod 4 = down then Db.put db ~table ~key:k ~value:(Printf.sprintf "tail%d" k)
+  done;
+  Db.crash_shard db ~shard:down;
+  let stats = Db.recover_shard db ~shard:down in
+  check "records scanned" true (stats.Recovery_stats.records_scanned > 0);
+  check "redo applied" true (stats.Recovery_stats.redo_applied > 0);
+  check "state intact" true (Db.read db ~table ~key:129 = Some "tail129")
 
 let test_shard_guards () =
   let single = seeded ~shards:1 ~rows:8 () in
@@ -286,7 +324,7 @@ let test_shard_guards () =
     (match Db.recover_shard db ~shard:0 with
     | exception Invalid_argument _ -> true
     | _ -> false);
-  Db.recover_shard db ~shard:1
+  ignore (Db.recover_shard db ~shard:1)
 
 (* {2 Cross-shard commit atomicity} *)
 
@@ -557,6 +595,8 @@ let suite =
     Alcotest.test_case "shard crash: siblings serve" `Quick test_shard_crash_siblings_serve;
     Alcotest.test_case "shard crash loses nothing committed" `Quick
       test_shard_crash_loses_nothing_committed;
+    Alcotest.test_case "shard rejoin returns its stats" `Quick test_shard_rejoin_stats;
+    Alcotest.test_case "oracle check walks each shard's stripe" `Quick test_sharded_oracle_check;
     Alcotest.test_case "shard guard rails" `Quick test_shard_guards;
     Alcotest.test_case "cross-shard commit atomicity" `Quick test_cross_shard_atomicity;
     Alcotest.test_case "network transport determinism" `Quick test_net_determinism;

@@ -38,6 +38,14 @@ let test_rng_determinism () =
   done;
   check "different seeds differ" true !differs
 
+(* The stream is splitmix64's: seed 0 yields the generator's published
+   first outputs, whatever the state's representation. *)
+let test_rng_splitmix64_vectors () =
+  let r = Rng.create ~seed:0 in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "splitmix64, seed 0" expected (Rng.int64 r))
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ]
+
 let test_rng_bounds () =
   let r = Rng.create ~seed:1 in
   for _ = 1 to 10_000 do
@@ -192,6 +200,7 @@ let suite =
     Alcotest.test_case "clock" `Quick test_clock;
     Alcotest.test_case "stats accumulator" `Quick test_stats_accumulator;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
+    Alcotest.test_case "rng splitmix64 vectors" `Quick test_rng_splitmix64_vectors;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng uniformity" `Quick test_rng_uniformity;
     Alcotest.test_case "zipf" `Quick test_zipf;

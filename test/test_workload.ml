@@ -237,7 +237,143 @@ let test_oracle_catches_extra_row () =
   Db.put db ~table:1 ~key:1000 ~value:"extra";
   check_verify_error o db "table 1: 301 entries recovered, 300 committed"
 
+(* {2 Leaf corruption: the in-place checks against checked references}
+
+   [Node.check] and [Node.match_leaf] skip the bounds checks of loads they
+   have bounded themselves.  The references below read every field with
+   bounds-checked loads instead, as both checks did before: the structural
+   check of a leaf, and the oracle check as a fold that copies every row
+   out and compares the lists.  One byte of one leaf is corrupted; both
+   verdicts must agree with the references (a reference that reads past
+   the page raises, which counts as [Error]), and neither check may
+   raise. *)
+
+module Page = Deut_storage.Page
+module Node = Deut_btree.Node
+module Btree = Deut_btree.Btree
+module Pool = Deut_buffer.Buffer_pool
+
+let ref_u16 (p : Page.t) off = Bytes.get_uint16_be p.Page.buf off
+let ref_u64 (p : Page.t) off = Int64.to_int (Bytes.get_int64_be p.Page.buf off)
+let ref_nslots p = ref_u16 p (Page.header_size + 2)
+let ref_cell p slot = ref_u16 p (Node.node_header_end + (2 * slot))
+
+let ref_leaf_ok ~lo ~hi p =
+  let n = ref_nslots p and cs = ref_u16 p (Page.header_size + 4) and size = Page.size p in
+  let rec slots i prev =
+    i >= n
+    ||
+    let off = ref_cell p i in
+    off >= cs
+    && off + 10 <= size
+    && off + 10 + ref_u16 p (off + 8) <= size
+    &&
+    let k = ref_u64 p off in
+    (i = 0 || prev < k) && lo <= k && k < hi && slots (i + 1) k
+  in
+  cs <= size && cs >= Node.node_header_end + (2 * n) && slots 0 0
+
+let ref_rows_ok leaves expected =
+  let row p i =
+    let off = ref_cell p i in
+    (ref_u64 p off, Bytes.sub_string p.Page.buf (off + 10) (ref_u16 p (off + 8)))
+  in
+  match List.concat_map (fun p -> List.init (ref_nslots p) (row p)) leaves with
+  | rows -> rows = expected
+  | exception Invalid_argument _ -> false
+
+(* The fixture's leaves in key order with their separator bounds, read off
+   its one internal level. *)
+let fixture_leaves db =
+  let sh = Deut_core.Engine.shard (Db.engine db) 0 in
+  let tree = Deut_core.Dc.tree sh.Deut_core.Engine.s_dc ~table:1 in
+  let pool = Btree.pool_of tree in
+  let root = Pool.get pool (Btree.root_pid tree) in
+  if Node.level root <> 1 then Alcotest.fail "fixture tree is not two levels deep";
+  let n = Node.nslots root in
+  let sep i = if i < 0 then min_int else if i >= n then max_int else Node.slot_key root i in
+  List.init (n + 1) (fun i ->
+      let child = if i = 0 then Node.leftmost_child root else Node.child_at root (i - 1) in
+      (Pool.get pool child, sep (i - 1), sep i))
+
+type corruption = { leaf : int; field : int; a : int; b : int; flip : int }
+
+let field_names = [| "nslots"; "cell_start"; "slot offset"; "value length"; "key"; "value" |]
+
+let show_corruption c =
+  Printf.sprintf "leaf %d, %s (a=%d b=%d), xor 0x%02x" c.leaf field_names.(c.field) c.a c.b c.flip
+
+let corruption_gen =
+  QCheck2.Gen.(
+    map
+      (fun ((leaf, field), (a, b, flip)) -> { leaf; field; a; b; flip })
+      (pair (pair nat (int_bound 5)) (triple nat nat (int_range 1 255))))
+
+(* The byte [c] names on leaf [p], read before it is corrupted. *)
+let corrupted_offset p c =
+  let slot = c.a mod ref_nslots p in
+  let cell = ref_cell p slot in
+  match c.field with
+  | 0 -> Page.header_size + 2 + (c.b mod 2)
+  | 1 -> Page.header_size + 4 + (c.b mod 2)
+  | 2 -> Node.node_header_end + (2 * slot) + (c.b mod 2)
+  | 3 -> cell + 8 + (c.b mod 2)
+  | 4 -> cell + (c.b mod 8)
+  | _ -> cell + 10 + (c.b mod ref_u16 p (cell + 8))
+
+let corruption_fixture = lazy (oracle_fixture ())
+
+let checks_agree_on c =
+  let db, o = Lazy.force corruption_fixture in
+  let leaves = fixture_leaves db in
+  let p, _, _ = List.nth leaves (c.leaf mod List.length leaves) in
+  let off = corrupted_offset p c in
+  let old = Page.get_u8 p off in
+  Page.set_u8 p off (old lxor c.flip);
+  let verdict what f =
+    match f () with
+    | r -> Result.is_ok r
+    | exception e -> QCheck2.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+  in
+  let integrity, oracle, ref_integrity, ref_oracle =
+    Fun.protect
+      ~finally:(fun () -> Page.set_u8 p off old)
+      (fun () ->
+        ( verdict "Db.check_integrity" (fun () -> Db.check_integrity db),
+          verdict "Oracle.verify" (fun () -> Oracle.verify o db ~tables:[ 1 ]),
+          List.for_all (fun (p, lo, hi) -> ref_leaf_ok ~lo ~hi p) leaves,
+          ref_rows_ok (List.map (fun (p, _, _) -> p) leaves) (Oracle.committed_entries o ~table:1)
+        ))
+  in
+  if integrity <> ref_integrity then
+    QCheck2.Test.fail_reportf "Db.check_integrity says %b, the reference %b" integrity ref_integrity;
+  if oracle <> ref_oracle then
+    QCheck2.Test.fail_reportf "Oracle.verify says %b, the reference %b" oracle ref_oracle;
+  true
+
+let prop_leaf_corruption =
+  QCheck2.Test.make ~name:"leaf corruption: in-place checks match checked references" ~count:400
+    ~print:show_corruption corruption_gen checks_agree_on
+
 let small_spec = { Workload.default with Workload.rows = 500; value_size = 12; seed = 2 }
+
+(* The check compares leaf cells in place: over a sealed 20k-row table it
+   allocates per leaf, never per row (copying each value out, as a fold
+   over the rows does, costs about five words a row). *)
+let test_oracle_verify_allocation () =
+  let rows = 20_000 in
+  let config = { Config.default with Config.shards = 1; pool_pages = 4096 } in
+  let driver = Driver.create ~config { small_spec with Workload.rows } in
+  let db = Driver.db driver and o = Driver.oracle driver in
+  Oracle.seal o;
+  let verify () = Oracle.verify o db ~tables:[ 1 ] in
+  (match verify () with Ok () -> () | Error e -> Alcotest.fail e);
+  let before = Gc.minor_words () in
+  let verdict = verify () in
+  let words = Gc.minor_words () -. before in
+  check "verify passes" true (verdict = Ok ());
+  let per_row = words /. float_of_int rows in
+  if per_row >= 0.5 then Alcotest.failf "Oracle.verify allocated %.2f minor words per row" per_row
 
 let test_driver_load_and_verify () =
   let driver = Driver.create ~config:small_config small_spec in
@@ -396,7 +532,9 @@ let suite =
     Alcotest.test_case "oracle catches a changed value" `Quick test_oracle_catches_changed_value;
     Alcotest.test_case "oracle catches a missing row" `Quick test_oracle_catches_missing_row;
     Alcotest.test_case "oracle catches an extra row" `Quick test_oracle_catches_extra_row;
+    Env.qcheck prop_leaf_corruption;
     Alcotest.test_case "driver load + verify" `Quick test_driver_load_and_verify;
+    Alcotest.test_case "oracle verify allocates per leaf" `Quick test_oracle_verify_allocation;
     Alcotest.test_case "golden paper load" `Quick test_golden_paper_load;
     Alcotest.test_case "driver updates tracked" `Quick test_driver_updates_tracked;
     Alcotest.test_case "driver mixed ops" `Quick test_driver_mixed_ops;
