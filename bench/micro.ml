@@ -83,6 +83,39 @@ let pool_fixture =
      ignore (Pool.get pool pid);
      (pool, pid))
 
+(* The lazy writer's per-miss check on a pool of young dirty frames:
+   4,096 frames, 3,072 of them dirty and pinned, with an age gate no update
+   reaches, so no writer sweep can flush.  Each step is one update to a
+   dirty page and one miss, which runs the writer's check and evicts one
+   of the 1,024 clean frames.  Pinning keeps eviction off the dirty frames;
+   the clean frames keep its walk short. *)
+let young_dirty_fixture =
+  lazy
+    (let clock = Deut_sim.Clock.create () in
+     let disk = Deut_sim.Disk.create clock in
+     let store = Page_store.create ~page_size:1024 in
+     let capacity = 4096 and dirty = 3072 and cycle = 2048 in
+     let pool =
+       Pool.create ~capacity ~lazy_writer_every:1 ~lazy_writer_min_age:(1 lsl 40) ~store ~disk ~clock
+         ()
+     in
+     for _ = 1 to dirty + cycle do
+       let pid = Page_store.allocate store Page.Btree_leaf in
+       Page_store.write store (Page.create ~page_size:1024 ~pid Page.Btree_leaf)
+     done;
+     let lsn = ref 0 in
+     for pid = 0 to dirty - 1 do
+       ignore (Pool.get pool ~pin:true pid);
+       incr lsn;
+       Pool.mark_dirty pool ~pid ~lsn:!lsn
+     done;
+     let next = ref 0 in
+     fun () ->
+       incr lsn;
+       Pool.mark_dirty pool ~pid:(!lsn mod dirty) ~lsn:!lsn;
+       next := (!next + 1) mod cycle;
+       ignore (Pool.get pool (dirty + !next)))
+
 (* Read-mostly tree fixture: 20k rows in a pool large enough to hold them,
    so lookups and updates measure CPU cost, not the simulated disk. *)
 let tree_fixture =
@@ -137,6 +170,8 @@ let tests =
       (Staged.stage (fun () ->
            let pool, pid = Lazy.force pool_fixture in
            ignore (Pool.get pool pid)));
+    Test.make ~name:"pool-miss-young-dirty"
+      (Staged.stage (fun () -> (Lazy.force young_dirty_fixture) ()));
     Test.make ~name:"btree-lookup"
       (Staged.stage (fun () ->
            let tree, _ = Lazy.force tree_fixture in
@@ -180,7 +215,11 @@ let run ~quick () =
   in
   (* Build the fixtures before sampling starts, so no sample times a
      build. *)
-  ignore (Lazy.force store_fixture, Lazy.force pool_fixture, Lazy.force tree_fixture);
+  ignore
+    ( Lazy.force store_fixture,
+      Lazy.force pool_fixture,
+      Lazy.force young_dirty_fixture,
+      Lazy.force tree_fixture );
   let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
   let instance = Instance.monotonic_clock in
   let buf = Buffer.create 1024 in

@@ -33,6 +33,7 @@ type counters = {
 }
 
 type frame = {
+  slot : int;
   mutable pid : int;  (* -1 when free *)
   mutable page : Page.t;
   mutable dirty : bool;
@@ -42,9 +43,12 @@ type frame = {
   mutable dirtied_at : int;  (* update tick of the clean->dirty transition *)
 }
 
+(* The [dirty_since] entry of a clean or free slot: no sweep finds it old
+   enough to flush. *)
+let clean_since = max_int
+
 type t = {
   capacity : int;
-  block_pages : int;
   lazy_writer_every : int;  (* flush one dirty frame per this many misses; 0 = off *)
   lazy_writer_min_age : int;  (* only flush frames dirtied at least this many updates ago *)
   mutable lazy_writer_enabled : bool;
@@ -59,9 +63,8 @@ type t = {
   mutable free_slots : int list;
   mutable hand : int;
   mutable writer_hand : int;
-  mutable writer_idle : bool;
-      (* the last lazy-writer sweep found no flushable frame, and no frame
-         has been dirtied, aged by an update or unpinned since *)
+  mutable writer_wake : int;  (* no lazy-writer sweep can succeed before this update tick *)
+  dirty_since : int array;  (* per slot: the frame's [dirtied_at] while dirty, else [clean_since] *)
   mutable hooks : hooks;
   mutable cur_epoch : bool;
   in_flight : (float * int) Int_tbl.t;  (* pid -> completion, issuing lane *)
@@ -76,11 +79,12 @@ type t = {
 
 let dummy_page = Page.create ~page_size:Page.header_size ~pid:(-1) Page.Free
 
-let create ~capacity ?(block_pages = 8) ?(lazy_writer_every = 0) ?(lazy_writer_min_age = 0)
-    ~store ~disk ~clock () =
+let create ~capacity ?(lazy_writer_every = 0) ?(lazy_writer_min_age = 0) ~store ~disk ~clock ()
+    =
   if capacity < 4 then invalid_arg "Buffer_pool.create: capacity must be at least 4";
-  let frame _ =
+  let frame slot =
     {
+      slot;
       pid = -1;
       page = dummy_page;
       dirty = false;
@@ -92,7 +96,6 @@ let create ~capacity ?(block_pages = 8) ?(lazy_writer_every = 0) ?(lazy_writer_m
   in
   {
     capacity;
-    block_pages;
     lazy_writer_every;
     lazy_writer_min_age;
     lazy_writer_enabled = true;
@@ -107,7 +110,8 @@ let create ~capacity ?(block_pages = 8) ?(lazy_writer_every = 0) ?(lazy_writer_m
     free_slots = List.init capacity Fun.id;
     hand = 0;
     writer_hand = 0;
-    writer_idle = false;
+    writer_wake = 0;
+    dirty_since = Array.make capacity clean_since;
     hooks = null_hooks;
     cur_epoch = false;
     in_flight = Int_tbl.create 64;
@@ -138,7 +142,6 @@ let set_stall_track t track = t.stall_track <- track
 let set_fetch_index t b = t.fetch_index <- b
 let set_hooks t hooks = t.hooks <- hooks
 let capacity t = t.capacity
-let block_pages t = t.block_pages
 let counters t = t.counters
 
 let reset_counters t =
@@ -205,6 +208,7 @@ let flush_frame t f =
   ignore (Disk.submit_write t.disk ~pid:f.pid);
   if f.dirty then t.dirty_frames <- t.dirty_frames - 1;
   f.dirty <- false;
+  t.dirty_since.(f.slot) <- clean_since;
   t.counters.flushes <- t.counters.flushes + 1;
   (match t.trace with
   | Some tr ->
@@ -213,39 +217,44 @@ let flush_frame t f =
   | None -> ());
   t.hooks.on_flush ~pid:f.pid
 
+let next_slot t slot =
+  let next = slot + 1 in
+  if next = t.capacity then 0 else next
+
+(* The lazy writer's wake rule: [f] is dirty and may be flushable from
+   tick [f.dirtied_at + lazy_writer_min_age] on, so no later sweep may be
+   skipped past that tick. *)
+let wake_for t f =
+  let at = f.dirtied_at + t.lazy_writer_min_age in
+  if at < t.writer_wake then t.writer_wake <- at
+
 (* CLOCK second-chance sweep.  Pinned frames are skipped; a dirty victim is
-   flushed (WAL first) before its frame is reused. *)
-let evict_one t =
-  let attempts = ref 0 in
-  let limit = 2 * t.capacity in
-  let rec sweep () =
-    if !attempts > limit then failwith "Buffer_pool: all frames pinned, cannot evict";
-    incr attempts;
-    let f = t.frames.(t.hand) in
-    t.hand <- (t.hand + 1) mod t.capacity;
-    if f.pid < 0 || f.pins > 0 then sweep ()
-    else if f.ref_bit then begin
-      f.ref_bit <- false;
-      sweep ()
-    end
-    else begin
-      if f.dirty then flush_frame t f;
-      Int_tbl.remove t.by_pid f.pid;
-      let slot = if t.hand = 0 then t.capacity - 1 else t.hand - 1 in
-      f.pid <- -1;
-      f.page <- dummy_page;
-      t.counters.evictions <- t.counters.evictions + 1;
-      slot
-    end
-  in
-  sweep ()
+   flushed (WAL first) before its frame is reused.  [attempts] counts the
+   frames visited so far. *)
+let rec evict_one t attempts =
+  if attempts > 2 * t.capacity then failwith "Buffer_pool: all frames pinned, cannot evict";
+  let f = t.frames.(t.hand) in
+  t.hand <- next_slot t t.hand;
+  if f.pid < 0 || f.pins > 0 then evict_one t (attempts + 1)
+  else if f.ref_bit then begin
+    f.ref_bit <- false;
+    evict_one t (attempts + 1)
+  end
+  else begin
+    if f.dirty then flush_frame t f;
+    Int_tbl.remove t.by_pid f.pid;
+    f.pid <- -1;
+    f.page <- dummy_page;
+    t.counters.evictions <- t.counters.evictions + 1;
+    f.slot
+  end
 
 let take_slot t =
   match t.free_slots with
   | slot :: rest ->
       t.free_slots <- rest;
       slot
-  | [] -> evict_one t
+  | [] -> evict_one t 0
 
 let install_frame t page ~dirty =
   let slot =
@@ -255,8 +264,14 @@ let install_frame t page ~dirty =
   f.pid <- page.Page.pid;
   f.page <- page;
   if f.dirty <> dirty then t.dirty_frames <- (t.dirty_frames + if dirty then 1 else -1);
-  if dirty then t.writer_idle <- false;
   f.dirty <- dirty;
+  (* A dirty install keeps the [dirtied_at] the slot already holds, even
+     one inherited from the slot's previous page. *)
+  if dirty then begin
+    t.dirty_since.(slot) <- f.dirtied_at;
+    wake_for t f
+  end
+  else t.dirty_since.(slot) <- clean_since;
   f.epoch <- t.cur_epoch;
   f.ref_bit <- true;
   f.pins <- (if Int_tbl.mem t.by_pid page.Page.pid then f.pins else 0);
@@ -274,33 +289,45 @@ let install_frame t page ~dirty =
    so the flush lands in a later Δ/BW window than the page's last update
    and the FW-LSN pruning rules can actually remove the entry.
 
-   A sweep that finds nothing takes [capacity] steps and leaves
-   [writer_hand] where it started.  So a pool with no dirty frame, or one
-   whose last sweep found nothing and where no frame can have become
-   flushable since ([writer_idle]), answers at once with that same
-   outcome: the tick is O(1).  Verification walks after instant recovery
-   hit the second case — dirty frames too young to flush, and no updates
-   to age them. *)
-let flush_one_dirty t =
-  let rec go steps =
-    if steps >= t.capacity then begin
-      t.writer_idle <- true;
-      false
+   A sweep reads one int per frame ([dirty_since]) and touches a frame
+   record only for an aged dirty frame, to test its pins.  A sweep that
+   finds nothing goes round the whole pool and leaves [writer_hand] where
+   it started, so it may be skipped whenever it is sure to find nothing.
+   It sets [writer_wake] to the earliest tick at which a dirty frame it
+   passed comes of age (aged but pinned frames excluded).  Until then only
+   three events can make a frame flushable sooner, and each lowers
+   [writer_wake] with [wake_for]: a clean->dirty [mark_dirty], a dirty
+   install (which keeps the slot's old [dirtied_at]) and the [unpin] of a
+   dirty frame.  Below [writer_wake] the step is O(1) and its outcome is
+   exactly the full sweep's: no flush, the hand unmoved.  Transactions
+   served while instant recovery replays pages on demand miss on nearly
+   every fetch with thousands of young dirty frames in the pool, so this
+   is the common case there. *)
+let sweep_dirty t =
+  let ready = t.update_ticks - t.lazy_writer_min_age in
+  let since = t.dirty_since in
+  let start = t.writer_hand in
+  let rec go slot soonest =
+    let d = since.(slot) in
+    let next = next_slot t slot in
+    if d <= ready && t.frames.(slot).pins = 0 then begin
+      t.writer_hand <- next;
+      flush_frame t t.frames.(slot);
+      true
     end
     else begin
-      let f = t.frames.(t.writer_hand) in
-      t.writer_hand <- (t.writer_hand + 1) mod t.capacity;
-      if
-        f.pid >= 0 && f.dirty && f.pins = 0
-        && t.update_ticks - f.dirtied_at >= t.lazy_writer_min_age
-      then begin
-        flush_frame t f;
-        true
+      let soonest = if d > ready && d < soonest then d else soonest in
+      if next <> start then go next soonest
+      else begin
+        t.writer_wake <- (if soonest = max_int then max_int else soonest + t.lazy_writer_min_age);
+        false
       end
-      else go (steps + 1)
     end
   in
-  t.dirty_frames > 0 && (not t.writer_idle) && go 0
+  go start max_int
+
+let flush_one_dirty t =
+  t.dirty_frames > 0 && t.update_ticks >= t.writer_wake && sweep_dirty t
 
 let set_lazy_writer_enabled t enabled = t.lazy_writer_enabled <- enabled
 
@@ -407,7 +434,7 @@ let unpin t pid =
       let f = t.frames.(slot) in
       if f.pins <= 0 then invalid_arg "Buffer_pool.unpin: page not pinned";
       f.pins <- f.pins - 1;
-      t.writer_idle <- false
+      if f.dirty then wake_for t f
   | None -> invalid_arg "Buffer_pool.unpin: page not cached"
 
 let new_page t kind =
@@ -437,12 +464,13 @@ let mark_dirty_common t ~pid ~stamp ~event_lsn =
       let f = t.frames.(slot) in
       stamp f.page;
       t.update_ticks <- t.update_ticks + 1;
-      t.writer_idle <- false;
       if not f.dirty then begin
         f.dirty <- true;
         t.dirty_frames <- t.dirty_frames + 1;
         f.epoch <- t.cur_epoch;
         f.dirtied_at <- t.update_ticks;
+        t.dirty_since.(slot) <- t.update_ticks;
+        wake_for t f;
         t.hooks.on_dirty ~pid ~lsn:event_lsn
       end
 

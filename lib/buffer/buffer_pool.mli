@@ -14,10 +14,10 @@
       checkpoint-epoch bit (§3.2): dirtying stamps the current epoch;
       a checkpoint flips the epoch and flushes only frames dirtied in the
       previous one.
-    - {b Prefetch.}  [prefetch] groups contiguous pids into block reads
-      (up to [block_pages] per IO) and tracks them in-flight; a later [get]
-      that finds its page in flight stalls only until that IO's completion
-      — the mechanism behind Log2/SQL2.
+    - {b Prefetch.}  [prefetch] submits its pids as one asynchronous batch,
+      which the disk serves in elevator order, and tracks them in-flight; a
+      later [get] that finds its page in flight stalls only until that
+      batch's completion — the mechanism behind Log2/SQL2.
 
     Timing: misses stall the shared clock on the data disk; hits are free
     (CPU costs are charged by the recovery drivers, not here). *)
@@ -48,7 +48,6 @@ type t
 
 val create :
   capacity:int ->
-  ?block_pages:int ->
   ?lazy_writer_every:int ->
   ?lazy_writer_min_age:int ->
   store:Deut_storage.Page_store.t ->
@@ -75,7 +74,6 @@ val instrument :
 
 val set_hooks : t -> hooks -> unit
 val capacity : t -> int
-val block_pages : t -> int
 val counters : t -> counters
 val reset_counters : t -> unit
 
@@ -123,8 +121,9 @@ val mark_dirty_dc : t -> pid:int -> dc_lsn:Deut_wal.Lsn.t -> event_lsn:Deut_wal.
     under a separate DC log, so Δ-record rLSNs stay in one domain). *)
 
 val prefetch : t -> ?lane:int -> int list -> unit
-(** Submit asynchronous reads for the pids not already cached or in flight,
-    coalescing contiguous runs into block IOs.  Never evicts pinned frames;
+(** Submit one asynchronous batch read of the pids not already cached or in
+    flight (contiguous neighbours pay transfer only; see
+    {!Deut_sim.Disk.submit_batch_read}).  Never evicts pinned frames;
     if the cache is too full to accept more in-flight pages, the remainder
     of the list is dropped (prefetch is best-effort, as in the paper where
     over-eager prefetch just causes page swaps).  [lane] (default 0) tags
@@ -164,9 +163,10 @@ val flush_one_dirty : t -> bool
 (** Background-writer step: flush (without evicting) the next dirty
     unpinned frame in sweep order; [false] if none exists.  Models the
     lazy writer whose flush activity feeds the WrittenSets that let the
-    DPT prune.  When no frame is dirty, or none can have become flushable
-    since the last sweep that found nothing, it returns [false] in O(1),
-    leaving the sweep position where a full fruitless sweep would. *)
+    DPT prune.  When no frame is dirty, or no dirty frame can have come of
+    age, been unpinned or been dirtied since the last sweep that found
+    nothing, it returns [false] in O(1), leaving the sweep position where a
+    full fruitless sweep would. *)
 
 val flush_page : t -> int -> unit
 (** Force the page's image to the store (WAL first); fires [on_flush]. *)

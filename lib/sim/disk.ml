@@ -47,16 +47,24 @@ let instrument t ?trace ?io_hist ~track () =
 
 (* Record one serviced request.  [start] is when the head began moving, so
    the span shows pure service time; queueing delay is visible as the gap
-   to the preceding span on the same track. *)
-let note t ~ev ~start ~completion ~args =
+   to the preceding span on the same track.  A one-page read or write
+   ([pid_only]) carries its [pid]; any other request its [first_pid] and
+   [count].  Callers test [observed] first, so an uninstrumented disk
+   builds neither the args nor the span. *)
+let note t ~ev ~start ~completion ~pid_only ~first_pid ~count =
   (match t.io_hist with
   | Some h -> Deut_obs.Metrics.observe h (completion -. start)
   | None -> ());
   match t.trace with
   | Some tr ->
+      let args =
+        if pid_only then [ ("pid", first_pid) ] else [ ("first_pid", first_pid); ("count", count) ]
+      in
       Deut_obs.Trace.span tr ~name:ev ~cat:"io" ~track:t.track ~ts:start
         ~dur:(completion -. start) ~args ()
   | None -> ()
+
+let observed t = t.trace != None || t.io_hist != None
 
 let params t = t.params
 let counters t = t.counters
@@ -78,8 +86,9 @@ let busy_until t = Float.max t.free_at (Clock.now t.clock)
    like a batch member and its positioning costs [batch_seek_factor ×
    seek_us]; an arrival at an idle device (queue depth 0 — every synchronous
    miss path, since the caller stalled to the previous completion) pays the
-   full cold seek.  Returns the completion time. *)
-let submit t ~first_pid ~count =
+   full cold seek.  Records the request as [ev] and returns its completion
+   time. *)
+let submit t ~ev ~pid_only ~first_pid ~count =
   let now = Clock.now t.clock in
   let queued = t.free_at > now in
   let start = if queued then t.free_at else now in
@@ -95,32 +104,24 @@ let submit t ~first_pid ~count =
   t.counters.requests <- t.counters.requests + 1;
   if sequential then t.counters.sequential_requests <- t.counters.sequential_requests + 1
   else t.counters.seeks <- t.counters.seeks + 1;
-  (start, completion)
+  if observed t then note t ~ev ~start ~completion ~pid_only ~first_pid ~count;
+  completion
 
 let submit_read t ~pid =
-  let start, completion = submit t ~first_pid:pid ~count:1 in
   t.counters.pages_read <- t.counters.pages_read + 1;
-  note t ~ev:"io_read" ~start ~completion ~args:[ ("pid", pid) ];
-  completion
+  submit t ~ev:"io_read" ~pid_only:true ~first_pid:pid ~count:1
 
 let submit_block_read t ~first_pid ~count =
-  let start, completion = submit t ~first_pid ~count in
   t.counters.pages_read <- t.counters.pages_read + count;
-  note t ~ev:"io_block" ~start ~completion ~args:[ ("first_pid", first_pid); ("count", count) ];
-  completion
+  submit t ~ev:"io_block" ~pid_only:false ~first_pid ~count
 
 let submit_write t ~pid =
-  let start, completion = submit t ~first_pid:pid ~count:1 in
   t.counters.pages_written <- t.counters.pages_written + 1;
-  note t ~ev:"io_write" ~start ~completion ~args:[ ("pid", pid) ];
-  completion
+  submit t ~ev:"io_write" ~pid_only:true ~first_pid:pid ~count:1
 
 let submit_sequential_write t ~first_pid ~count =
-  let start, completion = submit t ~first_pid ~count in
   t.counters.pages_written <- t.counters.pages_written + count;
-  note t ~ev:"io_write_seq" ~start ~completion
-    ~args:[ ("first_pid", first_pid); ("count", count) ];
-  completion
+  submit t ~ev:"io_write_seq" ~pid_only:false ~first_pid ~count
 
 let submit_batch_read t pids =
   match List.sort Int.compare pids with
@@ -144,16 +145,15 @@ let submit_batch_read t pids =
       t.head_pos <- !prev_end;
       t.counters.requests <- t.counters.requests + 1;
       t.counters.pages_read <- t.counters.pages_read + List.length sorted;
-      note t ~ev:"io_batch" ~start ~completion
-        ~args:[ ("first_pid", List.hd sorted); ("count", List.length sorted) ];
+      if observed t then
+        note t ~ev:"io_batch" ~start ~completion ~pid_only:false ~first_pid:(List.hd sorted)
+          ~count:(List.length sorted);
       completion
 
 let read_sync t ~pid = Clock.advance_to t.clock (submit_read t ~pid)
 
 let read_sequential_sync t ~first_pid ~count =
-  let start, completion = submit t ~first_pid ~count in
   t.counters.pages_read <- t.counters.pages_read + count;
-  note t ~ev:"io_log" ~start ~completion ~args:[ ("first_pid", first_pid); ("count", count) ];
-  Clock.advance_to t.clock completion
+  Clock.advance_to t.clock (submit t ~ev:"io_log" ~pid_only:false ~first_pid ~count)
 
 let drain t = Clock.advance_to t.clock t.free_at

@@ -322,6 +322,275 @@ let test_idle_writer_wakes () =
   check "a dirty install wakes the writer" true (Pool.flush_one_dirty e.pool);
   Alcotest.(check (list int)) "flush order" [ 5; 1; 3; 2 ] (List.rev !(e.flush_events))
 
+(* A clean miss (tracing off, a pool full of clean frames: every fetch
+   evicts) allocates a few words of bookkeeping and no more: the disk
+   builds its trace args only when a trace is attached, and eviction
+   allocates no closure. *)
+let test_clean_miss_allocation () =
+  let e = make ~capacity:64 ~pages:512 () in
+  let sweep () =
+    for pid = 0 to 511 do
+      ignore (Pool.get e.pool pid)
+    done
+  in
+  sweep ();
+  let misses = (Pool.counters e.pool).Pool.misses in
+  let before = Gc.minor_words () in
+  sweep ();
+  let words = Gc.minor_words () -. before in
+  let n = (Pool.counters e.pool).Pool.misses - misses in
+  check_int "every fetch missed" 512 n;
+  let per_miss = words /. float_of_int n in
+  if per_miss >= 28.0 then Alcotest.failf "a clean miss allocated %.1f minor words" per_miss
+
+(* The lazy writer without a wake tick: every writer step sweeps the
+   whole pool from the writer's hand, testing each frame's record.  [Ref]
+   models the rest of the pool (slot choice, CLOCK eviction, checkpoint
+   epochs) as far as it decides which frame is flushed when. *)
+module Ref = struct
+  type frame = {
+    mutable pid : int;
+    mutable dirty : bool;
+    mutable epoch : bool;
+    mutable ref_bit : bool;
+    mutable pins : int;
+    mutable dirtied_at : int;
+  }
+
+  type t = {
+    frames : frame array;
+    by_pid : (int, int) Hashtbl.t;
+    mutable free : int list;
+    mutable hand : int;
+    mutable writer_hand : int;
+    every : int;
+    min_age : int;
+    mutable miss_ticks : int;
+    mutable ticks : int;
+    mutable cur_epoch : bool;
+    mutable flushed : int list;  (* newest first *)
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let create ~capacity ~every ~min_age =
+    let frame _ =
+      { pid = -1; dirty = false; epoch = false; ref_bit = false; pins = 0; dirtied_at = 0 }
+    in
+    {
+      frames = Array.init capacity frame;
+      by_pid = Hashtbl.create 64;
+      free = List.init capacity Fun.id;
+      hand = 0;
+      writer_hand = 0;
+      every;
+      min_age;
+      miss_ticks = 0;
+      ticks = 0;
+      cur_epoch = false;
+      flushed = [];
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+    }
+
+  let capacity m = Array.length m.frames
+  let frame m pid = Option.map (fun slot -> m.frames.(slot)) (Hashtbl.find_opt m.by_pid pid)
+
+  let flush m f =
+    f.dirty <- false;
+    m.flushed <- f.pid :: m.flushed
+
+  let writer_step m =
+    let rec go steps =
+      steps < capacity m
+      &&
+      let f = m.frames.(m.writer_hand) in
+      m.writer_hand <- (m.writer_hand + 1) mod capacity m;
+      if f.pid >= 0 && f.dirty && f.pins = 0 && m.ticks - f.dirtied_at >= m.min_age then begin
+        flush m f;
+        true
+      end
+      else go (steps + 1)
+    in
+    ignore (go 0)
+
+  let rec evict m =
+    let slot = m.hand in
+    let f = m.frames.(slot) in
+    m.hand <- (slot + 1) mod capacity m;
+    if f.pid < 0 || f.pins > 0 then evict m
+    else if f.ref_bit then begin
+      f.ref_bit <- false;
+      evict m
+    end
+    else begin
+      if f.dirty then flush m f;
+      Hashtbl.remove m.by_pid f.pid;
+      f.pid <- -1;
+      m.evictions <- m.evictions + 1;
+      slot
+    end
+
+  let install m pid ~dirty =
+    let slot =
+      match Hashtbl.find_opt m.by_pid pid with
+      | Some slot -> slot
+      | None -> (
+          match m.free with
+          | slot :: rest ->
+              m.free <- rest;
+              slot
+          | [] -> evict m)
+    in
+    let f = m.frames.(slot) in
+    f.pins <- (if Hashtbl.mem m.by_pid pid then f.pins else 0);
+    f.pid <- pid;
+    f.dirty <- dirty;
+    f.epoch <- m.cur_epoch;
+    f.ref_bit <- true;
+    Hashtbl.replace m.by_pid pid slot
+
+  let get m ~pin pid =
+    (match frame m pid with
+    | Some f ->
+        f.ref_bit <- true;
+        m.hits <- m.hits + 1
+    | None ->
+        m.misses <- m.misses + 1;
+        m.miss_ticks <- m.miss_ticks + 1;
+        if m.miss_ticks mod m.every = 0 then writer_step m;
+        install m pid ~dirty:false);
+    if pin then Option.iter (fun f -> f.pins <- f.pins + 1) (frame m pid)
+
+  let mark_dirty m pid =
+    Option.iter
+      (fun f ->
+        m.ticks <- m.ticks + 1;
+        if not f.dirty then begin
+          f.dirty <- true;
+          f.epoch <- m.cur_epoch;
+          f.dirtied_at <- m.ticks
+        end)
+      (frame m pid)
+
+  let checkpoint m =
+    m.cur_epoch <- not m.cur_epoch;
+    Array.iter (fun f -> if f.pid >= 0 && f.dirty && f.epoch <> m.cur_epoch then flush m f) m.frames
+end
+
+type pool_op =
+  | Get of int
+  | Get_pin of int
+  | Mark of int  (* the n-th cached page in pid order, modulo their number *)
+  | Unpin of int  (* the n-th pinned page, modulo their number *)
+  | Install of int  (* a dirty image *)
+  | Flush of int  (* as [Mark] *)
+  | Checkpoint
+
+let show_pool_op = function
+  | Get p -> Printf.sprintf "get %d" p
+  | Get_pin p -> Printf.sprintf "get~pin %d" p
+  | Mark n -> Printf.sprintf "mark #%d" n
+  | Unpin n -> Printf.sprintf "unpin #%d" n
+  | Install p -> Printf.sprintf "install %d" p
+  | Flush n -> Printf.sprintf "flush #%d" n
+  | Checkpoint -> "checkpoint"
+
+let writer_case_gen =
+  let open QCheck2.Gen in
+  let* capacity = 4 -- 64 and* every = 1 -- 3 and* min_age = 0 -- 50 in
+  let pid = 0 -- ((2 * capacity) - 1) in
+  let op =
+    frequency
+      [
+        (6, map (fun p -> Get p) pid);
+        (2, map (fun p -> Get_pin p) pid);
+        (6, map (fun n -> Mark n) nat);
+        (1, map (fun n -> Unpin n) nat);
+        (1, map (fun p -> Install p) pid);
+        (1, map (fun n -> Flush n) nat);
+        (1, pure Checkpoint);
+      ]
+  in
+  let+ ops = list_size (50 -- 600) op in
+  (capacity, every, min_age, ops)
+
+let show_writer_case (capacity, every, min_age, ops) =
+  Printf.sprintf "capacity %d, every %d, min_age %d: %s" capacity every min_age
+    (String.concat "; " (List.map show_pool_op ops))
+
+(* Drive the pool and [Ref] side by side.  A pin is taken only while at
+   least two frames stay unpinned, so eviction always finds a victim. *)
+let writer_matches_full_sweep (capacity, every, min_age, ops) =
+  let e =
+    make ~capacity ~pages:(2 * capacity) ~lazy_writer_every:every ~lazy_writer_min_age:min_age ()
+  in
+  let m = Ref.create ~capacity ~every ~min_age in
+  let pinned = ref [] in
+  let nth_cached n =
+    let pids = List.sort Int.compare (Hashtbl.fold (fun pid _ l -> pid :: l) m.Ref.by_pid []) in
+    List.nth_opt pids (n mod Stdlib.max 1 (List.length pids))
+  in
+  let lsn = ref 0 in
+  List.iter
+    (fun op ->
+      match op with
+      | Get pid ->
+          ignore (Pool.get e.pool pid);
+          Ref.get m ~pin:false pid
+      | Get_pin pid ->
+          if List.length !pinned < capacity - 2 then begin
+            ignore (Pool.get e.pool ~pin:true pid);
+            Ref.get m ~pin:true pid;
+            pinned := pid :: !pinned
+          end
+      | Mark n ->
+          Option.iter
+            (fun pid ->
+              incr lsn;
+              Pool.mark_dirty e.pool ~pid ~lsn:!lsn;
+              Ref.mark_dirty m pid)
+            (nth_cached n)
+      | Unpin n -> (
+          match !pinned with
+          | [] -> ()
+          | l ->
+              let pid = List.nth l (n mod List.length l) in
+              Pool.unpin e.pool pid;
+              Option.iter (fun f -> f.Ref.pins <- f.Ref.pins - 1) (Ref.frame m pid);
+              let rec drop = function [] -> [] | p :: r -> if p = pid then r else p :: drop r in
+              pinned := drop !pinned)
+      | Install pid ->
+          let page = Page.create ~page_size:256 ~pid Page.Meta in
+          incr lsn;
+          Page.set_plsn page !lsn;
+          Pool.install e.pool page ~dirty:true;
+          Ref.install m pid ~dirty:true
+      | Flush n ->
+          Option.iter
+            (fun pid ->
+              Pool.flush_page e.pool pid;
+              Option.iter (fun f -> if f.Ref.dirty then Ref.flush m f) (Ref.frame m pid))
+            (nth_cached n)
+      | Checkpoint ->
+          Pool.begin_checkpoint_epoch e.pool;
+          Pool.flush_previous_epoch e.pool;
+          Ref.checkpoint m)
+    ops;
+  let c = Pool.counters e.pool in
+  if !(e.flush_events) <> m.Ref.flushed then
+    QCheck2.Test.fail_reportf "flushes: pool %s, full sweep %s"
+      (String.concat "," (List.rev_map string_of_int !(e.flush_events)))
+      (String.concat "," (List.rev_map string_of_int m.Ref.flushed));
+  (c.Pool.hits, c.Pool.misses, c.Pool.evictions, c.Pool.flushes)
+  = (m.Ref.hits, m.Ref.misses, m.Ref.evictions, List.length m.Ref.flushed)
+
+let prop_writer_matches_full_sweep =
+  QCheck2.Test.make ~name:"lazy writer flushes what a full sweep would" ~count:300
+    ~print:show_writer_case writer_case_gen writer_matches_full_sweep
+
 let suite =
   [
     Alcotest.test_case "hit/miss" `Quick test_hit_miss;
@@ -340,4 +609,6 @@ let suite =
     Alcotest.test_case "dirty count tracks frames" `Quick test_dirty_count_tracks_frames;
     Alcotest.test_case "clean writer step keeps the hand" `Quick test_clean_writer_step_keeps_hand;
     Alcotest.test_case "idle writer wakes" `Quick test_idle_writer_wakes;
+    Alcotest.test_case "clean miss allocation" `Quick test_clean_miss_allocation;
+    Env.qcheck prop_writer_matches_full_sweep;
   ]
