@@ -384,13 +384,13 @@ let note_fetch t ~pid ~start ~prefetched ~late =
 let get t ?(pin = false) pid =
   run_redo_hook t pid;
   let f =
-    match Int_tbl.find_opt t.by_pid pid with
-    | Some slot ->
+    match Int_tbl.find t.by_pid pid with
+    | slot ->
         let f = t.frames.(slot) in
         f.ref_bit <- true;
         t.counters.hits <- t.counters.hits + 1;
         f
-    | None -> (
+    | exception Not_found -> (
         match Int_tbl.find_opt t.in_flight pid with
         | Some (completion, _lane) ->
             (* The page was prefetched; wait (if needed) for that IO. *)
@@ -457,28 +457,35 @@ let install t ?event_lsn page ~dirty =
     let lsn = Option.value event_lsn ~default:(Page.plsn page) in
     t.hooks.on_dirty ~pid:f.pid ~lsn
 
-let mark_dirty_common t ~pid ~stamp ~event_lsn =
-  match Int_tbl.find_opt t.by_pid pid with
-  | None -> invalid_arg "Buffer_pool.mark_dirty: page not cached"
-  | Some slot ->
-      let f = t.frames.(slot) in
-      stamp f.page;
-      t.update_ticks <- t.update_ticks + 1;
-      if not f.dirty then begin
-        f.dirty <- true;
-        t.dirty_frames <- t.dirty_frames + 1;
-        f.epoch <- t.cur_epoch;
-        f.dirtied_at <- t.update_ticks;
-        t.dirty_since.(slot) <- t.update_ticks;
-        wake_for t f;
-        t.hooks.on_dirty ~pid ~lsn:event_lsn
-      end
+(* The update path: the callers stamp the cached page, then [note_update]
+   counts the update and makes a clean frame dirty. *)
+let cached_slot t pid =
+  match Int_tbl.find t.by_pid pid with
+  | slot -> slot
+  | exception Not_found -> invalid_arg "Buffer_pool.mark_dirty: page not cached"
+
+let note_update t slot ~event_lsn =
+  let f = t.frames.(slot) in
+  t.update_ticks <- t.update_ticks + 1;
+  if not f.dirty then begin
+    f.dirty <- true;
+    t.dirty_frames <- t.dirty_frames + 1;
+    f.epoch <- t.cur_epoch;
+    f.dirtied_at <- t.update_ticks;
+    t.dirty_since.(slot) <- t.update_ticks;
+    wake_for t f;
+    t.hooks.on_dirty ~pid:f.pid ~lsn:event_lsn
+  end
 
 let mark_dirty t ~pid ~lsn =
-  mark_dirty_common t ~pid ~stamp:(fun page -> Page.set_plsn page lsn) ~event_lsn:lsn
+  let slot = cached_slot t pid in
+  Page.set_plsn t.frames.(slot).page lsn;
+  note_update t slot ~event_lsn:lsn
 
 let mark_dirty_dc t ~pid ~dc_lsn ~event_lsn =
-  mark_dirty_common t ~pid ~stamp:(fun page -> Page.set_dc_plsn page dc_lsn) ~event_lsn
+  let slot = cached_slot t pid in
+  Page.set_dc_plsn t.frames.(slot).page dc_lsn;
+  note_update t slot ~event_lsn
 
 let prefetch t ?(lane = 0) pids =
   let wanted =

@@ -55,11 +55,19 @@ let prefetch_source_of_string = function
   | "dpt-order" -> Some Dpt_order
   | _ -> None
 
+(* The simulated cost model's fixed parameters, the same in every run.
+   Every device is the one disk model; the log devices (TC log, DC log,
+   archive) stream, so they get a longer sequential gap. *)
+let data_disk = Deut_sim.Disk.default_params
+let log_disk = { data_disk with Deut_sim.Disk.sequential_gap = 4 }
+let cpu_op_us = 2.0 (* per redo log record, and per client operation *)
+let cpu_index_level_us = 1.0 (* per B-tree level a logical redo descends *)
+let think_us = 300.0 (* mean client think time between transactions *)
+let retry_backoff_us = 150.0 (* base of a client's backoff after a lock conflict *)
+
 type t = {
   page_size : int;
   pool_pages : int;  (** cache capacity in pages *)
-  data_disk : Deut_sim.Disk.params;
-  log_disk : Deut_sim.Disk.params;
   delta_period : int;  (** updates between periodic Δ/BW-record emissions *)
   delta_capacity : int;  (** DirtySet/WrittenSet entries that force an emission *)
   lazy_writer_every : int;
@@ -70,8 +78,6 @@ type t = {
           keeps growing — the paper's large-cache regime *)
   dpt_mode : dpt_mode;
   checkpoint_mode : checkpoint_mode;
-  cpu_op_us : float;  (** CPU cost charged per redo log record *)
-  cpu_index_level_us : float;  (** extra CPU per B-tree level for logical redo *)
   prefetch_window : int;  (** top up prefetch when in-flight drops below this *)
   prefetch_chunk : int;  (** pids submitted per top-up *)
   prefetch_lookahead : int;  (** SQL2 log read-ahead horizon, in records *)
@@ -100,11 +106,6 @@ type t = {
           are gated to ticket order, so the committed state is identical
           at any client count — only timing, aborts and IO overlap vary.
           [of_env] reads it from [DEUT_CLIENTS]. *)
-  think_us : float;
-      (** mean client think time between transactions, in simulated µs *)
-  retry_backoff_us : float;
-      (** base delay for the seeded exponential backoff a client applies
-          after a no-wait lock conflict aborts its transaction *)
   flight : bool;
       (** keep the always-on flight recorder ({!Deut_obs.Flight}): a small
           bounded ring of recent protocol/durability history per component
@@ -133,7 +134,6 @@ type t = {
       (** skip an archiving cut that would move fewer than this many bytes
           (0 = cut whenever the archive point advances): batches segment
           churn under workloads that checkpoint frequently *)
-  archive_disk : Deut_sim.Disk.params;  (** the archive device's cost model *)
   shards : int;
       (** data-component shards (1 = the single-DC engine).  With more than
           one, the key space is striped ([key mod shards]) across
@@ -219,21 +219,11 @@ let default =
   {
     page_size = 8192;
     pool_pages = 1024;
-    data_disk = Deut_sim.Disk.default_params;
-    log_disk =
-      {
-        Deut_sim.Disk.seek_us = 4000.0;
-        transfer_us = 50.0;
-        sequential_gap = 4;
-        batch_seek_factor = 0.75;
-      };
     delta_period = 1000;
     delta_capacity = 256;
     lazy_writer_every = 1;
     dpt_mode = Standard;
     checkpoint_mode = Penultimate;
-    cpu_op_us = 2.0;
-    cpu_index_level_us = 1.0;
     prefetch_window = 32;
     prefetch_chunk = 16;
     prefetch_lookahead = 512;
@@ -243,24 +233,12 @@ let default =
     locking = false;
     group_commit = 1;
     clients = 1;
-    think_us = 300.0;
-    retry_backoff_us = 150.0;
     flight = true;
     flight_capacity = 128;
     tracing = false;
     trace_capacity = 65536;
     archive = false;
     archive_min_bytes = 0;
-    (* Sequential device: segment copies and restart scans are streaming
-       workloads, so give the archive a long sequential-gap like the log
-       disk's. *)
-    archive_disk =
-      {
-        Deut_sim.Disk.seek_us = 4000.0;
-        transfer_us = 50.0;
-        sequential_gap = 4;
-        batch_seek_factor = 0.75;
-      };
     shards = 1;
     domains = 1;
     net = false;

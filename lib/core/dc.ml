@@ -361,7 +361,7 @@ let redo_logical t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats
   let ts0 = Clock.now t.clock in
   let height = height_of t ~table:view.Lr.rv_table in
   Clock.advance t.clock
-    (t.config.Config.cpu_op_us +. (t.config.Config.cpu_index_level_us *. float_of_int height));
+    (Config.cpu_op_us +. (Config.cpu_index_level_us *. float_of_int height));
   (* The traversal that turns the logical key into a PID — the extra work
      logical redo cannot avoid (§1.3). *)
   let tr = tree t ~table:view.Lr.rv_table in
@@ -380,7 +380,7 @@ let redo_logical t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats
 let redo_physiological t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats.t) =
   stats.redo_candidates <- stats.redo_candidates + 1;
   let ts0 = Clock.now t.clock in
-  Clock.advance t.clock t.config.Config.cpu_op_us;
+  Clock.advance t.clock Config.cpu_op_us;
   let pid = view.Lr.rv_pid in
   (if use_dpt then begin
      match Dpt.find t.dpt pid with

@@ -211,8 +211,8 @@ let assemble ?dc_log ?extra_shards config ~store ~log =
      unprefixed name.  Single-shard keeps the unprefixed names (and the
      committed baselines). *)
   let shard0_hist base = if n = 1 then base else "shard0." ^ base in
-  let data_disk = Disk.create ~params:config.Config.data_disk clock in
-  let log_disk = Disk.create ~params:config.Config.log_disk clock in
+  let data_disk = Disk.create ~params:Config.data_disk clock in
+  let log_disk = Disk.create ~params:Config.log_disk clock in
   Disk.instrument data_disk ?trace
     ~io_hist:(Metrics.histogram m (shard0_hist "disk.data.io_us"))
     ~track:Trace.track_data_disk ();
@@ -233,7 +233,7 @@ let assemble ?dc_log ?extra_shards config ~store ~log =
           | Some l -> l
           | None -> Log_manager.create ~page_size:config.Config.page_size
         in
-        let disk = Disk.create ~params:config.Config.log_disk clock in
+        let disk = Disk.create ~params:Config.log_disk clock in
         Disk.instrument disk ?trace
           ~io_hist:(Metrics.histogram m (shard0_hist "disk.dc_log.io_us"))
           ~track:Trace.track_dc_log_disk ();
@@ -254,7 +254,7 @@ let assemble ?dc_log ?extra_shards config ~store ~log =
             Log_manager.attach_archive log a;
             a
       in
-      let disk = Disk.create ~params:config.Config.archive_disk clock in
+      let disk = Disk.create ~params:Config.log_disk clock in
       Disk.instrument disk ?trace ~io_hist:(Metrics.histogram m "disk.archive.io_us")
         ~track:Trace.track_archive_disk ();
       Archive.attach_disk a disk;
@@ -302,11 +302,11 @@ let assemble ?dc_log ?extra_shards config ~store ~log =
               ( Page_store.create ~page_size:config.Config.page_size,
                 Log_manager.create ~page_size:config.Config.page_size )
         in
-        let d = Disk.create ~params:config.Config.data_disk clock in
+        let d = Disk.create ~params:Config.data_disk clock in
         Disk.instrument d ?trace
           ~io_hist:(Metrics.histogram m (Printf.sprintf "shard%d.disk.data.io_us" i))
           ~track:(Trace.track_shard i) ();
-        let ld = Disk.create ~params:config.Config.log_disk clock in
+        let ld = Disk.create ~params:Config.log_disk clock in
         Disk.instrument ld ?trace
           ~io_hist:(Metrics.histogram m (Printf.sprintf "shard%d.disk.dc_log.io_us" i))
           ~track:(Trace.track_shard i) ();

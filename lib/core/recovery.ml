@@ -255,17 +255,18 @@ let analyse method_ (engine : Engine.t) (sh : Engine.shard) ~bckpt ~stats =
    the router places on it, all of them at one shard — on
    [Config.redo_workers] simulated workers, through the shard's
    {!Dc_access} endpoint.  Records are processed in global log order;
-   each is charged to its partition's worker by rewinding the shared clock
-   to that worker's time cursor ([Clock.set]) before replaying it.  The
-   disk keeps its own monotonic busy horizon, so IO requests from workers
-   at earlier cursors still queue behind in-flight service — contention on
-   the single device is preserved — while CPU charges and page-fetch
-   stalls on different workers overlap.  Because application order is log
-   order regardless of the partitioning, the recovered state and the
-   apply-count statistics are identical for every worker count; with one
-   worker the loop is exactly the sequential pass.  SMO records barrier:
-   every worker joins (clock = max cursor) before the page images are
-   installed, and all cursors restart from the completed replay. *)
+   each is charged to its partition's worker by entering that worker's
+   {!Clock.Cursor} (the shared clock jumps to its timeline) before
+   replaying it.  The disk keeps its own monotonic busy horizon, so IO
+   requests from workers at earlier cursors still queue behind in-flight
+   service — contention on the single device is preserved — while CPU
+   charges and page-fetch stalls on different workers overlap.  Because
+   application order is log order regardless of the partitioning, the
+   recovered state and the apply-count statistics are identical for every
+   worker count; with one worker the loop is exactly the sequential pass.
+   SMO records barrier: every worker joins (the clock advances to the
+   latest cursor) before the page images are installed, and all cursors
+   restart from the completed replay. *)
 let redo_pass method_ (engine : Engine.t) (sh : Engine.shard) (scan : scan_result)
     ~(stats : Recovery_stats.t) =
   let dc = sh.Engine.s_dc in
@@ -285,19 +286,22 @@ let redo_pass method_ (engine : Engine.t) (sh : Engine.shard) (scan : scan_resul
       match Lr.redo_view record with Some v -> assign.(i) <- partition v | None -> ())
     records;
   let parallel = workers > 1 in
-  let cursors = Array.make workers (Clock.now clock) in
+  let cursors = Array.init workers (fun _ -> Clock.Cursor.make clock) in
   let enter w =
     if parallel then begin
-      Clock.set clock cursors.(w);
+      Clock.Cursor.enter cursors.(w);
       Pool.set_stall_track pool (Some (Trace.track_worker w));
       Dc.set_redo_track dc (Some (Trace.track_worker w))
     end
   in
-  let leave w = if parallel then cursors.(w) <- Clock.now clock in
+  let leave w = if parallel then Clock.Cursor.leave cursors.(w) in
   let barrier () =
-    if parallel then Clock.set clock (Array.fold_left max cursors.(0) cursors)
+    if parallel then
+      Array.iter (fun c -> Clock.advance_to clock (Clock.Cursor.time c)) cursors
   in
-  let release_all () = if parallel then Array.fill cursors 0 workers (Clock.now clock) in
+  let release_all () =
+    if parallel then Array.iter (fun c -> Clock.Cursor.advance_to c (Clock.now clock)) cursors
+  in
   let prefetch_pf =
     if method_ = Log2 then
       Some (Array.init workers (fun lane -> make_pf_prefetcher dc ~lane ~workers))

@@ -10,9 +10,7 @@ module Rng = Deut_sim.Rng
 module Trace = Deut_obs.Trace
 module Metrics = Deut_obs.Metrics
 
-type action = Upd of string | Ins of string | Del | Read
-type op = { table : int; key : int; action : action }
-type desc = { ticket : int; ops : op array }
+type desc = { ticket : int; ops : Workload.op array }
 
 type client = {
   cid : int;
@@ -34,19 +32,15 @@ type t = {
   db : Db.t;
   oracle : Oracle.t option;
   spec : Workload.spec;
-  cfg : Config.t;
   clock : Clock.t;
   clients : client array;
-  stream : Rng.t;  (* descriptor content, consumed in ticket order *)
-  zipf : Rng.Zipf.dist option;
-  mutable seq_cursor : int;
-  mutable next_fresh_key : int;
+  stream : Workload.stream;  (* descriptor content, consumed in ticket order *)
   mutable next_ticket : int;
   mutable tickets_limit : int;
   mutable commits_done : int;  (* the ticket the gate admits next *)
   active : (int, client) Hashtbl.t;  (* txn id -> executing client *)
   wounded : (int, unit) Hashtbl.t;  (* txn ids doomed by an older client *)
-  latency_q : (float * int) Queue.t;  (* gate-entry times awaiting a force *)
+  latency_q : float Queue.t;  (* gate-entry times awaiting a force *)
   commit_hist : Metrics.histogram;
   trace : Trace.t option;
   started_us : float;
@@ -56,7 +50,6 @@ type t = {
 }
 
 type stats = {
-  n_clients : int;
   committed_txns : int;
   committed_ops : int;
   aborts : int;
@@ -67,8 +60,6 @@ type stats = {
   abort_rate : float;
   commit_p50_us : float;
   commit_p95_us : float;
-  per_client_commits : int array;
-  per_client_aborts : int array;
 }
 
 let create ?oracle db spec =
@@ -79,7 +70,7 @@ let create ?oracle db spec =
   (* Content and timing draw from disjoint streams: the content stream is
      consumed in ticket order (client-count independent), while each
      client's timing stream only shapes the interleaving. *)
-  let stream = Rng.create ~seed:(spec.Workload.seed + 0x6c1e) in
+  let stream = Workload.stream spec (Rng.create ~seed:(spec.Workload.seed + 0x6c1e)) in
   let timing = Rng.create ~seed:(spec.Workload.seed + 0x71e) in
   let now = Clock.now clock in
   let clients =
@@ -100,24 +91,15 @@ let create ?oracle db spec =
           aborts = 0;
         })
   in
-  let zipf =
-    match spec.Workload.key_dist with
-    | Workload.Zipf theta -> Some (Rng.Zipf.create ~n:spec.Workload.rows ~theta)
-    | Workload.Uniform | Workload.Sequential -> None
-  in
   let m = Engine.metrics engine in
   let t =
     {
       db;
       oracle;
       spec;
-      cfg;
       clock;
       clients;
       stream;
-      zipf;
-      seq_cursor = 0;
-      next_fresh_key = spec.Workload.rows;
       next_ticket = 0;
       tickets_limit = 0;
       commits_done = 0;
@@ -135,51 +117,18 @@ let create ?oracle db spec =
   (* Stagger first arrivals with an initial think, so clients do not all
      fire at the same instant. *)
   Array.iter
-    (fun c -> Cursor.advance_to c.cursor (now +. Rng.float c.rng cfg.Config.think_us))
+    (fun c -> Cursor.advance_to c.cursor (now +. Rng.float c.rng Config.think_us))
     t.clients;
   t
 
 (* ---------- descriptor stream ---------- *)
 
-let table_of t =
-  if t.spec.Workload.tables = 1 then 1 else 1 + Rng.int t.stream t.spec.Workload.tables
-
-let key_of t =
-  match t.spec.Workload.key_dist with
-  | Workload.Uniform -> Rng.int t.stream t.spec.Workload.rows
-  | Workload.Zipf _ -> Rng.Zipf.sample t.stream (Option.get t.zipf)
-  | Workload.Sequential ->
-      let k = t.seq_cursor in
-      t.seq_cursor <- (t.seq_cursor + 1) mod t.spec.Workload.rows;
-      k
-
-let draw_op t =
-  let table = table_of t in
-  let key = key_of t in
-  let value () = Workload.value_of t.stream ~size:t.spec.Workload.value_size in
-  match t.spec.Workload.op_mix with
-  | Workload.Update_only -> { table; key; action = Upd (value ()) }
-  | Workload.Mixed { update; insert; delete; read } ->
-      let total = update +. insert +. delete +. read in
-      let x = Rng.float t.stream total in
-      if x < update then { table; key; action = Upd (value ()) }
-      else if x < update +. insert then begin
-        let key = t.next_fresh_key in
-        t.next_fresh_key <- key + 1;
-        { table; key; action = Ins (value ()) }
-      end
-      else if x < update +. insert +. delete then { table; key; action = Del }
-      else { table; key; action = Read }
-
 let draw_desc t =
   let ticket = t.next_ticket in
   t.next_ticket <- ticket + 1;
-  let nops = t.spec.Workload.ops_per_txn in
-  let acc = ref [] in
-  for _ = 1 to nops do
-    acc := draw_op t :: !acc
-  done;
-  { ticket; ops = Array.of_list (List.rev !acc) }
+  (* One table per operation; [Array.init] draws the ops in order. *)
+  let draw _ = Workload.draw_op t.stream ~table:(Workload.draw_table t.stream) in
+  { ticket; ops = Array.init t.spec.Workload.ops_per_txn draw }
 
 (* ---------- bookkeeping ---------- *)
 
@@ -200,17 +149,15 @@ let trace_txn_span t c ~name ~args =
 let on_force t =
   let now = Clock.now t.clock in
   while not (Queue.is_empty t.latency_q) do
-    let requested, _cid = Queue.pop t.latency_q in
+    let requested = Queue.pop t.latency_q in
     Metrics.observe t.commit_hist (now -. requested)
   done;
   match t.oracle with Some o -> Oracle.force o | None -> ()
 
-let think_us t c =
-  let m = t.cfg.Config.think_us in
-  (0.5 *. m) +. Rng.float c.rng m
+let think_us c = (0.5 *. Config.think_us) +. Rng.float c.rng Config.think_us
 
-let backoff_us t c =
-  let base = t.cfg.Config.retry_backoff_us *. float_of_int (1 lsl Stdlib.min c.attempts 6) in
+let backoff_us c =
+  let base = Config.retry_backoff_us *. float_of_int (1 lsl Stdlib.min c.attempts 6) in
   base +. Rng.float c.rng base
 
 let ticket_of c = match c.desc with Some d -> d.ticket | None -> max_int
@@ -242,7 +189,7 @@ let abort_current t c ~wounded =
              (ticket_of c) c.attempts);
       trace_txn_span t c ~name:(if wounded then "txn-wounded" else "txn-aborted")
         ~args:[ ("ticket", ticket_of c); ("attempt", c.attempts) ];
-      Cursor.advance_to c.cursor (Clock.now t.clock +. backoff_us t c)
+      Cursor.advance_to c.cursor (Clock.now t.clock +. backoff_us c)
 
 let handle_conflict t c ~holder =
   trace_instant t c "conflict" [ ("holder", holder) ];
@@ -261,7 +208,7 @@ let handle_conflict t c ~holder =
         hc.parked <- false;
         Cursor.advance_to hc.cursor (Clock.now t.clock)
       end;
-      Cursor.advance_to c.cursor (Clock.now t.clock +. t.cfg.Config.retry_backoff_us)
+      Cursor.advance_to c.cursor (Clock.now t.clock +. Config.retry_backoff_us)
   | _ ->
       (* Younger loses to older: no-wait abort, exponential backoff. *)
       abort_current t c ~wounded:false
@@ -274,7 +221,7 @@ let commit_current t c =
   Hashtbl.remove t.wounded id;
   let durable = Db.commit_durable t.db txn in
   (match t.oracle with Some o -> Oracle.commit_queued o ~txn:id | None -> ());
-  Queue.add (c.requested_at, c.cid) t.latency_q;
+  Queue.add c.requested_at t.latency_q;
   if durable then on_force t;
   t.commits_done <- d.ticket + 1;
   t.committed_ops <- t.committed_ops + Array.length d.ops;
@@ -285,7 +232,7 @@ let commit_current t c =
   c.next_op <- 0;
   c.committing <- false;
   c.attempts <- 0;
-  Cursor.advance_to c.cursor (Clock.now t.clock +. think_us t c);
+  Cursor.advance_to c.cursor (Clock.now t.clock +. think_us c);
   (* Open the gate for the next ticket's holder if it is already waiting. *)
   Array.iter
     (fun c' ->
@@ -296,48 +243,6 @@ let commit_current t c =
             Cursor.advance_to c'.cursor (Clock.now t.clock)
         | _ -> ())
     t.clients
-
-type op_result = Applied | Conflict of int
-
-let exec_op t txn (op : op) =
-  let id = Db.Txn.id txn in
-  let buffer_put value =
-    match t.oracle with
-    | Some o -> Oracle.buffer_put o ~txn:id ~table:op.table ~key:op.key ~value
-    | None -> ()
-  in
-  let hard what e = failwith ("Client_sched: " ^ what ^ ": " ^ Db.error_to_string e) in
-  match op.action with
-  | Upd value -> (
-      match Db.update t.db txn ~table:op.table ~key:op.key ~value with
-      | Ok () ->
-          buffer_put value;
-          Applied
-      | Error (Db.Lock_conflict { holder }) -> Conflict holder
-      | Error (Db.Missing_key _) -> Applied (* deleted by an earlier ticket: no-op *)
-      | Error e -> hard "update" e)
-  | Ins value -> (
-      match Db.insert t.db txn ~table:op.table ~key:op.key ~value with
-      | Ok () ->
-          buffer_put value;
-          Applied
-      | Error (Db.Lock_conflict { holder }) -> Conflict holder
-      | Error e -> hard "insert" e)
-  | Del -> (
-      match Db.delete t.db txn ~table:op.table ~key:op.key with
-      | Ok () ->
-          (match t.oracle with
-          | Some o -> Oracle.buffer_delete o ~txn:id ~table:op.table ~key:op.key
-          | None -> ());
-          Applied
-      | Error (Db.Lock_conflict { holder }) -> Conflict holder
-      | Error (Db.Missing_key _) -> Applied (* already gone *)
-      | Error e -> hard "delete" e)
-  | Read -> (
-      match Db.read_locked t.db txn ~table:op.table ~key:op.key with
-      | Ok _ -> Applied
-      | Error (Db.Lock_conflict { holder }) -> Conflict holder
-      | Error e -> hard "read" e)
 
 (* One scheduling quantum for a client, on its own timeline. *)
 let step t c =
@@ -375,10 +280,10 @@ let step t c =
               c.requested_at <- Clock.now t.clock
             end
             else begin
-              Clock.advance t.clock t.cfg.Config.cpu_op_us;
-              match exec_op t txn d.ops.(c.next_op) with
-              | Applied -> c.next_op <- c.next_op + 1
-              | Conflict holder -> handle_conflict t c ~holder
+              Clock.advance t.clock Config.cpu_op_us;
+              match Workload.exec t.db ?oracle:t.oracle t.spec txn d.ops.(c.next_op) with
+              | Workload.Wrote | Workload.Skipped -> c.next_op <- c.next_op + 1
+              | Workload.Conflict holder -> handle_conflict t c ~holder
             end
       end);
   Cursor.leave c.cursor
@@ -434,7 +339,6 @@ let stats t =
   let makespan_us = Clock.now t.clock -. t.started_us in
   let attempts = commits + aborts in
   {
-    n_clients = Array.length t.clients;
     committed_txns = commits;
     committed_ops = t.committed_ops;
     aborts;
@@ -446,8 +350,6 @@ let stats t =
     abort_rate = (if attempts = 0 then 0.0 else float_of_int aborts /. float_of_int attempts);
     commit_p50_us = Metrics.percentile t.commit_hist 50.0;
     commit_p95_us = Metrics.percentile t.commit_hist 95.0;
-    per_client_commits = Array.map (fun c -> c.commits) t.clients;
-    per_client_aborts = Array.map (fun (c : client) -> c.aborts) t.clients;
   }
 
 let logical_digest db =

@@ -12,9 +12,9 @@
     not a source of nondeterminism:
 
     - transaction {e content} (tables, keys, values) is drawn from a
-      shared seeded stream at hand-out time, in ticket order — ticket
-      [j] is the [j]-th descriptor regardless of which client runs it or
-      how many clients exist;
+      shared seeded {!Workload.stream} at hand-out time, in ticket order
+      — ticket [j] is the [j]-th descriptor regardless of which client
+      runs it or how many clients exist;
     - a {e commit gate} admits commits in ticket order, so the committed
       schedule equals the serial execution of the stream;
     - on a no-wait lock conflict, an older ticket {e wounds} a younger
@@ -38,7 +38,6 @@
 type t
 
 type stats = {
-  n_clients : int;
   committed_txns : int;
   committed_ops : int;  (** operations inside committed transactions *)
   aborts : int;  (** abort-and-retry events (not failed transactions) *)
@@ -49,8 +48,6 @@ type stats = {
   abort_rate : float;  (** aborts / (commits + aborts) *)
   commit_p50_us : float;  (** gate entry → durable, bucket upper bound *)
   commit_p95_us : float;
-  per_client_commits : int array;
-  per_client_aborts : int array;
 }
 
 val create : ?oracle:Oracle.t -> Deut_core.Db.t -> Workload.spec -> t

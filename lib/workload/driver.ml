@@ -6,12 +6,9 @@ module Pool = Deut_buffer.Buffer_pool
 type t = {
   db : Db.t;
   spec : Workload.spec;
-  rng : Rng.t;
-  zipf : Rng.Zipf.dist option;
+  stream : Workload.stream;  (* continues the load's rng *)
   oracle : Oracle.t;
   mutable updates : int;
-  mutable next_fresh_key : int;  (* for insert workloads *)
-  mutable seq_cursor : int;
 }
 
 let db t = t.db
@@ -19,43 +16,11 @@ let oracle t = t.oracle
 let spec t = t.spec
 let updates_done t = t.updates
 
-let table_of t =
-  if t.spec.Workload.tables = 1 then 1 else 1 + Rng.int t.rng t.spec.Workload.tables
-
-let key_of t =
-  match t.spec.Workload.key_dist with
-  | Workload.Uniform -> Rng.int t.rng t.spec.Workload.rows
-  | Workload.Zipf _ -> Rng.Zipf.sample t.rng (Option.get t.zipf)
-  | Workload.Sequential ->
-      let k = t.seq_cursor in
-      t.seq_cursor <- (t.seq_cursor + 1) mod t.spec.Workload.rows;
-      k
-
-let fail_op what = function
-  | Ok () -> ()
-  | Error e -> failwith (Printf.sprintf "Driver: %s failed: %s" what (Db.error_to_string e))
-
 let create ~config spec =
   let database = Db.create ~config () in
   let rng = Rng.create ~seed:spec.Workload.seed in
-  let zipf =
-    match spec.Workload.key_dist with
-    | Workload.Zipf theta -> Some (Rng.Zipf.create ~n:spec.Workload.rows ~theta)
-    | Workload.Uniform | Workload.Sequential -> None
-  in
   let oracle = Oracle.create () in
-  let t =
-    {
-      db = database;
-      spec;
-      rng;
-      zipf;
-      oracle;
-      updates = 0;
-      next_fresh_key = spec.Workload.rows;
-      seq_cursor = 0;
-    }
-  in
+  let t = { db = database; spec; stream = Workload.stream spec rng; oracle; updates = 0 } in
   (* Bulk load: sequential keys in commit batches; archive the log as we
      go so SMO page images from the load do not accumulate in memory. *)
   for table = 1 to spec.Workload.tables do
@@ -68,8 +33,9 @@ let create ~config spec =
       let upper = Stdlib.min (!k + batch) spec.Workload.rows in
       while !k < upper do
         let value = Workload.value_of rng ~size:spec.Workload.value_size in
-        fail_op "load insert" (Db.insert database txn ~table ~key:!k ~value);
-        Oracle.buffer_put oracle ~txn:(Db.Txn.id txn) ~table ~key:!k ~value;
+        let row = { Workload.table; key = !k; action = Workload.Ins value } in
+        if Workload.exec database ~oracle spec txn row <> Workload.Wrote then
+          failwith "Driver: load insert refused";
         incr k
       done;
       Db.commit database txn;
@@ -84,50 +50,18 @@ let create ~config spec =
   Db.compact_log database;
   t
 
-let apply_one t txn ~table =
-  let key = key_of t in
-  match t.spec.Workload.op_mix with
-  | Workload.Update_only ->
-      let value = Workload.value_of t.rng ~size:t.spec.Workload.value_size in
-      fail_op "update" (Db.update t.db txn ~table ~key ~value);
-      Oracle.buffer_put t.oracle ~txn:(Db.Txn.id txn) ~table ~key ~value;
-      t.updates <- t.updates + 1
-  | Workload.Mixed { update; insert; delete; read } ->
-      let total = update +. insert +. delete +. read in
-      let x = Rng.float t.rng total in
-      if x < update then begin
-        let value = Workload.value_of t.rng ~size:t.spec.Workload.value_size in
-        match Db.update t.db txn ~table ~key ~value with
-        | Ok () ->
-            Oracle.buffer_put t.oracle ~txn:(Db.Txn.id txn) ~table ~key ~value;
-            t.updates <- t.updates + 1
-        | Error _ -> ()  (* key deleted earlier: treat as a no-op *)
-      end
-      else if x < update +. insert then begin
-        let key = t.next_fresh_key in
-        t.next_fresh_key <- key + 1;
-        let value = Workload.value_of t.rng ~size:t.spec.Workload.value_size in
-        fail_op "insert" (Db.insert t.db txn ~table ~key ~value);
-        Oracle.buffer_put t.oracle ~txn:(Db.Txn.id txn) ~table ~key ~value;
-        t.updates <- t.updates + 1
-      end
-      else if x < update +. insert +. delete then begin
-        match Db.delete t.db txn ~table ~key with
-        | Ok () ->
-            Oracle.buffer_delete t.oracle ~txn:(Db.Txn.id txn) ~table ~key;
-            t.updates <- t.updates + 1
-        | Error _ -> ()  (* already gone *)
-      end
-      else ignore (Db.read t.db ~table ~key)
-
-(* One transaction of [ops_per_txn] operations per the spec's mix,
-   committed, mirrored in the oracle. *)
+(* One transaction of [ops_per_txn] operations on one table, committed,
+   mirrored in the oracle.  One transaction runs at a time, so a lock
+   conflict cannot be resolved by waiting: it fails. *)
 let run_txn t =
   let txn = Db.begin_txn t.db in
   Oracle.begin_txn t.oracle (Db.Txn.id txn);
-  let table = table_of t in
+  let table = Workload.draw_table t.stream in
   for _ = 1 to t.spec.Workload.ops_per_txn do
-    apply_one t txn ~table
+    match Workload.exec t.db ~oracle:t.oracle t.spec txn (Workload.draw_op t.stream ~table) with
+    | Workload.Wrote -> t.updates <- t.updates + 1
+    | Workload.Skipped -> ()
+    | Workload.Conflict holder -> failwith (Printf.sprintf "Driver: lock held by txn %d" holder)
   done;
   Db.commit t.db txn;
   Oracle.commit t.oracle ~txn:(Db.Txn.id txn)
@@ -165,15 +99,18 @@ let warm_to_equilibrium t =
 let start_loser t ~ops =
   let txn = Db.begin_txn t.db in
   Oracle.begin_txn t.oracle (Db.Txn.id txn);
-  let table = table_of t in
+  let table = Workload.draw_table t.stream in
+  let action = Workload.Upd (String.make t.spec.Workload.value_size 'X') in
   for _ = 1 to ops do
-    let value = String.make t.spec.Workload.value_size 'X' in
     (* Mixed workloads may have deleted the drawn key; try another. *)
     let rec attempt tries =
       if tries > 100 then failwith "Driver.start_loser: no updatable key found";
-      match Db.update t.db txn ~table ~key:(key_of t) ~value with
-      | Ok () -> ()
-      | Error _ -> attempt (tries + 1)
+      let op = { Workload.table; key = Workload.draw_key t.stream; action } in
+      match Workload.exec t.db t.spec txn op with
+      | Workload.Wrote -> ()
+      | Workload.Skipped -> attempt (tries + 1)
+      | Workload.Conflict holder ->
+          failwith (Printf.sprintf "Driver.start_loser: lock held by txn %d" holder)
     in
     attempt 0
   done;

@@ -18,7 +18,9 @@ val updates_done : t -> int
 
 val run_updates : t -> updates:int -> unit
 (** Run transactions until at least [updates] more operations have been
-    applied. *)
+    applied, drawn from the spec's {!Workload.stream} (one table per
+    transaction) and applied with {!Workload.exec}.  One transaction runs
+    at a time, so a lock conflict raises [Failure]. *)
 
 val run_concurrent : t -> txns:int -> Client_sched.t
 (** Run [txns] transactions through a fresh {!Client_sched} over

@@ -5,22 +5,15 @@
 
 module Config = Deut_core.Config
 
-let disk ~sequential_gap =
-  { Deut_sim.Disk.seek_us = 4000.0; transfer_us = 50.0; sequential_gap; batch_seek_factor = 0.75 }
-
 let expected =
   {
     Config.page_size = 8192;
     pool_pages = 1024;
-    data_disk = disk ~sequential_gap:1;
-    log_disk = disk ~sequential_gap:4;
     delta_period = 1000;
     delta_capacity = 256;
     lazy_writer_every = 1;
     dpt_mode = Config.Standard;
     checkpoint_mode = Config.Penultimate;
-    cpu_op_us = 2.0;
-    cpu_index_level_us = 1.0;
     prefetch_window = 32;
     prefetch_chunk = 16;
     prefetch_lookahead = 512;
@@ -30,15 +23,12 @@ let expected =
     locking = false;
     group_commit = 1;
     clients = 1;
-    think_us = 300.0;
-    retry_backoff_us = 150.0;
     flight = true;
     flight_capacity = 128;
     tracing = false;
     trace_capacity = 65536;
     archive = false;
     archive_min_bytes = 0;
-    archive_disk = disk ~sequential_gap:4;
     shards = 1;
     domains = 1;
     net = false;

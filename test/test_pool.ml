@@ -343,6 +343,28 @@ let test_clean_miss_allocation () =
   let per_miss = words /. float_of_int n in
   if per_miss >= 28.0 then Alcotest.failf "a clean miss allocated %.1f minor words" per_miss
 
+(* The hit and update paths allocate nothing: a cache hit and a re-mark
+   of an already dirty page (TC and DC stamps alike) look the slot up
+   without an option and stamp the page without a closure. *)
+let test_hit_and_remark_allocation () =
+  let e = make () in
+  ignore (Pool.get e.pool 3);
+  Pool.mark_dirty e.pool ~pid:3 ~lsn:1;
+  let n = 100_000 in
+  let per_call f =
+    let before = Gc.minor_words () in
+    for i = 1 to n do
+      f i
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let words what w = if w >= 0.01 then Alcotest.failf "%s allocated %.2f minor words" what w in
+  words "a cache hit" (per_call (fun _ -> ignore (Pool.get e.pool 3)));
+  words "a re-mark" (per_call (fun i -> Pool.mark_dirty e.pool ~pid:3 ~lsn:(1 + i)));
+  words "a DC re-mark"
+    (per_call (fun i -> Pool.mark_dirty_dc e.pool ~pid:3 ~dc_lsn:i ~event_lsn:(1 + i)));
+  check_int "one dirty event" 1 (List.length !(e.dirty_events))
+
 (* The lazy writer without a wake tick: every writer step sweeps the
    whole pool from the writer's hand, testing each frame's record.  [Ref]
    models the rest of the pool (slot choice, CLOCK eviction, checkpoint
@@ -610,5 +632,6 @@ let suite =
     Alcotest.test_case "clean writer step keeps the hand" `Quick test_clean_writer_step_keeps_hand;
     Alcotest.test_case "idle writer wakes" `Quick test_idle_writer_wakes;
     Alcotest.test_case "clean miss allocation" `Quick test_clean_miss_allocation;
+    Alcotest.test_case "hit and re-mark allocate nothing" `Quick test_hit_and_remark_allocation;
     Env.qcheck prop_writer_matches_full_sweep;
   ]

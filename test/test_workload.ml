@@ -484,6 +484,74 @@ let test_sequential_distribution () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* The streams no other test pins: a Mixed + Zipf serial stream over
+   three tables, a Sequential serial stream, and a four-client scheduler
+   over a Mixed spec under locking.  Each is pinned by the logical digest
+   of the state it leaves and the operations it counted, so a change in
+   how operations are drawn or applied fails here.  The config is a
+   literal, not [Env.config]: no DEUT_* knob may move these. *)
+let pinned_config =
+  { Config.default with Config.page_size = 1024; pool_pages = 32; delta_period = 50 }
+
+let pinned_mix = Workload.Mixed { update = 0.4; insert = 0.2; delete = 0.2; read = 0.2 }
+
+let check_pinned name ~digest ~ops driver n =
+  (match Driver.verify_recovered driver (Driver.db driver) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (name ^ ": " ^ e));
+  Alcotest.(check string) (name ^ ": logical digest") digest
+    (Deut_workload.Client_sched.logical_digest (Driver.db driver));
+  check_int (name ^ ": ops") ops n
+
+let test_pinned_streams () =
+  let serial spec ~updates =
+    let driver = Driver.create ~config:pinned_config spec in
+    Driver.run_updates driver ~updates;
+    (driver, Driver.updates_done driver)
+  in
+  let driver, n =
+    serial ~updates:600
+      { small_spec with Workload.tables = 3; key_dist = Workload.Zipf 0.9; op_mix = pinned_mix; seed = 7 }
+  in
+  check_pinned "serial mixed zipf" ~digest:"c726f8bdc61fc056f7a3f8de4e2781d6" ~ops:601 driver n;
+  let driver, n = serial ~updates:300 { small_spec with Workload.key_dist = Workload.Sequential; seed = 8 } in
+  check_pinned "serial sequential" ~digest:"04f76185f72b4a0137e7201c861f5284" ~ops:300 driver n;
+  let config = { pinned_config with Config.clients = 4; locking = true; group_commit = 2 } in
+  let driver = Driver.create ~config { small_spec with Workload.op_mix = pinned_mix; seed = 9 } in
+  let sched = Driver.run_concurrent driver ~txns:80 in
+  Deut_workload.Client_sched.flush sched;
+  check_pinned "4 clients mixed" ~digest:"280e59ea98d01aebc349293990b628cc" ~ops:800 driver
+    (Deut_workload.Client_sched.stats sched).Deut_workload.Client_sched.committed_ops
+
+(* [Workload.exec]'s error rule: a missing key is an expected skip only
+   where the mix deletes keys; anywhere else it is a bug and raises. *)
+let test_exec_missing_key () =
+  let db = Db.create ~config:pinned_config () in
+  Db.create_table db ~table:1;
+  let o = Oracle.create () in
+  let txn = Db.begin_txn db in
+  Oracle.begin_txn o (Db.Txn.id txn);
+  let exec spec action = Workload.exec db ~oracle:o spec txn { Workload.table = 1; key = 7; action } in
+  let raises what spec action =
+    match exec spec action with
+    | _ -> Alcotest.failf "%s: no Failure" what
+    | exception Failure _ -> ()
+  in
+  raises "update-only update" small_spec (Workload.Upd "v");
+  raises "update-only delete" small_spec Workload.Del;
+  let no_deletes = Workload.Mixed { update = 0.5; insert = 0.5; delete = 0.0; read = 0.0 } in
+  raises "update in a mix without deletes" { small_spec with Workload.op_mix = no_deletes }
+    (Workload.Upd "v");
+  let deleting = { small_spec with Workload.op_mix = pinned_mix } in
+  check "update in a deleting mix skips" true (exec deleting (Workload.Upd "v") = Workload.Skipped);
+  check "delete in a deleting mix skips" true (exec deleting Workload.Del = Workload.Skipped);
+  check "insert writes" true (exec deleting (Workload.Ins "w") = Workload.Wrote);
+  raises "duplicate insert" deleting (Workload.Ins "x");
+  check "read skips" true (exec deleting Workload.Read = Workload.Skipped);
+  Db.commit db txn;
+  Oracle.commit o ~txn:(Db.Txn.id txn);
+  check "the write is mirrored" true (Oracle.committed_value o ~table:1 ~key:7 = Some "w")
+
 let test_report_table () =
   let rendered =
     Report.table ~title:"T" ~header:[ "name"; "Δ value" ]
@@ -541,6 +609,8 @@ let suite =
     Alcotest.test_case "crash protocol tail" `Quick test_crash_protocol_tail;
     Alcotest.test_case "value_of sizes" `Quick test_value_of_sizes;
     Alcotest.test_case "sequential distribution" `Quick test_sequential_distribution;
+    Alcotest.test_case "pinned operation streams" `Quick test_pinned_streams;
+    Alcotest.test_case "exec: missing key skips only where deletes run" `Quick test_exec_missing_key;
     Alcotest.test_case "report table" `Quick test_report_table;
     Alcotest.test_case "experiment tiny cell" `Slow test_experiment_tiny;
   ]
