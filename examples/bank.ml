@@ -88,4 +88,7 @@ let () =
     stats.Deut_core.Recovery_stats.losers (balance recovered 0);
   assert (total recovered = expected_total);
   Printf.printf "invariant holds after recovery: total = %d\n\n%!" (total recovered);
+  (* The recovered engine's metrics registry, one [name value] line per
+     gauge and a bucket listing per latency histogram. *)
+  print_string "engine metrics after recovery:\n";
   print_string (Db.stats_string recovered)

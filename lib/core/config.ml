@@ -130,10 +130,6 @@ type t = {
           clock (segment writes are fire-and-forget on their own disk), so
           enabling it cannot perturb simulated results.  [of_env] reads it
           from [DEUT_ARCHIVE]. *)
-  archive_min_bytes : int;
-      (** skip an archiving cut that would move fewer than this many bytes
-          (0 = cut whenever the archive point advances): batches segment
-          churn under workloads that checkpoint frequently *)
   shards : int;
       (** data-component shards (1 = the single-DC engine).  With more than
           one, the key space is striped ([key mod shards]) across
@@ -185,7 +181,6 @@ let of_env ?(getenv = Sys.getenv_opt) config =
     match int_of_string_opt s with Some n when n >= lo -> Some n | _ -> None
   in
   let pos_int name = knob name "a positive integer" (int_at_least 1) in
-  let nonneg_int name = knob name "a non-negative integer" (int_at_least 0) in
   let nonneg_float name =
     knob name "a non-negative number" (fun s ->
         match float_of_string_opt s with Some f when f >= 0.0 -> Some f | _ -> None)
@@ -204,7 +199,6 @@ let of_env ?(getenv = Sys.getenv_opt) config =
     redo_workers = pos_int "DEUT_REDO_WORKERS" config.redo_workers;
     clients = pos_int "DEUT_CLIENTS" config.clients;
     archive = flag "DEUT_ARCHIVE" config.archive;
-    archive_min_bytes = nonneg_int "DEUT_ARCHIVE_MIN_BYTES" config.archive_min_bytes;
     shards = pos_int "DEUT_SHARDS" config.shards;
     domains = pos_int "DEUT_DOMAINS" config.domains;
     net = flag "DEUT_NET" config.net;
@@ -238,7 +232,6 @@ let default =
     tracing = false;
     trace_capacity = 65536;
     archive = false;
-    archive_min_bytes = 0;
     shards = 1;
     domains = 1;
     net = false;

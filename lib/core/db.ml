@@ -187,15 +187,10 @@ let compact_log t =
   (if not (Deut_wal.Lsn.is_nil point) then
      let log = t.engine.Engine.log in
      match Log_manager.archive log with
-     | Some a ->
+     | Some _ ->
          (* Archiving on: seal the prefix into a segment before cutting
-            (never drop bytes), and batch cuts below the configured size. *)
-         let lo =
-           if Deut_wal.Archive.segment_count a > 0 then Deut_wal.Archive.covered_upto a
-           else Log_manager.base_lsn log
-         in
-         if point - lo >= (config t).Config.archive_min_bytes then
-           ignore (Log_manager.archive_to log ~upto:point)
+            (never drop bytes). *)
+         ignore (Log_manager.archive_to log ~upto:point)
      | None -> Log_manager.compact log ~keep_from:point);
   if Engine.split t.engine then
     for i = 0 to Engine.shard_count t.engine - 1 do
@@ -348,4 +343,4 @@ let check_integrity t =
 
 let metric t name = Deut_obs.Metrics.read_int (Engine.metrics t.engine) name
 let now_ms t = Deut_sim.Clock.now_ms t.engine.Engine.clock
-let stats_string t = Engine_stats.to_string t.engine
+let stats_string t = Deut_obs.Metrics.render (Engine.metrics t.engine)

@@ -207,4 +207,5 @@ val metric : t -> string -> int
 val now_ms : t -> float
 
 val stats_string : t -> string
-(** Human-readable rendering of every engine counter. *)
+(** The engine's metrics registry rendered by {!Deut_obs.Metrics.render}:
+    one [name value] line per gauge and a bucket listing per histogram. *)

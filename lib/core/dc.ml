@@ -37,6 +37,7 @@ let create ?trace ~config ~clock ~disk ~store ~pool ~dc_log ~tc () =
     Monitor.create ?trace ~config
       ~log_append:(fun r ->
         let lsn = Log_manager.append dc_log r in
+        let bytes = Log_manager.end_lsn dc_log - lsn - Log_manager.frame_header in
         (* With its own log, the DC must make Δ/BW records durable itself —
            nothing else forces that log between checkpoints, and a Δ lost
            in the volatile tail degrades every covered operation to the
@@ -45,7 +46,7 @@ let create ?trace ~config ~clock ~disk ~store ~pool ~dc_log ~tc () =
         (match config.Config.log_layout with
         | Config.Split -> Log_manager.force dc_log
         | Config.Integrated -> ());
-        lsn)
+        bytes)
       ~stable_lsn:(fun () -> !elsn_ref)
       ()
   in
@@ -78,10 +79,10 @@ let create ?trace ~config ~clock ~disk ~store ~pool ~dc_log ~tc () =
       ensure_stable =
         (fun ~tc_lsn ~dc_lsn ->
           (* WAL on both LSN domains; one shared log in the integrated
-             layout just gets forced twice.  The TC-side force is a
-             [Force_upto] message — the only request a DC ever makes
-             against the TC. *)
-          ignore (Dc_access.force_upto tc tc_lsn);
+             layout just gets forced twice.  The TC-side force goes
+             through [tc]'s [force_upto] — the only request a DC ever
+             makes against the TC. *)
+          ignore (tc.Dc_access.force_upto tc_lsn);
           Log_manager.force_upto dc_log dc_lsn;
           (* The force response carries the new end-of-stable-log. *)
           if tc_lsn > !elsn_ref then elsn_ref := tc_lsn);
@@ -322,14 +323,6 @@ let preload_indexes t ~stats =
     (fun table -> tracked_index stats t.pool (fun () -> Btree.preload_index (tree t ~table)))
     (tables t)
 
-let apply_view t ~(view : Lr.redo_view) ~pid ~lsn =
-  let tr = tree t ~table:view.Lr.rv_table in
-  match (view.Lr.rv_op, view.Lr.rv_value) with
-  | Lr.Insert, Some v -> Btree.apply_insert tr ~pid ~key:view.Lr.rv_key ~value:v ~lsn
-  | Lr.Update, Some v -> Btree.apply_update tr ~pid ~key:view.Lr.rv_key ~value:v ~lsn
-  | Lr.Delete, _ -> Btree.apply_delete tr ~pid ~key:view.Lr.rv_key ~lsn
-  | (Lr.Insert | Lr.Update), None -> invalid_arg "Dc.apply_view: insert/update without a value"
-
 (* The pLSN test (sound because a zero-initialised page header reports
    pLSN 0 and the log reserves offset 0 — no record ever carries lsn 0,
    so a fresh page always tests strictly below every record). *)
@@ -337,7 +330,8 @@ let fetch_and_test_then_apply t ~lsn ~view ~pid ~(stats : Recovery_stats.t) =
   let page = Pool.get t.pool pid in
   if lsn <= Page.plsn page then stats.skipped_plsn <- stats.skipped_plsn + 1
   else begin
-    apply_view t ~view ~pid ~lsn;
+    apply t ~table:view.Lr.rv_table ~pid ~key:view.Lr.rv_key ~op:view.Lr.rv_op
+      ~value:view.Lr.rv_value ~lsn;
     stats.redo_applied <- stats.redo_applied + 1
   end
 
@@ -397,32 +391,21 @@ let redo_physiological t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery
    call: every protocol interaction — in-process or networked — lands
    here and dispatches to the operations above, so the message API and
    the direct API cannot drift apart. *)
-let handle t (req : Dc_access.request) : Dc_access.reply =
+let handle : type a. t -> a Dc_access.request -> a =
+ fun t req ->
   match req with
-  | Dc_access.Prepare { table; key; op; value_len } ->
-      Dc_access.Prepared (prepare t ~table ~key ~op ~value_len)
+  | Dc_access.Prepare { table; key; op; value_len } -> prepare t ~table ~key ~op ~value_len
   | Dc_access.Apply { table; pid; key; op; value; lsn; tick } ->
       apply t ~table ~pid ~key ~op ~value ~lsn;
-      if tick then tick_update t;
-      Dc_access.Ack
-  | Dc_access.Read { table; key } -> Dc_access.Value (read t ~table ~key)
-  | Dc_access.Eosl lsn ->
-      eosl t lsn;
-      Dc_access.Ack
-  | Dc_access.Rssp lsn ->
-      rssp t lsn;
-      Dc_access.Ack
-  | Dc_access.Create_table table ->
-      create_table t ~table;
-      Dc_access.Ack
-  | Dc_access.Has_table table -> Dc_access.Known (has_table t ~table)
-  | Dc_access.Runtime_dpt -> Dc_access.Dpt_entries (Monitor.runtime_dpt t.monitor)
+      if tick then tick_update t
+  | Dc_access.Read { table; key } -> read t ~table ~key
+  | Dc_access.Eosl lsn -> eosl t lsn
+  | Dc_access.Rssp lsn -> rssp t lsn
+  | Dc_access.Create_table table -> create_table t ~table
+  | Dc_access.Has_table table -> has_table t ~table
+  | Dc_access.Runtime_dpt -> Monitor.runtime_dpt t.monitor
   | Dc_access.Redo_logical { lsn; view; use_dpt; stats } ->
-      redo_logical t ~lsn ~view ~use_dpt ~stats;
-      Dc_access.Ack
+      redo_logical t ~lsn ~view ~use_dpt ~stats
   | Dc_access.Redo_physiological { lsn; view; use_dpt; stats } ->
-      redo_physiological t ~lsn ~view ~use_dpt ~stats;
-      Dc_access.Ack
-  | Dc_access.Redo_smo { lsn; smo; dpt_test; stats } ->
-      redo_smo t ~lsn ~smo ~dpt_test ~stats;
-      Dc_access.Ack
+      redo_physiological t ~lsn ~view ~use_dpt ~stats
+  | Dc_access.Redo_smo { lsn; smo; dpt_test; stats } -> redo_smo t ~lsn ~smo ~dpt_test ~stats

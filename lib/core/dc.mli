@@ -28,8 +28,8 @@ val create :
 (** [dc_log] is where the DC's own records (SMOs, Δ, BW) go — the shared
     log in the integrated layout, its own log in the split layout.  Wires
     the buffer-pool hooks: dirty/flush events feed the monitor, and flushes
-    enforce WAL on both logs (the TC log through [tc]'s [Force_upto]
-    message — the DC's only request against the TC — and the DC log
+    enforce WAL on both logs (the TC log through [tc]'s [force_upto]
+    call — the DC's only request against the TC — and the DC log
     directly). *)
 
 val config : t -> Config.t
@@ -162,7 +162,7 @@ val redo_smo :
 
 (** {2 The protocol server} *)
 
-val handle : t -> Dc_access.request -> Dc_access.reply
+val handle : t -> 'a Dc_access.request -> 'a
 (** Serve one {!Dc_access} request — the single dispatch every transport
     (in-process or networked) lands on, so the message protocol and the
     direct API above cannot drift apart.  [Apply] with [tick] folds the

@@ -79,7 +79,7 @@ let shard_pool_pages config =
   else Stdlib.max 8 (config.Config.pool_pages / config.Config.shards)
 
 (* Lazy gauges over every live counter the engine keeps: the one stats
-   namespace, which [Db.metric], [Engine_stats] and the CLI read by name
+   namespace, which [Db.metric], [Db.stats_string] and the CLI read by name
    instead of crawling component records.  Reading a gauge never mutates
    anything; every per-shard counter is summed across shards here and
    nowhere else (a single shard reads exactly as before). *)
@@ -155,13 +155,12 @@ let register_gauges t =
    reading the mutable [s_dc]/[s_up] at every call so per-shard recovery
    swaps components without re-wiring.  Costs nothing on the clock. *)
 let local_endpoint sh =
-  {
-    Dc_access.shard = sh.s_id;
-    call =
-      (fun req ->
-        if not sh.s_up then raise (Dc_access.Unavailable sh.s_id);
-        Dc.handle sh.s_dc req);
-  }
+  let call : type a. a Dc_access.request -> a =
+   fun req ->
+    if not sh.s_up then raise (Dc_access.Unavailable sh.s_id);
+    Dc.handle sh.s_dc req
+  in
+  { Dc_access.shard = sh.s_id; call }
 
 (* One shard's volatile stack over its durable state and devices: the DC
    log wired to its device, a fresh cache and a DC.  Assembly builds every
@@ -265,13 +264,13 @@ let assemble ?dc_log ?extra_shards config ~store ~log =
   in
   let tc_ep =
     {
-      Dc_access.tc_call =
-        (fun (Dc_access.Force_upto lsn) ->
+      Dc_access.force_upto =
+        (fun lsn ->
           (match flight with
           | Some f -> Flight.record f ~comp:Flight.tc Flight.Handle "force_upto" ~lsn ()
           | None -> ());
           Log_manager.force_upto log lsn;
-          Dc_access.Forced (Log_manager.stable_lsn log));
+          Log_manager.stable_lsn log);
     }
   in
   let link_for i =
@@ -344,7 +343,8 @@ let assemble ?dc_log ?extra_shards config ~store ~log =
   let verbose = config.Config.net || n > 1 in
   let instrumented_endpoint sh =
     let local = local_endpoint sh in
-    let serve req =
+    let serve : type a. a Dc_access.request -> a =
+     fun req ->
       let mid = !current_mid in
       let tag = Dc_access.request_tag req in
       (match flight with
@@ -370,7 +370,8 @@ let assemble ?dc_log ?extra_shards config ~store ~log =
       | Some link -> Dc_access.networked ~flow_id:(fun () -> !current_mid) link inner
       | None -> inner
     in
-    let call req =
+    let call : type a. a Dc_access.request -> a =
+     fun req ->
       let tag = Dc_access.request_tag req in
       let mid = !next_mid in
       incr next_mid;

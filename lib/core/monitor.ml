@@ -4,7 +4,7 @@ module Ivec = Deut_sim.Ivec
 
 type t = {
   config : Config.t;
-  log_append : Lr.t -> Lsn.t;
+  log_append : Lr.t -> int;  (* appends, returning the payload bytes written *)
   stable_lsn : unit -> Lsn.t;
   trace : Deut_obs.Trace.t option;
   (* Δ-record state *)
@@ -53,45 +53,24 @@ let track_runtime t pid lsn =
 
 let emit_delta t =
   if not (Ivec.is_empty t.dirty && Ivec.is_empty t.written) then begin
-    let first_dirty = if t.first_dirty = max_int then Ivec.length t.dirty else t.first_dirty in
+    let reduced = t.config.Config.dpt_mode = Config.Reduced in
+    (* §D.2 reduced logging drops FW-LSN and FirstDirty: analysis treats
+       the whole DirtySet as dirtied before any flush of the interval.
+       Only the D.1 perfect DPT carries the dirtying LSNs. *)
     let record =
-      match t.config.Config.dpt_mode with
-      | Config.Standard ->
-          Lr.Delta
-            {
-              dirty = Ivec.to_array t.dirty;
-              written = Ivec.to_array t.written;
-              fw_lsn = t.fw_lsn;
-              first_dirty;
-              tc_lsn = t.stable_lsn ();
-              dirty_lsns = [||];
-            }
-      | Config.Perfect ->
-          Lr.Delta
-            {
-              dirty = Ivec.to_array t.dirty;
-              written = Ivec.to_array t.written;
-              fw_lsn = t.fw_lsn;
-              first_dirty;
-              tc_lsn = t.stable_lsn ();
-              dirty_lsns = Ivec.to_array t.dirty_lsns;
-            }
-      | Config.Reduced ->
-          (* §D.2: drop FW-LSN and FirstDirty; analysis treats the whole
-             DirtySet as dirtied before any flush of the interval. *)
-          Lr.Delta
-            {
-              dirty = Ivec.to_array t.dirty;
-              written = Ivec.to_array t.written;
-              fw_lsn = Lsn.nil;
-              first_dirty = Ivec.length t.dirty;
-              tc_lsn = t.stable_lsn ();
-              dirty_lsns = [||];
-            }
+      Lr.Delta
+        {
+          dirty = Ivec.to_array t.dirty;
+          written = Ivec.to_array t.written;
+          fw_lsn = (if reduced then Lsn.nil else t.fw_lsn);
+          first_dirty =
+            (if reduced || t.first_dirty = max_int then Ivec.length t.dirty else t.first_dirty);
+          tc_lsn = t.stable_lsn ();
+          dirty_lsns = Ivec.to_array t.dirty_lsns;
+        }
     in
-    ignore (t.log_append record);
+    t.delta_bytes <- t.delta_bytes + t.log_append record;
     t.deltas <- t.deltas + 1;
-    t.delta_bytes <- t.delta_bytes + Lr.encoded_size record;
     (match t.trace with
     | Some tr ->
         Deut_obs.Trace.instant tr ~name:"delta_emit" ~cat:"monitor"
@@ -109,9 +88,8 @@ let emit_delta t =
 let emit_bw t =
   if not (Ivec.is_empty t.bw_written) then begin
     let record = Lr.Bw { written = Ivec.to_array t.bw_written; fw_lsn = t.bw_fw_lsn } in
-    ignore (t.log_append record);
+    t.bw_bytes <- t.bw_bytes + t.log_append record;
     t.bws <- t.bws + 1;
-    t.bw_bytes <- t.bw_bytes + Lr.encoded_size record;
     (match t.trace with
     | Some tr ->
         Deut_obs.Trace.instant tr ~name:"bw_emit" ~cat:"monitor"

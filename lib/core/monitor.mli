@@ -23,12 +23,14 @@ type t
 val create :
   ?trace:Deut_obs.Trace.t ->
   config:Config.t ->
-  log_append:(Deut_wal.Log_record.t -> Deut_wal.Lsn.t) ->
+  log_append:(Deut_wal.Log_record.t -> int) ->
   stable_lsn:(unit -> Deut_wal.Lsn.t) ->
   unit ->
   t
-(** [trace] records a [delta_emit] / [bw_emit] instant (with set sizes) on
-    the monitor track for every record written. *)
+(** [log_append] writes a record and returns its payload bytes, which the
+    Δ/BW byte counters add up.  [trace] records a [delta_emit] / [bw_emit]
+    instant (with set sizes) on the monitor track for every record
+    written. *)
 
 val on_dirty : t -> pid:int -> lsn:Deut_wal.Lsn.t -> unit
 val on_flush : t -> pid:int -> unit

@@ -78,37 +78,20 @@ let scan_log log ~from =
   in
   { records = arr; losers; max_txn = !max_txn }
 
-(* The analysis arm both physiological analyses share: every update, CLR
-   and SMO page is a mention for ADDENTRY. *)
-let add_mentions dpt lsn = function
-  | Lr.Update_rec u -> ignore (Dpt.add dpt ~pid:u.Lr.pid_hint ~lsn)
-  | Lr.Clr c -> ignore (Dpt.add dpt ~pid:c.Lr.pid_hint ~lsn)
-  | Lr.Smo smo -> Array.iter (fun (pid, _) -> ignore (Dpt.add dpt ~pid ~lsn)) smo.Lr.pages
-  | Lr.Commit _ | Lr.Abort _ | Lr.Begin_ckpt | Lr.End_ckpt _ | Lr.Aries_ckpt_dpt _ | Lr.Bw _
-  | Lr.Delta _ ->
-      ()
-
-(* Algorithm 3: SQL Server's analysis pass. *)
-let sql_analysis ?trace log ~from ~(stats : Recovery_stats.t) =
-  let dpt = Dpt.create () in
-  Log_manager.iter log ~from (fun lsn record ->
-      match record with
-      | Lr.Bw b ->
-          stats.bws_seen <- stats.bws_seen + 1;
-          Array.iter (fun pid -> Dpt.apply_flush ?trace dpt ~pid ~fw_lsn:b.Lr.fw_lsn) b.Lr.written
-      | Lr.Delta _ -> stats.deltas_seen <- stats.deltas_seen + 1
-      | _ -> add_mentions dpt lsn record);
-  stats.dpt_size <- stats.dpt_size + Dpt.size dpt;
-  dpt
-
-(* §3.1: classic ARIES analysis — seed from the checkpoint-captured DPT,
-   add first mentions, no flush-based pruning. *)
-let aries_analysis log ~from ~(stats : Recovery_stats.t) =
+(* The physiological analysis pass: every update, CLR and SMO page is a
+   first mention for ADDENTRY.  SQL Server's pass (Algorithm 3) prunes
+   with BW records and redo starts at the checkpoint.  Classic ARIES
+   (§3.1, [~aries]) seeds from the checkpoint-captured DPT instead, does
+   no flush-based pruning, and redo starts at the DPT's minimum rLSN. *)
+let physiological_analysis ?trace ~aries log ~from ~(stats : Recovery_stats.t) =
   let dpt = Dpt.create () in
   let seeded = ref false in
   Log_manager.iter log ~from (fun lsn record ->
       match record with
-      | Lr.Aries_ckpt_dpt { entries } when not !seeded ->
+      | Lr.Update_rec u -> ignore (Dpt.add dpt ~pid:u.Lr.pid_hint ~lsn)
+      | Lr.Clr c -> ignore (Dpt.add dpt ~pid:c.Lr.pid_hint ~lsn)
+      | Lr.Smo smo -> Array.iter (fun (pid, _) -> ignore (Dpt.add dpt ~pid ~lsn)) smo.Lr.pages
+      | Lr.Aries_ckpt_dpt { entries } when aries && not !seeded ->
           seeded := true;
           Array.iter
             (fun (pid, rlsn, last_lsn) ->
@@ -116,79 +99,83 @@ let aries_analysis log ~from ~(stats : Recovery_stats.t) =
               | Some (existing_rlsn, _) when existing_rlsn <= rlsn -> ()
               | Some _ | None -> Dpt.add_exact dpt ~pid ~rlsn ~last_lsn)
             entries
-      | Lr.Bw _ -> stats.bws_seen <- stats.bws_seen + 1
+      | Lr.Bw b ->
+          stats.bws_seen <- stats.bws_seen + 1;
+          if not aries then
+            Array.iter (fun pid -> Dpt.apply_flush ?trace dpt ~pid ~fw_lsn:b.Lr.fw_lsn) b.Lr.written
       | Lr.Delta _ -> stats.deltas_seen <- stats.deltas_seen + 1
-      | _ -> add_mentions dpt lsn record);
+      | Lr.Commit _ | Lr.Abort _ | Lr.Begin_ckpt | Lr.End_ckpt _ | Lr.Aries_ckpt_dpt _ -> ());
   stats.dpt_size <- stats.dpt_size + Dpt.size dpt;
+  let m = Dpt.min_rlsn dpt in
   let redo_start =
-    let m = Dpt.min_rlsn dpt in
-    if Lsn.is_nil m then from else if Lsn.is_nil from then m else Lsn.min m from
+    if (not aries) || Lsn.is_nil m then from else if Lsn.is_nil from then m else Lsn.min m from
   in
   (dpt, redo_start)
 
-(* Data-page prefetch driver for Log2 (Appendix A.2): keep the in-flight
-   set topped up from either the PF-list (the paper's log-driven choice,
-   deduplicated DirtySets in update order, skipping entries since pruned
-   from the DPT) or the DPT itself in ascending rLSN order (the discussed
-   alternative). *)
+(* Keep one prefetch lane's in-flight set topped up (Appendix A.2): below
+   the window, take up to a chunk of pids from [next] ([None] = exhausted)
+   and issue them as one batch. *)
+let top_up pool (config : Config.t) ~lane next =
+  if Pool.in_flight_count ~lane pool < config.Config.prefetch_window then begin
+    let rec take n acc =
+      if n = 0 then acc else match next () with Some pid -> take (n - 1) (pid :: acc) | None -> acc
+    in
+    match take config.Config.prefetch_chunk [] with
+    | [] -> ()
+    | chunk -> Pool.prefetch pool ~lane (List.rev chunk)
+  end
+
+(* Data-page prefetch for Log2: the PF-list (the paper's log-driven choice,
+   deduplicated DirtySets in update order) or the DPT itself in ascending
+   rLSN order (the discussed alternative), skipping entries since pruned
+   from the DPT. *)
 let make_pf_prefetcher dc ~lane ~workers =
   let pf =
     match (Dc.config dc).Config.prefetch_source with
     | Config.Pf_list -> Dc.pf_list dc
     | Config.Dpt_order -> Array.of_list (Dpt.entries_by_rlsn (Dc.dpt dc))
   in
-  let pool = Dc.pool dc in
-  let config = Dc.config dc in
   (* Each worker owns a contiguous segment of the PF list: segments keep
      the list's update-order locality, so per-worker batches still coalesce
      on the disk the way the single sequential pipeline's did. *)
   let len = Array.length pf in
   let hi = len * (lane + 1) / workers in
   let pos = ref (len * lane / workers) in
-  fun () ->
-    if Pool.in_flight_count ~lane pool < config.Config.prefetch_window then begin
-      let chunk = ref [] in
-      let picked = ref 0 in
-      while !picked < config.Config.prefetch_chunk && !pos < hi do
-        let pid = pf.(!pos) in
-        incr pos;
-        if Dpt.mem (Dc.dpt dc) pid then begin
-          chunk := pid :: !chunk;
-          incr picked
-        end
-      done;
-      if !chunk <> [] then Pool.prefetch pool ~lane (List.rev !chunk)
+  let rec next () =
+    if !pos >= hi then None
+    else begin
+      let pid = pf.(!pos) in
+      incr pos;
+      if Dpt.mem (Dc.dpt dc) pid then Some pid else next ()
     end
+  in
+  let pool = Dc.pool dc and config = Dc.config dc in
+  fun () -> top_up pool config ~lane next
 
-(* Log-driven prefetch for SQL2 (Appendix A.2): examine records ahead of
-   the redo cursor; pids that pass the DPT/rLSN test are prefetched.
-   [owns] restricts the window to the records this worker will replay. *)
+(* Log-driven prefetch for SQL2: examine records ahead of the redo cursor;
+   pids that pass the DPT/rLSN test are prefetched.  [owns] restricts the
+   window to the records this worker will replay. *)
 let make_log_prefetcher dc ~lane ?owns (records : (Lsn.t * Lr.t) array) =
-  let pool = Dc.pool dc in
-  let config = Dc.config dc in
-  let ahead = ref 0 in
-  fun current_index ->
-    if Pool.in_flight_count ~lane pool < config.Config.prefetch_window then begin
-      if !ahead <= current_index then ahead := current_index + 1;
-      let horizon = min (Array.length records) (current_index + config.Config.prefetch_lookahead) in
-      let chunk = ref [] in
-      let picked = ref 0 in
-      while !picked < config.Config.prefetch_chunk && !ahead < horizon do
-        let i = !ahead in
-        let lsn, record = records.(i) in
-        incr ahead;
-        if match owns with None -> true | Some f -> f i then
-          match Lr.redo_view record with
-          | Some view -> (
-              match Dpt.find (Dc.dpt dc) view.Lr.rv_pid with
-              | Some (rlsn, _) when lsn >= rlsn ->
-                  chunk := view.Lr.rv_pid :: !chunk;
-                  incr picked
-              | Some _ | None -> ())
-          | None -> ()
-      done;
-      if !chunk <> [] then Pool.prefetch pool ~lane (List.rev !chunk)
+  let pool = Dc.pool dc and config = Dc.config dc in
+  let ahead = ref 0 and horizon = ref 0 in
+  let rec next () =
+    if !ahead >= !horizon then None
+    else begin
+      let i = !ahead in
+      let lsn, record = records.(i) in
+      incr ahead;
+      match Lr.redo_view record with
+      | Some view when match owns with None -> true | Some f -> f i -> (
+          match Dpt.find (Dc.dpt dc) view.Lr.rv_pid with
+          | Some (rlsn, _) when lsn >= rlsn -> Some view.Lr.rv_pid
+          | Some _ | None -> next ())
+      | Some _ | None -> next ()
     end
+  in
+  fun current_index ->
+    if !ahead <= current_index then ahead := current_index + 1;
+    horizon := min (Array.length records) (current_index + config.Config.prefetch_lookahead);
+    top_up pool config ~lane next
 
 (* Record-to-worker assignment.  Physiological methods partition by page
    id; logical methods slice each table's observed key range into
@@ -243,11 +230,11 @@ let analyse method_ (engine : Engine.t) (sh : Engine.shard) ~bckpt ~stats =
       dc_recovery ~build_dpt:true;
       Dc.preload_indexes dc ~stats;
       bckpt
-  | Sql1 | Sql2 ->
-      Dc.set_dpt dc (sql_analysis ?trace:(Engine.trace engine) engine.Engine.log ~from:bckpt ~stats);
-      bckpt
-  | Aries_ckpt ->
-      let dpt, redo_start = aries_analysis engine.Engine.log ~from:bckpt ~stats in
+  | Sql1 | Sql2 | Aries_ckpt ->
+      let dpt, redo_start =
+        physiological_analysis ?trace:(Engine.trace engine) ~aries:(method_ = Aries_ckpt)
+          engine.Engine.log ~from:bckpt ~stats
+      in
       Dc.set_dpt dc dpt;
       redo_start
 

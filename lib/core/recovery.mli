@@ -137,21 +137,16 @@ type scan_result = {
 
 val scan_log : Deut_wal.Log_manager.t -> from:Deut_wal.Lsn.t -> scan_result
 
-val sql_analysis :
+val physiological_analysis :
   ?trace:Deut_obs.Trace.t ->
-  Deut_wal.Log_manager.t ->
-  from:Deut_wal.Lsn.t ->
-  stats:Recovery_stats.t ->
-  Dpt.t
-(** Algorithm 3: SQL Server's DPT construction from update pids and
-    BW-log records.  [trace] records a [dpt_prune] instant per removed
-    entry. *)
-
-val aries_analysis :
+  aries:bool ->
   Deut_wal.Log_manager.t ->
   from:Deut_wal.Lsn.t ->
   stats:Recovery_stats.t ->
   Dpt.t * Deut_wal.Lsn.t
-(** §3.1: DPT from the checkpoint-captured image plus first mentions in
-    the scan; returns the DPT and the redo scan start point (minimum
-    rLSN). *)
+(** The physiological analysis pass; returns the DPT and the redo scan
+    start point.  Without [aries]: Algorithm 3, SQL Server's DPT from
+    update pids pruned by BW-log records, redo from [from]; [trace]
+    records a [dpt_prune] instant per removed entry.  With [aries]: §3.1,
+    the checkpoint-captured DPT plus first mentions in the scan, no
+    flush-based pruning, redo from the minimum rLSN. *)

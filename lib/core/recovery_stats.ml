@@ -4,7 +4,7 @@
     One record: the recovery passes mutate it in place and callers receive
     it from [Recovery.recover] once the run is over.  [create ~metrics]
     also registers one read-only gauge per field under ["recovery.<field>"],
-    so the CLI and [Engine_stats] read the live values by name.  Every
+    so the CLI and [Db.stats_string] read the live values by name.  Every
     restart assembles a fresh engine, hence a fresh registry; a second
     [create ~metrics] on one registry raises [Invalid_argument] (duplicate
     gauge). *)

@@ -259,7 +259,6 @@ let of_events ?(meta = []) events =
   and pf_hit = ref 0
   and pf_late = ref 0
   and pf_pages = ref 0
-  and pf_issue_count = ref 0
   and redo_ops = ref 0 in
   List.iter
     (fun ev ->
@@ -279,15 +278,12 @@ let of_events ?(meta = []) events =
           end
       | Trace.Span, "redo_op" -> incr redo_ops
       | Trace.Instant, "prefetch_page" -> incr pf_pages
-      | Trace.Instant, "prefetch_issue" -> pf_issue_count := !pf_issue_count + arg ev "count"
       | _ -> ())
     events;
   let stalls = List.rev !stalls and ios = List.rev !ios in
   let phases_raw = List.rev !phases_raw in
   let rpcs = List.rev !rpcs and nets = List.rev !nets and losses = List.rev !losses in
-  (* Older traces predate per-page prefetch instants; the batch counts
-     carry the same total. *)
-  let pf_issued = if !pf_pages > 0 then !pf_pages else !pf_issue_count in
+  let pf_issued = !pf_pages in
   let pf_wasted = max 0 (pf_issued - !pf_hit - !pf_late) in
   let stall_ivals = List.map (fun ev -> (ev.Trace.ts, span_end ev)) stalls in
   let io_ivals = List.map (fun ev -> (ev.Trace.ts, span_end ev)) ios in

@@ -34,7 +34,7 @@ type phase = {
 
 (** One stall-attribution bucket: stalls whose wait ended with the
     completion of an IO span named [src_kind] ("io_read" = demand,
-    "io_batch" = prefetch, "io_block", "io_write", "io_log") on device lane
+    "io_batch" = prefetch, "io_write", "io_log") on device lane
     [src_device] ("data-disk", "log-disk", "dc-log-disk"). *)
 type source = { src_device : string; src_kind : string; src_count : int; src_stall_us : float }
 

@@ -111,10 +111,6 @@ let submit_read t ~pid =
   t.counters.pages_read <- t.counters.pages_read + 1;
   submit t ~ev:"io_read" ~pid_only:true ~first_pid:pid ~count:1
 
-let submit_block_read t ~first_pid ~count =
-  t.counters.pages_read <- t.counters.pages_read + count;
-  submit t ~ev:"io_block" ~pid_only:false ~first_pid ~count
-
 let submit_write t ~pid =
   t.counters.pages_written <- t.counters.pages_written + 1;
   submit t ~ev:"io_write" ~pid_only:true ~first_pid:pid ~count:1
@@ -149,8 +145,6 @@ let submit_batch_read t pids =
         note t ~ev:"io_batch" ~start ~completion ~pid_only:false ~first_pid:(List.hd sorted)
           ~count:(List.length sorted);
       completion
-
-let read_sync t ~pid = Clock.advance_to t.clock (submit_read t ~pid)
 
 let read_sequential_sync t ~first_pid ~count =
   t.counters.pages_read <- t.counters.pages_read + count;

@@ -42,7 +42,7 @@ val create : ?params:params -> Clock.t -> t
 val instrument :
   t -> ?trace:Deut_obs.Trace.t -> ?io_hist:Deut_obs.Metrics.histogram -> track:int -> unit -> unit
 (** Attach observability sinks.  Every serviced request is recorded as a
-    span ([io_read] / [io_write] / [io_block] / [io_batch] / [io_log]) on
+    span ([io_read] / [io_write] / [io_batch] / [io_log]) on
     [track] covering service time, and its latency is fed to [io_hist].
     Purely observational: submission timing is unchanged. *)
 
@@ -53,15 +53,8 @@ val reset_counters : t -> unit
 val busy_until : t -> float
 (** Time at which all queued requests will have completed. *)
 
-val read_sync : t -> pid:int -> unit
-(** Submit a one-page read and advance the clock to its completion. *)
-
 val submit_read : t -> pid:int -> float
 (** Queue a one-page read; returns its completion time without waiting. *)
-
-val submit_block_read : t -> first_pid:int -> count:int -> float
-(** Queue a read of [count] contiguous pages as a single request (the
-    paper's 8-page block read-ahead); returns its completion time. *)
 
 val submit_batch_read : t -> int list -> float
 (** Queue one asynchronous batch of (not necessarily contiguous) page

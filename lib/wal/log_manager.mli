@@ -17,6 +17,9 @@
 
 type t
 
+val frame_header : int
+(** Bytes of framing before each record's payload (length + checksum). *)
+
 val genesis : Lsn.t
 (** Offset of a fresh log's first record.  Offset 0 is reserved so that a
     zero-initialised page header's pLSN (0) unambiguously tests below

@@ -167,30 +167,6 @@ let encode t =
   encode_into w t;
   Codec.contents w
 
-(* Exact encoded byte count, without encoding: the Δ/BW monitors account
-   record bytes per interval and used to re-encode every record just to
-   measure it. *)
-let encoded_size t =
-  let opt_string = function None -> 1 | Some s -> 5 + String.length s in
-  match t with
-  | Update_rec u -> 1 + 8 + 4 + 8 + 1 + opt_string u.before + opt_string u.after + 4 + 8
-  | Commit _ | Abort _ -> 1 + 8
-  | Clr c -> 1 + 8 + 4 + 8 + 1 + opt_string c.value + 4 + 8
-  | Begin_ckpt -> 1
-  | End_ckpt { active; _ } -> 1 + 8 + 4 + (16 * Array.length active)
-  | Aries_ckpt_dpt { entries } -> 1 + 4 + (20 * Array.length entries)
-  | Bw b -> 1 + 4 + (4 * Array.length b.written) + 8
-  | Delta d ->
-      1
-      + 4
-      + (4 * Array.length d.dirty)
-      + 4
-      + (4 * Array.length d.written)
-      + 8 + 4 + 8 + 4
-      + (8 * Array.length d.dirty_lsns)
-  | Smo s ->
-      Array.fold_left (fun n (_, image) -> n + 4 + 4 + String.length image) (1 + 1 + 4) s.pages
-
 let decode_from r =
   match Codec.r_u8 r with
   | 1 ->

@@ -97,9 +97,6 @@ val encode_into : Codec.writer -> t -> unit
     scratch writer through every append instead of allocating a fresh
     buffer and [contents] string per record. *)
 
-val encoded_size : t -> int
-(** Exact byte length of [encode t], computed without encoding. *)
-
 val decode : string -> t
 
 val decode_sub : Bytes.t -> pos:int -> len:int -> t

@@ -32,8 +32,8 @@
     Timing (think time, backoff jitter) comes from per-client streams
     disjoint from the content stream; group commit batches across
     clients, and commit latency (gate entry → durable force) lands in
-    the ["txn.commit_latency_us"] histogram that {!Deut_core.Engine_stats}
-    reports. *)
+    the ["txn.commit_latency_us"] histogram of the engine's metrics
+    registry. *)
 
 type t
 

@@ -499,8 +499,6 @@ let split =
 
 (* ---------- parallel redo sweep ---------- *)
 
-module Es = Deut_core.Engine_stats
-
 (* One crash per cache size, recovered with every (method, worker count)
    pair, every recovery oracle-verified. *)
 let run_workers c arg =
@@ -515,8 +513,12 @@ let run_workers c arg =
          recovery-time IO and stall histograms. *)
       let metrics = Engine.metrics (Db.engine db) in
       let latency name histogram =
-        let h = Es.latency metrics histogram in
-        [ (name ^ "_p50_us", f 1 h.Es.p50_us); (name ^ "_p95_us", f 1 h.Es.p95_us) ]
+        let p q =
+          match Deut_obs.Metrics.find_histogram metrics histogram with
+          | Some h -> Deut_obs.Metrics.percentile h q
+          | None -> 0.0
+        in
+        [ (name ^ "_p50_us", f 1 (p 50.0)); (name ^ "_p95_us", f 1 (p 95.0)) ]
       in
       let stall = latency "stall" "cache.stall_wait_us" in
       let io = latency "io" "disk.data.io_us" in
@@ -803,7 +805,7 @@ let run_archiving c arg =
              rounds txns_per_round clients c.scale);
         let driver =
           oltp_driver c ~cache_mb (fun cfg ->
-              { cfg with Config.clients; archive; archive_min_bytes = 0 })
+              { cfg with Config.clients; archive })
         in
         let db = Driver.db driver in
         let log = (Db.engine db).Engine.log in

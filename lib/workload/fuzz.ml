@@ -31,7 +31,6 @@ let config_of config rng =
        would cut out from under it.  Sealing keeps every byte readable
        (iter spans archive + live) and exercises restart-from-archive. *)
     archive = true;
-    archive_min_bytes = 1;
     (* The generator leaves transactions open while later ones run; key
        locks make the overlap serializable (conflicting ops fail with
        [Lock_conflict] and are skipped) — without them a later commit

@@ -28,7 +28,6 @@ let expected =
     tracing = false;
     trace_capacity = 65536;
     archive = false;
-    archive_min_bytes = 0;
     shards = 1;
     domains = 1;
     net = false;
@@ -50,7 +49,6 @@ let expected_env =
     redo_workers = 3;
     clients = 3;
     archive = true;
-    archive_min_bytes = 512;
     shards = 4;
     domains = 2;
     net = true;

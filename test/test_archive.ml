@@ -371,6 +371,23 @@ let test_unsealed_segment_ignored () =
   check_int "exactly the new segment" 1 (Archive.segment_count a);
   check_int "covered by the re-cut" 60 (Archive.covered_upto a)
 
+(* A compaction at an archive point the archive already covers moves no
+   bytes: the second cut seals no segment and leaves the live log as it
+   was. *)
+let test_second_compact_seals_nothing () =
+  let db = setup archive_config in
+  run_phase1 db;
+  Db.compact_log db;
+  let log = (Db.engine db).Engine.log in
+  let a = Option.get (Log.archive log) in
+  let segments = Archive.segment_count a and cuts = Archive.seal_count a in
+  let base = Log.base_lsn log in
+  check "the first compaction sealed a segment" true (segments > 0);
+  Db.compact_log db;
+  check_int "no new segment" segments (Archive.segment_count a);
+  check_int "no new seal" cuts (Archive.seal_count a);
+  check_int "live log untouched" base (Log.base_lsn log)
+
 let suite =
   [
     Alcotest.test_case "truncated equals untruncated" `Quick test_truncated_equals_untruncated;
@@ -380,4 +397,6 @@ let suite =
     Alcotest.test_case "crash preserves the archive" `Quick test_crash_preserves_archive;
     Alcotest.test_case "instant recovery over the archive" `Quick test_instant_over_archive;
     Alcotest.test_case "unsealed segment ignored" `Quick test_unsealed_segment_ignored;
+    Alcotest.test_case "second compaction seals nothing" `Quick
+      test_second_compact_seals_nothing;
   ]

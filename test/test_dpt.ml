@@ -100,7 +100,7 @@ let test_sql_analysis_basic () =
       ]
   in
   let stats = Recovery_stats.create () in
-  let dpt = Recovery.sql_analysis log ~from:Lsn.nil ~stats in
+  let dpt, _ = Recovery.physiological_analysis ~aries:false log ~from:Lsn.nil ~stats in
   check "page 1 pruned (flushed after its last update)" false (Dpt.mem dpt 1);
   check "page 2 keeps its first-mention rlsn" true (Dpt.rlsn dpt 2 = Some lsns.(1));
   (match Dpt.find dpt 3 with
@@ -250,7 +250,7 @@ let test_fw_boundary_not_pruned () =
       [ update ~lsn:0 ~pid:5 (); update ~lsn:1 ~pid:5 (); Lr.Bw { written = [| 5 |]; fw_lsn = fw } ]
   in
   let stats = Recovery_stats.create () in
-  let dpt = Recovery.sql_analysis log ~from:Lsn.nil ~stats in
+  let dpt, _ = Recovery.physiological_analysis ~aries:false log ~from:Lsn.nil ~stats in
   check "boundary record keeps the page in the SQL DPT" true (Dpt.mem dpt 5);
   (match Dpt.find dpt 5 with
   | Some (rlsn, _) -> check "rlsn does not pass the boundary record" true (rlsn <= fw)
@@ -269,7 +269,7 @@ let test_aries_analysis () =
   let ckpt_dpt = Lr.Aries_ckpt_dpt { entries = [| (10, 30, 30); (11, 40, 40) |] } in
   let log, lsns = build_log [ ckpt_dpt; update ~lsn:1 ~pid:12 (); update ~lsn:2 ~pid:10 () ] in
   let stats = Recovery_stats.create () in
-  let dpt, redo_start = Recovery.aries_analysis log ~from:Lsn.nil ~stats in
+  let dpt, redo_start = Recovery.physiological_analysis ~aries:true log ~from:Lsn.nil ~stats in
   check "seeded entry kept" true (Dpt.rlsn dpt 11 = Some 40);
   check "scan mention added" true (Dpt.rlsn dpt 12 = Some lsns.(1));
   check "seed rlsn wins over later mention" true (Dpt.rlsn dpt 10 = Some 30);

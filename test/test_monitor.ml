@@ -17,11 +17,9 @@ type env = {
 let make ?(config = Config.default) () =
   let records = ref [] in
   let stable = ref 0 in
-  let lsn = ref 0 in
   let log_append r =
     records := r :: !records;
-    incr lsn;
-    !lsn
+    String.length (Lr.encode r)
   in
   let monitor = Monitor.create ~config ~log_append ~stable_lsn:(fun () -> !stable) () in
   { monitor; records; stable }

@@ -238,7 +238,9 @@ let test_dpt_safety_all_algorithms () =
       (* SQL analysis *)
       let stats = Recovery_stats.create () in
       let log = Log.crash image.Crash_image.log in
-      let sql_dpt = Recovery.sql_analysis log ~from:(Crash_image.master image) ~stats in
+      let sql_dpt, _ =
+        Recovery.physiological_analysis ~aries:false log ~from:(Crash_image.master image) ~stats
+      in
       dpt_safety image sql_dpt;
       (* Logical DC analysis: run a Log1 recovery and inspect its DPT.
          Recovery mutates its own copies, so inspect before undo by running
@@ -423,8 +425,8 @@ let test_recovery_detects_corruption () =
   let bad_store = Page_store.clone image.Crash_image.store in
   (* Pick a data page that redo will fetch: any DPT member. *)
   let stats = Recovery_stats.create () in
-  let dpt =
-    Recovery.sql_analysis (Log.crash image.Crash_image.log)
+  let dpt, _ =
+    Recovery.physiological_analysis ~aries:false (Log.crash image.Crash_image.log)
       ~from:(Crash_image.master image) ~stats
   in
   match Dpt.to_sorted_list dpt with

@@ -419,6 +419,49 @@ let test_net_is_transparent_but_costly () =
   check_string "digest unchanged by the transport" d_off d_on;
   check "network time was charged" true (t_on > t_off)
 
+(* A request's type fixes its reply: carried over a lossy link, the
+   requests that return data get back exactly what the in-process
+   endpoint returns. *)
+let test_net_replies_match_local () =
+  let c =
+    {
+      (config ~shards:1 ()) with
+      Config.checkpoint_mode = Config.Aries_fuzzy;
+      locking = false;
+      clients = 1;
+    }
+  in
+  let db = Db.create ~config:c () in
+  Db.create_table db ~table:1;
+  for k = 0 to 199 do
+    Db.put db ~table:1 ~key:k ~value:(string_of_int k)
+  done;
+  let engine = Db.engine db in
+  let local = Engine.local_endpoint (Engine.shard engine 0) in
+  let link =
+    Deut_net.Link.create ~clock:engine.Engine.clock
+      ~params:
+        { Deut_net.Link.default_params with latency_us = 50.0; loss = 0.2; timeout_us = 300.0 }
+      ~seed:7 ()
+  in
+  let remote = Dc_access.networked link local in
+  let t0 = Db.now_ms db in
+  List.iter
+    (fun key ->
+      check (Printf.sprintf "read %d" key) true
+        (Dc_access.read remote ~table:1 ~key = Dc_access.read local ~table:1 ~key))
+    [ 0; 57; 199; 500 ];
+  List.iter
+    (fun table ->
+      check (Printf.sprintf "has_table %d" table) true
+        (Dc_access.has_table remote ~table = Dc_access.has_table local ~table))
+    [ 1; 2 ];
+  let dpt = Dc_access.runtime_dpt local in
+  check "runtime DPT is non-empty" true (Array.length dpt > 0);
+  check "runtime DPT crosses intact" true (Dc_access.runtime_dpt remote = dpt);
+  check "the link charged time" true (Db.now_ms db > t0);
+  check "messages crossed the link" true ((Deut_net.Link.counters link).messages > 0)
+
 (* {2 Zero observer effect} *)
 
 (* Recording never advances the clock: the always-on flight recorder and
@@ -505,7 +548,6 @@ let env_knobs =
     ("DEUT_REDO_WORKERS", "3", fun c -> c.Config.redo_workers = 3);
     ("DEUT_CLIENTS", "3", fun c -> c.Config.clients = 3);
     ("DEUT_ARCHIVE", "1", fun c -> c.Config.archive);
-    ("DEUT_ARCHIVE_MIN_BYTES", "512", fun c -> c.Config.archive_min_bytes = 512);
     ("DEUT_SHARDS", "4", fun c -> c.Config.shards = 4);
     ("DEUT_DOMAINS", "2", fun c -> c.Config.domains = 2);
     ("DEUT_NET", "yes", fun c -> c.Config.net);
@@ -544,7 +586,6 @@ let test_env_malformed bad () =
 let env_malformed =
   [
     ("pos_int", [ ("DEUT_SHARDS", "four"); ("DEUT_CLIENTS", "0"); ("DEUT_TRACE_CAP", "1.5") ]);
-    ("nonneg_int", [ ("DEUT_ARCHIVE_MIN_BYTES", "-1"); ("DEUT_ARCHIVE_MIN_BYTES", "lots") ]);
     ("nonneg_float", [ ("DEUT_NET_LOSS", "-0.5"); ("DEUT_NET_LATENCY_US", "fast") ]);
     ("flag", [ ("DEUT_NET", "maybe"); ("DEUT_ARCHIVE", "2") ]);
   ]
@@ -602,6 +643,7 @@ let suite =
     Alcotest.test_case "network transport determinism" `Quick test_net_determinism;
     Alcotest.test_case "network cost is charged, digest unchanged" `Quick
       test_net_is_transparent_but_costly;
+    Alcotest.test_case "networked replies match in-process" `Quick test_net_replies_match_local;
     Alcotest.test_case "sharding sweep honours net" `Quick test_sweep_honours_net;
     Alcotest.test_case "sweep tables survive the JSON round trip" `Quick
       test_tables_survive_json_round_trip;

@@ -128,12 +128,12 @@ let params =
 let test_disk_sync_read () =
   let clock = Clock.create () in
   let d = Disk.create ~params clock in
-  Disk.read_sync d ~pid:10;
+  Clock.advance_to clock (Disk.submit_read d ~pid:10);
   check_float "seek + transfer" 1100.0 (Clock.now clock);
   (* Sequential follow-up: no seek. *)
-  Disk.read_sync d ~pid:11;
+  Clock.advance_to clock (Disk.submit_read d ~pid:11);
   check_float "sequential read skips seek" 1200.0 (Clock.now clock);
-  Disk.read_sync d ~pid:500;
+  Clock.advance_to clock (Disk.submit_read d ~pid:500);
   check_float "random read seeks" 2300.0 (Clock.now clock);
   let c = Disk.counters d in
   check_int "pages read" 3 c.Disk.pages_read;
@@ -153,13 +153,6 @@ let test_disk_async_queueing () =
   Disk.drain d;
   check_float "drain waits for the queue" 1700.0 (Clock.now clock)
 
-let test_disk_block_read () =
-  let clock = Clock.create () in
-  let d = Disk.create ~params clock in
-  let c = Disk.submit_block_read d ~first_pid:20 ~count:8 in
-  check_float "one seek, eight transfers" 1800.0 c;
-  check_int "counted" 8 (Disk.counters d).Disk.pages_read
-
 let test_disk_batch_read () =
   let clock = Clock.create () in
   let d = Disk.create ~params clock in
@@ -176,7 +169,7 @@ let test_disk_write_delays_read () =
   let clock = Clock.create () in
   let d = Disk.create ~params clock in
   ignore (Disk.submit_write d ~pid:7);
-  Disk.read_sync d ~pid:900;
+  Clock.advance_to clock (Disk.submit_read d ~pid:900);
   (* Queued behind the in-flight write: elevator seek, not a cold one. *)
   check_float "read queues behind write" 1700.0 (Clock.now clock)
 
@@ -208,7 +201,6 @@ let suite =
     Alcotest.test_case "ivec" `Quick test_ivec;
     Alcotest.test_case "disk sync read" `Quick test_disk_sync_read;
     Alcotest.test_case "disk async queueing" `Quick test_disk_async_queueing;
-    Alcotest.test_case "disk block read" `Quick test_disk_block_read;
     Alcotest.test_case "disk batch read" `Quick test_disk_batch_read;
     Alcotest.test_case "disk write delays read" `Quick test_disk_write_delays_read;
   ]

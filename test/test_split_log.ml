@@ -162,6 +162,31 @@ let test_split_dc_log_compaction () =
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg
 
+(* The monitor's byte gauges are what the log wrote: the summed encodings
+   of every Δ and BW record on the DC's log, in either layout. *)
+let test_monitor_bytes_match_log layout () =
+  let config = { split_config with Config.log_layout = layout; shards = 1 } in
+  let db = Db.create ~config () in
+  Db.create_table db ~table:1;
+  for k = 0 to 1499 do
+    Db.put db ~table:1 ~key:k ~value:(Printf.sprintf "value-%d" k)
+  done;
+  Db.checkpoint db;
+  let log = (Engine.shard (Db.engine db) 0).Engine.s_dc_log in
+  let delta, bw =
+    Log.fold log ~from:Deut_wal.Lsn.nil ~upto:(Log.end_lsn log) ~init:(0, 0)
+      (fun (delta, bw) _ record ->
+        let bytes = String.length (Deut_wal.Log_record.encode record) in
+        match record with
+        | Deut_wal.Log_record.Delta _ -> (delta + bytes, bw)
+        | Deut_wal.Log_record.Bw _ -> (delta, bw + bytes)
+        | _ -> (delta, bw))
+  in
+  check "Δ records were logged" true (delta > 0);
+  check "BW records were logged" true (bw > 0);
+  check_int "Δ byte gauge" delta (Db.metric db "monitor.delta_bytes");
+  check_int "BW byte gauge" bw (Db.metric db "monitor.bw_bytes")
+
 let suite =
   [
     Alcotest.test_case "logs are separated" `Quick test_split_engine_separates_logs;
@@ -172,4 +197,8 @@ let suite =
     Alcotest.test_case "SMO recovery from DC log" `Quick test_split_smo_recovery;
     Alcotest.test_case "layout mismatch rejected" `Quick test_layout_mismatch_rejected;
     Alcotest.test_case "DC log compaction" `Quick test_split_dc_log_compaction;
+    Alcotest.test_case "Δ/BW byte gauges match the log (integrated)" `Quick
+      (test_monitor_bytes_match_log Config.Integrated);
+    Alcotest.test_case "Δ/BW byte gauges match the log (split)" `Quick
+      (test_monitor_bytes_match_log Config.Split);
   ]
