@@ -50,7 +50,7 @@ let () =
    real seconds.  Results are identical either way — [Experiment.build]
    is deterministic.  Every cached crash run stays live until evicted, so
    the LRU bound caps the harness's memory. *)
-let cache = Experiment.build_cache ~max_entries:3 ()
+let cache = Experiment.build_cache ()
 
 (* Wall-clock seconds per harness section, reported at the end and in
    the JSON summary. *)

@@ -71,7 +71,21 @@ let store_fixture =
      Page_store.write store page;
      (store, pid))
 
-let pool_hits = 100
+(* Bodies under ~100 ns are too short for one sample to time against
+   clock noise (OLS r² < 0.5 even at the full budget), so such a row runs
+   [loop] calls per sample and the fit gets a slope to resolve; divide by
+   [loop] for one call.  Both rows of a before/after pair loop alike, so
+   the pair stays comparable. *)
+let loop = 100
+
+let looped ?pair name body =
+  let pair = match pair with Some p -> ", " ^ p | None -> "" in
+  Test.make
+    ~name:(Printf.sprintf "%s (x%d%s)" name loop pair)
+    (Staged.stage (fun () ->
+         for _ = 1 to loop do
+           ignore (Sys.opaque_identity (body ()))
+         done))
 
 let pool_fixture =
   lazy
@@ -140,42 +154,31 @@ let tree_fixture =
      done;
      (tree, lsn))
 
-let tests =
+let tests () =
   let rng = Rng.create ~seed:99 in
   [
     Test.make ~name:"checksum-page"
       (Staged.stage (fun () -> Checksum.sub page_buf ~off:0 ~len:page_size));
-    Test.make ~name:"checksum-record"
-      (Staged.stage (fun () -> Checksum.sub page_buf ~off:32 ~len:encoded_len));
-    Test.make ~name:"page-read-copy+hash (before)"
-      (Staged.stage (fun () ->
-           (* What every fetch used to cost: duplicate the stable image,
-              then checksum the copy. *)
-           let copy = Bytes.copy page_buf in
-           ignore (Checksum.sub copy ~off:0 ~len:page_size)));
-    Test.make ~name:"page-read-borrow (after)"
-      (Staged.stage (fun () ->
-           let store, pid = Lazy.force store_fixture in
-           ignore (Page_store.read store pid)));
-    Test.make ~name:"wal-encode-alloc (before)" (Staged.stage (fun () -> Lr.encode sample_update));
-    Test.make ~name:"wal-encode-scratch (after)"
-      (let scratch = Codec.writer () in
-       Staged.stage (fun () ->
-           Codec.clear scratch;
-           Lr.encode_into scratch sample_update;
-           Codec.length scratch));
-    Test.make ~name:"wal-decode-substring (before)"
-      (Staged.stage (fun () -> Lr.decode (Bytes.sub_string log_like 32 encoded_len)));
-    Test.make ~name:"wal-decode-in-place (after)"
-      (Staged.stage (fun () -> Lr.decode_sub log_like ~pos:32 ~len:encoded_len));
-    (* One hit is ~20 ns, below what a sample can time against clock
-       noise; a loop of [pool_hits] gives the fit a slope to resolve. *)
-    Test.make ~name:(Printf.sprintf "pool-hit-fetch (x%d)" pool_hits)
-      (Staged.stage (fun () ->
-           let pool, pid = Lazy.force pool_fixture in
-           for _ = 1 to pool_hits do
-             ignore (Pool.get pool pid)
-           done));
+    looped "checksum-record" (fun () -> Checksum.sub page_buf ~off:32 ~len:encoded_len);
+    looped ~pair:"before" "page-read-copy+hash" (fun () ->
+        (* What every fetch used to cost: duplicate the stable image, then
+           checksum the copy. *)
+        let copy = Bytes.copy page_buf in
+        Checksum.sub copy ~off:0 ~len:page_size);
+    (let store, pid = Lazy.force store_fixture in
+     looped ~pair:"after" "page-read-borrow" (fun () -> Page_store.read store pid));
+    looped ~pair:"before" "wal-encode-alloc" (fun () -> Lr.encode sample_update);
+    (let scratch = Codec.writer () in
+     looped ~pair:"after" "wal-encode-scratch" (fun () ->
+         Codec.clear scratch;
+         Lr.encode_into scratch sample_update;
+         Codec.length scratch));
+    looped ~pair:"before" "wal-decode-substring" (fun () ->
+        Lr.decode (Bytes.sub_string log_like 32 encoded_len));
+    looped ~pair:"after" "wal-decode-in-place" (fun () ->
+        Lr.decode_sub log_like ~pos:32 ~len:encoded_len);
+    (let pool, pid = Lazy.force pool_fixture in
+     looped "pool-hit-fetch" (fun () -> Pool.get pool pid));
     Test.make ~name:"pool-miss-young-dirty"
       (Staged.stage (fun () -> (Lazy.force young_dirty_fixture) ()));
     Test.make ~name:"btree-lookup"
@@ -201,19 +204,18 @@ let tests =
       (Staged.stage (fun () ->
            let tree, _ = Lazy.force tree_fixture in
            Btree.fold_entries tree ~init:0 ~f:(fun n _ v -> n + String.length v)));
-    Test.make ~name:"dpt-add-find"
-      (let dpt = Dpt.create () in
-       Staged.stage (fun () ->
-           let pid = Rng.int rng 4096 in
-           ignore (Dpt.add dpt ~pid ~lsn:pid);
-           ignore (Dpt.find dpt pid)));
+    (let dpt = Dpt.create () in
+     looped "dpt-add-find" (fun () ->
+         let pid = Rng.int rng 4096 in
+         ignore (Dpt.add dpt ~pid ~lsn:pid);
+         Dpt.find dpt pid));
   ]
 
 let run ~quick () =
   (* A quick run is a smoke test: a tenth of the sampling budget keeps the
      whole harness inside the CI time budget, but it is too small to fit a
-     slope for every row (sub-100 ns bodies), so a row whose fit has
-     r² < 0.5 prints n/a instead of a slope. *)
+     slope for every row, so a row whose fit has r² < 0.5 prints n/a
+     instead of a slope. *)
   let cfg =
     if quick then
       Benchmark.cfg ~limit:400 ~quota:(Time.second 0.08) ~kde:None ()
@@ -230,7 +232,7 @@ let run ~quick () =
   let instance = Instance.monotonic_clock in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "%-32s %14s %10s\n%s\n" "benchmark" "ns/op (OLS)" "r²" (String.make 58 '-'));
+    (Printf.sprintf "%-36s %14s %10s\n%s\n" "benchmark" "ns/op (OLS)" "r²" (String.make 62 '-'));
   List.iter
     (fun test ->
       List.iter
@@ -240,7 +242,7 @@ let run ~quick () =
           let r2 = Option.value (Analyze.OLS.r_square result) ~default:nan in
           let slope = if r2 >= 0.5 then Printf.sprintf "%.1f" estimate else "n/a" in
           Buffer.add_string buf
-            (Printf.sprintf "%-32s %14s %10.4f\n" (Test.Elt.name elt) slope r2))
+            (Printf.sprintf "%-36s %14s %10.4f\n" (Test.Elt.name elt) slope r2))
         (Test.elements test))
-    tests;
+    (tests ());
   Buffer.contents buf

@@ -177,14 +177,7 @@ let crash_cmd =
       & info [ "m"; "methods" ] ~docv:"METHODS"
           ~doc:"Recovery methods to run (log0, log1, log2, sql1, sql2, aries).")
   in
-  let repeat_arg =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "r"; "repeat" ] ~docv:"N"
-          ~doc:
-            "Recover N times per method (fresh copies of the same image) and report redo time              mean ± stddev — the paper notes the high run-to-run variance of the prefetching              methods.")
-  in
-  let run scale cache methods repeat workers =
+  let run scale cache methods workers =
     let crash = build_crash ?workers ~scale ~cache methods in
     Printf.printf
       "crash image: %d db pages, %d dirty of %d cached (%.1f%% of cache), %d Δ / %d BW \
@@ -198,32 +191,22 @@ let crash_cmd =
         Printf.printf "--- %s (verified against the oracle) ---\n%s\n"
           (Recovery.method_to_string m)
           (Recovery_stats.to_string stats);
-        if repeat > 1 then begin
-          let acc = Deut_sim.Stats.create () in
-          Deut_sim.Stats.add acc (Recovery_stats.redo_ms stats);
-          for _ = 2 to repeat do
-            Deut_sim.Stats.add acc
-              (Recovery_stats.redo_ms (Experiment.run_method crash m))
-          done;
-          Printf.printf "redo over %d runs: %s ms\n" repeat (Deut_sim.Stats.summary acc)
-        end;
         print_newline ())
       methods
   in
   Cmd.v
     (Cmd.info "crash" ~doc:"One crash, recovered side-by-side with full per-method statistics")
-    Term.(const run $ scale_arg $ cache_arg $ methods_arg $ repeat_arg $ workers_arg)
+    Term.(const run $ scale_arg $ cache_arg $ methods_arg $ workers_arg)
 
 (* The config of analyze's and metrics' one recovery: the crash's own
    (built from [env], so the shard count is the paper image's one), with
-   tracing as asked into a ring of at least 1M events (DEUT_TRACE_CAP can
-   raise it), and redo_workers/clients pinned (to [workers] and 1) so a
-   committed baseline does not depend on the CI leg that produced it. *)
+   tracing as asked, and redo_workers/clients pinned (to [workers] and 1)
+   so a committed baseline does not depend on the CI leg that produced
+   it. *)
 let profiled_config ?(workers = 1) crash ~tracing =
   {
     crash.Experiment.image.Deut_core.Crash_image.config with
     Config.tracing;
-    trace_capacity = Stdlib.max (1 lsl 20) env.Config.trace_capacity;
     redo_workers = workers;
     clients = 1;
   }

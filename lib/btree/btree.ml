@@ -369,7 +369,8 @@ let leftmost_leaf t =
   go (root_pid t)
 
 (* The one leaf-chain walk: entries, counts and the post-recovery
-   verifier all fetch the same leaves in the same order. *)
+   verifier all fetch the same leaves in the same order; [fold_range]
+   walks a stretch of it. *)
 let fold_leaves t ~init ~f =
   let rec walk pid acc =
     let page = Pool.get t.pool pid in
@@ -383,6 +384,25 @@ let fold_entries t ~init ~f =
   fold_leaves t ~init ~f:(fun acc page -> Node.fold_leaf page ~init:acc ~f)
 let entry_count t = fold_leaves t ~init:0 ~f:(fun n page -> n + Node.nslots page)
 let leaf_count t = fold_leaves t ~init:0 ~f:(fun n _ -> n + 1)
+
+(* The same chain, entered at [lo]'s leaf and left at the first key
+   [>= hi], so a short range reads its own leaves and not the rest. *)
+let fold_range t ~lo ~hi ~init ~f =
+  let rec walk pid acc =
+    let page = Pool.get t.pool pid in
+    let n = Node.nslots page in
+    let rec slots i acc =
+      if i = n then
+        let next = Node.right_sibling page in
+        if next = Node.no_sibling then acc else walk next acc
+      else
+        let key = Node.slot_key page i in
+        if key >= hi then acc
+        else slots (i + 1) (if key < lo then acc else f acc key (Node.leaf_value page i))
+    in
+    slots 0 acc
+  in
+  walk (locate_leaf t ~key:lo) init
 
 (* One in-order walk.  Each page passes [Node.check] against the
    separator bounds its parent gives it (lo inclusive, hi exclusive;

@@ -27,7 +27,7 @@ val table : t -> int
 val catalog_pid : int
 
 val pool_of : t -> Deut_buffer.Buffer_pool.t
-(** The buffer pool this tree reads through (used by {!Cursor}). *)
+(** The buffer pool this tree reads through. *)
 
 val stamp_smo : Deut_buffer.Buffer_pool.t -> Deut_wal.Log_record.smo -> lsn:Deut_wal.Lsn.t -> unit
 (** Stamp + dirty every page named by the SMO record in the DC pLSN domain
@@ -109,6 +109,11 @@ val fold_leaves : t -> init:'a -> f:('a -> Deut_storage.Page.t -> 'a) -> 'a
 
 val fold_entries : t -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
 (** In-order fold over all (key, value) entries via the leaf chain. *)
+
+val fold_range : t -> lo:int -> hi:int -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
+(** In-order fold over the entries with [lo <= key < hi]: the leaf chain
+    from the leaf that would hold [lo], stopping at the first key [>= hi].
+    Like [fold_entries] it pins nothing and takes no snapshot. *)
 
 val entry_count : t -> int
 

@@ -114,15 +114,11 @@ type t = {
           advances the simulated clock, so it cannot perturb results; the
           switch exists for the zero-observer-effect tests.  [of_env] reads
           it from [DEUT_FLIGHT]. *)
-  flight_capacity : int;
-      (** flight-recorder ring size per component, in events
-          ([DEUT_FLIGHT_CAP]) *)
   tracing : bool;
       (** record structured events (virtual-clock timestamped) into the
-          engine's trace ring; off by default — recording is skipped
-          entirely when disabled and never advances the simulated clock
-          either way *)
-  trace_capacity : int;  (** trace ring-buffer size, in events *)
+          engine's trace, which keeps every event; off by default —
+          recording is skipped entirely when disabled and never advances
+          the simulated clock either way *)
   archive : bool;
       (** archive the live log to sealed segments on a dedicated device and
           truncate it at the archive point on every [Db.compact_log]; off
@@ -193,9 +189,7 @@ let of_env ?(getenv = Sys.getenv_opt) config =
   in
   {
     config with
-    trace_capacity = pos_int "DEUT_TRACE_CAP" config.trace_capacity;
     flight = flag "DEUT_FLIGHT" config.flight;
-    flight_capacity = pos_int "DEUT_FLIGHT_CAP" config.flight_capacity;
     redo_workers = pos_int "DEUT_REDO_WORKERS" config.redo_workers;
     clients = pos_int "DEUT_CLIENTS" config.clients;
     archive = flag "DEUT_ARCHIVE" config.archive;
@@ -228,9 +222,7 @@ let default =
     group_commit = 1;
     clients = 1;
     flight = true;
-    flight_capacity = 128;
     tracing = false;
-    trace_capacity = 65536;
     archive = false;
     shards = 1;
     domains = 1;

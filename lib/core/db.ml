@@ -255,7 +255,7 @@ let recover_shard t ~shard =
 (* {2 Inspection} *)
 
 (* A whole-table view over shards is the key-sorted merge of each shard's
-   disjoint stripe.  Single-shard engines keep the direct B-tree path. *)
+   disjoint stripe. *)
 let merged_entries t ~table ~fold =
   let e = t.engine in
   let per =
@@ -265,6 +265,8 @@ let merged_entries t ~table ~fold =
   in
   List.sort (fun (a, _) (b, _) -> compare a b) (List.concat per)
 
+(* One shard folds its tree directly: the restart digests fold whole
+   tables through here, and the merge would copy and sort every row. *)
 let fold_table t ~table ~init ~f =
   live t;
   scan_gate t;
@@ -280,16 +282,11 @@ let fold_table t ~table ~init ~f =
 let fold_range t ~table ~lo ~hi ~init ~f =
   live t;
   scan_gate t;
-  if shard_count t = 1 then
-    Deut_btree.Cursor.fold_range (Dc.tree (dc0 t) ~table) ~lo ~hi ~init ~f
-  else begin
-    require_all_up t "fold_range";
-    List.fold_left
-      (fun acc (k, v) -> f acc k v)
-      init
-      (merged_entries t ~table ~fold:(fun tree ~init ~f ->
-           Deut_btree.Cursor.fold_range tree ~lo ~hi ~init ~f))
-  end
+  require_all_up t "fold_range";
+  List.fold_left
+    (fun acc (k, v) -> f acc k v)
+    init
+    (merged_entries t ~table ~fold:(Btree.fold_range ~lo ~hi))
 
 let scan t ~table ~lo ~hi =
   List.rev (fold_range t ~table ~lo ~hi ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
@@ -315,11 +312,8 @@ let sum_shards t f =
 let entry_count t ~table =
   live t;
   scan_gate t;
-  if shard_count t = 1 then Btree.entry_count (Dc.tree (dc0 t) ~table)
-  else begin
-    require_all_up t "entry_count";
-    sum_shards t (fun sh -> Btree.entry_count (Dc.tree sh.Engine.s_dc ~table))
-  end
+  require_all_up t "entry_count";
+  sum_shards t (fun sh -> Btree.entry_count (Dc.tree sh.Engine.s_dc ~table))
 
 let check_integrity t =
   require_all_up t "check_integrity";

@@ -179,7 +179,7 @@ val fold_table : t -> table:int -> init:'a -> f:('a -> int -> string -> 'a) -> '
 
 val fold_range :
   t -> table:int -> lo:int -> hi:int -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
-(** Fold over entries with lo ≤ key < hi, in key order (cursor-based). *)
+(** Fold over entries with lo ≤ key < hi, in key order. *)
 
 val scan : t -> table:int -> lo:int -> hi:int -> (int * string) list
 (** Entries with lo <= key < hi, sorted by key. *)

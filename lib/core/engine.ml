@@ -189,19 +189,9 @@ let assemble ?dc_log ?extra_shards config ~store ~log =
   let config = normalize config in
   let n = Stdlib.max 1 config.Config.shards in
   let clock = Clock.create () in
-  let trace =
-    if config.Config.tracing then
-      Some (Trace.create ~now:(fun () -> Clock.now clock) ~capacity:config.Config.trace_capacity ())
-    else None
-  in
-  let flight =
-    if config.Config.flight then
-      Some
-        (Flight.create
-           ~now:(fun () -> Clock.now clock)
-           ~components:n ~capacity:config.Config.flight_capacity ())
-    else None
-  in
+  let now () = Clock.now clock in
+  let trace = if config.Config.tracing then Some (Trace.create ~now ()) else None in
+  let flight = if config.Config.flight then Some (Flight.create ~now ~components:n ()) else None in
   let obs = Obs.create ?trace ?flight () in
   let m = Obs.metrics obs in
   (* Shard-local device histograms carry their shard prefix whenever the

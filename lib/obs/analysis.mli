@@ -1,6 +1,6 @@
 (** Trace-mining recovery profiler.
 
-    Turns a raw event stream (the [Trace] ring, or a re-parsed export) into
+    Turns a raw event stream (the [Trace] buffer, or a re-parsed export) into
     a machine-readable profile: a per-phase time budget (compute vs
     IO-overlapped vs stall-blocked), every [stall] span attributed to the
     device span whose completion it waited on (which disk, demand read vs

@@ -1,4 +1,4 @@
-(* Ring-buffer event trace.  See trace.mli for the contract. *)
+(* Append-only event trace.  See trace.mli for the contract. *)
 
 type kind = Span | Instant | Flow_start | Flow_step | Flow_end
 
@@ -14,9 +14,8 @@ type event = {
 
 type t = {
   now : unit -> float;
-  capacity : int;
-  buf : event array;
-  mutable total : int; (* events ever recorded *)
+  mutable buf : event array;  (* doubles when full; [len] slots are events *)
+  mutable len : int;
   mutable stopped : bool;
   owner : Domain.id;  (* instrumentation is single-domain; see trace.mli *)
 }
@@ -70,32 +69,28 @@ let track_name = function
 let dummy =
   { name = ""; cat = ""; track = 0; ts = 0.0; dur = 0.0; kind = Instant; args = [] }
 
-let create ~now ?(capacity = 65536) () =
-  if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
-  {
-    now;
-    capacity;
-    buf = Array.make capacity dummy;
-    total = 0;
-    stopped = false;
-    owner = Domain.self ();
-  }
+let create ~now () = { now; buf = [||]; len = 0; stopped = false; owner = Domain.self () }
 
 let now t = t.now ()
 
 (* The ownership guard makes a cross-domain event a loud error instead of
-   a silently torn ring (two domains racing [total] would overwrite each
+   a silently torn buffer (two domains racing [len] would overwrite each
    other's slots).  One comparison per event; tracing is a diagnostic
    mode, so the cost is irrelevant. *)
 let push t ev =
   if Domain.self () <> t.owner then
     invalid_arg
       ("Trace: event '" ^ ev.name
-     ^ "' pushed from a domain that does not own this ring (instrumentation \
+     ^ "' pushed from a domain that does not own this trace (instrumentation \
         is single-domain: give each domain its own engine)");
   if not t.stopped then begin
-    t.buf.(t.total mod t.capacity) <- ev;
-    t.total <- t.total + 1
+    if t.len = Array.length t.buf then begin
+      let buf = Array.make (max 1024 (2 * t.len)) dummy in
+      Array.blit t.buf 0 buf 0 t.len;
+      t.buf <- buf
+    end;
+    t.buf.(t.len) <- ev;
+    t.len <- t.len + 1
   end
 
 let span t ~name ~cat ?(track = 0) ~ts ~dur ?(args = []) () =
@@ -118,14 +113,8 @@ let flow_end t = flow t Flow_end
 let flow_id ev = match List.assoc_opt "id" ev.args with Some id -> id | None -> -1
 
 let stop t = t.stopped <- true
-let emitted t = t.total
-let length t = min t.total t.capacity
-let dropped t = max 0 (t.total - t.capacity)
-
-let events t =
-  let n = length t in
-  let first = t.total - n in
-  List.init n (fun i -> t.buf.((first + i) mod t.capacity))
+let length t = t.len
+let events t = List.init t.len (Array.get t.buf)
 
 let count t ?kind ?name () =
   let matches ev =
@@ -207,14 +196,3 @@ let to_chrome_json ?metrics t =
          ("displayTimeUnit", Json.Str "ms");
          ("traceEvents", Json.Arr (names @ metrics @ List.map event_json evs));
        ])
-
-(* A dropped event means an export would describe a truncated run; tell
-   the operator exactly what capacity to ask for. *)
-let overflow_advice t =
-  if dropped t = 0 then None
-  else
-    Some
-      (Printf.sprintf
-         "trace ring overflowed (%d of %d events dropped).\n\
-          A trace_capacity of %d would have sufficed — rerun with DEUT_TRACE_CAP=%d."
-         (dropped t) (emitted t) (emitted t) (emitted t))

@@ -1,10 +1,12 @@
-(** Bounded ring buffer of typed events stamped with the simulated clock.
+(** Append-only buffer of typed events stamped with the simulated clock.
 
     A trace is created with a [now] closure (normally the engine's virtual
     clock) so this library stays below [Deut_sim] in the dependency order.
     Events are spans (a name, a start timestamp and a duration, all in
-    simulated microseconds) or instants.  The buffer holds the most recent
-    [capacity] events; older ones are counted in [dropped] and discarded.
+    simulated microseconds) or instants.  The buffer doubles when full and
+    keeps every event recorded between [create] and [stop], in emission
+    order; tracing is a diagnostic mode whose runs cover one recovery, so
+    it is not bounded.
 
     Recording never advances the clock and allocates nothing on the
     disabled path (components hold a [t option] and skip emission when it
@@ -12,13 +14,13 @@
     because timestamps come from the deterministic simulation, two
     identical-seed runs export byte-identical files.
 
-    Instrumentation is single-domain: the ring belongs to the domain that
+    Instrumentation is single-domain: the trace belongs to the domain that
     created it, and recording an event from any other domain raises
     [Invalid_argument] — a loud guard, since two domains racing the write
-    cursor would silently tear the ring.  The domain-parallel harness
+    cursor would silently tear the buffer.  The domain-parallel harness
     honours this by giving every cell its own engine (and so its own
-    ring); reading or exporting after the owning domain has been joined is
-    safe. *)
+    trace); reading or exporting after the owning domain has been joined
+    is safe. *)
 
 type kind =
   | Span
@@ -91,8 +93,7 @@ val pid_of_track : int -> int
 
 (** {1 Recording} *)
 
-val create : now:(unit -> float) -> ?capacity:int -> unit -> t
-(** [capacity] defaults to 65536 events. *)
+val create : now:(unit -> float) -> unit -> t
 
 val now : t -> float
 
@@ -131,24 +132,13 @@ val stop : t -> unit
 (** {1 Reading} *)
 
 val events : t -> event list
-(** Buffered events, oldest first. *)
+(** Every recorded event, oldest first. *)
 
 val length : t -> int
-(** Number of buffered events (≤ capacity). *)
-
-val emitted : t -> int
-(** Total events ever recorded, including dropped ones. *)
-
-val dropped : t -> int
+(** Number of recorded events. *)
 
 val count : t -> ?kind:kind -> ?name:string -> unit -> int
-(** Buffered events matching the given filters. *)
-
-val overflow_advice : t -> string option
-(** [None] when nothing was dropped; otherwise a message naming the
-    [trace_capacity] (and the [DEUT_TRACE_CAP] setting) that would have
-    held the whole run.  Shared by every exporter that refuses truncated
-    traces. *)
+(** Recorded events matching the given filters. *)
 
 (** {1 Export} *)
 

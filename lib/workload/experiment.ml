@@ -100,17 +100,17 @@ type crash_run = {
    no sweep fans two requests for one setup at once (every fan is over
    distinct cache sizes or multipliers), and if a list repeats a setup it
    is simply built twice, to the same result.  An LRU list bounds retained
-   crash images ([max_entries]). *)
+   crash images to [max_entries]; a default-scale crash run holds
+   ~250 MB. *)
 type build_cache = {
   mutex : Mutex.t;
   entries : (scaled, crash_run) Hashtbl.t;
   mutable lru : scaled list;  (* keys, most recently used first *)
-  max_entries : int;
 }
 
-let build_cache ?(max_entries = 16) () : build_cache =
-  if max_entries < 1 then invalid_arg "Experiment.build_cache: max_entries must be >= 1";
-  { mutex = Mutex.create (); entries = Hashtbl.create 8; lru = []; max_entries }
+let max_entries = 3
+
+let build_cache () : build_cache = { mutex = Mutex.create (); entries = Hashtbl.create 8; lru = [] }
 
 let build_uncached scaled =
   let driver = Driver.create ~config:scaled.config scaled.spec in
@@ -172,7 +172,7 @@ let build ?cache scaled =
           Mutex.protect c.mutex (fun () ->
               Hashtbl.replace c.entries scaled run;
               touch ();
-              if List.length c.lru > c.max_entries then
+              if List.length c.lru > max_entries then
                 match List.rev c.lru with
                 | oldest :: _ ->
                     Hashtbl.remove c.entries oldest;
@@ -230,14 +230,10 @@ let recover_traced ?meta ~config run method_ =
   let db, stats = recover_verified ~config run method_ in
   match Deut_core.Engine.trace (Db.engine db) with
   | None -> invalid_arg "Experiment.recover_traced: config has tracing off"
-  | Some tr -> (
-      (* A dropped event means a profile would describe a truncated run. *)
-      match Deut_obs.Trace.overflow_advice tr with
-      | Some advice -> failwith advice
-      | None ->
-          let profile = Analysis.of_trace ?meta tr in
-          reconcile stats profile;
-          (db, stats, tr, profile))
+  | Some tr ->
+      let profile = Analysis.of_trace ?meta tr in
+      reconcile stats profile;
+      (db, stats, tr, profile)
 
 let run_method run method_ = snd (recover_verified run method_)
 let run_all run methods = List.map (fun m -> (m, run_method run m)) methods

@@ -58,10 +58,9 @@ type build_cache
     sealed oracles (see {!Oracle.seal}).  Concurrent requests for one
     setup each build it (no sweep makes them).  Costs memory:
     every cached crash image (store + log) stays live until evicted — an
-    LRU bound of [max_entries] caps how many. *)
+    LRU bound of three runs caps how many. *)
 
-val build_cache : ?max_entries:int -> unit -> build_cache
-(** [max_entries] defaults to 16. *)
+val build_cache : unit -> build_cache
 
 val drop_cache : build_cache -> unit
 (** Empty the cache, releasing every retained crash image. *)
@@ -109,9 +108,7 @@ val recover_traced :
   Deut_core.Db.t * Deut_core.Recovery_stats.t * Deut_obs.Trace.t * Deut_obs.Analysis.t
 (** [recover_verified] under a [config] with tracing on, returning the
     recovery's trace and its profile ([Analysis.of_trace ?meta]), which
-    {!reconcile} has checked against the counters.  Raises [Failure] with
-    {!Deut_obs.Trace.overflow_advice} when the ring dropped events, so no
-    caller profiles a truncated run. *)
+    {!reconcile} has checked against the counters. *)
 
 val reconcile : Deut_core.Recovery_stats.t -> Deut_obs.Analysis.t -> unit
 (** Check a profile, mined from the trace alone, against the counters the

@@ -1097,7 +1097,6 @@ let run_tuning c arg =
                   {
                     base with
                     Config.tracing = true;
-                    trace_capacity = 1 lsl 20;
                     prefetch_window = window;
                     prefetch_chunk = chunk;
                     prefetch_lookahead = lookahead;

@@ -24,9 +24,7 @@ let expected =
     group_commit = 1;
     clients = 1;
     flight = true;
-    flight_capacity = 128;
     tracing = false;
-    trace_capacity = 65536;
     archive = false;
     shards = 1;
     domains = 1;
@@ -43,9 +41,7 @@ let expected =
 let expected_env =
   {
     expected with
-    Config.trace_capacity = 4096;
-    flight = false;
-    flight_capacity = 64;
+    Config.flight = false;
     redo_workers = 3;
     clients = 3;
     archive = true;

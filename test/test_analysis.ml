@@ -34,7 +34,6 @@ let traced_config =
     delta_capacity = 64;
     shards = 1;
     tracing = true;
-    trace_capacity = 1 lsl 18;
     (* Pin the timing overlays so the single-cursor invariants below
        (phase stall <= phase duration) hold regardless of the
        DEUT_REDO_WORKERS / DEUT_CLIENTS environment the CI matrix sets. *)
@@ -57,7 +56,6 @@ let recover_profiled image method_ =
     | Some tr -> tr
     | None -> Alcotest.fail "tracing enabled in config but engine has no trace"
   in
-  check "ring did not overflow" true (Trace.dropped tr = 0);
   (db, stats, tr, Analysis.of_trace tr)
 
 (* ---------- attribution invariants ---------- *)
@@ -196,7 +194,6 @@ let traced ?(workers = 1) run method_ =
     {
       run.Experiment.image.Deut_core.Crash_image.config with
       Config.tracing = true;
-      trace_capacity = 1 lsl 20;
       redo_workers = workers;
       clients = 1;
     }
@@ -271,7 +268,7 @@ let test_empty_trace_guards () =
    was fetched. *)
 let test_warm_run_all_zero () =
   let clock = ref 0.0 in
-  let tr = Trace.create ~now:(fun () -> !clock) ~capacity:64 () in
+  let tr = Trace.create ~now:(fun () -> !clock) () in
   Trace.span tr ~name:"analysis" ~cat:"phase" ~ts:0.0 ~dur:10.0 ();
   Trace.span tr ~name:"redo" ~cat:"phase" ~ts:10.0 ~dur:20.0 ();
   Trace.span tr ~name:"undo" ~cat:"phase" ~ts:30.0 ~dur:5.0 ();
@@ -289,7 +286,7 @@ let test_warm_run_all_zero () =
 
 let test_synthetic_classification () =
   let clock = ref 0.0 in
-  let tr = Trace.create ~now:(fun () -> !clock) ~capacity:64 () in
+  let tr = Trace.create ~now:(fun () -> !clock) () in
   let data = Trace.track_data_disk in
   (* One batch of three pages on the data disk, busy 0–100. *)
   List.iter
@@ -340,7 +337,7 @@ let test_synthetic_classification () =
 
 let profile_with_stall us wasted =
   let clock = ref 0.0 in
-  let tr = Trace.create ~now:(fun () -> !clock) ~capacity:64 () in
+  let tr = Trace.create ~now:(fun () -> !clock) () in
   for pid = 1 to wasted do
     Trace.instant tr ~name:"prefetch_page" ~cat:"cache" ~args:[ ("pid", pid); ("lane", 0) ] ()
   done;

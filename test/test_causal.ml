@@ -7,7 +7,7 @@
    this suite walks the flow-event graph and checks the arrows actually
    connect.  On top of that: same-seed byte determinism of the sharded
    networked export, retransmit attribution in the Analysis stall budget,
-   flow pairing surviving ring overflow, metrics registry collision
+   flow pairing on a trace past 65,536 events, metrics registry collision
    detection, shard-prefixed device metrics, and byte-identical forensics
    dumps from the flight recorder that rides through a crash. *)
 
@@ -45,7 +45,6 @@ let config ?(shards = 4) ?(lossy = false) () =
     net_reorder = (if lossy then 0.1 else 0.0);
     net_timeout_us = 500.0;
     tracing = true;
-    trace_capacity = 1 lsl 18;
   }
 
 let spec = { Workload.default with Workload.rows = 150; seed = 1903 }
@@ -99,7 +98,6 @@ let kind_counts chain =
    every shard. *)
 let test_flow_graph_connects () =
   let _db, tr = recover_traced () in
-  check_int "nothing dropped at this capacity" 0 (Trace.dropped tr);
   let flows = flows_of tr in
   check "recovery produced flows" true (List.length flows >= 4);
   let shards_seen = Hashtbl.create 8 in
@@ -206,44 +204,28 @@ let test_profile_json_backward_compat () =
     [ "/net: (missing) -> " ^ Json.to_string (Json.member "net" current) ]
     d.Json.gated
 
-(* ---------- overflow ---------- *)
+(* ---------- a long trace ---------- *)
 
-(* A tiny ring under a sharded networked recovery overflows by design:
-   the advice must name the sufficient DEUT_TRACE_CAP, and the retained
-   flow events must still pair up (at most one start and one end per id,
-   in order) — the ring drops oldest-first, never from the middle of a
-   chain's emission order. *)
-let test_overflow_advice_and_pairing () =
-  let c = { (config ()) with Config.trace_capacity = 256 } in
-  let driver = Driver.create ~config:c spec in
-  let sched = Driver.run_concurrent driver ~txns:40 in
+(* A sharded, networked recovery whose trace outgrows 65,536 events keeps
+   every flow whole: each id has exactly one start and one end, the start
+   first and the end last. *)
+let test_long_trace_flow_pairing () =
+  let spec = { spec with Workload.rows = 1500 } in
+  let driver = Driver.create ~config:(config ~lossy:true ()) spec in
+  let sched = Driver.run_concurrent driver ~txns:600 in
   Client_sched.flush sched;
   let image = Driver.crash driver in
   let db, _ = Db.recover image Recovery.Log2 in
   let tr = Option.get (Engine.trace (Db.engine db)) in
-  check "ring overflowed" true (Trace.dropped tr > 0);
-  (match Trace.overflow_advice tr with
-  | None -> Alcotest.fail "overflow produced no advice"
-  | Some advice ->
-      check "advice names the env knob" true
-        (let needle = Printf.sprintf "DEUT_TRACE_CAP=%d" (Trace.emitted tr) in
-         let nl = String.length needle and al = String.length advice in
-         let rec go i = i + nl <= al && (String.sub advice i nl = needle || go (i + 1)) in
-         go 0));
+  check (Printf.sprintf "%d events, past 65,536" (Trace.length tr)) true (Trace.length tr > 65_536);
   List.iter
     (fun (id, chain) ->
       let s, _, f = kind_counts chain in
-      check (Printf.sprintf "flow %d: at most one start survives" id) true (s <= 1);
-      check (Printf.sprintf "flow %d: at most one end survives" id) true (f <= 1);
-      match (chain, List.rev chain) with
-      | first :: _, last :: _ ->
-          if s = 1 then
-            check (Printf.sprintf "flow %d: surviving start is first" id) true
-              (first.Trace.kind = Trace.Flow_start);
-          if f = 1 then
-            check (Printf.sprintf "flow %d: surviving end is last" id) true
-              (last.Trace.kind = Trace.Flow_end)
-      | [], _ | _, [] -> ())
+      check_int (Printf.sprintf "flow %d: one start" id) 1 s;
+      check_int (Printf.sprintf "flow %d: one end" id) 1 f;
+      check (Printf.sprintf "flow %d: start first, end last" id) true
+        ((List.hd chain).Trace.kind = Trace.Flow_start
+        && (List.hd (List.rev chain)).Trace.kind = Trace.Flow_end))
     (flows_of tr)
 
 (* ---------- metrics registry ---------- *)
@@ -337,7 +319,7 @@ let suite =
     Alcotest.test_case "retransmits attributed to requests" `Quick test_retransmit_attribution;
     Alcotest.test_case "profile json backward compatible" `Quick
       test_profile_json_backward_compat;
-    Alcotest.test_case "overflow advice + flow pairing" `Quick test_overflow_advice_and_pairing;
+    Alcotest.test_case "long trace keeps every flow whole" `Quick test_long_trace_flow_pairing;
     Alcotest.test_case "metrics collision detection" `Quick test_metrics_collision_detection;
     Alcotest.test_case "shard-prefixed device metrics" `Quick test_shard_prefixed_metrics;
     Alcotest.test_case "forensics dumps byte-identical" `Quick test_forensics_deterministic;

@@ -1,10 +1,9 @@
-(* Range scans: the cursor over the leaf sibling chain, and the Db-level
-   scan API. *)
+(* Range scans: [Btree.fold_range] over the leaf sibling chain, and the
+   Db-level scan API. *)
 
 module Db = Deut_core.Db
 module Config = Deut_core.Config
 module Btree = Deut_btree.Btree
-module Cursor = Deut_btree.Cursor
 module Lr = Deut_wal.Log_record
 module Log = Deut_wal.Log_manager
 module Pool = Deut_buffer.Buffer_pool
@@ -44,18 +43,15 @@ let delete tree ~key =
       Btree.apply_delete tree ~pid ~key ~lsn:!lsn
   | _ -> Alcotest.fail "delete rejected"
 
+let keys_in tree ~lo ~hi =
+  List.rev (Btree.fold_range tree ~lo ~hi ~init:[] ~f:(fun acc k _ -> k :: acc))
+
+let count_range tree ~lo ~hi = Btree.fold_range tree ~lo ~hi ~init:0 ~f:(fun n _ _ -> n + 1)
+
 let test_empty_tree () =
   let tree = make_tree () in
-  let c = Cursor.first tree in
-  check "empty tree: exhausted" false (Cursor.is_valid c);
-  Cursor.next c;
-  check "next on exhausted is a no-op" false (Cursor.is_valid c);
-  Cursor.close c;
-  (try
-     ignore (Cursor.key c);
-     Alcotest.fail "key on closed cursor must raise"
-   with Invalid_argument _ -> ());
-  check_int "empty range" 0 (Cursor.count_range tree ~lo:0 ~hi:100)
+  check_int "empty tree" 0 (count_range tree ~lo:min_int ~hi:max_int);
+  check_int "empty range" 0 (count_range tree ~lo:0 ~hi:100)
 
 let test_full_scan_order () =
   let tree = make_tree () in
@@ -63,43 +59,60 @@ let test_full_scan_order () =
   for i = 0 to 599 do
     insert tree ~key:(3 * i) ~value:(string_of_int i)
   done;
-  let c = Cursor.first tree in
-  let n = ref 0 in
-  while Cursor.is_valid c do
-    check_int "keys in order" (3 * !n) (Cursor.key c);
-    check "value matches" true (Cursor.value c = string_of_int !n);
-    incr n;
-    Cursor.next c
-  done;
-  Cursor.close c;
-  check_int "all entries scanned" 600 !n
+  let n =
+    Btree.fold_range tree ~lo:min_int ~hi:max_int ~init:0 ~f:(fun n k v ->
+        check_int "keys in order" (3 * n) k;
+        check "value matches" true (v = string_of_int n);
+        n + 1)
+  in
+  check_int "all entries scanned" 600 n
 
+(* A range starts at the first key >= lo, wherever lo falls. *)
 let test_seek_semantics () =
   let tree = make_tree () in
   for i = 0 to 99 do
     insert tree ~key:(10 * i) ~value:"v"
   done;
-  let c = Cursor.seek tree ~key:55 in
-  check_int "seek lands on next larger key" 60 (Cursor.key c);
-  Cursor.close c;
-  let c = Cursor.seek tree ~key:60 in
-  check_int "seek exact hit" 60 (Cursor.key c);
-  Cursor.close c;
-  let c = Cursor.seek tree ~key:991 in
-  check "seek past the end" false (Cursor.is_valid c);
-  Cursor.close c
+  let first lo = match keys_in tree ~lo ~hi:max_int with k :: _ -> Some k | [] -> None in
+  Alcotest.(check (option int)) "between keys: the next larger key" (Some 60) (first 55);
+  Alcotest.(check (option int)) "exact hit" (Some 60) (first 60);
+  Alcotest.(check (option int)) "past the end" None (first 991)
 
 let test_range_bounds () =
   let tree = make_tree () in
   for i = 0 to 199 do
     insert tree ~key:i ~value:(string_of_int (i * i))
   done;
-  check_int "half-open range" 10 (Cursor.count_range tree ~lo:20 ~hi:30);
-  check_int "lo inclusive" 1 (Cursor.count_range tree ~lo:0 ~hi:1);
-  check_int "empty when lo = hi" 0 (Cursor.count_range tree ~lo:50 ~hi:50);
-  check_int "clipped at the end" 50 (Cursor.count_range tree ~lo:150 ~hi:10_000);
-  let sum = Cursor.fold_range tree ~lo:10 ~hi:13 ~init:0 ~f:(fun acc _ v -> acc + int_of_string v) in
+  check_int "half-open range" 10 (count_range tree ~lo:20 ~hi:30);
+  check_int "lo inclusive" 1 (count_range tree ~lo:0 ~hi:1);
+  check_int "empty when lo = hi" 0 (count_range tree ~lo:50 ~hi:50);
+  check_int "clipped at the end" 50 (count_range tree ~lo:150 ~hi:10_000);
+  let sum = Btree.fold_range tree ~lo:10 ~hi:13 ~init:0 ~f:(fun acc _ v -> acc + int_of_string v) in
   check_int "fold_range values" (100 + 121 + 144) sum
+
+(* A short range stops at the first key >= hi: a one-key range reads the
+   catalog, the internal path and its own leaf (height + 1 pages), not
+   the rest of the chain. *)
+let test_one_key_range_stops_early () =
+  let tree = make_tree () in
+  for i = 0 to 1999 do
+    insert tree ~key:i ~value:"x"
+  done;
+  check "multi-level tree" true (Btree.height tree >= 2);
+  let leaves = Btree.fold_leaves tree ~init:[] ~f:(fun acc page -> page :: acc) in
+  check "many leaves" true (List.length leaves > 8);
+  (* The first key of a middle leaf: its successor is in the same leaf. *)
+  let mid = List.nth (List.rev leaves) (List.length leaves / 2) in
+  let key = Deut_btree.Node.slot_key mid 0 in
+  let pool = Btree.pool_of tree in
+  let reads () = (Pool.counters pool).Pool.hits + (Pool.counters pool).Pool.misses in
+  let before = reads () in
+  Alcotest.(check (list int)) "the one key" [ key ] (keys_in tree ~lo:key ~hi:(key + 1));
+  let read = reads () - before in
+  check
+    (Printf.sprintf "%d pages read, height %d" read (Btree.height tree))
+    true
+    (read <= Btree.height tree + 1)
 
 let test_scan_skips_deleted_and_empty_leaves () =
   let tree = make_tree () in
@@ -110,9 +123,7 @@ let test_scan_skips_deleted_and_empty_leaves () =
   for i = 60 to 239 do
     delete tree ~key:i
   done;
-  let keys =
-    List.rev (Cursor.fold_range tree ~lo:0 ~hi:1000 ~init:[] ~f:(fun acc k _ -> k :: acc))
-  in
+  let keys = keys_in tree ~lo:0 ~hi:1000 in
   check_int "survivors" 120 (List.length keys);
   check "gap skipped" true (not (List.mem 100 keys));
   check "resumes after the gap" true (List.mem 240 keys);
@@ -168,14 +179,14 @@ let prop_range_model =
           | Btree.Missing_key -> ()
           | Btree.Duplicate_key -> assert false)
         deletions;
-      let via_cursor =
-        List.rev (Cursor.fold_range tree ~lo ~hi ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
+      let via_range =
+        List.rev (Btree.fold_range tree ~lo ~hi ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
       in
       let via_dump =
         List.rev (Btree.fold_entries tree ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
         |> List.filter (fun (k, _) -> k >= lo && k < hi)
       in
-      via_cursor = via_dump)
+      via_range = via_dump)
 
 let suite =
   [
@@ -183,6 +194,7 @@ let suite =
     Alcotest.test_case "full scan order" `Quick test_full_scan_order;
     Alcotest.test_case "seek semantics" `Quick test_seek_semantics;
     Alcotest.test_case "range bounds" `Quick test_range_bounds;
+    Alcotest.test_case "one-key range stops early" `Quick test_one_key_range_stops_early;
     Alcotest.test_case "deleted regions skipped" `Quick test_scan_skips_deleted_and_empty_leaves;
     Alcotest.test_case "db scan api" `Quick test_db_scan_api;
     Env.qcheck prop_range_model;

@@ -177,7 +177,7 @@ let test_domain_pool () =
     | exception Failure msg -> msg = "boom")
 
 (* The loud ownership guards: instrumentation structures refuse writes
-   from domains that do not own them instead of tearing their rings. *)
+   from domains that do not own them instead of tearing their buffers. *)
 let test_obs_owner_guards () =
   let metrics = Metrics.create () in
   let trace = Trace.create ~now:(fun () -> 0.0) () in
@@ -199,7 +199,7 @@ let test_obs_owner_guards () =
   check "owner writes fine" true
     (Metrics.read_int metrics "guard.test" = 1
     && Metrics.read_int metrics "guard.hist" = 2
-    && Trace.emitted trace = 1)
+    && Trace.length trace = 1)
 
 let suite =
   [

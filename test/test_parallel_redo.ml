@@ -31,7 +31,6 @@ let small_config ?(tracing = false) ?(workers = 1) () =
     (* The network lane would sit beyond the worker lanes. *)
     net = false;
     tracing;
-    trace_capacity = 1 lsl 18;
   }
 
 let make_crash ?(op_mix = Workload.Update_only) ?(rows = 1200) () =

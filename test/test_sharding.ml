@@ -153,12 +153,11 @@ let test_sharded_phase_budget () =
   Client_sched.flush sched;
   let image = Driver.crash driver in
   let traced =
-    { (Deut_core.Crash_image.config image) with Config.tracing = true; trace_capacity = 1 lsl 18 }
+    { (Deut_core.Crash_image.config image) with Config.tracing = true }
   in
   let db, stats = Db.recover ~config:traced image Recovery.Log2 in
   verified driver db;
   let tr = Option.get (Engine.trace (Db.engine db)) in
-  check_int "trace ring did not overflow" 0 (Deut_obs.Trace.dropped tr);
   Alcotest.(check (float 1e-6))
     "profile total = analysis + redo + undo"
     (stats.Recovery_stats.analysis_us +. stats.Recovery_stats.redo_us
@@ -474,7 +473,6 @@ let test_observers_change_nothing () =
         (config ~shards:2 ~net:true ()) with
         Config.flight;
         tracing;
-        trace_capacity = 1 lsl 18;
       }
     in
     let driver = Driver.create ~config:c (spec ~rows:120) in
@@ -542,9 +540,7 @@ let of_bindings bindings = Config.of_env ~getenv:(fun name -> List.assoc_opt nam
    where the value must land. *)
 let env_knobs =
   [
-    ("DEUT_TRACE_CAP", "4096", fun c -> c.Config.trace_capacity = 4096);
     ("DEUT_FLIGHT", "0", fun c -> not c.Config.flight);
-    ("DEUT_FLIGHT_CAP", "64", fun c -> c.Config.flight_capacity = 64);
     ("DEUT_REDO_WORKERS", "3", fun c -> c.Config.redo_workers = 3);
     ("DEUT_CLIENTS", "3", fun c -> c.Config.clients = 3);
     ("DEUT_ARCHIVE", "1", fun c -> c.Config.archive);
@@ -585,7 +581,7 @@ let test_env_malformed bad () =
 
 let env_malformed =
   [
-    ("pos_int", [ ("DEUT_SHARDS", "four"); ("DEUT_CLIENTS", "0"); ("DEUT_TRACE_CAP", "1.5") ]);
+    ("pos_int", [ ("DEUT_SHARDS", "four"); ("DEUT_CLIENTS", "0"); ("DEUT_REDO_WORKERS", "1.5") ]);
     ("nonneg_float", [ ("DEUT_NET_LOSS", "-0.5"); ("DEUT_NET_LATENCY_US", "fast") ]);
     ("flag", [ ("DEUT_NET", "maybe"); ("DEUT_ARCHIVE", "2") ]);
   ]

@@ -173,25 +173,9 @@ let test_disk_write_delays_read () =
   (* Queued behind the in-flight write: elevator seek, not a cold one. *)
   check_float "read queues behind write" 1700.0 (Clock.now clock)
 
-let test_stats_accumulator () =
-  let module Stats = Deut_sim.Stats in
-  let s = Stats.create () in
-  check_int "empty count" 0 (Stats.count s);
-  List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check_int "count" 8 (Stats.count s);
-  check_float "mean" 5.0 (Stats.mean s);
-  check_float "min" 2.0 (Stats.min s);
-  check_float "max" 9.0 (Stats.max s);
-  (* Sample stddev of the classic example set: sqrt(32/7). *)
-  Alcotest.(check (float 1e-6)) "stddev" (sqrt (32.0 /. 7.0)) (Stats.stddev s);
-  check "summary mentions n" true
-    (let str = Stats.summary s in
-     String.length str > 0 && str.[String.length str - 1] = ')')
-
 let suite =
   [
     Alcotest.test_case "clock" `Quick test_clock;
-    Alcotest.test_case "stats accumulator" `Quick test_stats_accumulator;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng splitmix64 vectors" `Quick test_rng_splitmix64_vectors;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;

@@ -1,4 +1,4 @@
-(* Observability layer: trace ring semantics, Chrome-JSON export,
+(* Observability layer: trace buffer semantics, Chrome-JSON export,
    same-seed determinism of traced recoveries, span/counter agreement,
    histogram bucketing, and CSV quoting. *)
 
@@ -17,23 +17,27 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-(* ---------- ring buffer ---------- *)
+(* ---------- event buffer ---------- *)
 
-let test_ring_wraparound () =
+(* The buffer keeps every event in emission order, however many, and a
+   stopped trace records nothing more. *)
+let test_keeps_every_event () =
+  let n = 100_000 in
   let clock = ref 0.0 in
-  let tr = Trace.create ~now:(fun () -> !clock) ~capacity:4 () in
-  for i = 1 to 10 do
+  let tr = Trace.create ~now:(fun () -> !clock) () in
+  for i = 1 to n do
     clock := float_of_int i;
-    Trace.instant tr ~name:(Printf.sprintf "e%d" i) ~cat:"t" ()
+    Trace.instant tr ~name:"e" ~cat:"t" ~args:[ ("i", i) ] ()
   done;
-  check_int "length capped at capacity" 4 (Trace.length tr);
-  check_int "all emissions counted" 10 (Trace.emitted tr);
-  check_int "overflow reported" 6 (Trace.dropped tr);
-  let names = List.map (fun ev -> ev.Trace.name) (Trace.events tr) in
-  Alcotest.(check (list string)) "oldest-first, newest retained" [ "e7"; "e8"; "e9"; "e10" ] names;
+  check_int "every event kept" n (Trace.length tr);
+  let in_order =
+    List.for_all2 (fun i ev -> ev.Trace.args = [ ("i", i) ] && ev.Trace.ts = float_of_int i)
+      (List.init n (fun i -> i + 1)) (Trace.events tr)
+  in
+  check "emission order" true in_order;
   Trace.stop tr;
   Trace.instant tr ~name:"late" ~cat:"t" ();
-  check_int "stopped trace drops emissions" 10 (Trace.emitted tr)
+  check_int "stopped trace records nothing" n (Trace.length tr)
 
 (* ---------- minimal JSON well-formedness checker ---------- *)
 
@@ -130,7 +134,6 @@ let traced base =
     delta_capacity = 64;
     shards = 1;
     tracing = true;
-    trace_capacity = 1 lsl 18;
   }
 
 let traced_config = traced Env.config
@@ -168,7 +171,6 @@ let test_chrome_json_well_formed () =
   let _, image = make_crash () in
   let _, _, tr = recover_traced image Recovery.Log2 in
   check "trace non-empty" true (Trace.length tr > 0);
-  check_int "nothing dropped at this scale" 0 (Trace.dropped tr);
   let json = Trace.to_chrome_json tr in
   (match validate_json json with
   | () -> ()
@@ -407,7 +409,7 @@ let test_histogram_buckets () =
 
 let suite =
   [
-    Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
+    Alcotest.test_case "keeps every event" `Quick test_keeps_every_event;
     Alcotest.test_case "same-seed determinism" `Quick test_traced_recovery_deterministic;
     Alcotest.test_case "chrome JSON well-formed" `Quick test_chrome_json_well_formed;
     Alcotest.test_case "spans match counters" `Quick test_spans_match_counters;
