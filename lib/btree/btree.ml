@@ -13,10 +13,8 @@ type t = {
          interleave with the replay of logged SMOs. *)
 }
 
-let table t = t.table
 let catalog_pid = 0
 let pool_of t = t.pool
-let set_merge_allowed t enabled = t.merge_allowed := enabled
 
 let capture_image (page : Page.t) =
   (page.Page.pid, Page.get_bytes page ~off:0 ~len:(Page.size page))
@@ -313,25 +311,6 @@ let apply_delete t ~pid ~key ~lsn =
   Pool.mark_dirty t.pool ~pid ~lsn;
   try_merge_after_delete t key
 
-(* Breadth-first internal pids.  The children of level-1 nodes are leaves
-   and are not visited. *)
-let internal_pids t =
-  let root = root_pid t in
-  let root_page = Pool.get t.pool root in
-  if Node.is_leaf root_page then []
-  else begin
-    let acc = ref [] in
-    let queue = Queue.create () in
-    Queue.add root queue;
-    while not (Queue.is_empty queue) do
-      let pid = Queue.pop queue in
-      acc := pid :: !acc;
-      let page = Pool.get t.pool pid in
-      if Node.level page > 1 then Node.iter_children page (fun child -> Queue.add child queue)
-    done;
-    List.rev !acc
-  end
-
 let preload_index t =
   let root = root_pid t in
   let root_page = Pool.get t.pool root in
@@ -382,8 +361,6 @@ let fold_leaves t ~init ~f =
 
 let fold_entries t ~init ~f =
   fold_leaves t ~init ~f:(fun acc page -> Node.fold_leaf page ~init:acc ~f)
-let entry_count t = fold_leaves t ~init:0 ~f:(fun n page -> n + Node.nslots page)
-let leaf_count t = fold_leaves t ~init:0 ~f:(fun n _ -> n + 1)
 
 (* The same chain, entered at [lo]'s leaf and left at the first key
    [>= hi], so a short range reads its own leaves and not the rest. *)

@@ -23,16 +23,17 @@
 
 type t
 
-val table : t -> int
 val catalog_pid : int
 
 val pool_of : t -> Deut_buffer.Buffer_pool.t
-(** The buffer pool this tree reads through. *)
+(** The buffer pool this tree reads through.
+    Test seam: tests read a tree's pages through the pool it was built on. *)
 
 val stamp_smo : Deut_buffer.Buffer_pool.t -> Deut_wal.Log_record.smo -> lsn:Deut_wal.Lsn.t -> unit
 (** Stamp + dirty every page named by the SMO record in the DC pLSN domain
     — the second half of the [log_smo] contract, for callbacks that are not
-    a full data component (tests, tools). *)
+    a full data component (tests, tools).
+    Test seam: B-tree tests stamp SMOs for trees built without a DC. *)
 
 val format_store :
   pool:Deut_buffer.Buffer_pool.t -> log_smo:(Deut_wal.Log_record.smo -> Deut_wal.Lsn.t) -> unit
@@ -46,8 +47,12 @@ val create :
   unit ->
   t
 (** Create the table's tree: a fresh root leaf, registered in the catalog,
-    both logged as an SMO.  [merge_allowed] (shared, default always-on)
-    gates opportunistic leaf merging — see {!set_merge_allowed}. *)
+    both logged as an SMO.  [merge_allowed] (shared with the owning data
+    component, default always-on) gates opportunistic leaf merging.  Redo
+    passes turn it off: merging is maintenance, and reorganising the tree
+    mid-replay would interleave with the logged SMOs still being
+    reinstalled.  Normal operation and the undo pass (which runs on the
+    fully replayed tree) keep it on. *)
 
 val open_existing :
   ?merge_allowed:bool ref ->
@@ -59,13 +64,9 @@ val open_existing :
 (** Attach to a table already present in the catalog (after recovery).
     Raises [Not_found] if the catalog has no entry. *)
 
-val set_merge_allowed : t -> bool -> unit
-(** Gate opportunistic leaf merging.  Redo passes turn it off: merging is
-    maintenance, and reorganising the tree mid-replay would interleave
-    with the logged SMOs still being reinstalled.  Normal operation and
-    the undo pass (which runs on the fully replayed tree) keep it on. *)
-
 val root_pid : t -> int
+(** Test seam: tests read and corrupt a tree's pages starting from its root. *)
+
 val height : t -> int
 
 val lookup : t -> key:int -> string option
@@ -93,10 +94,6 @@ val apply_delete : t -> pid:int -> key:int -> lsn:Deut_wal.Lsn.t -> unit
     key overwrites; update of a missing key inserts): redo proper never
     needs the latitude, but CLR replay does. *)
 
-val internal_pids : t -> int list
-(** All internal-node pids (root included), breadth-first — the index pages
-    Log2 preloads at the start of DC recovery (Appendix A.1). *)
-
 val preload_index : t -> unit
 (** Load every internal page into the cache, level by level, prefetching
     each level as a batch before touching it (Appendix A.1's "simply load
@@ -104,8 +101,8 @@ val preload_index : t -> unit
 
 val fold_leaves : t -> init:'a -> f:('a -> Deut_storage.Page.t -> 'a) -> 'a
 (** Fold over the leaf pages along the sibling chain, leftmost (lowest
-    keys) first.  [fold_entries], [entry_count], [leaf_count] and the
-    post-recovery check (through [Db.iter_leaves]) are this walk. *)
+    keys) first.  [fold_entries] and the post-recovery check (through
+    [Db.iter_leaves]) are this walk. *)
 
 val fold_entries : t -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
 (** In-order fold over all (key, value) entries via the leaf chain. *)
@@ -115,13 +112,9 @@ val fold_range : t -> lo:int -> hi:int -> init:'a -> f:('a -> int -> string -> '
     from the leaf that would hold [lo], stopping at the first key [>= hi].
     Like [fold_entries] it pins nothing and takes no snapshot. *)
 
-val entry_count : t -> int
-
 val check_tree : t -> (unit, string) result
 (** Whole-tree structural invariants, in one walk that reads each page
     once: per-node layout, level consistency, separator bounds, leaf-chain
     agreement with in-order traversal.  Total: a corrupt tree, including
     one whose pages point at missing pages or back up the tree, yields
     [Error] naming the first fault, never an exception or a hang. *)
-
-val leaf_count : t -> int

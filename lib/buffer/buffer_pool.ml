@@ -159,11 +159,6 @@ let size t = Int_tbl.length t.by_pid
 
 let dirty_count t = t.dirty_frames
 
-let contains t pid = Int_tbl.mem t.by_pid pid
-
-let is_dirty t pid =
-  match Int_tbl.find_opt t.by_pid pid with None -> false | Some slot -> t.frames.(slot).dirty
-
 (* The prefetcher polls per-lane occupancy on every step, so the per-lane
    counts are maintained on submit/claim/discard instead of folding the
    whole table per call. *)
@@ -540,6 +535,3 @@ let flush_previous_epoch t =
   Array.iter
     (fun f -> if f.pid >= 0 && f.dirty && f.epoch <> t.cur_epoch then flush_frame t f)
     t.frames
-
-let dirty_pids t =
-  Array.fold_left (fun acc f -> if f.pid >= 0 && f.dirty then f.pid :: acc else acc) [] t.frames

@@ -84,9 +84,6 @@ val dirty_count : t -> int
 (** Number of dirty frames, O(1): a counter kept in step at every
     clean↔dirty transition. *)
 
-val contains : t -> int -> bool
-val is_dirty : t -> int -> bool
-
 val get : t -> ?pin:bool -> int -> Deut_storage.Page.t
 (** Return the cached page, waiting for an in-flight prefetch or performing
     a synchronous read on a miss.  [pin] (default false) protects the frame
@@ -166,10 +163,12 @@ val flush_one_dirty : t -> bool
     DPT prune.  When no frame is dirty, or no dirty frame can have come of
     age, been unpinned or been dirtied since the last sweep that found
     nothing, it returns [false] in O(1), leaving the sweep position where a
-    full fruitless sweep would. *)
+    full fruitless sweep would.
+    Test seam: the lazy-writer model property steps the writer by hand. *)
 
 val flush_page : t -> int -> unit
-(** Force the page's image to the store (WAL first); fires [on_flush]. *)
+(** Force the page's image to the store (WAL first); fires [on_flush].
+    Test seam: pool tests flush one chosen page (WAL order, hooks). *)
 
 val flush_all_dirty : t -> unit
 
@@ -180,6 +179,3 @@ val begin_checkpoint_epoch : t -> unit
 val flush_previous_epoch : t -> unit
 (** Flush every frame still dirty from before the last epoch flip — the
     penultimate checkpoint's flush phase. *)
-
-val dirty_pids : t -> int list
-(** Pids of all dirty frames — ground truth for DPT safety tests. *)

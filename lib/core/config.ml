@@ -50,11 +50,6 @@ type prefetch_source = Pf_list | Dpt_order
 
 let prefetch_source_to_string = function Pf_list -> "pf-list" | Dpt_order -> "dpt-order"
 
-let prefetch_source_of_string = function
-  | "pf-list" -> Some Pf_list
-  | "dpt-order" -> Some Dpt_order
-  | _ -> None
-
 (* The simulated cost model's fixed parameters, the same in every run.
    Every device is the one disk model; the log devices (TC log, DC log,
    archive) stream, so they get a longer sequential gap. *)

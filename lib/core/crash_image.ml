@@ -95,8 +95,6 @@ let instantiate ?config t =
   Engine.assemble ?dc_log ?extra_shards config ~store:(Page_store.clone t.store)
     ~log:(Log_manager.crash t.log)
 
-let log_bytes t = Log_manager.end_lsn t.log
-
 let stable_pages t =
   Array.fold_left
     (fun acc si -> acc + Page_store.stable_count si.sh_store)

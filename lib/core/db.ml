@@ -227,9 +227,7 @@ let recover_instant ?config ?undo_fault_after_clrs image =
   { i_db = { db with instant_sess = Some sess }; i_sess = sess }
 
 let instant_db i = i.i_db
-let instant_pending i = Recovery.instant_pending_pages i.i_sess
 let instant_step i = Recovery.instant_step i.i_sess
-let instant_drain i = Recovery.instant_drain i.i_sess
 
 let instant_finish i =
   let stats = Recovery.instant_finish i.i_sess in
@@ -239,7 +237,6 @@ let instant_finish i =
 (* {2 Per-shard crash and recovery} *)
 
 let shard_count t = Engine.shard_count t.engine
-let shard_up t ~shard = Engine.shard_up t.engine shard
 
 let crash_shard t ~shard =
   live t;
@@ -300,20 +297,6 @@ let iter_leaves t ~table ~shard f =
   require_all_up t "iter_leaves";
   Btree.fold_leaves (Dc.tree (Engine.shard t.engine shard).Engine.s_dc ~table) ~init:()
     ~f:(fun () page -> f page)
-
-let sum_shards t f =
-  let e = t.engine in
-  let acc = ref 0 in
-  for i = 0 to Engine.shard_count e - 1 do
-    acc := !acc + f (Engine.shard e i)
-  done;
-  !acc
-
-let entry_count t ~table =
-  live t;
-  scan_gate t;
-  require_all_up t "entry_count";
-  sum_shards t (fun sh -> Btree.entry_count (Dc.tree sh.Engine.s_dc ~table))
 
 let check_integrity t =
   require_all_up t "check_integrity";

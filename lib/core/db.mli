@@ -48,7 +48,6 @@ module Txn : sig
 end
 
 val create : ?config:Config.t -> unit -> t
-val of_engine : Engine.t -> t
 val engine : t -> Engine.t
 val config : t -> Config.t
 
@@ -129,8 +128,6 @@ val recover : ?config:Config.t -> Crash_image.t -> Recovery.method_ -> t * Recov
 
 val shard_count : t -> int
 
-val shard_up : t -> shard:int -> bool
-
 val crash_shard : t -> shard:int -> unit
 (** Kill one data component: its cache (dirty pages included) and unforced
     DC-log tail vanish; stable pages and the stable DC-log prefix survive.
@@ -161,13 +158,8 @@ val recover_instant :
 val instant_db : instant -> t
 (** Open for transactions from the moment [recover_instant] returns. *)
 
-val instant_pending : instant -> int
-(** Pages with redo still outstanding. *)
-
 val instant_step : instant -> bool
 (** Replay one pending page in the background; [false] once drained. *)
-
-val instant_drain : instant -> unit
 
 val instant_finish : instant -> Recovery_stats.t
 (** Drain, re-enable maintenance and finalise statistics (idempotent).
@@ -185,7 +177,6 @@ val scan : t -> table:int -> lo:int -> hi:int -> (int * string) list
 (** Entries with lo <= key < hi, sorted by key. *)
 
 val dump_table : t -> table:int -> (int * string) list
-val entry_count : t -> table:int -> int
 
 val iter_leaves : t -> table:int -> shard:int -> (Deut_storage.Page.t -> unit) -> unit
 (** The table's leaf pages on one shard, lowest keys first, for a check

@@ -91,15 +91,11 @@ let create ?trace ~config ~clock ~disk ~store ~pool ~dc_log ~tc () =
 
 let config t = t.config
 let pool t = t.pool
-let store t = t.store
 let monitor t = t.monitor
-let clock t = t.clock
 let dpt t = t.dpt
 let pf_list t = t.pf
-let last_delta_tclsn t = t.last_delta_tclsn
 let set_dpt t dpt = t.dpt <- dpt
 let dc_archive_point t = t.dc_archive
-let dc_log t = t.dc_log
 
 (* Append the SMO record, then stamp every touched page with its LSN in
    the DC domain.  The dirty-event value fed to the Δ monitor stays in the
@@ -154,6 +150,8 @@ let tables t =
   let catalog = Pool.get t.pool Btree.catalog_pid in
   List.map fst (Deut_btree.Catalog.tables catalog)
 
+(* Checked before routing an operation, so a bad table id is a typed error
+   rather than a failed catalog lookup. *)
 let has_table t ~table =
   Hashtbl.mem t.trees table
   ||
@@ -162,6 +160,8 @@ let has_table t ~table =
 
 (* {2 Normal execution} *)
 
+(* Route to the leaf, splitting as needed so the apply cannot fail; returns
+   the before-image for the TC's log record. *)
 let prepare t ~table ~key ~op ~value_len = Btree.prepare_write (tree t ~table) ~key ~op ~value_len
 
 let apply t ~table ~pid ~key ~op ~value ~lsn =
@@ -174,8 +174,15 @@ let apply t ~table ~pid ~key ~op ~value ~lsn =
 
 let read t ~table ~key = Btree.lookup (tree t ~table) ~key
 
+(* The TC's end-of-stable-log notice; it feeds the FW-LSN and TC-LSN fields
+   of Δ/BW records. *)
 let eosl t lsn = if lsn > !(t.elsn_ref) then t.elsn_ref := lsn
 
+(* Redo-scan-start-point request: flip the checkpoint epoch, flush every page
+   dirtied before it, and emit the pending Δ/BW records so that the flush
+   events precede the end-checkpoint record on the log.  Also records the
+   DC-log archive point: everything the DC logged before this checkpoint is
+   now reflected in stable pages. *)
 let rssp t _rssp_lsn =
   (* Everything the DC logged before this point will be reflected in
      stable pages once the flush below completes, so the DC log may later
@@ -239,6 +246,10 @@ let install_image t ~pid ~image ~lsn =
       Page.set_dc_plsn page lsn;
       Pool.install t.pool page ~dirty:true ~event_lsn
 
+(* Install the SMO's page images where the DC pLSN shows them missing.  With
+   [dpt_test], pages absent from the DPT are skipped without IO (the
+   physiological pass); without, the stable DC pLSN decides (the DC pass,
+   which runs before any DPT exists). *)
 let redo_smo t ~lsn ~(smo : Lr.smo) ~dpt_test ~(stats : Recovery_stats.t) =
   stats.smos_replayed <- stats.smos_replayed + 1;
   (match t.trace with
@@ -371,6 +382,7 @@ let redo_logical t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats
    else fetch_and_test_then_apply t ~lsn ~view ~pid ~stats);
   note_redo_op t ~lsn ~pid ~ts0
 
+(* Algorithm 1: DPT/rLSN tests on the record's pid, then the pLSN test. *)
 let redo_physiological t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats.t) =
   stats.redo_candidates <- stats.redo_candidates + 1;
   let ts0 = Clock.now t.clock in

@@ -11,8 +11,6 @@ let mem = Hashtbl.mem
 let find t pid =
   Option.map (fun e -> (e.rlsn, e.last_lsn)) (Hashtbl.find_opt t pid)
 
-let rlsn t pid = Option.map (fun e -> e.rlsn) (Hashtbl.find_opt t pid)
-
 let add t ~pid ~lsn =
   match Hashtbl.find_opt t pid with
   | Some e ->
@@ -45,10 +43,6 @@ let apply_flush ?trace t ~pid ~fw_lsn =
 
 let min_rlsn t =
   Hashtbl.fold (fun _ e acc -> if Lsn.is_nil acc then e.rlsn else Lsn.min acc e.rlsn) t Lsn.nil
-
-let to_sorted_list t =
-  Hashtbl.fold (fun pid e acc -> (pid, e.rlsn, e.last_lsn) :: acc) t []
-  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
 let entries_by_rlsn t =
   Hashtbl.fold (fun pid e acc -> (pid, e.rlsn) :: acc) t []

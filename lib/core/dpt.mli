@@ -15,8 +15,6 @@ val mem : t -> int -> bool
 val find : t -> int -> (Deut_wal.Lsn.t * Deut_wal.Lsn.t) option
 (** [(rLSN, lastLSN)] of the entry, if present. *)
 
-val rlsn : t -> int -> Deut_wal.Lsn.t option
-
 val add : t -> pid:int -> lsn:Deut_wal.Lsn.t -> bool
 (** ADDENTRY: if absent, insert with rLSN = lastLSN = lsn and return [true]
     (it is a first mention); if present, raise the entry's lastLSN to [lsn]
@@ -38,9 +36,6 @@ val apply_flush : ?trace:Deut_obs.Trace.t -> t -> pid:int -> fw_lsn:Deut_wal.Lsn
 val min_rlsn : t -> Deut_wal.Lsn.t
 (** Smallest rLSN over all entries ([Lsn.nil] if empty) — the ARIES redo
     scan start point. *)
-
-val to_sorted_list : t -> (int * Deut_wal.Lsn.t * Deut_wal.Lsn.t) list
-(** Entries sorted by pid (deterministic output for tests and reports). *)
 
 val entries_by_rlsn : t -> int list
 (** Pids in ascending rLSN order — the DPT-driven prefetch order of

@@ -62,8 +62,5 @@ let release_all t ~txn =
         !keys;
       Hashtbl.remove t.by_txn txn
 
-let held_by t ~txn =
-  match Hashtbl.find_opt t.by_txn txn with Some keys -> List.length !keys | None -> 0
-
 let locked_keys t = Hashtbl.length t.locks
 let conflicts t = t.conflicts

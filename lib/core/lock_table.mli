@@ -25,9 +25,6 @@ val release_all : t -> txn:int -> unit
 (** End of transaction (commit or abort): drop every lock the transaction
     holds. *)
 
-val held_by : t -> txn:int -> int
-(** Number of locks the transaction holds (diagnostics, tests). *)
-
 val locked_keys : t -> int
 (** Number of keys with at least one holder. *)
 

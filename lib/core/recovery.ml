@@ -628,10 +628,6 @@ let ensure_undo sess =
     Hashtbl.reset sess.i_loser_keys
   end
 
-let instant_pending_pages sess =
-  ensure_history sess;
-  Hashtbl.length sess.i_pending
-
 (* The admission gate: a client touch of a key some loser wrote forces
    rollback before the touch proceeds — the in-memory stand-in for the
    persistent locks real instant recovery reacquires during analysis. *)

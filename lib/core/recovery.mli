@@ -33,8 +33,6 @@ val all_methods_with_instant : method_ list
 (** [all_methods] plus [InstantLog2] — the six modes the fuzz harness and
     crash-point tests sweep. *)
 
-val is_logical : method_ -> bool
-
 val recover :
   ?config:Config.t ->
   ?undo_fault_after_clrs:int ->
@@ -101,10 +99,6 @@ val instant_engine : instant -> Engine.t
 (** The recovered engine, open for transactions from the moment
     [recover_instant] returns. *)
 
-val instant_pending_pages : instant -> int
-(** Pages whose redo slice has not yet been replayed (forces the history
-    build if no page demand has triggered it yet). *)
-
 val instant_touch_key : instant -> table:int -> key:int -> unit
 (** The admission gate, called by the [Db] layer on every keyed client
     operation while redo is pending: touching a key some loser wrote
@@ -118,9 +112,6 @@ val instant_step : instant -> bool
 (** Finish any deferred recovery work (history index, loser rollback),
     then replay one pending page (log first-touch order); [false] when
     the pending set is empty. *)
-
-val instant_drain : instant -> unit
-(** Run {!instant_step} to exhaustion. *)
 
 val instant_finish : instant -> Recovery_stats.t
 (** Drain, re-enable maintenance and finalise the IO accounting
@@ -149,4 +140,5 @@ val physiological_analysis :
     update pids pruned by BW-log records, redo from [from]; [trace]
     records a [dpt_prune] instant per removed entry.  With [aries]: §3.1,
     the checkpoint-captured DPT plus first mentions in the scan, no
-    flush-based pruning, redo from the minimum rLSN. *)
+    flush-based pruning, redo from the minimum rLSN.
+    Test seam: DPT tests check this pass's table and redo start directly. *)

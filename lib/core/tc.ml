@@ -32,7 +32,6 @@ let create ?trace ?flight ~config ~log () =
     commits = 0;
     aborts = 0;
   }
-let log t = t.log
 let master t = t.master
 let set_master t lsn = t.master <- lsn
 
@@ -77,7 +76,6 @@ let lock t ~txn ~table ~key mode =
     | Error holder -> Error (Db_error.Lock_conflict { holder })
 
 let read_lock t ~txn ~table ~key = lock t ~txn ~table ~key Lock_table.Shared
-let locks_held t ~txn = Lock_table.held_by t.locks ~txn
 let lock_conflicts t = Lock_table.conflicts t.locks
 let locked_keys t = Lock_table.locked_keys t.locks
 let commit_count t = t.commits

@@ -26,7 +26,6 @@ val create :
 (* [trace] records a [ckpt] span (begin-ckpt to end-ckpt force) on the
    recovery track for every checkpoint; [flight] records the begin/end
    checkpoint milestones in the TC's flight-recorder ring. *)
-val log : t -> Deut_wal.Log_manager.t
 
 val master : t -> Deut_wal.Lsn.t
 (** Begin-checkpoint LSN of the last completed checkpoint — the redo scan
@@ -57,8 +56,6 @@ val execute :
 
 val read_lock : t -> txn:int -> table:int -> key:int -> (unit, Db_error.t) result
 (** Shared key lock for a transactional read (no-op unless locking is on). *)
-
-val locks_held : t -> txn:int -> int
 
 val lock_conflicts : t -> int
 (** Cumulative no-wait lock refusals this engine lifetime. *)

@@ -10,9 +10,6 @@ type params = {
   timeout_us : float;
 }
 
-let default_params =
-  { latency_us = 0.0; jitter_us = 0.0; loss = 0.0; reorder = 0.0; timeout_us = 1000.0 }
-
 type counters = {
   mutable messages : int;
   mutable retransmits : int;
@@ -40,7 +37,6 @@ let create ?trace ?(track = Trace.track_net) ~clock ~params ~seed () =
   }
 
 let counters t = t.counters
-let params t = t.params
 
 (* One message leg.  Every draw comes from the link's own seeded stream, in
    a fixed order per leg (delay, then loss, then reorder), so a run is

@@ -18,9 +18,6 @@ type params = {
   timeout_us : float;  (** sender retransmit timeout after a loss *)
 }
 
-val default_params : params
-(** All costs zero; 1 ms retransmit timeout. *)
-
 type counters = {
   mutable messages : int;  (** delivered messages (both legs of an RPC) *)
   mutable retransmits : int;  (** messages lost and re-sent *)
@@ -42,7 +39,6 @@ val create :
     their shard lane instead. *)
 
 val counters : t -> counters
-val params : t -> params
 
 val rpc : ?flow_id:(unit -> int) -> t -> ('req -> 'rep) -> 'req -> 'rep
 (** [rpc t serve req] delivers [req] over the link, runs [serve] at the

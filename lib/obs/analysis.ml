@@ -250,6 +250,8 @@ let attribute_net ~rpcs ~nets ~losses =
 
 (* ---------- profile construction ---------- *)
 
+(* Total on any input: an empty or stall-free stream (a warm,
+   hit-everything run) yields all-zero components, never NaN. *)
 let of_events ?(meta = []) events =
   let stalls = ref [] and ios = ref [] and phases_raw = ref [] in
   let rpcs = ref [] and nets = ref [] and losses = ref [] in

@@ -76,21 +76,7 @@ type t = {
   redo_ops : int;
 }
 
-val of_events : ?meta:(string * string) list -> Trace.event list -> t
-(** Profile an event stream.  Total functions of the input: an empty or
-    stall-free stream (a warm, hit-everything run) yields all-zero
-    components, never NaN — every ratio below is guarded. *)
-
 val of_trace : ?meta:(string * string) list -> Trace.t -> t
-
-val late_fraction : t -> float
-(** [pf_late / (pf_hit + pf_late)], 0 when no prefetch was claimed. *)
-
-val wasted_fraction : t -> float
-(** [pf_wasted / pf_issued], 0 when nothing was issued. *)
-
-val attributed_fraction : t -> float
-(** [stall_attributed_us / stall_total_us], 1 when there were no stalls. *)
 
 (** {1 Render} *)
 

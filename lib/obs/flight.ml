@@ -47,10 +47,6 @@ let create ~now ~components ?(capacity = 128) () =
     owner = Domain.self ();
   }
 
-let components t = Array.length t.rings - 1
-let capacity t = t.capacity
-let recorded t = t.seq
-
 (* O(1), allocates one record, never reads or advances the simulated
    clock beyond sampling it — recording cannot perturb the run.  The
    ownership guard keeps a cross-domain recording a loud error rather
@@ -97,7 +93,6 @@ let snapshot t =
   }
 
 let snapshot_components s = Array.length s.s_entries - 1
-let snapshot_entries s ~comp = s.s_entries.(comp + 1)
 
 let comp_label = function -1 -> "tc" | c -> Printf.sprintf "shard %d" c
 

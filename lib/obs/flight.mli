@@ -33,8 +33,6 @@ type kind =
   | Phase  (** recovery-phase transition *)
   | Crash  (** crash marker (whole engine or one shard) *)
 
-val kind_to_string : kind -> string
-
 type entry = {
   e_seq : int;  (** global sequence number, total order across components *)
   e_ts : float;  (** simulated µs *)
@@ -54,12 +52,6 @@ val create : now:(unit -> float) -> components:int -> ?capacity:int -> unit -> t
 (** One ring for the TC plus one per data-component shard ([components]
     shards).  [capacity] (default 128) is per component. *)
 
-val components : t -> int
-val capacity : t -> int
-
-val recorded : t -> int
-(** Total events ever recorded, across all components. *)
-
 val record :
   t -> comp:int -> kind -> string -> ?mid:int -> ?lsn:int -> unit -> unit
 (** [record t ~comp kind what] appends to component [comp]'s ring,
@@ -73,9 +65,6 @@ val snapshot : t -> snapshot
 (** Immutable deep copy of every ring; later recording does not show
     through.  Captured by [Db.crash] / [Db.crash_shard] into the crash
     image. *)
-
-val snapshot_entries : snapshot -> comp:int -> entry list
-(** Oldest first. *)
 
 val render : snapshot -> string
 (** The forensic dump: per-component recent history (sequence number,

@@ -202,10 +202,9 @@ let member name = function
 
 let expected kind name = raise (Parse_error (Printf.sprintf "expected %s for %s" kind name))
 let to_num name = function Num text -> float_of_string text | _ -> expected "number" name
-let to_str name = function Str s -> s | _ -> expected "string" name
 let to_list name = function Arr items -> items | _ -> expected "array" name
 let num j name = to_num name (member name j)
-let str j name = to_str name (member name j)
+let str j name = match member name j with Str s -> s | _ -> expected "string" name
 
 (* ---------- diff ---------- *)
 

@@ -30,7 +30,6 @@ val parse : string -> (t, string) result
     field or a value of the wrong kind. *)
 
 val member : string -> t -> t
-val to_str : string -> t -> string
 val to_list : string -> t -> t list
 
 val num : t -> string -> float

@@ -101,10 +101,7 @@ let percentile h p =
     go 0 0
   end
 
-let bucket_bounds h = Array.copy h.bounds
-let bucket_counts h = Array.copy h.counts
 let observations h = h.h_n
-let sum h = h.h_sum
 
 let read t name =
   match Hashtbl.find_opt t.by_name name with
@@ -118,7 +115,6 @@ let find_histogram t name =
   match Hashtbl.find_opt t.by_name name with
   | Some (Histogram h) -> Some h
   | _ -> None
-let mem t name = Hashtbl.mem t.by_name name
 let names t = List.rev t.order
 
 let render t =

@@ -50,14 +50,7 @@ val observe : histogram -> float -> unit
 
 (** {1 Reading} *)
 
-val bucket_of : histogram -> float -> int
-(** Index of the bucket [observe] would land the value in (last index is
-    the overflow bucket). *)
-
-val bucket_bounds : histogram -> float array
-val bucket_counts : histogram -> int array
 val observations : histogram -> int
-val sum : histogram -> float
 
 val percentile : histogram -> float -> float
 (** [percentile h p] for [p] in [0, 100]: the upper bound of the first
@@ -72,8 +65,6 @@ val read : t -> string -> float
 
 val read_int : t -> string -> int
 (** [truncate (read t name)]. *)
-
-val mem : t -> string -> bool
 
 val find_histogram : t -> string -> histogram option
 (** The histogram registered under [name], if any ([None] also when the

@@ -116,13 +116,6 @@ let stop t = t.stopped <- true
 let length t = t.len
 let events t = List.init t.len (Array.get t.buf)
 
-let count t ?kind ?name () =
-  let matches ev =
-    (match kind with Some k -> ev.kind = k | None -> true)
-    && match name with Some n -> ev.name = n | None -> true
-  in
-  List.fold_left (fun acc ev -> if matches ev then acc + 1 else acc) 0 (events t)
-
 (* ---------- export ---------- *)
 
 (* Fixed "%.3f" keeps the output byte-stable across runs: the inputs are

@@ -85,12 +85,6 @@ val track_client : int -> int
 
 val track_name : int -> string
 
-val pid_of_track : int -> int
-(** The Chrome process a lane is exported under: 0 = the engine (every
-    single-machine lane), 1 = the network, [2 + s] = shard [s].  Perfetto
-    groups lanes by pid, so a sharded trace reads as one box per
-    component. *)
-
 (** {1 Recording} *)
 
 val create : now:(unit -> float) -> unit -> t
@@ -121,9 +115,6 @@ val flow_end :
 (** Close the flow ([bp:"e"]: binds to the enclosing slice, not the next
     one). *)
 
-val flow_id : event -> int
-(** The flow id a [Flow_*] event carries ([-1] for other kinds). *)
-
 val stop : t -> unit
 (** Ignore all further [span]/[instant] calls.  Used by [Recovery.recover]
     to close the window once statistics are finalised, so post-recovery
@@ -136,9 +127,6 @@ val events : t -> event list
 
 val length : t -> int
 (** Number of recorded events. *)
-
-val count : t -> ?kind:kind -> ?name:string -> unit -> int
-(** Recorded events matching the given filters. *)
 
 (** {1 Export} *)
 

@@ -14,8 +14,6 @@ let set t us =
   if us < 0.0 then invalid_arg "Clock.set: negative time";
   t.now_us <- us
 
-let reset t = t.now_us <- 0.0
-
 module Cursor = struct
   type clock = t
   type t = { clock : clock; mutable at : float }

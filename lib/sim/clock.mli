@@ -31,9 +31,6 @@ val set : t -> float -> unit
     shared resources (the disk's busy horizon) keep their own monotonic
     state.  Negative times are rejected with [Invalid_argument]. *)
 
-val reset : t -> unit
-(** Rewind to time 0 (used when re-running recovery from a crash image). *)
-
 (** A private timeline multiplexed onto the shared clock.
 
     Parallel redo workers and simulated clients each own a cursor: a

@@ -66,16 +66,7 @@ let note t ~ev ~start ~completion ~pid_only ~first_pid ~count =
 
 let observed t = t.trace != None || t.io_hist != None
 
-let params t = t.params
 let counters t = t.counters
-
-let reset_counters t =
-  let c = t.counters in
-  c.requests <- 0;
-  c.pages_read <- 0;
-  c.pages_written <- 0;
-  c.seeks <- 0;
-  c.sequential_requests <- 0
 
 let busy_until t = Float.max t.free_at (Clock.now t.clock)
 
@@ -149,5 +140,3 @@ let submit_batch_read t pids =
 let read_sequential_sync t ~first_pid ~count =
   t.counters.pages_read <- t.counters.pages_read + count;
   Clock.advance_to t.clock (submit t ~ev:"io_log" ~pid_only:false ~first_pid ~count)
-
-let drain t = Clock.advance_to t.clock t.free_at

@@ -46,12 +46,7 @@ val instrument :
     [track] covering service time, and its latency is fed to [io_hist].
     Purely observational: submission timing is unchanged. *)
 
-val params : t -> params
 val counters : t -> counters
-val reset_counters : t -> unit
-
-val busy_until : t -> float
-(** Time at which all queued requests will have completed. *)
 
 val submit_read : t -> pid:int -> float
 (** Queue a one-page read; returns its completion time without waiting. *)
@@ -76,7 +71,3 @@ val submit_sequential_write : t -> first_pid:int -> count:int -> float
 val read_sequential_sync : t -> first_pid:int -> count:int -> unit
 (** Synchronously read [count] contiguous pages (log scan IO) and advance
     the clock to completion. *)
-
-val drain : t -> unit
-(** Advance the clock until the disk is idle (checkpoint completion, end of
-    a recovery pass). *)

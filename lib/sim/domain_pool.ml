@@ -4,8 +4,6 @@ let create ~domains =
   if domains < 1 then invalid_arg "Domain_pool.create: domains must be >= 1";
   { domains }
 
-let size t = t.domains
-
 (* Spawn-per-batch rather than a persistent worker queue: a [map] spawns at
    most [min size (List.length items)] domains, each pulling item indices
    from a mutex-guarded counter, and joins them all before returning.  Two

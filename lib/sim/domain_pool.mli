@@ -17,11 +17,9 @@ val create : domains:int -> t
 (** [domains] is the maximum parallelism; [map] over fewer items spawns
     fewer.  Raises [Invalid_argument] for a count below 1. *)
 
-val size : t -> int
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Apply [f] to every item, on up to [size] fresh domains spawned for this
-    call and joined before it returns.  With a pool of size 1 (or a single
+(** Apply [f] to every item, on up to [domains] fresh domains spawned for
+    this call and joined before it returns.  With a pool of size 1 (or a single
     item) this is [List.map] on the calling domain — the reference path.
     Results come back in input order; if any task raised, the first
     failure (in input order) is re-raised after all domains join. *)

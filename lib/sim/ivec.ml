@@ -12,16 +12,7 @@ let push t v =
   t.data.(t.len) <- v;
   t.len <- t.len + 1
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Ivec.get: index out of bounds";
-  t.data.(i)
-
 let to_array t = Array.sub t.data 0 t.len
 let clear t = t.len <- 0
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
 
 let is_empty t = t.len = 0

@@ -8,8 +8,6 @@ type t
 val create : ?capacity:int -> unit -> t
 val length : t -> int
 val push : t -> int -> unit
-val get : t -> int -> int
 val to_array : t -> int array
 val clear : t -> unit
-val iter : (int -> unit) -> t -> unit
 val is_empty : t -> bool

@@ -35,14 +35,6 @@ let float t bound =
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 module Zipf = struct
   type dist = { cdf : float array }
 

@@ -13,9 +13,6 @@ val split : t -> t
 (** An independent generator derived from [t]'s stream, for components that
     must not perturb each other's sequences. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
@@ -23,9 +20,6 @@ val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
 val bool : t -> bool
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
 
 (** Zipfian distribution over [{0, …, n-1}] with skew [theta] (theta = 0 is
     uniform; common benchmark skew is 0.99).  Sampling is O(log n) via binary

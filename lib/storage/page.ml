@@ -1,11 +1,5 @@
 type kind = Free | Meta | Btree_leaf | Btree_internal
 
-let kind_to_string = function
-  | Free -> "free"
-  | Meta -> "meta"
-  | Btree_leaf -> "leaf"
-  | Btree_internal -> "internal"
-
 (* [shared] marks a page whose [buf] aliases bytes owned by someone else
    (the page store's stable image).  Reads go straight through; the first
    mutation copies the buffer and drops the flag, so stable images can be
@@ -70,7 +64,6 @@ let checksum_of_bytes buf =
   if h = 0 then 1 else h
 
 let compute_checksum t = checksum_of_bytes t.buf
-let stamp_checksum t = set_u32 t 4 (compute_checksum t)
 let checksum_ok t = get_u32 t 4 = compute_checksum t
 
 let create ~page_size ~pid k =
@@ -79,10 +72,8 @@ let create ~page_size ~pid k =
   set_kind t k;
   t
 
-let copy t = { pid = t.pid; buf = Bytes.copy t.buf; shared = false }
 let borrow ~pid buf = { pid; buf; shared = true }
 let of_image ~pid image = { pid; buf = Bytes.of_string image; shared = false }
-let is_borrowed t = t.shared
 
 let stable_image t =
   let buf = Bytes.copy t.buf in
@@ -133,5 +124,3 @@ let blit_within t ~src ~dst ~len =
 let zero_range t ~off ~len =
   unshare t;
   Bytes.fill t.buf off len '\000'
-
-let equal_contents a b = Bytes.equal a.buf b.buf

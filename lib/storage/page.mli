@@ -17,8 +17,6 @@
 
 type kind = Free | Meta | Btree_leaf | Btree_internal
 
-val kind_to_string : kind -> string
-
 type t = private { pid : int; mutable buf : Bytes.t; mutable shared : bool }
 (** Fields are readable everywhere; construction and mutation go through
     the functions below.  [shared] marks a borrowed page (see {!borrow})
@@ -33,8 +31,6 @@ val header_size : int
 val create : page_size:int -> pid:int -> kind -> t
 (** A zeroed page of the given kind with pLSN 0. *)
 
-val copy : t -> t
-
 val borrow : pid:int -> Bytes.t -> t
 (** A copy-on-write view over caller-owned bytes: reads alias the caller's
     buffer, the first mutation through this page copies it.  The caller
@@ -43,9 +39,6 @@ val borrow : pid:int -> Bytes.t -> t
 
 val of_image : pid:int -> string -> t
 (** An owning page holding a copy of the full page image [image]. *)
-
-val is_borrowed : t -> bool
-(** [true] until the first mutation of a {!borrow}ed page. *)
 
 val stable_image : t -> Bytes.t
 (** A freshly allocated copy of the contents with the checksum stamped into
@@ -69,7 +62,6 @@ val set_dc_plsn : t -> int -> unit
     stable storage — torn/corrupt stable pages are detected, not silently
     recovered from. *)
 
-val stamp_checksum : t -> unit
 val checksum_ok : t -> bool
 (** [true] iff the stored checksum matches the contents.  A stamp is never
     0, so a page that was never stamped (or whose checksum field was
@@ -80,8 +72,6 @@ val checksum_ok : t -> bool
     Offsets are absolute within the page; layouts above the header must
     respect [header_size]. *)
 
-val get_u8 : t -> int -> int
-val set_u8 : t -> int -> int -> unit
 val get_u16 : t -> int -> int
 val set_u16 : t -> int -> int -> unit
 val get_u32 : t -> int -> int
@@ -104,6 +94,3 @@ val equal_sub : t -> off:int -> string -> bool
 
 val blit_within : t -> src:int -> dst:int -> len:int -> unit
 val zero_range : t -> off:int -> len:int -> unit
-
-val equal_contents : t -> t -> bool
-(** Byte equality of the full page images (pids may differ). *)

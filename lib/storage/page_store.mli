@@ -45,7 +45,8 @@ val write : t -> Page.t -> unit
 
 val corrupt_for_test : t -> int -> unit
 (** Flip a payload byte of the stored image (fault injection for checksum
-    tests). *)
+    tests).
+    Test seam: checksum tests need a page no engine path damages. *)
 
 val clone : t -> t
 (** The crash image of the disk: a store observably independent of [t].

@@ -20,14 +20,12 @@ type t = {
   mutable disk : Deut_sim.Disk.t option;
   mutable trace : Deut_obs.Trace.t option;
   mutable seals : int;
-  mutable pages_written : int;
 }
 
 let create ~page_size =
   if page_size <= 0 then invalid_arg "Archive.create: page_size must be positive";
-  { page_size; segments = []; disk = None; trace = None; seals = 0; pages_written = 0 }
+  { page_size; segments = []; disk = None; trace = None; seals = 0 }
 
-let page_size t = t.page_size
 let attach_disk t disk = t.disk <- Some disk
 let instrument t ?trace () = t.trace <- trace
 
@@ -38,11 +36,9 @@ let sealed_bytes t =
   List.fold_left (fun acc s -> acc + Bytes.length s.bytes) 0 (sealed_segments t)
 
 let seal_count t = t.seals
-let pages_written t = t.pages_written
 
 let start_lsn t = match sealed_segments t with [] -> None | s :: _ -> Some s.lo
 let covered_upto t = List.fold_left (fun acc s -> if s.sealed then s.hi else acc) 0 t.segments
-let segments t = List.map (fun s -> (s.lo, s.hi, s.sealed)) t.segments
 
 let open_segment t =
   match List.rev t.segments with
@@ -89,7 +85,6 @@ let append_bytes t ~src ~src_off ~len =
     (match t.disk with
     | Some disk -> ignore (Deut_sim.Disk.submit_sequential_write disk ~first_pid:first_page ~count)
     | None -> ());
-    t.pages_written <- t.pages_written + count;
     s.fill <- s.fill + len
   end
 
@@ -159,5 +154,4 @@ let crash t =
     disk = None;
     trace = None;
     seals = 0;
-    pages_written = 0;
   }

@@ -30,8 +30,6 @@ val create : page_size:int -> t
 (** An empty store.  [page_size] maps byte offsets to device page indexes
     (the same log-page geometry as the live log). *)
 
-val page_size : t -> int
-
 val attach_disk : t -> Deut_sim.Disk.t -> unit
 (** Charge subsequent segment writes and scan page crossings to this
     device. *)
@@ -53,18 +51,12 @@ val seal_count : t -> int
 (** Segments sealed this incarnation (a lifetime counter, reset by
     {!crash}). *)
 
-val pages_written : t -> int
-(** Device pages written by segment copies this incarnation. *)
-
 val start_lsn : t -> Lsn.t option
 (** Lowest archived offset, if any segment is sealed. *)
 
 val covered_upto : t -> Lsn.t
 (** One past the highest sealed byte; [0] when empty.  The live log's base
     never exceeds this — truncation follows sealing. *)
-
-val segments : t -> (Lsn.t * Lsn.t * bool) list
-(** [(lo, hi, sealed)] per segment, ascending — for operator display. *)
 
 (** {1 Writing (the archiver side, driven by [Log_manager.archive_to])} *)
 
@@ -104,7 +96,8 @@ val charge_page : t -> int -> unit
 
 val corrupt_for_test : t -> lsn:Lsn.t -> unit
 (** Flip one byte of the sealed segment holding [lsn] and clear its
-    verified flag (fault injection: the next read must detect it). *)
+    verified flag (fault injection: the next read must detect it).
+    Test seam: checksum tests need a segment no engine path damages. *)
 
 val crash : t -> t
 (** The store as a restarting system sees it: a deep copy with no device

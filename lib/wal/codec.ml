@@ -8,10 +8,8 @@ let clear = Buffer.clear
 let length = Buffer.length
 let blit w ~src_off dst ~dst_off ~len = Buffer.blit w src_off dst dst_off len
 let w_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-let w_u16 b v = Buffer.add_uint16_be b v
 let w_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
 let w_i64 b v = Buffer.add_int64_be b (Int64.of_int v)
-let w_bool b v = w_u8 b (if v then 1 else 0)
 
 let w_string b s =
   w_u32 b (String.length s);
@@ -45,20 +43,12 @@ let reader_sub data ~pos ~len =
     invalid_arg "Codec.reader_sub: range out of bounds";
   { data; limit = pos + len; pos }
 
-let at_end r = r.pos >= r.limit
-
 let need r n what = if r.pos + n > r.limit then raise (Truncated what)
 
 let r_u8 r =
   need r 1 "u8";
   let v = Char.code (Bytes.get r.data r.pos) in
   r.pos <- r.pos + 1;
-  v
-
-let r_u16 r =
-  need r 2 "u16";
-  let v = Bytes.get_uint16_be r.data r.pos in
-  r.pos <- r.pos + 2;
   v
 
 let r_u32 r =
@@ -72,8 +62,6 @@ let r_i64 r =
   let v = Int64.to_int (Bytes.get_int64_be r.data r.pos) in
   r.pos <- r.pos + 8;
   v
-
-let r_bool r = r_u8 r <> 0
 
 let r_string r =
   let len = r_u32 r in

@@ -23,10 +23,8 @@ val blit : writer -> src_off:int -> Bytes.t -> dst_off:int -> len:int -> unit
     [contents] string. *)
 
 val w_u8 : writer -> int -> unit
-val w_u16 : writer -> int -> unit
 val w_u32 : writer -> int -> unit
 val w_i64 : writer -> int -> unit
-val w_bool : writer -> bool -> unit
 val w_string : writer -> string -> unit
 val w_opt_string : writer -> string option -> unit
 val w_u32_array : writer -> int array -> unit
@@ -41,12 +39,9 @@ val reader_sub : Bytes.t -> pos:int -> len:int -> reader
     the recovery scan decodes every record straight out of the log buffer.
     The caller must not mutate the range while the reader is live. *)
 
-val at_end : reader -> bool
 val r_u8 : reader -> int
-val r_u16 : reader -> int
 val r_u32 : reader -> int
 val r_i64 : reader -> int
-val r_bool : reader -> bool
 val r_string : reader -> string
 val r_opt_string : reader -> string option
 val r_u32_array : reader -> int array

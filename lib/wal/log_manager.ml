@@ -90,7 +90,6 @@ let note_force t ~from =
         ()
   | None -> ()
 
-let page_size t = t.page_size
 let end_lsn t = t.len
 let stable_lsn t = t.stable
 let base_lsn t = t.base
@@ -184,7 +183,6 @@ let corrupt_for_test ?bit t lsn =
   t.verified_upto <- Stdlib.min t.verified_upto lsn
 
 let attach_read_disk t disk = t.read_disk <- Some disk
-let detach_read_disk t = t.read_disk <- None
 
 (* Log pids live in their own namespace on the dedicated log disk, so plain
    page indexes give correct sequential-run detection. *)
@@ -233,11 +231,6 @@ let iter t ~from ?upto f =
   in
   loop start
 
-let fold t ~from ?upto ~init f =
-  let acc = ref init in
-  iter t ~from ?upto (fun lsn record -> acc := f !acc lsn record);
-  !acc
-
 let crash_at t lsn =
   if lsn < t.base || lsn > t.len then
     invalid_arg
@@ -272,9 +265,6 @@ let compact t ~keep_from =
     t.data <- fresh;
     t.base <- keep_from
   end
-
-let pages_between t lo hi =
-  if hi <= lo then 0 else ((hi - 1) / t.page_size) - (lo / t.page_size) + 1
 
 (* The record boundary closest to the midpoint of [lo, upto), found by
    hopping frames.  Gives the torn-truncation crash point a legal [compact]

@@ -20,13 +20,7 @@ type t
 val frame_header : int
 (** Bytes of framing before each record's payload (length + checksum). *)
 
-val genesis : Lsn.t
-(** Offset of a fresh log's first record.  Offset 0 is reserved so that a
-    zero-initialised page header's pLSN (0) unambiguously tests below
-    every record in the redo pLSN test. *)
-
 val create : page_size:int -> t
-val page_size : t -> int
 
 val append : t -> Log_record.t -> Lsn.t
 (** Append to the volatile tail; returns the record's LSN. *)
@@ -74,12 +68,11 @@ val read_at : t -> Lsn.t -> Log_record.t * Lsn.t
 val corrupt_for_test : ?bit:int -> t -> Lsn.t -> unit
 (** Fault injection for tests: flip bit [bit] (counted from the payload's
     first byte) of the record's payload, or, without [bit], every bit of
-    its first byte. *)
+    its first byte.
+    Test seam: checksum tests need a record no engine path damages. *)
 
 val attach_read_disk : t -> Deut_sim.Disk.t -> unit
 (** Charge subsequent scans' page crossings to this disk. *)
-
-val detach_read_disk : t -> unit
 
 val iter : t -> from:Lsn.t -> ?upto:Lsn.t -> (Lsn.t -> Log_record.t -> unit) -> unit
 (** [iter t ~from ?upto f] decodes records in order, calling [f lsn record].
@@ -88,8 +81,6 @@ val iter : t -> from:Lsn.t -> ?upto:Lsn.t -> (Lsn.t -> Log_record.t -> unit) -> 
     archived byte when an archive holds sealed segments, else [base_lsn].
     The scan spans archive and live log transparently, charging each page
     to the device that holds it. *)
-
-val fold : t -> from:Lsn.t -> ?upto:Lsn.t -> init:'a -> ('a -> Lsn.t -> Log_record.t -> 'a) -> 'a
 
 val crash : t -> t
 (** The log as a recovering system sees it: a deep copy truncated to the
@@ -113,10 +104,6 @@ val compact : t -> keep_from:Lsn.t -> unit
     boundary at or before the stable point, and at or before any LSN
     recovery could scan from (the caller passes the last completed
     checkpoint).  LSNs are unaffected; reading archived offsets raises. *)
-
-val pages_between : t -> Lsn.t -> Lsn.t -> int
-(** Number of log pages spanned by the byte range — the log-read IO a scan
-    of that range performs. *)
 
 (** {1 Archiving}
 
@@ -146,7 +133,8 @@ val set_archive_hook : t -> (archive_step -> unit) option -> unit
 (** Observe the archiving protocol: the hook runs after each step of
     [archive_to], mirroring [set_append_hook] — the crash-point harness
     captures an image at each step to prove recovery from it.  Copies made
-    by [crash] / [crash_at] never inherit the hook. *)
+    by [crash] / [crash_at] never inherit the hook.
+    Test seam: crash-point tests capture an image at each archive step. *)
 
 val archive_to : t -> upto:Lsn.t -> bool
 (** Archive live bytes up to [upto] (exclusive; a record boundary at or

@@ -260,8 +260,6 @@ let describe = function
         (Lsn.to_string d.tc_lsn)
   | Smo s -> Printf.sprintf "smo %s pages=%d" (smo_kind_to_string s.kind) (Array.length s.pages)
 
-let is_update = function Update_rec _ -> true | _ -> false
-
 type redo_view = {
   rv_table : int;
   rv_key : int;

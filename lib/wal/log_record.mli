@@ -117,5 +117,3 @@ val redo_view : t -> redo_view option
 
 val describe : t -> string
 (** One-line human-readable rendering for tracing and error messages. *)
-
-val is_update : t -> bool

@@ -3,8 +3,6 @@ type t = int
 let nil = -1
 let is_nil t = t < 0
 let compare = Int.compare
-let equal = Int.equal
 let max = Stdlib.max
 let min = Stdlib.min
 let to_string t = if is_nil t then "nil" else string_of_int t
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -11,8 +11,6 @@ val nil : t
 
 val is_nil : t -> bool
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val max : t -> t -> t
 val min : t -> t -> t
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -318,19 +318,9 @@ let run t ~txns =
   done;
   finish_clock t
 
-let run_steps t ~steps =
-  if t.tickets_limit <> max_int then t.tickets_limit <- max_int;
-  Array.iter (fun c -> if c.parked && c.desc = None && c.txn = None then c.parked <- false) t.clients;
-  for _ = 1 to steps do
-    match pick t with Some c -> step t c | None -> ()
-  done;
-  finish_clock t
-
 let flush t =
   Db.flush_commits t.db;
   on_force t
-
-let commits_done t = t.commits_done
 
 let stats t =
   let m = Engine.metrics (Db.engine t.db) in

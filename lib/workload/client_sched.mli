@@ -62,17 +62,9 @@ val run : t -> txns:int -> unit
     client idle.  Nothing is flushed: with group commit the tail may
     still be volatile (see {!flush}). *)
 
-val run_steps : t -> steps:int -> unit
-(** Advance the scheduler by a bounded number of quanta with an
-    unlimited ticket stream, leaving transactions in flight and commits
-    queued — the state a mid-run crash should capture. *)
-
 val flush : t -> unit
 (** [Db.flush_commits] plus the oracle/latency bookkeeping of the
     force. *)
-
-val commits_done : t -> int
-(** Tickets committed so far. *)
 
 val stats : t -> stats
 

@@ -20,7 +20,8 @@ val run_updates : t -> updates:int -> unit
 (** Run transactions until at least [updates] more operations have been
     applied, drawn from the spec's {!Workload.stream} (one table per
     transaction) and applied with {!Workload.exec}.  One transaction runs
-    at a time, so a lock conflict raises [Failure]. *)
+    at a time, so a lock conflict raises [Failure].
+    Test seam: tests run updates without the crash protocol's checkpoints. *)
 
 val run_concurrent : t -> txns:int -> Client_sched.t
 (** Run [txns] transactions through a fresh {!Client_sched} over

@@ -115,7 +115,8 @@ val reconcile : Deut_core.Recovery_stats.t -> Deut_obs.Analysis.t -> unit
     engine kept for the same recovery: page and index fetches, stalls,
     prefetch claims (hit + late) and issued pages, redo ops, and the stall
     mass (to 0.01 µs).  Raises [Failure] naming every field that
-    disagrees. *)
+    disagrees.
+    Test seam: a tampered profile must fail what [recover_traced] checks. *)
 
 val run_all :
   crash_run ->

@@ -64,4 +64,5 @@ val digests_agree : string -> (string * string) list -> unit
 (** [digests_agree sweep cells] is the determinism gate shared by every
     sweep: each [(coordinates, digest)] pair must carry the first pair's
     digest.  Raises [Failure] naming [sweep], both cells' coordinates and
-    both digests otherwise. *)
+    both digests otherwise.
+    Test seam: the gate must fail on unequal digests, which no sweep makes. *)

@@ -12,11 +12,13 @@
     without re-running the test. *)
 
 val tables : int list
-(** The tables every generated workload creates and writes. *)
+(** The tables every generated workload creates and writes.
+    Test seam: the fuzz suite dumps and probes exactly these tables. *)
 
 val expected_of_log : Deut_wal.Log_manager.t -> ((int * int) * string) list
 (** The committed-prefix oracle: the [(table, key) -> value] map implied
-    by the log's committed transactions, sorted. *)
+    by the log's committed transactions, sorted.
+    Test seam: the fuzz and crash-point suites check recoveries with it. *)
 
 val build_image : ?config:Deut_core.Config.t -> int -> Deut_core.Crash_image.t
 (** [build_image seed] runs the seed's workload and returns the uniformly
@@ -28,10 +30,13 @@ val build_image : ?config:Deut_core.Config.t -> int -> Deut_core.Crash_image.t
 
 val methods_for : shards:int -> Deut_core.Recovery.method_ list
 (** The recovery methods runnable at that shard count (sharding bars the
-    physiological methods and staged instant recovery). *)
+    physiological methods and staged instant recovery).
+    Test seam: the fuzz suite runs every method the shard count allows. *)
 
 val corpus : int list
-(** The default fixed seed corpus the fuzz suite runs. *)
+(** The default fixed seed corpus the fuzz suite runs.
+    Test seam: the fuzz suite's fixed seeds. *)
 
 val repro_hint : int -> string
-(** A copy-paste repro command for a failing seed. *)
+(** A copy-paste repro command for a failing seed.
+    Test seam: the fuzz suite prints it for a failing seed. *)

@@ -76,8 +76,6 @@ let force t =
   List.iter (List.iter (apply t)) (List.rev t.queued);
   t.queued <- []
 
-let queued_commits t = List.length t.queued
-
 let committed_value t ~table ~key =
   match Int_tbl.find_opt t.committed table with
   | Some rows -> Int_tbl.find_opt rows key
@@ -107,19 +105,12 @@ let sealed t ~table =
       Int_tbl.replace t.sealed table (t.version, s);
       s
 
-let committed_entries t ~table =
-  let { keys; values } = sealed t ~table in
-  List.init (Array.length keys) (fun i -> (keys.(i), values.(i)))
-
 (* After sealing, [sealed] (and so [verify]) is a pure read as long as the
    committed state stays untouched — the invariant that lets several
    domains verify recoveries against one shared oracle concurrently.
    Sealing is not a lock: any later mutation (another commit, a [force])
    bumps [version] and the next lookup sorts again. *)
 let seal t = Int_tbl.iter (fun table _ -> ignore (sealed t ~table)) t.committed
-
-let entry_count t ~table =
-  match Int_tbl.find_opt t.committed table with Some rows -> Int_tbl.length rows | None -> 0
 
 (* The rows [shard] owns under the router's striping, in key order: on a
    single shard, the sealed arrays themselves. *)

@@ -29,22 +29,14 @@ val abort : t -> txn:int -> unit
 val commit_queued : t -> txn:int -> unit
 val force : t -> unit
 
-val queued_commits : t -> int
-(** Transactions committed but not yet folded by [force]. *)
-
 val committed_value : t -> table:int -> key:int -> string option
-val committed_entries : t -> table:int -> (int * string) list
-(** Sorted by key: a list built from the sealed arrays on every call, for
-    tests and tools.  [verify] reads the arrays themselves. *)
-
-val entry_count : t -> table:int -> int
 
 val seal : t -> unit
 (** Sort every table holding committed data into its sealed form: an
     [int array] of keys in ascending order and the [string array] of their
     values (the value strings are shared with the committed state, not
-    copied).  Until the committed state changes, [committed_entries] and
-    [verify] are then pure reads.  [Experiment.build] seals the oracle
+    copied).  Until the committed state changes, [verify] is then a pure
+    read.  [Experiment.build] seals the oracle
     before publishing a crash run so concurrent domains can verify
     recoveries against it without racing on the memo; an unsealed or
     since-mutated table is sealed on its next use. *)

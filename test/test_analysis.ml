@@ -75,7 +75,9 @@ let test_stall_attribution_matches_counters () =
       (match Metrics.find_histogram (Engine.metrics (Db.engine db)) "cache.stall_wait_us" with
       | None -> Alcotest.fail "cache.stall_wait_us not registered"
       | Some h ->
-          close (name "stall mass = histogram mass") (Metrics.sum h) p.Analysis.stall_total_us;
+          close (name "stall mass = histogram mass")
+            (Metrics.read (Engine.metrics (Db.engine db)) "cache.stall_wait_us")
+            p.Analysis.stall_total_us;
           check_int (name "stall spans = histogram n") (Metrics.observations h)
             p.Analysis.stall_count);
       (* Every stall waits on a request the deterministic disk model had
@@ -235,6 +237,11 @@ let test_reconcile_tampered () =
 
 (* ---------- empty inputs must yield zeros, not NaN ---------- *)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let no_nan p =
   List.iter
     (fun (name, v) -> check (name ^ " is finite") true (Float.is_finite v))
@@ -242,19 +249,23 @@ let no_nan p =
       ("total_us", p.Analysis.total_us);
       ("stall_total_us", p.Analysis.stall_total_us);
       ("stall_attributed_us", p.Analysis.stall_attributed_us);
-      ("late_fraction", Analysis.late_fraction p);
-      ("wasted_fraction", Analysis.wasted_fraction p);
-      ("attributed_fraction", Analysis.attributed_fraction p);
-    ]
+    ];
+  (* The rendered ratios are guarded too: no NaN or infinity is printed. *)
+  let text = Analysis.render p in
+  List.iter
+    (fun bad -> check ("render prints no " ^ bad) false (contains text bad))
+    [ "nan"; "inf" ]
 
 let test_empty_trace_guards () =
-  let p = Analysis.of_events [] in
+  let p = Analysis.of_trace (Trace.create ~now:(fun () -> 0.0) ()) in
   check_int "no events, no fetches" 0 p.Analysis.fetch_total;
   check_int "no events, no stalls" 0 p.Analysis.stall_count;
   close "no events, zero stall mass" 0.0 p.Analysis.stall_total_us;
-  close "late fraction of nothing is 0" 0.0 (Analysis.late_fraction p);
-  close "wasted fraction of nothing is 0" 0.0 (Analysis.wasted_fraction p);
-  close "attribution of no stalls is vacuously complete" 1.0 (Analysis.attributed_fraction p);
+  let text = Analysis.render p in
+  check "late and wasted fractions of nothing are 0" true
+    (contains text "0 late (0.0% of claims), 0 wasted (0.0% of issued)");
+  check "attribution of no stalls is vacuously complete" true
+    (contains text "attributed 0.000 ms (100.0%)");
   no_nan p;
   check "render total on empty input" true (String.length (Analysis.render p) > 0);
   Alcotest.(check string)

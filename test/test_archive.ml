@@ -35,6 +35,9 @@ let base_config =
   }
 
 let archive_config = { base_config with Config.archive = true }
+
+(* Where every log starts: a live log not yet cut still has this base. *)
+let genesis = Log.base_lsn (Log.create ~page_size:base_config.Config.page_size)
 let ok = function Ok () -> () | Error e -> Alcotest.fail (Db.error_to_string e)
 let value gen k = Printf.sprintf "v%d.%d" gen k
 
@@ -175,17 +178,17 @@ let test_crash_during_archiving () =
       (match step with
       | Log.Archive_segment_partial ->
           check "partial: live log not yet cut" true
-            (Log.base_lsn image.Crash_image.log = Log.genesis);
+            (Log.base_lsn image.Crash_image.log = genesis);
           (match Log.archive image.Crash_image.log with
           | Some a -> check "partial: unsealed residue is not durable" true
                         (Archive.segment_count a = 0 && Archive.start_lsn a = None)
           | None -> Alcotest.fail "partial: archive missing from image")
       | Log.Archive_segment_sealed ->
           check "sealed: live log not yet cut" true
-            (Log.base_lsn image.Crash_image.log = Log.genesis)
+            (Log.base_lsn image.Crash_image.log = genesis)
       | Log.Archive_truncate_torn ->
           check "torn: live log partly cut" true
-            (Log.base_lsn image.Crash_image.log > Log.genesis)
+            (Log.base_lsn image.Crash_image.log > genesis)
       | Log.Archive_truncated -> ());
       List.iter
         (fun m ->
@@ -250,21 +253,21 @@ let test_crash_preserves_archive () =
     | Some a -> a
     | None -> Alcotest.fail "no live archive"
   in
-  let live_segments = Archive.segments live in
+  let shape a = (Archive.segment_count a, Archive.start_lsn a, Archive.sealed_bytes a) in
+  let live_shape = shape live in
   let live_covered = Archive.covered_upto live in
-  check "something was archived" true (live_segments <> []);
+  check "something was archived" true (Archive.segment_count live > 0);
   let image = Db.crash db in
   let a =
     match Log.archive image.Crash_image.log with
     | Some a -> a
     | None -> Alcotest.fail "Db.crash dropped the archive"
   in
-  check "same segments survive the crash" true (Archive.segments a = live_segments);
+  check "same segments survive the crash" true (shape a = live_shape);
   check_int "same coverage" live_covered (Archive.covered_upto a);
   check_int "lifetime counters reset" 0 (Archive.seal_count a);
-  check_int "device pages reset" 0 (Archive.pages_written a);
   (* Independence: corrupting the image's copy must not touch the live one. *)
-  let lo, _, _ = List.hd live_segments in
+  let lo = Option.get (Archive.start_lsn live) in
   Archive.corrupt_for_test a ~lsn:lo;
   ignore (Archive.locate live lo);
   check "image archive is a deep copy" true
@@ -326,9 +329,18 @@ let test_instant_over_archive () =
   run_tail1 db_u;
   run_tail2 db_u;
   let expected = committed (Db.crash db_u).Crash_image.log in
+  (* A first session drains page by page to count what is pending at open. *)
+  let pending =
+    let inst = Db.recover_instant image in
+    let n = ref 0 in
+    while Db.instant_step inst do
+      incr n
+    done;
+    !n
+  in
+  check "several pages pending at open" true (pending >= 4);
   let inst = Db.recover_instant image in
   let rdb = Db.instant_db inst in
-  check "several pages pending at open" true (Db.instant_pending inst >= 4);
   (* One background step first (guaranteeing the drain path fires even if
      the probes cascade through the rest of the tree), then probe reads
      spread across the key ranges: keys 0–15 and 100–109 have history on

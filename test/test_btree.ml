@@ -35,11 +35,21 @@ let log_smo env pool smo =
   Btree.stamp_smo pool smo ~lsn;
   lsn
 
-let make_tree ?page_size ?capacity () =
+let make_tree ?page_size ?capacity ?merge_allowed () =
   let env = make_env ?page_size ?capacity () in
   Btree.format_store ~pool:env.pool ~log_smo:(log_smo env env.pool);
-  let tree = Btree.create ~pool:env.pool ~table:1 ~log_smo:(log_smo env env.pool) () in
+  let tree =
+    Btree.create ?merge_allowed ~pool:env.pool ~table:1 ~log_smo:(log_smo env env.pool) ()
+  in
   (env, tree)
+
+let check_keys = Alcotest.(check (list int))
+
+(* Keys in leaf-chain order. *)
+let keys_of tree = List.rev (Btree.fold_entries tree ~init:[] ~f:(fun acc k _ -> k :: acc))
+
+(* Leaf pids in key order. *)
+let leaf_pids tree = List.rev (Btree.fold_leaves tree ~init:[] ~f:(fun acc p -> p.Page.pid :: acc))
 
 let next_lsn env =
   env.lsn <- env.lsn + 10;
@@ -71,12 +81,11 @@ let assert_tree tree =
   | Error msg -> Alcotest.failf "tree invariant: %s" msg
 
 let test_create_empty () =
-  let _env, tree = make_tree () in
-  check_int "empty count" 0 (Btree.entry_count tree);
+  let _, tree = make_tree () in
+  check_keys "empty" [] (keys_of tree);
   check_int "height 1" 1 (Btree.height tree);
   check "lookup misses" true (Btree.lookup tree ~key:5 = None);
-  check_int "one leaf" 1 (Btree.leaf_count tree);
-  check "no internal pages" true (Btree.internal_pids tree = []);
+  check "the root is the one leaf" true (leaf_pids tree = [ Btree.root_pid tree ]);
   assert_tree tree
 
 let test_basic_ops () =
@@ -90,7 +99,7 @@ let test_basic_ops () =
   check "update visible" true (Btree.lookup tree ~key:3 = Some "THREE");
   delete env tree ~key:5;
   check "delete visible" true (Btree.lookup tree ~key:5 = None);
-  check_int "count" 2 (Btree.entry_count tree);
+  check_keys "survivors" [ 3; 9 ] (keys_of tree);
   assert_tree tree
 
 let test_prepare_write_outcomes () =
@@ -119,26 +128,17 @@ let test_sequential_growth () =
     insert env tree ~key:k ~value:(Printf.sprintf "val-%05d" k)
   done;
   assert_tree tree;
-  check_int "all present" n (Btree.entry_count tree);
+  check_keys "all present, in order" (List.init n Fun.id) (keys_of tree);
   check "tree grew" true (Btree.height tree >= 3);
-  check "many leaves" true (Btree.leaf_count tree > 20);
+  check "many leaves" true (List.length (leaf_pids tree) > 20);
   for k = 0 to n - 1 do
     if Btree.lookup tree ~key:k <> Some (Printf.sprintf "val-%05d" k) then
       Alcotest.failf "key %d lost" k
   done;
-  (* In-order fold yields sorted keys. *)
-  let last = ref (-1) in
-  Btree.fold_entries tree ~init:() ~f:(fun () k _ ->
-      if k <= !last then Alcotest.failf "fold out of order at %d" k;
-      last := k);
-  (* Internal pids are exactly the non-leaf pages of the tree. *)
-  let internals = Btree.internal_pids tree in
-  check "root among internals" true (List.mem (Btree.root_pid tree) internals);
+  check "the root is internal" false (Node.is_leaf (Pool.get env.pool (Btree.root_pid tree)));
   List.iter
-    (fun pid ->
-      let page = Pool.get env.pool pid in
-      check "internal pid is internal" false (Node.is_leaf page))
-    internals
+    (fun pid -> check "leaf pid is a leaf" true (Node.is_leaf (Pool.get env.pool pid)))
+    (leaf_pids tree)
 
 let test_locate_leaf_consistency () =
   let env, tree = make_tree ~page_size:256 () in
@@ -157,11 +157,14 @@ let test_locate_leaf_consistency () =
 let test_random_order_inserts () =
   let env, tree = make_tree ~page_size:256 ~capacity:128 () in
   let rng = Deut_sim.Rng.create ~seed:11 in
-  let keys = Array.init 1500 (fun i -> i) in
-  Deut_sim.Rng.shuffle rng keys;
+  (* 0..1499 in random order: sorted by a random tag each. *)
+  let keys =
+    Array.init 1500 (fun k -> (Deut_sim.Rng.int rng max_int, k))
+    |> Array.to_list |> List.sort compare |> List.map snd |> Array.of_list
+  in
   Array.iter (fun k -> insert env tree ~key:k ~value:(string_of_int (k * 7))) keys;
   assert_tree tree;
-  check_int "count" 1500 (Btree.entry_count tree);
+  check_keys "all present" (List.init 1500 Fun.id) (keys_of tree);
   Array.iter
     (fun k ->
       if Btree.lookup tree ~key:k <> Some (string_of_int (k * 7)) then
@@ -187,16 +190,18 @@ let test_merge_shrinks_tree () =
   for k = 0 to 999 do
     insert env tree ~key:k ~value:(Printf.sprintf "%08d" k)
   done;
-  let leaves_full = Btree.leaf_count tree in
+  let leaves_full = List.length (leaf_pids tree) in
   check "grew to many leaves" true (leaves_full > 10);
   (* Delete the middle 80%: lazy merging must reclaim most leaves. *)
   for k = 100 to 899 do
     delete env tree ~key:k
   done;
   assert_tree tree;
-  let leaves_after = Btree.leaf_count tree in
+  let leaves_after = List.length (leaf_pids tree) in
   check "merging reclaimed leaves" true (leaves_after * 2 < leaves_full);
-  check_int "survivors intact" 200 (Btree.entry_count tree);
+  check_keys "survivors intact"
+    (List.init 100 Fun.id @ List.init 100 (fun i -> 900 + i))
+    (keys_of tree);
   for k = 0 to 99 do
     check "low survivors" true (Btree.lookup tree ~key:k = Some (Printf.sprintf "%08d" k))
   done;
@@ -219,31 +224,34 @@ let test_merge_collapses_root () =
     delete env tree ~key:k
   done;
   assert_tree tree;
-  check_int "empty" 0 (Btree.entry_count tree);
+  check_keys "empty" [] (keys_of tree);
   check_int "root collapsed to a single leaf" 1 (Btree.height tree);
   (* The tree remains fully usable after heavy merging. *)
   for k = 0 to 199 do
     insert env tree ~key:k ~value:"again"
   done;
   assert_tree tree;
-  check_int "reinserted" 200 (Btree.entry_count tree)
+  check_keys "reinserted" (List.init 200 Fun.id) (keys_of tree)
 
+(* The gate is the [merge_allowed] ref the tree shares with its owner (the
+   data component flips it around redo). *)
 let test_merge_disabled_gate () =
-  let env, tree = make_tree ~page_size:256 () in
+  let merge_allowed = ref true in
+  let env, tree = make_tree ~page_size:256 ~merge_allowed () in
   for k = 0 to 299 do
     insert env tree ~key:k ~value:(Printf.sprintf "%08d" k)
   done;
-  let leaves = Btree.leaf_count tree in
-  Btree.set_merge_allowed tree false;
+  let leaves = List.length (leaf_pids tree) in
+  merge_allowed := false;
   for k = 0 to 299 do
     delete env tree ~key:k
   done;
-  check_int "no merging while gated" leaves (Btree.leaf_count tree);
+  check_int "no merging while gated" leaves (List.length (leaf_pids tree));
   assert_tree tree;
-  Btree.set_merge_allowed tree true;
+  merge_allowed := true;
   insert env tree ~key:0 ~value:"x";
   delete env tree ~key:0;
-  check "merging resumes once ungated" true (Btree.leaf_count tree < leaves)
+  check "merging resumes once ungated" true (List.length (leaf_pids tree) < leaves)
 
 let test_multi_table () =
   let env = make_env () in
@@ -326,8 +334,13 @@ let first_leaves env tree =
   let b = Node.right_sibling (page env a) in
   (a, b, Node.right_sibling (page env b))
 
+(* The leftmost level-1 node, reached down the leftmost children. *)
 let level_one env tree =
-  List.find (fun pid -> Node.level (page env pid) = 1) (Btree.internal_pids tree)
+  let rec down pid =
+    let p = page env pid in
+    if Node.level p = 1 then pid else down (Node.leftmost_child p)
+  in
+  down (Btree.root_pid tree)
 
 let slot_off p i = Page.get_u16 p (Node.node_header_end + (2 * i))
 let set_level p v = Page.set_u16 p Page.header_size v

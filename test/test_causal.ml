@@ -74,7 +74,7 @@ let flows_of tr =
     (fun ev ->
       match ev.Trace.kind with
       | Trace.Flow_start | Trace.Flow_step | Trace.Flow_end ->
-          let id = Trace.flow_id ev in
+          let id = List.assoc "id" ev.Trace.args in
           if not (Hashtbl.mem tbl id) then order := id :: !order;
           Hashtbl.replace tbl id (ev :: Option.value (Hashtbl.find_opt tbl id) ~default:[])
       | _ -> ())
@@ -191,7 +191,8 @@ let test_profile_json_backward_compat () =
   let parse text =
     match Json.parse text with Ok j -> j | Error e -> Alcotest.failf "does not parse: %s" e
   in
-  let current = parse (Analysis.to_json (Analysis.of_events [])) in
+  let empty = Analysis.of_trace (Trace.create ~now:(fun () -> 0.0) ()) in
+  let current = parse (Analysis.to_json empty) in
   let old =
     match current with
     | Json.Obj fields -> Json.Obj (List.remove_assoc "net" fields)
@@ -305,9 +306,17 @@ let test_crash_marker_recorded () =
   match Crash_image.flight image with
   | None -> Alcotest.fail "image carries no flight snapshot"
   | Some snap ->
+      (* The dump's [tc] section runs from its heading to the next blank
+         line, one event per line: sequence number, time, kind, detail. *)
+      let rec tc_section = function
+        | l :: rest when String.starts_with ~prefix:"[tc]" l -> body rest
+        | _ :: rest -> tc_section rest
+        | [] -> []
+      and body = function "" :: _ | [] -> [] | l :: rest -> l :: body rest in
+      let kind line = List.nth (List.filter (( <> ) "") (String.split_on_char ' ' line)) 2 in
       check "crash marker is the last tc event" true
-        (match List.rev (Flight.snapshot_entries snap ~comp:Flight.tc) with
-        | last :: _ -> last.Flight.e_kind = Flight.Crash
+        (match List.rev (tc_section (String.split_on_char '\n' (Flight.render snap))) with
+        | last :: _ -> kind last = "crash"
         | [] -> false)
 
 let suite =

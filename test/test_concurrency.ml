@@ -5,8 +5,10 @@
 module Db = Deut_core.Db
 module Config = Deut_core.Config
 module Recovery = Deut_core.Recovery
+module Recovery_stats = Deut_core.Recovery_stats
 module Workload = Deut_workload.Workload
 module Driver = Deut_workload.Driver
+module Oracle = Deut_workload.Oracle
 module Client_sched = Deut_workload.Client_sched
 
 let check = Alcotest.(check bool)
@@ -44,21 +46,47 @@ let test_conflict_abort_retry () =
   check "retries converged (abort rate < 1)" true (s.Client_sched.abort_rate < 1.0);
   verified driver (Driver.db driver)
 
-(* Crash mid-run with group commit batching across clients: commits still
-   queued in the volatile tail are losers; the durable-prefix-aware oracle
-   and all five recovery methods must agree on the surviving state. *)
+(* Crash mid-run with group commit batching across clients: transactions
+   left open on two clients have records in the durable log (a group force
+   ran while they were open) and are losers; a commit still queued in the
+   volatile tail is lost.  The durable-prefix-aware oracle and all five
+   recovery methods must agree on the surviving state. *)
 let test_group_commit_crash () =
   let driver = Driver.create ~config:(config ~clients:4 ~group_commit:4) (spec ~rows:200) in
-  let sched = Client_sched.create ~oracle:(Driver.oracle driver) (Driver.db driver)
-      (Driver.spec driver) in
-  Client_sched.run_steps sched ~steps:600;
-  check "some tickets committed before the crash" true (Client_sched.commits_done sched > 0);
+  let db = Driver.db driver and oracle = Driver.oracle driver in
+  let sched = Driver.run_concurrent driver ~txns:50 in
+  check "some tickets committed before the crash" true
+    ((Client_sched.stats sched).Client_sched.committed_txns > 0);
+  let write txn ~key =
+    let value = Printf.sprintf "txn%d-key%d" (Db.Txn.id txn) key in
+    (match Db.update db txn ~table:1 ~key ~value with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Db.error_to_string e));
+    Oracle.buffer_put oracle ~txn:(Db.Txn.id txn) ~table:1 ~key ~value
+  in
+  let open_txn ~client =
+    let txn = Db.begin_txn ~client db in
+    Oracle.begin_txn oracle (Db.Txn.id txn);
+    txn
+  in
+  let t0 = open_txn ~client:0 and t1 = open_txn ~client:1 in
+  write t0 ~key:10;
+  write t1 ~key:20;
+  Client_sched.flush sched;
+  write t0 ~key:30;
+  let queued = open_txn ~client:2 in
+  write queued ~key:40;
+  check "the last commit is only queued" false (Db.commit_durable db queued);
+  Oracle.commit_queued oracle ~txn:(Db.Txn.id queued);
+  let queued_value = Some (Printf.sprintf "txn%d-key40" (Db.Txn.id queued)) in
   let image = Driver.crash driver in
   let digests =
     List.map
       (fun m ->
-        let recovered, _ = Db.recover image m in
+        let recovered, stats = Db.recover image m in
         verified driver recovered;
+        check_int "the two open transactions are losers" 2 stats.Recovery_stats.losers;
+        check "the queued commit is lost" true (Db.read recovered ~table:1 ~key:40 <> queued_value);
         Client_sched.logical_digest recovered)
       Recovery.all_methods
   in

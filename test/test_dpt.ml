@@ -37,14 +37,14 @@ let test_dpt_structure () =
   (* A flush whose FW-LSN precedes the entry's last update floors its
      rLSN at FW-LSN. *)
   Dpt.apply_flush d ~pid:2 ~fw_lsn:80;
-  check "FW-LSN floors rlsn" true (Dpt.rlsn d 2 = Some 80);
+  check "FW-LSN floors rlsn" true (Option.map fst (Dpt.find d 2) = Some 80);
   Dpt.apply_flush d ~pid:2 ~fw_lsn:60;
-  check "FW-LSN never lowers rlsn" true (Dpt.rlsn d 2 = Some 80);
+  check "FW-LSN never lowers rlsn" true (Option.map fst (Dpt.find d 2) = Some 80);
   Dpt.apply_flush d ~pid:99 ~fw_lsn:10;
   check "flush of absent is noop" true (Dpt.find d 99 = None);
   Alcotest.(check (list int)) "entries_by_rlsn" [ 2; 1 ] (Dpt.entries_by_rlsn d);
-  Alcotest.(check (list (triple int int int)))
-    "sorted entries" [ (1, 100, 200); (2, 80, 90) ] (Dpt.to_sorted_list d);
+  check "entry 1" true (Dpt.find d 1 = Some (100, 200));
+  check "entry 2" true (Dpt.find d 2 = Some (80, 90));
   (* FW-LSN is exclusive: an update starting exactly at it is not covered. *)
   Dpt.apply_flush d ~pid:1 ~fw_lsn:200;
   check "FW-LSN = lastLSN keeps the entry" true (Dpt.find d 1 = Some (200, 200));
@@ -102,7 +102,8 @@ let test_sql_analysis_basic () =
   let stats = Recovery_stats.create () in
   let dpt, _ = Recovery.physiological_analysis ~aries:false log ~from:Lsn.nil ~stats in
   check "page 1 pruned (flushed after its last update)" false (Dpt.mem dpt 1);
-  check "page 2 keeps its first-mention rlsn" true (Dpt.rlsn dpt 2 = Some lsns.(1));
+  check "page 2 keeps its first-mention rlsn" true
+    (Option.map fst (Dpt.find dpt 2) = Some lsns.(1));
   (match Dpt.find dpt 3 with
   | Some (rlsn, last) ->
       check_int "page 3 rlsn raised to fw" fw rlsn;
@@ -148,9 +149,9 @@ let test_algorithm4_standard () =
       check "page 3 rlsn from first interval" true (rlsn <= 50);
       check_int "page 3 last raised by re-dirty (i < FirstDirty → prevΔ)" 50 last
   | None -> Alcotest.fail "page 3 missing");
-  check "page 4 rlsn = FW-LSN (dirtied after first write)" true (Dpt.rlsn dpt 4 = Some 70);
+  check "page 4 rlsn = FW-LSN (dirtied after first write)" true
+    (Option.map fst (Dpt.find dpt 4) = Some 70);
   check_int "Δ records seen" 2 stats.Recovery_stats.deltas_seen;
-  check_int "lastΔ TC-LSN recorded" 100 (Dc.last_delta_tclsn dc);
   check_int "dpt size in stats" (Dpt.size dpt) stats.Recovery_stats.dpt_size
 
 let test_algorithm4_redirty_not_pruned () =
@@ -163,7 +164,7 @@ let test_algorithm4_redirty_not_pruned () =
   in
   let dpt = Dc.dpt dc in
   check "re-dirtied page survives pruning" true (Dpt.mem dpt 7);
-  check "its rlsn is floored at FW-LSN" true (Dpt.rlsn dpt 7 = Some 60)
+  check "its rlsn is floored at FW-LSN" true (Option.map fst (Dpt.find dpt 7) = Some 60)
 
 let test_algorithm4_dirtied_before_fw_pruned () =
   (* Dirtied only before the first write, then flushed: pruned. *)
@@ -189,7 +190,7 @@ let test_algorithm4_bckpt_filter () =
   let dpt = Dc.dpt dc in
   check "pre-checkpoint Δ ignored" false (Dpt.mem dpt 1);
   check "post-checkpoint Δ applied" true (Dpt.mem dpt 2);
-  check "its rlsn is the checkpoint" true (Dpt.rlsn dpt 2 = Some bckpt);
+  check "its rlsn is the checkpoint" true (Option.map fst (Dpt.find dpt 2) = Some bckpt);
   check_int "only the live Δ counted" 1 stats.Recovery_stats.deltas_seen
 
 let test_algorithm4_perfect () =
@@ -205,7 +206,7 @@ let test_algorithm4_perfect () =
   let dpt = Dc.dpt dc in
   check "flushed page pruned (exact lastLSN ≤ fw)" false (Dpt.mem dpt 1);
   check "kept page has its exact dirtying LSN (not in written set: no floor)" true
-    (Dpt.rlsn dpt 2 = Some 140);
+    (Option.map fst (Dpt.find dpt 2) = Some 140);
   (* An entry updated after fw keeps its exact rlsn. *)
   let dc2, _, _ =
     dc_dpt_of
@@ -214,7 +215,7 @@ let test_algorithm4_perfect () =
           ~dirty_lsns:[| 280 |] ();
       ]
   in
-  check "exact rlsn retained" true (Dpt.rlsn (Dc.dpt dc2) 3 = Some 280)
+  check "exact rlsn retained" true (Option.map fst (Dpt.find (Dc.dpt dc2) 3) = Some 280)
 
 let test_algorithm4_reduced () =
   (* Appendix D.2: no FW-LSN; the written set prunes only entries from
@@ -232,7 +233,7 @@ let test_algorithm4_reduced () =
   let dpt = Dc.dpt dc in
   check "earlier-interval entry pruned" false (Dpt.mem dpt 1);
   check "same-interval entry conservatively kept" true (Dpt.mem dpt 2);
-  check "reduced rlsn is prevΔ TC-LSN" true (Dpt.rlsn dpt 2 = Some 50)
+  check "reduced rlsn is prevΔ TC-LSN" true (Option.map fst (Dpt.find dpt 2) = Some 50)
 
 let test_fw_boundary_not_pruned () =
   (* Regression: LSNs are byte offsets, so FW-LSN (an end-of-stable-log) is
@@ -270,9 +271,9 @@ let test_aries_analysis () =
   let log, lsns = build_log [ ckpt_dpt; update ~lsn:1 ~pid:12 (); update ~lsn:2 ~pid:10 () ] in
   let stats = Recovery_stats.create () in
   let dpt, redo_start = Recovery.physiological_analysis ~aries:true log ~from:Lsn.nil ~stats in
-  check "seeded entry kept" true (Dpt.rlsn dpt 11 = Some 40);
-  check "scan mention added" true (Dpt.rlsn dpt 12 = Some lsns.(1));
-  check "seed rlsn wins over later mention" true (Dpt.rlsn dpt 10 = Some 30);
+  check "seeded entry kept" true (Option.map fst (Dpt.find dpt 11) = Some 40);
+  check "scan mention added" true (Option.map fst (Dpt.find dpt 12) = Some lsns.(1));
+  check "seed rlsn wins over later mention" true (Option.map fst (Dpt.find dpt 10) = Some 30);
   check_int "redo starts at min rlsn" 30 redo_start;
   check_int "three entries" 3 (Dpt.size dpt)
 

@@ -50,10 +50,12 @@ let test_hit_miss () =
   check_int "content loaded" 3 (Page.get_u16 p 32);
   let c = Pool.counters e.pool in
   check_int "one miss" 1 c.Pool.misses;
+  let miss_stall = c.Pool.stall_us in
+  check "a miss stalls" true (miss_stall > 0.0);
   ignore (Pool.get e.pool 3);
   check_int "then a hit" 1 c.Pool.hits;
   check_int "still one miss" 1 c.Pool.misses;
-  check "hit is free" true (c.Pool.stall_us > 0.0);
+  check "hit is free" true (c.Pool.stall_us = miss_stall);
   check_int "cached" 1 (Pool.size e.pool)
 
 let test_eviction_capacity () =
@@ -70,7 +72,6 @@ let test_dirty_flush_cycle () =
   Page.set_u16 p 32 999;
   Pool.mark_dirty e.pool ~pid:1 ~lsn:50;
   check_int "plsn stamped" 50 (Page.plsn p);
-  check "dirty" true (Pool.is_dirty e.pool 1);
   check_int "dirty count" 1 (Pool.dirty_count e.pool);
   Alcotest.(check (list (pair int int))) "dirty event fired" [ (1, 50) ] !(e.dirty_events);
   (* Re-dirtying does not fire another event but raises the pLSN. *)
@@ -78,7 +79,7 @@ let test_dirty_flush_cycle () =
   check_int "one dirty event only" 1 (List.length !(e.dirty_events));
   check_int "plsn raised" 70 (Page.plsn p);
   Pool.flush_page e.pool 1;
-  check "clean after flush" false (Pool.is_dirty e.pool 1);
+  check_int "clean after flush" 0 (Pool.dirty_count e.pool);
   Alcotest.(check (list int)) "flush event" [ 1 ] !(e.flush_events);
   check_int "WAL forced through plsn" 70 !(e.forced_upto);
   (* The stable image now carries the update. *)
@@ -93,7 +94,7 @@ let test_eviction_flushes_dirty () =
   for pid = 1 to 8 do
     ignore (Pool.get e.pool pid)
   done;
-  check "pid 0 evicted" false (Pool.contains e.pool 0);
+  check "pid 0 evicted" true (Pool.get_if_cached e.pool 0 = None);
   check "flush event on eviction" true (List.mem 0 !(e.flush_events));
   check_int "contents survived via store" 123 (Page.get_u16 (Pool.get e.pool 0) 32)
 
@@ -103,12 +104,12 @@ let test_pin_prevents_eviction () =
   for pid = 1 to 12 do
     ignore (Pool.get e.pool pid)
   done;
-  check "pinned page survives pressure" true (Pool.contains e.pool 0);
+  check "pinned page survives pressure" true (Pool.get_if_cached e.pool 0 <> None);
   Pool.unpin e.pool 0;
   for pid = 13 to 20 do
     ignore (Pool.get e.pool pid)
   done;
-  check "unpinned page can go" false (Pool.contains e.pool 0);
+  check "unpinned page can go" true (Pool.get_if_cached e.pool 0 = None);
   (try
      Pool.unpin e.pool 5;
      Alcotest.fail "unpin of unpinned frame must raise"
@@ -133,8 +134,8 @@ let test_checkpoint_epochs () =
   ignore (Pool.get e.pool 1);
   Pool.mark_dirty e.pool ~pid:1 ~lsn:6;
   Pool.flush_previous_epoch e.pool;
-  check "old epoch flushed" false (Pool.is_dirty e.pool 0);
-  check "new epoch kept dirty" true (Pool.is_dirty e.pool 1)
+  Alcotest.(check (list int)) "old epoch flushed" [ 0 ] !(e.flush_events);
+  check_int "new epoch kept dirty" 1 (Pool.dirty_count e.pool)
 
 let test_prefetch () =
   let e = make ~capacity:8 () in
@@ -164,7 +165,8 @@ let test_prefetch_budget () =
 let test_prefetch_completed_is_free () =
   let e = make ~capacity:8 () in
   Pool.prefetch e.pool [ 5 ];
-  Disk.drain e.disk;
+  (* Let the read complete. *)
+  Clock.advance e.clock 1e6;
   let stall_before = (Pool.counters e.pool).Pool.stall_us in
   ignore (Pool.get e.pool 5);
   check "no stall when IO already done" true
@@ -179,7 +181,7 @@ let test_install_replaces () =
   Pool.install e.pool fresh ~dirty:true;
   let p = Pool.get e.pool 2 in
   check_int "installed image visible" 777 (Page.get_u16 p 32);
-  check "installed dirty" true (Pool.is_dirty e.pool 2);
+  check_int "installed dirty" 1 (Pool.dirty_count e.pool);
   check "dirty event for install" true (List.mem_assoc 2 !(e.dirty_events))
 
 let test_lazy_writer () =
@@ -189,12 +191,12 @@ let test_lazy_writer () =
   Pool.mark_dirty e.pool ~pid:0 ~lsn:1;
   (* Not aged yet: a miss must not flush it. *)
   ignore (Pool.get e.pool 1);
-  check "young page not flushed" true (Pool.is_dirty e.pool 0);
+  check "young page not flushed" true (!(e.flush_events) = []);
   (* Age it with two more update ticks elsewhere. *)
   Pool.mark_dirty e.pool ~pid:1 ~lsn:2;
   Pool.mark_dirty e.pool ~pid:1 ~lsn:3;
   ignore (Pool.get e.pool 2);
-  check "aged page flushed by writer" false (Pool.is_dirty e.pool 0);
+  Alcotest.(check (list int)) "aged page flushed by writer" [ 0 ] !(e.flush_events);
   (* Disabled writer does nothing. *)
   Pool.set_lazy_writer_enabled e.pool false;
   Pool.mark_dirty e.pool ~pid:2 ~lsn:4;
@@ -202,7 +204,8 @@ let test_lazy_writer () =
   Pool.mark_dirty e.pool ~pid:2 ~lsn:6;
   ignore (Pool.get e.pool 3);
   ignore (Pool.get e.pool 4);
-  check "disabled writer leaves dirt" true (Pool.is_dirty e.pool 1 && Pool.is_dirty e.pool 2)
+  Alcotest.(check (list int)) "disabled writer leaves dirt" [ 0 ] !(e.flush_events);
+  check_int "pages 1 and 2 still dirty" 2 (Pool.dirty_count e.pool)
 
 let test_dirty_pids () =
   let e = make ~capacity:8 () in
@@ -210,13 +213,26 @@ let test_dirty_pids () =
   ignore (Pool.get e.pool 2);
   Pool.mark_dirty e.pool ~pid:1 ~lsn:1;
   Pool.mark_dirty e.pool ~pid:2 ~lsn:2;
-  Alcotest.(check (list int)) "dirty pids" [ 1; 2 ] (List.sort compare (Pool.dirty_pids e.pool))
+  Alcotest.(check (list int)) "dirty pids" [ 1; 2 ]
+    (List.sort compare (List.map fst !(e.dirty_events)));
+  check_int "two dirty frames" 2 (Pool.dirty_count e.pool)
 
 (* The O(1) dirty counter must agree with the frames after every kind of
    clean<->dirty transition: misses (evictions, lazy-writer flushes),
-   allocation, dirtying, clean and dirty installs, and every flush path. *)
+   allocation, dirtying, clean and dirty installs, and every flush path.
+   The dirty frames are read off the hooks: [on_dirty] adds a pid,
+   [on_flush] removes it, and so does a clean install, which the test
+   makes itself. *)
 let test_dirty_count_tracks_frames () =
   let e = make ~capacity:8 ~pages:32 ~lazy_writer_every:2 ~lazy_writer_min_age:1 () in
+  let dirty = Hashtbl.create 16 in
+  let note_events () =
+    List.iter (fun (pid, _) -> Hashtbl.replace dirty pid ()) (List.rev !(e.dirty_events));
+    List.iter (fun pid -> Hashtbl.remove dirty pid) (List.rev !(e.flush_events));
+    e.dirty_events := [];
+    e.flush_events := []
+  in
+  let cached pid = Pool.get_if_cached e.pool pid <> None in
   let rng = Random.State.make [| 16 |] in
   (* Reads and installs stay on the seeded pages, which have a stable
      image; an allocated page is dirtied at once, so it is written before
@@ -244,21 +260,25 @@ let test_dirty_count_tracks_frames () =
         allocated := pid :: !allocated
     | 3 | 4 ->
         let pid = any () in
-        if Pool.contains e.pool pid then Pool.mark_dirty e.pool ~pid ~lsn:(next_lsn ())
+        if cached pid then Pool.mark_dirty e.pool ~pid ~lsn:(next_lsn ())
     | 5 ->
         let pid = seeded () in
         let page = Page.create ~page_size:256 ~pid Page.Meta in
         Page.set_plsn page (next_lsn ());
-        Pool.install e.pool page ~dirty:(Random.State.bool rng)
+        let dirty_install = Random.State.bool rng in
+        note_events ();
+        Pool.install e.pool page ~dirty:dirty_install;
+        if not dirty_install then Hashtbl.remove dirty pid
     | 6 ->
         let pid = any () in
-        if Pool.contains e.pool pid then Pool.flush_page e.pool pid
+        if cached pid then Pool.flush_page e.pool pid
     | 7 -> ignore (Pool.flush_one_dirty e.pool)
     | 8 ->
         Pool.begin_checkpoint_epoch e.pool;
         Pool.flush_previous_epoch e.pool
     | _ -> if Random.State.int rng 4 = 0 then Pool.flush_all_dirty e.pool);
-    let frames = List.length (Pool.dirty_pids e.pool) in
+    note_events ();
+    let frames = Hashtbl.length dirty in
     if Pool.dirty_count e.pool <> frames then
       Alcotest.failf "step %d: dirty_count %d, %d dirty frames" step (Pool.dirty_count e.pool)
         frames

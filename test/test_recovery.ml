@@ -128,7 +128,8 @@ let test_crash_without_checkpoint () =
   List.iter
     (fun m ->
       let recovered, _ = Db.recover image m in
-      check_int "all rows recovered from log start" 200 (Db.entry_count recovered ~table:1);
+      check_int "all rows recovered from log start" 200
+        (List.length (Db.scan recovered ~table:1 ~lo:min_int ~hi:max_int));
       (match Db.check_integrity recovered with
       | Ok () -> ()
       | Error e -> Alcotest.fail e))
@@ -142,7 +143,8 @@ let test_empty_db_crash () =
   List.iter
     (fun m ->
       let recovered, stats = Db.recover image m in
-      check_int "empty stays empty" 0 (Db.entry_count recovered ~table:1);
+      check_int "empty stays empty" 0
+        (List.length (Db.scan recovered ~table:1 ~lo:min_int ~hi:max_int));
       check_int "nothing applied" 0 stats.Recovery_stats.redo_applied)
     Recovery.all_methods
 
@@ -250,7 +252,13 @@ let test_dpt_safety_all_algorithms () =
       let bckpt = Crash_image.master image in
       let dc = (Engine.shard engine 0).Engine.s_dc in
       Dc.dc_recovery dc ~log:engine.Engine.log ~from:bckpt ~bckpt ~build_dpt:true ~stats:stats2;
-      dpt_safety image ~covered_upto:(Dc.last_delta_tclsn dc) (Dc.dpt dc))
+      (* The Δ records past the checkpoint cover the log up to the last
+         one's TC-LSN: before it the DPT must hold every dirty page. *)
+      let covered_upto = ref bckpt in
+      Log.iter engine.Engine.log ~from:bckpt (fun _ -> function
+        | Lr.Delta { tc_lsn; _ } when tc_lsn > bckpt -> covered_upto := tc_lsn
+        | _ -> ());
+      dpt_safety image ~covered_upto:!covered_upto (Dc.dpt dc))
     [ 3; 17; 99 ]
 
 let test_logical_recovery_ignores_pids () =
@@ -282,7 +290,7 @@ let test_logical_recovery_ignores_pids () =
     Db.commit db txn
   done;
   let image = Db.crash db in
-  let scrambled = Log.create ~page_size:(Log.page_size image.Crash_image.log) in
+  let scrambled = Log.create ~page_size:(Db.config db).Config.page_size in
   Log.iter image.Crash_image.log ~from:Lsn.nil (fun _ record ->
       let record' =
         match record with
@@ -351,7 +359,7 @@ let test_committed_tail_redone () =
         if Db.read recovered ~table:1 ~key:k <> Some "tail-update" then
           Alcotest.failf "%s lost tail update %d" (Recovery.method_to_string m) k
       done;
-      if Recovery.is_logical m && m <> Recovery.Log0 then
+      if List.mem m Recovery.[ Log1; Log2; InstantLog2 ] then
         check "tail records took the fallback path" true
           (stats.Recovery_stats.tail_records > 0))
     Recovery.all_methods
@@ -385,7 +393,7 @@ let test_crash_during_undo () =
   let driver, image = make_crash () in
   let engine, s1 = Recovery.recover ~undo_fault_after_clrs:3 image Recovery.Log1 in
   check_int "fault stopped undo after 3 CLRs" 3 s1.Recovery_stats.clrs_written;
-  let mid = Db.crash (Db.of_engine engine) in
+  let mid = Crash_image.capture engine in
   List.iter
     (fun m ->
       let recovered, s2 = Db.recover mid m in
@@ -399,7 +407,7 @@ let test_crash_during_undo () =
   (* Crash mid-undo twice in a row. *)
   let engine2, s2 = Recovery.recover ~undo_fault_after_clrs:2 mid Recovery.Sql2 in
   check_int "second fault after 2 more CLRs" 2 s2.Recovery_stats.clrs_written;
-  let mid2 = Db.crash (Db.of_engine engine2) in
+  let mid2 = Crash_image.capture engine2 in
   let recovered, s3 = Db.recover mid2 Recovery.Log2 in
   (match Driver.verify_recovered driver recovered with
   | Ok () -> ()
@@ -415,7 +423,9 @@ let test_recovery_detects_corruption () =
   let bad_log = Log.crash image.Crash_image.log in
   let victim = ref Lsn.nil in
   Log.iter bad_log ~from:(Crash_image.master image) (fun lsn record ->
-      if Lsn.is_nil !victim && Lr.is_update record then victim := lsn);
+      match record with
+      | Lr.Update_rec _ when Lsn.is_nil !victim -> victim := lsn
+      | _ -> ());
   Log.corrupt_for_test bad_log !victim;
   (try
      ignore (Db.recover { image with Crash_image.log = bad_log } Recovery.Sql1);
@@ -429,9 +439,9 @@ let test_recovery_detects_corruption () =
     Recovery.physiological_analysis ~aries:false (Log.crash image.Crash_image.log)
       ~from:(Crash_image.master image) ~stats
   in
-  match Dpt.to_sorted_list dpt with
+  match Dpt.entries_by_rlsn dpt with
   | [] -> Alcotest.fail "expected a non-empty DPT"
-  | (pid, _, _) :: _ ->
+  | pid :: _ ->
       Page_store.corrupt_for_test bad_store pid;
       (try
          ignore (Db.recover { image with Crash_image.store = bad_store } Recovery.Sql1);

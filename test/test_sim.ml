@@ -22,9 +22,7 @@ let test_clock () =
   (try
      Clock.advance c (-1.0);
      Alcotest.fail "negative advance accepted"
-   with Invalid_argument _ -> ());
-  Clock.reset c;
-  check_float "reset" 0.0 (Clock.now c)
+   with Invalid_argument _ -> ())
 
 let test_rng_determinism () =
   let a = Rng.create ~seed:9 and b = Rng.create ~seed:9 in
@@ -39,12 +37,15 @@ let test_rng_determinism () =
   check "different seeds differ" true !differs
 
 (* The stream is splitmix64's: seed 0 yields the generator's published
-   first outputs, whatever the state's representation. *)
+   first outputs (0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4,
+   0x06c45d188009454f), whatever the state's representation.  [Rng.int]
+   keeps the top 63 bits, so [bound = max_int] shows them reduced mod
+   2^62 - 1. *)
 let test_rng_splitmix64_vectors () =
   let r = Rng.create ~seed:0 in
   List.iter
-    (fun expected -> Alcotest.(check int64) "splitmix64, seed 0" expected (Rng.int64 r))
-    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ]
+    (fun expected -> check_int "splitmix64, seed 0" expected (Rng.int r max_int))
+    [ 3535418189901915864; 3980143261097177850; 243808509735772839 ]
 
 let test_rng_bounds () =
   let r = Rng.create ~seed:1 in
@@ -94,14 +95,17 @@ let test_zipf () =
   done;
   Array.iter (fun c -> check "theta=0 uniform-ish" true (abs (c - 5000) < 1000)) c2
 
-let test_shuffle () =
-  let r = Rng.create ~seed:4 in
-  let a = Array.init 100 Fun.id in
-  Rng.shuffle r a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 100 Fun.id) sorted;
-  check "actually shuffled" true (a <> Array.init 100 Fun.id)
+(* [split] derives an independent generator: drawing from the child does not
+   move the parent, and the same parent state splits the same child. *)
+let test_rng_split () =
+  let a = Rng.create ~seed:4 and b = Rng.create ~seed:4 in
+  let child_a = Rng.split a and child_b = Rng.split b in
+  let draws r = List.init 20 (fun _ -> Rng.int r 1_000_000) in
+  let from_child = draws child_a in
+  let from_parent = draws a in
+  Alcotest.(check (list int)) "the child leaves the parent's stream alone" from_parent (draws b);
+  Alcotest.(check (list int)) "same parent, same child" from_child (draws child_b);
+  check "child differs from parent" true (from_child <> from_parent)
 
 let test_ivec () =
   let v = Ivec.create ~capacity:2 () in
@@ -110,15 +114,7 @@ let test_ivec () =
     Ivec.push v (i * 2)
   done;
   check_int "length" 100 (Ivec.length v);
-  check_int "get" 42 (Ivec.get v 21);
   Alcotest.(check (array int)) "to_array" (Array.init 100 (fun i -> 2 * i)) (Ivec.to_array v);
-  let sum = ref 0 in
-  Ivec.iter (fun x -> sum := !sum + x) v;
-  check_int "iter" 9900 !sum;
-  (try
-     ignore (Ivec.get v 100);
-     Alcotest.fail "out of bounds accepted"
-   with Invalid_argument _ -> ());
   Ivec.clear v;
   check "cleared" true (Ivec.is_empty v)
 
@@ -149,9 +145,7 @@ let test_disk_async_queueing () =
   (* The second request arrives while the disk is busy, so its positioning
      is elevator-scheduled: 1100 + 0.5 x 1000 seek + 100 transfer. *)
   check_float "second queues behind first at the batch seek" 1700.0 c2;
-  check_float "clock does not advance on submit" 0.0 (Clock.now clock);
-  Disk.drain d;
-  check_float "drain waits for the queue" 1700.0 (Clock.now clock)
+  check_float "clock does not advance on submit" 0.0 (Clock.now clock)
 
 let test_disk_batch_read () =
   let clock = Clock.create () in
@@ -163,7 +157,7 @@ let test_disk_batch_read () =
   check_float "elevator-order service" 1900.0 c;
   check_int "batch pages" 4 (Disk.counters d).Disk.pages_read;
   let idle = Disk.submit_batch_read d [] in
-  check_float "empty batch completes immediately" (Disk.busy_until d) idle
+  check_float "empty batch completes when the queue drains" c idle
 
 let test_disk_write_delays_read () =
   let clock = Clock.create () in
@@ -181,7 +175,7 @@ let suite =
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng uniformity" `Quick test_rng_uniformity;
     Alcotest.test_case "zipf" `Quick test_zipf;
-    Alcotest.test_case "shuffle" `Quick test_shuffle;
+    Alcotest.test_case "rng split" `Quick test_rng_split;
     Alcotest.test_case "ivec" `Quick test_ivec;
     Alcotest.test_case "disk sync read" `Quick test_disk_sync_read;
     Alcotest.test_case "disk async queueing" `Quick test_disk_async_queueing;

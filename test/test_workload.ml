@@ -35,10 +35,16 @@ let test_oracle_txn_semantics () =
   Oracle.begin_txn o 4;
   Oracle.buffer_put o ~txn:4 ~table:2 ~key:5 ~value:"other";
   Oracle.commit o ~txn:4;
-  check_int "tables separate" 0 (Oracle.entry_count o ~table:1);
-  check_int "tables separate 2" 1 (Oracle.entry_count o ~table:2);
-  Alcotest.(check (list (pair int string))) "sorted entries" [ (5, "other") ]
-    (Oracle.committed_entries o ~table:2)
+  check "tables separate" true (Oracle.committed_value o ~table:2 ~key:5 = Some "other");
+  (* The committed state is exactly table 2's one row: [verify] compares
+     every row and the row count of each table. *)
+  let db = Db.create ~config:Env.config () in
+  Db.create_table db ~table:1;
+  Db.create_table db ~table:2;
+  Db.put db ~table:2 ~key:5 ~value:"other";
+  check "verify agrees" true (Oracle.verify o db ~tables:[ 1; 2 ] = Ok ());
+  Db.put db ~table:1 ~key:6 ~value:"c";
+  check "verify counts table 1's rows" false (Oracle.verify o db ~tables:[ 1; 2 ] = Ok ())
 
 (* Model test: random operation sequences over three tables, checked after
    every step against a reference [Map] keyed by [(table, key)].  An
@@ -141,21 +147,16 @@ let oracle_step o = function
   | Force -> Oracle.force o
   | Seal -> Oracle.seal o
 
+(* Operations touch only [model_keys], so agreeing on every one of them is
+   agreeing on the whole committed state; queued commits must stay
+   invisible until [Force]. *)
 let oracle_agrees o m =
-  Oracle.queued_commits o = List.length m.queued
-  && List.for_all
-       (fun table ->
-         let expected =
-           Rows.fold (fun (t, k) v acc -> if t = table then (k, v) :: acc else acc) m.rows []
-           |> List.rev
-         in
-         Oracle.committed_entries o ~table = expected
-         && Oracle.entry_count o ~table = List.length expected
-         && List.for_all
-              (fun key ->
-                Oracle.committed_value o ~table ~key = Rows.find_opt (table, key) m.rows)
-              model_keys)
-       model_tables
+  List.for_all
+    (fun table ->
+      List.for_all
+        (fun key -> Oracle.committed_value o ~table ~key = Rows.find_opt (table, key) m.rows)
+        model_keys)
+    model_tables
 
 let oracle_matches_model ops =
   let o = Oracle.create () in
@@ -196,6 +197,8 @@ let test_oracle_model_cases () =
 let small_config =
   { Env.config with Config.page_size = 1024; pool_pages = 32; delta_period = 50; shards = 1 }
 
+let fixture_rows = List.init 300 (fun i -> (i + 1, Printf.sprintf "v%04d" (i + 1)))
+
 (* A table spanning many leaves, written through [Db] and mirrored into a
    sealed oracle.  Each verify test then writes once more through [Db]
    without telling the oracle. *)
@@ -203,13 +206,13 @@ let oracle_fixture () =
   let db = Db.create ~config:small_config () in
   Db.create_table db ~table:1;
   let o = Oracle.create () in
-  for key = 1 to 300 do
-    let value = Printf.sprintf "v%04d" key in
-    Db.put db ~table:1 ~key ~value;
-    Oracle.begin_txn o key;
-    Oracle.buffer_put o ~txn:key ~table:1 ~key ~value;
-    Oracle.commit o ~txn:key
-  done;
+  List.iter
+    (fun (key, value) ->
+      Db.put db ~table:1 ~key ~value;
+      Oracle.begin_txn o key;
+      Oracle.buffer_put o ~txn:key ~table:1 ~key ~value;
+      Oracle.commit o ~txn:key)
+    fixture_rows;
   Oracle.seal o;
   (match Oracle.verify o db ~tables:[ 1 ] with Ok () -> () | Error e -> Alcotest.fail e);
   (db, o)
@@ -328,8 +331,8 @@ let checks_agree_on c =
   let leaves = fixture_leaves db in
   let p, _, _ = List.nth leaves (c.leaf mod List.length leaves) in
   let off = corrupted_offset p c in
-  let old = Page.get_u8 p off in
-  Page.set_u8 p off (old lxor c.flip);
+  let old = Page.get_bytes p ~off ~len:1 in
+  Page.set_bytes p ~off (String.make 1 (Char.chr (Char.code old.[0] lxor c.flip)));
   let verdict what f =
     match f () with
     | r -> Result.is_ok r
@@ -337,12 +340,12 @@ let checks_agree_on c =
   in
   let integrity, oracle, ref_integrity, ref_oracle =
     Fun.protect
-      ~finally:(fun () -> Page.set_u8 p off old)
+      ~finally:(fun () -> Page.set_bytes p ~off old)
       (fun () ->
         ( verdict "Db.check_integrity" (fun () -> Db.check_integrity db),
           verdict "Oracle.verify" (fun () -> Oracle.verify o db ~tables:[ 1 ]),
           List.for_all (fun (p, lo, hi) -> ref_leaf_ok ~lo ~hi p) leaves,
-          ref_rows_ok (List.map (fun (p, _, _) -> p) leaves) (Oracle.committed_entries o ~table:1)
+          ref_rows_ok (List.map (fun (p, _, _) -> p) leaves) fixture_rows
         ))
   in
   if integrity <> ref_integrity then
@@ -381,7 +384,8 @@ let test_driver_load_and_verify () =
   (match Driver.verify_recovered driver (Driver.db driver) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  check_int "all rows loaded" 500 (Db.entry_count (Driver.db driver) ~table:1)
+  check_int "all rows loaded" 500
+    (List.length (Db.scan (Driver.db driver) ~table:1 ~lo:min_int ~hi:max_int))
 
 (* [Experiment.store_digest] with each page's checksum field (bytes 4-7)
    zeroed: the store's content, blind to how the pages are stamped. *)
@@ -411,7 +415,8 @@ let test_golden_paper_load () =
   let setup = Experiment.paper_setup ~scale:512 ~cache_mb:512 () in
   let driver = Driver.create ~config:setup.Experiment.config setup.Experiment.spec in
   let db = Driver.db driver in
-  check_int "rows" 96_163 (Oracle.entry_count (Driver.oracle driver) ~table:1);
+  check_int "rows" 96_163
+    (Db.fold_range db ~table:1 ~lo:min_int ~hi:max_int ~init:0 ~f:(fun n _ _ -> n + 1));
   check_int "log.tc.end_lsn" 27_940_506 (Db.metric db "log.tc.end_lsn");
   check_int "log.tc.records" 98_689 (Db.metric db "log.tc.records");
   Alcotest.(check string) "logical digest" "7d139635e47abdd7050405da2b56ce78"
