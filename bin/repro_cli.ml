@@ -100,7 +100,7 @@ let method_conv =
 (* One command per sweep of the registry: --scale plus one option per
    parameter, defaulting to the bench's full value.  [adjust] changes the
    run context before the sweep runs (tune's METHOD); [gate] checks the
-   sweep's JSON after its tables print (instant's --min-speedup). *)
+   sweep's JSON after its tables print (instant's drain and speedup gates). *)
 let sweep_cmd ?(adjust = Term.const Fun.id) ?(gate = Term.const ignore) (sw : Figures.sweep) =
   let param (p : Figures.param) =
     let opt kind default docv = Arg.(value & opt kind default & info [ p.flag ] ~docv ~doc:p.doc) in
@@ -139,7 +139,9 @@ let tune_method =
   in
   Term.(const adjust $ method_arg)
 
-let min_speedup_gate =
+(* instant's gates: the drain allowance always, as [bench-diff] checks it,
+   and the speedup floor when --min-speedup is given. *)
+let instant_gates =
   let min_speedup_arg =
     Arg.(
       value
@@ -149,13 +151,12 @@ let min_speedup_gate =
             "Gate: fail (exit 1) unless time-to-full-recovery is at least $(docv)x the \
              time-to-first-transaction at the smallest cache size.")
   in
+  let verdict = function Ok v -> print_endline v | Error msg -> failwith msg in
   let gate min_speedup json =
+    print_newline ();
+    verdict (Deut_workload.Bench_summary.drain_gate json);
     Option.iter
-      (fun min_speedup ->
-        print_newline ();
-        match Deut_workload.Bench_summary.availability_gate ~min_speedup json with
-        | Ok verdict -> print_endline verdict
-        | Error msg -> failwith msg)
+      (fun min_speedup -> verdict (Deut_workload.Bench_summary.availability_gate ~min_speedup json))
       min_speedup
   in
   Term.(const gate $ min_speedup_arg)
@@ -165,7 +166,7 @@ let sweep_cmds =
     (fun (sw : Figures.sweep) ->
       match sw.command with
       | "tune" -> sweep_cmd ~adjust:tune_method sw
-      | "instant" -> sweep_cmd ~gate:min_speedup_gate sw
+      | "instant" -> sweep_cmd ~gate:instant_gates sw
       | _ -> sweep_cmd sw)
     Figures.sweeps
 

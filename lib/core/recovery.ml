@@ -177,34 +177,40 @@ let make_log_prefetcher dc ~lane ?owns (records : (Lsn.t * Lr.t) array) =
     horizon := min (Array.length records) (current_index + config.Config.prefetch_lookahead);
     top_up pool config ~lane next
 
-(* Record-to-worker assignment.  Physiological methods partition by page
-   id; logical methods slice each table's observed key range into
-   [workers] contiguous bands (a table offset spreads small tables).  The
-   assignment only decides whose simulated time a record is charged to —
-   application always happens in log order. *)
+(* Record-to-worker assignment: contiguous bands, so each worker's pages
+   (and its prefetch lane's batches) keep their disk neighbours, as Log2's
+   PF-list segments do.  Physiological methods slice the redo range's
+   [min pid, max pid]; logical methods slice each table's observed key
+   range (a table offset spreads small tables).  The assignment only
+   decides whose simulated time a record is charged to — application
+   always happens in log order. *)
 let make_partitioner method_ ~workers (records : (Lsn.t * Lr.t) array) =
-  if not (is_logical method_) then fun (v : Lr.redo_view) -> v.Lr.rv_pid mod workers
-  else begin
-    let ranges = Hashtbl.create 8 in
-    Array.iter
-      (fun (_, record) ->
-        match Lr.redo_view record with
-        | Some v ->
-            let lo, hi =
-              match Hashtbl.find_opt ranges v.Lr.rv_table with
-              | Some (lo, hi) -> (min lo v.Lr.rv_key, max hi v.Lr.rv_key)
-              | None -> (v.Lr.rv_key, v.Lr.rv_key)
-            in
-            Hashtbl.replace ranges v.Lr.rv_table (lo, hi)
-        | None -> ())
-      records;
-    fun (v : Lr.redo_view) ->
-      match Hashtbl.find_opt ranges v.Lr.rv_table with
-      | None -> 0
-      | Some (lo, hi) ->
-          let band = (v.Lr.rv_key - lo) * workers / (hi - lo + 1) in
-          (min band (workers - 1) + v.Lr.rv_table) mod workers
-  end
+  (* What a record is banded by: its key within its table, or its pid
+     within the whole range (as table 0). *)
+  let coord (v : Lr.redo_view) =
+    if is_logical method_ then (v.Lr.rv_table, v.Lr.rv_key) else (0, v.Lr.rv_pid)
+  in
+  let ranges = Hashtbl.create 8 in
+  Array.iter
+    (fun (_, record) ->
+      match Lr.redo_view record with
+      | Some v ->
+          let table, x = coord v in
+          let lo, hi =
+            match Hashtbl.find_opt ranges table with
+            | Some (lo, hi) -> (min lo x, max hi x)
+            | None -> (x, x)
+          in
+          Hashtbl.replace ranges table (lo, hi)
+      | None -> ())
+    records;
+  fun v ->
+    let table, x = coord v in
+    match Hashtbl.find_opt ranges table with
+    | None -> 0
+    | Some (lo, hi) ->
+        let band = (x - lo) * workers / (hi - lo + 1) in
+        (min band (workers - 1) + table) mod workers
 
 (* Phase 1 for one shard: the method's analysis.  The logical methods
    recover the DC (SMO replay, DPT from Δ/BW records) over its own
@@ -519,7 +525,9 @@ let recover_offline ?config ?undo_fault_after_clrs image method_ =
    leaf pid to that page's slice of the redo range (in log order);
    [i_order] remembers the pids by first appearance in the log — the
    background drain replays them in that order, which matches the page
-   order the offline pass would have first touched them in.
+   order the offline pass would have first touched them in.  [i_ahead] is
+   a second cursor over the same order, running ahead of the drain to feed
+   its prefetch lane.
 
    Both the history index and the loser rollback are deferred past the
    open: [i_records] holds the raw redo range until the first page demand
@@ -532,6 +540,7 @@ type instant = {
   i_stats : Recovery_stats.t;
   i_pending : (int, (Lsn.t * Lr.redo_view) list) Hashtbl.t;
   mutable i_order : int list;
+  mutable i_ahead : int list;
   mutable i_records : (Lsn.t * Lr.t) array;  (* redo range, unindexed until first demand *)
   mutable i_built : bool;
   mutable i_building : bool;
@@ -541,6 +550,7 @@ type instant = {
   i_undo_fault : int option;
   mutable i_finished : bool;
   i_t0 : float;  (* clock at recovery start; ttft/drained are relative to it *)
+  i_open : float;  (* clock at the end of the log scan; the drain phase starts here *)
 }
 
 let instant_engine sess = sess.i_engine
@@ -610,6 +620,7 @@ let ensure_history sess =
       sess.i_records;
     Hashtbl.filter_map_inplace (fun _ slice -> Some (List.rev slice)) sess.i_pending;
     sess.i_order <- List.rev !order;
+    sess.i_ahead <- sess.i_order;
     sess.i_records <- [||];
     sess.i_built <- true;
     sess.i_building <- false;
@@ -652,6 +663,7 @@ let recover_instant ?config ?undo_fault_after_clrs image =
   let engine, stats, scan, t0, _ = open_restart ?config image InstantLog2 in
   let sh = Engine.shard engine 0 in
   let clock = engine.Engine.clock in
+  let t_open = Clock.now clock in
   let tc = engine.Engine.tc in
   (* Collect each loser's written keys from its backward chain (in-memory
      log reads only).  Those keys stay blocked until rollback runs — the
@@ -667,6 +679,7 @@ let recover_instant ?config ?undo_fault_after_clrs image =
       i_stats = stats;
       i_pending = Hashtbl.create 256;
       i_order = [];
+      i_ahead = [];
       i_records = scan.records;
       i_built = false;
       i_building = false;
@@ -676,6 +689,7 @@ let recover_instant ?config ?undo_fault_after_clrs image =
       i_undo_fault = undo_fault_after_clrs;
       i_finished = false;
       i_t0 = t0;
+      i_open = t_open;
     }
   in
   (* Reopen the catalog before the hook goes in: [open_tables] touches
@@ -704,13 +718,32 @@ let recover_instant ?config ?undo_fault_after_clrs image =
   | None -> ());
   sess
 
+(* The drain's prefetch lane, fed the way Log2's PF list feeds redo
+   (Appendix A.2): [i_ahead] walks the drain order ahead of [i_order],
+   passing pages already replayed (on demand or by the drain) and pages no
+   longer in the DPT, and tops up lane 0.  Each pid is passed once, so a
+   step costs amortised O(1). *)
+let prefetch_ahead sess =
+  let sh = Engine.shard sess.i_engine 0 in
+  let dc = sh.Engine.s_dc in
+  let rec next () =
+    match sess.i_ahead with
+    | [] -> None
+    | pid :: rest ->
+        sess.i_ahead <- rest;
+        if Hashtbl.mem sess.i_pending pid && Dpt.mem (Dc.dpt dc) pid then Some pid else next ()
+  in
+  top_up sh.Engine.s_pool (Dc.config dc) ~lane:0 next
+
 (* One background-drain step: finish any deferred recovery work first
-   (history index, loser rollback), then replay the next still-pending
-   page in log first-touch order.  Returns [false] once nothing is
-   pending. *)
+   (history index, loser rollback), top up the prefetch lane, then replay
+   the next still-pending page in log first-touch order.  The top-up
+   follows rollback so undo's own page reads do not queue behind a
+   prefetch batch.  Returns [false] once nothing is pending. *)
 let instant_step sess =
   ensure_history sess;
   ensure_undo sess;
+  prefetch_ahead sess;
   let rec go = function
     | [] ->
         sess.i_order <- [];
@@ -741,6 +774,10 @@ let instant_finish sess =
     Pool.set_redo_hook sh.Engine.s_pool None;
     Dc.set_merge_allowed sh.Engine.s_dc true;
     stats.drained_us <- Clock.now engine.Engine.clock -. sess.i_t0;
+    (* The drain phase runs from the end of the log scan to here, so
+       analysis + log_scan + drain is [drained_us]; the history build and
+       the rollback nest inside it. *)
+    phase engine "drain" ~ts0:sess.i_open;
     account_io engine ~stats;
     Option.iter Trace.stop (Engine.trace engine)
   end;

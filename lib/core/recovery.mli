@@ -110,8 +110,10 @@ val instant_force_undo : instant -> unit
 
 val instant_step : instant -> bool
 (** Finish any deferred recovery work (history index, loser rollback),
-    then replay one pending page (log first-touch order); [false] when
-    the pending set is empty. *)
+    top up the drain's prefetch lane (lane 0, [Config.prefetch_window] /
+    [prefetch_chunk], as for Log2) from the pages ahead of it that are
+    still pending and in the DPT, then replay one pending page (log
+    first-touch order); [false] when the pending set is empty. *)
 
 val instant_finish : instant -> Recovery_stats.t
 (** Drain, re-enable maintenance and finalise the IO accounting

@@ -310,12 +310,21 @@ let of_events ?(meta = []) events =
         })
       phases_raw
   in
-  (* The redo phase span covers the log-scan, so the wall-clock total is
-     analysis + redo + undo. *)
+  (* A phase inside one that closes later (log_scan inside redo;
+     history_build and undo inside instant recovery's drain) is already in
+     that phase's time, so the total sums the outermost phases only:
+     analysis + redo + undo offline, analysis + log_scan + drain instant. *)
   let total_us =
-    List.fold_left
-      (fun acc ph -> if ph.ph_name = "log_scan" then acc else acc +. ph.ph_dur_us)
-      0.0 phases
+    let ph_end ph = ph.ph_start_us +. ph.ph_dur_us in
+    let rec outer acc = function
+      | [] -> acc
+      | ph :: later ->
+          let encloses p =
+            p.ph_start_us <= ph.ph_start_us +. 1e-6 && ph_end ph <= ph_end p +. 1e-6
+          in
+          outer (if List.exists encloses later then acc else acc +. ph.ph_dur_us) later
+    in
+    outer 0.0 phases
   in
   let stall_total_us = List.fold_left (fun acc ev -> acc +. ev.Trace.dur) 0.0 stalls in
   let stall_attributed_us, sources = attribute_stalls ~stalls ~ios in
@@ -363,14 +372,14 @@ let render t =
   (match t.meta with
   | [] -> ()
   | meta -> line "profile: %s" (String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) meta)));
-  line "total (analysis+redo+undo): %s ms" (ms t.total_us);
+  line "total (outermost phases): %s ms" (ms t.total_us);
   line "";
   line "phase budget (simulated ms):";
-  line "  %-10s %10s %10s %10s %10s %10s %10s" "phase" "start" "dur" "stall" "io-busy"
+  line "  %-13s %10s %10s %10s %10s %10s %10s" "phase" "start" "dur" "stall" "io-busy"
     "overlap" "compute";
   List.iter
     (fun ph ->
-      line "  %-10s %10s %10s %10s %10s %10s %10s" ph.ph_name (ms ph.ph_start_us)
+      line "  %-13s %10s %10s %10s %10s %10s %10s" ph.ph_name (ms ph.ph_start_us)
         (ms ph.ph_dur_us) (ms ph.ph_stall_us) (ms ph.ph_io_us) (ms ph.ph_overlap_us)
         (ms ph.ph_compute_us))
     t.phases;

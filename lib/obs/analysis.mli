@@ -54,8 +54,13 @@ type net_source = {
 
 type t = {
   meta : (string * string) list;  (** caller-supplied identity, e.g. method/cache *)
-  total_us : float;  (** analysis + redo + undo phase time (log_scan nests in redo) *)
-  phases : phase list;  (** in emission order: analysis, log_scan, redo, undo *)
+  total_us : float;
+      (** the outermost phases' time: analysis + redo + undo offline (log_scan
+          nests in redo), analysis + log_scan + drain for instant recovery
+          (history_build and undo nest in drain) *)
+  phases : phase list;
+      (** in emission (close) order: analysis, log_scan, redo, undo offline;
+          analysis, log_scan, history_build, undo, drain instant *)
   fetch_total : int;  (** page_fetch spans *)
   fetch_data : int;
   fetch_index : int;  (** fetches inside an index traversal ([args.index] = 1) *)

@@ -68,6 +68,39 @@ let availability_gate ~min_speedup availability =
              speedup mb min_speedup (Json.num smallest "ttft_ms") (Json.num smallest "drained_ms"))
       else Ok (Printf.sprintf "availability gate OK: %.1fx at %.0f MB (need >= %.1fx)" speedup mb min_speedup)
 
+(* How much longer than offline Log2's whole restart an availability cell
+   may take to drain.  Alone, the drain replays the same pages through
+   Log2's redo operator, fed by a prefetch lane like Log2's, and finishes
+   within a few percent of Log2 (offline-form InstantLog2 at scale 512:
+   1.02-1.07x).  The staged cell also serves its probe reads while it
+   drains, cold random reads of about 4 ms each queued on the one data
+   disk, and on the small caches' 145-180 ms Log2 restarts that doubles
+   the time: 2.01x at 64 MB, scale 512, and 2.07x at 64 MB, scale 128.
+   A drain that reads every page on demand, one synchronous read at a
+   time, took 2.19-2.44x. *)
+let drain_allowance = 2.15
+
+(* Instant recovery's drain against Log2's total, in every cell of an
+   availability block. *)
+let drain_gate availability =
+  let over =
+    List.filter
+      (fun c -> Json.num c "drained_ms" > drain_allowance *. Json.num c "log2_total_ms")
+      (Json.to_list "availability" availability)
+  in
+  match over with
+  | [] ->
+      Ok (Printf.sprintf "drain gate OK: every cell drained within %.2fx Log2's total" drain_allowance)
+  | cells ->
+      Error
+        (String.concat "; "
+           (List.map
+              (fun c ->
+                let drained = Json.num c "drained_ms" and log2 = Json.num c "log2_total_ms" in
+                Printf.sprintf "drain gate — %.2fx at %.0f MB, need <= %.2fx (drained %.3f ms, Log2 %.3f ms)"
+                  (drained /. log2) (Json.num c "cache_mb") drain_allowance drained log2)
+              cells))
+
 (* What every summary must show, whatever the baseline says: each failed
    invariant as one line.  Equality with a baseline stops guarding these
    the day the baseline is regenerated. *)
@@ -97,9 +130,10 @@ let check summary =
       match cells "availability" summary with
       | [] -> fail "availability: empty availability sweep"
       | a ->
-          Result.iter_error
-            (fun msg -> fail ("availability: " ^ msg))
-            (availability_gate ~min_speedup:10.0 (Json.member "availability" summary));
+          let block = Json.member "availability" summary in
+          List.iter
+            (Result.iter_error (fun msg -> fail ("availability: " ^ msg)))
+            [ availability_gate ~min_speedup:10.0 block; drain_gate block ];
           expect
             (List.for_all (fun c -> Json.num c "pages_background" > 0.0) a)
             "availability: background drain replayed nothing");

@@ -31,9 +31,12 @@
 
     Timing (think time, backoff jitter) comes from per-client streams
     disjoint from the content stream; group commit batches across
-    clients, and commit latency (gate entry → durable force) lands in
-    the ["txn.commit_latency_us"] histogram of the engine's metrics
-    registry. *)
+    clients, and commit latency (commit request → the forced log bytes
+    durable on the log device) lands in the ["txn.commit_latency_us"]
+    histogram of the engine's metrics registry.  The engine charges no
+    clock time for log writes, so the scheduler times each force as one
+    sequential write on its own model of the log device
+    ([Config.log_disk]); no clock waits for it. *)
 
 type t
 
@@ -46,8 +49,9 @@ type stats = {
   makespan_ms : float;
   throughput_tps : float;  (** committed transactions per simulated second *)
   abort_rate : float;  (** aborts / (commits + aborts) *)
-  commit_p50_us : float;  (** gate entry → durable, bucket upper bound *)
+  commit_p50_us : float;  (** commit request → durable, bucket upper bound *)
   commit_p95_us : float;
+  commit_p99_us : float;
 }
 
 val create : ?oracle:Oracle.t -> Deut_core.Db.t -> Workload.spec -> t

@@ -212,17 +212,28 @@ let reconcile (stats : Recovery_stats.t) (p : Analysis.t) =
       ("redo ops", p.redo_ops, stats.redo_candidates);
     ]
   in
-  let stall_us = stats.data_stall_us +. stats.index_stall_us in
+  let floats =
+    [
+      ("stall mass", p.stall_total_us, stats.data_stall_us +. stats.index_stall_us);
+      (* The phase budget covers the whole recovery: to the drain's end for
+         instant recovery, analysis + redo + undo otherwise. *)
+      ( "phase budget",
+        p.total_us,
+        if stats.drained_us > 0.0 then stats.drained_us
+        else stats.analysis_us +. stats.redo_us +. stats.undo_us );
+    ]
+  in
   let mismatches =
     List.filter_map
       (fun (name, got, want) ->
         if got = want then None
         else Some (Printf.sprintf "profile %s = %d, counters say %d" name got want))
       ints
-    @
-    if Float.abs (p.stall_total_us -. stall_us) > 0.01 then
-      [ Printf.sprintf "profile stall mass %.3f µs, counters say %.3f µs" p.stall_total_us stall_us ]
-    else []
+    @ List.filter_map
+        (fun (name, got, want) ->
+          if Float.abs (got -. want) <= 0.01 then None
+          else Some (Printf.sprintf "profile %s %.3f µs, counters say %.3f µs" name got want))
+        floats
   in
   if mismatches <> [] then failwith (String.concat "; " mismatches)
 

@@ -113,9 +113,11 @@ val recover_traced :
 val reconcile : Deut_core.Recovery_stats.t -> Deut_obs.Analysis.t -> unit
 (** Check a profile, mined from the trace alone, against the counters the
     engine kept for the same recovery: page and index fetches, stalls,
-    prefetch claims (hit + late) and issued pages, redo ops, and the stall
-    mass (to 0.01 µs).  Raises [Failure] naming every field that
-    disagrees.
+    prefetch claims (hit + late) and issued pages, redo ops, the stall
+    mass, and the phase budget — the profile's [total_us] against the
+    recovery's total ([drained_us] for instant recovery, analysis + redo +
+    undo otherwise) — both to 0.01 µs.  Raises [Failure] naming every
+    field that disagrees.
     Test seam: a tampered profile must fail what [recover_traced] checks. *)
 
 val run_all :

@@ -587,6 +587,7 @@ let oltp_json (s : Client_sched.stats) =
     ("aborts", int s.aborts);
     ("commit_p50_us", f 1 s.commit_p50_us);
     ("commit_p95_us", f 1 s.commit_p95_us);
+    ("commit_p99_us", f 1 s.commit_p99_us);
   ]
 
 let oltp_columns =

@@ -214,6 +214,23 @@ let test_recover_traced_workers () =
         true (p.Analysis.redo_ops > 0))
     [ (Recovery.Log2, 1); (Recovery.Log2, 4); (Recovery.Log1, 4); (Recovery.Sql2, 4) ]
 
+(* Every method's phase budget adds up to its recovery's total: analysis +
+   redo + undo offline, and for instant recovery analysis + log_scan + the
+   drain, which ends when [drained_us] is taken.  [recover_traced] checks
+   this through [reconcile]; the instant case is also asserted here. *)
+let test_phase_budget_sums () =
+  let run = Lazy.force paper_crash in
+  List.iter
+    (fun m ->
+      let _, stats, _, p = traced run m in
+      if m = Recovery.InstantLog2 then begin
+        check "InstantLog2 profile has a drain phase" true
+          (List.exists (fun ph -> ph.Analysis.ph_name = "drain") p.Analysis.phases);
+        close "InstantLog2 phase budget = drained_us" stats.Recovery_stats.drained_us
+          p.Analysis.total_us
+      end)
+    Recovery.all_methods_with_instant
+
 (* [reconcile] rejects that profile once any reconciled field is tampered
    with, naming the field. *)
 let test_reconcile_tampered () =
@@ -233,7 +250,8 @@ let test_reconcile_tampered () =
   rejects "prefetch claims" { p with Analysis.pf_late = p.Analysis.pf_late + 1 };
   rejects "prefetch issued" { p with Analysis.pf_issued = p.Analysis.pf_issued + 1 };
   rejects "redo ops" { p with Analysis.redo_ops = p.Analysis.redo_ops - 1 };
-  rejects "stall mass" { p with Analysis.stall_total_us = p.Analysis.stall_total_us +. 1.0 }
+  rejects "stall mass" { p with Analysis.stall_total_us = p.Analysis.stall_total_us +. 1.0 };
+  rejects "phase budget" { p with Analysis.total_us = p.Analysis.total_us +. 1.0 }
 
 (* ---------- empty inputs must yield zeros, not NaN ---------- *)
 
@@ -431,6 +449,7 @@ let suite =
     Alcotest.test_case "gate reports a prefetch hit turned late" `Quick test_gate_hit_to_late;
     Alcotest.test_case "recover_traced reconciles at 1 and 4 workers" `Quick
       test_recover_traced_workers;
+    Alcotest.test_case "phase budget sums to every method's total" `Quick test_phase_budget_sums;
     Alcotest.test_case "reconcile rejects a tampered profile" `Quick test_reconcile_tampered;
     Alcotest.test_case "empty-input guards" `Quick test_empty_trace_guards;
     Alcotest.test_case "warm run reports zeros" `Quick test_warm_run_all_zero;

@@ -1,6 +1,7 @@
-(* The multi-client scheduler: conflict/abort/retry convergence, group-commit
-   durability under a mid-run crash, and the determinism contract — the same
-   seed must produce the identical committed state at any client count. *)
+(* The multi-client scheduler: conflict/abort/retry convergence, commit
+   latency measured to the log write, group-commit durability under a
+   mid-run crash, and the determinism contract — the same seed must
+   produce the identical committed state at any client count. *)
 
 module Db = Deut_core.Db
 module Config = Deut_core.Config
@@ -44,6 +45,13 @@ let test_conflict_abort_retry () =
   check "contention produced conflicts" true (s.Client_sched.conflicts > 0);
   check "conflicts produced aborts" true (s.Client_sched.aborts > 0);
   check "retries converged (abort rate < 1)" true (s.Client_sched.abort_rate < 1.0);
+  (* A commit is durable only once its force's log write completes, so no
+     commit takes less than one log-page transfer. *)
+  check "commit latency covers the log write" true
+    (s.Client_sched.commit_p50_us >= Config.log_disk.Deut_sim.Disk.transfer_us);
+  check "commit percentiles ordered" true
+    (s.Client_sched.commit_p50_us <= s.Client_sched.commit_p95_us
+    && s.Client_sched.commit_p95_us <= s.Client_sched.commit_p99_us);
   verified driver (Driver.db driver)
 
 (* Crash mid-run with group commit batching across clients: transactions

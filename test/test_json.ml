@@ -237,10 +237,14 @@ let broken_invariants =
     ( "instant speedup",
       [ ([ "availability"; "0"; "speedup" ], num 9.5) ],
       [ "availability: availability gate — 9.5x at 64 MB, need >= 10.0x (open 8.450 ms, drained \
-       353.965 ms)" ] );
+       290.575 ms)" ] );
     ( "background drain",
       [ ([ "availability"; "2"; "pages_background" ], Json.int 0) ],
       [ "availability: background drain replayed nothing" ] );
+    ( "drain allowance",
+      [ ([ "availability"; "1"; "drained_ms" ], num 400.0) ],
+      [ "availability: drain gate — 2.32x at 512 MB, need <= 2.15x (drained 400.000 ms, Log2 \
+         172.120 ms)" ] );
     ("sharding cells", [ ([ "sharding" ], Json.Arr []) ], [ "sharding: empty sharding sweep" ]);
     ( "shard counts",
       [ ([ "sharding"; "1"; "shards" ], Json.int 1); ([ "sharding"; "1"; "recover_shard_ms" ], Json.Null) ],

@@ -14,6 +14,8 @@ module Page = Deut_storage.Page
 module Page_store = Deut_storage.Page_store
 module Workload = Deut_workload.Workload
 module Driver = Deut_workload.Driver
+module Experiment = Deut_workload.Experiment
+module Crash_image = Deut_core.Crash_image
 module Trace = Deut_obs.Trace
 
 let check = Alcotest.(check bool)
@@ -153,9 +155,24 @@ let test_worker_trace_lanes () =
   in
   check "chrome export names the worker lanes" true (contains "redo-worker-" json)
 
+(* Workers own contiguous pid bands, so each lane's prefetch batches keep
+   their disk neighbours: on the paper crash (scale 512, 64 MB) SQL2's redo
+   with 4 workers is no slower than with 1.  Dealing pages out by
+   [pid mod workers] split neighbours across lanes, and 4 workers took
+   131.4 ms against 1 worker's 119.4 ms. *)
+let test_sql2_bands_not_slower () =
+  let run = Experiment.paper_crash ~scale:512 ~cache_mb:64 [] in
+  let redo_ms workers =
+    let config = { run.Experiment.image.Crash_image.config with Config.redo_workers = workers } in
+    Rs.redo_ms (snd (Experiment.recover_verified ~config run Recovery.Sql2))
+  in
+  let one = redo_ms 1 and four = redo_ms 4 in
+  check (Printf.sprintf "SQL2 redo: 4 workers %.1f ms <= 1 worker %.1f ms" four one) true (four <= one)
+
 let suite =
   [
     Alcotest.test_case "workers are timing-only" `Quick test_workers_identical;
+    Alcotest.test_case "SQL2: 4 workers no slower than 1" `Quick test_sql2_bands_not_slower;
     Alcotest.test_case "SMO barrier determinism" `Quick test_smo_heavy_barrier;
     Alcotest.test_case "worker trace lanes" `Quick test_worker_trace_lanes;
   ]

@@ -312,14 +312,14 @@ dpt 54 entries; Δ seen 8, BW seen 7, SMO replayed 0
 prefetch: issued 52, hits 47, stalls 12
 undo: losers 1, CLRs 8|} );
       ( "InstantLog2",
-        {|analysis 5.5 ms, redo 217.0 ms, undo 32.6 ms
+        {|analysis 5.5 ms, redo 138.9 ms, undo 32.6 ms
 records: scanned 355, candidates 308, applied 79, tail 38
 skips: dpt 89, rlsn 117, plsn 23
-fetches: data 51 (stall 207.7 ms), index 3 (stall 12.2 ms), log pages 58
+fetches: data 51 (stall 130.5 ms), index 3 (stall 11.2 ms), log pages 58
 dpt 41 entries; Δ seen 8, BW seen 7, SMO replayed 0
-prefetch: issued 0, hits 0, stalls 54
+prefetch: issued 36, hits 36, stalls 19
 undo: losers 1, CLRs 8
-instant: open at 14.9 ms, drained at 232.0 ms; pages on-demand 8, background 60|} );
+instant: open at 14.9 ms, drained at 153.9 ms; pages on-demand 8, background 60|} );
       ( "ARIES-ckpt aries-fuzzy",
         {|analysis 5.5 ms, redo 546.6 ms, undo 8.1 ms
 records: scanned 462, candidates 399, applied 83, tail 0
