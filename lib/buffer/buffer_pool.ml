@@ -67,7 +67,8 @@ type t = {
   dirty_since : int array;  (* per slot: the frame's [dirtied_at] while dirty, else [clean_since] *)
   mutable hooks : hooks;
   mutable cur_epoch : bool;
-  in_flight : (float * int) Int_tbl.t;  (* pid -> completion, issuing lane *)
+  in_flight : (float * int * int) Int_tbl.t;
+      (* pid -> completion, issuing lane, the batch's request number on [disk] *)
   mutable lane_in_flight : int array;  (* per-lane slice of [in_flight], kept in step *)
   counters : counters;
   mutable trace : Deut_obs.Trace.t option;
@@ -181,7 +182,7 @@ let note_in_flight t lane n =
 let drop_in_flight t pid =
   match Int_tbl.find_opt t.in_flight pid with
   | None -> ()
-  | Some (_, lane) ->
+  | Some (_, lane, _) ->
       Int_tbl.remove t.in_flight pid;
       t.lane_in_flight.(lane) <- t.lane_in_flight.(lane) - 1
 
@@ -332,7 +333,9 @@ let lazy_writer_tick t =
     if t.miss_ticks mod t.lazy_writer_every = 0 then ignore (flush_one_dirty t)
   end
 
-let stall_until t completion =
+(* Wait for request number [io] on [t.disk], which completes at
+   [completion]; the [stall] span names it by its disk's lane and number. *)
+let stall_until t ~io completion =
   let now = Clock.now t.clock in
   if completion > now then begin
     t.counters.stalls <- t.counters.stalls + 1;
@@ -344,7 +347,9 @@ let stall_until t completion =
     | Some tr ->
         let track = Option.value t.stall_track ~default:Deut_obs.Trace.track_cache in
         Deut_obs.Trace.span tr ~name:"stall" ~cat:"cache" ~track ~ts:now
-          ~dur:(completion -. now) ()
+          ~dur:(completion -. now)
+          ~args:[ ("dev", Disk.track t.disk); ("io", io) ]
+          ()
     | None -> ());
     Clock.advance_to t.clock completion
   end
@@ -387,11 +392,11 @@ let get t ?(pin = false) pid =
         f
     | exception Not_found -> (
         match Int_tbl.find_opt t.in_flight pid with
-        | Some (completion, _lane) ->
+        | Some (completion, _lane, io) ->
             (* The page was prefetched; wait (if needed) for that IO. *)
             let start = Clock.now t.clock in
             let late = completion > start in
-            stall_until t completion;
+            stall_until t ~io completion;
             drop_in_flight t pid;
             t.counters.prefetch_hits <- t.counters.prefetch_hits + 1;
             let f = install_frame t (Page_store.read t.store pid) ~dirty:false in
@@ -402,7 +407,7 @@ let get t ?(pin = false) pid =
             lazy_writer_tick t;
             let start = Clock.now t.clock in
             let completion = Disk.submit_read t.disk ~pid in
-            stall_until t completion;
+            stall_until t ~io:(Disk.counters t.disk).Disk.requests completion;
             let f = install_frame t (Page_store.read t.store pid) ~dirty:false in
             note_fetch t ~pid ~start ~prefetched:false ~late:false;
             f)
@@ -498,7 +503,8 @@ let prefetch t ?(lane = 0) pids =
      cheaper queued-seek cost. *)
   if accepted <> [] then begin
     let completion = Disk.submit_batch_read t.disk accepted in
-    List.iter (fun pid -> Int_tbl.replace t.in_flight pid (completion, lane)) accepted;
+    let io = (Disk.counters t.disk).Disk.requests in
+    List.iter (fun pid -> Int_tbl.replace t.in_flight pid (completion, lane, io)) accepted;
     note_in_flight t lane (List.length accepted);
     t.counters.prefetch_issued <- t.counters.prefetch_issued + List.length accepted;
     match t.trace with

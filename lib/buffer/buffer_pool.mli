@@ -66,11 +66,12 @@ val instrument :
 (** Attach observability sinks.  Emits on the cache track: a [page_fetch]
     span per miss or claimed prefetch (submit → install, with [prefetched]
     and [index] args), a [stall] span per wait on the disk (also fed to
-    [stall_hist]), [prefetch_issue] (one per batch) and [prefetch_page]
-    (one per submitted pid) instants, [prefetch_hit] (with a [late] arg —
-    the cursor reached the page before its IO completed) and [flush]
-    instants, and [prefetch_unused] when an install discards a
-    still-in-flight prefetch unread.  Purely observational. *)
+    [stall_hist]; its [dev] and [io] args name the request it waited on,
+    see {!Deut_sim.Disk.instrument}), [prefetch_issue] (one per batch) and
+    [prefetch_page] (one per submitted pid) instants, [prefetch_hit] (with
+    a [late] arg — the cursor reached the page before its IO completed)
+    and [flush] instants, and [prefetch_unused] when an install discards
+    a still-in-flight prefetch unread.  Purely observational. *)
 
 val set_hooks : t -> hooks -> unit
 val capacity : t -> int

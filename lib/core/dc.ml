@@ -361,6 +361,14 @@ let note_redo_op t ~lsn ~pid ~ts0 =
 
 let set_redo_track t track = t.redo_track <- track
 
+(* The DPT and rLSN tests (Algorithm 1): a page outside the DPT, or a
+   record older than the page's rLSN, needs no fetch. *)
+let dpt_test_then_apply t ~lsn ~view ~pid ~(stats : Recovery_stats.t) =
+  match Dpt.find t.dpt pid with
+  | None -> stats.skipped_dpt <- stats.skipped_dpt + 1
+  | Some (rlsn, _) when lsn < rlsn -> stats.skipped_rlsn <- stats.skipped_rlsn + 1
+  | Some _ -> fetch_and_test_then_apply t ~lsn ~view ~pid ~stats
+
 let redo_logical t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats.t) =
   stats.redo_candidates <- stats.redo_candidates + 1;
   let ts0 = Clock.now t.clock in
@@ -373,28 +381,17 @@ let redo_logical t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats
   let pid = tracked_index stats t.pool (fun () -> Btree.locate_leaf tr ~key:view.Lr.rv_key) in
   let in_tail = Lsn.is_nil t.last_delta_tclsn || lsn >= t.last_delta_tclsn in
   if use_dpt && in_tail then stats.tail_records <- stats.tail_records + 1;
-  (if use_dpt && not in_tail then begin
-     match Dpt.find t.dpt pid with
-     | None -> stats.skipped_dpt <- stats.skipped_dpt + 1
-     | Some (rlsn, _) when lsn < rlsn -> stats.skipped_rlsn <- stats.skipped_rlsn + 1
-     | Some _ -> fetch_and_test_then_apply t ~lsn ~view ~pid ~stats
-   end
-   else fetch_and_test_then_apply t ~lsn ~view ~pid ~stats);
+  if use_dpt && not in_tail then dpt_test_then_apply t ~lsn ~view ~pid ~stats
+  else fetch_and_test_then_apply t ~lsn ~view ~pid ~stats;
   note_redo_op t ~lsn ~pid ~ts0
 
 (* Algorithm 1: DPT/rLSN tests on the record's pid, then the pLSN test. *)
-let redo_physiological t ~lsn ~(view : Lr.redo_view) ~use_dpt ~(stats : Recovery_stats.t) =
+let redo_physiological t ~lsn ~(view : Lr.redo_view) ~(stats : Recovery_stats.t) =
   stats.redo_candidates <- stats.redo_candidates + 1;
   let ts0 = Clock.now t.clock in
   Clock.advance t.clock Config.cpu_op_us;
   let pid = view.Lr.rv_pid in
-  (if use_dpt then begin
-     match Dpt.find t.dpt pid with
-     | None -> stats.skipped_dpt <- stats.skipped_dpt + 1
-     | Some (rlsn, _) when lsn < rlsn -> stats.skipped_rlsn <- stats.skipped_rlsn + 1
-     | Some _ -> fetch_and_test_then_apply t ~lsn ~view ~pid ~stats
-   end
-   else fetch_and_test_then_apply t ~lsn ~view ~pid ~stats);
+  dpt_test_then_apply t ~lsn ~view ~pid ~stats;
   note_redo_op t ~lsn ~pid ~ts0
 
 (* {2 The protocol server} *)
@@ -418,6 +415,5 @@ let handle : type a. t -> a Dc_access.request -> a =
   | Dc_access.Runtime_dpt -> Monitor.runtime_dpt t.monitor
   | Dc_access.Redo_logical { lsn; view; use_dpt; stats } ->
       redo_logical t ~lsn ~view ~use_dpt ~stats
-  | Dc_access.Redo_physiological { lsn; view; use_dpt; stats } ->
-      redo_physiological t ~lsn ~view ~use_dpt ~stats
+  | Dc_access.Redo_physiological { lsn; view; stats } -> redo_physiological t ~lsn ~view ~stats
   | Dc_access.Redo_smo { lsn; smo; dpt_test; stats } -> redo_smo t ~lsn ~smo ~dpt_test ~stats

@@ -60,7 +60,6 @@ type _ request =
   | Redo_physiological : {
       lsn : Lsn.t;
       view : Lr.redo_view;
-      use_dpt : bool;
       stats : Recovery_stats.t;
     }
       -> unit request
@@ -118,8 +117,7 @@ let runtime_dpt ep = ep.call Runtime_dpt
 let redo_logical ep ~lsn ~view ~use_dpt ~stats =
   ep.call (Redo_logical { lsn; view; use_dpt; stats })
 
-let redo_physiological ep ~lsn ~view ~use_dpt ~stats =
-  ep.call (Redo_physiological { lsn; view; use_dpt; stats })
+let redo_physiological ep ~lsn ~view ~stats = ep.call (Redo_physiological { lsn; view; stats })
 
 let redo_smo ep ~lsn ~smo ~dpt_test ~stats = ep.call (Redo_smo { lsn; smo; dpt_test; stats })
 

@@ -1,6 +1,7 @@
 (** Assembly of one running engine instance: clock, disks, stable store,
-    log, cache, DC shards, TC, plus the observability bundle.  [Db] wraps
-    this for users; the recovery drivers assemble one from a crash image.
+    log, cache, DC shards, TC, and the trace, metrics and flight recorder.
+    [Db] wraps this for users; the recovery drivers assemble one from a
+    crash image.
 
     The TC side never holds a [Dc.t] — it holds a {!Dc_access.router}
     whose endpoints dispatch into the shards, either in-process (the
@@ -17,7 +18,6 @@ module Log_manager = Deut_wal.Log_manager
 module Archive = Deut_wal.Archive
 module Pool = Deut_buffer.Buffer_pool
 module Link = Deut_net.Link
-module Obs = Deut_obs.Obs
 module Trace = Deut_obs.Trace
 module Metrics = Deut_obs.Metrics
 module Flight = Deut_obs.Flight
@@ -45,17 +45,18 @@ type t = {
   archive_disk : Disk.t option;  (* the archive's device when archiving is on *)
   log : Log_manager.t;  (* the TC log; also carries DC records when integrated *)
   tc : Tc.t;
-  obs : Obs.t;
+  trace : Trace.t option;  (* present only when [Config.tracing] is on *)
+  metrics : Metrics.t;
+  flight : Flight.t option;  (* absent only when [Config.flight] is off *)
   shards : shard array;
   router : Dc_access.router;
   tc_ep : Dc_access.tc_endpoint;  (* the un-networked DC→TC direction *)
 }
 
 let split t = t.config.Config.log_layout = Config.Split
-let obs t = t.obs
-let trace t = Obs.trace t.obs
-let metrics t = Obs.metrics t.obs
-let flight t = Obs.flight t.obs
+let trace t = t.trace
+let metrics t = t.metrics
+let flight t = t.flight
 let shard_count t = Array.length t.shards
 let shard t i = t.shards.(i)
 let shard_up t i = t.shards.(i).s_up
@@ -192,8 +193,7 @@ let assemble ?dc_log ?extra_shards config ~store ~log =
   let now () = Clock.now clock in
   let trace = if config.Config.tracing then Some (Trace.create ~now ()) else None in
   let flight = if config.Config.flight then Some (Flight.create ~now ~components:n ()) else None in
-  let obs = Obs.create ?trace ?flight () in
-  let m = Obs.metrics obs in
+  let m = Metrics.create () in
   (* Shard-local device histograms carry their shard prefix whenever the
      engine is sharded — including shard 0, so "shard0.disk.data.io_us"
      lines up with its siblings instead of hiding under the historical
@@ -399,7 +399,10 @@ let assemble ?dc_log ?extra_shards config ~store ~log =
   in
   let router = Dc_access.make_router (Array.map instrumented_endpoint shards) in
   let tc = Tc.create ?trace ?flight ~config ~log () in
-  let t = { config; clock; log_disk; archive_disk; log; tc; obs; shards; router; tc_ep } in
+  let t =
+    { config; clock; log_disk; archive_disk; log; tc; trace; metrics = m; flight; shards; router;
+      tc_ep }
+  in
   register_gauges t;
   t
 

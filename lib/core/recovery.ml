@@ -340,8 +340,7 @@ let redo_pass method_ (engine : Engine.t) (sh : Engine.shard) (scan : scan_resul
               (match method_ with
               | Log0 -> Dc_access.redo_logical ep ~lsn ~view ~use_dpt:false ~stats
               | Log1 | Log2 -> Dc_access.redo_logical ep ~lsn ~view ~use_dpt:true ~stats
-              | Sql1 | Sql2 | Aries_ckpt ->
-                  Dc_access.redo_physiological ep ~lsn ~view ~use_dpt:true ~stats
+              | Sql1 | Sql2 | Aries_ckpt -> Dc_access.redo_physiological ep ~lsn ~view ~stats
               | InstantLog2 ->
                   (* Instant recovery never takes the offline redo pass. *)
                   assert false);

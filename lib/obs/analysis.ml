@@ -80,70 +80,27 @@ let sum_clipped intervals ~lo ~hi =
 
 (* ---------- stall attribution ---------- *)
 
-(* A stall span ends exactly when the awaited IO completes
-   ([Buffer_pool.stall_until] advances the clock to the request's
-   completion), so the device span whose end matches the stall's end — both
-   deterministic doubles — is the cause.  [eps] absorbs float summation
-   noise only; distinct completions differ by whole transfer times. *)
-let end_eps = 0.5
-
+(* A stall names the request it waited on: its [dev] arg is the device's
+   lane and its [io] arg the request's number on that device, the same
+   number the device span carries.  The pool stalls only on its data
+   disk's reads, and a shard's DC-log device shares the shard's lane with
+   its own numbering, so only the two read kinds are indexed.  A stall
+   whose request left no span stays unattributed. *)
 let attribute_stalls ~stalls ~ios =
-  let ios = Array.of_list ios in
-  (* Total order so the scan (and any tie-break) is deterministic. *)
-  Array.sort
-    (fun a b ->
-      compare
-        (span_end a, a.Trace.ts, a.Trace.track, a.Trace.name)
-        (span_end b, b.Trace.ts, b.Trace.track, b.Trace.name))
+  let by_request = Hashtbl.create 256 in
+  List.iter
+    (fun io ->
+      if io.Trace.name = "io_read" || io.Trace.name = "io_batch" then
+        Hashtbl.replace by_request (io.Trace.track, arg io "io") io.Trace.name)
     ios;
-  let n = Array.length ios in
-  let ends = Array.map span_end ios in
-  let max_dur = Array.fold_left (fun m io -> max m io.Trace.dur) 0.0 ios in
-  (* First io (in end order) whose end is >= x. *)
-  let lower_bound x =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if ends.(mid) < x then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
   let buckets : (string * string, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
   let attributed = ref 0.0 in
   List.iter
     (fun st ->
-      let st_end = span_end st in
-      let best = ref None in
-      let i = ref (lower_bound st.Trace.ts) in
-      (* Any io overlapping the stall has end >= stall start (hence >= !i)
-         and start <= stall end; once end - max_dur > stall end no later io
-         can reach back into the window. *)
-      let continue = ref true in
-      while !continue && !i < n do
-        let io = ios.(!i) in
-        let io_end = ends.(!i) in
-        if io_end -. max_dur > st_end then continue := false
-        else begin
-          let overlap = min st_end io_end -. max st.Trace.ts io.Trace.ts in
-          if overlap > 0.0 then begin
-            let end_delta = Float.abs (io_end -. st_end) in
-            let better =
-              match !best with
-              | None -> true
-              | Some (bd, bo, _) ->
-                  if end_delta <= end_eps && bd > end_eps then true
-                  else if bd <= end_eps then end_delta < bd
-                  else overlap > bo
-            in
-            if better then best := Some (end_delta, overlap, io)
-          end;
-          incr i
-        end
-      done;
-      match !best with
+      match Hashtbl.find_opt by_request (arg st "dev", arg st "io") with
       | None -> ()
-      | Some (_, _, io) ->
-          let key = (Trace.track_name io.Trace.track, io.Trace.name) in
+      | Some kind ->
+          let key = (Trace.track_name (arg st "dev"), kind) in
           let cnt, us =
             match Hashtbl.find_opt buckets key with
             | Some cell -> cell

@@ -3,7 +3,7 @@
     Turns a raw event stream (the [Trace] buffer, or a re-parsed export) into
     a machine-readable profile: a per-phase time budget (compute vs
     IO-overlapped vs stall-blocked), every [stall] span attributed to the
-    device span whose completion it waited on (which disk, demand read vs
+    device span of the request it names (which disk, demand read vs
     prefetch batch), and every prefetched page classified as hit / late /
     wasted.  The inputs are deterministic, the arithmetic is, and the JSON
     and text renders use fixed formatting — so two same-seed runs produce
@@ -32,10 +32,12 @@ type phase = {
   ph_compute_us : float;
 }
 
-(** One stall-attribution bucket: stalls whose wait ended with the
-    completion of an IO span named [src_kind] ("io_read" = demand,
-    "io_batch" = prefetch, "io_write", "io_log") on device lane
-    [src_device] ("data-disk", "log-disk", "dc-log-disk"). *)
+(** One stall-attribution bucket.  A stall's [dev] and [io] args name the
+    request it waited on: a device lane and the request's number on it,
+    which the device span carries as its track and [io] arg.  The bucket
+    holds the stalls whose request is a span named [src_kind] ("io_read"
+    = demand, "io_batch" = prefetch) on lane [src_device] ("data-disk",
+    or ["shard-N"] for a sibling shard's data disk). *)
 type source = { src_device : string; src_kind : string; src_count : int; src_stall_us : float }
 
 (** One stall→message attribution bucket: cross-shard stalls charged to the
@@ -72,7 +74,9 @@ type t = {
   pf_wasted : int;  (** fetched but never claimed (evicted unused or still in flight) *)
   stall_count : int;
   stall_total_us : float;
-  stall_attributed_us : float;  (** stall mass matched to a device span *)
+  stall_attributed_us : float;
+      (** stall mass whose [dev]/[io] names a device read span; a stall
+          whose request left no span in the trace is not counted *)
   sources : source list;  (** attribution buckets, largest stall mass first *)
   net_msgs : int;  (** one-way deliveries observed on the net lane *)
   net_wire_us : float;  (** total wire time across those deliveries *)

@@ -49,16 +49,20 @@ let instrument t ?trace ?io_hist ~track () =
    the span shows pure service time; queueing delay is visible as the gap
    to the preceding span on the same track.  A one-page read or write
    ([pid_only]) carries its [pid]; any other request its [first_pid] and
-   [count].  Callers test [observed] first, so an uninstrumented disk
-   builds neither the args nor the span. *)
+   [count]; every request its [io], the request's number on this device
+   ([counters.requests] once it is counted), which a stall names to say
+   what it waited on.  Callers test [observed] first, so an uninstrumented
+   disk builds neither the args nor the span. *)
 let note t ~ev ~start ~completion ~pid_only ~first_pid ~count =
   (match t.io_hist with
   | Some h -> Deut_obs.Metrics.observe h (completion -. start)
   | None -> ());
   match t.trace with
   | Some tr ->
+      let io = ("io", t.counters.requests) in
       let args =
-        if pid_only then [ ("pid", first_pid) ] else [ ("first_pid", first_pid); ("count", count) ]
+        if pid_only then [ ("pid", first_pid); io ]
+        else [ ("first_pid", first_pid); ("count", count); io ]
       in
       Deut_obs.Trace.span tr ~name:ev ~cat:"io" ~track:t.track ~ts:start
         ~dur:(completion -. start) ~args ()
@@ -67,6 +71,7 @@ let note t ~ev ~start ~completion ~pid_only ~first_pid ~count =
 let observed t = t.trace != None || t.io_hist != None
 
 let counters t = t.counters
+let track t = t.track
 
 let busy_until t = Float.max t.free_at (Clock.now t.clock)
 

@@ -43,10 +43,15 @@ val instrument :
   t -> ?trace:Deut_obs.Trace.t -> ?io_hist:Deut_obs.Metrics.histogram -> track:int -> unit -> unit
 (** Attach observability sinks.  Every serviced request is recorded as a
     span ([io_read] / [io_write] / [io_batch] / [io_log]) on
-    [track] covering service time, and its latency is fed to [io_hist].
-    Purely observational: submission timing is unchanged. *)
+    [track] covering service time, with an [io] arg holding the request's
+    number on this device ([counters.requests] right after its submit),
+    and its latency is fed to [io_hist].  Purely observational:
+    submission timing is unchanged. *)
 
 val counters : t -> counters
+
+val track : t -> int
+(** The trace lane given to {!instrument}. *)
 
 val submit_read : t -> pid:int -> float
 (** Queue a one-page read; returns its completion time without waiting. *)

@@ -17,6 +17,12 @@ A bare name alone does not count, so `Recovery.instant_drain` is no call of
 `Db.instant_drain`.  Values of submodules (`module Zipf : sig ... end`) are
 not listed.
 
+A library .ml without an .mli exports every top-level `let`.  Such a value
+must be called from somewhere, tests included: outside its module as above,
+or inside it by its bare name from a later top-level item that does not
+bind the same name itself (a label `~v`, a field `r.v` or a record field
+declaration `v :` is no call).
+
 Usage: python3 test/surface.py [REPO_ROOT]
 Prints one line per offending value and exits 1; prints nothing and exits 0
 when every export is called or marked.
@@ -148,6 +154,62 @@ def exported_vals(path):
     return out
 
 
+TOP_ITEM = re.compile(r"(let|and|type|module|exception|external|include|open|class)\b")
+TOP_LET = re.compile(r"(?:let|and)(?:\s+rec)?(?:\s*\[@[^]]*\])?\s+([a-z_][A-Za-z0-9_']*)")
+
+
+def toplevel_lets(code):
+    """Top-level items of an .ml (comments blanked): a list of
+    (first line index, last line index, name or None), one per column-0
+    item; name is set for a `let`/`and` value binding."""
+    lines = code.split("\n")
+    starts = []
+    kind = None
+    for idx, line in enumerate(lines):
+        m = TOP_ITEM.match(line)
+        if not m:
+            continue
+        if m.group(1) != "and":
+            kind = m.group(1)
+        v = TOP_LET.match(line) if kind == "let" else None
+        starts.append((idx, v.group(1) if v and v.group(1) != "_" else None))
+    items = []
+    for k, (idx, name) in enumerate(starts):
+        end = starts[k + 1][0] - 1 if k + 1 < len(starts) else len(lines) - 1
+        items.append((idx, end, name))
+    return items
+
+
+def binds(text, name):
+    """Whether [text] binds [name] locally: `let name`, a labelled or
+    anonymous parameter, or a `fun name`."""
+    v = re.escape(name)
+    return bool(re.search(
+        r"\b(?:let|and)(?:\s+rec)?\s+%s\b|[~?]\(?%s\b|\bfun\b[^-]*?(?<![A-Za-z0-9_'.~?])%s\b"
+        r"|\blet\s+[a-z_][A-Za-z0-9_']*\s[^=]*?(?<![A-Za-z0-9_'.~?])%s\b[^=]*="
+        % (v, v, v, v), text))
+
+
+def unused_internally(code, items):
+    """The values among [items] (of an .ml with no .mli) that no later item
+    of the same file names: (name, line)."""
+    lines = code.split("\n")
+    out = []
+    for k, (first, last, name) in enumerate(items):
+        if name is None:
+            continue
+        use = re.compile(r"(?<![A-Za-z0-9_'.~?#`])%s\b(?!\s*:[^:=])" % re.escape(name))
+        used = False
+        for first2, last2, _ in items[k + 1:]:
+            text = "\n".join(lines[first2:last2 + 1])
+            if use.search(text) and not binds(text, name):
+                used = True
+                break
+        if not used:
+            out.append((name, first + 1))
+    return out
+
+
 def source_files(root, dirs):
     for d in dirs:
         top = os.path.join(root, d)
@@ -232,11 +294,19 @@ def references(root, files, modules):
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..")
-    mlis = [f for f in source_files(root, ["lib"]) if f.endswith(".mli")]
+    lib_files = list(source_files(root, ["lib"]))
+    mlis = [f for f in lib_files if f.endswith(".mli")]
+    bare = [f for f in lib_files if f.endswith(".ml") and f + "i" not in mlis]
     exports = {}  # module -> [(name, line, doc, path)]
     for f in mlis:
         exports[module_of(f)] = [(n, l, d, f) for n, l, d in exported_vals(f)]
     modules = {m: {n for n, _, _, _ in vs} for m, vs in exports.items()}
+    internal = {}  # module -> [(name, line, path)] no later item of its file names
+    for f in bare:
+        code, _ = scan(open(f).read())
+        items = toplevel_lets(code)
+        modules[module_of(f)] = {n for _, _, n in items if n}
+        internal[module_of(f)] = [(n, l, f) for n, l in unused_internally(code, items)]
 
     def used(dirs):
         files = list(source_files(root, dirs))
@@ -264,6 +334,11 @@ def main():
             elif not seam and (m, name) not in callers:
                 who = "only tests call it" if (m, name) in tests else "nothing calls it"
                 bad.append(f"{rel}:{line}: {m}.{name} is exported but {who} outside {m}")
+    for m in sorted(internal):
+        for name, line, path in internal[m]:
+            if (m, name) not in callers and (m, name) not in tests:
+                rel = os.path.relpath(path, root)
+                bad.append(f"{rel}:{line}: {m}.{name} is defined but nothing calls it")
     for b in bad:
         print(b)
     return 1 if bad else 0

@@ -214,6 +214,46 @@ let test_recover_traced_workers () =
         true (p.Analysis.redo_ops > 0))
     [ (Recovery.Log2, 1); (Recovery.Log2, 4); (Recovery.Log1, 4); (Recovery.Sql2, 4) ]
 
+(* Every stall names one read on its device's lane, and that read ends
+   when the stall does: the pool records the request it waits on rather
+   than leaving the profiler to guess it from the clock. *)
+let test_stalls_name_their_reads () =
+  let run = Lazy.force paper_crash in
+  List.iter
+    (fun (m, workers) ->
+      let name what =
+        Printf.sprintf "%s, %d workers: %s" (Recovery.method_to_string m) workers what
+      in
+      let _, _, tr, p = traced ~workers run m in
+      let events = Trace.events tr in
+      let arg ev key = List.assoc_opt key ev.Trace.args in
+      let stalls =
+        List.filter (fun ev -> ev.Trace.kind = Trace.Span && ev.Trace.name = "stall") events
+      in
+      check (name "stalled") true (stalls <> []);
+      List.iter
+        (fun st ->
+          let dev = arg st "dev" and io = arg st "io" in
+          check (name "stall carries dev and io") true (dev <> None && io <> None);
+          match
+            List.filter
+              (fun ev ->
+                ev.Trace.cat = "io" && Some ev.Trace.track = dev && arg ev "io" = io)
+              events
+          with
+          | [ req ] ->
+              check (name "the request is a read") true
+                (req.Trace.name = "io_read" || req.Trace.name = "io_batch");
+              close (name "the request ends with the stall")
+                (st.Trace.ts +. st.Trace.dur) (req.Trace.ts +. req.Trace.dur)
+          | reqs -> Alcotest.failf "%s" (name (Printf.sprintf "%d spans match" (List.length reqs))))
+        stalls;
+      close (name "every stall attributed") p.Analysis.stall_total_us
+        p.Analysis.stall_attributed_us)
+    [
+      (Recovery.Log2, 1); (Recovery.Sql2, 1); (Recovery.InstantLog2, 1); (Recovery.Log1, 4);
+    ]
+
 (* Every method's phase budget adds up to its recovery's total: analysis +
    redo + undo offline, and for instant recovery analysis + log_scan + the
    drain, which ends when [drained_us] is taken.  [recover_traced] checks
@@ -323,20 +363,22 @@ let test_synthetic_classification () =
       Trace.instant tr ~name:"prefetch_page" ~cat:"cache" ~args:[ ("pid", pid); ("lane", 0) ] ())
     [ 1; 2; 3 ];
   Trace.span tr ~name:"io_batch" ~cat:"io" ~track:data ~ts:0.0 ~dur:100.0
-    ~args:[ ("first_pid", 1); ("count", 3) ]
+    ~args:[ ("first_pid", 1); ("count", 3); ("io", 1) ]
     ();
   (* Page 1 claimed after completion: a hit (zero-duration fetch). *)
   Trace.span tr ~name:"page_fetch" ~cat:"cache" ~ts:110.0 ~dur:0.0
     ~args:[ ("pid", 1); ("prefetched", 1); ("index", 0) ]
     ();
   (* Page 2 claimed at 60, waits until the batch lands at 100: late. *)
-  Trace.span tr ~name:"stall" ~cat:"cache" ~ts:60.0 ~dur:40.0 ~args:[ ("pid", 2) ] ();
+  Trace.span tr ~name:"stall" ~cat:"cache" ~ts:60.0 ~dur:40.0 ~args:[ ("dev", data); ("io", 1) ] ();
   Trace.span tr ~name:"page_fetch" ~cat:"cache" ~ts:60.0 ~dur:40.0
     ~args:[ ("pid", 2); ("prefetched", 1); ("index", 1) ]
     ();
   (* Page 3 never claimed: wasted.  A demand read stalls 120–150. *)
-  Trace.span tr ~name:"io_read" ~cat:"io" ~track:data ~ts:120.0 ~dur:30.0 ~args:[ ("pid", 9) ] ();
-  Trace.span tr ~name:"stall" ~cat:"cache" ~ts:120.0 ~dur:30.0 ~args:[ ("pid", 9) ] ();
+  Trace.span tr ~name:"io_read" ~cat:"io" ~track:data ~ts:120.0 ~dur:30.0
+    ~args:[ ("pid", 9); ("io", 2) ]
+    ();
+  Trace.span tr ~name:"stall" ~cat:"cache" ~ts:120.0 ~dur:30.0 ~args:[ ("dev", data); ("io", 2) ] ();
   Trace.span tr ~name:"page_fetch" ~cat:"cache" ~ts:120.0 ~dur:30.0
     ~args:[ ("pid", 9); ("prefetched", 0); ("index", 0) ]
     ();
@@ -362,6 +404,48 @@ let test_synthetic_classification () =
   | Some s -> close "demand wait charged to the read" 30.0 s.Analysis.src_stall_us
   | None -> Alcotest.fail "no io_read attribution bucket")
 
+(* A stall is charged to the request it names, not to whichever span
+   ends with it: here a log-disk read that started earlier ends at the
+   same instant as the data-disk read the stall waited on.  On a shard's
+   lane, where the data disk and the DC-log disk number their requests
+   apart, the stall still finds its read; a stall naming no span stays
+   unattributed. *)
+let test_stall_joins_its_request () =
+  let clock = ref 0.0 in
+  let tr = Trace.create ~now:(fun () -> !clock) () in
+  let data = Trace.track_data_disk and shard = Trace.track_shard 1 in
+  Trace.span tr ~name:"io_log" ~cat:"io" ~track:Trace.track_log_disk ~ts:0.0 ~dur:100.0
+    ~args:[ ("first_pid", 4); ("count", 1); ("io", 7) ]
+    ();
+  Trace.span tr ~name:"io_read" ~cat:"io" ~track:data ~ts:50.0 ~dur:50.0
+    ~args:[ ("pid", 9); ("io", 3) ]
+    ();
+  Trace.span tr ~name:"stall" ~cat:"cache" ~ts:60.0 ~dur:40.0 ~args:[ ("dev", data); ("io", 3) ] ();
+  let p = Analysis.of_trace tr in
+  close "attributed" 40.0 p.Analysis.stall_attributed_us;
+  (match p.Analysis.sources with
+  | [ s ] ->
+      Alcotest.(check (pair string string))
+        "charged to the data-disk read" ("data-disk", "io_read")
+        (s.Analysis.src_device, s.Analysis.src_kind)
+  | _ -> Alcotest.fail "expected one attribution bucket");
+  let tr = Trace.create ~now:(fun () -> !clock) () in
+  Trace.span tr ~name:"io_log" ~cat:"io" ~track:shard ~ts:0.0 ~dur:80.0
+    ~args:[ ("first_pid", 2); ("count", 1); ("io", 2) ]
+    ();
+  Trace.span tr ~name:"io_batch" ~cat:"io" ~track:shard ~ts:10.0 ~dur:70.0
+    ~args:[ ("first_pid", 5); ("count", 2); ("io", 2) ]
+    ();
+  Trace.span tr ~name:"stall" ~cat:"cache" ~ts:20.0 ~dur:60.0 ~args:[ ("dev", shard); ("io", 2) ] ();
+  Trace.span tr ~name:"stall" ~cat:"cache" ~ts:90.0 ~dur:5.0 ~args:[ ("dev", shard); ("io", 3) ] ();
+  let p = Analysis.of_trace tr in
+  close "stall mass" 65.0 p.Analysis.stall_total_us;
+  close "the stall naming no span is unattributed" 60.0 p.Analysis.stall_attributed_us;
+  match p.Analysis.sources with
+  | [ s ] ->
+      Alcotest.(check string) "shard stall charged to its data read" "io_batch" s.Analysis.src_kind
+  | _ -> Alcotest.fail "expected one attribution bucket"
+
 (* ---------- tuner ---------- ----------------------------------------- *)
 
 let profile_with_stall us wasted =
@@ -372,8 +456,11 @@ let profile_with_stall us wasted =
   done;
   if us > 0.0 then begin
     Trace.span tr ~name:"io_read" ~cat:"io" ~track:Trace.track_data_disk ~ts:0.0 ~dur:us
-      ~args:[ ("pid", 1) ] ();
-    Trace.span tr ~name:"stall" ~cat:"cache" ~ts:0.0 ~dur:us ~args:[ ("pid", 1) ] ()
+      ~args:[ ("pid", 1); ("io", 1) ]
+      ();
+    Trace.span tr ~name:"stall" ~cat:"cache" ~ts:0.0 ~dur:us
+      ~args:[ ("dev", Trace.track_data_disk); ("io", 1) ]
+      ()
   end;
   Analysis.of_trace tr
 
@@ -454,5 +541,7 @@ let suite =
     Alcotest.test_case "empty-input guards" `Quick test_empty_trace_guards;
     Alcotest.test_case "warm run reports zeros" `Quick test_warm_run_all_zero;
     Alcotest.test_case "synthetic classification" `Quick test_synthetic_classification;
+    Alcotest.test_case "stall joins its request" `Quick test_stall_joins_its_request;
+    Alcotest.test_case "every stall names its read" `Quick test_stalls_name_their_reads;
     Alcotest.test_case "tuner scoring" `Quick test_tuner_scoring;
   ]

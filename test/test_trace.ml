@@ -256,8 +256,8 @@ let test_export_bytes_pinned () =
       check_str (name ^ ": profile JSON bytes") want_profile
         (md5 (Analysis.to_json (Analysis.of_trace tr))))
     [
-      (Recovery.Log2, "0203aa3d406d2f27975450a9ade13c03", "1b0b9f8dfe5b2810e78aeb0ebf494939");
-      (Recovery.Sql2, "d9be57e1dac05dba3e67ab37beaeb8d2", "357a06e9e4ad2a090e2e26f6d7a64c21");
+      (Recovery.Log2, "bee4e3f3978b2e79326350ff17262c7f", "1b0b9f8dfe5b2810e78aeb0ebf494939");
+      (Recovery.Sql2, "7e292ca4e7d6bb889b4543fc33427db1", "357a06e9e4ad2a090e2e26f6d7a64c21");
     ]
 
 (* ---------- pinned recovery statistics ---------- *)
