@@ -319,7 +319,7 @@ let preload_index t =
       match pids with
       | [] -> ()
       | _ ->
-          Pool.prefetch t.pool pids;
+          ignore (Pool.prefetch t.pool pids);
           let next =
             List.concat_map
               (fun pid ->

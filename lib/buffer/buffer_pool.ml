@@ -26,6 +26,7 @@ type counters = {
   mutable misses : int;
   mutable prefetch_hits : int;
   mutable prefetch_issued : int;
+  mutable prefetch_refused : int;
   mutable stalls : int;
   mutable stall_us : float;
   mutable evictions : int;
@@ -123,6 +124,7 @@ let create ~capacity ?(lazy_writer_every = 0) ?(lazy_writer_min_age = 0) ~store 
         misses = 0;
         prefetch_hits = 0;
         prefetch_issued = 0;
+        prefetch_refused = 0;
         stalls = 0;
         stall_us = 0.0;
         evictions = 0;
@@ -151,6 +153,7 @@ let reset_counters t =
   c.misses <- 0;
   c.prefetch_hits <- 0;
   c.prefetch_issued <- 0;
+  c.prefetch_refused <- 0;
   c.stalls <- 0;
   c.stall_us <- 0.0;
   c.evictions <- 0;
@@ -487,17 +490,18 @@ let mark_dirty_dc t ~pid ~dc_lsn ~event_lsn =
   Page.set_dc_plsn t.frames.(slot).page dc_lsn;
   note_update t slot ~event_lsn
 
+let prefetch_room t = t.capacity - size t - in_flight_count t
+
 let prefetch t ?(lane = 0) pids =
   let wanted =
     List.filter (fun pid -> not (Int_tbl.mem t.by_pid pid || Int_tbl.mem t.in_flight pid)) pids
   in
-  let budget = t.capacity - size t - in_flight_count t in
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | pid :: rest -> pid :: take (n - 1) rest
+  let rec split n acc = function
+    | pid :: rest when n > 0 -> split (n - 1) (pid :: acc) rest
+    | refused -> (List.rev acc, refused)
   in
-  let accepted = take budget wanted in
+  let accepted, refused = split (prefetch_room t) [] wanted in
+  t.counters.prefetch_refused <- t.counters.prefetch_refused + List.length refused;
   (* One asynchronous batch: the disk serves it in elevator order, so
      contiguous pages coalesce into block reads and scattered pages pay the
      cheaper queued-seek cost. *)
@@ -523,7 +527,8 @@ let prefetch t ?(lane = 0) pids =
               ())
           accepted
     | None -> ()
-  end
+  end;
+  refused
 
 let flush_page t pid =
   match Int_tbl.find_opt t.by_pid pid with

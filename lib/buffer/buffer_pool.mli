@@ -38,6 +38,7 @@ type counters = private {
   mutable misses : int;
   mutable prefetch_hits : int;  (** gets satisfied by an in-flight prefetch *)
   mutable prefetch_issued : int;  (** pages submitted by [prefetch] *)
+  mutable prefetch_refused : int;  (** pages [prefetch] returned for lack of room *)
   mutable stalls : int;  (** gets that had to wait for the disk *)
   mutable stall_us : float;  (** total simulated wait time *)
   mutable evictions : int;
@@ -118,16 +119,24 @@ val mark_dirty_dc : t -> pid:int -> dc_lsn:Deut_wal.Lsn.t -> event_lsn:Deut_wal.
     (the record's own LSN in the integrated layout; the TC end-of-stable-log
     under a separate DC log, so Δ-record rLSNs stay in one domain). *)
 
-val prefetch : t -> ?lane:int -> int list -> unit
+val prefetch : t -> ?lane:int -> int list -> int list
 (** Submit one asynchronous batch read of the pids not already cached or in
     flight (contiguous neighbours pay transfer only; see
     {!Deut_sim.Disk.submit_batch_read}).  Never evicts pinned frames;
     if the cache is too full to accept more in-flight pages, the remainder
-    of the list is dropped (prefetch is best-effort, as in the paper where
-    over-eager prefetch just causes page swaps).  [lane] (default 0) tags
+    is refused: returned (in request order) and counted in
+    [prefetch_refused], so a caller that must not lose a page can offer it
+    again later (prefetch is best-effort, as in the paper where over-eager
+    prefetch just causes page swaps).  [lane] (default 0) tags
     the submitted pages with the issuing prefetch pipeline; parallel redo
     gives each worker its own lane so per-worker windows can be gated
     independently.  A page prefetched on any lane satisfies any [get]. *)
+
+val prefetch_room : t -> int
+(** How many more pages [prefetch] would accept now: frames neither
+    resident nor promised to an in-flight read.  Prefetch never evicts
+    and a filled frame is only ever refilled, so once the cache is full
+    this stays at or below 0. *)
 
 val in_flight_count : ?lane:int -> t -> int
 (** Pages submitted but not yet claimed; with [lane], only those issued by

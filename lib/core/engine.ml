@@ -97,6 +97,7 @@ let register_gauges t =
   fi "cache.hits" (fun () -> pc (fun c -> c.Pool.hits));
   fi "cache.misses" (fun () -> pc (fun c -> c.Pool.misses));
   fi "cache.prefetch_issued" (fun () -> pc (fun c -> c.Pool.prefetch_issued));
+  fi "cache.prefetch_refused" (fun () -> pc (fun c -> c.Pool.prefetch_refused));
   fi "cache.prefetch_hits" (fun () -> pc (fun c -> c.Pool.prefetch_hits));
   fi "cache.stalls" (fun () -> pc (fun c -> c.Pool.stalls));
   ff "cache.stall_us" (fun () -> sumf (fun sh -> (Pool.counters sh.s_pool).Pool.stall_us));

@@ -114,14 +114,16 @@ let physiological_analysis ?trace ~aries log ~from ~(stats : Recovery_stats.t) =
 
 (* Keep one prefetch lane's in-flight set topped up (Appendix A.2): below
    the window, take up to a chunk of pids from [next] ([None] = exhausted)
-   and issue them as one batch. *)
+   and issue them as one batch.  Returns the pids the pool refused for lack
+   of room. *)
 let top_up pool (config : Config.t) ~lane next =
-  if Pool.in_flight_count ~lane pool < config.Config.prefetch_window then begin
+  if Pool.in_flight_count ~lane pool >= config.Config.prefetch_window then []
+  else begin
     let rec take n acc =
       if n = 0 then acc else match next () with Some pid -> take (n - 1) (pid :: acc) | None -> acc
     in
     match take config.Config.prefetch_chunk [] with
-    | [] -> ()
+    | [] -> []
     | chunk -> Pool.prefetch pool ~lane (List.rev chunk)
   end
 
@@ -150,7 +152,7 @@ let make_pf_prefetcher dc ~lane ~workers =
     end
   in
   let pool = Dc.pool dc and config = Dc.config dc in
-  fun () -> top_up pool config ~lane next
+  fun () -> ignore (top_up pool config ~lane next)
 
 (* Log-driven prefetch for SQL2: examine records ahead of the redo cursor;
    pids that pass the DPT/rLSN test are prefetched.  [owns] restricts the
@@ -175,7 +177,7 @@ let make_log_prefetcher dc ~lane ?owns (records : (Lsn.t * Lr.t) array) =
   fun current_index ->
     if !ahead <= current_index then ahead := current_index + 1;
     horizon := min (Array.length records) (current_index + config.Config.prefetch_lookahead);
-    top_up pool config ~lane next
+    ignore (top_up pool config ~lane next)
 
 (* Record-to-worker assignment: contiguous bands, so each worker's pages
    (and its prefetch lane's batches) keep their disk neighbours, as Log2's
@@ -425,7 +427,7 @@ let undo_losers ?fault (engine : Engine.t) losers ~(stats : Recovery_stats.t) =
    and DC-log device, plus the TC log's device and the archive's (archived
    pages a restart scan reads are log pages on another device). *)
 let account_io (engine : Engine.t) ~(stats : Recovery_stats.t) =
-  let fetches = ref 0 and stall = ref 0.0 and issued = ref 0 and hits = ref 0 in
+  let fetches = ref 0 and stall = ref 0.0 and issued = ref 0 and refused = ref 0 and hits = ref 0 in
   let stalls = ref 0 and log_reads = ref 0 in
   let pages_read = function Some d -> (Disk.counters d).Disk.pages_read | None -> 0 in
   Array.iter
@@ -434,6 +436,7 @@ let account_io (engine : Engine.t) ~(stats : Recovery_stats.t) =
       fetches := !fetches + c.Pool.misses + c.Pool.prefetch_hits;
       stall := !stall +. c.Pool.stall_us;
       issued := !issued + c.Pool.prefetch_issued;
+      refused := !refused + c.Pool.prefetch_refused;
       hits := !hits + c.Pool.prefetch_hits;
       stalls := !stalls + c.Pool.stalls;
       log_reads := !log_reads + pages_read sh.Engine.s_dc_log_disk)
@@ -445,6 +448,7 @@ let account_io (engine : Engine.t) ~(stats : Recovery_stats.t) =
     + (Disk.counters engine.Engine.log_disk).Disk.pages_read
     + pages_read engine.Engine.archive_disk;
   stats.prefetch_issued <- stats.prefetch_issued + !issued;
+  stats.prefetch_refused <- stats.prefetch_refused + !refused;
   stats.prefetch_hits <- stats.prefetch_hits + !hits;
   stats.stalls <- stats.stalls + !stalls
 
@@ -480,8 +484,14 @@ let open_restart ?config image method_ =
   let redo_start = Array.fold_left Lsn.min starts.(0) starts in
   stats.analysis_us <- Clock.now clock -. t0;
   phase engine "analysis" ~ts0:t0;
-  (* Phase 2: materialise the redo range. *)
+  (* Phase 2: materialise the redo range.  Instant recovery opens for
+     business right after it, and its first act is to reopen the catalog,
+     so it reads the catalog page on the data disk while the scan reads
+     the log disk.  The offline methods reopen the catalog only after
+     recovery, outside its measured window. *)
   let t1 = Clock.now clock in
+  if method_ = InstantLog2 then
+    ignore (Pool.prefetch (Engine.shard engine 0).Engine.s_pool [ Deut_btree.Btree.catalog_pid ]);
   let scan = scan_log engine.Engine.log ~from:redo_start in
   phase engine "log_scan" ~ts0:t1;
   Tc.restore_txn_state engine.Engine.tc ~losers:scan.losers ~next_txn:(scan.max_txn + 1);
@@ -522,11 +532,12 @@ let recover_offline ?config ?undo_fault_after_clrs image method_ =
 
 (* An open-for-business engine with redo still pending.  [i_pending] maps a
    leaf pid to that page's slice of the redo range (in log order);
-   [i_order] remembers the pids by first appearance in the log — the
-   background drain replays them in that order, which matches the page
-   order the offline pass would have first touched them in.  [i_ahead] is
-   a second cursor over the same order, running ahead of the drain to feed
-   its prefetch lane.
+   [i_order] holds the same pids in ascending order — the background drain
+   replays them in that order, so the pages its prefetch lane batches
+   together are often disk neighbours.  (Page slices are independent, so any
+   order yields the same pages; unlike the offline pass, the drain is not
+   tied to the log's.)  [i_ahead] is a second cursor over the same order,
+   running ahead of the drain to feed its prefetch lane.
 
    Both the history index and the loser rollback are deferred past the
    open: [i_records] holds the raw redo range until the first page demand
@@ -602,7 +613,6 @@ let ensure_history sess =
     let stats = sess.i_stats in
     let t0 = Clock.now clock in
     Dc.preload_indexes dc ~stats;
-    let order = ref [] in
     Array.iter
       (fun (lsn, record) ->
         stats.records_scanned <- stats.records_scanned + 1;
@@ -611,14 +621,11 @@ let ensure_history sess =
         | Some view ->
             let tr = Dc.tree dc ~table:view.Lr.rv_table in
             let pid = Deut_btree.Btree.locate_leaf tr ~key:view.Lr.rv_key in
-            (match Hashtbl.find_opt sess.i_pending pid with
-            | Some slice -> Hashtbl.replace sess.i_pending pid ((lsn, view) :: slice)
-            | None ->
-                order := pid :: !order;
-                Hashtbl.replace sess.i_pending pid [ (lsn, view) ]))
+            let slice = Option.value ~default:[] (Hashtbl.find_opt sess.i_pending pid) in
+            Hashtbl.replace sess.i_pending pid ((lsn, view) :: slice))
       sess.i_records;
     Hashtbl.filter_map_inplace (fun _ slice -> Some (List.rev slice)) sess.i_pending;
-    sess.i_order <- List.rev !order;
+    sess.i_order <- List.sort Int.compare (List.of_seq (Hashtbl.to_seq_keys sess.i_pending));
     sess.i_ahead <- sess.i_order;
     sess.i_records <- [||];
     sess.i_built <- true;
@@ -693,7 +700,8 @@ let recover_instant ?config ?undo_fault_after_clrs image =
   in
   (* Reopen the catalog before the hook goes in: [open_tables] touches
      only the catalog page, which is never a data leaf, and doing it here
-     keeps the touch from counting as the first page demand. *)
+     keeps the touch from counting as the first page demand.  The page was
+     prefetched when the log scan began, so this claims it. *)
   Dc.open_tables sh.Engine.s_dc;
   (* From here, any page touch — a client read, an undo compensation, an
      eviction or lazy-writer flush — builds the history index if needed
@@ -720,8 +728,10 @@ let recover_instant ?config ?undo_fault_after_clrs image =
 (* The drain's prefetch lane, fed the way Log2's PF list feeds redo
    (Appendix A.2): [i_ahead] walks the drain order ahead of [i_order],
    passing pages already replayed (on demand or by the drain) and pages no
-   longer in the DPT, and tops up lane 0.  Each pid is passed once, so a
-   step costs amortised O(1). *)
+   longer in the DPT, and tops up lane 0.  Pids the pool refuses for lack
+   of room go back to the head of [i_ahead], and the lane offers nothing
+   while the pool has no room, so no pending page is passed unissued.
+   Every pid is passed once, so a step costs amortised O(1). *)
 let prefetch_ahead sess =
   let sh = Engine.shard sess.i_engine 0 in
   let dc = sh.Engine.s_dc in
@@ -732,11 +742,15 @@ let prefetch_ahead sess =
         sess.i_ahead <- rest;
         if Hashtbl.mem sess.i_pending pid && Dpt.mem (Dc.dpt dc) pid then Some pid else next ()
   in
-  top_up sh.Engine.s_pool (Dc.config dc) ~lane:0 next
+  if Pool.prefetch_room sh.Engine.s_pool > 0 then
+    let refused = top_up sh.Engine.s_pool (Dc.config dc) ~lane:0 next in
+    sess.i_ahead <- refused @ sess.i_ahead
+
+let instant_lane sess = sess.i_ahead
 
 (* One background-drain step: finish any deferred recovery work first
    (history index, loser rollback), top up the prefetch lane, then replay
-   the next still-pending page in log first-touch order.  The top-up
+   the next still-pending page in ascending pid order.  The top-up
    follows rollback so undo's own page reads do not queue behind a
    prefetch batch.  Returns [false] once nothing is pending. *)
 let instant_step sess =

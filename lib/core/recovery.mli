@@ -108,12 +108,16 @@ val instant_force_undo : instant -> unit
 (** Run loser rollback now if it has not run yet — called before whole-
     table scans, which cannot be gated per key. *)
 
+val instant_lane : instant -> int list
+(** The pids the drain's prefetch lane has yet to offer, in offer order.
+    Test seam: the lane's no-drop test checks what each step passed. *)
+
 val instant_step : instant -> bool
 (** Finish any deferred recovery work (history index, loser rollback),
     top up the drain's prefetch lane (lane 0, [Config.prefetch_window] /
     [prefetch_chunk], as for Log2) from the pages ahead of it that are
-    still pending and in the DPT, then replay one pending page (log
-    first-touch order); [false] when the pending set is empty. *)
+    still pending and in the DPT, then replay one pending page (in
+    ascending pid order); [false] when the pending set is empty. *)
 
 val instant_finish : instant -> Recovery_stats.t
 (** Drain, re-enable maintenance and finalise the IO accounting

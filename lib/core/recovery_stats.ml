@@ -39,6 +39,7 @@ type t = {
   mutable losers : int;
   mutable clrs_written : int;
   mutable prefetch_issued : int;
+  mutable prefetch_refused : int;  (** pids the pool had no room to prefetch *)
   mutable prefetch_hits : int;
   mutable stalls : int;
   mutable pages_ondemand : int;  (** pages replayed from the fault hook *)
@@ -72,6 +73,7 @@ let create ?metrics () =
       losers = 0;
       clrs_written = 0;
       prefetch_issued = 0;
+      prefetch_refused = 0;
       prefetch_hits = 0;
       stalls = 0;
       pages_ondemand = 0;
@@ -90,6 +92,7 @@ let create ?metrics () =
       fi "stalls" (fun () -> s.stalls);
       fi "prefetch_hits" (fun () -> s.prefetch_hits);
       fi "prefetch_issued" (fun () -> s.prefetch_issued);
+      fi "prefetch_refused" (fun () -> s.prefetch_refused);
       fi "clrs_written" (fun () -> s.clrs_written);
       fi "losers" (fun () -> s.losers);
       fi "smos_replayed" (fun () -> s.smos_replayed);
@@ -130,7 +133,7 @@ let pp fmt (t : t) =
      skips: dpt %d, rlsn %d, plsn %d@,\
      fetches: data %d (stall %.1f ms), index %d (stall %.1f ms), log pages %d@,\
      dpt %d entries; Δ seen %d, BW seen %d, SMO replayed %d@,\
-     prefetch: issued %d, hits %d, stalls %d@,\
+     prefetch: issued %d, hits %d, stalls %d%s@,\
      undo: losers %d, CLRs %d@]"
     (analysis_ms t) (redo_ms t) (undo_ms t) t.records_scanned t.redo_candidates t.redo_applied
     t.tail_records t.skipped_dpt t.skipped_rlsn t.skipped_plsn t.data_page_fetches
@@ -138,7 +141,9 @@ let pp fmt (t : t) =
     t.index_page_fetches
     (t.index_stall_us /. 1000.0)
     t.log_pages_read t.dpt_size t.deltas_seen t.bws_seen t.smos_replayed t.prefetch_issued
-    t.prefetch_hits t.stalls t.losers t.clrs_written;
+    t.prefetch_hits t.stalls
+    (if t.prefetch_refused > 0 then Printf.sprintf ", refused %d" t.prefetch_refused else "")
+    t.losers t.clrs_written;
   if t.ttft_us > 0.0 then
     Format.fprintf fmt
       "@\ninstant: open at %.1f ms, drained at %.1f ms; pages on-demand %d, background %d"

@@ -278,8 +278,8 @@ let make_pool ~capacity ~pages =
 
 let test_per_lane_in_flight () =
   let pool = make_pool ~capacity:16 ~pages:16 in
-  Pool.prefetch pool ~lane:1 [ 0; 1; 2 ];
-  Pool.prefetch pool ~lane:2 [ 3; 4 ];
+  ignore (Pool.prefetch pool ~lane:1 [ 0; 1; 2 ]);
+  ignore (Pool.prefetch pool ~lane:2 [ 3; 4 ]);
   check_int "lane 1" 3 (Pool.in_flight_count ~lane:1 pool);
   check_int "lane 2" 2 (Pool.in_flight_count ~lane:2 pool);
   check_int "idle lane" 0 (Pool.in_flight_count ~lane:0 pool);

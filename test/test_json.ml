@@ -236,8 +236,8 @@ let broken_invariants =
     ("availability cells", [ ([ "availability" ], Json.Arr []) ], [ "availability: empty availability sweep" ]);
     ( "instant speedup",
       [ ([ "availability"; "0"; "speedup" ], num 9.5) ],
-      [ "availability: availability gate — 9.5x at 64 MB, need >= 10.0x (open 8.450 ms, drained \
-       290.575 ms)" ] );
+      [ "availability: availability gate — 9.5x at 64 MB, need >= 10.0x (open 7.250 ms, drained \
+       273.240 ms)" ] );
     ( "background drain",
       [ ([ "availability"; "2"; "pages_background" ], Json.int 0) ],
       [ "availability: background drain replayed nothing" ] );

@@ -139,12 +139,12 @@ let test_checkpoint_epochs () =
 
 let test_prefetch () =
   let e = make ~capacity:8 () in
-  Pool.prefetch e.pool [ 2; 3; 4 ];
+  Alcotest.(check (list int)) "nothing refused" [] (Pool.prefetch e.pool [ 2; 3; 4 ]);
   check_int "in flight" 3 (Pool.in_flight_count e.pool);
   check_int "issued" 3 (Pool.counters e.pool).Pool.prefetch_issued;
   check_int "not yet cached" 0 (Pool.size e.pool);
-  (* Duplicate prefetch is a no-op. *)
-  Pool.prefetch e.pool [ 2; 3 ];
+  (* Duplicate prefetch is a no-op, not a refusal. *)
+  Alcotest.(check (list int)) "duplicates not refused" [] (Pool.prefetch e.pool [ 2; 3 ]);
   check_int "no duplicates" 3 (Pool.in_flight_count e.pool);
   let p = Pool.get e.pool 3 in
   check_int "prefetched content" 3 (Page.get_u16 p 32);
@@ -159,12 +159,17 @@ let test_prefetch_budget () =
   let e = make ~capacity:4 () in
   ignore (Pool.get e.pool 0);
   ignore (Pool.get e.pool 1);
-  Pool.prefetch e.pool [ 2; 3; 4; 5; 6; 7 ];
-  check "prefetch bounded by free space"  true (Pool.in_flight_count e.pool <= 2)
+  let refused = Pool.prefetch e.pool [ 1; 2; 3; 4; 5; 6; 7 ] in
+  check_int "prefetch bounded by free space" 2 (Pool.in_flight_count e.pool);
+  (* The resident page is skipped; what did not fit comes back, in order. *)
+  Alcotest.(check (list int)) "rest refused" [ 4; 5; 6; 7 ] refused;
+  let c = Pool.counters e.pool in
+  check_int "issued" 2 c.Pool.prefetch_issued;
+  check_int "refusals counted" 4 c.Pool.prefetch_refused
 
 let test_prefetch_completed_is_free () =
   let e = make ~capacity:8 () in
-  Pool.prefetch e.pool [ 5 ];
+  ignore (Pool.prefetch e.pool [ 5 ]);
   (* Let the read complete. *)
   Clock.advance e.clock 1e6;
   let stall_before = (Pool.counters e.pool).Pool.stall_us in

@@ -546,6 +546,7 @@ let stats_fields (s : Recovery_stats.t) =
     ("losers", i s.losers);
     ("clrs_written", i s.clrs_written);
     ("prefetch_issued", i s.prefetch_issued);
+    ("prefetch_refused", i s.prefetch_refused);
     ("prefetch_hits", i s.prefetch_hits);
     ("stalls", i s.stalls);
     ("pages_ondemand", i s.pages_ondemand);
@@ -609,7 +610,7 @@ let test_stats_register_once () =
     | _ -> false);
   check_int "first run's gauge untouched" 41
     (Deut_obs.Metrics.read_int m "recovery.redo_applied");
-  check_int "failed registration adds no name" 28 (List.length (Deut_obs.Metrics.names m))
+  check_int "failed registration adds no name" 29 (List.length (Deut_obs.Metrics.names m))
 
 (* Offline-form InstantLog2 drains at Log2's speed: its drain replays the
    same pages through the same redo operator, fed by a prefetch lane like
